@@ -82,7 +82,15 @@ class CaptureMeta:
 
 @dataclass(frozen=True)
 class PacketRecord:
-    """One sampled, truncated frame. Ports are 0 for ICMP."""
+    """One sampled, truncated frame. Ports are 0 for ICMP.
+
+    The last three fields are the transport decode of the captured bytes, as
+    the reader made it: payload is None when the capture stops inside the
+    transport header, payload_wire_len is the payload's length on the wire
+    per the IP header, and icmp_type is -1 for TCP and UDP. For ICMP the
+    payload is everything after the 8-byte ICMP header (the quoted datagram
+    for error messages).
+    """
 
     ts: int  # microseconds since the Unix epoch, UTC
     src_ip: str
@@ -93,6 +101,9 @@ class PacketRecord:
     captured: bytes  # frame bytes from link-layer start, possibly snap-truncated
     orig_len: int  # frame length on the wire
     vantage: str
+    payload: bytes | None = None
+    payload_wire_len: int = 0
+    icmp_type: int = -1
 
     @property
     def day(self) -> date:
@@ -105,9 +116,7 @@ class TransportView:
 
     payload holds the captured bytes; payload_wire_len is how long the
     payload was on the wire according to the IP header, so truncation is
-    detectable even though trailing bytes are gone. For ICMP the payload is
-    everything after the 8-byte ICMP header (the quoted datagram for error
-    messages).
+    detectable even though trailing bytes are gone.
     """
 
     ip_proto: int
@@ -118,15 +127,6 @@ class TransportView:
     payload: bytes
     payload_wire_len: int
     icmp_type: int = -1
-    icmp_code: int = -1
-
-    @property
-    def transport(self) -> str:
-        return "udp" if self.ip_proto == UDP else "tcp"
-
-    @property
-    def truncated(self) -> bool:
-        return len(self.payload) < self.payload_wire_len
 
 
 def ipv4_view(datagram: bytes) -> TransportView | None:
@@ -165,10 +165,7 @@ def ipv4_view(datagram: bytes) -> TransportView | None:
     if proto == ICMP:
         if len(body) < 8:
             return None
-        return TransportView(
-            ICMP, src, dst, 0, 0, body[8:], max(wire_body - 8, 0),
-            icmp_type=body[0], icmp_code=body[1],
-        )
+        return TransportView(ICMP, src, dst, 0, 0, body[8:], max(wire_body - 8, 0), body[0])
     return None
 
 
@@ -190,14 +187,6 @@ def _frame_ip_slice(frame: bytes) -> tuple[bytes | None, str]:
     if ethertype != ETHERTYPE_IPV4:
         return None, "non_ipv4"
     return frame[offset:], ""
-
-
-def transport_view(record: PacketRecord) -> TransportView | None:
-    """Re-derive the transport payload view of a record's captured frame."""
-    ip_bytes, _ = _frame_ip_slice(record.captured)
-    if ip_bytes is None:
-        return None
-    return ipv4_view(ip_bytes)
 
 
 class PcapReader:
@@ -278,17 +267,7 @@ class PcapReader:
                     self.skipped["short" if proto in (ICMP, TCP, UDP) else "non_transport"] += 1
                     continue
                 self.records_yielded += 1
-                yield PacketRecord(
-                    ts=ts,
-                    src_ip=view.src_ip,
-                    dst_ip=view.dst_ip,
-                    ip_proto=view.ip_proto,
-                    src_port=view.src_port,
-                    dst_port=view.dst_port,
-                    captured=captured,
-                    orig_len=orig_len,
-                    vantage=self.meta.vantage,
-                )
+                yield _record(ts, view, view, captured, orig_len, self.meta.vantage)
         finally:
             self.close()
 
@@ -296,6 +275,19 @@ class PcapReader:
 def read_capture(path, meta: CaptureMeta) -> PcapReader:
     """Open a pcap for streaming; iterate the result to get PacketRecords."""
     return PcapReader(path, meta)
+
+
+def _record(ts: int, ends: TransportView, decode: TransportView | None, captured: bytes,
+            orig_len: int, vantage: str) -> PacketRecord:
+    """Endpoints from one decode, payload fields from the decode of the captured bytes."""
+    decoded = () if decode is None else (decode.payload, decode.payload_wire_len, decode.icmp_type)
+    return PacketRecord(ts, ends.src_ip, ends.dst_ip, ends.ip_proto, ends.src_port,
+                        ends.dst_port, captured, orig_len, vantage, *decoded)
+
+
+def _frame_view(frame: bytes) -> TransportView | None:
+    ip_bytes, _ = _frame_ip_slice(frame)
+    return None if ip_bytes is None else ipv4_view(ip_bytes)
 
 
 def record_from_frame(
@@ -309,24 +301,16 @@ def record_from_frame(
 
     Endpoint metadata is recovered from the full frame even when the
     truncated slice cuts into the transport header, mirroring what a capture
-    file records. Returns None for frames outside the supported model.
+    file records; the payload fields come from the captured slice, as the
+    reader's do. Returns None for frames outside the supported model.
     """
-    captured = frame if captured_len is None else frame[:captured_len]
-    ip_bytes, _ = _frame_ip_slice(frame)
-    view = ipv4_view(ip_bytes) if ip_bytes is not None else None
+    view = _frame_view(frame)
     if view is None:
         return None
-    return PacketRecord(
-        ts=ts,
-        src_ip=view.src_ip,
-        dst_ip=view.dst_ip,
-        ip_proto=view.ip_proto,
-        src_port=view.src_port,
-        dst_port=view.dst_port,
-        captured=captured,
-        orig_len=orig_len if orig_len is not None else len(frame),
-        vantage=vantage,
-    )
+    captured = frame if captured_len is None else frame[:captured_len]
+    decode = view if captured_len is None else _frame_view(captured)
+    return _record(ts, view, decode, captured,
+                   orig_len if orig_len is not None else len(frame), vantage)
 
 
 def direction(record: PacketRecord, registry: PortRegistry | None = None) -> str:

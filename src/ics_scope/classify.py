@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import ipaddress
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,9 +160,12 @@ class RdnsTable:
     def from_csv(cls, path) -> "RdnsTable":
         mapping: dict[str, str] = {}
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].startswith("#"):
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"{path} line {reader.line_num}: expected 'ip,name'")
                 ip, name = row[0].strip(), row[1].strip()
                 ipaddress.IPv4Address(ip)
                 mapping[ip] = name
@@ -173,14 +177,6 @@ class RdnsTable:
 
     def lookup(self, ip: str) -> str | None:
         return self.mapping.get(ip)
-
-
-def match_scanner_prefix(ip: str, registry: ScannerRegistry) -> str | None:
-    return registry.match_prefix(ip)
-
-
-def match_scanner_rdns(ip: str, rdns: RdnsTable, registry: ScannerRegistry) -> str | None:
-    return registry.match_rdns(rdns.lookup(ip))
 
 
 def classify(
@@ -235,16 +231,23 @@ def filter_report(rows) -> list[dict]:
     """Industrial share per protocol under each filter family.
 
     Returns one dict per protocol plus a leading total row; shares carry raw
-    numerators so machine output never loses precision to rounding.
+    numerators so machine output never loses precision to rounding. Each
+    row's labels are computed once, into counts per (protocol, direction,
+    industrial flag per family).
     """
-    rows = list(rows)
-    protocols = sorted({r.protocol for r in rows})
+    groups: Counter[tuple[str, str, tuple[bool, ...]]] = Counter()
+    for r in rows:
+        industrial = tuple(label_under(r.reasons, family) == INDUSTRIAL
+                           for _, family in _REPORT_FAMILIES)
+        groups[(r.protocol, r.direction, industrial)] += 1
+    protocols = sorted({protocol for protocol, _, _ in groups})
     out = []
     for protocol in ["total"] + protocols:
-        subset = rows if protocol == "total" else [r for r in rows if r.protocol == protocol]
-        total = len(subset)
-        requests = sum(1 for r in subset if r.direction == "request")
-        replies = sum(1 for r in subset if r.direction == "reply")
+        subset = [(d, flags, n) for (p, d, flags), n in groups.items()
+                  if protocol == "total" or p == protocol]
+        total = sum(n for _, _, n in subset)
+        requests = sum(n for d, _, n in subset if d == "request")
+        replies = sum(n for d, _, n in subset if d == "reply")
         row: dict = {
             "protocol": protocol,
             "total_packets": total,
@@ -252,8 +255,8 @@ def filter_report(rows) -> list[dict]:
             "replies": replies,
             "request_share": (requests / (requests + replies)) if requests + replies else None,
         }
-        for column, family in _REPORT_FAMILIES:
-            industrial = sum(1 for r in subset if label_under(r.reasons, family) == INDUSTRIAL)
+        for index, (column, _) in enumerate(_REPORT_FAMILIES):
+            industrial = sum(n for _, flags, n in subset if flags[index])
             row[column] = (industrial / total) if total else None
             row[column + "_count"] = industrial
         out.append(row)

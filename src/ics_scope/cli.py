@@ -11,12 +11,14 @@ import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from .capture import CaptureError, CaptureMeta, read_capture
 from .dissectors import action_name, dissect
-from .pipeline import ConfigError, PipelineConfig, run_analyze
-from .sanitize import port_only_baseline, sanitize
+from .pipeline import CandidateStream, CaptureSource, ConfigError, PipelineConfig, run_analyze
+from .ports import default_registry
+from .sanitize import default_catalog
 from .trafficgen import ScenarioError, ScenarioSpec, generate
 
 log = logging.getLogger(__name__)
@@ -100,17 +102,12 @@ def _cmd_dissect(args) -> int:
 
 def _cmd_sanitize(args) -> int:
     meta = CaptureMeta(vantage=args.vantage, snap_len=args.snap_len)
-    pairs = []
-    baseline = 0
-    for record in read_capture(args.pcap, meta):
-        baseline += port_only_baseline([record])
-        dissection = dissect(record)
-        if dissection is not None:
-            pairs.append((record, dissection))
-    result = sanitize(pairs)
-    result.report.vantage(meta.vantage).port_only = baseline
+    stream = CandidateStream([CaptureSource(Path(args.pcap), meta)], default_catalog(),
+                             default_registry())
+    for _ in stream:
+        pass
     print("step,remaining_count,remaining_pct")
-    for row in result.report.rows():
+    for row in stream.report.rows():
         pct = "" if row["remaining_pct"] is None else f"{row['remaining_pct']:.1f}"
         print(f"{row['step']},{row['remaining_count']},{pct}")
     return 0

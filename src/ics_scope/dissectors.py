@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .capture import (
@@ -35,7 +35,6 @@ from .capture import (
     PacketRecord,
     TransportView,
     ipv4_view,
-    transport_view,
 )
 from .ports import PortRegistry, default_registry, load_packaged_json
 
@@ -105,6 +104,7 @@ class Dissection:
     role: str  # request | reply | unknown
     function_code: int | None
     verdict: str  # well_formed | malformed
+    via_icmp_quote: bool = False  # found in the datagram an ICMP error message quotes
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,10 @@ class Segment:
         return len(self.payload) < self.wire_len
 
 
-def segment_of(view: TransportView) -> Segment:
-    return Segment(view.payload, view.payload_wire_len, view.transport,
-                   view.src_port, view.dst_port)
+def segment_of(packet: PacketRecord | TransportView) -> Segment:
+    transport = "udp" if packet.ip_proto == UDP else "tcp"
+    return Segment(packet.payload, packet.payload_wire_len, transport,
+                   packet.src_port, packet.dst_port)
 
 
 def min_identifiable_length(protocol: str) -> int:
@@ -522,21 +523,22 @@ def dissect(
     registry: PortRegistry | None = None,
     stats: Counter | None = None,
 ) -> Dissection | None:
-    """Identify a packet record, unpacking ICMP error quotes first.
+    """Identify a packet record from the reader's transport decode.
 
     An ICMP error message is dissected through its quoted inner datagram,
-    the way overly eager analyzers treat backscatter; the tunnel-stripping
-    sanitizer step exists to reverse exactly that.
+    the way overly eager analyzers treat backscatter; the result is marked
+    via_icmp_quote, and the tunnel-stripping sanitizer step exists to
+    reverse exactly that.
     """
     registry = registry or default_registry()
-    view = transport_view(record)
-    if view is None:
+    if not record.payload:
         return None
-    if record.ip_proto == ICMP:
-        if view.icmp_type not in ICMP_ERROR_TYPES:
-            return None
-        inner = ipv4_view(view.payload)
-        if inner is None or inner.ip_proto not in (TCP, UDP):
-            return None
-        return dissect_segment(segment_of(inner), registry, stats)
-    return dissect_segment(segment_of(view), registry, stats)
+    if record.ip_proto != ICMP:
+        return dissect_segment(segment_of(record), registry, stats)
+    if record.icmp_type not in ICMP_ERROR_TYPES:
+        return None
+    inner = ipv4_view(record.payload)
+    if inner is None or inner.ip_proto not in (TCP, UDP):
+        return None
+    found = dissect_segment(segment_of(inner), registry, stats)
+    return None if found is None else replace(found, via_icmp_quote=True)

@@ -61,17 +61,6 @@ class LpmTable:
                 return hit
         return None
 
-    def prefixes(self) -> list[tuple[int, int, object]]:
-        """All (network_int, prefix_len, value) entries, for exhaustive checks."""
-        out = []
-        for plen in range(33):
-            bucket = self._by_len[plen]
-            if not bucket:
-                continue
-            for key, value in bucket.items():
-                out.append(((key << (32 - plen)) if plen else 0, plen, value))
-        return out
-
 
 def load_asn_table(path) -> LpmTable:
     """Prefix-to-origin table from 'prefix asn' or 'address length asn' lines."""
@@ -96,22 +85,17 @@ def load_geo_table(path) -> LpmTable:
     """Prefix-to-country table from CSV 'prefix,country' rows."""
     table = LpmTable()
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path} line {reader.line_num}: expected 'prefix,country'")
             prefix, country = row[0].strip(), row[1].strip().upper()
             if not _COUNTRY_RE.match(country):
                 raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
             table.add(prefix, country)
     return table
-
-
-def map_asn(ip: str, table: LpmTable) -> int | None:
-    return table.lookup(ip)
-
-
-def map_country(ip: str, table: LpmTable) -> str | None:
-    return table.lookup(ip)
 
 
 @dataclass
@@ -232,14 +216,6 @@ def protocols_per_asn(rows) -> dict[int, dict]:
         }
         for asn, protocols in sorted(per_asn.items())
     }
-
-
-def protocols_per_asn_histogram(per_asn: dict[int, dict]) -> dict[int, int]:
-    """How many ASes request exactly n distinct protocols."""
-    hist: dict[int, int] = {}
-    for info in per_asn.values():
-        hist[info["distinct"]] = hist.get(info["distinct"], 0) + 1
-    return dict(sorted(hist.items()))
 
 
 def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[str]]]:

@@ -1,4 +1,4 @@
-"""Aggregate metrics: daily series, extrapolation, shares, host stability."""
+"""Aggregate metrics: daily series, extrapolation, rankings, host stability."""
 
 from __future__ import annotations
 
@@ -16,27 +16,6 @@ def extrapolate(count: int, sample_interval: int) -> int:
     if sample_interval < 1:
         raise ValueError("sample_interval must be >= 1")
     return count * sample_interval
-
-
-def request_share(rows) -> dict[str, dict]:
-    """Requests over requests-plus-replies per protocol.
-
-    rows: iterable of (protocol, direction). Unrelated packets are counted
-    but never enter the share; share is None when there is no denominator.
-    """
-    per: dict[str, dict] = {}
-    for protocol, direction in rows:
-        entry = per.setdefault(protocol, {"requests": 0, "replies": 0, "unrelated": 0})
-        if direction == "request":
-            entry["requests"] += 1
-        elif direction == "reply":
-            entry["replies"] += 1
-        else:
-            entry["unrelated"] += 1
-    for entry in per.values():
-        denominator = entry["requests"] + entry["replies"]
-        entry["share"] = entry["requests"] / denominator if denominator else None
-    return dict(sorted(per.items()))
 
 
 @dataclass(frozen=True)
@@ -80,44 +59,47 @@ def host_stability(day_rows) -> list[HostActivity]:
     return out
 
 
-def protocol_rank(dissections) -> list[tuple[str, int]]:
-    """Protocols by packet count, ties broken lexicographically."""
-    counts: dict[str, int] = {}
-    for dissection in dissections:
-        counts[dissection.protocol] = counts.get(dissection.protocol, 0) + 1
+def protocol_rank(counts) -> list[tuple[str, int]]:
+    """Protocols by packet count, ties broken lexicographically.
+
+    counts: mapping of protocol to packet count.
+    """
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 @dataclass
 class DayRow:
+    """Sampled counts of one day and their on-wire estimates."""
+
     day: date
     total: int = 0
     industrial: int = 0
-
-    def extrapolated(self, sample_interval: int) -> tuple[int, int]:
-        return (
-            extrapolate(self.total, sample_interval),
-            extrapolate(self.industrial, sample_interval),
-        )
+    extrapolated_total: int = 0
+    extrapolated_industrial: int = 0
 
 
 def daily_series(entries) -> dict[tuple[str, str], list[DayRow]]:
-    """Raw daily totals per (vantage, protocol) with gap days zero-filled.
+    """Daily totals per (vantage, protocol) with gap days zero-filled.
 
-    entries: iterable of (vantage, protocol, ts_us, industrial: bool). The
-    total and industrial series sit side by side in each row so filtered and
-    unfiltered views stay comparable.
+    entries: iterable of (vantage, protocol, ts_us, industrial: bool,
+    sample_interval), the interval being that of the packet's capture, so
+    captures of one vantage with different intervals extrapolate each
+    packet by its own. The total and industrial series sit side by side in
+    each row so filtered and unfiltered views stay comparable.
     """
     buckets: dict[tuple[str, str], dict[date, DayRow]] = {}
-    for vantage, protocol, ts_us, industrial in entries:
+    for vantage, protocol, ts_us, industrial, sample_interval in entries:
         day = utc_day(ts_us)
         series = buckets.setdefault((vantage, protocol), {})
         row = series.get(day)
         if row is None:
             row = series[day] = DayRow(day=day)
+        weight = extrapolate(1, sample_interval)
         row.total += 1
+        row.extrapolated_total += weight
         if industrial:
             row.industrial += 1
+            row.extrapolated_industrial += weight
     out: dict[tuple[str, str], list[DayRow]] = {}
     for key in sorted(buckets):
         series = buckets[key]

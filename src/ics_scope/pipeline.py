@@ -42,8 +42,15 @@ from .enrich import (
     scan_overlap,
     transition,
 )
-from .ports import default_registry
-from .sanitize import DpiCatalog, count_port_only_by_vantage, default_catalog, sanitize
+from .ports import PortRegistry, default_registry
+from .sanitize import (
+    KEPT,
+    DpiCatalog,
+    SanitizeReport,
+    default_catalog,
+    is_port_only,
+    sanitize_candidate,
+)
 
 log = logging.getLogger(__name__)
 
@@ -217,6 +224,50 @@ def _pct(numerator: int, denominator: int) -> float | None:
     return round(100.0 * numerator / denominator, 1)
 
 
+class CandidateStream:
+    """One pass over captures from pcap record to sanitize verdict.
+
+    Iterating yields (source, record, dissection) for each kept candidate, in
+    capture and file order. Every record is read once, checked once by the
+    port-only predicate and dissected once; every candidate gets one verdict.
+    The counts are complete once iteration ends: report holds the retention
+    and port-only counts per vantage, candidates the candidates per protocol,
+    notes the dissector notes and readers one summary per capture.
+    """
+
+    def __init__(self, captures: list[CaptureSource], catalog: DpiCatalog,
+                 registry: PortRegistry):
+        self.captures = captures
+        self.catalog = catalog
+        self.registry = registry
+        self.report = SanitizeReport()
+        self.candidates: Counter[str] = Counter()
+        self.notes: Counter[str] = Counter()
+        self.readers: list[dict] = []
+
+    def __iter__(self):
+        for source in self.captures:
+            reader = read_capture(source.path, source.meta)
+            for record in reader:
+                if is_port_only(record, self.registry):
+                    self.report.vantage(record.vantage).port_only += 1
+                dissection = dissect(record, self.registry, self.notes)
+                if dissection is None:
+                    continue
+                self.candidates[dissection.protocol] += 1
+                if sanitize_candidate(record, dissection, self.catalog, self.report) == KEPT:
+                    yield source, record, dissection
+            self.readers.append(
+                {
+                    "path": str(source.path),
+                    "vantage": source.meta.vantage,
+                    "frames_read": reader.frames_read,
+                    "records": reader.records_yielded,
+                    "skipped": dict(sorted(reader.skipped.items())),
+                }
+            )
+
+
 def run_analyze(config: PipelineConfig, out_dir) -> dict:
     """Run the whole pipeline and write the report bundle; returns a summary."""
     inputs = load_inputs(config)
@@ -225,35 +276,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     port_registry = default_registry()
     active = FILTER_FAMILIES[config.filters]
 
-    records = []
-    reader_summaries = []
-    for source in config.captures:
-        reader = read_capture(source.path, source.meta)
-        records.extend(reader)
-        reader_summaries.append(
-            {
-                "path": str(source.path),
-                "vantage": source.meta.vantage,
-                "frames_read": reader.frames_read,
-                "records": reader.records_yielded,
-                "skipped": dict(sorted(reader.skipped.items())),
-            }
-        )
-    sample_intervals = {s.meta.vantage: s.meta.sample_interval for s in config.captures}
-
-    dissect_stats: Counter[str] = Counter()
-    pairs = []
-    for record in records:
-        dissection = dissect(record, port_registry, dissect_stats)
-        if dissection is not None:
-            pairs.append((record, dissection))
-
-    rank = metrics.protocol_rank(d for _, d in pairs)
-
-    result = sanitize(pairs, inputs.dpi_catalog, port_registry)
-    for vantage, count in count_port_only_by_vantage(records, port_registry).items():
-        result.report.vantage(vantage).port_only = count
-
+    stream = CandidateStream(config.captures, inputs.dpi_catalog, port_registry)
     classified_rows = []
     daily_entries = []
     stability_rows = []
@@ -262,14 +285,15 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     domestic_counts: Counter[tuple[str, str, str]] = Counter()
     passive_hosts: dict[str, dict[str, set[str]]] = {}
 
-    for record, dissection in result.kept:
+    for source, record, dissection in stream:
         packet_direction = direction(record, port_registry)
         traffic = classify(record, inputs.scanner_registry, inputs.rdns, inputs.honeypots,
                            ALL_FILTERS)
         label = label_under(traffic.reasons, active)
         protocol = dissection.protocol
         classified_rows.append(ClassifiedPacket(protocol, packet_direction, traffic.reasons))
-        daily_entries.append((record.vantage, protocol, record.ts, label == INDUSTRIAL))
+        daily_entries.append((record.vantage, protocol, record.ts, label == INDUSTRIAL,
+                              source.meta.sample_interval))
         if config.stability_label == "all" or label == config.stability_label:
             stability_rows.append((record.dst_ip, record.day))
         hosts = passive_hosts.setdefault(protocol, {"source": set(), "destination": set()})
@@ -293,7 +317,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
 
     # --- report bundle -----------------------------------------------------
 
-    sanitize_rows = result.report.rows()
+    sanitize_rows = stream.report.rows()
     _write_csv(
         out / "sanitize.csv",
         ["step", "remaining_count", "remaining_pct"],
@@ -305,7 +329,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
             "steps": sanitize_rows,
             "per_vantage": {
                 vantage: vars(counts)
-                for vantage, counts in sorted(result.report.per_vantage.items())
+                for vantage, counts in sorted(stream.report.per_vantage.items())
             },
         },
     )
@@ -368,12 +392,11 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     with open(out / "daily.tsv", "w", newline="") as fh:
         fh.write("day\tcount\textrapolated\tlabel\n")
         for (vantage, protocol), rows in series.items():
-            interval = sample_intervals.get(vantage, 1)
             for row in rows:
-                total_x, industrial_x = row.extrapolated(interval)
-                fh.write(f"{row.day}\t{row.total}\t{total_x}\t{vantage}:{protocol}:total\n")
+                fh.write(f"{row.day}\t{row.total}\t{row.extrapolated_total}\t"
+                         f"{vantage}:{protocol}:total\n")
                 fh.write(
-                    f"{row.day}\t{row.industrial}\t{industrial_x}\t"
+                    f"{row.day}\t{row.industrial}\t{row.extrapolated_industrial}\t"
                     f"{vantage}:{protocol}:industrial\n"
                 )
 
@@ -414,19 +437,20 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     _write_csv(
         out / "protocol_rank.csv",
         ["rank", "protocol", "packets"],
-        [[i + 1, protocol, count] for i, (protocol, count) in enumerate(rank)],
+        [[i + 1, protocol, count]
+         for i, (protocol, count) in enumerate(metrics.protocol_rank(stream.candidates))],
     )
 
     summary = {
-        "captures": reader_summaries,
-        "frames_read": sum(r["frames_read"] for r in reader_summaries),
-        "records": sum(r["records"] for r in reader_summaries),
-        "candidates": result.report.candidates_in,
-        "kept": result.report.after_dpi,
+        "captures": stream.readers,
+        "frames_read": sum(r["frames_read"] for r in stream.readers),
+        "records": sum(r["records"] for r in stream.readers),
+        "candidates": stream.report.candidates_in,
+        "kept": stream.report.after_dpi,
         "filters": config.filters,
         "stability_label": config.stability_label,
         "stability_window": "inclusive of first and last day",
-        "dissect_notes": dict(sorted(dissect_stats.items())),
+        "dissect_notes": dict(sorted(stream.notes.items())),
     }
     _write_json(out / "run_summary.json", summary)
     return summary

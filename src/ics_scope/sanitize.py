@@ -1,7 +1,7 @@
 """Three-step sanitization of ICS candidates with retention reporting.
 
-Step 1 strips tunnel packets (ICMP errors whose quoted datagram is what the
-dissectors identified), step 2 drops malformed dissections, step 3
+Step 1 strips tunnel packets (dissections the dissector reached through an
+ICMP error's quoted datagram), step 2 drops malformed dissections, step 3
 cross-checks surviving payloads against a catalog of well-known non-ICS
 protocol signatures. Every candidate receives exactly one verdict and the
 report keeps cumulative per-step retention counts per vantage point.
@@ -9,12 +9,11 @@ report keeps cumulative per-step retention counts per vantage point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .capture import ICMP, ICMP_ERROR_TYPES, TCP, UDP, PacketRecord, transport_view
-from .dissectors import MALFORMED, Dissection, dissect
+from .capture import TCP, UDP, PacketRecord
+from .dissectors import MALFORMED, Dissection
 from .ports import PortRegistry, default_registry, load_packaged_json
 
 KEPT = "kept"
@@ -42,9 +41,17 @@ def _check_ntp_header(payload: bytes) -> bool:
     return 1 <= version <= 4 and 1 <= mode <= 5
 
 
+def _check_tls_record(payload: bytes) -> bool:
+    # RFC 8446 5.1 forbids zero-length handshake fragments. Modbus/TCP with
+    # transaction id 0x1603 shares the handshake prefix, but its bytes 3-4
+    # (protocol id low byte, MBAP length high byte) always read zero.
+    return len(payload) >= 5 and int.from_bytes(payload[3:5], "big") > 0
+
+
 _STRUCTURAL_CHECKS = {
     "dns_header": _check_dns_header,
     "ntp_header": _check_ntp_header,
+    "tls_record": _check_tls_record,
 }
 
 
@@ -110,13 +117,11 @@ class DpiCatalog:
             return cls.from_entries(json.load(fh))
 
     def match(self, record: PacketRecord) -> str | None:
-        if record.ip_proto not in (TCP, UDP):
+        if record.ip_proto not in (TCP, UDP) or not record.payload:
             return None
-        view = transport_view(record)
-        if view is None or not view.payload:
-            return None
+        transport = "udp" if record.ip_proto == UDP else "tcp"
         for sig in self.signatures:
-            if sig.matches(view.transport, view.src_port, view.dst_port, view.payload):
+            if sig.matches(transport, record.src_port, record.dst_port, record.payload):
                 return sig.name
         return None
 
@@ -126,21 +131,9 @@ def default_catalog() -> DpiCatalog:
     return DpiCatalog.from_entries(load_packaged_json("dpi_catalog.json"))
 
 
-def strip_tunnels(
-    record: PacketRecord,
-    dissection: Dissection,
-    registry: PortRegistry | None = None,
-) -> str:
-    """Drop ICMP error messages whose quoted datagram triggered the match."""
-    if record.ip_proto != ICMP:
-        return KEPT
-    view = transport_view(record)
-    if view is None or view.icmp_type not in ICMP_ERROR_TYPES:
-        return KEPT
-    again = dissect(record, registry)
-    if again is not None and again.protocol == dissection.protocol:
-        return DROPPED_TUNNEL
-    return KEPT
+def strip_tunnels(dissection: Dissection) -> str:
+    """Drop dissections found inside an ICMP error message's quoted datagram."""
+    return DROPPED_TUNNEL if dissection.via_icmp_quote else KEPT
 
 
 def drop_malformed(dissection: Dissection) -> str:
@@ -151,6 +144,14 @@ def dpi_cross_check(record: PacketRecord, catalog: DpiCatalog | None = None) -> 
     """Drop candidates whose payload fingerprints as a well-known protocol."""
     catalog = catalog or default_catalog()
     return DROPPED_KNOWN_PROTOCOL if catalog.match(record) else KEPT
+
+
+def is_port_only(record: PacketRecord, registry: PortRegistry | None = None) -> bool:
+    """Whether a naive port-only detector would flag the record as ICS."""
+    registry = registry or default_registry()
+    return record.ip_proto in (TCP, UDP) and (
+        registry.is_ics_port(record.src_port) or registry.is_ics_port(record.dst_port)
+    )
 
 
 @dataclass
@@ -242,57 +243,34 @@ class SanitizeResult:
     report: SanitizeReport
 
 
-def sanitize(
-    pairs,
-    catalog: DpiCatalog | None = None,
-    registry: PortRegistry | None = None,
-) -> SanitizeResult:
-    """Apply the three steps in order; input order is preserved for survivors."""
-    catalog = catalog or default_catalog()
-    registry = registry or default_registry()
-    kept: list[tuple[PacketRecord, Dissection]] = []
-    verdicts: list[str] = []
-    report = SanitizeReport()
-    for record, dissection in pairs:
-        counts = report.vantage(record.vantage)
-        counts.candidates_in += 1
-        verdict = strip_tunnels(record, dissection, registry)
-        if verdict != KEPT:
-            verdicts.append(verdict)
-            continue
+def sanitize_candidate(
+    record: PacketRecord,
+    dissection: Dissection,
+    catalog: DpiCatalog,
+    report: SanitizeReport,
+) -> str:
+    """Apply the three steps in order to one candidate; counts it in report."""
+    counts = report.vantage(record.vantage)
+    counts.candidates_in += 1
+    verdict = strip_tunnels(dissection)
+    if verdict == KEPT:
         counts.after_tunnel += 1
         verdict = drop_malformed(dissection)
-        if verdict != KEPT:
-            verdicts.append(verdict)
-            continue
+    if verdict == KEPT:
         counts.after_malformed += 1
         verdict = dpi_cross_check(record, catalog)
-        if verdict != KEPT:
-            verdicts.append(verdict)
-            continue
+    if verdict == KEPT:
         counts.after_dpi += 1
-        verdicts.append(KEPT)
-        kept.append((record, dissection))
-    return SanitizeResult(kept=kept, verdicts=verdicts, report=report)
+    return verdict
 
 
-def port_only_baseline(records, registry: PortRegistry | None = None) -> int:
-    """Count records a naive port-only detector would flag as ICS."""
-    registry = registry or default_registry()
-    return sum(
-        1
-        for r in records
-        if r.ip_proto in (TCP, UDP)
-        and (registry.is_ics_port(r.src_port) or registry.is_ics_port(r.dst_port))
-    )
-
-
-def count_port_only_by_vantage(records, registry: PortRegistry | None = None) -> Counter:
-    registry = registry or default_registry()
-    counts: Counter[str] = Counter()
-    for r in records:
-        if r.ip_proto in (TCP, UDP) and (
-            registry.is_ics_port(r.src_port) or registry.is_ics_port(r.dst_port)
-        ):
-            counts[r.vantage] += 1
-    return counts
+def sanitize(pairs, catalog: DpiCatalog | None = None) -> SanitizeResult:
+    """Sanitize (record, dissection) pairs; input order is preserved for survivors."""
+    catalog = catalog or default_catalog()
+    result = SanitizeResult(kept=[], verdicts=[], report=SanitizeReport())
+    for record, dissection in pairs:
+        verdict = sanitize_candidate(record, dissection, catalog, result.report)
+        result.verdicts.append(verdict)
+        if verdict == KEPT:
+            result.kept.append((record, dissection))
+    return result

@@ -22,8 +22,6 @@ from ics_scope.classify import (
     default_scanner_registry,
     filter_report,
     label_under,
-    match_scanner_prefix,
-    match_scanner_rdns,
 )
 
 
@@ -72,23 +70,22 @@ def test_prefix_match_agrees_with_bruteforce(registry):
             assert registry.match_prefix(str(ip)) in candidates
         else:
             assert registry.match_prefix(str(ip)) is None
-        assert match_scanner_prefix(str(ip), registry) == registry.match_prefix(str(ip))
 
 
 def test_rdns_quoted_names():
     registry = default_scanner_registry()
     rdns = RdnsTable({"1.2.3.4": "scanner2.labs.rapid7.com",
                       "5.6.7.8": "pirate.census.shodan.io"})
-    assert match_scanner_rdns("1.2.3.4", rdns, registry) == "Rapid7"
+    assert registry.match_rdns(rdns.lookup("1.2.3.4")) == "Rapid7"
     # Registry order puts the shodan pattern ahead of census.
-    assert match_scanner_rdns("5.6.7.8", rdns, registry) == "Shodan"
-    assert match_scanner_rdns("9.9.9.9", rdns, registry) is None
+    assert registry.match_rdns(rdns.lookup("5.6.7.8")) == "Shodan"
+    assert registry.match_rdns(rdns.lookup("9.9.9.9")) is None
 
 
 def test_rdns_case_insensitive():
     registry = default_scanner_registry()
     rdns = RdnsTable({"1.1.1.1": "Probe.SHODAN.io"})
-    assert match_scanner_rdns("1.1.1.1", rdns, registry) == "Shodan"
+    assert registry.match_rdns(rdns.lookup("1.1.1.1")) == "Shodan"
 
 
 def test_hp_subset_enforced(tmp_path):

@@ -67,6 +67,28 @@ def test_analyze_missing_honeypot_file_exit_2(tmp_path, capsys):
     assert "does_not_exist.txt" in err
 
 
+def _analyze_with_short_row(tmp_path, capsys, sidecar):
+    corpus = _gen(tmp_path)
+    config = json.loads((corpus / "config.json").read_text())
+    with open(corpus / config[sidecar], "a") as fh:
+        fh.write("10.0.0.1\n")
+    lines = (corpus / config[sidecar]).read_text().count("\n")
+    code = main(["analyze", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "r")])
+    return code, capsys.readouterr().err, f"{config[sidecar]} line {lines}"
+
+
+def test_analyze_short_rdns_row_exit_2(tmp_path, capsys):
+    code, err, where = _analyze_with_short_row(tmp_path, capsys, "rdns")
+    assert code == 2
+    assert where in err
+
+
+def test_analyze_short_geo_row_exit_2(tmp_path, capsys):
+    code, err, where = _analyze_with_short_row(tmp_path, capsys, "geo")
+    assert code == 2
+    assert where in err
+
+
 def test_analyze_empty_pcap_all_zero(tmp_path):
     empty = tmp_path / "empty.pcap"
     write_pcap(empty, [])

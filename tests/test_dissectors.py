@@ -32,10 +32,12 @@ from ics_scope.dissectors import (
     min_identifiable_length,
 )
 from ics_scope.trafficgen import (
+    build_frame,
     dnp3_read_request,
     golden_packets,
     hartip_message,
     modbus_exception_reply,
+    modbus_request,
     s7_setup_job,
 )
 
@@ -330,6 +332,14 @@ def test_min_length_property_for_every_golden():
         assert below is None or below.verdict != WELL_FORMED or below.protocol != packet.protocol
 
 
+def test_capture_cut_in_transport_header_never_dissects():
+    frame = build_frame("10.0.0.1", "10.0.0.2", "tcp", 49152, 502, modbus_request())
+    record = record_from_frame(frame, captured_len=14 + 20 + 10)
+    assert (record.src_port, record.dst_port) == (49152, 502)  # from the full frame
+    assert record.payload is None
+    assert dissect(record) is None
+
+
 def test_exclusivity_on_golden_corpus():
     heuristics = {
         IEC104: dissect_iec104,
@@ -342,10 +352,9 @@ def test_exclusivity_on_golden_corpus():
         record = record_from_frame(packet.frame)
         d = dissect(record)
         assert d.protocol == packet.protocol
-        from ics_scope.capture import transport_view
         from ics_scope.dissectors import segment_of
 
-        segment = segment_of(transport_view(record))
+        segment = segment_of(record)
         for other, fn in heuristics.items():
             if other == packet.protocol:
                 continue

@@ -16,9 +16,7 @@ from ics_scope.enrich import (
     load_asn_table,
     load_geo_table,
     load_scan_snapshot,
-    map_asn,
     protocols_per_asn,
-    protocols_per_asn_histogram,
     scan_overlap,
     transition,
 )
@@ -78,8 +76,8 @@ def test_load_asn_table_formats(tmp_path):
     path = tmp_path / "asn.txt"
     path.write_text("10.0.0.0/8 64500\n10.1.0.0 16 64501\n# comment\n\n")
     table = load_asn_table(path)
-    assert map_asn("10.1.2.3", table) == 64501
-    assert map_asn("10.200.0.1", table) == 64500
+    assert table.lookup("10.1.2.3") == 64501
+    assert table.lookup("10.200.0.1") == 64500
 
 
 def test_load_asn_table_duplicate_last_wins(tmp_path, caplog):
@@ -183,8 +181,6 @@ def test_protocols_per_asn_flags():
     assert per_asn[64500]["suspicious"] is False
     assert per_asn[64501]["distinct"] == 5
     assert per_asn[64501]["suspicious"] is True
-    hist = protocols_per_asn_histogram(per_asn)
-    assert hist == {2: 1, 5: 1}
 
 
 def test_protocols_per_asn_threshold_boundary():

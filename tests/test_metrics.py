@@ -1,17 +1,17 @@
 import random
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ics_scope.classify import ClassifiedPacket, filter_report
 from ics_scope.dissectors import Dissection
 from ics_scope.metrics import (
-    DayRow,
     daily_series,
     extrapolate,
     host_stability,
     protocol_rank,
-    request_share,
 )
 
 _DAY_US = 86_400_000_000
@@ -36,19 +36,24 @@ def test_extrapolate_linear(a, b, s):
     assert extrapolate(a + b, s) == extrapolate(a, s) + extrapolate(b, s)
 
 
+def _request_shares(rows):
+    report = filter_report(ClassifiedPacket(p, d, frozenset()) for p, d in rows)
+    return {row["protocol"]: row["request_share"] for row in report}
+
+
 def test_request_share_planted():
     rows = [("bacnet", "request")] * 99 + [("bacnet", "reply")]
-    shares = request_share(rows)
-    assert shares["bacnet"]["share"] == pytest.approx(0.99)
+    shares = _request_shares(rows)
+    assert shares["bacnet"] == pytest.approx(0.99)
 
 
 def test_request_share_balanced_and_null():
     rows = [("modbus", "request")] * 5 + [("modbus", "reply")] * 5
     rows += [("s7comm", "unrelated")] * 4
-    shares = request_share(rows)
-    assert shares["modbus"]["share"] == pytest.approx(0.5)
-    assert shares["s7comm"]["share"] is None
-    assert shares["s7comm"]["unrelated"] == 4
+    shares = _request_shares(rows)
+    assert shares["modbus"] == pytest.approx(0.5)
+    assert shares["s7comm"] is None
+    assert Counter(rows)[("s7comm", "unrelated")] == 4
 
 
 def test_host_stability_inclusive_window():
@@ -120,25 +125,29 @@ def _dissection(protocol):
     return Dissection(protocol, "normal", "request", None, "well_formed")
 
 
+def _counts(dissections):
+    return Counter(d.protocol for d in dissections)
+
+
 def test_protocol_rank_order_and_ties():
     stream = [_dissection("modbus")] * 10 + [_dissection("bacnet")] * 5
-    assert protocol_rank(stream) == [("modbus", 10), ("bacnet", 5)]
+    assert protocol_rank(_counts(stream)) == [("modbus", 10), ("bacnet", 5)]
     tied = [_dissection("dnp3")] * 3 + [_dissection("bacnet")] * 3
-    assert protocol_rank(tied) == [("bacnet", 3), ("dnp3", 3)]
+    assert protocol_rank(_counts(tied)) == [("bacnet", 3), ("dnp3", 3)]
 
 
 def test_protocol_rank_conserves_counts():
     rng = random.Random(2)
     stream = [_dissection(rng.choice(["a", "b", "c"])) for _ in range(500)]
-    ranked = protocol_rank(stream)
+    ranked = protocol_rank(_counts(stream))
     assert sum(count for _, count in ranked) == 500
 
 
 def test_daily_series_utc_bucketing_and_gaps():
     d1 = date(2018, 1, 3)
     entries = [
-        ("vp", "bacnet", _ts(d1, _DAY_US - 1), True),  # 23:59:59.999999 stays on day 1
-        ("vp", "bacnet", _ts(d1 + timedelta(days=3)), False),
+        ("vp", "bacnet", _ts(d1, _DAY_US - 1), True, 1),  # 23:59:59.999999 stays on day 1
+        ("vp", "bacnet", _ts(d1 + timedelta(days=3)), False, 1),
     ]
     series = daily_series(entries)[("vp", "bacnet")]
     assert [row.day for row in series] == [d1 + timedelta(days=i) for i in range(4)]
@@ -149,8 +158,8 @@ def test_daily_series_utc_bucketing_and_gaps():
 
 def test_daily_series_scanner_spike_only_in_total():
     base = date(2018, 1, 1)
-    entries = [("vp", "bacnet", _ts(base + timedelta(days=i)), True) for i in range(5)]
-    entries += [("vp", "bacnet", _ts(base + timedelta(days=2), 50), False)
+    entries = [("vp", "bacnet", _ts(base + timedelta(days=i)), True, 1) for i in range(5)]
+    entries += [("vp", "bacnet", _ts(base + timedelta(days=2), 50), False, 1)
                 for _ in range(100)]
     series = daily_series(entries)[("vp", "bacnet")]
     spike = series[2]
@@ -166,7 +175,7 @@ def test_daily_series_conservation():
         entries.append(
             ("vp", rng.choice(["modbus", "bacnet"]),
              _ts(base + timedelta(days=rng.randrange(20)), rng.randrange(_DAY_US)),
-             rng.random() < 0.5)
+             rng.random() < 0.5, 1)
         )
     series = daily_series(entries)
     total = sum(row.total for rows in series.values() for row in rows)
@@ -174,8 +183,10 @@ def test_daily_series_conservation():
 
 
 def test_day_row_extrapolation():
-    row = DayRow(day=date(2018, 1, 1), total=5, industrial=2)
-    assert row.extrapolated(16384) == (81920, 32768)
+    day = _ts(date(2018, 1, 1))
+    entries = [("vp", "bacnet", day, i < 2, 16384) for i in range(5)]
+    row = daily_series(entries)[("vp", "bacnet")][0]
+    assert (row.extrapolated_total, row.extrapolated_industrial) == (81920, 32768)
 
 
 def test_daily_series_empty():

@@ -14,7 +14,7 @@ from ics_scope.sanitize import (
     default_catalog,
     dpi_cross_check,
     drop_malformed,
-    port_only_baseline,
+    is_port_only,
     sanitize,
     strip_tunnels,
 )
@@ -60,12 +60,13 @@ def _malformed_pair():
 def test_strip_tunnels_drops_backscatter():
     record, dissection = _tunnel_pair()
     assert dissection.protocol == "bacnet"
-    assert strip_tunnels(record, dissection) == DROPPED_TUNNEL
+    assert dissection.via_icmp_quote
+    assert strip_tunnels(dissection) == DROPPED_TUNNEL
 
 
 def test_strip_tunnels_keeps_plain_traffic():
     record, dissection = _bacnet_pair()
-    assert strip_tunnels(record, dissection) == KEPT
+    assert strip_tunnels(dissection) == KEPT
 
 
 def test_icmp_echo_is_never_a_candidate():
@@ -74,9 +75,6 @@ def test_icmp_echo_is_never_a_candidate():
     )
     record = record_from_frame(echo)
     assert dissect(record) is None
-    # Even paired with an unrelated dissection the step keeps it.
-    _, dissection = _bacnet_pair()
-    assert strip_tunnels(record, dissection) == KEPT
 
 
 def test_drop_malformed():
@@ -104,10 +102,20 @@ def test_dpi_tls_signature_fires_but_is_pipeline_unreachable():
     assert dissect(record) is None  # start byte 0x16 never matches on 2404
 
 
+def test_dpi_tls_signature_spares_modbus_transaction_0x1603():
+    # MBAP header 1603 0000 0006: the TLS prefix, but a zero TLS record length.
+    payload = modbus_request(transaction_id=0x1603)
+    assert payload.startswith(bytes.fromhex("1603000000060103"))
+    record, dissection = _pair(build_frame("10.0.4.3", "10.0.4.4", "tcp", 49152, 502, payload))
+    assert (dissection.protocol, dissection.verdict) == ("modbus", "well_formed")
+    assert dpi_cross_check(record) == KEPT
+    assert sanitize([(record, dissection)]).verdicts == [KEPT]
+
+
 def test_dpi_dns_chimera_survives_to_step_three():
     record, dissection = _chimera_pair()
     assert dissection.verdict == "well_formed"
-    assert strip_tunnels(record, dissection) == KEPT
+    assert strip_tunnels(dissection) == KEPT
     assert drop_malformed(dissection) == KEPT
     assert dpi_cross_check(record) == DROPPED_KNOWN_PROTOCOL
 
@@ -149,7 +157,7 @@ def test_sanitize_counts_and_order():
     # Survivors preserve input order.
     kept_ids = [id(r) for r, _ in result.kept]
     expected = [id(r) for r, d in pairs
-                if strip_tunnels(r, d) == KEPT and drop_malformed(d) == KEPT
+                if strip_tunnels(d) == KEPT and drop_malformed(d) == KEPT
                 and dpi_cross_check(r) == KEPT]
     assert kept_ids == expected
 
@@ -177,7 +185,7 @@ def test_kept_set_invariant_under_step_order():
     for _ in range(40):
         pairs.append(rng.choice(makers)())
     predicates = {
-        "tunnel": lambda r, d: strip_tunnels(r, d) == KEPT,
+        "tunnel": lambda r, d: strip_tunnels(d) == KEPT,
         "malformed": lambda r, d: drop_malformed(d) == KEPT,
         "dpi": lambda r, d: dpi_cross_check(r) == KEPT,
     }
@@ -196,7 +204,7 @@ def test_kept_set_invariant_under_step_order():
 def test_port_only_baseline_zero_without_ics_ports():
     frames = [build_frame("10.0.7.1", "10.0.7.2", "tcp", 49152, 8080, b"hello")
               for _ in range(5)]
-    assert port_only_baseline([record_from_frame(f) for f in frames]) == 0
+    assert not any(is_port_only(record_from_frame(f)) for f in frames)
 
 
 def test_verdict_partition_sums_to_candidates():
@@ -218,13 +226,13 @@ def test_port_only_baseline_ratio():
     frames += [build_frame("10.0.6.1", "10.0.6.2", "tcp", 49152, 502, bytes(bad))
                for _ in range(8)]
     records = [record_from_frame(f) for f in frames]
-    assert port_only_baseline(records) == 10
+    assert sum(map(is_port_only, records)) == 10
     pairs = [(r, dissect(r)) for r in records]
     result = sanitize(pairs)
     assert result.report.after_dpi == 2
     for record in records:
         result.report.vantage(record.vantage).port_only = 0
-    result.report.vantage(records[0].vantage).port_only = port_only_baseline(records)
+    result.report.vantage(records[0].vantage).port_only = sum(map(is_port_only, records))
     assert result.report.port_only_pct == 500.0
 
 

@@ -75,11 +75,12 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
     shodan = next(e for e in registry if e["project"] == "Shodan")
     assert shodan["prefixes"] == ["203.0.113.0/29"]
     from ics_scope.capture import direction
-    from ics_scope.metrics import request_share
+    from ics_scope.classify import ClassifiedPacket, filter_report
 
     records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
-    shares = request_share((dissect(r).protocol, direction(r)) for r in records)
-    assert shares["bacnet"]["share"] == 1.0
+    report = filter_report(ClassifiedPacket(dissect(r).protocol, direction(r), frozenset())
+                           for r in records)
+    assert next(row for row in report if row["protocol"] == "bacnet")["request_share"] == 1.0
     # Destination coverage: every host of the /26 shows up.
     assert len({r.dst_ip for r in records}) == 62
 
