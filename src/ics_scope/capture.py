@@ -8,16 +8,13 @@ with the frame count in the file.
 
 from __future__ import annotations
 
-import logging
 import struct
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .ports import PortRegistry, default_registry
-
-log = logging.getLogger(__name__)
+from .ports import PORTS, TCP, UDP
 
 PCAP_MAGIC_MICROS = 0xA1B2C3D4
 PCAP_MAGIC_NANOS = 0xA1B23C4D
@@ -27,9 +24,7 @@ ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
 ETHERTYPE_IPV6 = 0x86DD
 
-ICMP = 1
-TCP = 6
-UDP = 17
+ICMP = 1  # TCP and UDP are defined with the port table, in .ports
 
 # ICMP error messages quote the datagram that triggered them.
 ICMP_ERROR_TYPES = (3, 11, 12)
@@ -192,9 +187,10 @@ def _frame_ip_slice(frame: bytes) -> tuple[bytes | None, str]:
 class PcapReader:
     """Streaming reader over a classic pcap file.
 
-    Iterating yields PacketRecords in file order. Skip counters and frame
-    totals are reliable once iteration finishes; records_yielded plus the
-    sum of skipped reasons always equals frames_read.
+    Iterating yields PacketRecords in file order and raises CaptureError at
+    a record cut short by the end of the file. Skip counters and frame
+    totals are reliable once iteration stops; records_yielded plus the sum
+    of skipped reasons always equals frames_read.
     """
 
     def __init__(self, path, meta: CaptureMeta):
@@ -230,10 +226,6 @@ class PcapReader:
         if not self._fh.closed:
             self._fh.close()
 
-    @property
-    def skipped_frames(self) -> int:
-        return sum(self.skipped.values())
-
     def __iter__(self):
         if self._fh.closed:  # single-consumer stream; a second pass needs a new reader
             return
@@ -244,16 +236,13 @@ class PcapReader:
                 if not head:
                     break
                 if len(head) < 16:
-                    log.warning("%s: truncated record header at end of file", self.path)
-                    break
+                    raise CaptureError(f"{self.path}: record {self.frames_read}: truncated "
+                                       f"record header ({len(head)} of 16 bytes)")
                 sec, frac, incl_len, orig_len = rec_header.unpack(head)
                 data = self._fh.read(incl_len)
                 if len(data) < incl_len:
-                    log.warning(
-                        "%s: truncated final record (%d of %d bytes), stopping",
-                        self.path, len(data), incl_len,
-                    )
-                    break
+                    raise CaptureError(f"{self.path}: record {self.frames_read}: runs past the "
+                                       f"end of the file ({len(data)} of {incl_len} bytes)")
                 self.frames_read += 1
                 ts = sec * 1_000_000 + (frac // 1000 if self._nanos else frac)
                 captured = data[: self.meta.snap_len]
@@ -313,21 +302,14 @@ def record_from_frame(
                    orig_len if orig_len is not None else len(frame), vantage)
 
 
-def direction(record: PacketRecord, registry: PortRegistry | None = None) -> str:
+def direction(record: PacketRecord) -> str:
     """Request, reply or unrelated, judged by registered ICS ports.
 
     Destination port wins when both ports are registered; ICMP records never
     relate to a port.
     """
-    registry = registry or default_registry()
-    if record.ip_proto == UDP:
-        transport = "udp"
-    elif record.ip_proto == TCP:
-        transport = "tcp"
-    else:
-        return UNRELATED
-    if registry.protocol_for(record.dst_port, transport):
+    if PORTS.protocol_for(record.dst_port, record.ip_proto):
         return REQUEST
-    if registry.protocol_for(record.src_port, transport):
+    if PORTS.protocol_for(record.src_port, record.ip_proto):
         return REPLY
     return UNRELATED

@@ -47,12 +47,6 @@ class Reason:
 
 
 @dataclass(frozen=True)
-class TrafficClass:
-    label: str
-    reasons: frozenset[Reason]
-
-
-@dataclass(frozen=True)
 class ScannerProject:
     name: str
     prefixes: tuple[tuple[int, int], ...]  # (network address as int, prefix length)
@@ -184,25 +178,24 @@ def classify(
     registry: ScannerRegistry,
     rdns: RdnsTable,
     honeypots: HoneypotSets,
-    active: frozenset[str] = ALL_FILTERS,
-) -> TrafficClass:
-    """Evaluate the active filters on both endpoints and label the packet."""
+) -> frozenset[Reason]:
+    """Every filter's reasons for calling the packet non-industrial, both endpoints.
+
+    label_under turns the reason set into a label for a filter family.
+    """
     reasons: set[Reason] = set()
     for ip in (record.src_ip, record.dst_ip):
-        if SCANNER_PREFIX in active:
-            project = registry.match_prefix(ip)
-            if project:
-                reasons.add(Reason(SCANNER_PREFIX, project))
-        if SCANNER_RDNS in active:
-            project = registry.match_rdns(rdns.lookup(ip))
-            if project:
-                reasons.add(Reason(SCANNER_RDNS, project))
-        if HP_ALL in active and ip in honeypots.hp_all:
+        project = registry.match_prefix(ip)
+        if project:
+            reasons.add(Reason(SCANNER_PREFIX, project))
+        project = registry.match_rdns(rdns.lookup(ip))
+        if project:
+            reasons.add(Reason(SCANNER_RDNS, project))
+        if ip in honeypots.hp_all:
             reasons.add(Reason(HP_ALL))
-        if HP_ICS in active and ip in honeypots.hp_ics:
+        if ip in honeypots.hp_ics:
             reasons.add(Reason(HP_ICS))
-    label = NON_INDUSTRIAL if reasons else INDUSTRIAL
-    return TrafficClass(label, frozenset(reasons))
+    return frozenset(reasons)
 
 
 def label_under(reasons: frozenset[Reason], active: frozenset[str]) -> str:

@@ -17,11 +17,18 @@ from . import __version__
 from .capture import CaptureError, CaptureMeta, read_capture
 from .dissectors import action_name, dissect
 from .pipeline import CandidateStream, CaptureSource, ConfigError, PipelineConfig, run_analyze
-from .ports import default_registry
 from .sanitize import default_catalog
 from .trafficgen import ScenarioError, ScenarioSpec, generate
 
 log = logging.getLogger(__name__)
+
+
+def _snap_len(text: str) -> int:
+    """A --snap-len value, checked as the capture setup checks it."""
+    try:
+        return CaptureMeta("cli", snap_len=int(text)).snap_len
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,13 +50,13 @@ def _build_parser() -> argparse.ArgumentParser:
     dissect_cmd = sub.add_parser("dissect", help="per-packet dissection dump as JSON lines")
     dissect_cmd.add_argument("pcap", help="capture file to dissect")
     dissect_cmd.add_argument("--vantage", default="cli", help="vantage name for the records")
-    dissect_cmd.add_argument("--snap-len", type=int, default=65535)
+    dissect_cmd.add_argument("--snap-len", type=_snap_len, default=65535)
     dissect_cmd.add_argument("--out", help="write JSON lines here instead of stdout")
 
     sanitize_cmd = sub.add_parser("sanitize", help="dissect plus sanitization report only")
     sanitize_cmd.add_argument("pcap", help="capture file to sanitize")
     sanitize_cmd.add_argument("--vantage", default="cli")
-    sanitize_cmd.add_argument("--snap-len", type=int, default=65535)
+    sanitize_cmd.add_argument("--snap-len", type=_snap_len, default=65535)
 
     gen = sub.add_parser("gen", help="generate a labeled synthetic corpus")
     gen.add_argument("spec", help="scenario spec JSON")
@@ -102,8 +109,7 @@ def _cmd_dissect(args) -> int:
 
 def _cmd_sanitize(args) -> int:
     meta = CaptureMeta(vantage=args.vantage, snap_len=args.snap_len)
-    stream = CandidateStream([CaptureSource(Path(args.pcap), meta)], default_catalog(),
-                             default_registry())
+    stream = CandidateStream([CaptureSource(Path(args.pcap), meta)], default_catalog())
     for _ in stream:
         pass
     print("step,remaining_count,remaining_pct")

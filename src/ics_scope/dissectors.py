@@ -4,8 +4,8 @@ Identification runs in two stages, mirroring how mature packet analyzers
 behave: a normal dissector keyed on a registered port validates header
 fields and may call a packet malformed; if no registered port matches,
 heuristic dissectors pattern-match the payload on any port. Heuristic
-acceptance is deliberately conservative: a heuristic dissector never
-reports malformed, it simply declines.
+acceptance is deliberately conservative: a heuristic declines anything its
+dissector would call malformed.
 
 Verdict rules per protocol follow one scheme: the entry magic (or port)
 must match or the packet is not this protocol at all; an enumerated or
@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .capture import (
     ICMP,
@@ -36,7 +36,7 @@ from .capture import (
     TransportView,
     ipv4_view,
 )
-from .ports import PortRegistry, default_registry, load_packaged_json
+from .ports import PORTS, load_packaged_json
 
 log = logging.getLogger(__name__)
 
@@ -66,9 +66,6 @@ MIN_IDENTIFIABLE_FRAME_BYTES = {
     HARTIP: 78,
     IEC104: 76,
 }
-
-# Heuristic dissectors are tried in decreasing order of magic selectivity.
-HEURISTIC_ORDER = (IEC104, DNP3, S7COMM)
 
 ENIP_COMMANDS = frozenset(
     {0x0000, 0x0004, 0x0063, 0x0064, 0x0065, 0x0066, 0x006F, 0x0070, 0x0072, 0x0073}
@@ -107,33 +104,10 @@ class Dissection:
     via_icmp_quote: bool = False  # found in the datagram an ICMP error message quotes
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A transport payload with the context needed to judge it.
-
-    wire_len is the payload length on the wire per the IP header; payload
-    holds whatever the snap length preserved of it.
-    """
-
-    payload: bytes
-    wire_len: int
-    transport: str  # tcp | udp
-    src_port: int
-    dst_port: int
-
-    @property
-    def truncated(self) -> bool:
-        return len(self.payload) < self.wire_len
-
-
-def segment_of(packet: PacketRecord | TransportView) -> Segment:
-    transport = "udp" if packet.ip_proto == UDP else "tcp"
-    return Segment(packet.payload, packet.payload_wire_len, transport,
-                   packet.src_port, packet.dst_port)
-
-
-def min_identifiable_length(protocol: str) -> int:
-    return MIN_IDENTIFIABLE_FRAME_BYTES[protocol]
+# A record, or the TCP/UDP datagram an ICMP error quotes: the dissectors read
+# payload (the captured bytes), payload_wire_len (the payload's length on the
+# wire per the IP header), ip_proto and the two ports.
+Packet = PacketRecord | TransportView
 
 
 @lru_cache(maxsize=1)
@@ -148,33 +122,32 @@ def action_name(protocol: str, function_code: int | None) -> str | None:
     return _opcode_tables().get(protocol, {}).get(str(function_code))
 
 
-def _port_role(seg: Segment, protocol: str, registry: PortRegistry) -> str:
-    if registry.protocol_for(seg.dst_port, seg.transport) == protocol:
+def _port_role(packet: Packet, protocol: str) -> str:
+    if PORTS.protocol_for(packet.dst_port, packet.ip_proto) == protocol:
         return REQUEST
-    if registry.protocol_for(seg.src_port, seg.transport) == protocol:
+    if PORTS.protocol_for(packet.src_port, packet.ip_proto) == protocol:
         return REPLY
     return UNKNOWN
 
 
-def dissect_modbus(seg: Segment, registry: PortRegistry | None = None) -> Dissection | None:
+def dissect_modbus(packet: Packet) -> Dissection | None:
     """Modbus/TCP: MBAP header plus function code.
 
     Needs the 7-byte MBAP header and the function code captured. Protocol id
     must be zero, the MBAP length must account for the wire payload exactly,
     and function code 0 is invalid. Codes 128-255 are exception replies.
     """
-    registry = registry or default_registry()
-    p = seg.payload
-    if seg.wire_len < 8 or len(p) < 8:
+    p = packet.payload
+    if packet.payload_wire_len < 8 or len(p) < 8:
         return None
-    role = _port_role(seg, MODBUS, registry)
+    role = _port_role(packet, MODBUS)
     fc = p[7]
     if p[2:4] != b"\x00\x00":
         return Dissection(MODBUS, NORMAL, role, fc, MALFORMED)
     if fc == 0:
         return Dissection(MODBUS, NORMAL, role, fc, MALFORMED)
     declared = int.from_bytes(p[4:6], "big")
-    if declared < 2 or 6 + declared != seg.wire_len:
+    if declared < 2 or 6 + declared != packet.payload_wire_len:
         return Dissection(MODBUS, NORMAL, role, fc, MALFORMED)
     if fc >= 128:
         role = REPLY
@@ -211,24 +184,23 @@ def _bacnet_service_choice(p: bytes) -> int | None:
     return None
 
 
-def dissect_bacnet(seg: Segment, registry: PortRegistry | None = None) -> Dissection | None:
+def dissect_bacnet(packet: Packet) -> Dissection | None:
     """BACnet/IP: the 4-byte BVLC header is the identification unit.
 
     BVLC length must equal the UDP payload length on the wire; for original
     NPDU encapsulations the NPDU version byte must be 0x01 when captured.
     """
-    registry = registry or default_registry()
-    p = seg.payload
-    if seg.wire_len < 4 or len(p) < 4:
+    p = packet.payload
+    if packet.payload_wire_len < 4 or len(p) < 4:
         return None
     if p[0] != 0x81:
         return None
-    role = _port_role(seg, BACNET, registry)
+    role = _port_role(packet, BACNET)
     function = p[1]
     if function > BVLC_MAX_FUNCTION:
         return Dissection(BACNET, NORMAL, role, None, MALFORMED)
     declared = int.from_bytes(p[2:4], "big")
-    if declared != seg.wire_len:
+    if declared != packet.payload_wire_len:
         return Dissection(BACNET, NORMAL, role, None, MALFORMED)
     if function in (BVLC_ORIGINAL_UNICAST, BVLC_ORIGINAL_BROADCAST):
         if len(p) >= 5 and p[4] != 0x01:
@@ -236,38 +208,28 @@ def dissect_bacnet(seg: Segment, registry: PortRegistry | None = None) -> Dissec
     return Dissection(BACNET, NORMAL, role, _bacnet_service_choice(p), WELL_FORMED)
 
 
-def dissect_s7(
-    seg: Segment,
-    registry: PortRegistry | None = None,
-    heuristic: bool = False,
-) -> Dissection | None:
+def dissect_s7(packet: Packet, heuristic: bool = False) -> Dissection | None:
     """S7comm over TPKT/COTP.
 
     TPKT magic 0x03 0x00, COTP data transfer 0xF0, then the S7 header with
-    protocol id 0x32 and a known message type. On the port-keyed path a bad
-    protocol id or message type is malformed; on the heuristic path any
-    failed check declines, and the whole TPKT-declared message must be
-    captured before the heuristic will claim the packet.
+    protocol id 0x32 and a known message type; a bad protocol id or message
+    type is malformed. With heuristic set, the whole TPKT-declared message
+    must be captured before the packet is identified.
     """
-    registry = registry or default_registry()
-    p = seg.payload
-    if seg.wire_len < 17 or len(p) < 17:
+    p = packet.payload
+    if packet.payload_wire_len < 17 or len(p) < 17:
         return None
     if p[0] != 0x03 or p[1] != 0x00:
         return None
     tpkt_len = int.from_bytes(p[2:4], "big")
-    if tpkt_len != seg.wire_len:
+    if tpkt_len != packet.payload_wire_len:
         return None
     if p[5] != 0xF0:
         return None
     if p[7] != 0x32:
-        if heuristic:
-            return None
         return Dissection(S7COMM, NORMAL, UNKNOWN, None, MALFORMED)
     msg_type = p[8]
     if msg_type not in S7_HEADER_LEN:
-        if heuristic:
-            return None
         return Dissection(S7COMM, NORMAL, UNKNOWN, None, MALFORMED)
     role = S7_ROLE[msg_type]
     header_len = S7_HEADER_LEN[msg_type]
@@ -277,33 +239,29 @@ def dissect_s7(
     param_len = int.from_bytes(p[13:15], "big")
     data_len = int.from_bytes(p[15:17], "big")
     if need + param_len + data_len != tpkt_len:
-        if heuristic:
-            return None
         return Dissection(S7COMM, NORMAL, role, None, MALFORMED)
     if heuristic and len(p) < tpkt_len:
         return None
     fc = p[need] if param_len >= 1 and len(p) > need else None
-    kind = HEURISTIC if heuristic else NORMAL
-    return Dissection(S7COMM, kind, role, fc, WELL_FORMED)
+    return Dissection(S7COMM, NORMAL, role, fc, WELL_FORMED)
 
 
-def dissect_ethernetip(seg: Segment, registry: PortRegistry | None = None) -> Dissection | None:
+def dissect_ethernetip(packet: Packet) -> Dissection | None:
     """EtherNet/IP encapsulation: 24-byte header, known command and status.
 
     The encapsulation length plus header must match the wire payload, the
     options word must be zero, and the complete declared message has to be
     captured before the packet is identified.
     """
-    registry = registry or default_registry()
-    p = seg.payload
-    if seg.wire_len < 24 or len(p) < 24:
+    p = packet.payload
+    if packet.payload_wire_len < 24 or len(p) < 24:
         return None
-    role = _port_role(seg, ETHERNETIP, registry)
+    role = _port_role(packet, ETHERNETIP)
     command = int.from_bytes(p[0:2], "little")
     if command not in ENIP_COMMANDS:
         return Dissection(ETHERNETIP, NORMAL, role, command, MALFORMED)
     declared = int.from_bytes(p[2:4], "little")
-    if 24 + declared != seg.wire_len:
+    if 24 + declared != packet.payload_wire_len:
         return Dissection(ETHERNETIP, NORMAL, role, command, MALFORMED)
     status = int.from_bytes(p[8:12], "little")
     if status not in ENIP_STATUS:
@@ -341,130 +299,99 @@ def dnp3_crc(block: bytes) -> int:
     return (~crc) & 0xFFFF
 
 
-def dissect_dnp3(
-    seg: Segment,
-    registry: PortRegistry | None = None,
-    heuristic: bool = False,
-) -> Dissection | None:
+def dissect_dnp3(packet: Packet, heuristic: bool = False) -> Dissection | None:
     """DNP3 data-link frame: 0x05 0x64 magic, length sanity, header CRC.
 
     Identification needs the header through the source address captured;
     the header CRC is verified whenever its two bytes made it into the
-    capture. The DIR bit decides the role: master-to-outstation frames are
-    requests.
+    capture, and with heuristic set they must have. The DIR bit decides the
+    role: master-to-outstation frames are requests.
     """
-    registry = registry or default_registry()
-    p = seg.payload
-    if seg.wire_len < 10 or len(p) < 8:
+    p = packet.payload
+    if packet.payload_wire_len < 10 or len(p) < 8:
         return None
     if p[0] != 0x05 or p[1] != 0x64:
         return None
-    role_fallback = _port_role(seg, DNP3, registry)
+    role_fallback = _port_role(packet, DNP3)
     length = p[2]
     ctrl = p[3]
     fc = ctrl & 0x0F
     role = REQUEST if ctrl & 0x80 else REPLY
     if length < 5:
-        if heuristic:
-            return None
         return Dissection(DNP3, NORMAL, role_fallback, fc, MALFORMED)
     user = length - 5
     expected_total = 10 + user + 2 * ((user + 15) // 16)
-    if expected_total != seg.wire_len:
-        if heuristic:
-            return None
+    if expected_total != packet.payload_wire_len:
         return Dissection(DNP3, NORMAL, role, fc, MALFORMED)
     if len(p) >= 10:
         if int.from_bytes(p[8:10], "little") != dnp3_crc(p[0:8]):
-            if heuristic:
-                return None
             return Dissection(DNP3, NORMAL, role, fc, MALFORMED)
     elif heuristic:
         return None
-    kind = HEURISTIC if heuristic else NORMAL
-    return Dissection(DNP3, kind, role, fc, WELL_FORMED)
+    return Dissection(DNP3, NORMAL, role, fc, WELL_FORMED)
 
 
-def dissect_hartip(seg: Segment, registry: PortRegistry | None = None) -> Dissection | None:
+def dissect_hartip(packet: Packet) -> Dissection | None:
     """HART-IP: version 1 header, enumerated message type and id.
 
     The byte-count field covers the whole message and must equal the wire
     payload; the complete message has to be captured for identification.
     """
-    registry = registry or default_registry()
-    p = seg.payload
-    if seg.wire_len < 8 or len(p) < 8:
+    p = packet.payload
+    if packet.payload_wire_len < 8 or len(p) < 8:
         return None
     if p[0] != 0x01:
         return None
     msg_type = p[1]
     msg_id = p[2]
-    role = HARTIP_ROLE.get(msg_type, _port_role(seg, HARTIP, registry))
+    role = HARTIP_ROLE.get(msg_type, _port_role(packet, HARTIP))
     if msg_type > 3:
         return Dissection(HARTIP, NORMAL, role, msg_id, MALFORMED)
     if msg_id > 3:
         return Dissection(HARTIP, NORMAL, role, msg_id, MALFORMED)
     declared = int.from_bytes(p[6:8], "big")
-    if declared != seg.wire_len:
+    if declared != packet.payload_wire_len:
         return Dissection(HARTIP, NORMAL, role, msg_id, MALFORMED)
     if len(p) < declared:
         return None
     return Dissection(HARTIP, NORMAL, role, msg_id, WELL_FORMED)
 
 
-def dissect_iec104(
-    seg: Segment,
-    registry: PortRegistry | None = None,
-    heuristic: bool = False,
-) -> Dissection | None:
+def dissect_iec104(packet: Packet) -> Dissection | None:
     """IEC 60870-5-104 APCI: 0x68 start, APDU length in [4, 253], I/S/U frame.
 
     I-frames must carry an ASDU with a defined type id; the first APDU must
     be completely captured before the packet is identified.
     """
-    registry = registry or default_registry()
-    p = seg.payload
-    if seg.wire_len < 6 or len(p) < 6:
+    p = packet.payload
+    if packet.payload_wire_len < 6 or len(p) < 6:
         return None
     if p[0] != 0x68:
         return None
-    role = UNKNOWN if heuristic else _port_role(seg, IEC104, registry)
-    kind = HEURISTIC if heuristic else NORMAL
+    role = _port_role(packet, IEC104)
     apdu_len = p[1]
     if not 4 <= apdu_len <= 253:
-        if heuristic:
-            return None
         return Dissection(IEC104, NORMAL, role, None, MALFORMED)
-    if 2 + apdu_len > seg.wire_len:
-        if heuristic:
-            return None
+    if 2 + apdu_len > packet.payload_wire_len:
         return Dissection(IEC104, NORMAL, role, None, MALFORMED)
     ctrl0 = p[2]
     if ctrl0 & 0x01 == 0:  # I-frame
         if apdu_len <= 4:
-            if heuristic:
-                return None
             return Dissection(IEC104, NORMAL, role, None, MALFORMED)
         if len(p) < 2 + apdu_len:
             return None
         type_id = p[6]
         if type_id not in IEC104_TYPE_IDS:
-            if heuristic:
-                return None
             return Dissection(IEC104, NORMAL, role, type_id, MALFORMED)
-        return Dissection(IEC104, kind, role, type_id, WELL_FORMED)
+        return Dissection(IEC104, NORMAL, role, type_id, WELL_FORMED)
     if ctrl0 & 0x03 == 0x01:  # S-frame
         if apdu_len != 4 or p[3] != 0:
-            if heuristic:
-                return None
             return Dissection(IEC104, NORMAL, role, None, MALFORMED)
-        return Dissection(IEC104, kind, role, None, WELL_FORMED)
+        return Dissection(IEC104, NORMAL, role, None, WELL_FORMED)
     # U-frame
     if apdu_len != 4 or ctrl0 not in IEC104_U_FUNCTIONS or p[3:6] != b"\x00\x00\x00":
-        if heuristic:
-            return None
         return Dissection(IEC104, NORMAL, role, None, MALFORMED)
-    return Dissection(IEC104, kind, role, ctrl0, WELL_FORMED)
+    return Dissection(IEC104, NORMAL, role, ctrl0, WELL_FORMED)
 
 
 _NORMAL_DISSECTORS = {
@@ -477,52 +404,56 @@ _NORMAL_DISSECTORS = {
     IEC104: dissect_iec104,
 }
 
-_HEURISTIC_DISSECTORS = {
-    IEC104: dissect_iec104,
-    DNP3: dissect_dnp3,
-    S7COMM: dissect_s7,
-}
+# Heuristic dissectors in decreasing order of magic selectivity.
+HEURISTICS = (
+    dissect_iec104,
+    partial(dissect_dnp3, heuristic=True),
+    partial(dissect_s7, heuristic=True),
+)
 
 
-def dissect_segment(
-    seg: Segment,
-    registry: PortRegistry | None = None,
-    stats: Counter | None = None,
-) -> Dissection | None:
+def _heuristic_claim(dissector, packet: Packet) -> Dissection | None:
+    """The one heuristic rule, for every heuristic dissector.
+
+    A heuristic declines anything its dissector would call malformed, and
+    what it claims is kind=heuristic.
+    """
+    found = dissector(packet)
+    if found is None or found.verdict == MALFORMED:
+        return None
+    return replace(found, kind=HEURISTIC)
+
+
+def dissect_segment(packet: Packet, stats: Counter | None = None) -> Dissection | None:
     """Identify a transport payload: registered-port dissectors first.
 
     When either port is registered the matching normal dissector decides and
     heuristics are never consulted. Empty payloads (pure transport control
     segments) are never candidates.
     """
-    registry = registry or default_registry()
-    if not seg.payload:
+    if not packet.payload:
         return None
     tried: list[str] = []
-    for port in (seg.dst_port, seg.src_port):
-        protocol = registry.protocol_for(port, seg.transport)
+    for port in (packet.dst_port, packet.src_port):
+        protocol = PORTS.protocol_for(port, packet.ip_proto)
         if protocol is None or protocol in tried:
             continue
-        result = _NORMAL_DISSECTORS[protocol](seg, registry)
+        result = _NORMAL_DISSECTORS[protocol](packet)
         if result is not None:
             return result
         tried.append(protocol)
-        if protocol == S7COMM and stats is not None and seg.payload[:2] == b"\x03\x00":
+        if protocol == S7COMM and stats is not None and packet.payload[:2] == b"\x03\x00":
             stats["non_s7comm_tpkt_on_102"] += 1
     if tried:
         return None
-    for protocol in HEURISTIC_ORDER:
-        result = _HEURISTIC_DISSECTORS[protocol](seg, registry, heuristic=True)
+    for dissector in HEURISTICS:
+        result = _heuristic_claim(dissector, packet)
         if result is not None:
             return result
     return None
 
 
-def dissect(
-    record: PacketRecord,
-    registry: PortRegistry | None = None,
-    stats: Counter | None = None,
-) -> Dissection | None:
+def dissect(record: PacketRecord, stats: Counter | None = None) -> Dissection | None:
     """Identify a packet record from the reader's transport decode.
 
     An ICMP error message is dissected through its quoted inner datagram,
@@ -530,15 +461,14 @@ def dissect(
     via_icmp_quote, and the tunnel-stripping sanitizer step exists to
     reverse exactly that.
     """
-    registry = registry or default_registry()
     if not record.payload:
         return None
     if record.ip_proto != ICMP:
-        return dissect_segment(segment_of(record), registry, stats)
+        return dissect_segment(record, stats)
     if record.icmp_type not in ICMP_ERROR_TYPES:
         return None
     inner = ipv4_view(record.payload)
     if inner is None or inner.ip_proto not in (TCP, UDP):
         return None
-    found = dissect_segment(segment_of(inner), registry, stats)
+    found = dissect_segment(inner, stats)
     return None if found is None else replace(found, via_icmp_quote=True)

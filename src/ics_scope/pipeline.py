@@ -16,7 +16,6 @@ from pathlib import Path
 from . import metrics
 from .capture import REQUEST, CaptureMeta, direction, read_capture
 from .classify import (
-    ALL_FILTERS,
     FILTER_FAMILIES,
     INDUSTRIAL,
     ClassifiedPacket,
@@ -42,7 +41,6 @@ from .enrich import (
     scan_overlap,
     transition,
 )
-from .ports import PortRegistry, default_registry
 from .sanitize import (
     KEPT,
     DpiCatalog,
@@ -101,7 +99,16 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path}: expected a JSON object, got {type(raw).__name__}")
         base = path.parent
+
+        def integer(value, key: str) -> int:
+            try:
+                return int(value)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"config {path}: {key} must be an integer, got {value!r}") from None
 
         def resolve(key: str) -> Path | None:
             value = raw.get(key)
@@ -113,20 +120,20 @@ class PipelineConfig:
             return resolved
 
         captures = []
-        for entry in raw.get("captures", []):
+        for index, entry in enumerate(raw.get("captures", [])):
+            key = f"captures[{index}]"
+            if not isinstance(entry, dict) or "path" not in entry:
+                raise ConfigError(f"config {path}: {key} has no 'path'")
             pcap = base / entry["path"]
             if not pcap.exists():
                 raise ConfigError(f"config {path}: capture file not found: {pcap}")
-            captures.append(
-                CaptureSource(
-                    path=pcap,
-                    meta=CaptureMeta(
-                        vantage=entry.get("vantage", "vp0"),
-                        sample_interval=int(entry.get("sample_interval", 1)),
-                        snap_len=int(entry.get("snap_len", 65535)),
-                    ),
-                )
-            )
+            sample_interval = integer(entry.get("sample_interval", 1), f"{key}.sample_interval")
+            snap_len = integer(entry.get("snap_len", 65535), f"{key}.snap_len")
+            try:
+                meta = CaptureMeta(entry.get("vantage", "vp0"), sample_interval, snap_len)
+            except ValueError as exc:
+                raise ConfigError(f"config {path}: {key}: {exc}") from exc
+            captures.append(CaptureSource(path=pcap, meta=meta))
         filters = raw.get("filters", "all")
         if filters not in FILTER_FAMILIES:
             raise ConfigError(f"config {path}: unknown filter family {filters!r}")
@@ -143,7 +150,8 @@ class PipelineConfig:
             dpi_catalog=resolve("dpi_catalog"),
             filters=filters,
             stability_label=raw.get("stability_label", INDUSTRIAL),
-            tag_members={k: int(v) for k, v in raw.get("tag_members", {}).items()},
+            tag_members={k: integer(v, f"tag_members[{k!r}]")
+                         for k, v in raw.get("tag_members", {}).items()},
         )
 
 
@@ -235,11 +243,9 @@ class CandidateStream:
     notes the dissector notes and readers one summary per capture.
     """
 
-    def __init__(self, captures: list[CaptureSource], catalog: DpiCatalog,
-                 registry: PortRegistry):
+    def __init__(self, captures: list[CaptureSource], catalog: DpiCatalog):
         self.captures = captures
         self.catalog = catalog
-        self.registry = registry
         self.report = SanitizeReport()
         self.candidates: Counter[str] = Counter()
         self.notes: Counter[str] = Counter()
@@ -249,9 +255,9 @@ class CandidateStream:
         for source in self.captures:
             reader = read_capture(source.path, source.meta)
             for record in reader:
-                if is_port_only(record, self.registry):
+                if is_port_only(record):
                     self.report.vantage(record.vantage).port_only += 1
-                dissection = dissect(record, self.registry, self.notes)
+                dissection = dissect(record, self.notes)
                 if dissection is None:
                     continue
                 self.candidates[dissection.protocol] += 1
@@ -273,10 +279,9 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     inputs = load_inputs(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    port_registry = default_registry()
     active = FILTER_FAMILIES[config.filters]
 
-    stream = CandidateStream(config.captures, inputs.dpi_catalog, port_registry)
+    stream = CandidateStream(config.captures, inputs.dpi_catalog)
     classified_rows = []
     daily_entries = []
     stability_rows = []
@@ -286,12 +291,11 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     passive_hosts: dict[str, dict[str, set[str]]] = {}
 
     for source, record, dissection in stream:
-        packet_direction = direction(record, port_registry)
-        traffic = classify(record, inputs.scanner_registry, inputs.rdns, inputs.honeypots,
-                           ALL_FILTERS)
-        label = label_under(traffic.reasons, active)
+        packet_direction = direction(record)
+        reasons = classify(record, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
+        label = label_under(reasons, active)
         protocol = dissection.protocol
-        classified_rows.append(ClassifiedPacket(protocol, packet_direction, traffic.reasons))
+        classified_rows.append(ClassifiedPacket(protocol, packet_direction, reasons))
         daily_entries.append((record.vantage, protocol, record.ts, label == INDUSTRIAL,
                               source.meta.sample_interval))
         if config.stability_label == "all" or label == config.stability_label:

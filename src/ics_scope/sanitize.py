@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .capture import TCP, UDP, PacketRecord
 from .dissectors import MALFORMED, Dissection
-from .ports import PortRegistry, default_registry, load_packaged_json
+from .ports import PORTS, TRANSPORTS, load_packaged_json
 
 KEPT = "kept"
 DROPPED_TUNNEL = "dropped_tunnel"
@@ -58,14 +58,14 @@ _STRUCTURAL_CHECKS = {
 @dataclass(frozen=True)
 class DpiSignature:
     name: str
-    transport: str | None = None
+    ip_proto: int | None = None
     port_hint: int | None = None
     prefix: bytes = b""
     mask: bytes = b""
     check: str | None = None
 
-    def matches(self, transport: str, src_port: int, dst_port: int, payload: bytes) -> bool:
-        if self.transport is not None and self.transport != transport:
+    def matches(self, ip_proto: int, src_port: int, dst_port: int, payload: bytes) -> bool:
+        if self.ip_proto is not None and self.ip_proto != ip_proto:
             return False
         if self.port_hint is not None and self.port_hint not in (src_port, dst_port):
             return False
@@ -97,10 +97,13 @@ class DpiCatalog:
             check = entry.get("check")
             if check is not None and check not in _STRUCTURAL_CHECKS:
                 raise ValueError(f"signature {entry.get('name')}: unknown check {check!r}")
+            transport = entry.get("transport")
+            if transport is not None and transport not in TRANSPORTS:
+                raise ValueError(f"signature {entry.get('name')}: unknown transport {transport!r}")
             sigs.append(
                 DpiSignature(
                     name=entry["name"],
-                    transport=entry.get("transport"),
+                    ip_proto=None if transport is None else TRANSPORTS[transport],
                     port_hint=entry.get("port_hint"),
                     prefix=prefix,
                     mask=mask,
@@ -119,9 +122,8 @@ class DpiCatalog:
     def match(self, record: PacketRecord) -> str | None:
         if record.ip_proto not in (TCP, UDP) or not record.payload:
             return None
-        transport = "udp" if record.ip_proto == UDP else "tcp"
         for sig in self.signatures:
-            if sig.matches(transport, record.src_port, record.dst_port, record.payload):
+            if sig.matches(record.ip_proto, record.src_port, record.dst_port, record.payload):
                 return sig.name
         return None
 
@@ -146,11 +148,10 @@ def dpi_cross_check(record: PacketRecord, catalog: DpiCatalog | None = None) -> 
     return DROPPED_KNOWN_PROTOCOL if catalog.match(record) else KEPT
 
 
-def is_port_only(record: PacketRecord, registry: PortRegistry | None = None) -> bool:
+def is_port_only(record: PacketRecord) -> bool:
     """Whether a naive port-only detector would flag the record as ICS."""
-    registry = registry or default_registry()
     return record.ip_proto in (TCP, UDP) and (
-        registry.is_ics_port(record.src_port) or registry.is_ics_port(record.dst_port)
+        PORTS.is_ics_port(record.src_port) or PORTS.is_ics_port(record.dst_port)
     )
 
 

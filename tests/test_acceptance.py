@@ -22,6 +22,7 @@ from ics_scope.capture import (
     record_from_frame,
 )
 from ics_scope.classify import (
+    ALL_FILTERS,
     HP_ALL,
     HP_ICS,
     INDUSTRIAL,
@@ -33,7 +34,7 @@ from ics_scope.classify import (
     classify,
     label_under,
 )
-from ics_scope.dissectors import WELL_FORMED, dissect, min_identifiable_length
+from ics_scope.dissectors import MIN_IDENTIFIABLE_FRAME_BYTES, WELL_FORMED, dissect
 from ics_scope.enrich import (
     IxpTopology,
     LpmTable,
@@ -215,7 +216,7 @@ def test_criterion_1_min_length_thresholds():
     for packet in golden_packets():
         if packet.verdict != WELL_FORMED:
             continue
-        threshold = min_identifiable_length(packet.protocol)
+        threshold = MIN_IDENTIFIABLE_FRAME_BYTES[packet.protocol]
         minimal = None
         for length in range(40, len(packet.frame) + 1):
             d = dissect(record_from_frame(packet.frame, captured_len=length))
@@ -289,7 +290,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         dissections = [dissect(record) for record in records]
         pairs = [(r, d) for r, d in zip(records, dissections) if d is not None]
         result = sanitize(pairs)
-        kept_classes = [
+        kept_reasons = [
             classify(record, registry, rdns, honeypots)
             for record, _ in result.kept
         ]
@@ -315,14 +316,15 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
 
         kept_truth = [t for t in truth_by_pair if t["sanitize"] == "kept"]
         assert len(kept_truth) == len(result.kept)
-        for (record, _), traffic, expected in zip(result.kept, kept_classes, kept_truth):
+        for (record, _), reasons, expected in zip(result.kept, kept_reasons, kept_truth):
             want_reasons = sorted(expected["reasons"] or [])
-            got_reasons = sorted(reason.tag() for reason in traffic.reasons)
-            assert traffic.label == expected["label"], (name, expected["index"])
+            got_reasons = sorted(reason.tag() for reason in reasons)
+            label = label_under(reasons, ALL_FILTERS)
+            assert label == expected["label"], (name, expected["index"])
             assert got_reasons == want_reasons, (name, expected["index"])
-            if traffic.label == "non_industrial" and expected["label"] == "non_industrial":
+            if label == "non_industrial" and expected["label"] == "non_industrial":
                 label_tp += 1
-            elif traffic.label == "non_industrial":
+            elif label == "non_industrial":
                 label_fp += 1
             elif expected["label"] == "non_industrial":
                 label_fn += 1
@@ -391,7 +393,7 @@ def test_criterion_5_filter_family_monotonicity():
         reasons = []
         for _ in range(200):
             record = record_like(rng.choice(pool), rng.choice(pool))
-            reasons.append(classify(record, registry, rdns, honeypots).reasons)
+            reasons.append(classify(record, registry, rdns, honeypots))
         share_scanners = sum(label_under(r, SCANNERS) == INDUSTRIAL for r in reasons)
         share_hp_ics = sum(label_under(r, SCANNERS | {HP_ICS}) == INDUSTRIAL for r in reasons)
         share_hp_all = sum(

@@ -1,7 +1,9 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ics_scope.capture import (
     REPLY,
@@ -15,6 +17,7 @@ from ics_scope.capture import (
     record_from_frame,
     utc_day,
 )
+from ics_scope.dissectors import PROTOCOLS
 from ics_scope.ports import default_registry
 from ics_scope.trafficgen import (
     ETH_HEADER,
@@ -45,10 +48,10 @@ def test_read_capture_skips_non_ip(tmp_path):
     records = list(reader)
     assert len(records) == 2
     assert reader.frames_read == 3
-    assert reader.skipped_frames == 1
+    assert sum(reader.skipped.values()) == 1
     assert reader.skipped["non_ipv4"] == 1
     assert records[0].ip_proto == 6 and records[1].ip_proto == 17
-    assert reader.records_yielded + reader.skipped_frames == reader.frames_read
+    assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read
 
 
 def test_snap_truncation_recorded(tmp_path):
@@ -128,16 +131,59 @@ def test_non_ethernet_linktype_rejected(tmp_path):
         read_capture(path, CaptureMeta("vp"))
 
 
-def test_truncated_final_record_warns_and_stops(tmp_path, caplog):
+def test_truncated_final_record_warns_and_stops(tmp_path):
     path = tmp_path / "cut.pcap"
     frame = _tcp_frame()
     write_pcap(path, [(0, frame), (1, frame)])
     data = path.read_bytes()
     path.write_bytes(data[:-10])
-    with caplog.at_level("WARNING"):
-        records = list(read_capture(path, CaptureMeta("vp")))
+    reader = read_capture(path, CaptureMeta("vp"))
+    records = []
+    with pytest.raises(CaptureError, match="cut.pcap: record 1: runs past the end"):
+        for record in reader:
+            records.append(record)
     assert len(records) == 1
-    assert any("truncated final record" in message for message in caplog.messages)
+    assert reader.frames_read == 1
+
+
+def _cut_corpus():
+    frames = [_tcp_frame(), ARP_FRAME, _udp_frame(), _tcp_frame()[:40]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "full.pcap"
+        write_pcap(path, [(i, frame) for i, frame in enumerate(frames)])
+        data = path.read_bytes()
+        records = list(read_capture(path, CaptureMeta("vp")))
+    boundaries, offset = [24], 24
+    for frame in frames:
+        offset += 16 + len(frame)
+        boundaries.append(offset)
+    return data, boundaries, records
+
+
+_CUT_DATA, _CUT_BOUNDARIES, _CUT_RECORDS = _cut_corpus()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut=st.integers(min_value=24, max_value=len(_CUT_DATA)))
+def test_pcap_cut_anywhere_yields_complete_records_then_fails(cut):
+    complete = sum(1 for b in _CUT_BOUNDARIES[1:] if b <= cut)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cut.pcap"
+        path.write_bytes(_CUT_DATA[:cut])
+        reader = read_capture(path, CaptureMeta("vp"))
+        records = []
+        try:
+            for record in reader:
+                records.append(record)
+        except CaptureError as exc:
+            assert cut not in _CUT_BOUNDARIES
+            assert f"record {complete}:" in str(exc)
+        else:
+            assert cut in _CUT_BOUNDARIES
+    assert reader.frames_read == complete
+    assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read
+    assert records == _CUT_RECORDS[: len(records)]
+    assert len(records) == reader.records_yielded
 
 
 def test_empty_pcap_yields_nothing(tmp_path):
@@ -163,10 +209,11 @@ def test_direction_examples():
 
 def test_direction_all_registered_pairs_are_requests():
     registry = default_registry()
-    pairs = registry.registered_pairs()
+    pairs = [(port, transport) for protocol in PROTOCOLS
+             for transport, ports in registry.ports_for(protocol).items() for port in ports]
     by_transport = {"tcp": 6, "udp": 17}
-    for port_a, transport, _ in pairs:
-        for port_b, transport_b, _ in pairs:
+    for port_a, transport in pairs:
+        for port_b, transport_b in pairs:
             if transport != transport_b:
                 continue
             record = _record(by_transport[transport], port_a, port_b)

@@ -101,28 +101,26 @@ def test_hp_subset_enforced(tmp_path):
 
 
 def test_classify_scanner_prefix(registry):
-    traffic = classify(_record("203.0.113.5", "10.0.0.1"), registry,
+    reasons = classify(_record("203.0.113.5", "10.0.0.1"), registry,
                        RdnsTable.empty(), HoneypotSets.empty())
-    assert traffic.label == NON_INDUSTRIAL
-    assert traffic.reasons == frozenset({Reason(SCANNER_PREFIX, "Shodan")})
+    assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
+    assert reasons == frozenset({Reason(SCANNER_PREFIX, "Shodan")})
 
 
 def test_classify_hp_all_only_under_hp_ics_family(registry):
     hp = HoneypotSets(frozenset({"10.1.0.1"}), frozenset())
     record = _record("10.1.0.1", "10.2.0.2")
-    narrowed = classify(record, registry, RdnsTable.empty(), hp,
-                        active=FILTER_FAMILIES["hp-ics"])
-    assert narrowed.label == INDUSTRIAL
-    full = classify(record, registry, RdnsTable.empty(), hp)
-    assert full.label == NON_INDUSTRIAL
-    assert full.reasons == frozenset({Reason(HP_ALL)})
+    reasons = classify(record, registry, RdnsTable.empty(), hp)
+    assert label_under(reasons, FILTER_FAMILIES["hp-ics"]) == INDUSTRIAL
+    assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
+    assert reasons == frozenset({Reason(HP_ALL)})
 
 
 def test_classify_accumulates_reasons(registry):
     hp = HoneypotSets(frozenset({"10.1.0.1"}), frozenset({"10.1.0.1"}))
     rdns = RdnsTable({"10.1.0.1": "a.shodan.io"})
-    traffic = classify(_record("10.1.0.1", "10.2.0.2"), registry, rdns, hp)
-    assert traffic.reasons == frozenset(
+    reasons = classify(_record("10.1.0.1", "10.2.0.2"), registry, rdns, hp)
+    assert reasons == frozenset(
         {Reason(SCANNER_RDNS, "Shodan"), Reason(HP_ALL), Reason(HP_ICS)}
     )
 
@@ -131,8 +129,8 @@ def test_classify_checks_both_endpoints(registry):
     hp = HoneypotSets(frozenset({"10.3.0.3"}), frozenset())
     as_src = classify(_record("10.3.0.3", "10.4.0.4"), registry, RdnsTable.empty(), hp)
     as_dst = classify(_record("10.4.0.4", "10.3.0.3"), registry, RdnsTable.empty(), hp)
-    assert as_src.label == as_dst.label == NON_INDUSTRIAL
-    assert as_src.reasons == as_dst.reasons
+    assert label_under(as_src, ALL_FILTERS) == label_under(as_dst, ALL_FILTERS) == NON_INDUSTRIAL
+    assert as_src == as_dst
 
 
 def test_label_reason_consistency(registry):
@@ -142,8 +140,8 @@ def test_label_reason_consistency(registry):
     pool = ["203.0.113.5", "10.1.0.1", "10.1.0.2", "10.1.0.3", "10.9.9.9", "10.8.8.8"]
     for _ in range(300):
         record = _record(rng.choice(pool), rng.choice(pool))
-        traffic = classify(record, registry, rdns, hp)
-        assert (traffic.label == NON_INDUSTRIAL) == bool(traffic.reasons)
+        reasons = classify(record, registry, rdns, hp)
+        assert (label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL) == bool(reasons)
 
 
 def test_filter_report_shares():

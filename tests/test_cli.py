@@ -1,4 +1,7 @@
 import json
+import struct
+
+import pytest
 
 from ics_scope import __version__
 from ics_scope.cli import main
@@ -87,6 +90,77 @@ def test_analyze_short_geo_row_exit_2(tmp_path, capsys):
     code, err, where = _analyze_with_short_row(tmp_path, capsys, "geo")
     assert code == 2
     assert where in err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects usage errors this way
+        return exc.code
+
+
+def _capture(config, **changes):
+    return {**config, "captures": [{**config["captures"][0], **changes}]}
+
+
+_FAULTS = [
+    pytest.param("analyze", lambda c: {**c, "captures": [{"vantage": "ixp0"}]},
+                 "captures[0] has no 'path'", id="capture-without-path"),
+    pytest.param("analyze", lambda c: _capture(c, sample_interval=0),
+                 "captures[0]: sample_interval must be >= 1", id="sample-interval-0"),
+    pytest.param("analyze", lambda c: _capture(c, sample_interval="abc"),
+                 "captures[0].sample_interval must be an integer", id="sample-interval-text"),
+    pytest.param("analyze", lambda c: _capture(c, snap_len=10),
+                 "captures[0]: snap_len below 46 bytes", id="snap-len-10"),
+    pytest.param("analyze", lambda c: [c], "expected a JSON object, got list",
+                 id="top-level-list"),
+    pytest.param("analyze", lambda c: {**c, "tag_members": {"ixp0:in": "x"}},
+                 "tag_members['ixp0:in'] must be an integer", id="tag-member-text"),
+    pytest.param("dissect", None, "snap_len below 46 bytes", id="dissect-snap-len-10"),
+    pytest.param("sanitize", None, "snap_len below 46 bytes", id="sanitize-snap-len-10"),
+]
+
+
+@pytest.mark.parametrize("command, edit, message", _FAULTS)
+def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message):
+    corpus = _gen(tmp_path)
+    if edit is None:
+        argv = [command, str(corpus / "corpus.pcap"), "--snap-len", "10"]
+    else:
+        bad = corpus / "bad_config.json"
+        bad.write_text(json.dumps(edit(json.loads((corpus / "config.json").read_text()))))
+        argv = [command, "--config", str(bad), "--out", str(tmp_path / "r")]
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_unknown_dpi_transport_exit_2(tmp_path, capsys):
+    corpus = _gen(tmp_path)
+    (corpus / "dpi.json").write_text(json.dumps(
+        [{"name": "http", "transport": "TCP", "prefix_bytes": "47455420"}]))
+    config = json.loads((corpus / "config.json").read_text())
+    config["dpi_catalog"] = "dpi.json"
+    (corpus / "config.json").write_text(json.dumps(config))
+    code = main(["analyze", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "signature http: unknown transport 'TCP'" in capsys.readouterr().err
+
+
+def test_truncated_record_fails_analyze_and_sanitize(tmp_path, capsys):
+    corpus = _gen(tmp_path)
+    pcap = corpus / "corpus.pcap"
+    data = bytearray(pcap.read_bytes())
+    offset = 24
+    for _ in range(11):
+        offset += 16 + struct.unpack_from("<I", data, offset + 8)[0]
+    struct.pack_into("<I", data, offset + 8, 200_000_000)
+    pcap.write_bytes(bytes(data))
+    reports = tmp_path / "reports"
+    assert main(["analyze", "--config", str(corpus / "config.json"), "--out", str(reports)]) == 2
+    assert "record 11: runs past the end of the file" in capsys.readouterr().err
+    assert not (reports / "run_summary.json").exists()
+    assert main(["sanitize", str(pcap)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_empty_pcap_all_zero(tmp_path):

@@ -1,12 +1,14 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import CaptureMeta, read_capture, record_from_frame
+from ics_scope.capture import TCP, UDP, CaptureMeta, TransportView, read_capture, record_from_frame
 from ics_scope.dissectors import (
     BACNET,
     DNP3,
     ETHERNETIP,
     HARTIP,
     HEURISTIC,
+    HEURISTICS,
     IEC104,
     MALFORMED,
     MIN_IDENTIFIABLE_FRAME_BYTES,
@@ -15,7 +17,6 @@ from ics_scope.dissectors import (
     REPLY,
     REQUEST,
     S7COMM,
-    Segment,
     UNKNOWN,
     WELL_FORMED,
     action_name,
@@ -28,8 +29,8 @@ from ics_scope.dissectors import (
     dissect_modbus,
     dissect_s7,
     dissect_segment,
+    _heuristic_claim,
     dnp3_crc,
-    min_identifiable_length,
 )
 from ics_scope.trafficgen import (
     build_frame,
@@ -42,9 +43,9 @@ from ics_scope.trafficgen import (
 )
 
 
-def seg(payload, transport="tcp", sport=49152, dport=49153, wire_len=None):
-    return Segment(payload, wire_len if wire_len is not None else len(payload),
-                   transport, sport, dport)
+def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):
+    return TransportView(ip_proto, "10.0.0.1", "10.0.0.2", sport, dport, payload,
+                         wire_len if wire_len is not None else len(payload))
 
 
 # --- modbus ----------------------------------------------------------------
@@ -83,28 +84,28 @@ def test_modbus_short_payload_rejected():
 
 def test_bacnet_read_property_wellformed():
     payload = bytes.fromhex("810a001101040005010c0c00800001195537")[:17]
-    d = dissect_bacnet(seg(payload, transport="udp", sport=47809, dport=47808))
+    d = dissect_bacnet(seg(payload, ip_proto=UDP, sport=47809, dport=47808))
     assert d.protocol == BACNET and d.verdict == WELL_FORMED
     assert d.role == REQUEST and d.function_code == 12
 
 
 def test_bacnet_wrong_magic_rejected():
-    assert dissect_bacnet(seg(b"\x82\x0a\x00\x04", transport="udp", dport=47808)) is None
+    assert dissect_bacnet(seg(b"\x82\x0a\x00\x04", ip_proto=UDP, dport=47808)) is None
 
 
 def test_bacnet_undefined_bvlc_function_malformed():
-    d = dissect_bacnet(seg(b"\x81\x0f\x00\x04", transport="udp", dport=47808))
+    d = dissect_bacnet(seg(b"\x81\x0f\x00\x04", ip_proto=UDP, dport=47808))
     assert d.verdict == MALFORMED
 
 
 def test_bacnet_length_mismatch_malformed():
-    d = dissect_bacnet(seg(b"\x81\x0a\x00\x09\x01\x00\x10\x08", transport="udp", dport=47808))
+    d = dissect_bacnet(seg(b"\x81\x0a\x00\x09\x01\x00\x10\x08", ip_proto=UDP, dport=47808))
     assert d.verdict == MALFORMED
 
 
 def test_bacnet_npdu_version_checked_when_readable():
     payload = bytes([0x81, 0x0A, 0x00, 0x08, 0x02, 0x00, 0x10, 0x08])
-    d = dissect_bacnet(seg(payload, transport="udp", dport=47808))
+    d = dissect_bacnet(seg(payload, ip_proto=UDP, dport=47808))
     assert d.verdict == MALFORMED
 
 
@@ -139,16 +140,16 @@ def test_s7_bad_protocol_id_asymmetric():
     payload = bytearray(s7_setup_job())
     payload[7] = 0x33
     payload = bytes(payload)
-    assert dissect_s7(seg(payload), heuristic=True) is None
+    assert dissect_segment(seg(payload)) is None
     d = dissect_s7(seg(payload, dport=102))
     assert d.verdict == MALFORMED and d.kind == NORMAL
 
 
 def test_s7_heuristic_requires_full_message():
     payload = s7_setup_job()
-    truncated = Segment(payload[:20], len(payload), "tcp", 49152, 49153)
+    truncated = seg(payload[:20], wire_len=len(payload))
     assert dissect_s7(truncated, heuristic=True) is None
-    assert dissect_s7(seg(payload), heuristic=True).kind == HEURISTIC
+    assert dissect_segment(seg(payload)).kind == HEURISTIC
 
 
 # --- ethernetip ------------------------------------------------------------
@@ -226,7 +227,7 @@ def test_dnp3_corrupted_crc_malformed_on_port():
     payload[8] ^= 0x01
     d = dissect_dnp3(seg(bytes(payload), dport=20000))
     assert d.verdict == MALFORMED
-    assert dissect_dnp3(seg(bytes(payload)), heuristic=True) is None
+    assert dissect_segment(seg(bytes(payload))) is None
 
 
 def test_dnp3_reply_role_from_dir_bit():
@@ -273,7 +274,7 @@ def test_iec104_wrong_start_rejected():
 def test_iec104_oversized_length_malformed_on_port():
     d = dissect_iec104(seg(bytes.fromhex("68ff00000000"), dport=2404))
     assert d.verdict == MALFORMED
-    assert dissect_iec104(seg(bytes.fromhex("68ff00000000")), heuristic=True) is None
+    assert dissect_segment(seg(bytes.fromhex("68ff00000000"))) is None
 
 
 def test_iec104_undefined_type_id_malformed():
@@ -283,10 +284,60 @@ def test_iec104_undefined_type_id_malformed():
 
 def test_iec104_heuristic_needs_full_sanity():
     payload = bytes([0x68, 0x08, 0x00, 0x00, 0x00, 0x00, 0x64, 0x01, 0x06, 0x01])
-    d = dissect_iec104(seg(payload, sport=5555, dport=5556), heuristic=True)
-    assert d is not None and d.kind == HEURISTIC and d.role == UNKNOWN
-    short = Segment(payload[:8], len(payload), "tcp", 5555, 5556)
-    assert dissect_iec104(short, heuristic=True) is None
+    d = dissect_segment(seg(payload, sport=5555, dport=5556))
+    assert d is not None and d.protocol == IEC104
+    assert d.kind == HEURISTIC and d.role == UNKNOWN
+    short = seg(payload[:8], sport=5555, dport=5556, wire_len=len(payload))
+    assert dissect_segment(short) is None
+
+
+# --- the heuristic rule ------------------------------------------------------
+
+
+def _patched(payload: bytes, offset: int, value: int) -> bytes:
+    out = bytearray(payload)
+    out[offset] = value
+    return bytes(out)
+
+
+_S7 = s7_setup_job()
+_DNP3 = dnp3_read_request()
+_IEC104_I = bytes([0x68, 0x08, 0x00, 0x00, 0x00, 0x00, 0x64, 0x01, 0x06, 0x01])
+
+# (protocol, registered port, payload, wire length or None, verdict on the port)
+_PORT_ONLY_VERDICTS = [
+    pytest.param(S7COMM, 102, _patched(_S7, 7, 0x33), None, MALFORMED, id="s7-protocol-id"),
+    pytest.param(S7COMM, 102, _patched(_S7, 8, 0x05), None, MALFORMED, id="s7-message-type"),
+    pytest.param(S7COMM, 102, _patched(_S7, 14, _S7[14] + 1), None, MALFORMED,
+                 id="s7-parameter-length"),
+    pytest.param(DNP3, 20000, _patched(_DNP3, 2, 4), None, MALFORMED, id="dnp3-length-below-5"),
+    pytest.param(DNP3, 20000, _patched(_DNP3, 2, _DNP3[2] + 1), None, MALFORMED,
+                 id="dnp3-length-vs-wire"),
+    pytest.param(DNP3, 20000, _patched(_DNP3, 8, _DNP3[8] ^ 1), None, MALFORMED, id="dnp3-crc"),
+    pytest.param(IEC104, 2404, bytes.fromhex("68ff00000000"), None, MALFORMED,
+                 id="iec104-length-range"),
+    pytest.param(IEC104, 2404, bytes.fromhex("680800000000"), None, MALFORMED,
+                 id="iec104-length-vs-wire"),
+    pytest.param(IEC104, 2404, bytes.fromhex("680400000000"), None, MALFORMED,
+                 id="iec104-empty-i-frame"),
+    pytest.param(IEC104, 2404, _patched(_IEC104_I, 6, 0xFF), None, MALFORMED,
+                 id="iec104-type-id"),
+    pytest.param(IEC104, 2404, bytes.fromhex("680401010000"), None, MALFORMED,
+                 id="iec104-s-frame"),
+    pytest.param(IEC104, 2404, bytes.fromhex("680403000000"), None, MALFORMED,
+                 id="iec104-u-frame"),
+    pytest.param(S7COMM, 102, _S7[:20], len(_S7), WELL_FORMED, id="s7-message-not-captured"),
+    pytest.param(DNP3, 20000, _DNP3[:8], len(_DNP3), WELL_FORMED, id="dnp3-crc-not-captured"),
+]
+
+
+@pytest.mark.parametrize("protocol, port, payload, wire_len, on_port", _PORT_ONLY_VERDICTS)
+def test_heuristics_decline_what_only_ports_may_judge(protocol, port, payload, wire_len,
+                                                      on_port):
+    d = dissect_segment(seg(payload, dport=port, wire_len=wire_len))
+    assert (d.protocol, d.kind, d.verdict) == (protocol, NORMAL, on_port)
+    assert dissect_segment(seg(payload, wire_len=wire_len)) is None
+    assert dissect_segment(seg(payload, sport=5555, dport=5556, wire_len=wire_len)) is None
 
 
 # --- table values and corpus-level properties -------------------------------
@@ -302,9 +353,9 @@ def test_min_identifiable_lengths_registered():
         HARTIP: 78,
         IEC104: 76,
     }
-    assert min_identifiable_length(BACNET) == 46
-    assert min_identifiable_length(S7COMM) == 93
-    assert min_identifiable_length(MODBUS) == 74
+    assert MIN_IDENTIFIABLE_FRAME_BYTES[BACNET] == 46
+    assert MIN_IDENTIFIABLE_FRAME_BYTES[S7COMM] == 93
+    assert MIN_IDENTIFIABLE_FRAME_BYTES[MODBUS] == 74
 
 
 def test_golden_corpus_dissects_to_manifest(golden_dir, golden_manifest):
@@ -324,7 +375,7 @@ def test_min_length_property_for_every_golden():
     for packet in golden_packets():
         if packet.verdict != WELL_FORMED:
             continue
-        threshold = min_identifiable_length(packet.protocol)
+        threshold = MIN_IDENTIFIABLE_FRAME_BYTES[packet.protocol]
         at = dissect(record_from_frame(packet.frame, captured_len=threshold))
         assert at is not None and at.protocol == packet.protocol
         assert at.verdict == WELL_FORMED
@@ -341,24 +392,15 @@ def test_capture_cut_in_transport_header_never_dissects():
 
 
 def test_exclusivity_on_golden_corpus():
-    heuristics = {
-        IEC104: dissect_iec104,
-        DNP3: dissect_dnp3,
-        S7COMM: dissect_s7,
-    }
     for packet in golden_packets():
         if packet.verdict != WELL_FORMED:
             continue
         record = record_from_frame(packet.frame)
         d = dissect(record)
         assert d.protocol == packet.protocol
-        from ics_scope.dissectors import segment_of
-
-        segment = segment_of(record)
-        for other, fn in heuristics.items():
-            if other == packet.protocol:
-                continue
-            assert fn(segment, heuristic=True) is None, (packet.name, other)
+        for dissector in HEURISTICS:
+            claim = _heuristic_claim(dissector, record)
+            assert claim is None or claim.protocol == packet.protocol, (packet.name, claim)
 
 
 def test_normal_path_blocks_heuristics():
@@ -387,10 +429,10 @@ def test_action_names_loaded():
     payload=st.binary(min_size=0, max_size=80),
     sport=st.integers(min_value=1, max_value=65535),
     dport=st.integers(min_value=1, max_value=65535),
-    transport=st.sampled_from(["tcp", "udp"]),
+    ip_proto=st.sampled_from([TCP, UDP]),
 )
-def test_dissect_segment_total_and_deterministic(payload, sport, dport, transport):
-    segment = Segment(payload, len(payload), transport, sport, dport)
+def test_dissect_segment_total_and_deterministic(payload, sport, dport, ip_proto):
+    segment = seg(payload, ip_proto, sport, dport)
     first = dissect_segment(segment)
     second = dissect_segment(segment)
     assert first == second
