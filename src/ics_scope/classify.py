@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .capture import PacketRecord, ip_to_int
+from .capture import ip_to_int
 from .ports import load_packaged_json
 
 INDUSTRIAL = "industrial"
@@ -174,17 +174,18 @@ class RdnsTable:
 
 
 def classify(
-    record: PacketRecord,
+    src_ip: str,
+    dst_ip: str,
     registry: ScannerRegistry,
     rdns: RdnsTable,
     honeypots: HoneypotSets,
 ) -> frozenset[Reason]:
-    """Every filter's reasons for calling the packet non-industrial, both endpoints.
+    """Every filter's reasons for calling traffic between two endpoints non-industrial.
 
     label_under turns the reason set into a label for a filter family.
     """
     reasons: set[Reason] = set()
-    for ip in (record.src_ip, record.dst_ip):
+    for ip in (src_ip, dst_ip):
         project = registry.match_prefix(ip)
         if project:
             reasons.add(Reason(SCANNER_PREFIX, project))
@@ -203,15 +204,6 @@ def label_under(reasons: frozenset[Reason], active: frozenset[str]) -> str:
     return NON_INDUSTRIAL if any(r.kind in active for r in reasons) else INDUSTRIAL
 
 
-@dataclass(frozen=True)
-class ClassifiedPacket:
-    """Per-packet row feeding the filter-family report."""
-
-    protocol: str
-    direction: str
-    reasons: frozenset[Reason]
-
-
 _REPORT_FAMILIES = (
     ("excl_scanners", frozenset({SCANNER_PREFIX, SCANNER_RDNS})),
     ("excl_hp_ics", frozenset({HP_ICS})),
@@ -220,19 +212,20 @@ _REPORT_FAMILIES = (
 )
 
 
-def filter_report(rows) -> list[dict]:
+def filter_report(counts) -> list[dict]:
     """Industrial share per protocol under each filter family.
 
+    counts: mapping of (protocol, direction, reasons) to packet count.
     Returns one dict per protocol plus a leading total row; shares carry raw
     numerators so machine output never loses precision to rounding. Each
-    row's labels are computed once, into counts per (protocol, direction,
-    industrial flag per family).
+    reason set is labelled once per family, into counts per (protocol,
+    direction, industrial flag per family).
     """
     groups: Counter[tuple[str, str, tuple[bool, ...]]] = Counter()
-    for r in rows:
-        industrial = tuple(label_under(r.reasons, family) == INDUSTRIAL
+    for (protocol, packet_direction, reasons), n in counts.items():
+        industrial = tuple(label_under(reasons, family) == INDUSTRIAL
                            for _, family in _REPORT_FAMILIES)
-        groups[(r.protocol, r.direction, industrial)] += 1
+        groups[(protocol, packet_direction, industrial)] += n
     protocols = sorted({protocol for protocol, _, _ in groups})
     out = []
     for protocol in ["total"] + protocols:

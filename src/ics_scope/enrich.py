@@ -200,21 +200,19 @@ def is_domestic(src_ip: str, dst_ip: str, geo: LpmTable) -> bool | None:
     return src_country == dst_country
 
 
-def protocols_per_asn(rows) -> dict[int, dict]:
+def protocols_per_asn(protocols_by_asn) -> dict[int, dict]:
     """Distinct protocols requested per source AS; more than 4 is suspicious.
 
-    rows: iterable of (src_asn, protocol) drawn from request packets.
+    protocols_by_asn: mapping of source AS to the set of protocols it
+    requested.
     """
-    per_asn: dict[int, set[str]] = {}
-    for asn, protocol in rows:
-        per_asn.setdefault(asn, set()).add(protocol)
     return {
         asn: {
             "protocols": sorted(protocols),
             "distinct": len(protocols),
             "suspicious": len(protocols) > 4,
         }
-        for asn, protocols in sorted(per_asn.items())
+        for asn, protocols in sorted(protocols_by_asn.items())
     }
 
 

@@ -5,11 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from .capture import utc_day
-
-TOTAL = "total"
-INDUSTRIAL = "industrial"
-
 
 def extrapolate(count: int, sample_interval: int) -> int:
     """On-wire estimate for a sampled count; exact integer arithmetic."""
@@ -34,16 +29,13 @@ class HostActivity:
         return self.active_day_count / self.window_days
 
 
-def host_stability(day_rows) -> list[HostActivity]:
-    """Per-host (window, active days) from (ip, day) observations.
+def host_stability(days_by_ip) -> list[HostActivity]:
+    """Per-host (window, active days) from a mapping of ip to its set of days.
 
     Sorted by active-day count descending, then by address for determinism.
     """
-    per_ip: dict[str, set[date]] = {}
-    for ip, day in day_rows:
-        per_ip.setdefault(ip, set()).add(day)
     out = []
-    for ip, days in per_ip.items():
+    for ip, days in days_by_ip.items():
         first, last = min(days), max(days)
         out.append(
             HostActivity(
@@ -78,27 +70,27 @@ class DayRow:
     extrapolated_industrial: int = 0
 
 
-def daily_series(entries) -> dict[tuple[str, str], list[DayRow]]:
+def daily_series(counts) -> dict[tuple[str, str], list[DayRow]]:
     """Daily totals per (vantage, protocol) with gap days zero-filled.
 
-    entries: iterable of (vantage, protocol, ts_us, industrial: bool,
-    sample_interval), the interval being that of the packet's capture, so
-    captures of one vantage with different intervals extrapolate each
-    packet by its own. The total and industrial series sit side by side in
-    each row so filtered and unfiltered views stay comparable.
+    counts: mapping of (vantage, protocol, day, industrial: bool,
+    sample_interval) to packet count, the interval being that of the
+    packets' capture, so captures of one vantage with different intervals
+    extrapolate each packet by its own. The total and industrial series sit
+    side by side in each row so filtered and unfiltered views stay
+    comparable.
     """
     buckets: dict[tuple[str, str], dict[date, DayRow]] = {}
-    for vantage, protocol, ts_us, industrial, sample_interval in entries:
-        day = utc_day(ts_us)
+    for (vantage, protocol, day, industrial, sample_interval), n in counts.items():
         series = buckets.setdefault((vantage, protocol), {})
         row = series.get(day)
         if row is None:
             row = series[day] = DayRow(day=day)
-        weight = extrapolate(1, sample_interval)
-        row.total += 1
+        weight = extrapolate(n, sample_interval)
+        row.total += n
         row.extrapolated_total += weight
         if industrial:
-            row.industrial += 1
+            row.industrial += n
             row.extrapolated_industrial += weight
     out: dict[tuple[str, str], list[DayRow]] = {}
     for key in sorted(buckets):

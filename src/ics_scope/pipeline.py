@@ -18,7 +18,7 @@ from .capture import REQUEST, CaptureMeta, direction, read_capture
 from .classify import (
     FILTER_FAMILIES,
     INDUSTRIAL,
-    ClassifiedPacket,
+    NON_INDUSTRIAL,
     HoneypotSets,
     RdnsTable,
     ScannerRegistry,
@@ -51,6 +51,12 @@ from .sanitize import (
 )
 
 log = logging.getLogger(__name__)
+
+# Which kept packets' destinations stability.csv covers.
+STABILITY_LABELS = (INDUSTRIAL, NON_INDUSTRIAL, "all")
+
+# What a config value of each Python type is called in an error message.
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 REPORT_FILES = (
     "sanitize.csv",
@@ -103,40 +109,49 @@ class PipelineConfig:
             raise ConfigError(f"config {path}: expected a JSON object, got {type(raw).__name__}")
         base = path.parent
 
-        def integer(value, key: str) -> int:
-            try:
-                return int(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"config {path}: {key} must be an integer, got {value!r}") from None
+        def fault(key: str, expected: str, value) -> ConfigError:
+            return ConfigError(f"config {path}: {key} must be {expected}, got {value!r}")
 
-        def resolve(key: str) -> Path | None:
-            value = raw.get(key)
-            if value is None:
-                return None
-            resolved = base / value
-            if not resolved.exists():
+        def typed(value, kind: type, key: str):
+            if type(value) is not kind:
+                raise fault(key, _JSON_TYPES[kind], value)
+            return value
+
+        def choice(key: str, default: str, allowed) -> str:
+            value = raw.get(key, default)
+            if type(value) is not str or value not in allowed:
+                raise fault(key, f"one of {', '.join(sorted(allowed))}", value)
+            return value
+
+        def existing(value, key: str) -> Path:
+            resolved = base / typed(value, str, key)
+            try:
+                found = resolved.exists()
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"config {path}: {key}: {exc}") from None
+            if not found:
                 raise ConfigError(f"config {path}: {key} file not found: {resolved}")
             return resolved
 
+        def resolve(key: str) -> Path | None:
+            value = raw.get(key)
+            return None if value is None else existing(value, key)
+
         captures = []
-        for index, entry in enumerate(raw.get("captures", [])):
+        for index, entry in enumerate(typed(raw.get("captures", []), list, "captures")):
             key = f"captures[{index}]"
             if not isinstance(entry, dict) or "path" not in entry:
                 raise ConfigError(f"config {path}: {key} has no 'path'")
-            pcap = base / entry["path"]
-            if not pcap.exists():
-                raise ConfigError(f"config {path}: capture file not found: {pcap}")
-            sample_interval = integer(entry.get("sample_interval", 1), f"{key}.sample_interval")
-            snap_len = integer(entry.get("snap_len", 65535), f"{key}.snap_len")
+            pcap = existing(entry["path"], f"{key}.path")
+            vantage = typed(entry.get("vantage", "vp0"), str, f"{key}.vantage")
+            sample_interval = typed(entry.get("sample_interval", 1), int, f"{key}.sample_interval")
+            snap_len = typed(entry.get("snap_len", 65535), int, f"{key}.snap_len")
             try:
-                meta = CaptureMeta(entry.get("vantage", "vp0"), sample_interval, snap_len)
+                meta = CaptureMeta(vantage, sample_interval, snap_len)
             except ValueError as exc:
                 raise ConfigError(f"config {path}: {key}: {exc}") from exc
             captures.append(CaptureSource(path=pcap, meta=meta))
-        filters = raw.get("filters", "all")
-        if filters not in FILTER_FAMILIES:
-            raise ConfigError(f"config {path}: unknown filter family {filters!r}")
+        tag_members = typed(raw.get("tag_members", {}), dict, "tag_members")
         return cls(
             captures=captures,
             scanner_registry=resolve("scanner_registry"),
@@ -148,10 +163,9 @@ class PipelineConfig:
             geo=resolve("geo"),
             scan_snapshot=resolve("scan_snapshot"),
             dpi_catalog=resolve("dpi_catalog"),
-            filters=filters,
-            stability_label=raw.get("stability_label", INDUSTRIAL),
-            tag_members={k: integer(v, f"tag_members[{k!r}]")
-                         for k, v in raw.get("tag_members", {}).items()},
+            filters=choice("filters", "all", FILTER_FAMILIES),
+            stability_label=choice("stability_label", INDUSTRIAL, STABILITY_LABELS),
+            tag_members={k: typed(v, int, f"tag_members[{k!r}]") for k, v in tag_members.items()},
         )
 
 
@@ -215,8 +229,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Comma-separated rows, or tab-separated for a .tsv path."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, delimiter="\t" if path.suffix == ".tsv" else ",",
+                            lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
@@ -281,43 +297,44 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     active = FILTER_FAMILIES[config.filters]
 
+    # Every report is a function of a kept packet's key, so the stream only
+    # counts keys; classification and enrichment run once per distinct key.
     stream = CandidateStream(config.captures, inputs.dpi_catalog)
-    classified_rows = []
-    daily_entries = []
-    stability_rows = []
-    request_asn_rows = []
+    keys: Counter[tuple] = Counter()
+    for source, record, dissection in stream:
+        keys[(record.vantage, source.meta.sample_interval, dissection.protocol,
+              direction(record), record.src_ip, record.dst_ip, record.day)] += 1
+
+    filter_counts: Counter[tuple] = Counter()
+    daily_counts: Counter[tuple] = Counter()
+    stable_days: dict[str, set] = {}
+    request_protocols: dict[int, set[str]] = {}
     transition_counts: Counter[tuple[str, str, str]] = Counter()
     domestic_counts: Counter[tuple[str, str, str]] = Counter()
     passive_hosts: dict[str, dict[str, set[str]]] = {}
-
-    for source, record, dissection in stream:
-        packet_direction = direction(record)
-        reasons = classify(record, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
+    for key, n in keys.items():
+        vantage, sample_interval, protocol, packet_direction, src_ip, dst_ip, day = key
+        reasons = classify(src_ip, dst_ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
         label = label_under(reasons, active)
-        protocol = dissection.protocol
-        classified_rows.append(ClassifiedPacket(protocol, packet_direction, reasons))
-        daily_entries.append((record.vantage, protocol, record.ts, label == INDUSTRIAL,
-                              source.meta.sample_interval))
+        filter_counts[(protocol, packet_direction, reasons)] += n
+        daily_counts[(vantage, protocol, day, label == INDUSTRIAL, sample_interval)] += n
         if config.stability_label == "all" or label == config.stability_label:
-            stability_rows.append((record.dst_ip, record.day))
+            stable_days.setdefault(dst_ip, set()).add(day)
         hosts = passive_hosts.setdefault(protocol, {"source": set(), "destination": set()})
-        hosts["source"].add(record.src_ip)
-        hosts["destination"].add(record.dst_ip)
+        hosts["source"].add(src_ip)
+        hosts["destination"].add(dst_ip)
 
-        src_asn = inputs.asn_table.lookup(record.src_ip) if inputs.asn_table else None
-        dst_asn = inputs.asn_table.lookup(record.dst_ip) if inputs.asn_table else None
+        src_asn = inputs.asn_table.lookup(src_ip) if inputs.asn_table else None
+        dst_asn = inputs.asn_table.lookup(dst_ip) if inputs.asn_table else None
         if packet_direction == REQUEST and src_asn is not None:
-            request_asn_rows.append((src_asn, protocol))
-        ingress = inputs.topology.resolve_member(src_asn, tag=f"{record.vantage}:in")
-        egress = inputs.topology.resolve_member(dst_asn, tag=f"{record.vantage}:out")
+            request_protocols.setdefault(src_asn, set()).add(protocol)
+        ingress = inputs.topology.resolve_member(src_asn, tag=f"{vantage}:in")
+        egress = inputs.topology.resolve_member(dst_asn, tag=f"{vantage}:out")
         transition_counts[(protocol, label, transition(src_asn, dst_asn, ingress, egress,
-                                                       inputs.topology))] += 1
-        if inputs.geo is not None:
-            domestic = is_domestic(record.src_ip, record.dst_ip, inputs.geo)
-        else:
-            domestic = None
+                                                       inputs.topology))] += n
+        domestic = is_domestic(src_ip, dst_ip, inputs.geo) if inputs.geo is not None else None
         status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
-        domestic_counts[(protocol, label, status)] += 1
+        domestic_counts[(protocol, label, status)] += n
 
     # --- report bundle -----------------------------------------------------
 
@@ -338,21 +355,16 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         },
     )
 
-    family_rows = filter_report(classified_rows)
+    family_rows = filter_report(filter_counts)
     _write_csv(
         out / "filters.csv",
         ["protocol", "total_packets", "request_share", "excl_scanners", "excl_hp_ics",
          "excl_hp_all", "excl_both"],
         [
-            [
-                row["protocol"],
-                row["total_packets"],
-                None if row["request_share"] is None else round(100 * row["request_share"], 1),
-                None if row["excl_scanners"] is None else round(100 * row["excl_scanners"], 1),
-                None if row["excl_hp_ics"] is None else round(100 * row["excl_hp_ics"], 1),
-                None if row["excl_hp_all"] is None else round(100 * row["excl_hp_all"], 1),
-                None if row["excl_both"] is None else round(100 * row["excl_both"], 1),
-            ]
+            [row["protocol"], row["total_packets"]]
+            + [None if row[column] is None else round(100 * row[column], 1)
+               for column in ("request_share", "excl_scanners", "excl_hp_ics", "excl_hp_all",
+                              "excl_both")]
             for row in family_rows
         ],
     )
@@ -360,15 +372,12 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
 
     transition_rows = []
     for protocol, label in sorted({(p, l) for p, l, _ in transition_counts}):
-        known = sum(
-            transition_counts[(protocol, label, t)] for t in TRANSITIONS
+        known = sum(transition_counts[(protocol, label, t)] for t in TRANSITIONS)
+        transition_rows.append(
+            [protocol, label]
+            + [_pct(transition_counts[(protocol, label, t)], known) for t in TRANSITIONS]
+            + [known, transition_counts[(protocol, label, UNKNOWN_TRANSITION)]]
         )
-        unknown = transition_counts[(protocol, label, UNKNOWN_TRANSITION)]
-        row = [protocol, label]
-        for kind in TRANSITIONS:
-            row.append(_pct(transition_counts[(protocol, label, kind)], known))
-        row.extend([known, unknown])
-        transition_rows.append(row)
     _write_csv(
         out / "transitions.csv",
         ["protocol", "label", "member_to_member_pct", "member_to_cone_pct",
@@ -392,19 +401,16 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         domestic_rows,
     )
 
-    series = metrics.daily_series(daily_entries)
-    with open(out / "daily.tsv", "w", newline="") as fh:
-        fh.write("day\tcount\textrapolated\tlabel\n")
-        for (vantage, protocol), rows in series.items():
-            for row in rows:
-                fh.write(f"{row.day}\t{row.total}\t{row.extrapolated_total}\t"
-                         f"{vantage}:{protocol}:total\n")
-                fh.write(
-                    f"{row.day}\t{row.industrial}\t{row.extrapolated_industrial}\t"
-                    f"{vantage}:{protocol}:industrial\n"
-                )
+    daily_rows = []
+    for (vantage, protocol), rows in metrics.daily_series(daily_counts).items():
+        for row in rows:
+            daily_rows.append([row.day, row.total, row.extrapolated_total,
+                               f"{vantage}:{protocol}:total"])
+            daily_rows.append([row.day, row.industrial, row.extrapolated_industrial,
+                               f"{vantage}:{protocol}:industrial"])
+    _write_csv(out / "daily.tsv", ["day", "count", "extrapolated", "label"], daily_rows)
 
-    stability = metrics.host_stability(stability_rows)
+    stability = metrics.host_stability(stable_days)
     _write_csv(
         out / "stability.csv",
         ["ip", "first_day", "last_day", "window_days", "active_days", "stability"],
@@ -415,7 +421,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         ],
     )
 
-    per_asn = protocols_per_asn(request_asn_rows)
+    per_asn = protocols_per_asn(request_protocols)
     _write_csv(
         out / "asn_protocols.csv",
         ["asn", "distinct_protocols", "protocols", "suspicious"],

@@ -291,7 +291,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         pairs = [(r, d) for r, d in zip(records, dissections) if d is not None]
         result = sanitize(pairs)
         kept_reasons = [
-            classify(record, registry, rdns, honeypots)
+            classify(record.src_ip, record.dst_ip, registry, rdns, honeypots)
             for record, _ in result.kept
         ]
         pipeline_elapsed += time.perf_counter() - started
@@ -344,23 +344,23 @@ def test_criterion_4_host_stability(oracle_corpora):
     corpus = oracle_corpora["industrial_stable"]
     meta = _capture_meta(corpus)
     records = list(read_capture(corpus.pcap, meta))
-    rows = []
+    rows: dict[str, set] = {}
     for record in records:
         dissection = dissect(record)
         if dissection is not None:
-            rows.append((record.dst_ip, record.day))
+            rows.setdefault(record.dst_ip, set()).add(record.day)
     stable = {h.ip: h for h in host_stability(rows)}["198.19.10.1"]
     assert (stable.window_days, stable.active_day_count) == (179, 146)
 
     rng = random.Random(77)
     start = date(2017, 6, 1)
-    synthetic = []
+    synthetic = {}
     expected = {}
     for host_index in range(1000):
         ip = int_to_ip(0x0A000000 + host_index)
         offsets = sorted(rng.sample(range(0, 365), rng.randrange(1, 40)))
         expected[ip] = offsets
-        synthetic.extend((ip, start + timedelta(days=o)) for o in offsets)
+        synthetic[ip] = {start + timedelta(days=o) for o in offsets}
     for activity in host_stability(synthetic):
         offsets = expected[activity.ip]
         # Independent recomputation by explicit day-walk.
@@ -392,8 +392,8 @@ def test_criterion_5_filter_family_monotonicity():
         )
         reasons = []
         for _ in range(200):
-            record = record_like(rng.choice(pool), rng.choice(pool))
-            reasons.append(classify(record, registry, rdns, honeypots))
+            reasons.append(classify(rng.choice(pool), rng.choice(pool), registry, rdns,
+                                    honeypots))
         share_scanners = sum(label_under(r, SCANNERS) == INDUSTRIAL for r in reasons)
         share_hp_ics = sum(label_under(r, SCANNERS | {HP_ICS}) == INDUSTRIAL for r in reasons)
         share_hp_all = sum(
@@ -401,12 +401,6 @@ def test_criterion_5_filter_family_monotonicity():
         )
         assert share_hp_all <= share_hp_ics <= share_scanners, corpus_index
     print("\nACCEPTANCE 5 filter-family monotonicity on 100 corpora: PASS")
-
-
-def record_like(src, dst):
-    from ics_scope.capture import PacketRecord
-
-    return PacketRecord(0, src, dst, 6, 49152, 502, b"", 0, "vp")
 
 
 def _partition_topologies(n_ases):

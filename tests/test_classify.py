@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from ics_scope.capture import PacketRecord
 from ics_scope.classify import (
     ALL_FILTERS,
     FILTER_FAMILIES,
@@ -13,7 +12,6 @@ from ics_scope.classify import (
     NON_INDUSTRIAL,
     SCANNER_PREFIX,
     SCANNER_RDNS,
-    ClassifiedPacket,
     HoneypotSets,
     RdnsTable,
     Reason,
@@ -23,10 +21,6 @@ from ics_scope.classify import (
     filter_report,
     label_under,
 )
-
-
-def _record(src, dst):
-    return PacketRecord(0, src, dst, 6, 49152, 502, b"", 0, "vp")
 
 
 @pytest.fixture()
@@ -101,7 +95,7 @@ def test_hp_subset_enforced(tmp_path):
 
 
 def test_classify_scanner_prefix(registry):
-    reasons = classify(_record("203.0.113.5", "10.0.0.1"), registry,
+    reasons = classify("203.0.113.5", "10.0.0.1", registry,
                        RdnsTable.empty(), HoneypotSets.empty())
     assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
     assert reasons == frozenset({Reason(SCANNER_PREFIX, "Shodan")})
@@ -109,8 +103,7 @@ def test_classify_scanner_prefix(registry):
 
 def test_classify_hp_all_only_under_hp_ics_family(registry):
     hp = HoneypotSets(frozenset({"10.1.0.1"}), frozenset())
-    record = _record("10.1.0.1", "10.2.0.2")
-    reasons = classify(record, registry, RdnsTable.empty(), hp)
+    reasons = classify("10.1.0.1", "10.2.0.2", registry, RdnsTable.empty(), hp)
     assert label_under(reasons, FILTER_FAMILIES["hp-ics"]) == INDUSTRIAL
     assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
     assert reasons == frozenset({Reason(HP_ALL)})
@@ -119,7 +112,7 @@ def test_classify_hp_all_only_under_hp_ics_family(registry):
 def test_classify_accumulates_reasons(registry):
     hp = HoneypotSets(frozenset({"10.1.0.1"}), frozenset({"10.1.0.1"}))
     rdns = RdnsTable({"10.1.0.1": "a.shodan.io"})
-    reasons = classify(_record("10.1.0.1", "10.2.0.2"), registry, rdns, hp)
+    reasons = classify("10.1.0.1", "10.2.0.2", registry, rdns, hp)
     assert reasons == frozenset(
         {Reason(SCANNER_RDNS, "Shodan"), Reason(HP_ALL), Reason(HP_ICS)}
     )
@@ -127,8 +120,8 @@ def test_classify_accumulates_reasons(registry):
 
 def test_classify_checks_both_endpoints(registry):
     hp = HoneypotSets(frozenset({"10.3.0.3"}), frozenset())
-    as_src = classify(_record("10.3.0.3", "10.4.0.4"), registry, RdnsTable.empty(), hp)
-    as_dst = classify(_record("10.4.0.4", "10.3.0.3"), registry, RdnsTable.empty(), hp)
+    as_src = classify("10.3.0.3", "10.4.0.4", registry, RdnsTable.empty(), hp)
+    as_dst = classify("10.4.0.4", "10.3.0.3", registry, RdnsTable.empty(), hp)
     assert label_under(as_src, ALL_FILTERS) == label_under(as_dst, ALL_FILTERS) == NON_INDUSTRIAL
     assert as_src == as_dst
 
@@ -139,16 +132,14 @@ def test_label_reason_consistency(registry):
     rdns = RdnsTable({"10.1.0.3": "x.census.example"})
     pool = ["203.0.113.5", "10.1.0.1", "10.1.0.2", "10.1.0.3", "10.9.9.9", "10.8.8.8"]
     for _ in range(300):
-        record = _record(rng.choice(pool), rng.choice(pool))
-        reasons = classify(record, registry, rdns, hp)
+        reasons = classify(rng.choice(pool), rng.choice(pool), registry, rdns, hp)
         assert (label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL) == bool(reasons)
 
 
 def test_filter_report_shares():
-    rows = [ClassifiedPacket("modbus", "request",
-                             frozenset({Reason(SCANNER_PREFIX, "Shodan")}))] * 80
-    rows += [ClassifiedPacket("modbus", "request", frozenset())] * 20
-    report = filter_report(rows)
+    counts = {("modbus", "request", frozenset({Reason(SCANNER_PREFIX, "Shodan")})): 80,
+              ("modbus", "request", frozenset()): 20}
+    report = filter_report(counts)
     modbus = next(r for r in report if r["protocol"] == "modbus")
     assert modbus["excl_scanners"] == pytest.approx(0.2)
     assert modbus["excl_both"] == pytest.approx(0.2)
@@ -160,8 +151,7 @@ def test_filter_report_shares():
 
 
 def test_filter_report_no_hits_everything_industrial():
-    rows = [ClassifiedPacket("dnp3", "reply", frozenset())] * 10
-    report = filter_report(rows)
+    report = filter_report({("dnp3", "reply", frozenset()): 10})
     row = next(r for r in report if r["protocol"] == "dnp3")
     assert row["excl_scanners"] == row["excl_hp_ics"] == row["excl_hp_all"] == 1.0
     assert row["request_share"] == 0.0
@@ -176,10 +166,9 @@ def test_filter_family_monotonicity_spot():
         frozenset({Reason(SCANNER_RDNS, "Rapid7"), Reason(HP_ALL)}),
     ]
     rng = random.Random(11)
-    rows = [ClassifiedPacket("bacnet", "request", rng.choice(reasons_pool))
-            for _ in range(500)]
+    rows = [rng.choice(reasons_pool) for _ in range(500)]
     scanners = frozenset({SCANNER_PREFIX, SCANNER_RDNS})
-    share = lambda fam: sum(label_under(r.reasons, fam) == INDUSTRIAL for r in rows)
+    share = lambda fam: sum(label_under(reasons, fam) == INDUSTRIAL for reasons in rows)
     assert share(scanners | {HP_ALL, HP_ICS}) <= share(scanners | {HP_ICS}) <= share(scanners)
 
 

@@ -116,6 +116,22 @@ _FAULTS = [
                  id="top-level-list"),
     pytest.param("analyze", lambda c: {**c, "tag_members": {"ixp0:in": "x"}},
                  "tag_members['ixp0:in'] must be an integer", id="tag-member-text"),
+    pytest.param("analyze", lambda c: _capture(c, path=5),
+                 "captures[0].path must be a string, got 5", id="capture-path-number"),
+    pytest.param("analyze", lambda c: {**c, "rdns": 7}, "rdns must be a string, got 7",
+                 id="rdns-number"),
+    pytest.param("analyze", lambda c: {**c, "tag_members": []},
+                 "tag_members must be an object, got []", id="tag-members-list"),
+    pytest.param("analyze", lambda c: {**c, "filters": ["all"]},
+                 "filters must be one of all, hp-all, hp-ics, scanners, got ['all']",
+                 id="filters-list"),
+    pytest.param("analyze", lambda c: _capture(c, vantage=["ixp0"]),
+                 "captures[0].vantage must be a string, got ['ixp0']", id="vantage-list"),
+    pytest.param("analyze", lambda c: _capture(c, sample_interval=2.7),
+                 "captures[0].sample_interval must be an integer, got 2.7",
+                 id="sample-interval-fraction"),
+    pytest.param("analyze", lambda c: _capture(c, snap_len=128.5),
+                 "captures[0].snap_len must be an integer, got 128.5", id="snap-len-fraction"),
     pytest.param("dissect", None, "snap_len below 46 bytes", id="dissect-snap-len-10"),
     pytest.param("sanitize", None, "snap_len below 46 bytes", id="sanitize-snap-len-10"),
 ]
@@ -132,6 +148,23 @@ def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message
         argv = [command, "--config", str(bad), "--out", str(tmp_path / "r")]
     assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label, code", [("industrial", 0), ("non_industrial", 0), ("all", 0),
+                                         ("industral", 2)])
+def test_analyze_stability_label(tmp_path, capsys, label, code):
+    corpus = _gen(tmp_path)
+    config = json.loads((corpus / "config.json").read_text())
+    (corpus / "config.json").write_text(json.dumps({**config, "stability_label": label}))
+    reports = tmp_path / "reports"
+    assert main(["analyze", "--config", str(corpus / "config.json"),
+                 "--out", str(reports)]) == code
+    if code:
+        assert ("stability_label must be one of all, industrial, non_industrial, "
+                "got 'industral'") in capsys.readouterr().err
+        assert not reports.exists()
+    else:
+        assert len((reports / "stability.csv").read_text().splitlines()) > 1
 
 
 def test_analyze_unknown_dpi_transport_exit_2(tmp_path, capsys):

@@ -173,10 +173,18 @@ def test_is_domestic():
     assert is_domestic("12.0.0.1", "10.0.0.1", geo) is None
 
 
+def _by_asn(rows) -> dict:
+    """protocols_per_asn input from (src_asn, protocol) request rows."""
+    protocols: dict = {}
+    for asn, protocol in rows:
+        protocols.setdefault(asn, set()).add(protocol)
+    return protocols
+
+
 def test_protocols_per_asn_flags():
     rows = [(64500, "modbus"), (64500, "bacnet"), (64500, "modbus")]
     rows += [(64501, p) for p in ("modbus", "bacnet", "dnp3", "iec104", "hartip")]
-    per_asn = protocols_per_asn(rows)
+    per_asn = protocols_per_asn(_by_asn(rows))
     assert per_asn[64500]["distinct"] == 2
     assert per_asn[64500]["suspicious"] is False
     assert per_asn[64501]["distinct"] == 5
@@ -185,7 +193,7 @@ def test_protocols_per_asn_flags():
 
 def test_protocols_per_asn_threshold_boundary():
     rows = [(1, p) for p in ("modbus", "bacnet", "dnp3", "iec104")]
-    assert protocols_per_asn(rows)[1]["suspicious"] is False  # exactly 4 is not flagged
+    assert protocols_per_asn(_by_asn(rows))[1]["suspicious"] is False  # exactly 4 is not flagged
 
 
 def test_scan_overlap_arithmetic():

@@ -5,7 +5,8 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from ics_scope.classify import ClassifiedPacket, filter_report
+from ics_scope.capture import utc_day
+from ics_scope.classify import filter_report
 from ics_scope.dissectors import Dissection
 from ics_scope.metrics import (
     daily_series,
@@ -19,6 +20,20 @@ _DAY_US = 86_400_000_000
 
 def _ts(day: date, offset_us: int = 0) -> int:
     return (day.toordinal() - date(1970, 1, 1).toordinal()) * _DAY_US + offset_us
+
+
+def _daily(entries) -> Counter:
+    """daily_series input from (vantage, protocol, ts_us, industrial, interval) packets."""
+    return Counter((vantage, protocol, utc_day(ts), industrial, interval)
+                   for vantage, protocol, ts, industrial, interval in entries)
+
+
+def _by_ip(rows) -> dict:
+    """host_stability input from (ip, day) observations."""
+    days: dict = {}
+    for ip, day in rows:
+        days.setdefault(ip, set()).add(day)
+    return days
 
 
 def test_extrapolate_values():
@@ -37,7 +52,7 @@ def test_extrapolate_linear(a, b, s):
 
 
 def _request_shares(rows):
-    report = filter_report(ClassifiedPacket(p, d, frozenset()) for p, d in rows)
+    report = filter_report(Counter((p, d, frozenset()) for p, d in rows))
     return {row["protocol"]: row["request_share"] for row in report}
 
 
@@ -59,12 +74,12 @@ def test_request_share_balanced_and_null():
 def test_host_stability_inclusive_window():
     start = date(2018, 1, 1)
     rows = [("10.0.0.1", start), ("10.0.0.1", start + timedelta(days=9))]
-    activity = host_stability(rows)[0]
+    activity = host_stability(_by_ip(rows))[0]
     assert (activity.window_days, activity.active_day_count) == (10, 2)
 
 
 def test_host_stability_single_day():
-    activity = host_stability([("10.0.0.1", date(2018, 3, 3))])[0]
+    activity = host_stability({"10.0.0.1": {date(2018, 3, 3)}})[0]
     assert (activity.window_days, activity.active_day_count) == (1, 1)
     assert activity.stability == 1.0
 
@@ -75,7 +90,7 @@ def test_host_stability_replicates_stable_host_tuple():
     offsets = {0, 178} | set(rng.sample(range(1, 178), 144))
     assert len(offsets) == 146
     rows = [("10.1.1.1", start + timedelta(days=o)) for o in sorted(offsets)]
-    activity = host_stability(rows)[0]
+    activity = host_stability(_by_ip(rows))[0]
     assert (activity.window_days, activity.active_day_count) == (179, 146)
 
 
@@ -83,7 +98,7 @@ def test_host_stability_sorted_by_activity():
     start = date(2018, 1, 1)
     rows = [("10.0.0.2", start + timedelta(days=i)) for i in range(3)]
     rows += [("10.0.0.1", start)]
-    result = host_stability(rows)
+    result = host_stability(_by_ip(rows))
     assert [h.ip for h in result] == ["10.0.0.2", "10.0.0.1"]
 
 
@@ -102,7 +117,7 @@ def test_host_stability_bruteforce(host_days):
         for ip, offsets in host_days.items()
         for offset in offsets
     ]
-    for activity in host_stability(rows):
+    for activity in host_stability(_by_ip(rows)):
         offsets = host_days[activity.ip]
         days = sorted(start + timedelta(days=o) for o in offsets)
         # Brute force: walk every day in the window and count.
@@ -149,7 +164,7 @@ def test_daily_series_utc_bucketing_and_gaps():
         ("vp", "bacnet", _ts(d1, _DAY_US - 1), True, 1),  # 23:59:59.999999 stays on day 1
         ("vp", "bacnet", _ts(d1 + timedelta(days=3)), False, 1),
     ]
-    series = daily_series(entries)[("vp", "bacnet")]
+    series = daily_series(_daily(entries))[("vp", "bacnet")]
     assert [row.day for row in series] == [d1 + timedelta(days=i) for i in range(4)]
     assert series[0].total == 1 and series[0].industrial == 1
     assert series[1].total == 0 and series[2].total == 0
@@ -161,7 +176,7 @@ def test_daily_series_scanner_spike_only_in_total():
     entries = [("vp", "bacnet", _ts(base + timedelta(days=i)), True, 1) for i in range(5)]
     entries += [("vp", "bacnet", _ts(base + timedelta(days=2), 50), False, 1)
                 for _ in range(100)]
-    series = daily_series(entries)[("vp", "bacnet")]
+    series = daily_series(_daily(entries))[("vp", "bacnet")]
     spike = series[2]
     assert spike.total == 101
     assert spike.industrial == 1
@@ -177,7 +192,7 @@ def test_daily_series_conservation():
              _ts(base + timedelta(days=rng.randrange(20)), rng.randrange(_DAY_US)),
              rng.random() < 0.5, 1)
         )
-    series = daily_series(entries)
+    series = daily_series(_daily(entries))
     total = sum(row.total for rows in series.values() for row in rows)
     assert total == 800
 
@@ -185,9 +200,9 @@ def test_daily_series_conservation():
 def test_day_row_extrapolation():
     day = _ts(date(2018, 1, 1))
     entries = [("vp", "bacnet", day, i < 2, 16384) for i in range(5)]
-    row = daily_series(entries)[("vp", "bacnet")][0]
+    row = daily_series(_daily(entries))[("vp", "bacnet")][0]
     assert (row.extrapolated_total, row.extrapolated_industrial) == (81920, 32768)
 
 
 def test_daily_series_empty():
-    assert daily_series([]) == {}
+    assert daily_series({}) == {}

@@ -1,7 +1,10 @@
 import json
 import struct
 
-from ics_scope.pipeline import PipelineConfig, run_analyze
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ics_scope.pipeline import ConfigError, PipelineConfig, run_analyze
 from ics_scope.trafficgen import ScenarioSpec, generate
 
 SCENARIO = {
@@ -98,3 +101,81 @@ def test_split_capture_gives_the_one_capture_bundle(tmp_path):
     whole_summary.pop("captures")
     assert whole_summary == split_summary
     assert whole_summary["kept"] < whole_summary["candidates"]
+
+
+_TABLE_KEYS = ("scanner_registry", "hp_all", "hp_ics", "rdns", "asn_table", "cone", "geo",
+               "scan_snapshot", "dpi_catalog")
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+_VALID_CONFIG = st.fixed_dictionaries(
+    {
+        "captures": st.lists(
+            st.fixed_dictionaries(
+                {"path": st.sampled_from(["a.pcap", "b.pcap"])},
+                optional={
+                    "vantage": st.text(max_size=8),
+                    "sample_interval": st.integers(min_value=1, max_value=2**20),
+                    "snap_len": st.integers(min_value=46, max_value=65535),
+                },
+            ),
+            max_size=3,
+        ),
+    },
+    optional={
+        **{key: st.sampled_from(["table.txt", None]) for key in _TABLE_KEYS},
+        "filters": st.sampled_from(["scanners", "hp-ics", "hp-all", "all"]),
+        "stability_label": st.sampled_from(["industrial", "non_industrial", "all"]),
+        "tag_members": st.dictionaries(st.text(max_size=8), st.integers(), max_size=3),
+    },
+)
+
+
+def _nodes(value, path=()):
+    """Every position in a JSON tree, as the key/index path leading to it."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _nodes(child, path + (index,))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("config")
+    for name in ("a.pcap", "b.pcap", "table.txt"):
+        (directory / name).write_text("")
+    return directory
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_VALID_CONFIG, data=st.data())
+def test_config_loader_on_mutated_json_raises_only_config_error(config_dir, config, data):
+    path = config_dir / "config.json"
+    path.write_text(json.dumps(config))
+    assert isinstance(PipelineConfig.from_json(path), PipelineConfig)
+
+    node = data.draw(st.sampled_from(list(_nodes(config))))
+    drop = bool(node) and data.draw(st.booleans())
+    replacement = None if drop else data.draw(_JSON)
+    if not node:
+        config = replacement
+    else:
+        parent = config
+        for step in node[:-1]:
+            parent = parent[step]
+        if drop:
+            del parent[node[-1]]
+        else:
+            parent[node[-1]] = replacement
+    path.write_text(json.dumps(config))
+    try:
+        PipelineConfig.from_json(path)
+    except ConfigError:
+        pass  # any other exception fails the property

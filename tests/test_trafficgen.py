@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -66,7 +67,7 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
         }
     ])
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
-    truth = [json.loads(line) for line in open(corpus.ground_truth)]
+    truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     assert len(truth) == 80
     assert all(t["direction"] == "request" for t in truth)
     assert all(t["label"] == "non_industrial" for t in truth)
@@ -75,11 +76,11 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
     shodan = next(e for e in registry if e["project"] == "Shodan")
     assert shodan["prefixes"] == ["203.0.113.0/29"]
     from ics_scope.capture import direction
-    from ics_scope.classify import ClassifiedPacket, filter_report
+    from ics_scope.classify import filter_report
 
     records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
-    report = filter_report(ClassifiedPacket(dissect(r).protocol, direction(r), frozenset())
-                           for r in records)
+    report = filter_report(Counter((dissect(r).protocol, direction(r), frozenset())
+                                   for r in records))
     assert next(row for row in report if row["protocol"] == "bacnet")["request_share"] == 1.0
     # Destination coverage: every host of the /26 shows up.
     assert len({r.dst_ip for r in records}) == 62
@@ -88,7 +89,7 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
 def test_ground_truth_aligns_with_pcap(tmp_path):
     corpus = generate(ScenarioSpec.from_dict(_spec()), tmp_path)
     records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
-    truth = [json.loads(line) for line in open(corpus.ground_truth)]
+    truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     assert len(records) == len(truth) == 50
     assert [t["index"] for t in truth] == list(range(50))
     timestamps = [r.ts for r in records]
@@ -166,7 +167,7 @@ def test_active_day_schedule(tmp_path):
         "packets_per_day": 2,
     }
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
-    truth = [json.loads(line) for line in open(corpus.ground_truth)]
+    truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     assert len(truth) == 6
     records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
     days = sorted({r.day.isoformat() for r in records})
@@ -188,17 +189,17 @@ def test_protocols_per_asn_matches_ground_truth(tmp_path):
     from ics_scope.enrich import load_asn_table, protocols_per_asn
 
     asn_table = load_asn_table(corpus.sidecars["asn"])
-    truth = [json.loads(line) for line in open(corpus.ground_truth)]
+    truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
 
-    rows = []
+    rows: dict[int, set] = {}
     expected: dict[int, set] = {}
     for record, t in zip(records, truth):
         if direction(record) != "request":
             continue
         asn = asn_table.lookup(record.src_ip)
         assert asn is not None
-        rows.append((asn, dissect(record).protocol))
+        rows.setdefault(asn, set()).add(dissect(record).protocol)
         expected.setdefault(asn, set()).add(t["protocol"])
     per_asn = protocols_per_asn(rows)
     assert set(per_asn) == set(expected)
@@ -234,7 +235,7 @@ def test_honeypot_sidecars_subset(tmp_path):
     hp_ics = set(corpus.sidecars["hp_ics"].read_text().split())
     assert hp_ics == {"100.66.0.1"}
     assert hp_all == {"100.66.0.1", "100.66.1.1"}
-    truth = [json.loads(line) for line in open(corpus.ground_truth)]
+    truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     ics_rows = [t for t in truth if t["reasons"] == ["hp_all", "hp_ics"]]
     all_rows = [t for t in truth if t["reasons"] == ["hp_all"]]
     assert len(ics_rows) == 4 and len(all_rows) == 4
