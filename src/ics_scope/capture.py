@@ -41,9 +41,44 @@ class CaptureError(ValueError):
     """Unreadable or structurally invalid capture file."""
 
 
-def ip_to_int(ip: str) -> int:
-    a, b, c, d = ip.split(".")
-    return (int(a) << 24) | (int(b) << 16) | (int(c) << 8) | int(d)
+# Canonical decimal texts (no sign, no space, no leading zero) of each octet
+# value and each prefix length.
+_OCTETS = {str(value): value for value in range(256)}
+_PREFIX_LENGTHS = {str(plen): plen for plen in range(33)}
+
+
+def ip_to_int(text: str) -> int:
+    """Dotted-quad address to its 32-bit value.
+
+    Accepts exactly what ipaddress.IPv4Address accepts: four canonical
+    decimal octets; anything else raises ValueError.
+    """
+    try:
+        a, b, c, d = text.split(".")
+        return (_OCTETS[a] << 24) | (_OCTETS[b] << 16) | (_OCTETS[c] << 8) | _OCTETS[d]
+    except (KeyError, ValueError):
+        raise ValueError(f"invalid IPv4 address {text!r}") from None
+
+
+def parse_cidr(text: str, strict: bool) -> tuple[int, int]:
+    """'a.b.c.d' or 'a.b.c.d/N' to (network address, prefix length).
+
+    N is ASCII decimal digits, leading zeros allowed, of value at most 32;
+    a bare address is a /32. Host bits below the prefix raise ValueError
+    when strict and are masked off otherwise, as with ipaddress.IPv4Network.
+    Netmask forms (a.b.c.d/255.255.255.0) are not accepted.
+    """
+    address, slash, length = text.partition("/")
+    value = ip_to_int(address)
+    if not slash:
+        return value, 32
+    plen = _PREFIX_LENGTHS.get(length.lstrip("0") or "0") if length else None
+    if plen is None:
+        raise ValueError(f"invalid prefix length in {text!r}")
+    network = value & (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
+    if strict and network != value:
+        raise ValueError(f"{text!r} has host bits set")
+    return network, plen
 
 
 def int_to_ip(value: int) -> str:
@@ -88,13 +123,11 @@ class PacketRecord:
     """
 
     ts: int  # microseconds since the Unix epoch, UTC
-    src_ip: str
-    dst_ip: str
+    src_ip: int  # IPv4 addresses as 32-bit values; int_to_ip formats them
+    dst_ip: int
     ip_proto: int
     src_port: int
     dst_port: int
-    captured: bytes  # frame bytes from link-layer start, possibly snap-truncated
-    orig_len: int  # frame length on the wire
     vantage: str
     payload: bytes | None = None
     payload_wire_len: int = 0
@@ -115,8 +148,8 @@ class TransportView:
     """
 
     ip_proto: int
-    src_ip: str
-    dst_ip: str
+    src_ip: int
+    dst_ip: int
     src_port: int
     dst_port: int
     payload: bytes
@@ -137,8 +170,8 @@ def ipv4_view(datagram: bytes) -> TransportView | None:
     if total_len < ihl:
         return None
     proto = datagram[9]
-    src = f"{datagram[12]}.{datagram[13]}.{datagram[14]}.{datagram[15]}"
-    dst = f"{datagram[16]}.{datagram[17]}.{datagram[18]}.{datagram[19]}"
+    src = int.from_bytes(datagram[12:16], "big")
+    dst = int.from_bytes(datagram[16:20], "big")
     # Trailing bytes beyond the IP total length are link padding, not payload.
     body = datagram[ihl:total_len] if len(datagram) > total_len else datagram[ihl:]
     wire_body = total_len - ihl
@@ -238,7 +271,7 @@ class PcapReader:
                 if len(head) < 16:
                     raise CaptureError(f"{self.path}: record {self.frames_read}: truncated "
                                        f"record header ({len(head)} of 16 bytes)")
-                sec, frac, incl_len, orig_len = rec_header.unpack(head)
+                sec, frac, incl_len, _ = rec_header.unpack(head)
                 data = self._fh.read(incl_len)
                 if len(data) < incl_len:
                     raise CaptureError(f"{self.path}: record {self.frames_read}: runs past the "
@@ -256,7 +289,7 @@ class PcapReader:
                     self.skipped["short" if proto in (ICMP, TCP, UDP) else "non_transport"] += 1
                     continue
                 self.records_yielded += 1
-                yield _record(ts, view, view, captured, orig_len, self.meta.vantage)
+                yield _record(ts, view, view, self.meta.vantage)
         finally:
             self.close()
 
@@ -266,12 +299,12 @@ def read_capture(path, meta: CaptureMeta) -> PcapReader:
     return PcapReader(path, meta)
 
 
-def _record(ts: int, ends: TransportView, decode: TransportView | None, captured: bytes,
-            orig_len: int, vantage: str) -> PacketRecord:
+def _record(ts: int, ends: TransportView, decode: TransportView | None,
+            vantage: str) -> PacketRecord:
     """Endpoints from one decode, payload fields from the decode of the captured bytes."""
     decoded = () if decode is None else (decode.payload, decode.payload_wire_len, decode.icmp_type)
     return PacketRecord(ts, ends.src_ip, ends.dst_ip, ends.ip_proto, ends.src_port,
-                        ends.dst_port, captured, orig_len, vantage, *decoded)
+                        ends.dst_port, vantage, *decoded)
 
 
 def _frame_view(frame: bytes) -> TransportView | None:
@@ -283,7 +316,6 @@ def record_from_frame(
     frame: bytes,
     ts: int = 0,
     captured_len: int | None = None,
-    orig_len: int | None = None,
     vantage: str = "synthetic",
 ) -> PacketRecord | None:
     """Build a record straight from frame bytes, optionally truncated.
@@ -296,10 +328,8 @@ def record_from_frame(
     view = _frame_view(frame)
     if view is None:
         return None
-    captured = frame if captured_len is None else frame[:captured_len]
-    decode = view if captured_len is None else _frame_view(captured)
-    return _record(ts, view, decode, captured,
-                   orig_len if orig_len is not None else len(frame), vantage)
+    decode = view if captured_len is None else _frame_view(frame[:captured_len])
+    return _record(ts, view, decode, vantage)
 
 
 def direction(record: PacketRecord) -> str:

@@ -9,13 +9,12 @@ pass supports every filter-family report column.
 from __future__ import annotations
 
 import csv
-import ipaddress
 import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .capture import ip_to_int
+from .capture import int_to_ip, ip_to_int, parse_cidr
 from .ports import load_packaged_json
 
 INDUSTRIAL = "industrial"
@@ -58,41 +57,54 @@ class ScannerRegistry:
 
     def __init__(self, projects: list[ScannerProject]):
         self.projects = list(projects)
-        # Flattened (prefix_len, network_key, project) sorted longest first,
-        # stable on registry order for equal-length collisions.
+        # Flattened (shift, network_key, project) sorted longest prefix
+        # first, stable on registry order for equal-length collisions.
         flat = []
         for index, project in enumerate(self.projects):
             for network, plen in project.prefixes:
-                key = network >> (32 - plen) if plen else 0
-                flat.append((-plen, index, key, plen, project.name))
+                flat.append((32 - plen, index, network >> (32 - plen), project.name))
         flat.sort()
-        self._prefixes = [(plen, key, name) for _, _, key, plen, name in flat]
+        self._prefixes = [(shift, key, name) for shift, _, key, name in flat]
 
     @classmethod
-    def from_entries(cls, entries: list[dict]) -> "ScannerRegistry":
+    def from_entries(cls, entries, source: str = "scanner registry") -> "ScannerRegistry":
+        """Projects from a JSON list of {project, prefixes, rdns_patterns} objects.
+
+        Prefixes are parsed strictly: host bits set below the prefix length
+        are an error. Any other shape raises ValueError naming the source,
+        the entry and the key.
+        """
+        if not isinstance(entries, list):
+            raise ValueError(f"{source}: expected a list of project entries, "
+                             f"got {type(entries).__name__}")
         projects = []
-        for entry in entries:
-            name = entry["project"]
+        for index, entry in enumerate(entries):
+            where = f"{source} entry {index}"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
+            name = entry.get("project")
+            if not isinstance(name, str):
+                raise ValueError(f"{where}: 'project' must be a string, got {name!r}")
             if not name:
-                raise ValueError("scanner registry entry with empty project name")
-            prefixes = []
-            for prefix in entry.get("prefixes", []):
-                net = ipaddress.IPv4Network(prefix)
-                prefixes.append((int(net.network_address), net.prefixlen))
-            patterns = tuple(p.lower() for p in entry.get("rdns_patterns", []))
-            projects.append(ScannerProject(name, tuple(prefixes), patterns))
+                raise ValueError(f"{where}: empty project name")
+            prefixes = _strings(entry, "prefixes", where)
+            patterns = _strings(entry, "rdns_patterns", where)
+            try:
+                networks = tuple(parse_cidr(prefix, strict=True) for prefix in prefixes)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            projects.append(ScannerProject(name, networks, tuple(p.lower() for p in patterns)))
         return cls(projects)
 
     @classmethod
     def from_json(cls, path) -> "ScannerRegistry":
         with open(path) as fh:
-            return cls.from_entries(json.load(fh))
+            return cls.from_entries(json.load(fh), str(path))
 
-    def match_prefix(self, ip: str) -> str | None:
+    def match_prefix(self, ip: int) -> str | None:
         """Project of the most specific covering prefix, if any."""
-        value = ip_to_int(ip)
-        for plen, key, name in self._prefixes:
-            if (value >> (32 - plen) if plen else 0) == key:
+        for shift, key, name in self._prefixes:
+            if ip >> shift == key:
                 return name
         return None
 
@@ -108,17 +120,26 @@ class ScannerRegistry:
         return None
 
 
+def _strings(entry: dict, key: str, where: str) -> list[str]:
+    """An optional list-of-strings value of a registry entry."""
+    value = entry.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{where}: {key!r} must be a list of strings, got {value!r}")
+    return value
+
+
 @lru_cache(maxsize=1)
 def default_scanner_registry() -> ScannerRegistry:
     return ScannerRegistry.from_entries(load_packaged_json("scanner_registry.json"))
 
 
 class HoneypotSets:
-    """IP addresses observed at honeypots: all ports vs. ICS-port requesters."""
+    """IPv4 addresses (as integers) observed at honeypots: all ports vs.
+    ICS-port requesters."""
 
-    def __init__(self, hp_all: frozenset[str], hp_ics: frozenset[str]):
+    def __init__(self, hp_all: frozenset[int], hp_ics: frozenset[int]):
         if not hp_ics <= hp_all:
-            extra = sorted(hp_ics - hp_all)[:3]
+            extra = sorted(map(int_to_ip, hp_ics - hp_all))[:3]
             raise ValueError(f"hp_ics must be a subset of hp_all, offending entries: {extra}")
         self.hp_all = hp_all
         self.hp_ics = hp_ics
@@ -132,27 +153,30 @@ class HoneypotSets:
         return cls(frozenset(), frozenset())
 
 
-def _read_ip_set(path) -> frozenset[str]:
+def _read_ip_set(path) -> frozenset[int]:
     out = set()
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            ipaddress.IPv4Address(line)  # validates
-            out.add(line)
+            try:
+                out.add(ip_to_int(line))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
     return frozenset(out)
 
 
 class RdnsTable:
-    """Offline reverse-DNS snapshot; missing entries are normal."""
+    """Offline reverse-DNS snapshot keyed by integer address; missing entries
+    are normal."""
 
-    def __init__(self, mapping: dict[str, str]):
+    def __init__(self, mapping: dict[int, str]):
         self.mapping = mapping
 
     @classmethod
     def from_csv(cls, path) -> "RdnsTable":
-        mapping: dict[str, str] = {}
+        mapping: dict[int, str] = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             for row in reader:
@@ -160,22 +184,24 @@ class RdnsTable:
                     continue
                 if len(row) < 2:
                     raise ValueError(f"{path} line {reader.line_num}: expected 'ip,name'")
-                ip, name = row[0].strip(), row[1].strip()
-                ipaddress.IPv4Address(ip)
-                mapping[ip] = name
+                try:
+                    ip = ip_to_int(row[0].strip())
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+                mapping[ip] = row[1].strip()
         return cls(mapping)
 
     @classmethod
     def empty(cls) -> "RdnsTable":
         return cls({})
 
-    def lookup(self, ip: str) -> str | None:
+    def lookup(self, ip: int) -> str | None:
         return self.mapping.get(ip)
 
 
 def classify(
-    src_ip: str,
-    dst_ip: str,
+    src_ip: int,
+    dst_ip: int,
     registry: ScannerRegistry,
     rdns: RdnsTable,
     honeypots: HoneypotSets,

@@ -9,13 +9,12 @@ customer cone.
 from __future__ import annotations
 
 import csv
-import ipaddress
 import json
 import logging
 import re
 from dataclasses import dataclass, field
 
-from .capture import ip_to_int
+from .capture import int_to_ip, ip_to_int, parse_cidr
 
 log = logging.getLogger(__name__)
 
@@ -31,32 +30,36 @@ _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 
 
 class LpmTable:
-    """Longest-prefix-match table over IPv4 CIDRs with arbitrary values."""
+    """Longest-prefix-match table over IPv4 CIDRs with arbitrary values.
+
+    One dict per populated prefix length maps the network's top plen bits to
+    its value; lookup probes the populated lengths only, longest first.
+    """
 
     def __init__(self):
-        self._by_len: list[dict[int, object] | None] = [None] * 33
+        self._by_len: dict[int, dict[int, object]] = {}
+        self._probes: tuple[tuple[int, dict[int, object]], ...] = ()
         self.entries = 0
 
     def add(self, prefix: str, value) -> None:
-        net = ipaddress.IPv4Network(prefix, strict=False)
-        plen = net.prefixlen
-        key = int(net.network_address) >> (32 - plen) if plen else 0
-        bucket = self._by_len[plen]
+        """Add a CIDR (host bits are masked off); a later value for the same
+        prefix overrides an earlier one."""
+        network, plen = parse_cidr(prefix, strict=False)
+        key = network >> (32 - plen)
+        bucket = self._by_len.get(plen)
         if bucket is None:
             bucket = self._by_len[plen] = {}
+            lengths = sorted(self._by_len, reverse=True)
+            self._probes = tuple((32 - n, self._by_len[n]) for n in lengths)
         if key in bucket and bucket[key] != value:
             log.warning("duplicate prefix %s: %r overrides %r", prefix, value, bucket[key])
         else:
             self.entries += key not in bucket
         bucket[key] = value
 
-    def lookup(self, ip: str):
-        value = ip_to_int(ip)
-        for plen in range(32, -1, -1):
-            bucket = self._by_len[plen]
-            if bucket is None:
-                continue
-            hit = bucket.get(value >> (32 - plen) if plen else 0)
+    def lookup(self, ip: int):
+        for shift, bucket in self._probes:
+            hit = bucket.get(ip >> shift)
             if hit is not None:
                 return hit
         return None
@@ -66,7 +69,7 @@ def load_asn_table(path) -> LpmTable:
     """Prefix-to-origin table from 'prefix asn' or 'address length asn' lines."""
     table = LpmTable()
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -76,8 +79,11 @@ def load_asn_table(path) -> LpmTable:
             elif len(parts) == 3:
                 prefix, asn = f"{parts[0]}/{parts[1]}", parts[2]
             else:
-                raise ValueError(f"unparseable prefix line: {line!r}")
-            table.add(prefix, int(asn))
+                raise ValueError(f"{path} line {number}: unparseable prefix line: {line!r}")
+            try:
+                table.add(prefix, int(asn))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
     return table
 
 
@@ -94,7 +100,10 @@ def load_geo_table(path) -> LpmTable:
             prefix, country = row[0].strip(), row[1].strip().upper()
             if not _COUNTRY_RE.match(country):
                 raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
-            table.add(prefix, country)
+            try:
+                table.add(prefix, country)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return table
 
 
@@ -125,7 +134,17 @@ class IxpTopology:
     def from_json(cls, path, tag_members: dict[str, int] | None = None) -> "IxpTopology":
         with open(path) as fh:
             raw = json.load(fh)
-        cone = {int(member): frozenset(int(a) for a in ases) for member, ases in raw.items()}
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected an object mapping member AS to its cone, "
+                             f"got {type(raw).__name__}")
+        cone = {}
+        for member, ases in raw.items():
+            valid = (member.isascii() and member.isdigit() and isinstance(ases, list)
+                     and all(type(a) is int for a in ases))
+            if not valid:
+                raise ValueError(f"{path}: key {member!r} must be an AS number mapping to a "
+                                 f"list of integer AS numbers, got {ases!r}")
+            cone[int(member)] = frozenset(ases)
         return cls(
             members=frozenset(cone),
             cone=cone,
@@ -191,7 +210,7 @@ def is_local(
     return src_asn == ingress_member and dst_asn == egress_member
 
 
-def is_domestic(src_ip: str, dst_ip: str, geo: LpmTable) -> bool | None:
+def is_domestic(src_ip: int, dst_ip: int, geo: LpmTable) -> bool | None:
     """Same-country endpoints; None when either side is unresolved."""
     src_country = geo.lookup(src_ip)
     dst_country = geo.lookup(dst_ip)
@@ -216,34 +235,50 @@ def protocols_per_asn(protocols_by_asn) -> dict[int, dict]:
     }
 
 
-def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[str]]]:
-    """Active-scan snapshot per protocol; application hosts must be a subset
-    of transport hosts or the file is rejected."""
+def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[int]]]:
+    """Active-scan snapshot per protocol: {protocol: {"transport": [ip, ...],
+    "application": [ip, ...]}}. Addresses are parsed strictly; application
+    hosts must be a subset of transport hosts or the file is rejected."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected an object mapping protocol to its scan sets, "
+                         f"got {type(raw).__name__}")
     snapshot = {}
     for protocol, sets in raw.items():
-        transport = frozenset(sets.get("transport", []))
-        application = frozenset(sets.get("application", []))
-        if not application <= transport:
-            extra = sorted(application - transport)[:3]
+        if not isinstance(sets, dict):
+            raise ValueError(f"{path}: {protocol!r} must map to an object, "
+                             f"got {type(sets).__name__}")
+        parsed = {}
+        for layer in ("transport", "application"):
+            hosts = sets.get(layer, [])
+            where = f"{path}: {protocol!r} {layer!r}"
+            if not isinstance(hosts, list) or not all(isinstance(h, str) for h in hosts):
+                raise ValueError(f"{where} must be a list of address strings, got {hosts!r}")
+            try:
+                parsed[layer] = frozenset(map(ip_to_int, hosts))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        if not parsed["application"] <= parsed["transport"]:
+            extra = sorted(map(int_to_ip, parsed["application"] - parsed["transport"]))[:3]
             raise ValueError(
                 f"scan snapshot for {protocol}: application hosts not in transport scan: {extra}"
             )
-        snapshot[protocol] = {"transport": transport, "application": application}
+        snapshot[protocol] = parsed
     return snapshot
 
 
 def scan_overlap(
-    passive: dict[str, dict[str, set[str]]],
-    snapshot: dict[str, dict[str, frozenset[str]]],
+    passive: dict[str, dict[str, set[int]]],
+    snapshot: dict[str, dict[str, frozenset[int]]],
 ) -> list[dict]:
     """Overlap of passively observed hosts with active-scan results.
 
-    passive maps protocol -> {"source": set, "destination": set}. Emits one
-    row per (protocol, role) with transport- and application-layer overlap
-    percentages, plus the hosts that answered the transport scan only yet
-    send traffic (unprotected-but-firewalled services).
+    passive maps protocol -> {"source": set, "destination": set} of integer
+    addresses. Emits one row per (protocol, role) with transport- and
+    application-layer overlap percentages, plus the hosts that answered the
+    transport scan only yet send traffic (unprotected-but-firewalled
+    services), as address strings in string order.
     """
     rows = []
     for protocol in sorted(passive):
@@ -252,7 +287,8 @@ def scan_overlap(
             hosts = passive[protocol].get(role, set())
             transport_hits = hosts & scan["transport"]
             app_hits = hosts & scan["application"]
-            unprotected = sorted(transport_hits - scan["application"]) if role == "source" else []
+            unprotected = (sorted(map(int_to_ip, transport_hits - scan["application"]))
+                           if role == "source" else [])
             rows.append(
                 {
                     "protocol": protocol,

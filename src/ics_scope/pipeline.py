@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import metrics
-from .capture import REQUEST, CaptureMeta, direction, read_capture
+from .capture import REQUEST, CaptureMeta, direction, int_to_ip, read_capture
 from .classify import (
     FILTER_FAMILIES,
     INDUSTRIAL,
@@ -307,11 +307,11 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
 
     filter_counts: Counter[tuple] = Counter()
     daily_counts: Counter[tuple] = Counter()
-    stable_days: dict[str, set] = {}
+    stable_days: dict[int, set] = {}
     request_protocols: dict[int, set[str]] = {}
     transition_counts: Counter[tuple[str, str, str]] = Counter()
     domestic_counts: Counter[tuple[str, str, str]] = Counter()
-    passive_hosts: dict[str, dict[str, set[str]]] = {}
+    passive_hosts: dict[str, dict[str, set[int]]] = {}
     for key, n in keys.items():
         vantage, sample_interval, protocol, packet_direction, src_ip, dst_ip, day = key
         reasons = classify(src_ip, dst_ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
@@ -410,7 +410,8 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
                                f"{vantage}:{protocol}:industrial"])
     _write_csv(out / "daily.tsv", ["day", "count", "extrapolated", "label"], daily_rows)
 
-    stability = metrics.host_stability(stable_days)
+    # Formatted before sorting: the report orders hosts by address string.
+    stability = metrics.host_stability({int_to_ip(ip): days for ip, days in stable_days.items()})
     _write_csv(
         out / "stability.csv",
         ["ip", "first_day", "last_day", "window_days", "active_days", "stability"],

@@ -18,6 +18,7 @@ from ics_scope.capture import (
     CaptureMeta,
     direction,
     int_to_ip,
+    ip_to_int,
     read_capture,
     record_from_frame,
 )
@@ -348,7 +349,7 @@ def test_criterion_4_host_stability(oracle_corpora):
     for record in records:
         dissection = dissect(record)
         if dissection is not None:
-            rows.setdefault(record.dst_ip, set()).add(record.day)
+            rows.setdefault(int_to_ip(record.dst_ip), set()).add(record.day)
     stable = {h.ip: h for h in host_stability(rows)}["198.19.10.1"]
     assert (stable.window_days, stable.active_day_count) == (179, 146)
 
@@ -379,16 +380,16 @@ def test_criterion_5_filter_family_monotonicity():
             {"project": "Shodan", "prefixes": ["203.0.113.0/25"], "rdns_patterns": ["shodan"]},
             {"project": "Censys", "prefixes": ["192.0.2.0/26"], "rdns_patterns": ["census"]},
         ])
-        hp_all_pool = [f"100.64.0.{i}" for i in range(1, 120)]
+        hp_all_pool = [ip_to_int(f"100.64.0.{i}") for i in range(1, 120)]
         hp_all = set(rng.sample(hp_all_pool, rng.randrange(5, 60)))
         hp_ics = set(rng.sample(sorted(hp_all), rng.randrange(0, len(hp_all))))
         honeypots = HoneypotSets(frozenset(hp_all), frozenset(hp_ics))
-        rdns = RdnsTable({f"100.65.0.{i}": "probe.shodan.io" for i in range(1, 10)})
+        rdns = RdnsTable({ip_to_int(f"100.65.0.{i}"): "probe.shodan.io" for i in range(1, 10)})
         pool = (
-            [f"203.0.113.{i}" for i in range(1, 100)]
+            [ip_to_int(f"203.0.113.{i}") for i in range(1, 100)]
             + hp_all_pool
-            + [f"100.65.0.{i}" for i in range(1, 20)]
-            + [f"198.18.0.{i}" for i in range(1, 120)]
+            + [ip_to_int(f"100.65.0.{i}") for i in range(1, 20)]
+            + [ip_to_int(f"198.18.0.{i}") for i in range(1, 120)]
         )
         reasons = []
         for _ in range(200):
@@ -500,10 +501,9 @@ def test_criterion_7_lpm_oracle():
         else:
             expected_asn = None
             expected_country = None
-        ip_str = int_to_ip(ip)
-        if table.lookup(ip_str) != expected_asn:
+        if table.lookup(ip) != expected_asn:
             mismatches += 1
-        if geo.lookup(ip_str) != expected_country:
+        if geo.lookup(ip) != expected_country:
             mismatches += 1
     elapsed = time.perf_counter() - started
     assert mismatches == 0
@@ -536,7 +536,7 @@ def test_criterion_8_extrapolation_and_determinism(oracle_corpora, tmp_path):
 def test_criterion_9_scan_overlap_bound():
     rng = random.Random(606)
     for round_index in range(100):
-        hosts = [int_to_ip(0x0B000000 + i) for i in range(rng.randrange(2, 200))]
+        hosts = [0x0B000000 + i for i in range(rng.randrange(2, 200))]
         transport = set(rng.sample(hosts, rng.randrange(0, len(hosts) + 1)))
         application = set(rng.sample(sorted(transport), rng.randrange(0, len(transport) + 1)))
         passive = {

@@ -1,3 +1,4 @@
+import ipaddress
 import struct
 import tempfile
 from pathlib import Path
@@ -13,6 +14,9 @@ from ics_scope.capture import (
     CaptureMeta,
     PacketRecord,
     direction,
+    int_to_ip,
+    ip_to_int,
+    parse_cidr,
     read_capture,
     record_from_frame,
     utc_day,
@@ -60,8 +64,8 @@ def test_snap_truncation_recorded(tmp_path):
     path = tmp_path / "big.pcap"
     write_pcap(path, [(0, frame)])
     record = next(iter(read_capture(path, CaptureMeta("vp", snap_len=128))))
-    assert len(record.captured) == 128
-    assert record.orig_len == 508
+    assert len(record.payload) == 128 - 14 - 20 - 8
+    assert record.payload_wire_len == 508 - 14 - 20 - 8
 
 
 def test_nanosecond_and_byteswapped_variants_agree(tmp_path):
@@ -96,7 +100,7 @@ def test_vlan_unwrapped_once_qinq_skipped(tmp_path):
     reader = read_capture(path, CaptureMeta("vp"))
     records = list(reader)
     assert len(records) == 1
-    assert records[0].src_ip == "10.1.0.1"
+    assert int_to_ip(records[0].src_ip) == "10.1.0.1"
     assert reader.skipped["qinq"] == 1
 
 
@@ -195,7 +199,7 @@ def test_empty_pcap_yields_nothing(tmp_path):
 
 
 def _record(proto, sport, dport):
-    return PacketRecord(0, "1.1.1.1", "2.2.2.2", proto, sport, dport, b"", 0, "vp")
+    return PacketRecord(0, ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2"), proto, sport, dport, "vp")
 
 
 def test_direction_examples():
@@ -254,3 +258,80 @@ def test_record_from_frame_matches_reader(tmp_path):
     from_reader = next(iter(read_capture(path, CaptureMeta("synthetic"))))
     direct = record_from_frame(frame, ts=7)
     assert direct == from_reader
+
+
+# Octet texts around the canonical forms: empty, leading zeros, out of range,
+# signs, spaces, non-ASCII digits and other number syntaxes.
+_OCTET_TEXTS = st.one_of(
+    st.integers(min_value=0, max_value=255).map(str),
+    st.sampled_from(["", "0", "00", "01", "000", "007", "255", "256", "999", "1000", " 1", "1 ",
+                     "+1", "-1", "-0", "0x1", "1e2", "a", "\u0661", "\uff11", "1_0", "\t1"]),
+)
+_ADDRESS_TEXTS = st.one_of(
+    st.lists(_OCTET_TEXTS, min_size=3, max_size=5).map(".".join),
+    st.text(max_size=16),
+)
+_PREFIX_LENGTH_TEXTS = st.one_of(
+    st.builds(lambda plen, zeros: "0" * zeros + str(plen),
+              st.integers(min_value=0, max_value=32), st.integers(min_value=0, max_value=3)),
+    st.sampled_from(["33", "033", "99", "4294967296", "", " 24", "24 ", "+24", "-0", "2 4",
+                     "\u0662\u0664", "0x18", "24.0"]),
+)
+
+
+def _agree(parse, reference):
+    """parse returns what reference gives, and raises ValueError where it does."""
+    try:
+        expected = reference()
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse()
+    else:
+        assert parse() == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_ADDRESS_TEXTS)
+def test_ip_to_int_matches_ipaddress(text):
+    _agree(lambda: ip_to_int(text), lambda: int(ipaddress.IPv4Address(text)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.integers(min_value=0, max_value=2**32 - 1), length=_PREFIX_LENGTH_TEXTS,
+       clear_host_bits=st.booleans(), odd_address=st.one_of(st.none(), _ADDRESS_TEXTS),
+       bare=st.booleans())
+def test_parse_cidr_matches_ipaddress(value, length, clear_host_bits, odd_address, bare):
+    if clear_host_bits and length.isascii() and length.isdigit() and int(length) <= 32:
+        value &= (0xFFFFFFFF << (32 - int(length))) & 0xFFFFFFFF
+    address = int_to_ip(value) if odd_address is None else odd_address
+    text = address if bare else f"{address}/{length}"
+    for strict in (False, True):
+        def reference():
+            network = ipaddress.IPv4Network(text, strict=strict)
+            return int(network.network_address), network.prefixlen
+
+        _agree(lambda: parse_cidr(text, strict), reference)
+
+
+def test_parse_cidr_host_bits():
+    assert parse_cidr("10.1.2.3/8", strict=False) == (ip_to_int("10.0.0.0"), 8)
+    with pytest.raises(ValueError, match="host bits"):
+        parse_cidr("10.1.2.3/8", strict=True)
+    assert parse_cidr("10.1.2.3", strict=True) == (ip_to_int("10.1.2.3"), 32)
+    assert parse_cidr("10.0.0.0/024", strict=True) == (ip_to_int("10.0.0.0"), 24)
+
+
+def test_parse_cidr_rejects_netmask_form():
+    # ipaddress reads "/255.255.255.0" as /24; table prefixes must give the length.
+    assert ipaddress.IPv4Network("10.0.0.0/255.255.255.0").prefixlen == 24
+    for strict in (False, True):
+        with pytest.raises(ValueError, match="prefix length"):
+            parse_cidr("10.0.0.0/255.255.255.0", strict)
+
+
+def test_reader_yields_integer_addresses(tmp_path):
+    path = tmp_path / "one.pcap"
+    write_pcap(path, [(0, _tcp_frame())])
+    record = next(iter(read_capture(path, CaptureMeta("vp"))))
+    assert (record.src_ip, record.dst_ip) == (0x0A000001, 0x0A000002)
+    assert int_to_ip(record.dst_ip) == "10.0.0.2"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ics_scope.capture import ip_to_int
 from ics_scope.classify import (
     ALL_FILTERS,
     FILTER_FAMILIES,
@@ -38,14 +39,14 @@ def registry():
 
 
 def test_prefix_membership(registry):
-    assert registry.match_prefix("203.0.113.77") == "Shodan"
-    assert registry.match_prefix("8.8.8.8") is None
+    assert registry.match_prefix(ip_to_int("203.0.113.77")) == "Shodan"
+    assert registry.match_prefix(ip_to_int("8.8.8.8")) is None
 
 
 def test_most_specific_prefix_wins(registry):
     # 198.51.100.x is inside Shodan's /16 and Rapid7's /24.
-    assert registry.match_prefix("198.51.100.9") == "Rapid7"
-    assert registry.match_prefix("198.51.7.9") == "Shodan"
+    assert registry.match_prefix(ip_to_int("198.51.100.9")) == "Rapid7"
+    assert registry.match_prefix(ip_to_int("198.51.7.9")) == "Shodan"
 
 
 def test_prefix_match_agrees_with_bruteforce(registry):
@@ -61,25 +62,25 @@ def test_prefix_match_agrees_with_bruteforce(registry):
         if covering:
             best_len = max(covering)[0]
             candidates = [name for plen, name in covering if plen == best_len]
-            assert registry.match_prefix(str(ip)) in candidates
+            assert registry.match_prefix(int(ip)) in candidates
         else:
-            assert registry.match_prefix(str(ip)) is None
+            assert registry.match_prefix(int(ip)) is None
 
 
 def test_rdns_quoted_names():
     registry = default_scanner_registry()
-    rdns = RdnsTable({"1.2.3.4": "scanner2.labs.rapid7.com",
-                      "5.6.7.8": "pirate.census.shodan.io"})
-    assert registry.match_rdns(rdns.lookup("1.2.3.4")) == "Rapid7"
+    rdns = RdnsTable({ip_to_int("1.2.3.4"): "scanner2.labs.rapid7.com",
+                      ip_to_int("5.6.7.8"): "pirate.census.shodan.io"})
+    assert registry.match_rdns(rdns.lookup(ip_to_int("1.2.3.4"))) == "Rapid7"
     # Registry order puts the shodan pattern ahead of census.
-    assert registry.match_rdns(rdns.lookup("5.6.7.8")) == "Shodan"
-    assert registry.match_rdns(rdns.lookup("9.9.9.9")) is None
+    assert registry.match_rdns(rdns.lookup(ip_to_int("5.6.7.8"))) == "Shodan"
+    assert registry.match_rdns(rdns.lookup(ip_to_int("9.9.9.9"))) is None
 
 
 def test_rdns_case_insensitive():
     registry = default_scanner_registry()
-    rdns = RdnsTable({"1.1.1.1": "Probe.SHODAN.io"})
-    assert registry.match_rdns(rdns.lookup("1.1.1.1")) == "Shodan"
+    rdns = RdnsTable({ip_to_int("1.1.1.1"): "Probe.SHODAN.io"})
+    assert registry.match_rdns(rdns.lookup(ip_to_int("1.1.1.1"))) == "Shodan"
 
 
 def test_hp_subset_enforced(tmp_path):
@@ -94,43 +95,59 @@ def test_hp_subset_enforced(tmp_path):
     assert hp.hp_ics < hp.hp_all
 
 
+def test_address_lists_name_the_bad_line(tmp_path):
+    hp = tmp_path / "all.txt"
+    hp.write_text("10.0.0.1\n# comment\n10.0.0.01\n")
+    with pytest.raises(ValueError, match="all.txt line 3: invalid IPv4 address '10.0.0.01'"):
+        HoneypotSets.from_files(hp, hp)
+    rdns = tmp_path / "rdns.csv"
+    rdns.write_text("10.0.0.1,a.example\nhost-a,b.example\n")
+    with pytest.raises(ValueError, match="rdns.csv line 2: invalid IPv4 address 'host-a'"):
+        RdnsTable.from_csv(rdns)
+
+
 def test_classify_scanner_prefix(registry):
-    reasons = classify("203.0.113.5", "10.0.0.1", registry,
+    reasons = classify(ip_to_int("203.0.113.5"), ip_to_int("10.0.0.1"), registry,
                        RdnsTable.empty(), HoneypotSets.empty())
     assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
     assert reasons == frozenset({Reason(SCANNER_PREFIX, "Shodan")})
 
 
 def test_classify_hp_all_only_under_hp_ics_family(registry):
-    hp = HoneypotSets(frozenset({"10.1.0.1"}), frozenset())
-    reasons = classify("10.1.0.1", "10.2.0.2", registry, RdnsTable.empty(), hp)
+    hp = HoneypotSets(frozenset({ip_to_int("10.1.0.1")}), frozenset())
+    reasons = classify(ip_to_int("10.1.0.1"), ip_to_int("10.2.0.2"), registry,
+                       RdnsTable.empty(), hp)
     assert label_under(reasons, FILTER_FAMILIES["hp-ics"]) == INDUSTRIAL
     assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
     assert reasons == frozenset({Reason(HP_ALL)})
 
 
 def test_classify_accumulates_reasons(registry):
-    hp = HoneypotSets(frozenset({"10.1.0.1"}), frozenset({"10.1.0.1"}))
-    rdns = RdnsTable({"10.1.0.1": "a.shodan.io"})
-    reasons = classify("10.1.0.1", "10.2.0.2", registry, rdns, hp)
+    hp = HoneypotSets(frozenset({ip_to_int("10.1.0.1")}), frozenset({ip_to_int("10.1.0.1")}))
+    rdns = RdnsTable({ip_to_int("10.1.0.1"): "a.shodan.io"})
+    reasons = classify(ip_to_int("10.1.0.1"), ip_to_int("10.2.0.2"), registry, rdns, hp)
     assert reasons == frozenset(
         {Reason(SCANNER_RDNS, "Shodan"), Reason(HP_ALL), Reason(HP_ICS)}
     )
 
 
 def test_classify_checks_both_endpoints(registry):
-    hp = HoneypotSets(frozenset({"10.3.0.3"}), frozenset())
-    as_src = classify("10.3.0.3", "10.4.0.4", registry, RdnsTable.empty(), hp)
-    as_dst = classify("10.4.0.4", "10.3.0.3", registry, RdnsTable.empty(), hp)
+    hp = HoneypotSets(frozenset({ip_to_int("10.3.0.3")}), frozenset())
+    as_src = classify(ip_to_int("10.3.0.3"), ip_to_int("10.4.0.4"), registry,
+                      RdnsTable.empty(), hp)
+    as_dst = classify(ip_to_int("10.4.0.4"), ip_to_int("10.3.0.3"), registry,
+                      RdnsTable.empty(), hp)
     assert label_under(as_src, ALL_FILTERS) == label_under(as_dst, ALL_FILTERS) == NON_INDUSTRIAL
     assert as_src == as_dst
 
 
 def test_label_reason_consistency(registry):
     rng = random.Random(5)
-    hp = HoneypotSets(frozenset({"10.1.0.1", "10.1.0.2"}), frozenset({"10.1.0.2"}))
-    rdns = RdnsTable({"10.1.0.3": "x.census.example"})
-    pool = ["203.0.113.5", "10.1.0.1", "10.1.0.2", "10.1.0.3", "10.9.9.9", "10.8.8.8"]
+    hp = HoneypotSets(frozenset({ip_to_int("10.1.0.1"), ip_to_int("10.1.0.2")}),
+                      frozenset({ip_to_int("10.1.0.2")}))
+    rdns = RdnsTable({ip_to_int("10.1.0.3"): "x.census.example"})
+    pool = [ip_to_int(ip) for ip in
+            ("203.0.113.5", "10.1.0.1", "10.1.0.2", "10.1.0.3", "10.9.9.9", "10.8.8.8")]
     for _ in range(300):
         reasons = classify(rng.choice(pool), rng.choice(pool), registry, rdns, hp)
         assert (label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL) == bool(reasons)

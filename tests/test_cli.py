@@ -150,6 +150,42 @@ def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message
     assert message in capsys.readouterr().err
 
 
+# A sidecar table of the wrong shape names the file and the key and exits 2.
+_SIDECAR_FAULTS = [
+    pytest.param("cone", [64500],
+                 "expected an object mapping member AS to its cone, got list", id="cone-list"),
+    pytest.param("scanner_registry", [{"prefixes": ["192.0.2.0/24"]}],
+                 "entry 0: 'project' must be a string, got None",
+                 id="registry-entry-without-project"),
+    pytest.param("scanner_registry", {"Shodan": {"prefixes": ["192.0.2.0/24"]}},
+                 "expected a list of project entries, got dict", id="registry-object"),
+    pytest.param("scan_snapshot", {"modbus": ["100.64.0.1"]},
+                 "'modbus' must map to an object, got list", id="snapshot-protocol-list"),
+    pytest.param("scan_snapshot", {"modbus": {"transport": "100.64.0.1"}},
+                 "'modbus' 'transport' must be a list of address strings",
+                 id="snapshot-hosts-string"),
+    pytest.param("scan_snapshot", {"modbus": {"transport": ["100.64.0.1", "scanner-a"],
+                                              "application": []}},
+                 "'modbus' 'transport': invalid IPv4 address 'scanner-a'",
+                 id="snapshot-non-address"),
+]
+
+
+@pytest.mark.parametrize("key, table, message", _SIDECAR_FAULTS)
+def test_malformed_sidecar_exit_2(tmp_path, capsys, key, table, message):
+    corpus = _gen(tmp_path)
+    config = json.loads((corpus / "config.json").read_text())
+    (corpus / "bad_table.json").write_text(json.dumps(table))
+    (corpus / "config.json").write_text(json.dumps({**config, key: "bad_table.json"}))
+    reports = tmp_path / "reports"
+    assert main(["analyze", "--config", str(corpus / "config.json"),
+                 "--out", str(reports)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "bad_table.json" in err
+    assert not reports.exists()
+
+
 @pytest.mark.parametrize("label, code", [("industrial", 0), ("non_industrial", 0), ("all", 0),
                                          ("industral", 2)])
 def test_analyze_stability_label(tmp_path, capsys, label, code):

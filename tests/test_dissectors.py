@@ -44,7 +44,7 @@ from ics_scope.trafficgen import (
 
 
 def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):
-    return TransportView(ip_proto, "10.0.0.1", "10.0.0.2", sport, dport, payload,
+    return TransportView(ip_proto, 0x0A000001, 0x0A000002, sport, dport, payload,
                          wire_len if wire_len is not None else len(payload))
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ics_scope.capture import int_to_ip
+from ics_scope.capture import int_to_ip, ip_to_int
 from ics_scope.enrich import (
     CONE_TO_CONE,
     CONE_TO_MEMBER,
@@ -26,24 +26,24 @@ def test_lpm_most_specific_wins():
     table = LpmTable()
     table.add("10.0.0.0/8", 100)
     table.add("10.1.2.0/24", 200)
-    assert table.lookup("10.1.2.3") == 200
-    assert table.lookup("10.9.9.9") == 100
-    assert table.lookup("11.0.0.1") is None
+    assert table.lookup(ip_to_int("10.1.2.3")) == 200
+    assert table.lookup(ip_to_int("10.9.9.9")) == 100
+    assert table.lookup(ip_to_int("11.0.0.1")) is None
 
 
 def test_lpm_exact_host_entry():
     table = LpmTable()
     table.add("192.0.2.7/32", 7)
-    assert table.lookup("192.0.2.7") == 7
-    assert table.lookup("192.0.2.8") is None
+    assert table.lookup(ip_to_int("192.0.2.7")) == 7
+    assert table.lookup(ip_to_int("192.0.2.8")) is None
 
 
 def test_lpm_default_route():
     table = LpmTable()
     table.add("0.0.0.0/0", 1)
     table.add("10.0.0.0/8", 2)
-    assert table.lookup("10.1.1.1") == 2
-    assert table.lookup("200.1.1.1") == 1
+    assert table.lookup(ip_to_int("10.1.1.1")) == 2
+    assert table.lookup(ip_to_int("200.1.1.1")) == 1
 
 
 def test_lpm_agrees_with_linear_scan_randomized():
@@ -69,15 +69,15 @@ def test_lpm_agrees_with_linear_scan_randomized():
                 if best is None or plen > best[0]:
                     best = (plen, value)
         expected = best[1] if best else None
-        assert table.lookup(int_to_ip(ip)) == expected
+        assert table.lookup(ip) == expected
 
 
 def test_load_asn_table_formats(tmp_path):
     path = tmp_path / "asn.txt"
     path.write_text("10.0.0.0/8 64500\n10.1.0.0 16 64501\n# comment\n\n")
     table = load_asn_table(path)
-    assert table.lookup("10.1.2.3") == 64501
-    assert table.lookup("10.200.0.1") == 64500
+    assert table.lookup(ip_to_int("10.1.2.3")) == 64501
+    assert table.lookup(ip_to_int("10.200.0.1")) == 64500
 
 
 def test_load_asn_table_duplicate_last_wins(tmp_path, caplog):
@@ -85,7 +85,7 @@ def test_load_asn_table_duplicate_last_wins(tmp_path, caplog):
     path.write_text("10.0.0.0/8 1\n10.0.0.0/8 2\n")
     with caplog.at_level("WARNING"):
         table = load_asn_table(path)
-    assert table.lookup("10.5.5.5") == 2
+    assert table.lookup(ip_to_int("10.5.5.5")) == 2
     assert any("duplicate prefix" in m for m in caplog.messages)
 
 
@@ -93,11 +93,22 @@ def test_geo_table_validates_country(tmp_path):
     good = tmp_path / "geo.csv"
     good.write_text("10.0.0.0/8,DE\n192.168.0.0/16,jp\n")
     table = load_geo_table(good)
-    assert table.lookup("192.168.1.1") == "JP"
+    assert table.lookup(ip_to_int("192.168.1.1")) == "JP"
     bad = tmp_path / "bad.csv"
     bad.write_text("10.0.0.0/8,DEX\n")
     with pytest.raises(ValueError, match="country"):
         load_geo_table(bad)
+
+
+def test_prefix_table_errors_name_the_line(tmp_path):
+    asn = tmp_path / "asn.txt"
+    asn.write_text("10.0.0.0/8 1\n10.0.0.0/255.0.0.0 2\n")
+    with pytest.raises(ValueError, match="asn.txt line 2: invalid prefix length"):
+        load_asn_table(asn)
+    geo = tmp_path / "geo.csv"
+    geo.write_text("# prefix,country\n10.0.0.0/8,DE\n10.0.0.256/24,DE\n")
+    with pytest.raises(ValueError, match="geo.csv line 3: invalid IPv4 address '10.0.0.256'"):
+        load_geo_table(geo)
 
 
 @pytest.fixture()
@@ -168,9 +179,9 @@ def test_is_domestic():
     geo = LpmTable()
     geo.add("10.0.0.0/8", "DE")
     geo.add("11.0.0.0/8", "JP")
-    assert is_domestic("10.0.0.1", "10.0.0.2", geo) is True
-    assert is_domestic("10.0.0.1", "11.0.0.1", geo) is False
-    assert is_domestic("12.0.0.1", "10.0.0.1", geo) is None
+    assert is_domestic(ip_to_int("10.0.0.1"), ip_to_int("10.0.0.2"), geo) is True
+    assert is_domestic(ip_to_int("10.0.0.1"), ip_to_int("11.0.0.1"), geo) is False
+    assert is_domestic(ip_to_int("12.0.0.1"), ip_to_int("10.0.0.1"), geo) is None
 
 
 def _by_asn(rows) -> dict:
@@ -197,8 +208,9 @@ def test_protocols_per_asn_threshold_boundary():
 
 
 def test_scan_overlap_arithmetic():
-    passive = {"modbus": {"source": {"1.1.1.1", "2.2.2.2"}, "destination": set()}}
-    snapshot = {"modbus": {"transport": frozenset({"2.2.2.2", "3.3.3.3"}),
+    passive = {"modbus": {"source": {ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2")},
+                          "destination": set()}}
+    snapshot = {"modbus": {"transport": frozenset({ip_to_int("2.2.2.2"), ip_to_int("3.3.3.3")}),
                            "application": frozenset()}}
     rows = scan_overlap(passive, snapshot)
     source_row = next(r for r in rows if r["role"] == "source")
@@ -208,7 +220,8 @@ def test_scan_overlap_arithmetic():
 
 
 def test_scan_overlap_empty_snapshot():
-    passive = {"bacnet": {"source": {"1.1.1.1"}, "destination": {"2.2.2.2"}}}
+    passive = {"bacnet": {"source": {ip_to_int("1.1.1.1")},
+                          "destination": {ip_to_int("2.2.2.2")}}}
     rows = scan_overlap(passive, {})
     assert all(r["transport_overlap_pct"] == 0.0 for r in rows)
     assert all(r["application_overlap_pct"] == 0.0 for r in rows)
@@ -224,7 +237,7 @@ def test_scan_snapshot_subset_enforced(tmp_path):
 def test_scan_overlap_app_bounded_by_transport_randomized():
     rng = random.Random(4)
     for _ in range(50):
-        hosts = [f"10.0.{i // 256}.{i % 256}" for i in range(rng.randrange(1, 120))]
+        hosts = [ip_to_int(f"10.0.{i // 256}.{i % 256}") for i in range(rng.randrange(1, 120))]
         transport = frozenset(rng.sample(hosts, rng.randrange(0, len(hosts) + 1)))
         application = frozenset(rng.sample(sorted(transport),
                                            rng.randrange(0, len(transport) + 1)))

@@ -101,7 +101,7 @@ def test_snap_len_emulation(tmp_path):
     raw["flows"][0]["protocol"] = "s7comm"
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
     records = list(read_capture(corpus.pcap, CaptureMeta("vp0", snap_len=96)))
-    assert all(len(r.captured) <= 96 for r in records)
+    assert all(len(r.payload) <= 96 - 14 - 20 - 20 for r in records)
     assert all(dissect(r) is not None for r in records)
 
 
