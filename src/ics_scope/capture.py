@@ -112,14 +112,16 @@ class CaptureMeta:
 
 @dataclass(frozen=True)
 class PacketRecord:
-    """One sampled, truncated frame. Ports are 0 for ICMP.
+    """One IPv4 datagram decoded down to its transport payload.
 
-    The last three fields are the transport decode of the captured bytes, as
-    the reader made it: payload is None when the capture stops inside the
-    transport header, payload_wire_len is the payload's length on the wire
-    per the IP header, and icmp_type is -1 for TCP and UDP. For ICMP the
-    payload is everything after the 8-byte ICMP header (the quoted datagram
-    for error messages).
+    The reader yields one per captured frame, and an ICMP error's quoted
+    datagram is decoded into one too. payload holds the captured bytes after
+    the transport header (after the 8-byte ICMP header for ICMP: the quoted
+    datagram for error messages); payload_wire_len is the payload's length
+    on the wire per the IP header, so truncation is detectable even though
+    trailing bytes are gone. Ports are 0 for ICMP; icmp_type is -1 for TCP
+    and UDP. Which vantage point saw the packet is a fact of its capture
+    (CaptureMeta), not of the record.
     """
 
     ts: int  # microseconds since the Unix epoch, UTC
@@ -128,9 +130,8 @@ class PacketRecord:
     ip_proto: int
     src_port: int
     dst_port: int
-    vantage: str
-    payload: bytes | None = None
-    payload_wire_len: int = 0
+    payload: bytes
+    payload_wire_len: int
     icmp_type: int = -1
 
     @property
@@ -138,27 +139,13 @@ class PacketRecord:
         return utc_day(self.ts)
 
 
-@dataclass(frozen=True)
-class TransportView:
-    """Transport payload of an IPv4 datagram plus wire-length bookkeeping.
+def ipv4_view(datagram: bytes, ts: int) -> PacketRecord | None:
+    """Parse a possibly truncated IPv4 datagram down to its transport payload.
 
-    payload holds the captured bytes; payload_wire_len is how long the
-    payload was on the wire according to the IP header, so truncation is
-    detectable even though trailing bytes are gone.
+    ts becomes the record's timestamp. None when the datagram is not IPv4
+    carrying ICMP, TCP or UDP, or when the capture stops inside the IP or
+    transport header.
     """
-
-    ip_proto: int
-    src_ip: int
-    dst_ip: int
-    src_port: int
-    dst_port: int
-    payload: bytes
-    payload_wire_len: int
-    icmp_type: int = -1
-
-
-def ipv4_view(datagram: bytes) -> TransportView | None:
-    """Parse a possibly truncated IPv4 datagram down to its transport payload."""
     if len(datagram) < 20:
         return None
     if datagram[0] >> 4 != 4:
@@ -183,22 +170,27 @@ def ipv4_view(datagram: bytes) -> TransportView | None:
             return None
         sport = int.from_bytes(body[0:2], "big")
         dport = int.from_bytes(body[2:4], "big")
-        return TransportView(TCP, src, dst, sport, dport, body[thl:], max(wire_body - thl, 0))
+        return PacketRecord(ts, src, dst, TCP, sport, dport, body[thl:], max(wire_body - thl, 0))
     if proto == UDP:
         if len(body) < 8:
             return None
         sport = int.from_bytes(body[0:2], "big")
         dport = int.from_bytes(body[2:4], "big")
-        return TransportView(UDP, src, dst, sport, dport, body[8:], max(wire_body - 8, 0))
+        return PacketRecord(ts, src, dst, UDP, sport, dport, body[8:], max(wire_body - 8, 0))
     if proto == ICMP:
         if len(body) < 8:
             return None
-        return TransportView(ICMP, src, dst, 0, 0, body[8:], max(wire_body - 8, 0), body[0])
+        return PacketRecord(ts, src, dst, ICMP, 0, 0, body[8:], max(wire_body - 8, 0), body[0])
     return None
 
 
-def _frame_ip_slice(frame: bytes) -> tuple[bytes | None, str]:
-    """Strip the Ethernet header (one VLAN tag tolerated), return IP bytes."""
+def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
+    """The reader's step for one captured frame: its record, or why it is skipped.
+
+    Strips the Ethernet header (one VLAN tag tolerated) and decodes the IPv4
+    datagram. Returns (record, "") or (None, skip reason): "short",
+    "qinq", "ipv6", "non_ipv4" or "non_transport".
+    """
     if len(frame) < 14:
         return None, "short"
     ethertype = int.from_bytes(frame[12:14], "big")
@@ -214,7 +206,12 @@ def _frame_ip_slice(frame: bytes) -> tuple[bytes | None, str]:
         return None, "ipv6"
     if ethertype != ETHERTYPE_IPV4:
         return None, "non_ipv4"
-    return frame[offset:], ""
+    datagram = frame[offset:]
+    record = ipv4_view(datagram, ts)
+    if record is None:
+        proto = datagram[9] if len(datagram) >= 10 else None
+        return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
+    return record, ""
 
 
 class PcapReader:
@@ -278,18 +275,12 @@ class PcapReader:
                                        f"end of the file ({len(data)} of {incl_len} bytes)")
                 self.frames_read += 1
                 ts = sec * 1_000_000 + (frac // 1000 if self._nanos else frac)
-                captured = data[: self.meta.snap_len]
-                ip_bytes, reason = _frame_ip_slice(captured)
-                if ip_bytes is None:
+                record, reason = _decode_frame(data[: self.meta.snap_len], ts)
+                if record is None:
                     self.skipped[reason] += 1
                     continue
-                view = ipv4_view(ip_bytes)
-                if view is None:
-                    proto = ip_bytes[9] if len(ip_bytes) >= 10 else None
-                    self.skipped["short" if proto in (ICMP, TCP, UDP) else "non_transport"] += 1
-                    continue
                 self.records_yielded += 1
-                yield _record(ts, view, view, self.meta.vantage)
+                yield record
         finally:
             self.close()
 
@@ -299,37 +290,15 @@ def read_capture(path, meta: CaptureMeta) -> PcapReader:
     return PcapReader(path, meta)
 
 
-def _record(ts: int, ends: TransportView, decode: TransportView | None,
-            vantage: str) -> PacketRecord:
-    """Endpoints from one decode, payload fields from the decode of the captured bytes."""
-    decoded = () if decode is None else (decode.payload, decode.payload_wire_len, decode.icmp_type)
-    return PacketRecord(ts, ends.src_ip, ends.dst_ip, ends.ip_proto, ends.src_port,
-                        ends.dst_port, vantage, *decoded)
+def record_from_frame(frame: bytes, ts: int = 0,
+                      captured_len: int | None = None) -> PacketRecord | None:
+    """The record the reader yields for a frame captured up to captured_len bytes.
 
-
-def _frame_view(frame: bytes) -> TransportView | None:
-    ip_bytes, _ = _frame_ip_slice(frame)
-    return None if ip_bytes is None else ipv4_view(ip_bytes)
-
-
-def record_from_frame(
-    frame: bytes,
-    ts: int = 0,
-    captured_len: int | None = None,
-    vantage: str = "synthetic",
-) -> PacketRecord | None:
-    """Build a record straight from frame bytes, optionally truncated.
-
-    Endpoint metadata is recovered from the full frame even when the
-    truncated slice cuts into the transport header, mirroring what a capture
-    file records; the payload fields come from the captured slice, as the
-    reader's do. Returns None for frames outside the supported model.
+    None exactly where the reader skips the frame. A test fixture builder
+    kept next to the decode it reuses, so that fixtures cannot drift from
+    what the reader yields.
     """
-    view = _frame_view(frame)
-    if view is None:
-        return None
-    decode = view if captured_len is None else _frame_view(frame[:captured_len])
-    return _record(ts, view, decode, vantage)
+    return _decode_frame(frame[:captured_len], ts)[0]
 
 
 def direction(record: PacketRecord) -> str:

@@ -27,13 +27,16 @@ HP_ICS = "hp_ics"
 
 ALL_FILTERS = frozenset({SCANNER_PREFIX, SCANNER_RDNS, HP_ALL, HP_ICS})
 
-# Selectable filter families, one per report column family.
-FILTER_FAMILIES = {
-    "scanners": frozenset({SCANNER_PREFIX, SCANNER_RDNS}),
-    "hp-ics": frozenset({HP_ICS}),
-    "hp-all": frozenset({HP_ALL}),
-    "all": ALL_FILTERS,
-}
+# The four filter families: (name in configs and on the command line,
+# filters.csv column of the industrial share under the family, its filters),
+# in report column order.
+FAMILIES = (
+    ("scanners", "excl_scanners", frozenset({SCANNER_PREFIX, SCANNER_RDNS})),
+    ("hp-ics", "excl_hp_ics", frozenset({HP_ICS})),
+    ("hp-all", "excl_hp_all", frozenset({HP_ALL})),
+    ("all", "excl_both", ALL_FILTERS),
+)
+FILTER_FAMILIES = {name: filters for name, _, filters in FAMILIES}
 
 
 @dataclass(frozen=True, order=True)
@@ -230,14 +233,6 @@ def label_under(reasons: frozenset[Reason], active: frozenset[str]) -> str:
     return NON_INDUSTRIAL if any(r.kind in active for r in reasons) else INDUSTRIAL
 
 
-_REPORT_FAMILIES = (
-    ("excl_scanners", frozenset({SCANNER_PREFIX, SCANNER_RDNS})),
-    ("excl_hp_ics", frozenset({HP_ICS})),
-    ("excl_hp_all", frozenset({HP_ALL})),
-    ("excl_both", ALL_FILTERS),
-)
-
-
 def filter_report(counts) -> list[dict]:
     """Industrial share per protocol under each filter family.
 
@@ -250,7 +245,7 @@ def filter_report(counts) -> list[dict]:
     groups: Counter[tuple[str, str, tuple[bool, ...]]] = Counter()
     for (protocol, packet_direction, reasons), n in counts.items():
         industrial = tuple(label_under(reasons, family) == INDUSTRIAL
-                           for _, family in _REPORT_FAMILIES)
+                           for _, _, family in FAMILIES)
         groups[(protocol, packet_direction, industrial)] += n
     protocols = sorted({protocol for protocol, _, _ in groups})
     out = []
@@ -267,7 +262,7 @@ def filter_report(counts) -> list[dict]:
             "replies": replies,
             "request_share": (requests / (requests + replies)) if requests + replies else None,
         }
-        for index, (column, _) in enumerate(_REPORT_FAMILIES):
+        for index, (_, column, _) in enumerate(FAMILIES):
             industrial = sum(n for _, flags, n in subset if flags[index])
             row[column] = (industrial / total) if total else None
             row[column + "_count"] = industrial

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .capture import CaptureError, CaptureMeta, read_capture
+from .classify import FILTER_FAMILIES
 from .dissectors import action_name, dissect
 from .pipeline import CandidateStream, CaptureSource, ConfigError, PipelineConfig, run_analyze
 from .sanitize import default_catalog
@@ -43,19 +44,17 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", required=True, help="output directory for the report bundle")
     analyze.add_argument(
         "--filters",
-        choices=["scanners", "hp-ics", "hp-all", "all"],
+        choices=list(FILTER_FAMILIES),
         help="filter family override for the industrial label",
     )
 
     dissect_cmd = sub.add_parser("dissect", help="per-packet dissection dump as JSON lines")
     dissect_cmd.add_argument("pcap", help="capture file to dissect")
-    dissect_cmd.add_argument("--vantage", default="cli", help="vantage name for the records")
     dissect_cmd.add_argument("--snap-len", type=_snap_len, default=65535)
     dissect_cmd.add_argument("--out", help="write JSON lines here instead of stdout")
 
     sanitize_cmd = sub.add_parser("sanitize", help="dissect plus sanitization report only")
     sanitize_cmd.add_argument("pcap", help="capture file to sanitize")
-    sanitize_cmd.add_argument("--vantage", default="cli")
     sanitize_cmd.add_argument("--snap-len", type=_snap_len, default=65535)
 
     gen = sub.add_parser("gen", help="generate a labeled synthetic corpus")
@@ -79,7 +78,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_dissect(args) -> int:
-    meta = CaptureMeta(vantage=args.vantage, snap_len=args.snap_len)
+    meta = CaptureMeta("cli", snap_len=args.snap_len)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for index, record in enumerate(read_capture(args.pcap, meta)):
@@ -108,7 +107,7 @@ def _cmd_dissect(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    meta = CaptureMeta(vantage=args.vantage, snap_len=args.snap_len)
+    meta = CaptureMeta("cli", snap_len=args.snap_len)
     stream = CandidateStream([CaptureSource(Path(args.pcap), meta)], default_catalog())
     for _ in stream:
         pass

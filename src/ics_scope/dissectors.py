@@ -33,7 +33,6 @@ from .capture import (
     TCP,
     UDP,
     PacketRecord,
-    TransportView,
     ipv4_view,
 )
 from .ports import PORTS, load_packaged_json
@@ -104,12 +103,6 @@ class Dissection:
     via_icmp_quote: bool = False  # found in the datagram an ICMP error message quotes
 
 
-# A record, or the TCP/UDP datagram an ICMP error quotes: the dissectors read
-# payload (the captured bytes), payload_wire_len (the payload's length on the
-# wire per the IP header), ip_proto and the two ports.
-Packet = PacketRecord | TransportView
-
-
 @lru_cache(maxsize=1)
 def _opcode_tables() -> dict:
     return load_packaged_json("opcodes.json")
@@ -122,7 +115,7 @@ def action_name(protocol: str, function_code: int | None) -> str | None:
     return _opcode_tables().get(protocol, {}).get(str(function_code))
 
 
-def _port_role(packet: Packet, protocol: str) -> str:
+def _port_role(packet: PacketRecord, protocol: str) -> str:
     if PORTS.protocol_for(packet.dst_port, packet.ip_proto) == protocol:
         return REQUEST
     if PORTS.protocol_for(packet.src_port, packet.ip_proto) == protocol:
@@ -130,7 +123,7 @@ def _port_role(packet: Packet, protocol: str) -> str:
     return UNKNOWN
 
 
-def dissect_modbus(packet: Packet) -> Dissection | None:
+def dissect_modbus(packet: PacketRecord) -> Dissection | None:
     """Modbus/TCP: MBAP header plus function code.
 
     Needs the 7-byte MBAP header and the function code captured. Protocol id
@@ -184,7 +177,7 @@ def _bacnet_service_choice(p: bytes) -> int | None:
     return None
 
 
-def dissect_bacnet(packet: Packet) -> Dissection | None:
+def dissect_bacnet(packet: PacketRecord) -> Dissection | None:
     """BACnet/IP: the 4-byte BVLC header is the identification unit.
 
     BVLC length must equal the UDP payload length on the wire; for original
@@ -208,7 +201,7 @@ def dissect_bacnet(packet: Packet) -> Dissection | None:
     return Dissection(BACNET, NORMAL, role, _bacnet_service_choice(p), WELL_FORMED)
 
 
-def dissect_s7(packet: Packet, heuristic: bool = False) -> Dissection | None:
+def dissect_s7(packet: PacketRecord, heuristic: bool = False) -> Dissection | None:
     """S7comm over TPKT/COTP.
 
     TPKT magic 0x03 0x00, COTP data transfer 0xF0, then the S7 header with
@@ -246,7 +239,7 @@ def dissect_s7(packet: Packet, heuristic: bool = False) -> Dissection | None:
     return Dissection(S7COMM, NORMAL, role, fc, WELL_FORMED)
 
 
-def dissect_ethernetip(packet: Packet) -> Dissection | None:
+def dissect_ethernetip(packet: PacketRecord) -> Dissection | None:
     """EtherNet/IP encapsulation: 24-byte header, known command and status.
 
     The encapsulation length plus header must match the wire payload, the
@@ -299,7 +292,7 @@ def dnp3_crc(block: bytes) -> int:
     return (~crc) & 0xFFFF
 
 
-def dissect_dnp3(packet: Packet, heuristic: bool = False) -> Dissection | None:
+def dissect_dnp3(packet: PacketRecord, heuristic: bool = False) -> Dissection | None:
     """DNP3 data-link frame: 0x05 0x64 magic, length sanity, header CRC.
 
     Identification needs the header through the source address captured;
@@ -331,7 +324,7 @@ def dissect_dnp3(packet: Packet, heuristic: bool = False) -> Dissection | None:
     return Dissection(DNP3, NORMAL, role, fc, WELL_FORMED)
 
 
-def dissect_hartip(packet: Packet) -> Dissection | None:
+def dissect_hartip(packet: PacketRecord) -> Dissection | None:
     """HART-IP: version 1 header, enumerated message type and id.
 
     The byte-count field covers the whole message and must equal the wire
@@ -357,7 +350,7 @@ def dissect_hartip(packet: Packet) -> Dissection | None:
     return Dissection(HARTIP, NORMAL, role, msg_id, WELL_FORMED)
 
 
-def dissect_iec104(packet: Packet) -> Dissection | None:
+def dissect_iec104(packet: PacketRecord) -> Dissection | None:
     """IEC 60870-5-104 APCI: 0x68 start, APDU length in [4, 253], I/S/U frame.
 
     I-frames must carry an ASDU with a defined type id; the first APDU must
@@ -412,7 +405,7 @@ HEURISTICS = (
 )
 
 
-def _heuristic_claim(dissector, packet: Packet) -> Dissection | None:
+def _heuristic_claim(dissector, packet: PacketRecord) -> Dissection | None:
     """The one heuristic rule, for every heuristic dissector.
 
     A heuristic declines anything its dissector would call malformed, and
@@ -424,7 +417,7 @@ def _heuristic_claim(dissector, packet: Packet) -> Dissection | None:
     return replace(found, kind=HEURISTIC)
 
 
-def dissect_segment(packet: Packet, stats: Counter | None = None) -> Dissection | None:
+def dissect_segment(packet: PacketRecord, stats: Counter | None = None) -> Dissection | None:
     """Identify a transport payload: registered-port dissectors first.
 
     When either port is registered the matching normal dissector decides and
@@ -467,7 +460,7 @@ def dissect(record: PacketRecord, stats: Counter | None = None) -> Dissection | 
         return dissect_segment(record, stats)
     if record.icmp_type not in ICMP_ERROR_TYPES:
         return None
-    inner = ipv4_view(record.payload)
+    inner = ipv4_view(record.payload, record.ts)
     if inner is None or inner.ip_proto not in (TCP, UDP):
         return None
     found = dissect_segment(inner, stats)

@@ -197,19 +197,6 @@ def transition(
     return f"{src_side}_to_{dst_side}"
 
 
-def is_local(
-    src_asn: int | None,
-    ingress_member: int | None,
-    egress_member: int | None,
-    dst_asn: int | None,
-) -> bool | None:
-    """Fabric-local traffic: source is the ingress member and destination the
-    egress member. None when any AS is unresolved (excluded from ratios)."""
-    if None in (src_asn, ingress_member, egress_member, dst_asn):
-        return None
-    return src_asn == ingress_member and dst_asn == egress_member
-
-
 def is_domestic(src_ip: int, dst_ip: int, geo: LpmTable) -> bool | None:
     """Same-country endpoints; None when either side is unresolved."""
     src_country = geo.lookup(src_ip)

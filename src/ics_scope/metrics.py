@@ -20,7 +20,6 @@ class HostActivity:
     ip: str
     first_day: date
     last_day: date
-    active_days: frozenset[date]
     window_days: int  # inclusive of both endpoints
     active_day_count: int
 
@@ -42,7 +41,6 @@ def host_stability(days_by_ip) -> list[HostActivity]:
                 ip=ip,
                 first_day=first,
                 last_day=last,
-                active_days=frozenset(days),
                 window_days=(last - first).days + 1,
                 active_day_count=len(days),
             )

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import metrics
 from .capture import REQUEST, CaptureMeta, direction, int_to_ip, read_capture
 from .classify import (
+    FAMILIES,
     FILTER_FAMILIES,
     INDUSTRIAL,
     NON_INDUSTRIAL,
@@ -57,18 +58,6 @@ STABILITY_LABELS = (INDUSTRIAL, NON_INDUSTRIAL, "all")
 
 # What a config value of each Python type is called in an error message.
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
-
-REPORT_FILES = (
-    "sanitize.csv",
-    "filters.csv",
-    "transitions.csv",
-    "domestic.csv",
-    "daily.tsv",
-    "stability.csv",
-    "asn_protocols.csv",
-    "scan_overlap.csv",
-)
-
 
 class ConfigError(ValueError):
     """Configuration file missing, unreadable or referencing missing inputs."""
@@ -255,8 +244,10 @@ class CandidateStream:
     capture and file order. Every record is read once, checked once by the
     port-only predicate and dissected once; every candidate gets one verdict.
     The counts are complete once iteration ends: report holds the retention
-    and port-only counts per vantage, candidates the candidates per protocol,
-    notes the dissector notes and readers one summary per capture.
+    and port-only counts per vantage (a capture's vantage comes from its
+    CaptureMeta and is looked up once per capture), candidates the
+    candidates per protocol, notes the dissector notes and readers one
+    summary per capture.
     """
 
     def __init__(self, captures: list[CaptureSource], catalog: DpiCatalog):
@@ -269,15 +260,16 @@ class CandidateStream:
 
     def __iter__(self):
         for source in self.captures:
+            counts = self.report.vantage(source.meta.vantage)
             reader = read_capture(source.path, source.meta)
             for record in reader:
                 if is_port_only(record):
-                    self.report.vantage(record.vantage).port_only += 1
+                    counts.port_only += 1
                 dissection = dissect(record, self.notes)
                 if dissection is None:
                     continue
                 self.candidates[dissection.protocol] += 1
-                if sanitize_candidate(record, dissection, self.catalog, self.report) == KEPT:
+                if sanitize_candidate(record, dissection, self.catalog, counts) == KEPT:
                     yield source, record, dissection
             self.readers.append(
                 {
@@ -302,7 +294,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     stream = CandidateStream(config.captures, inputs.dpi_catalog)
     keys: Counter[tuple] = Counter()
     for source, record, dissection in stream:
-        keys[(record.vantage, source.meta.sample_interval, dissection.protocol,
+        keys[(source.meta.vantage, source.meta.sample_interval, dissection.protocol,
               direction(record), record.src_ip, record.dst_ip, record.day)] += 1
 
     filter_counts: Counter[tuple] = Counter()
@@ -348,23 +340,25 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         out / "sanitize.json",
         {
             "steps": sanitize_rows,
+            # A vantage whose captures held no candidate and no port-only
+            # record has nothing to report.
             "per_vantage": {
                 vantage: vars(counts)
                 for vantage, counts in sorted(stream.report.per_vantage.items())
+                if counts.candidates_in or counts.port_only
             },
         },
     )
 
     family_rows = filter_report(filter_counts)
+    share_columns = ["request_share"] + [column for _, column, _ in FAMILIES]
     _write_csv(
         out / "filters.csv",
-        ["protocol", "total_packets", "request_share", "excl_scanners", "excl_hp_ics",
-         "excl_hp_all", "excl_both"],
+        ["protocol", "total_packets", *share_columns],
         [
             [row["protocol"], row["total_packets"]]
             + [None if row[column] is None else round(100 * row[column], 1)
-               for column in ("request_share", "excl_scanners", "excl_hp_ics", "excl_hp_all",
-                              "excl_both")]
+               for column in share_columns]
             for row in family_rows
         ],
     )

@@ -237,21 +237,17 @@ class SanitizeReport:
         ]
 
 
-@dataclass
-class SanitizeResult:
-    kept: list[tuple[PacketRecord, Dissection]]
-    verdicts: list[str]
-    report: SanitizeReport
-
-
 def sanitize_candidate(
     record: PacketRecord,
     dissection: Dissection,
     catalog: DpiCatalog,
-    report: SanitizeReport,
+    counts: VantageCounts,
 ) -> str:
-    """Apply the three steps in order to one candidate; counts it in report."""
-    counts = report.vantage(record.vantage)
+    """Apply the three steps in order to one candidate and count it.
+
+    counts are the retention counts of the vantage point whose capture holds
+    the candidate.
+    """
     counts.candidates_in += 1
     verdict = strip_tunnels(dissection)
     if verdict == KEPT:
@@ -263,15 +259,3 @@ def sanitize_candidate(
     if verdict == KEPT:
         counts.after_dpi += 1
     return verdict
-
-
-def sanitize(pairs, catalog: DpiCatalog | None = None) -> SanitizeResult:
-    """Sanitize (record, dissection) pairs; input order is preserved for survivors."""
-    catalog = catalog or default_catalog()
-    result = SanitizeResult(kept=[], verdicts=[], report=SanitizeReport())
-    for record, dissection in pairs:
-        verdict = sanitize_candidate(record, dissection, catalog, result.report)
-        result.verdicts.append(verdict)
-        if verdict == KEPT:
-            result.kept.append((record, dissection))
-    return result

@@ -42,14 +42,14 @@ from ics_scope.enrich import (
     MEMBER_TO_MEMBER,
     TRANSITIONS,
     UNKNOWN_TRANSITION,
-    is_local,
     scan_overlap,
     transition,
 )
 from ics_scope.metrics import extrapolate, host_stability
-from ics_scope.pipeline import PipelineConfig, run_analyze
-from ics_scope.sanitize import sanitize
+from ics_scope.pipeline import CandidateStream, CaptureSource, PipelineConfig, run_analyze
+from ics_scope.sanitize import KEPT, VantageCounts, default_catalog, sanitize_candidate
 from ics_scope.trafficgen import ScenarioSpec, generate, golden_packets
+from oracles import is_local
 
 SCANNERS = frozenset({SCANNER_PREFIX, SCANNER_RDNS})
 
@@ -212,6 +212,13 @@ def _capture_meta(corpus):
     return CaptureMeta(entry["vantage"], entry["sample_interval"], entry["snap_len"])
 
 
+def _dissect_cut(frame, length):
+    """Dissection of a frame captured up to length bytes; None when the
+    reader would skip the cut frame."""
+    record = record_from_frame(frame, captured_len=length)
+    return None if record is None else dissect(record)
+
+
 def test_criterion_1_min_length_thresholds():
     started = time.perf_counter()
     for packet in golden_packets():
@@ -220,12 +227,12 @@ def test_criterion_1_min_length_thresholds():
         threshold = MIN_IDENTIFIABLE_FRAME_BYTES[packet.protocol]
         minimal = None
         for length in range(40, len(packet.frame) + 1):
-            d = dissect(record_from_frame(packet.frame, captured_len=length))
+            d = _dissect_cut(packet.frame, length)
             if d is not None and d.protocol == packet.protocol and d.verdict == WELL_FORMED:
                 minimal = length
                 break
         assert minimal == threshold, (packet.protocol, minimal, threshold)
-        below = dissect(record_from_frame(packet.frame, captured_len=threshold - 1))
+        below = _dissect_cut(packet.frame, threshold - 1)
         assert below is None or below.verdict != WELL_FORMED or below.protocol != packet.protocol
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -260,14 +267,11 @@ def test_criterion_2_sanitization_arithmetic(tmp_path):
     raw = {"seed": 404, "vantage": "vp", "start_day": "2018-01-01",
            "end_day": "2018-01-01", "flows": flows}
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
-    records = list(read_capture(corpus.pcap, _capture_meta(corpus)))
-    pairs = []
-    for record in records:
-        dissection = dissect(record)
-        if dissection is not None:
-            pairs.append((record, dissection))
-    result = sanitize(pairs)
-    report = result.report
+    stream = CandidateStream([CaptureSource(corpus.pcap, _capture_meta(corpus))],
+                             default_catalog())
+    for _ in stream:
+        pass
+    report = stream.report
     counts = (report.candidates_in, report.after_tunnel, report.after_malformed,
               report.after_dpi)
     assert counts == (100, 99, 14, 13), counts
@@ -285,15 +289,18 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         honeypots = HoneypotSets.from_files(corpus.sidecars["hp_all"],
                                             corpus.sidecars["hp_ics"])
         rdns = RdnsTable.from_csv(corpus.sidecars["rdns"])
+        catalog = default_catalog()
 
         started = time.perf_counter()
         records = list(read_capture(corpus.pcap, meta))
         dissections = [dissect(record) for record in records]
         pairs = [(r, d) for r, d in zip(records, dissections) if d is not None]
-        result = sanitize(pairs)
+        counts = VantageCounts()
+        verdicts = [sanitize_candidate(r, d, catalog, counts) for r, d in pairs]
+        kept = [pair for pair, verdict in zip(pairs, verdicts) if verdict == KEPT]
         kept_reasons = [
             classify(record.src_ip, record.dst_ip, registry, rdns, honeypots)
-            for record, _ in result.kept
+            for record, _ in kept
         ]
         pipeline_elapsed += time.perf_counter() - started
 
@@ -312,12 +319,12 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
             assert got == want, (name, expected["index"], got, want)
 
         truth_by_pair = [t for d, t in zip(dissections, truth) if d is not None]
-        for verdict, expected in zip(result.verdicts, truth_by_pair):
+        for verdict, expected in zip(verdicts, truth_by_pair):
             assert verdict == expected["sanitize"], (name, expected["index"])
 
         kept_truth = [t for t in truth_by_pair if t["sanitize"] == "kept"]
-        assert len(kept_truth) == len(result.kept)
-        for (record, _), reasons, expected in zip(result.kept, kept_reasons, kept_truth):
+        assert len(kept_truth) == len(kept)
+        for (record, _), reasons, expected in zip(kept, kept_reasons, kept_truth):
             want_reasons = sorted(expected["reasons"] or [])
             got_reasons = sorted(reason.tag() for reason in reasons)
             label = label_under(reasons, ALL_FILTERS)

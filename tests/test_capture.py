@@ -28,6 +28,7 @@ from ics_scope.trafficgen import (
     build_frame,
     build_ipv4,
     build_udp,
+    golden_packets,
     modbus_request,
     write_pcap,
 )
@@ -199,7 +200,7 @@ def test_empty_pcap_yields_nothing(tmp_path):
 
 
 def _record(proto, sport, dport):
-    return PacketRecord(0, ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2"), proto, sport, dport, "vp")
+    return PacketRecord(0, ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2"), proto, sport, dport, b"", 0)
 
 
 def test_direction_examples():
@@ -258,6 +259,26 @@ def test_record_from_frame_matches_reader(tmp_path):
     from_reader = next(iter(read_capture(path, CaptureMeta("synthetic"))))
     direct = record_from_frame(frame, ts=7)
     assert direct == from_reader
+
+
+def test_reader_and_record_from_frame_agree_on_every_cut(tmp_path):
+    # Every golden packet cut at every length from the Ethernet header on:
+    # the reader yields exactly the fixture's record, or skips the frame
+    # where the fixture gives None, and its counters reconcile.
+    path = tmp_path / "cut.pcap"
+    ts = 1_515_023_999_123_456
+    skipped = 0
+    for packet in golden_packets():
+        for length in range(14, len(packet.frame) + 1):
+            write_pcap(path, [(ts, packet.frame[:length])])
+            reader = read_capture(path, CaptureMeta("vp"))
+            records = list(reader)
+            expected = record_from_frame(packet.frame, ts, captured_len=length)
+            assert records == ([] if expected is None else [expected]), (packet.name, length)
+            assert reader.frames_read == 1
+            assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read
+            skipped += expected is None
+    assert skipped > 0
 
 
 # Octet texts around the canonical forms: empty, leading zeros, out of range,

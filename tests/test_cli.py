@@ -5,7 +5,6 @@ import pytest
 
 from ics_scope import __version__
 from ics_scope.cli import main
-from ics_scope.pipeline import REPORT_FILES
 from ics_scope.trafficgen import write_pcap
 
 SCENARIO = {
@@ -46,13 +45,21 @@ def _gen(tmp_path):
     return out
 
 
+# The report bundle, as the README's bundle paragraph lists it.
+BUNDLE_FILES = {
+    "sanitize.csv", "filters.csv", "transitions.csv", "domestic.csv", "daily.tsv",
+    "stability.csv", "asn_protocols.csv", "scan_overlap.csv",
+    "sanitize.json", "filters.json", "scan_overlap.json",
+    "protocol_rank.csv", "run_summary.json",
+}
+
+
 def test_gen_and_analyze_roundtrip(tmp_path, capsys):
     corpus = _gen(tmp_path)
     reports = tmp_path / "reports"
     code = main(["analyze", "--config", str(corpus / "config.json"), "--out", str(reports)])
     assert code == 0
-    for name in REPORT_FILES:
-        assert (reports / name).exists(), name
+    assert {path.name for path in reports.iterdir()} == BUNDLE_FILES
     summary = json.loads((reports / "run_summary.json").read_text())
     assert summary["records"] == 40
     assert summary["kept"] == 40
@@ -246,6 +253,8 @@ def test_analyze_empty_pcap_all_zero(tmp_path):
     assert summary["candidates"] == 0
     sanitize_lines = (reports / "sanitize.csv").read_text().splitlines()
     assert sanitize_lines[1] == "candidates,0,"
+    # A vantage without candidates or port-only records lists no counts.
+    assert json.loads((reports / "sanitize.json").read_text())["per_vantage"] == {}
 
 
 def test_dissect_golden_modbus(tmp_path, capsys, golden_dir):
@@ -289,6 +298,15 @@ def test_gen_out_of_range_schedule_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert main(["gen", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "outside corpus range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dissect", "sanitize"])
+def test_vantage_option_is_a_usage_error(capsys, golden_dir, command):
+    # The vantage is a fact of a capture in an analyze config; these two
+    # commands read one capture and print no vantage.
+    pcap = str(golden_dir / "modbus_wellformed.pcap")
+    assert _exit_code([command, pcap, "--vantage", "ixp0"]) == 2
+    assert "unrecognized arguments: --vantage ixp0" in capsys.readouterr().err
 
 
 def test_sanitize_subcommand(tmp_path, capsys, golden_dir):

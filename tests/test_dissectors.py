@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import TCP, UDP, CaptureMeta, TransportView, read_capture, record_from_frame
+from ics_scope.capture import TCP, UDP, CaptureMeta, PacketRecord, read_capture, record_from_frame
 from ics_scope.dissectors import (
     BACNET,
     DNP3,
@@ -40,12 +40,13 @@ from ics_scope.trafficgen import (
     modbus_exception_reply,
     modbus_request,
     s7_setup_job,
+    write_pcap,
 )
 
 
 def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):
-    return TransportView(ip_proto, 0x0A000001, 0x0A000002, sport, dport, payload,
-                         wire_len if wire_len is not None else len(payload))
+    return PacketRecord(0, 0x0A000001, 0x0A000002, ip_proto, sport, dport, payload,
+                        wire_len if wire_len is not None else len(payload))
 
 
 # --- modbus ----------------------------------------------------------------
@@ -383,12 +384,15 @@ def test_min_length_property_for_every_golden():
         assert below is None or below.verdict != WELL_FORMED or below.protocol != packet.protocol
 
 
-def test_capture_cut_in_transport_header_never_dissects():
+def test_capture_cut_in_transport_header_never_dissects(tmp_path):
     frame = build_frame("10.0.0.1", "10.0.0.2", "tcp", 49152, 502, modbus_request())
-    record = record_from_frame(frame, captured_len=14 + 20 + 10)
-    assert (record.src_port, record.dst_port) == (49152, 502)  # from the full frame
-    assert record.payload is None
-    assert dissect(record) is None
+    cut = 14 + 20 + 10
+    assert record_from_frame(frame, captured_len=cut) is None
+    path = tmp_path / "cut.pcap"
+    write_pcap(path, [(0, frame[:cut])])
+    reader = read_capture(path, CaptureMeta("vp"))
+    assert list(reader) == []
+    assert reader.skipped == {"short": 1}
 
 
 def test_exclusivity_on_golden_corpus():

@@ -12,7 +12,6 @@ from ics_scope.enrich import (
     MEMBER_TO_MEMBER,
     UNKNOWN_TRANSITION,
     is_domestic,
-    is_local,
     load_asn_table,
     load_geo_table,
     load_scan_snapshot,
@@ -20,6 +19,7 @@ from ics_scope.enrich import (
     scan_overlap,
     transition,
 )
+from oracles import is_local
 
 
 def test_lpm_most_specific_wins():

@@ -11,11 +11,12 @@ from ics_scope.sanitize import (
     DROPPED_TUNNEL,
     KEPT,
     DpiCatalog,
+    SanitizeReport,
     default_catalog,
     dpi_cross_check,
     drop_malformed,
     is_port_only,
-    sanitize,
+    sanitize_candidate,
     strip_tunnels,
 )
 from ics_scope.trafficgen import (
@@ -27,6 +28,20 @@ from ics_scope.trafficgen import (
     build_ipv4,
     modbus_request,
 )
+
+
+def _sanitize(pairs):
+    """One verdict per candidate from sanitize_candidate, and the report it
+    counts them in, as one capture of vantage "vp"."""
+    report = SanitizeReport()
+    counts = report.vantage("vp")
+    verdicts = [sanitize_candidate(record, dissection, default_catalog(), counts)
+                for record, dissection in pairs]
+    return verdicts, report
+
+
+def _kept(pairs, verdicts):
+    return [pair for pair, verdict in zip(pairs, verdicts) if verdict == KEPT]
 
 
 def _pair(frame):
@@ -109,7 +124,7 @@ def test_dpi_tls_signature_spares_modbus_transaction_0x1603():
     record, dissection = _pair(build_frame("10.0.4.3", "10.0.4.4", "tcp", 49152, 502, payload))
     assert (dissection.protocol, dissection.verdict) == ("modbus", "well_formed")
     assert dpi_cross_check(record) == KEPT
-    assert sanitize([(record, dissection)]).verdicts == [KEPT]
+    assert _sanitize([(record, dissection)])[0] == [KEPT]
 
 
 def test_dpi_dns_chimera_survives_to_step_three():
@@ -144,18 +159,17 @@ def test_sanitize_counts_and_order():
     pairs.insert(1, _tunnel_pair())
     pairs.insert(3, _malformed_pair())
     pairs.append(_chimera_pair())
-    result = sanitize(pairs)
-    report = result.report
+    verdicts, report = _sanitize(pairs)
     assert report.candidates_in == 8
     assert report.after_tunnel == 7
     assert report.after_malformed == 6
     assert report.after_dpi == 5
-    assert result.verdicts.count(KEPT) == 5
-    assert result.verdicts[1] == DROPPED_TUNNEL
-    assert result.verdicts[3] == DROPPED_MALFORMED
-    assert result.verdicts[-1] == DROPPED_KNOWN_PROTOCOL
+    assert verdicts.count(KEPT) == 5
+    assert verdicts[1] == DROPPED_TUNNEL
+    assert verdicts[3] == DROPPED_MALFORMED
+    assert verdicts[-1] == DROPPED_KNOWN_PROTOCOL
     # Survivors preserve input order.
-    kept_ids = [id(r) for r, _ in result.kept]
+    kept_ids = [id(r) for r, _ in _kept(pairs, verdicts)]
     expected = [id(r) for r, d in pairs
                 if strip_tunnels(d) == KEPT and drop_malformed(d) == KEPT
                 and dpi_cross_check(r) == KEPT]
@@ -163,19 +177,19 @@ def test_sanitize_counts_and_order():
 
 
 def test_sanitize_empty_input():
-    result = sanitize([])
-    assert result.report.candidates_in == 0
-    assert result.report.pct(0) is None
-    assert all(row["remaining_pct"] is None for row in result.report.rows())
+    _, report = _sanitize([])
+    assert report.candidates_in == 0
+    assert report.pct(0) is None
+    assert all(row["remaining_pct"] is None for row in report.rows())
 
 
 def test_sanitize_idempotent():
     pairs = [_bacnet_pair(), _tunnel_pair(), _malformed_pair(), _chimera_pair()]
-    first = sanitize(pairs)
-    second = sanitize(first.kept)
-    assert second.report.candidates_in == len(first.kept)
-    assert second.report.after_dpi == len(first.kept)
-    assert all(v == KEPT for v in second.verdicts)
+    kept = _kept(pairs, _sanitize(pairs)[0])
+    verdicts, report = _sanitize(kept)
+    assert report.candidates_in == len(kept)
+    assert report.after_dpi == len(kept)
+    assert all(v == KEPT for v in verdicts)
 
 
 def test_kept_set_invariant_under_step_order():
@@ -212,9 +226,9 @@ def test_verdict_partition_sums_to_candidates():
 
     pairs = [_bacnet_pair(), _tunnel_pair(), _malformed_pair(), _chimera_pair(),
              _bacnet_pair()]
-    result = sanitize(pairs)
-    counts = Counter(result.verdicts)
-    assert sum(counts.values()) == result.report.candidates_in == 5
+    verdicts, report = _sanitize(pairs)
+    counts = Counter(verdicts)
+    assert sum(counts.values()) == report.candidates_in == 5
     assert set(counts) <= {KEPT, DROPPED_TUNNEL, DROPPED_MALFORMED, DROPPED_KNOWN_PROTOCOL}
 
 
@@ -228,22 +242,20 @@ def test_port_only_baseline_ratio():
     records = [record_from_frame(f) for f in frames]
     assert sum(map(is_port_only, records)) == 10
     pairs = [(r, dissect(r)) for r in records]
-    result = sanitize(pairs)
-    assert result.report.after_dpi == 2
-    for record in records:
-        result.report.vantage(record.vantage).port_only = 0
-    result.report.vantage(records[0].vantage).port_only = sum(map(is_port_only, records))
-    assert result.report.port_only_pct == 500.0
+    _, report = _sanitize(pairs)
+    assert report.after_dpi == 2
+    report.vantage("vp").port_only = sum(map(is_port_only, records))
+    assert report.port_only_pct == 500.0
 
 
 def test_report_merge_is_associative_enough():
-    a = sanitize([_bacnet_pair()]).report
-    b = sanitize([_malformed_pair(), _bacnet_pair()]).report
+    a = _sanitize([_bacnet_pair()])[1]
+    b = _sanitize([_malformed_pair(), _bacnet_pair()])[1]
     merged = a.merge(b)
     assert merged.candidates_in == 3
     assert merged.after_dpi == 2
     swapped = b.merge(a)
-    assert vars(swapped.vantage("synthetic")) == vars(merged.vantage("synthetic"))
+    assert vars(swapped.vantage("vp")) == vars(merged.vantage("vp"))
 
 
 def test_default_catalog_loads_all_signatures():
