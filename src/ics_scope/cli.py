@@ -18,7 +18,7 @@ from .capture import CaptureError, CaptureMeta, read_capture
 from .classify import FILTER_FAMILIES
 from .dissectors import action_name, dissect
 from .pipeline import CandidateStream, CaptureSource, ConfigError, PipelineConfig, run_analyze
-from .sanitize import default_catalog
+from .sanitize import default_catalog, retention, sanitize_rows
 from .trafficgen import ScenarioError, ScenarioSpec, generate
 
 log = logging.getLogger(__name__)
@@ -81,14 +81,16 @@ def _cmd_dissect(args) -> int:
     meta = CaptureMeta("cli", snap_len=args.snap_len)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for index, record in enumerate(read_capture(args.pcap, meta)):
+        reader = read_capture(args.pcap, meta)
+        for record in reader:
             dissection = dissect(record)
             if dissection is None:
                 continue
             out.write(
                 json.dumps(
                     {
-                        "index": index,
+                        # The frame's position in the pcap, skipped frames included.
+                        "index": reader.frames_read - 1,
                         "protocol": dissection.protocol,
                         "kind": dissection.kind,
                         "role": dissection.role,
@@ -112,7 +114,7 @@ def _cmd_sanitize(args) -> int:
     for _ in stream:
         pass
     print("step,remaining_count,remaining_pct")
-    for row in stream.report.rows():
+    for row in sanitize_rows(retention(stream.events)[0]):
         pct = "" if row["remaining_pct"] is None else f"{row['remaining_pct']:.1f}"
         print(f"{row['step']},{row['remaining_count']},{pct}")
     return 0

@@ -267,28 +267,20 @@ def dissect_ethernetip(packet: PacketRecord) -> Dissection | None:
     return Dissection(ETHERNETIP, NORMAL, role, command, WELL_FORMED)
 
 
-_DNP3_CRC_TABLE = None
+def _dnp3_crc_of_byte(crc: int) -> int:
+    for _ in range(8):
+        crc = (crc >> 1) ^ 0xA6BC if crc & 1 else crc >> 1
+    return crc
 
 
-def _dnp3_crc_table():
-    global _DNP3_CRC_TABLE
-    if _DNP3_CRC_TABLE is None:
-        table = []
-        for byte in range(256):
-            crc = byte
-            for _ in range(8):
-                crc = (crc >> 1) ^ 0xA6BC if crc & 1 else crc >> 1
-            table.append(crc)
-        _DNP3_CRC_TABLE = table
-    return _DNP3_CRC_TABLE
+_DNP3_CRC_TABLE = tuple(_dnp3_crc_of_byte(byte) for byte in range(256))
 
 
 def dnp3_crc(block: bytes) -> int:
     """Data-link CRC-16 (reversed polynomial 0xA6BC, inverted output)."""
-    table = _dnp3_crc_table()
     crc = 0
     for byte in block:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+        crc = (crc >> 8) ^ _DNP3_CRC_TABLE[(crc ^ byte) & 0xFF]
     return (~crc) & 0xFFFF
 
 

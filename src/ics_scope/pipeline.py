@@ -44,11 +44,14 @@ from .enrich import (
 )
 from .sanitize import (
     KEPT,
+    PORT_ONLY,
     DpiCatalog,
-    SanitizeReport,
     default_catalog,
     is_port_only,
+    pct,
+    retention,
     sanitize_candidate,
+    sanitize_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -217,8 +220,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Comma-separated rows, or tab-separated for a .tsv path."""
+def _write(path: Path, content) -> None:
+    """A JSON payload, or a CSV (tab-separated for .tsv) from (header, rows)."""
+    if path.suffix == ".json":
+        path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        return
+    header, rows = content
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t" if path.suffix == ".tsv" else ",",
                             lineterminator="\n")
@@ -227,14 +234,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _columns(rows: list[dict], header: list[str], **convert) -> tuple[list[str], list[list]]:
+    """A CSV twin of JSON rows: each row's values in header order, passed
+    through convert[column] where the CSV shows a value differently."""
+    return header, [[convert[c](row[c]) if c in convert else row[c] for c in header]
+                    for row in rows]
 
 
-def _pct(numerator: int, denominator: int) -> float | None:
-    if denominator == 0:
-        return None
-    return round(100.0 * numerator / denominator, 1)
+def _share_pct(share: float | None) -> float | None:
+    return None if share is None else round(100 * share, 1)
 
 
 class CandidateStream:
@@ -243,38 +251,42 @@ class CandidateStream:
     Iterating yields (source, record, dissection) for each kept candidate, in
     capture and file order. Every record is read once, checked once by the
     port-only predicate and dissected once; every candidate gets one verdict.
-    The counts are complete once iteration ends: report holds the retention
-    and port-only counts per vantage (a capture's vantage comes from its
-    CaptureMeta and is looked up once per capture), candidates the
-    candidates per protocol, notes the dissector notes and readers one
-    summary per capture.
+    The counts are complete once iteration ends: events holds one
+    (vantage, verdict) per candidate and one (vantage, PORT_ONLY) per
+    port-only record, a capture's vantage coming from its CaptureMeta;
+    candidates holds the candidates per protocol, notes the dissector notes
+    and readers one summary per capture.
     """
 
     def __init__(self, captures: list[CaptureSource], catalog: DpiCatalog):
         self.captures = captures
         self.catalog = catalog
-        self.report = SanitizeReport()
+        self.events: Counter[tuple[str, str]] = Counter()
         self.candidates: Counter[str] = Counter()
         self.notes: Counter[str] = Counter()
         self.readers: list[dict] = []
 
     def __iter__(self):
+        events = self.events
         for source in self.captures:
-            counts = self.report.vantage(source.meta.vantage)
+            vantage = source.meta.vantage
+            port_only = (vantage, PORT_ONLY)
             reader = read_capture(source.path, source.meta)
             for record in reader:
                 if is_port_only(record):
-                    counts.port_only += 1
+                    events[port_only] += 1
                 dissection = dissect(record, self.notes)
                 if dissection is None:
                     continue
                 self.candidates[dissection.protocol] += 1
-                if sanitize_candidate(record, dissection, self.catalog, counts) == KEPT:
+                verdict = sanitize_candidate(record, dissection, self.catalog)
+                events[(vantage, verdict)] += 1
+                if verdict == KEPT:
                     yield source, record, dissection
             self.readers.append(
                 {
                     "path": str(source.path),
-                    "vantage": source.meta.vantage,
+                    "vantage": vantage,
                     "frames_read": reader.frames_read,
                     "records": reader.records_yielded,
                     "skipped": dict(sorted(reader.skipped.items())),
@@ -301,8 +313,9 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     daily_counts: Counter[tuple] = Counter()
     stable_days: dict[int, set] = {}
     request_protocols: dict[int, set[str]] = {}
-    transition_counts: Counter[tuple[str, str, str]] = Counter()
-    domestic_counts: Counter[tuple[str, str, str]] = Counter()
+    # Per (protocol, label): packets per transition and per domestic status,
+    # two disjoint sets of names in one Counter.
+    groups: dict[tuple[str, str], Counter[str]] = {}
     passive_hosts: dict[str, dict[str, set[int]]] = {}
     for key, n in keys.items():
         vantage, sample_interval, protocol, packet_direction, src_ip, dst_ip, day = key
@@ -322,78 +335,23 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
             request_protocols.setdefault(src_asn, set()).add(protocol)
         ingress = inputs.topology.resolve_member(src_asn, tag=f"{vantage}:in")
         egress = inputs.topology.resolve_member(dst_asn, tag=f"{vantage}:out")
-        transition_counts[(protocol, label, transition(src_asn, dst_asn, ingress, egress,
-                                                       inputs.topology))] += n
+        counts = groups.setdefault((protocol, label), Counter())
+        counts[transition(src_asn, dst_asn, ingress, egress, inputs.topology)] += n
         domestic = is_domestic(src_ip, dst_ip, inputs.geo) if inputs.geo is not None else None
         status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
-        domestic_counts[(protocol, label, status)] += n
+        counts[status] += n
 
     # --- report bundle -----------------------------------------------------
 
-    sanitize_rows = stream.report.rows()
-    _write_csv(
-        out / "sanitize.csv",
-        ["step", "remaining_count", "remaining_pct"],
-        [[r["step"], r["remaining_count"], r["remaining_pct"]] for r in sanitize_rows],
-    )
-    _write_json(
-        out / "sanitize.json",
-        {
-            "steps": sanitize_rows,
-            # A vantage whose captures held no candidate and no port-only
-            # record has nothing to report.
-            "per_vantage": {
-                vantage: vars(counts)
-                for vantage, counts in sorted(stream.report.per_vantage.items())
-                if counts.candidates_in or counts.port_only
-            },
-        },
-    )
-
-    family_rows = filter_report(filter_counts)
-    share_columns = ["request_share"] + [column for _, column, _ in FAMILIES]
-    _write_csv(
-        out / "filters.csv",
-        ["protocol", "total_packets", *share_columns],
-        [
-            [row["protocol"], row["total_packets"]]
-            + [None if row[column] is None else round(100 * row[column], 1)
-               for column in share_columns]
-            for row in family_rows
-        ],
-    )
-    _write_json(out / "filters.json", family_rows)
-
     transition_rows = []
-    for protocol, label in sorted({(p, l) for p, l, _ in transition_counts}):
-        known = sum(transition_counts[(protocol, label, t)] for t in TRANSITIONS)
-        transition_rows.append(
-            [protocol, label]
-            + [_pct(transition_counts[(protocol, label, t)], known) for t in TRANSITIONS]
-            + [known, transition_counts[(protocol, label, UNKNOWN_TRANSITION)]]
-        )
-    _write_csv(
-        out / "transitions.csv",
-        ["protocol", "label", "member_to_member_pct", "member_to_cone_pct",
-         "cone_to_member_pct", "cone_to_cone_pct", "packets", "unknown_packets"],
-        transition_rows,
-    )
-
     domestic_rows = []
-    for protocol, label in sorted({(p, l) for p, l, _ in domestic_counts}):
-        domestic = domestic_counts[(protocol, label, "domestic")]
-        foreign = domestic_counts[(protocol, label, "foreign")]
-        unresolved = domestic_counts[(protocol, label, "unresolved")]
-        resolved = domestic + foreign
-        domestic_rows.append(
-            [protocol, label, _pct(domestic, resolved), domestic, resolved, unresolved]
-        )
-    _write_csv(
-        out / "domestic.csv",
-        ["protocol", "label", "domestic_pct", "domestic_count", "resolved_count",
-         "indeterminate_count"],
-        domestic_rows,
-    )
+    for (protocol, label), counts in sorted(groups.items()):
+        known = sum(counts[t] for t in TRANSITIONS)
+        transition_rows.append([protocol, label, *(pct(counts[t], known) for t in TRANSITIONS),
+                                known, counts[UNKNOWN_TRANSITION]])
+        resolved = counts["domestic"] + counts["foreign"]
+        domestic_rows.append([protocol, label, pct(counts["domestic"], resolved),
+                              counts["domestic"], resolved, counts["unresolved"]])
 
     daily_rows = []
     for (vantage, protocol), rows in metrics.daily_series(daily_counts).items():
@@ -402,60 +360,66 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
                                f"{vantage}:{protocol}:total"])
             daily_rows.append([row.day, row.industrial, row.extrapolated_industrial,
                                f"{vantage}:{protocol}:industrial"])
-    _write_csv(out / "daily.tsv", ["day", "count", "extrapolated", "label"], daily_rows)
 
     # Formatted before sorting: the report orders hosts by address string.
     stability = metrics.host_stability({int_to_ip(ip): days for ip, days in stable_days.items()})
-    _write_csv(
-        out / "stability.csv",
-        ["ip", "first_day", "last_day", "window_days", "active_days", "stability"],
-        [
-            [h.ip, h.first_day, h.last_day, h.window_days, h.active_day_count,
-             round(h.stability, 4)]
-            for h in stability
-        ],
-    )
-
-    per_asn = protocols_per_asn(request_protocols)
-    _write_csv(
-        out / "asn_protocols.csv",
-        ["asn", "distinct_protocols", "protocols", "suspicious"],
-        [
-            [asn, info["distinct"], ";".join(info["protocols"]), info["suspicious"]]
-            for asn, info in per_asn.items()
-        ],
-    )
-
+    total, per_vantage = retention(stream.events)
+    steps = sanitize_rows(total)
+    family_rows = filter_report(filter_counts)
+    share_columns = ["request_share"] + [column for _, column, _ in FAMILIES]
     overlap_rows = scan_overlap(passive_hosts, inputs.scan_snapshot)
-    _write_csv(
-        out / "scan_overlap.csv",
-        ["protocol", "role", "passive_hosts", "transport_overlap_pct",
-         "application_overlap_pct", "transport_only_senders"],
-        [
-            [r["protocol"], r["role"], r["passive_hosts"], r["transport_overlap_pct"],
-             r["application_overlap_pct"], len(r["transport_only_senders"])]
-            for r in overlap_rows
-        ],
-    )
-    _write_json(out / "scan_overlap.json", overlap_rows)
-
-    _write_csv(
-        out / "protocol_rank.csv",
-        ["rank", "protocol", "packets"],
-        [[i + 1, protocol, count]
-         for i, (protocol, count) in enumerate(metrics.protocol_rank(stream.candidates))],
-    )
-
     summary = {
         "captures": stream.readers,
         "frames_read": sum(r["frames_read"] for r in stream.readers),
         "records": sum(r["records"] for r in stream.readers),
-        "candidates": stream.report.candidates_in,
-        "kept": stream.report.after_dpi,
+        "candidates": total["candidates_in"],
+        "kept": total["after_dpi"],
         "filters": config.filters,
         "stability_label": config.stability_label,
         "stability_window": "inclusive of first and last day",
         "dissect_notes": dict(sorted(stream.notes.items())),
     }
-    _write_json(out / "run_summary.json", summary)
+    bundle = {
+        "sanitize.csv": _columns(steps, ["step", "remaining_count", "remaining_pct"]),
+        "sanitize.json": {"steps": steps, "per_vantage": per_vantage},
+        "filters.csv": _columns(family_rows, ["protocol", "total_packets", *share_columns],
+                                **dict.fromkeys(share_columns, _share_pct)),
+        "filters.json": family_rows,
+        "transitions.csv": (
+            ["protocol", "label", "member_to_member_pct", "member_to_cone_pct",
+             "cone_to_member_pct", "cone_to_cone_pct", "packets", "unknown_packets"],
+            transition_rows,
+        ),
+        "domestic.csv": (
+            ["protocol", "label", "domestic_pct", "domestic_count", "resolved_count",
+             "indeterminate_count"],
+            domestic_rows,
+        ),
+        "daily.tsv": (["day", "count", "extrapolated", "label"], daily_rows),
+        "stability.csv": (
+            ["ip", "first_day", "last_day", "window_days", "active_days", "stability"],
+            [[h.ip, h.first_day, h.last_day, h.window_days, h.active_day_count,
+              round(h.stability, 4)] for h in stability],
+        ),
+        "asn_protocols.csv": (
+            ["asn", "distinct_protocols", "protocols", "suspicious"],
+            [[asn, info["distinct"], ";".join(info["protocols"]), info["suspicious"]]
+             for asn, info in protocols_per_asn(request_protocols).items()],
+        ),
+        "scan_overlap.csv": _columns(
+            overlap_rows,
+            ["protocol", "role", "passive_hosts", "transport_overlap_pct",
+             "application_overlap_pct", "transport_only_senders"],
+            transport_only_senders=len,
+        ),
+        "scan_overlap.json": overlap_rows,
+        "protocol_rank.csv": (
+            ["rank", "protocol", "packets"],
+            [[i + 1, protocol, count]
+             for i, (protocol, count) in enumerate(metrics.protocol_rank(stream.candidates))],
+        ),
+        "run_summary.json": summary,
+    }
+    for name, content in bundle.items():
+        _write(out / name, content)
     return summary

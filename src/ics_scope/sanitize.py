@@ -3,13 +3,15 @@
 Step 1 strips tunnel packets (dissections the dissector reached through an
 ICMP error's quoted datagram), step 2 drops malformed dissections, step 3
 cross-checks surviving payloads against a catalog of well-known non-ICS
-protocol signatures. Every candidate receives exactly one verdict and the
-report keeps cumulative per-step retention counts per vantage point.
+protocol signatures. Every candidate receives exactly one verdict; the
+cumulative per-step retention figures, overall and per vantage point, are
+derived from counts of those verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .capture import TCP, UDP, PacketRecord
@@ -22,6 +24,8 @@ DROPPED_MALFORMED = "dropped_malformed"
 DROPPED_KNOWN_PROTOCOL = "dropped_known_protocol"
 
 VERDICTS = (KEPT, DROPPED_TUNNEL, DROPPED_MALFORMED, DROPPED_KNOWN_PROTOCOL)
+# The event counted for a record a naive port-only detector flags as ICS.
+PORT_ONLY = "port_only"
 
 
 def _check_dns_header(payload: bytes) -> bool:
@@ -142,9 +146,8 @@ def drop_malformed(dissection: Dissection) -> str:
     return DROPPED_MALFORMED if dissection.verdict == MALFORMED else KEPT
 
 
-def dpi_cross_check(record: PacketRecord, catalog: DpiCatalog | None = None) -> str:
+def dpi_cross_check(record: PacketRecord, catalog: DpiCatalog) -> str:
     """Drop candidates whose payload fingerprints as a well-known protocol."""
-    catalog = catalog or default_catalog()
     return DROPPED_KNOWN_PROTOCOL if catalog.match(record) else KEPT
 
 
@@ -155,107 +158,63 @@ def is_port_only(record: PacketRecord) -> bool:
     )
 
 
-@dataclass
-class VantageCounts:
-    candidates_in: int = 0
-    after_tunnel: int = 0
-    after_malformed: int = 0
-    after_dpi: int = 0
-    port_only: int = 0
-
-
-@dataclass
-class SanitizeReport:
-    """Cumulative retention counts, overall and per vantage point."""
-
-    per_vantage: dict[str, VantageCounts] = field(default_factory=dict)
-
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(v, attr) for v in self.per_vantage.values())
-
-    @property
-    def candidates_in(self) -> int:
-        return self._sum("candidates_in")
-
-    @property
-    def after_tunnel(self) -> int:
-        return self._sum("after_tunnel")
-
-    @property
-    def after_malformed(self) -> int:
-        return self._sum("after_malformed")
-
-    @property
-    def after_dpi(self) -> int:
-        return self._sum("after_dpi")
-
-    @property
-    def port_only_count(self) -> int:
-        return self._sum("port_only")
-
-    def vantage(self, name: str) -> VantageCounts:
-        return self.per_vantage.setdefault(name, VantageCounts())
-
-    def pct(self, count: int) -> float | None:
-        """Percentage of incoming candidates; None when there were none."""
-        if self.candidates_in == 0:
-            return None
-        return round(100.0 * count / self.candidates_in, 1)
-
-    @property
-    def port_only_pct(self) -> float | None:
-        """Naive port-based detection relative to the sanitized count."""
-        if self.after_dpi == 0:
-            return None
-        return round(100.0 * self.port_only_count / self.after_dpi, 1)
-
-    def merge(self, other: "SanitizeReport") -> "SanitizeReport":
-        merged = SanitizeReport()
-        for report in (self, other):
-            for name, counts in report.per_vantage.items():
-                mine = merged.vantage(name)
-                mine.candidates_in += counts.candidates_in
-                mine.after_tunnel += counts.after_tunnel
-                mine.after_malformed += counts.after_malformed
-                mine.after_dpi += counts.after_dpi
-                mine.port_only += counts.port_only
-        return merged
-
-    def rows(self) -> list[dict]:
-        """Report rows in fixed column order: step, remaining_count, remaining_pct."""
-        return [
-            {"step": "candidates", "remaining_count": self.candidates_in,
-             "remaining_pct": self.pct(self.candidates_in)},
-            {"step": "tunnel_removal", "remaining_count": self.after_tunnel,
-             "remaining_pct": self.pct(self.after_tunnel)},
-            {"step": "malformed_removal", "remaining_count": self.after_malformed,
-             "remaining_pct": self.pct(self.after_malformed)},
-            {"step": "dpi_removal", "remaining_count": self.after_dpi,
-             "remaining_pct": self.pct(self.after_dpi)},
-            {"step": "port_only_baseline", "remaining_count": self.port_only_count,
-             "remaining_pct": self.port_only_pct},
-        ]
-
-
-def sanitize_candidate(
-    record: PacketRecord,
-    dissection: Dissection,
-    catalog: DpiCatalog,
-    counts: VantageCounts,
-) -> str:
-    """Apply the three steps in order to one candidate and count it.
-
-    counts are the retention counts of the vantage point whose capture holds
-    the candidate.
-    """
-    counts.candidates_in += 1
+def sanitize_candidate(record: PacketRecord, dissection: Dissection, catalog: DpiCatalog) -> str:
+    """The verdict of the first step that drops the candidate, or KEPT."""
     verdict = strip_tunnels(dissection)
     if verdict == KEPT:
-        counts.after_tunnel += 1
         verdict = drop_malformed(dissection)
     if verdict == KEPT:
-        counts.after_malformed += 1
         verdict = dpi_cross_check(record, catalog)
-    if verdict == KEPT:
-        counts.after_dpi += 1
     return verdict
+
+
+def pct(numerator: int, denominator: int) -> float | None:
+    """Percentage rounded to one decimal; None when the denominator is 0."""
+    if denominator == 0:
+        return None
+    return round(100.0 * numerator / denominator, 1)
+
+
+def _figures(events: Counter[str]) -> dict[str, int]:
+    candidates_in = sum(events[verdict] for verdict in VERDICTS)
+    after_tunnel = candidates_in - events[DROPPED_TUNNEL]
+    return {
+        "candidates_in": candidates_in,
+        "after_tunnel": after_tunnel,
+        "after_malformed": after_tunnel - events[DROPPED_MALFORMED],
+        "after_dpi": events[KEPT],
+        "port_only": events[PORT_ONLY],
+    }
+
+
+def retention(events: Counter[tuple[str, str]]) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """Cumulative retention figures, overall and per vantage point.
+
+    events counts (vantage, event) pairs, an event being a candidate's
+    verdict or PORT_ONLY for a record the port-only baseline flags. A
+    vantage has per-vantage figures exactly when it has a counted event.
+    """
+    total: Counter[str] = Counter()
+    by_vantage: dict[str, Counter[str]] = {}
+    for (vantage, event), n in events.items():
+        total[event] += n
+        by_vantage.setdefault(vantage, Counter())[event] += n
+    return _figures(total), {v: _figures(c) for v, c in sorted(by_vantage.items())}
+
+
+def sanitize_rows(figures: dict[str, int]) -> list[dict]:
+    """Report rows of retention figures: step, remaining_count, remaining_pct.
+
+    The steps are relative to the incoming candidates; the port-only
+    baseline is relative to the sanitized count.
+    """
+    candidates_in = figures["candidates_in"]
+    rows = [
+        {"step": step, "remaining_count": figures[key],
+         "remaining_pct": pct(figures[key], candidates_in)}
+        for step, key in (("candidates", "candidates_in"), ("tunnel_removal", "after_tunnel"),
+                          ("malformed_removal", "after_malformed"), ("dpi_removal", "after_dpi"))
+    ]
+    rows.append({"step": "port_only_baseline", "remaining_count": figures["port_only"],
+                 "remaining_pct": pct(figures["port_only"], figures["after_dpi"])})
+    return rows

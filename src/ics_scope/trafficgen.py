@@ -590,8 +590,13 @@ class ScenarioSpec:
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
         try:
             flows = []
-            for flow in raw["flows"]:
+            for index, flow in enumerate(raw["flows"]):
+                if not isinstance(flow, dict):
+                    raise ScenarioError(f"flow {index}: expected an object, got {flow!r}")
                 schedule = flow.get("schedule", {})
+                if not isinstance(schedule, dict):
+                    raise ScenarioError(f"flow {index}: schedule must be an object, "
+                                        f"got {schedule!r}")
                 active = schedule.get("active_days")
                 start = schedule.get("start_day", raw["start_day"])
                 flows.append(
@@ -642,12 +647,16 @@ class ScenarioSpec:
     def validate(self) -> None:
         if self.start_day > self.end_day:
             raise ScenarioError("corpus start_day after end_day")
+        networks = []
         for index, flow in enumerate(self.flows):
             where = f"flow {index} ({flow.kind}/{flow.protocol})"
             if flow.kind not in FLOW_KINDS:
                 raise ScenarioError(f"{where}: unknown kind")
             if flow.protocol not in _PROTOCOL_TRANSPORT:
                 raise ScenarioError(f"{where}: unknown protocol")
+            src_net = _flow_network(where, "src", flow.src)
+            dst_net = _flow_network(where, "dst", flow.dst)
+            networks.append((flow, src_net, dst_net))
             if flow.packets_per_day < 1:
                 raise ScenarioError(f"{where}: packets_per_day must be positive")
             if not 0.0 <= flow.request_ratio <= 1.0:
@@ -659,7 +668,7 @@ class ScenarioSpec:
                 if not flow.project:
                     raise ScenarioError(f"{where}: sweeps need a project")
                 total = flow.packets_per_day * len(flow.days())
-                if _usable_hosts(flow.dst) > total:
+                if _usable_hosts(dst_net) > total:
                     raise ScenarioError(
                         f"{where}: destination CIDR larger than the {total} packets requested"
                     )
@@ -667,20 +676,22 @@ class ScenarioSpec:
                 raise ScenarioError(f"{where}: rdns_name needs rdns_project")
             if flow.honeypot not in (None, "ics", "all"):
                 raise ScenarioError(f"{where}: honeypot must be 'ics' or 'all'")
-        self._validate_pools()
+        self._validate_pools(networks)
 
-    def _validate_pools(self) -> None:
-        """Tagged source networks must not bleed into untagged traffic."""
+    def _validate_pools(self, networks) -> None:
+        """Tagged source networks must not bleed into untagged traffic.
+
+        networks: (flow, source network, destination network) per flow.
+        """
         tagged: list[tuple[ipaddress.IPv4Network, tuple[str, ...]]] = []
         plain: list[ipaddress.IPv4Network] = []
-        for flow in self.flows:
-            src_net = _as_network(flow.src)
+        for flow, src_net, dst_net in networks:
             if flow.tags():
                 tagged.append((src_net, flow.tags()))
             elif flow.kind in (INDUSTRIAL, SCANNER_SWEEP):
                 plain.append(src_net)
             if flow.kind in (INDUSTRIAL, SCANNER_SWEEP):
-                plain.append(_as_network(flow.dst))
+                plain.append(dst_net)
         for plain_net in plain:
             for tagged_net, tags in tagged:
                 if plain_net.overlaps(tagged_net):
@@ -701,8 +712,16 @@ def _as_network(spec: str) -> ipaddress.IPv4Network:
     return ipaddress.IPv4Network(spec if "/" in spec else spec + "/32")
 
 
-def _usable_hosts(spec: str) -> int:
-    network = _as_network(spec)
+def _flow_network(where: str, key: str, spec) -> ipaddress.IPv4Network:
+    """A flow's src or dst: an address, or a network without host bits."""
+    try:
+        return _as_network(spec)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {key} must be an IPv4 address or network, "
+                            f"got {spec!r} ({exc})") from None
+
+
+def _usable_hosts(network: ipaddress.IPv4Network) -> int:
     if network.prefixlen >= 31:
         return network.num_addresses
     return network.num_addresses - 2

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The oracle corpora are generated once per session; pipeline runtime
-bounds are asserted on the analysis stages themselves.
+lines. The oracle corpora are generated once per session (conftest.py);
+pipeline runtime bounds are asserted on the analysis stages themselves.
 """
 
 import itertools
@@ -47,7 +47,7 @@ from ics_scope.enrich import (
 )
 from ics_scope.metrics import extrapolate, host_stability
 from ics_scope.pipeline import CandidateStream, CaptureSource, PipelineConfig, run_analyze
-from ics_scope.sanitize import KEPT, VantageCounts, default_catalog, sanitize_candidate
+from ics_scope.sanitize import KEPT, default_catalog, retention, sanitize_candidate
 from ics_scope.trafficgen import ScenarioSpec, generate, golden_packets
 from oracles import is_local
 
@@ -188,19 +188,6 @@ def _scenario_mixed():
     }
 
 
-@pytest.fixture(scope="session")
-def oracle_corpora(tmp_path_factory):
-    base = tmp_path_factory.mktemp("oracle")
-    corpora = {}
-    for name, raw in (
-        ("industrial_stable", _scenario_industrial_stable()),
-        ("scanner_sweep", _scenario_scanner_sweep()),
-        ("mixed", _scenario_mixed()),
-    ):
-        corpora[name] = generate(ScenarioSpec.from_dict(raw), base / name)
-    return corpora
-
-
 def _load_truth(corpus):
     with open(corpus.ground_truth) as fh:
         return [json.loads(line) for line in fh]
@@ -271,9 +258,9 @@ def test_criterion_2_sanitization_arithmetic(tmp_path):
                              default_catalog())
     for _ in stream:
         pass
-    report = stream.report
-    counts = (report.candidates_in, report.after_tunnel, report.after_malformed,
-              report.after_dpi)
+    total, _ = retention(stream.events)
+    counts = (total["candidates_in"], total["after_tunnel"], total["after_malformed"],
+              total["after_dpi"])
     assert counts == (100, 99, 14, 13), counts
     print(f"\nACCEPTANCE 2 sanitization arithmetic 100/99/14/13: PASS {counts}")
 
@@ -295,8 +282,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         records = list(read_capture(corpus.pcap, meta))
         dissections = [dissect(record) for record in records]
         pairs = [(r, d) for r, d in zip(records, dissections) if d is not None]
-        counts = VantageCounts()
-        verdicts = [sanitize_candidate(r, d, catalog, counts) for r, d in pairs]
+        verdicts = [sanitize_candidate(r, d, catalog) for r, d in pairs]
         kept = [pair for pair, verdict in zip(pairs, verdicts) if verdict == KEPT]
         kept_reasons = [
             classify(record.src_ip, record.dst_ip, registry, rdns, honeypots)

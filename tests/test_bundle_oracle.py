@@ -50,18 +50,24 @@ def test_bundle_matches_checker(mixed, tmp_path, family, label):
     assert _check(config, mixed, tmp_path / "bundle") == []
 
 
-def test_two_capture_split_matches_checker(mixed, tmp_path):
-    """The first half of the records at one vantage, the rest at another."""
-    data = mixed.pcap.read_bytes()
+def _split_captures(corpus) -> list[dict]:
+    """Config entries for the first half of the records at the corpus's own
+    vantage and the rest at vantage ixp2 with another sample interval."""
+    data = corpus.pcap.read_bytes()
     records = [record for record, _, _, _ in checker.pcap_records(data)]
     half = len(records) // 2
     for name, part in (("first.pcap", records[:half]), ("second.pcap", records[half:])):
-        (mixed.out_dir / name).write_bytes(data[:24] + b"".join(part))
-    template = json.loads(mixed.config.read_text())["captures"][0]
-    config = _variant(mixed, "config-split", captures=[
+        (corpus.out_dir / name).write_bytes(data[:24] + b"".join(part))
+    template = json.loads(corpus.config.read_text())["captures"][0]
+    return [
         {**template, "path": "first.pcap"},
         {**template, "path": "second.pcap", "vantage": "ixp2", "sample_interval": 4096},
-    ])
+    ]
+
+
+def test_two_capture_split_matches_checker(mixed, tmp_path):
+    """The first half of the records at one vantage, the rest at another."""
+    config = _variant(mixed, "config-split", captures=_split_captures(mixed))
     assert _check(config, mixed, tmp_path / "bundle") == []
 
 

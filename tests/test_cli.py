@@ -5,7 +5,7 @@ import pytest
 
 from ics_scope import __version__
 from ics_scope.cli import main
-from ics_scope.trafficgen import write_pcap
+from ics_scope.trafficgen import golden_packets, write_pcap
 
 SCENARIO = {
     "seed": 9,
@@ -267,12 +267,23 @@ def test_dissect_golden_modbus(tmp_path, capsys, golden_dir):
     assert lines[0]["action"] == "read_holding_registers"
 
 
+ARP_FRAME = b"\xff" * 6 + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x06" + b"\x00" * 28
+
+
 def test_dissect_arp_only_pcap_empty(tmp_path, capsys):
-    arp = (b"\xff" * 6 + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x06" + b"\x00" * 28)
     path = tmp_path / "arp.pcap"
-    write_pcap(path, [(0, arp)])
+    write_pcap(path, [(0, ARP_FRAME)])
     assert main(["dissect", str(path)]) == 0
     assert capsys.readouterr().out.strip() == ""
+
+
+def test_dissect_index_is_the_frame_position(tmp_path, capsys):
+    modbus = next(p for p in golden_packets() if p.name == "modbus_wellformed")
+    path = tmp_path / "arp_then_modbus.pcap"
+    write_pcap(path, [(0, ARP_FRAME), (1, modbus.frame)])
+    assert main(["dissect", str(path)]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [(l["index"], l["protocol"]) for l in lines] == [(1, "modbus")]
 
 
 def test_dissect_reports_malformed(tmp_path, capsys, golden_dir):
@@ -289,6 +300,34 @@ def test_gen_malformed_spec_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["gen", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def _flow(index, **changes):
+    def edit(raw):
+        raw["flows"][index] = {**raw["flows"][index], **changes}
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_flow(0, src="10.0.0.1/24"), "flow 0 (industrial/bacnet): src must be an IPv4",
+                 id="src-host-bits"),
+    pytest.param(_flow(0, src=5), "flow 0 (industrial/bacnet): src must be an IPv4",
+                 id="src-number"),
+    pytest.param(lambda raw: raw["flows"].append("x"), "flow 2: expected an object, got 'x'",
+                 id="flow-text"),
+    pytest.param(_flow(1, schedule="x"), "flow 1: schedule must be an object, got 'x'",
+                 id="schedule-text"),
+    pytest.param(lambda raw: raw["flows"].append(
+        {**raw["flows"][1], "kind": "backscatter", "dst": "100.64.0.1/8"}),
+        "flow 2 (backscatter/modbus): dst must be an IPv4", id="backscatter-dst-host-bits"),
+])
+def test_gen_malformed_flow_exit_2(tmp_path, capsys, edit, message):
+    raw = json.loads(json.dumps(SCENARIO))
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["gen", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_gen_out_of_range_schedule_exit_2(tmp_path, capsys):

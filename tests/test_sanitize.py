@@ -1,7 +1,9 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ics_scope.capture import record_from_frame
 from ics_scope.dissectors import dissect
@@ -10,13 +12,17 @@ from ics_scope.sanitize import (
     DROPPED_MALFORMED,
     DROPPED_TUNNEL,
     KEPT,
+    PORT_ONLY,
+    VERDICTS,
     DpiCatalog,
-    SanitizeReport,
     default_catalog,
     dpi_cross_check,
     drop_malformed,
     is_port_only,
+    pct,
+    retention,
     sanitize_candidate,
+    sanitize_rows,
     strip_tunnels,
 )
 from ics_scope.trafficgen import (
@@ -30,14 +36,15 @@ from ics_scope.trafficgen import (
 )
 
 
-def _sanitize(pairs):
-    """One verdict per candidate from sanitize_candidate, and the report it
-    counts them in, as one capture of vantage "vp"."""
-    report = SanitizeReport()
-    counts = report.vantage("vp")
-    verdicts = [sanitize_candidate(record, dissection, default_catalog(), counts)
+def _sanitize(pairs, port_only=0):
+    """One verdict per candidate from sanitize_candidate, and the retention
+    figures of those verdicts and port_only port-only records, counted as
+    one capture of vantage "vp"."""
+    verdicts = [sanitize_candidate(record, dissection, default_catalog())
                 for record, dissection in pairs]
-    return verdicts, report
+    events = Counter(("vp", verdict) for verdict in verdicts)
+    events[("vp", PORT_ONLY)] += port_only
+    return verdicts, retention(events)[0]
 
 
 def _kept(pairs, verdicts):
@@ -103,7 +110,7 @@ def test_dpi_http_signature_fires_when_forced():
     frame = build_frame("10.0.3.1", "10.0.3.2", "tcp", 49152, 502,
                         b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
     record = record_from_frame(frame)
-    assert dpi_cross_check(record) == DROPPED_KNOWN_PROTOCOL
+    assert dpi_cross_check(record, default_catalog()) == DROPPED_KNOWN_PROTOCOL
     # The pipeline never routes it here as a candidate: the port-502 packet
     # dissects as malformed modbus and dies one step earlier.
     assert dissect(record).verdict == "malformed"
@@ -113,7 +120,7 @@ def test_dpi_tls_signature_fires_but_is_pipeline_unreachable():
     frame = build_frame("10.0.4.1", "10.0.4.2", "tcp", 49152, 2404,
                         bytes.fromhex("16030100100a0b") + b"\x00" * 12)
     record = record_from_frame(frame)
-    assert dpi_cross_check(record) == DROPPED_KNOWN_PROTOCOL
+    assert dpi_cross_check(record, default_catalog()) == DROPPED_KNOWN_PROTOCOL
     assert dissect(record) is None  # start byte 0x16 never matches on 2404
 
 
@@ -123,7 +130,7 @@ def test_dpi_tls_signature_spares_modbus_transaction_0x1603():
     assert payload.startswith(bytes.fromhex("1603000000060103"))
     record, dissection = _pair(build_frame("10.0.4.3", "10.0.4.4", "tcp", 49152, 502, payload))
     assert (dissection.protocol, dissection.verdict) == ("modbus", "well_formed")
-    assert dpi_cross_check(record) == KEPT
+    assert dpi_cross_check(record, default_catalog()) == KEPT
     assert _sanitize([(record, dissection)])[0] == [KEPT]
 
 
@@ -132,19 +139,19 @@ def test_dpi_dns_chimera_survives_to_step_three():
     assert dissection.verdict == "well_formed"
     assert strip_tunnels(dissection) == KEPT
     assert drop_malformed(dissection) == KEPT
-    assert dpi_cross_check(record) == DROPPED_KNOWN_PROTOCOL
+    assert dpi_cross_check(record, default_catalog()) == DROPPED_KNOWN_PROTOCOL
 
 
 def test_dpi_ssh_and_ntp_checks():
     ssh = record_from_frame(build_frame("10.0.5.1", "10.0.5.2", "tcp", 49152, 49153,
                                         b"SSH-2.0-OpenSSH_8.9\r\n"))
-    assert dpi_cross_check(ssh) == DROPPED_KNOWN_PROTOCOL
+    assert dpi_cross_check(ssh, default_catalog()) == DROPPED_KNOWN_PROTOCOL
     ntp = record_from_frame(build_frame("10.0.5.3", "10.0.5.4", "udp", 123, 49155,
                                         bytes([0x23]) + b"\x00" * 47))
-    assert dpi_cross_check(ntp) == DROPPED_KNOWN_PROTOCOL
+    assert dpi_cross_check(ntp, default_catalog()) == DROPPED_KNOWN_PROTOCOL
     short_ntp = record_from_frame(build_frame("10.0.5.3", "10.0.5.4", "udp", 123, 49155,
                                               bytes([0x23]) + b"\x00" * 10))
-    assert dpi_cross_check(short_ntp) == KEPT
+    assert dpi_cross_check(short_ntp, default_catalog()) == KEPT
 
 
 def test_catalog_rejects_bad_entries():
@@ -160,10 +167,10 @@ def test_sanitize_counts_and_order():
     pairs.insert(3, _malformed_pair())
     pairs.append(_chimera_pair())
     verdicts, report = _sanitize(pairs)
-    assert report.candidates_in == 8
-    assert report.after_tunnel == 7
-    assert report.after_malformed == 6
-    assert report.after_dpi == 5
+    assert report["candidates_in"] == 8
+    assert report["after_tunnel"] == 7
+    assert report["after_malformed"] == 6
+    assert report["after_dpi"] == 5
     assert verdicts.count(KEPT) == 5
     assert verdicts[1] == DROPPED_TUNNEL
     assert verdicts[3] == DROPPED_MALFORMED
@@ -172,23 +179,23 @@ def test_sanitize_counts_and_order():
     kept_ids = [id(r) for r, _ in _kept(pairs, verdicts)]
     expected = [id(r) for r, d in pairs
                 if strip_tunnels(d) == KEPT and drop_malformed(d) == KEPT
-                and dpi_cross_check(r) == KEPT]
+                and dpi_cross_check(r, default_catalog()) == KEPT]
     assert kept_ids == expected
 
 
 def test_sanitize_empty_input():
     _, report = _sanitize([])
-    assert report.candidates_in == 0
-    assert report.pct(0) is None
-    assert all(row["remaining_pct"] is None for row in report.rows())
+    assert report["candidates_in"] == 0
+    assert pct(0, report["candidates_in"]) is None
+    assert all(row["remaining_pct"] is None for row in sanitize_rows(report))
 
 
 def test_sanitize_idempotent():
     pairs = [_bacnet_pair(), _tunnel_pair(), _malformed_pair(), _chimera_pair()]
     kept = _kept(pairs, _sanitize(pairs)[0])
     verdicts, report = _sanitize(kept)
-    assert report.candidates_in == len(kept)
-    assert report.after_dpi == len(kept)
+    assert report["candidates_in"] == len(kept)
+    assert report["after_dpi"] == len(kept)
     assert all(v == KEPT for v in verdicts)
 
 
@@ -201,7 +208,7 @@ def test_kept_set_invariant_under_step_order():
     predicates = {
         "tunnel": lambda r, d: strip_tunnels(d) == KEPT,
         "malformed": lambda r, d: drop_malformed(d) == KEPT,
-        "dpi": lambda r, d: dpi_cross_check(r) == KEPT,
+        "dpi": lambda r, d: dpi_cross_check(r, default_catalog()) == KEPT,
     }
     reference = None
     for order in itertools.permutations(predicates):
@@ -228,7 +235,7 @@ def test_verdict_partition_sums_to_candidates():
              _bacnet_pair()]
     verdicts, report = _sanitize(pairs)
     counts = Counter(verdicts)
-    assert sum(counts.values()) == report.candidates_in == 5
+    assert sum(counts.values()) == report["candidates_in"] == 5
     assert set(counts) <= {KEPT, DROPPED_TUNNEL, DROPPED_MALFORMED, DROPPED_KNOWN_PROTOCOL}
 
 
@@ -242,20 +249,28 @@ def test_port_only_baseline_ratio():
     records = [record_from_frame(f) for f in frames]
     assert sum(map(is_port_only, records)) == 10
     pairs = [(r, dissect(r)) for r in records]
-    _, report = _sanitize(pairs)
-    assert report.after_dpi == 2
-    report.vantage("vp").port_only = sum(map(is_port_only, records))
-    assert report.port_only_pct == 500.0
+    _, report = _sanitize(pairs, port_only=sum(map(is_port_only, records)))
+    assert report["after_dpi"] == 2
+    assert sanitize_rows(report)[-1]["remaining_pct"] == 500.0
 
 
-def test_report_merge_is_associative_enough():
-    a = _sanitize([_bacnet_pair()])[1]
-    b = _sanitize([_malformed_pair(), _bacnet_pair()])[1]
-    merged = a.merge(b)
-    assert merged.candidates_in == 3
-    assert merged.after_dpi == 2
-    swapped = b.merge(a)
-    assert vars(swapped.vantage("vp")) == vars(merged.vantage("vp"))
+@given(st.lists(st.tuples(st.text(alphabet="ab", max_size=2),
+                          st.sampled_from(VERDICTS + (PORT_ONLY,)))))
+def test_retention_per_vantage_sums_to_totals(events):
+    total, per_vantage = retention(Counter(events))
+    assert set(per_vantage) == {vantage for vantage, _ in events}
+    for figures in (total, *per_vantage.values()):
+        assert (figures["candidates_in"] >= figures["after_tunnel"]
+                >= figures["after_malformed"] >= figures["after_dpi"])
+    for key, value in total.items():
+        assert sum(figures[key] for figures in per_vantage.values()) == value
+    seen = Counter(event for _, event in events)
+    chain = [total[key] for key in ("candidates_in", "after_tunnel", "after_malformed",
+                                    "after_dpi")]
+    assert chain[0] == sum(seen[verdict] for verdict in VERDICTS)
+    assert [a - b for a, b in zip(chain, chain[1:])] == [
+        seen[DROPPED_TUNNEL], seen[DROPPED_MALFORMED], seen[DROPPED_KNOWN_PROTOCOL]]
+    assert total["port_only"] == seen[PORT_ONLY]
 
 
 def test_default_catalog_loads_all_signatures():
