@@ -218,7 +218,9 @@ class PcapReader:
     """Streaming reader over a classic pcap file.
 
     Iterating yields PacketRecords in file order and raises CaptureError at
-    a record cut short by the end of the file. Skip counters and frame
+    a record cut short by the end of the file. A record holding more bytes
+    than the file header's snaplen (when non-zero) cannot come from that
+    capture and is skipped as "over_snaplen". Skip counters and frame
     totals are reliable once iteration stops; records_yielded plus the sum
     of skipped reasons always equals frames_read.
     """
@@ -247,7 +249,7 @@ class PcapReader:
             self._fh.close()
             raise CaptureError(f"{self.path}: unknown pcap magic {header[:4].hex()}")
         self._nanos = magic == PCAP_MAGIC_NANOS
-        _, _, _, _, _, linktype = struct.unpack(self._endian + "HHiIII", header[4:])
+        _, _, _, _, self.snaplen, linktype = struct.unpack(self._endian + "HHiIII", header[4:])
         if linktype != LINKTYPE_ETHERNET:
             self._fh.close()
             raise CaptureError(f"{self.path}: unsupported link type {linktype}, expected Ethernet")
@@ -260,6 +262,8 @@ class PcapReader:
         if self._fh.closed:  # single-consumer stream; a second pass needs a new reader
             return
         rec_header = struct.Struct(self._endian + "IIII")
+        # A file header snaplen of 0 sets no limit; incl_len is 32 bits.
+        max_incl_len = self.snaplen or 0xFFFFFFFF
         try:
             while True:
                 head = self._fh.read(16)
@@ -274,6 +278,9 @@ class PcapReader:
                     raise CaptureError(f"{self.path}: record {self.frames_read}: runs past the "
                                        f"end of the file ({len(data)} of {incl_len} bytes)")
                 self.frames_read += 1
+                if incl_len > max_incl_len:
+                    self.skipped["over_snaplen"] += 1
+                    continue
                 ts = sec * 1_000_000 + (frac // 1000 if self._nanos else frac)
                 record, reason = _decode_frame(data[: self.meta.snap_len], ts)
                 if record is None:

@@ -110,7 +110,7 @@ def _cmd_dissect(args) -> int:
 
 def _cmd_sanitize(args) -> int:
     meta = CaptureMeta("cli", snap_len=args.snap_len)
-    stream = CandidateStream([CaptureSource(Path(args.pcap), meta)], default_catalog())
+    stream = CandidateStream(CaptureSource(Path(args.pcap), meta), default_catalog())
     for _ in stream:
         pass
     print("step,remaining_count,remaining_pct")

@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import metrics
@@ -246,52 +247,186 @@ def _share_pct(share: float | None) -> float | None:
 
 
 class CandidateStream:
-    """One pass over captures from pcap record to sanitize verdict.
+    """One pass over one capture from pcap record to sanitize verdict.
 
-    Iterating yields (source, record, dissection) for each kept candidate, in
-    capture and file order. Every record is read once, checked once by the
-    port-only predicate and dissected once; every candidate gets one verdict.
-    The counts are complete once iteration ends: events holds one
+    Iterating yields (record, dissection) for each kept candidate, in file
+    order. Every record is read once, checked once by the port-only
+    predicate and dissected once; every candidate gets one verdict. The
+    counts are complete once iteration ends: events holds one
     (vantage, verdict) per candidate and one (vantage, PORT_ONLY) per
-    port-only record, a capture's vantage coming from its CaptureMeta;
+    port-only record, the vantage coming from the capture's CaptureMeta;
     candidates holds the candidates per protocol, notes the dissector notes
-    and readers one summary per capture.
+    and reader the reader's summary.
     """
 
-    def __init__(self, captures: list[CaptureSource], catalog: DpiCatalog):
-        self.captures = captures
+    def __init__(self, source: CaptureSource, catalog: DpiCatalog):
+        self.source = source
         self.catalog = catalog
         self.events: Counter[tuple[str, str]] = Counter()
         self.candidates: Counter[str] = Counter()
         self.notes: Counter[str] = Counter()
-        self.readers: list[dict] = []
+        self.reader: dict = {}
 
     def __iter__(self):
         events = self.events
-        for source in self.captures:
-            vantage = source.meta.vantage
-            port_only = (vantage, PORT_ONLY)
-            reader = read_capture(source.path, source.meta)
-            for record in reader:
-                if is_port_only(record):
-                    events[port_only] += 1
-                dissection = dissect(record, self.notes)
-                if dissection is None:
-                    continue
-                self.candidates[dissection.protocol] += 1
-                verdict = sanitize_candidate(record, dissection, self.catalog)
-                events[(vantage, verdict)] += 1
-                if verdict == KEPT:
-                    yield source, record, dissection
-            self.readers.append(
-                {
-                    "path": str(source.path),
-                    "vantage": vantage,
-                    "frames_read": reader.frames_read,
-                    "records": reader.records_yielded,
-                    "skipped": dict(sorted(reader.skipped.items())),
-                }
-            )
+        vantage = self.source.meta.vantage
+        port_only = (vantage, PORT_ONLY)
+        reader = read_capture(self.source.path, self.source.meta)
+        for record in reader:
+            if is_port_only(record):
+                events[port_only] += 1
+            dissection = dissect(record, self.notes)
+            if dissection is None:
+                continue
+            self.candidates[dissection.protocol] += 1
+            verdict = sanitize_candidate(record, dissection, self.catalog)
+            events[(vantage, verdict)] += 1
+            if verdict == KEPT:
+                yield record, dissection
+        self.reader = {
+            "path": str(self.source.path),
+            "vantage": vantage,
+            "frames_read": reader.frames_read,
+            "records": reader.records_yielded,
+            "skipped": dict(sorted(reader.skipped.items())),
+        }
+
+
+@dataclass
+class CaptureState:
+    """What the report bundle needs of one capture, or of several combined.
+
+    Every field is a Counter, a set or a list, so the state of several
+    captures is theirs combined by Counter addition, set union and list
+    concatenation (_combine). Every report sorts what it derives from a
+    state, so the order of combining never shows in the bundle.
+    """
+
+    events: Counter = field(default_factory=Counter)  # CandidateStream.events
+    candidates: Counter = field(default_factory=Counter)  # candidates per protocol
+    notes: Counter = field(default_factory=Counter)  # dissector notes
+    readers: list = field(default_factory=list)  # one reader summary per capture
+    # Kept packets per (protocol, direction, classify reasons).
+    filter_counts: Counter = field(default_factory=Counter)
+    # Kept packets per (vantage, protocol, day, industrial, sample_interval).
+    daily_counts: Counter = field(default_factory=Counter)
+    # Kept packets per (protocol, label, name), the name a transition or a
+    # domestic status: two disjoint sets of names.
+    groups: Counter = field(default_factory=Counter)
+    # (destination, day) of kept packets under the configured stability label.
+    stable_days: set = field(default_factory=set)
+    # (source AS, protocol) of kept requests from a resolved source AS.
+    request_protocols: set = field(default_factory=set)
+    # (protocol, "source" or "destination", address) of kept packets.
+    passive_hosts: set = field(default_factory=set)
+
+
+def capture_state(source: CaptureSource, config: PipelineConfig,
+                  inputs: LoadedInputs) -> CaptureState:
+    """Stream one capture and derive its complete run state.
+
+    Every report is a function of a kept packet's key, so the stream only
+    counts keys; classification and enrichment run once per distinct key.
+    """
+    stream = CandidateStream(source, inputs.dpi_catalog)
+    keys: Counter[tuple] = Counter()
+    for record, dissection in stream:
+        keys[(dissection.protocol, direction(record), record.src_ip, record.dst_ip,
+              record.day)] += 1
+
+    vantage, sample_interval = source.meta.vantage, source.meta.sample_interval
+    active = FILTER_FAMILIES[config.filters]
+    filter_counts: Counter[tuple] = Counter()
+    daily_counts: Counter[tuple] = Counter()
+    groups: Counter[tuple[str, str, str]] = Counter()
+    stable_days: set[tuple] = set()
+    request_protocols: set[tuple[int, str]] = set()
+    passive_hosts: set[tuple[str, str, int]] = set()
+    for key, n in keys.items():
+        protocol, packet_direction, src_ip, dst_ip, day = key
+        reasons = classify(src_ip, dst_ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
+        label = label_under(reasons, active)
+        filter_counts[(protocol, packet_direction, reasons)] += n
+        daily_counts[(vantage, protocol, day, label == INDUSTRIAL, sample_interval)] += n
+        if config.stability_label == "all" or label == config.stability_label:
+            stable_days.add((dst_ip, day))
+        passive_hosts.add((protocol, "source", src_ip))
+        passive_hosts.add((protocol, "destination", dst_ip))
+
+        src_asn = inputs.asn_table.lookup(src_ip) if inputs.asn_table else None
+        dst_asn = inputs.asn_table.lookup(dst_ip) if inputs.asn_table else None
+        if packet_direction == REQUEST and src_asn is not None:
+            request_protocols.add((src_asn, protocol))
+        ingress = inputs.topology.resolve_member(src_asn, tag=f"{vantage}:in")
+        egress = inputs.topology.resolve_member(dst_asn, tag=f"{vantage}:out")
+        groups[(protocol, label, transition(src_asn, dst_asn, ingress, egress,
+                                            inputs.topology))] += n
+        domestic = is_domestic(src_ip, dst_ip, inputs.geo) if inputs.geo is not None else None
+        status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
+        groups[(protocol, label, status)] += n
+    return CaptureState(
+        events=stream.events, candidates=stream.candidates, notes=stream.notes,
+        readers=[stream.reader], filter_counts=filter_counts, daily_counts=daily_counts,
+        groups=groups, stable_days=stable_days, request_protocols=request_protocols,
+        passive_hosts=passive_hosts,
+    )
+
+
+def _combine(states) -> CaptureState:
+    """The run state of several captures: Counters add, sets unite, lists concatenate."""
+    total = CaptureState()
+    for state in states:
+        for f in fields(CaptureState):
+            combined = getattr(total, f.name)
+            if isinstance(combined, set):
+                combined |= getattr(state, f.name)
+            else:
+                combined += getattr(state, f.name)
+    return total
+
+
+# The config and inputs of the run a pool worker serves. _init_worker sets
+# them in each worker, which inherits them from the parent through fork, so
+# they are never pickled.
+_worker_run: tuple[PipelineConfig, LoadedInputs] | None = None
+
+
+def _init_worker(config: PipelineConfig, inputs: LoadedInputs) -> None:
+    global _worker_run
+    _worker_run = (config, inputs)
+
+
+def _worker_state(source: CaptureSource) -> CaptureState:
+    return capture_state(source, *_worker_run)
+
+
+def _run_captures(config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
+    """Every capture's state, combined in config order.
+
+    The captures run in a fork pool of min(captures, CPUs this process may
+    use) workers; with one worker they run in this process, and a run
+    that never needs a pool never imports multiprocessing. A worker that
+    dies (killed for memory, say) fails the run with BrokenProcessPool
+    rather than leave it waiting for a result that never comes.
+    """
+    captures = config.captures
+    workers = min(len(captures), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return _combine(capture_state(source, config, inputs) for source in captures)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker,
+                             (config, inputs)) as pool:
+        return _combine(pool.map(_worker_state, captures))
+
+
+def _by_first(pairs) -> dict:
+    """{a: {b, ...}} from a set of (a, b) pairs."""
+    grouped: dict = {}
+    for a, b in pairs:
+        grouped.setdefault(a, set()).add(b)
+    return grouped
 
 
 def run_analyze(config: PipelineConfig, out_dir) -> dict:
@@ -299,50 +434,13 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     inputs = load_inputs(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    active = FILTER_FAMILIES[config.filters]
-
-    # Every report is a function of a kept packet's key, so the stream only
-    # counts keys; classification and enrichment run once per distinct key.
-    stream = CandidateStream(config.captures, inputs.dpi_catalog)
-    keys: Counter[tuple] = Counter()
-    for source, record, dissection in stream:
-        keys[(source.meta.vantage, source.meta.sample_interval, dissection.protocol,
-              direction(record), record.src_ip, record.dst_ip, record.day)] += 1
-
-    filter_counts: Counter[tuple] = Counter()
-    daily_counts: Counter[tuple] = Counter()
-    stable_days: dict[int, set] = {}
-    request_protocols: dict[int, set[str]] = {}
-    # Per (protocol, label): packets per transition and per domestic status,
-    # two disjoint sets of names in one Counter.
-    groups: dict[tuple[str, str], Counter[str]] = {}
-    passive_hosts: dict[str, dict[str, set[int]]] = {}
-    for key, n in keys.items():
-        vantage, sample_interval, protocol, packet_direction, src_ip, dst_ip, day = key
-        reasons = classify(src_ip, dst_ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
-        label = label_under(reasons, active)
-        filter_counts[(protocol, packet_direction, reasons)] += n
-        daily_counts[(vantage, protocol, day, label == INDUSTRIAL, sample_interval)] += n
-        if config.stability_label == "all" or label == config.stability_label:
-            stable_days.setdefault(dst_ip, set()).add(day)
-        hosts = passive_hosts.setdefault(protocol, {"source": set(), "destination": set()})
-        hosts["source"].add(src_ip)
-        hosts["destination"].add(dst_ip)
-
-        src_asn = inputs.asn_table.lookup(src_ip) if inputs.asn_table else None
-        dst_asn = inputs.asn_table.lookup(dst_ip) if inputs.asn_table else None
-        if packet_direction == REQUEST and src_asn is not None:
-            request_protocols.setdefault(src_asn, set()).add(protocol)
-        ingress = inputs.topology.resolve_member(src_asn, tag=f"{vantage}:in")
-        egress = inputs.topology.resolve_member(dst_asn, tag=f"{vantage}:out")
-        counts = groups.setdefault((protocol, label), Counter())
-        counts[transition(src_asn, dst_asn, ingress, egress, inputs.topology)] += n
-        domestic = is_domestic(src_ip, dst_ip, inputs.geo) if inputs.geo is not None else None
-        status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
-        counts[status] += n
+    state = _run_captures(config, inputs)
 
     # --- report bundle -----------------------------------------------------
 
+    groups: dict[tuple[str, str], Counter[str]] = {}
+    for (protocol, label, name), n in state.groups.items():
+        groups.setdefault((protocol, label), Counter())[name] = n
     transition_rows = []
     domestic_rows = []
     for (protocol, label), counts in sorted(groups.items()):
@@ -354,7 +452,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
                               counts["domestic"], resolved, counts["unresolved"]])
 
     daily_rows = []
-    for (vantage, protocol), rows in metrics.daily_series(daily_counts).items():
+    for (vantage, protocol), rows in metrics.daily_series(state.daily_counts).items():
         for row in rows:
             daily_rows.append([row.day, row.total, row.extrapolated_total,
                                f"{vantage}:{protocol}:total"])
@@ -362,22 +460,26 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
                                f"{vantage}:{protocol}:industrial"])
 
     # Formatted before sorting: the report orders hosts by address string.
-    stability = metrics.host_stability({int_to_ip(ip): days for ip, days in stable_days.items()})
-    total, per_vantage = retention(stream.events)
+    stability = metrics.host_stability(
+        {int_to_ip(ip): days for ip, days in _by_first(state.stable_days).items()})
+    total, per_vantage = retention(state.events)
     steps = sanitize_rows(total)
-    family_rows = filter_report(filter_counts)
+    family_rows = filter_report(state.filter_counts)
     share_columns = ["request_share"] + [column for _, column, _ in FAMILIES]
-    overlap_rows = scan_overlap(passive_hosts, inputs.scan_snapshot)
+    passive: dict[str, dict[str, set[int]]] = {}
+    for protocol, role, ip in state.passive_hosts:
+        passive.setdefault(protocol, {}).setdefault(role, set()).add(ip)
+    overlap_rows = scan_overlap(passive, inputs.scan_snapshot)
     summary = {
-        "captures": stream.readers,
-        "frames_read": sum(r["frames_read"] for r in stream.readers),
-        "records": sum(r["records"] for r in stream.readers),
+        "captures": state.readers,
+        "frames_read": sum(r["frames_read"] for r in state.readers),
+        "records": sum(r["records"] for r in state.readers),
         "candidates": total["candidates_in"],
         "kept": total["after_dpi"],
         "filters": config.filters,
         "stability_label": config.stability_label,
         "stability_window": "inclusive of first and last day",
-        "dissect_notes": dict(sorted(stream.notes.items())),
+        "dissect_notes": dict(sorted(state.notes.items())),
     }
     bundle = {
         "sanitize.csv": _columns(steps, ["step", "remaining_count", "remaining_pct"]),
@@ -404,7 +506,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         "asn_protocols.csv": (
             ["asn", "distinct_protocols", "protocols", "suspicious"],
             [[asn, info["distinct"], ";".join(info["protocols"]), info["suspicious"]]
-             for asn, info in protocols_per_asn(request_protocols).items()],
+             for asn, info in protocols_per_asn(_by_first(state.request_protocols)).items()],
         ),
         "scan_overlap.csv": _columns(
             overlap_rows,
@@ -416,7 +518,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         "protocol_rank.csv": (
             ["rank", "protocol", "packets"],
             [[i + 1, protocol, count]
-             for i, (protocol, count) in enumerate(metrics.protocol_rank(stream.candidates))],
+             for i, (protocol, count) in enumerate(metrics.protocol_rank(state.candidates))],
         ),
         "run_summary.json": summary,
     }

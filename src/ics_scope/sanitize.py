@@ -91,24 +91,47 @@ class DpiCatalog:
         self.signatures = list(signatures)
 
     @classmethod
-    def from_entries(cls, entries: list[dict]) -> "DpiCatalog":
+    def from_entries(cls, entries, source: str = "DPI catalog") -> "DpiCatalog":
+        """Signatures from a JSON list of {name, transport, port_hint,
+        prefix_bytes, mask, check} objects; only name is required.
+
+        Any other shape raises ValueError naming the source, the entry or
+        signature and the key.
+        """
+        if not isinstance(entries, list):
+            raise ValueError(f"{source}: expected a list of signatures, "
+                             f"got {type(entries).__name__}")
         sigs = []
-        for entry in entries:
-            prefix = bytes.fromhex(entry.get("prefix_bytes", ""))
-            mask = bytes.fromhex(entry.get("mask", "")) or b"\xff" * len(prefix)
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"{source} entry {index}: expected an object, "
+                                 f"got {type(entry).__name__}")
+            name = entry.get("name")
+            # The name is what a match returns, so an empty one would never drop.
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"{source} entry {index}: 'name' must be a non-empty "
+                                 f"string, got {name!r}")
+            where = f"signature {name}"
+            prefix = _hex(entry, "prefix_bytes", where)
+            mask = _hex(entry, "mask", where) or b"\xff" * len(prefix)
             if len(mask) != len(prefix):
-                raise ValueError(f"signature {entry.get('name')}: mask/prefix length mismatch")
+                raise ValueError(f"{where}: mask/prefix length mismatch")
             check = entry.get("check")
-            if check is not None and check not in _STRUCTURAL_CHECKS:
-                raise ValueError(f"signature {entry.get('name')}: unknown check {check!r}")
+            if check is not None and (type(check) is not str or check not in _STRUCTURAL_CHECKS):
+                raise ValueError(f"{where}: unknown check {check!r}")
             transport = entry.get("transport")
-            if transport is not None and transport not in TRANSPORTS:
-                raise ValueError(f"signature {entry.get('name')}: unknown transport {transport!r}")
+            if transport is not None and (type(transport) is not str
+                                          or transport not in TRANSPORTS):
+                raise ValueError(f"{where}: unknown transport {transport!r}")
+            port_hint = entry.get("port_hint")
+            if port_hint is not None and (type(port_hint) is not int
+                                          or not 0 <= port_hint <= 65535):
+                raise ValueError(f"{where}: port_hint must be a port number, got {port_hint!r}")
             sigs.append(
                 DpiSignature(
-                    name=entry["name"],
+                    name=name,
                     ip_proto=None if transport is None else TRANSPORTS[transport],
-                    port_hint=entry.get("port_hint"),
+                    port_hint=port_hint,
                     prefix=prefix,
                     mask=mask,
                     check=check,
@@ -121,7 +144,7 @@ class DpiCatalog:
         import json
 
         with open(path) as fh:
-            return cls.from_entries(json.load(fh))
+            return cls.from_entries(json.load(fh), str(path))
 
     def match(self, record: PacketRecord) -> str | None:
         if record.ip_proto not in (TCP, UDP) or not record.payload:
@@ -130,6 +153,17 @@ class DpiCatalog:
             if sig.matches(record.ip_proto, record.src_port, record.dst_port, record.payload):
                 return sig.name
         return None
+
+
+def _hex(entry: dict, key: str, where: str) -> bytes:
+    """The bytes of an optional hex-string value of a catalog entry."""
+    value = entry.get(key, "")
+    if isinstance(value, str):
+        try:
+            return bytes.fromhex(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{where}: {key!r} must be a hex string, got {value!r}")
 
 
 @lru_cache(maxsize=1)

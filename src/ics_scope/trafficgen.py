@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .capture import REPLY, REQUEST, UNRELATED, int_to_ip, ip_to_int
+from .capture import REPLY, REQUEST, UNRELATED, CaptureMeta, int_to_ip, ip_to_int
 from .dissectors import (
     BACNET,
     DNP3,
@@ -576,6 +576,25 @@ class FlowSpec:
         return tuple(sorted(reasons))
 
 
+def _capture_meta(raw: dict) -> CaptureMeta:
+    """The scenario's capture setup, checked as analyze checks a capture entry.
+
+    These values go into the corpus's config.json as they are, so a value
+    analyze would refuse is a ScenarioError naming its key.
+    """
+    values = {}
+    for key, default, kind, name in (("vantage", "vp0", str, "a string"),
+                                     ("sample_interval", 1, int, "an integer"),
+                                     ("snap_len", 65535, int, "an integer")):
+        value = values[key] = raw.get(key, default)
+        if type(value) is not kind:
+            raise ScenarioError(f"{key} must be {name}, got {value!r}")
+    try:
+        return CaptureMeta(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid scenario spec: {exc}") from None
+
+
 @dataclass
 class ScenarioSpec:
     seed: int
@@ -617,14 +636,15 @@ class ScenarioSpec:
                         heuristic=bool(flow.get("heuristic", False)),
                     )
                 )
+            meta = _capture_meta(raw)
             spec = cls(
                 seed=int(raw["seed"]),
-                vantage=raw.get("vantage", "vp0"),
+                vantage=meta.vantage,
                 start_day=date.fromisoformat(raw["start_day"]),
                 end_day=date.fromisoformat(raw["end_day"]),
                 flows=flows,
-                sample_interval=int(raw.get("sample_interval", 1)),
-                snap_len=int(raw.get("snap_len", 65535)),
+                sample_interval=meta.sample_interval,
+                snap_len=meta.snap_len,
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ScenarioError):

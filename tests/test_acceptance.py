@@ -254,8 +254,7 @@ def test_criterion_2_sanitization_arithmetic(tmp_path):
     raw = {"seed": 404, "vantage": "vp", "start_day": "2018-01-01",
            "end_day": "2018-01-01", "flows": flows}
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
-    stream = CandidateStream([CaptureSource(corpus.pcap, _capture_meta(corpus))],
-                             default_catalog())
+    stream = CandidateStream(CaptureSource(corpus.pcap, _capture_meta(corpus)), default_catalog())
     for _ in stream:
         pass
     total, _ = retention(stream.events)

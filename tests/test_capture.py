@@ -69,6 +69,24 @@ def test_snap_truncation_recorded(tmp_path):
     assert record.payload_wire_len == 508 - 14 - 20 - 8
 
 
+@pytest.mark.parametrize("snaplen, over", [(80, 1), (0, 0)])
+def test_record_over_the_file_snaplen_is_skipped(tmp_path, snaplen, over):
+    short, long = _tcp_frame(), build_frame("10.0.0.1", "10.0.0.2", "udp", 1234, 47808,
+                                            b"\x00" * 100)
+    assert len(short) <= 80 < len(long)
+    path = tmp_path / "snap.pcap"
+    write_pcap(path, [(0, short), (1, long), (2, short)])
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 16, snaplen)  # the file header's snaplen field
+    path.write_bytes(bytes(data))
+    reader = read_capture(path, CaptureMeta("vp"))
+    records = list(reader)
+    assert reader.snaplen == snaplen
+    assert reader.skipped["over_snaplen"] == over
+    assert len(records) == 3 - over
+    assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read == 3
+
+
 def test_nanosecond_and_byteswapped_variants_agree(tmp_path):
     frame = _tcp_frame()
     ts_us = 1_500_000  # 1.5 s after the epoch

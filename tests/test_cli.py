@@ -330,6 +330,21 @@ def test_gen_malformed_flow_exit_2(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("vantage", 5, "vantage must be a string, got 5", id="vantage-number"),
+    pytest.param("sample_interval", 0, "sample_interval must be >= 1", id="sample-interval-0"),
+    pytest.param("sample_interval", "16384", "sample_interval must be an integer, got '16384'",
+                 id="sample-interval-text"),
+    pytest.param("snap_len", 20, "snap_len below 46 bytes", id="snap-len-20"),
+])
+def test_gen_refuses_a_capture_setup_analyze_refuses(tmp_path, capsys, key, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SCENARIO, key: value}))
+    assert main(["gen", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_out_of_range_schedule_exit_2(tmp_path, capsys):
     raw = json.loads(json.dumps(SCENARIO))
     raw["flows"][0]["schedule"]["end_day"] = "2019-01-01"

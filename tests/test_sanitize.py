@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -159,6 +160,29 @@ def test_catalog_rejects_bad_entries():
         DpiCatalog.from_entries([{"name": "x", "prefix_bytes": "aabb", "mask": "ff"}])
     with pytest.raises(ValueError, match="unknown check"):
         DpiCatalog.from_entries([{"name": "x", "check": "nope"}])
+
+
+# Each of these once escaped the loader as a TypeError, AttributeError or
+# KeyError (or, for an empty name, loaded a signature that never drops).
+@pytest.mark.parametrize("entries, message", [
+    pytest.param(None, "expected a list of signatures, got NoneType", id="not-a-list"),
+    pytest.param([None], "entry 0: expected an object, got NoneType", id="entry-null"),
+    pytest.param([{"prefix_bytes": "aa"}], "entry 0: 'name' must be a non-empty string",
+                 id="name-missing"),
+    pytest.param([{"name": ""}], "entry 0: 'name' must be a non-empty string", id="name-empty"),
+    pytest.param([{"name": "x", "prefix_bytes": None}], "'prefix_bytes' must be a hex string",
+                 id="prefix-null"),
+    pytest.param([{"name": "x", "prefix_bytes": "zz"}], "'prefix_bytes' must be a hex string",
+                 id="prefix-not-hex"),
+    pytest.param([{"name": "x", "check": []}], "unknown check []", id="check-list"),
+    pytest.param([{"name": "x", "transport": ["tcp"]}], "unknown transport ['tcp']",
+                 id="transport-list"),
+    pytest.param([{"name": "x", "port_hint": "53"}], "port_hint must be a port number",
+                 id="port-hint-text"),
+])
+def test_catalog_rejects_malformed_json(entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DpiCatalog.from_entries(entries)
 
 
 def test_sanitize_counts_and_order():
