@@ -8,6 +8,8 @@ with the frame count in the file.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ from .ports import PORTS, TCP, UDP
 PCAP_MAGIC_MICROS = 0xA1B2C3D4
 PCAP_MAGIC_NANOS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
+PCAP_HEADER_LEN = 24  # the file header; records follow it
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
@@ -215,28 +218,46 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
 
 
 class PcapReader:
-    """Streaming reader over a classic pcap file.
+    """Streaming reader over a classic pcap file, or over a byte range of it.
 
     Iterating yields PacketRecords in file order and raises CaptureError at
-    a record cut short by the end of the file. A record holding more bytes
-    than the file header's snaplen (when non-zero) cannot come from that
-    capture and is skipped as "over_snaplen". Skip counters and frame
-    totals are reliable once iteration stops; records_yielded plus the sum
-    of skipped reasons always equals frames_read.
+    a record cut short by the end of the file. A range [start, stop) of file
+    offsets selects the records whose 16-byte header starts inside it; the
+    reader reaches start by walking the earlier record headers, seeking past
+    their bodies. The ranges of any cut of the file into consecutive pieces
+    together yield exactly the whole file's records, and a record cut short
+    is raised by the one range its header starts in. A record holding more
+    bytes than the file header's snaplen (when non-zero) cannot come from
+    that capture and is skipped as "over_snaplen".
+
+    frames_read counts from the file's first record, walked ones included,
+    so an error names the same record index whatever the range; first_frame
+    is the index of the range's first record. Skip counters and frame totals
+    are reliable once iteration stops; records_yielded plus the sum of
+    skipped reasons always equals frames_read - first_frame.
     """
 
-    def __init__(self, path, meta: CaptureMeta):
+    def __init__(self, path, meta: CaptureMeta, start: int = PCAP_HEADER_LEN,
+                 stop: int | None = None):
         self.path = Path(path)
         self.meta = meta
+        self.start = max(start, PCAP_HEADER_LEN)
+        self.stop = stop
         self.skipped: Counter[str] = Counter()
+        self.first_frame = 0
         self.frames_read = 0
         self.records_yielded = 0
         try:
             self._fh = open(self.path, "rb")
         except OSError as exc:
             raise CaptureError(f"cannot open capture {self.path}: {exc}") from exc
-        header = self._fh.read(24)
-        if len(header) < 24:
+        info = os.fstat(self._fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            self._fh.close()
+            raise CaptureError(f"{self.path}: not a regular file")
+        self._size = info.st_size
+        header = self._fh.read(PCAP_HEADER_LEN)
+        if len(header) < PCAP_HEADER_LEN:
             self._fh.close()
             raise CaptureError(f"{self.path}: truncated pcap file header")
         magic_le = struct.unpack("<I", header[:4])[0]
@@ -261,22 +282,38 @@ class PcapReader:
     def __iter__(self):
         if self._fh.closed:  # single-consumer stream; a second pass needs a new reader
             return
+        fh, size = self._fh, self._size
         rec_header = struct.Struct(self._endian + "IIII")
         # A file header snaplen of 0 sets no limit; incl_len is 32 bits.
         max_incl_len = self.snaplen or 0xFFFFFFFF
+        stop = size if self.stop is None else min(self.stop, size)
+        pos = PCAP_HEADER_LEN
         try:
-            while True:
-                head = self._fh.read(16)
-                if not head:
+            while pos < self.start:
+                head = fh.read(16)
+                incl_len = rec_header.unpack(head)[2] if len(head) == 16 else size
+                if incl_len > size - pos - 16:
+                    # Cut short: raised by the range its header starts in;
+                    # this later range holds nothing.
+                    pos = size
                     break
+                fh.seek(incl_len, os.SEEK_CUR)
+                pos += 16 + incl_len
+                self.frames_read += 1
+            self.first_frame = self.frames_read
+            while pos < stop:
+                head = fh.read(16)
                 if len(head) < 16:
                     raise CaptureError(f"{self.path}: record {self.frames_read}: truncated "
                                        f"record header ({len(head)} of 16 bytes)")
                 sec, frac, incl_len, _ = rec_header.unpack(head)
-                data = self._fh.read(incl_len)
-                if len(data) < incl_len:
+                pos += 16
+                # Checked before reading, so a bogus length never becomes a buffer.
+                if incl_len > size - pos:
                     raise CaptureError(f"{self.path}: record {self.frames_read}: runs past the "
-                                       f"end of the file ({len(data)} of {incl_len} bytes)")
+                                       f"end of the file ({size - pos} of {incl_len} bytes)")
+                data = fh.read(incl_len)
+                pos += incl_len
                 self.frames_read += 1
                 if incl_len > max_incl_len:
                     self.skipped["over_snaplen"] += 1
@@ -292,9 +329,11 @@ class PcapReader:
             self.close()
 
 
-def read_capture(path, meta: CaptureMeta) -> PcapReader:
-    """Open a pcap for streaming; iterate the result to get PacketRecords."""
-    return PcapReader(path, meta)
+def read_capture(path, meta: CaptureMeta, start: int = PCAP_HEADER_LEN,
+                 stop: int | None = None) -> PcapReader:
+    """Open a pcap, or the byte range [start, stop) of it, for streaming;
+    iterate the result to get PacketRecords."""
+    return PcapReader(path, meta, start, stop)
 
 
 def record_from_frame(frame: bytes, ts: int = 0,

@@ -77,34 +77,49 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _dissect_lines(pcap, meta: CaptureMeta, out) -> None:
+    reader = read_capture(pcap, meta)
+    for record in reader:
+        dissection = dissect(record)
+        if dissection is None:
+            continue
+        out.write(
+            json.dumps(
+                {
+                    # The frame's position in the pcap, skipped frames included.
+                    "index": reader.frames_read - 1,
+                    "protocol": dissection.protocol,
+                    "kind": dissection.kind,
+                    "role": dissection.role,
+                    "function_code": dissection.function_code,
+                    "action": action_name(dissection.protocol, dissection.function_code),
+                    "verdict": dissection.verdict,
+                },
+                sort_keys=True,
+            )
+            + "\n"
+        )
+
+
 def _cmd_dissect(args) -> int:
     meta = CaptureMeta("cli", snap_len=args.snap_len)
-    out = open(args.out, "w") if args.out else sys.stdout
+    if not args.out:
+        _dissect_lines(args.pcap, meta, sys.stdout)
+        return 0
+    out = Path(args.out)
+    if out.exists() and not out.is_file():  # a device or a FIFO is written as it goes
+        with open(out, "w") as fh:
+            _dissect_lines(args.pcap, meta, fh)
+        return 0
+    # A sibling file renamed over --out once complete: a failed run leaves
+    # --out as it was.
+    partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
     try:
-        reader = read_capture(args.pcap, meta)
-        for record in reader:
-            dissection = dissect(record)
-            if dissection is None:
-                continue
-            out.write(
-                json.dumps(
-                    {
-                        # The frame's position in the pcap, skipped frames included.
-                        "index": reader.frames_read - 1,
-                        "protocol": dissection.protocol,
-                        "kind": dissection.kind,
-                        "role": dissection.role,
-                        "function_code": dissection.function_code,
-                        "action": action_name(dissection.protocol, dissection.function_code),
-                        "verdict": dissection.verdict,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        with open(partial, "x") as fh:
+            _dissect_lines(args.pcap, meta, fh)
+        os.replace(partial, out)
     finally:
-        if args.out:
-            out.close()
+        partial.unlink(missing_ok=True)
     return 0
 
 

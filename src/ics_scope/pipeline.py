@@ -10,12 +10,23 @@ import csv
 import json
 import logging
 import os
+import pickle
+import select
+import signal
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import metrics
-from .capture import REQUEST, CaptureMeta, direction, int_to_ip, read_capture
+from .capture import (
+    PCAP_HEADER_LEN,
+    REQUEST,
+    CaptureError,
+    CaptureMeta,
+    direction,
+    int_to_ip,
+    read_capture,
+)
 from .classify import (
     FAMILIES,
     FILTER_FAMILIES,
@@ -247,7 +258,8 @@ def _share_pct(share: float | None) -> float | None:
 
 
 class CandidateStream:
-    """One pass over one capture from pcap record to sanitize verdict.
+    """One pass over one capture, or a byte range of it, from pcap record to
+    sanitize verdict.
 
     Iterating yields (record, dissection) for each kept candidate, in file
     order. Every record is read once, checked once by the port-only
@@ -256,23 +268,25 @@ class CandidateStream:
     (vantage, verdict) per candidate and one (vantage, PORT_ONLY) per
     port-only record, the vantage coming from the capture's CaptureMeta;
     candidates holds the candidates per protocol, notes the dissector notes
-    and reader the reader's summary.
+    and reader the PcapReader with its frame counts.
     """
 
-    def __init__(self, source: CaptureSource, catalog: DpiCatalog):
+    def __init__(self, source: CaptureSource, catalog: DpiCatalog,
+                 start: int = PCAP_HEADER_LEN, stop: int | None = None):
         self.source = source
         self.catalog = catalog
+        self.range = (start, stop)
         self.events: Counter[tuple[str, str]] = Counter()
         self.candidates: Counter[str] = Counter()
         self.notes: Counter[str] = Counter()
-        self.reader: dict = {}
+        self.reader = None
 
     def __iter__(self):
         events = self.events
         vantage = self.source.meta.vantage
         port_only = (vantage, PORT_ONLY)
-        reader = read_capture(self.source.path, self.source.meta)
-        for record in reader:
+        self.reader = read_capture(self.source.path, self.source.meta, *self.range)
+        for record in self.reader:
             if is_port_only(record):
                 events[port_only] += 1
             dissection = dissect(record, self.notes)
@@ -283,29 +297,29 @@ class CandidateStream:
             events[(vantage, verdict)] += 1
             if verdict == KEPT:
                 yield record, dissection
-        self.reader = {
-            "path": str(self.source.path),
-            "vantage": vantage,
-            "frames_read": reader.frames_read,
-            "records": reader.records_yielded,
-            "skipped": dict(sorted(reader.skipped.items())),
-        }
+
+
+# The outcome a frame the reader yields counts under in CaptureState.frames;
+# a skipped frame counts under its skip reason.
+RECORD = "record"
 
 
 @dataclass
 class CaptureState:
-    """What the report bundle needs of one capture, or of several combined.
+    """What the report bundle needs of a byte range of one capture, or of
+    several ranges and captures combined.
 
-    Every field is a Counter, a set or a list, so the state of several
-    captures is theirs combined by Counter addition, set union and list
-    concatenation (_combine). Every report sorts what it derives from a
-    state, so the order of combining never shows in the bundle.
+    Every field is a Counter or a set, so the state of several ranges is
+    theirs combined by Counter addition and set union (_combine). Every
+    report sorts what it derives from a state, so how the captures were cut
+    and the order of combining never show in the bundle.
     """
 
     events: Counter = field(default_factory=Counter)  # CandidateStream.events
     candidates: Counter = field(default_factory=Counter)  # candidates per protocol
     notes: Counter = field(default_factory=Counter)  # dissector notes
-    readers: list = field(default_factory=list)  # one reader summary per capture
+    # Frames read per (capture index in the config, RECORD or skip reason).
+    frames: Counter = field(default_factory=Counter)
     # Kept packets per (protocol, direction, classify reasons).
     filter_counts: Counter = field(default_factory=Counter)
     # Kept packets per (vantage, protocol, day, industrial, sample_interval).
@@ -321,18 +335,22 @@ class CaptureState:
     passive_hosts: set = field(default_factory=set)
 
 
-def capture_state(source: CaptureSource, config: PipelineConfig,
-                  inputs: LoadedInputs) -> CaptureState:
-    """Stream one capture and derive its complete run state.
+def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
+                  start: int = PCAP_HEADER_LEN, stop: int | None = None) -> CaptureState:
+    """Stream the byte range [start, stop) of the capture config.captures[index]
+    and derive its complete run state.
 
     Every report is a function of a kept packet's key, so the stream only
     counts keys; classification and enrichment run once per distinct key.
     """
-    stream = CandidateStream(source, inputs.dpi_catalog)
+    source = config.captures[index]
+    stream = CandidateStream(source, inputs.dpi_catalog, start, stop)
     keys: Counter[tuple] = Counter()
     for record, dissection in stream:
         keys[(dissection.protocol, direction(record), record.src_ip, record.dst_ip,
               record.day)] += 1
+    frames = Counter({(index, reason): n for reason, n in stream.reader.skipped.items()})
+    frames[(index, RECORD)] = stream.reader.records_yielded
 
     vantage, sample_interval = source.meta.vantage, source.meta.sample_interval
     active = FILTER_FAMILIES[config.filters]
@@ -366,14 +384,14 @@ def capture_state(source: CaptureSource, config: PipelineConfig,
         groups[(protocol, label, status)] += n
     return CaptureState(
         events=stream.events, candidates=stream.candidates, notes=stream.notes,
-        readers=[stream.reader], filter_counts=filter_counts, daily_counts=daily_counts,
+        frames=frames, filter_counts=filter_counts, daily_counts=daily_counts,
         groups=groups, stable_days=stable_days, request_protocols=request_protocols,
         passive_hosts=passive_hosts,
     )
 
 
 def _combine(states) -> CaptureState:
-    """The run state of several captures: Counters add, sets unite, lists concatenate."""
+    """The run state of several ranges: Counters add, sets unite."""
     total = CaptureState()
     for state in states:
         for f in fields(CaptureState):
@@ -385,40 +403,154 @@ def _combine(states) -> CaptureState:
     return total
 
 
-# The config and inputs of the run a pool worker serves. _init_worker sets
-# them in each worker, which inherits them from the parent through fork, so
-# they are never pickled.
-_worker_run: tuple[PipelineConfig, LoadedInputs] | None = None
+def _pieces(captures: list[CaptureSource], count: int) -> list[list[tuple[int, int, int]]]:
+    """Cut the record bytes of all captures into count equal pieces.
+
+    The record bytes are every capture's file after its header, end to end
+    in config order. Each piece is a list of (capture index, start, stop):
+    the file offsets of its part of that capture, for capture_state. A
+    capture without record bytes joins the piece its bytes would start in,
+    so that every capture is opened and counted. Pieces with no part are
+    left out.
+    """
+    sizes = []
+    for source in captures:
+        try:
+            sizes.append(max(source.path.stat().st_size - PCAP_HEADER_LEN, 0))
+        except OSError as exc:
+            raise CaptureError(f"cannot open capture {source.path}: {exc}") from exc
+    total = sum(sizes)
+    # The last piece also holds offset total, where an empty last capture starts.
+    bounds = [total * k // count for k in range(count)] + [total + 1]
+    pieces: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+    base = 0
+    for index, size in enumerate(sizes):
+        for lo, hi, piece in zip(bounds, bounds[1:], pieces):
+            if max(lo, base) < min(hi, base + max(size, 1)):
+                piece.append((index, PCAP_HEADER_LEN + max(lo - base, 0),
+                              PCAP_HEADER_LEN + min(hi - base, size)))
+        base += size
+    return [piece for piece in pieces if piece]
 
 
-def _init_worker(config: PipelineConfig, inputs: LoadedInputs) -> None:
-    global _worker_run
-    _worker_run = (config, inputs)
+def _piece_state(piece, config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
+    return _combine(capture_state(config, inputs, *part) for part in piece)
 
 
-def _worker_state(source: CaptureSource) -> CaptureState:
-    return capture_state(source, *_worker_run)
+class ChildError(RuntimeError):
+    """An analysis child died, or failed other than on a capture, before
+    handing back its state."""
+
+
+def _run_child(piece, config: PipelineConfig, inputs: LoadedInputs, write_fd: int) -> None:
+    """The body of a forked child: its piece's state, or the error that
+    stopped it, pickled to its pipe. Never returns."""
+    status = 1
+    try:
+        try:
+            result = _piece_state(piece, config, inputs)
+        except CaptureError as exc:
+            result = exc
+        except Exception as exc:  # the traceback stays in this process; log it here
+            log.exception("analysis child %d failed", os.getpid())
+            result = ChildError(f"analysis child {os.getpid()} failed: "
+                                f"{type(exc).__name__}: {exc}")
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_pieces(pieces, config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
+    """Each piece's state from a forked child of its own, combined in piece order.
+
+    The children inherit the config and the loaded inputs through fork, so
+    the calling process must run no other thread. Each pickles its state to
+    its own pipe, whose write end only it holds, and leaves by os._exit;
+    this process only waits. A capture error is raised here as the child
+    met it, once the pieces before that child's have ended without one; a
+    child that dies (killed for memory, say) ends its pipe short, which
+    raises ChildError at once. Either way the other children are killed,
+    and every child is reaped and every pipe closed before this returns or
+    raises.
+    """
+    pids: dict[int, int] = {}  # piece number -> its child's pid, until reaped
+    reads: dict[int, int] = {}  # read end of a child's pipe -> piece number
+    states: list[CaptureState | None] = [None] * len(pieces)
+    try:
+        for number, piece in enumerate(pieces):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                for fd in (read_fd, *reads):
+                    os.close(fd)
+                _run_child(piece, config, inputs, write_fd)
+            os.close(write_fd)
+            reads[read_fd] = number
+            pids[number] = pid
+        chunks: dict[int, list[bytes]] = {fd: [] for fd in reads}
+        poller = select.poll()
+        for fd in reads:
+            poller.register(fd, select.POLLIN)
+        # Once a piece has met a capture error only the pieces before it
+        # still count, so that the error raised is the one a one-process run
+        # meets first.
+        error: CaptureError | None = None
+        first_error = len(pieces)
+        while any(reads[fd] < first_error for fd in chunks):
+            for fd, _ in poller.poll():
+                chunk = os.read(fd, 1 << 20)
+                if chunk:
+                    chunks[fd].append(chunk)
+                    continue
+                poller.unregister(fd)
+                number = reads[fd]
+                try:
+                    result = pickle.loads(b"".join(chunks.pop(fd)))
+                except Exception:
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(number), 0)[1])
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    result = ChildError(f"the analysis child of piece {number} died before "
+                                        f"handing back its state ({how})")
+                if number > first_error:
+                    continue
+                if isinstance(result, CaptureError):
+                    error, first_error = result, number
+                elif isinstance(result, Exception):
+                    raise result
+                else:
+                    states[number] = result
+        if error is not None:
+            raise error
+        return _combine(states)
+    except BaseException:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in reads:
+            os.close(fd)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
 
 
 def _run_captures(config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
-    """Every capture's state, combined in config order.
+    """The combined state of every capture.
 
-    The captures run in a fork pool of min(captures, CPUs this process may
-    use) workers; with one worker they run in this process, and a run
-    that never needs a pool never imports multiprocessing. A worker that
-    dies (killed for memory, say) fails the run with BrokenProcessPool
-    rather than leave it waiting for a result that never comes.
+    The record bytes of all captures are cut into one piece per CPU this
+    process may use, each run in a forked child (_fork_pieces); with one
+    CPU, or one piece, everything runs in this process.
     """
-    captures = config.captures
-    workers = min(len(captures), len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        return _combine(capture_state(source, config, inputs) for source in captures)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker,
-                             (config, inputs)) as pool:
-        return _combine(pool.map(_worker_state, captures))
+    pieces = _pieces(config.captures, len(os.sched_getaffinity(0)))
+    if len(pieces) <= 1:
+        return _combine(_piece_state(piece, config, inputs) for piece in pieces)
+    return _fork_pieces(pieces, config, inputs)
 
 
 def _by_first(pairs) -> dict:
@@ -470,10 +602,18 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     for protocol, role, ip in state.passive_hosts:
         passive.setdefault(protocol, {}).setdefault(role, set()).add(ip)
     overlap_rows = scan_overlap(passive, inputs.scan_snapshot)
+    readers = []
+    for index, source in enumerate(config.captures):
+        skipped = {reason: n for (i, reason), n in sorted(state.frames.items())
+                   if i == index and reason != RECORD}
+        records = state.frames[(index, RECORD)]
+        readers.append({"path": str(source.path), "vantage": source.meta.vantage,
+                        "frames_read": records + sum(skipped.values()), "records": records,
+                        "skipped": skipped})
     summary = {
-        "captures": state.readers,
-        "frames_read": sum(r["frames_read"] for r in state.readers),
-        "records": sum(r["records"] for r in state.readers),
+        "captures": readers,
+        "frames_read": sum(r["frames_read"] for r in readers),
+        "records": sum(r["records"] for r in readers),
         "candidates": total["candidates_in"],
         "kept": total["after_dpi"],
         "filters": config.filters,

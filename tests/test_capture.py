@@ -1,10 +1,16 @@
 import ipaddress
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import ics_scope
 
 from ics_scope.capture import (
     REPLY,
@@ -147,6 +153,12 @@ def test_truncated_file_header_rejected(tmp_path):
         read_capture(path, CaptureMeta("vp"))
 
 
+def test_non_regular_file_rejected():
+    # The reader needs the file size to check record lengths and cut ranges.
+    with pytest.raises(CaptureError, match="not a regular file"):
+        read_capture(os.devnull, CaptureMeta("vp"))
+
+
 def test_non_ethernet_linktype_rejected(tmp_path):
     path = tmp_path / "raw.pcap"
     path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
@@ -207,6 +219,102 @@ def test_pcap_cut_anywhere_yields_complete_records_then_fails(cut):
     assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read
     assert records == _CUT_RECORDS[: len(records)]
     assert len(records) == reader.records_yielded
+
+
+def test_huge_incl_len_is_refused_before_it_is_read(tmp_path):
+    # A 92-byte pcap whose one record header claims 0xFFFFFFF0 bytes: the
+    # reader must refuse it from the file size, not buffer 4 GiB. The child
+    # process runs under a 1 GiB address-space limit, which binds only it.
+    path = tmp_path / "huge.pcap"
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from ics_scope.cli import main; sys.exit(main(['dissect', sys.argv[1]]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ics_scope.__file__).parents[1])}
+    for snaplen in (0, 65535):
+        path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, snaplen, 1)
+                         + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 0xFFFFFFF0) + bytes(52))
+        result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert "record 0: runs past the end of the file (52 of 4294967280 bytes)" in result.stderr
+
+
+def _golden_pcap():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "golden.pcap"
+        write_pcap(path, [(i * 1000, p.frame) for i, p in enumerate(golden_packets())])
+        return path.read_bytes()
+
+
+_GOLDEN_PCAP = _golden_pcap()
+
+
+def _read(path, start=24, stop=None):
+    """What a reader of [start, stop) of path yields: its records, skip
+    counts, first frame and frames read, and the CaptureError message or
+    None. The reader is None when the file header was refused."""
+    records, reader, error = [], None, None
+    try:
+        reader = read_capture(path, CaptureMeta("vp"), start, stop)
+        records.extend(reader)
+    except CaptureError as exc:
+        error = str(exc)
+    return records, reader, error
+
+
+def _record_offsets(data):
+    """The file offset of each record header a whole read walks over, in order."""
+    offsets, pos = [], 24
+    while pos < len(data):
+        offsets.append(pos)
+        if pos + 16 > len(data):
+            break
+        pos += 16 + struct.unpack_from("<I", data, pos + 8)[0]
+    return offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, len(_GOLDEN_PCAP) - 1), st.integers(1, 255)),
+                      max_size=6),
+       cut=st.none() | st.integers(0, len(_GOLDEN_PCAP)),
+       cuts=st.lists(st.integers(0, len(_GOLDEN_PCAP) + 8), min_size=1, max_size=3))
+def test_mutated_pcap_reads_the_same_whole_or_in_ranges(flips, cut, cuts):
+    data = bytearray(_GOLDEN_PCAP)
+    for offset, mask in flips:
+        data[offset] ^= mask
+    data = bytes(data[:cut])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.pcap"
+        path.write_bytes(data)
+        records, whole, error = _read(path)
+        bounds = [24, *sorted(cuts), None]
+        pieces = [_read(path, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    if whole is None:  # the file header was refused: by every range alike
+        assert error is not None
+        assert all(reader is None and message == error for _, reader, message in pieces)
+        return
+    assert whole.records_yielded + sum(whole.skipped.values()) == whole.frames_read
+    assert len(records) == whole.records_yielded
+    failed = [i for i, (_, _, message) in enumerate(pieces) if message is not None]
+    assert len(failed) == (error is not None)
+    frames, skipped, joined = 0, Counter(), []
+    for i, (piece_records, reader, message) in enumerate(pieces):
+        assert reader.first_frame == frames  # file-absolute frame numbers
+        assert reader.records_yielded + sum(reader.skipped.values()) == (
+            reader.frames_read - reader.first_frame)
+        frames = reader.frames_read
+        skipped += reader.skipped
+        joined += piece_records
+        if message is not None:
+            # Raised by the range that holds the start of the bad record.
+            assert message == error
+            bad = _record_offsets(data)[whole.frames_read]
+            start, stop = bounds[i], bounds[i + 1]
+            assert max(start, 24) <= bad and (stop is None or bad < stop)
+        if failed and i > failed[0]:
+            assert piece_records == [] and reader.frames_read == reader.first_frame
+    assert joined == records
+    assert skipped == whole.skipped
+    assert frames == whole.frames_read
 
 
 def test_empty_pcap_yields_nothing(tmp_path):

@@ -296,6 +296,28 @@ def test_dissect_unreadable_exit_2(tmp_path, capsys):
     assert main(["dissect", str(tmp_path / "missing.pcap")]) == 2
 
 
+def test_dissect_out_is_left_as_it_was_on_a_bad_pcap(tmp_path, capsys, golden_dir):
+    out = tmp_path / "lines.jsonl"
+    not_pcap = tmp_path / "not.pcap"
+    not_pcap.write_bytes(b"this is not a pcap file at all")  # fails at the header
+    cut = tmp_path / "cut.pcap"
+    modbus = next(p for p in golden_packets() if p.name == "modbus_wellformed")
+    write_pcap(cut, [(0, modbus.frame), (1, modbus.frame)])
+    cut.write_bytes(cut.read_bytes()[:-3])  # fails after the first line
+    for bad in (not_pcap, cut):
+        out.write_text("kept\n")
+        assert main(["dissect", str(bad), "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+        out.unlink()
+        assert main(["dissect", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+    assert main(["dissect", str(cut.with_name("whole.pcap")), "--out", str(out)]) == 2
+    write_pcap(cut, [(0, modbus.frame)])
+    assert main(["dissect", str(cut), "--out", str(out)]) == 0
+    assert [json.loads(line)["protocol"] for line in out.read_text().splitlines()] == ["modbus"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.pcap", "lines.jsonl", "not.pcap"]
+
+
 def test_gen_malformed_spec_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

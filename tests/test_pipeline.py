@@ -1,19 +1,25 @@
-import concurrent.futures
 import faulthandler
 import json
-import multiprocessing
 import os
+import signal
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ics_scope import pipeline
-from ics_scope.capture import CaptureError
+from ics_scope.capture import CaptureError, CaptureMeta, read_capture
 from ics_scope.cli import main
-from ics_scope.pipeline import ConfigError, LoadedInputs, PipelineConfig, load_inputs, run_analyze
+from ics_scope.pipeline import (
+    ChildError,
+    ConfigError,
+    LoadedInputs,
+    PipelineConfig,
+    load_inputs,
+    run_analyze,
+)
 from ics_scope.trafficgen import ScenarioSpec, generate
 
 SCENARIO = {
@@ -133,75 +139,199 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def test_pool_and_in_process_runs_write_the_same_bundle(tmp_path, monkeypatch):
-    corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
-    config = _config(corpus, "three", _THREE_CAPTURES)
-    in_parent, pools = [], []
-    real_state = pipeline.capture_state
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config, captures):
+    """Analyze config as if on 1, 2, 3 and 8 CPUs: one bundle, byte for byte,
+    with one reader summary per configured capture; no fork on one CPU and
+    one forked child per CPU otherwise, none left afterwards."""
+    forks, in_parent = [], []
+    real_fork, real_state = os.fork, pipeline.capture_state
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    # A child's appends land in its own copy of the list, so only this
+    # process's calls are counted.
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(pipeline, "capture_state",
-                        lambda *args: in_parent.append(args[0]) or real_state(*args))
-
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, *args):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+                        lambda *args: in_parent.append(args[2]) or real_state(*args))
     bundles = {}
-    for cpus, workers, states_in_parent in ((1, [], 3), (2, [2], 0), (8, [3], 0)):
+    for cpus in (1, 2, 3, 8):
         _cpus(monkeypatch, cpus)
+        forks.clear()
         in_parent.clear()
-        pools.clear()
+        fds = _open_fds()
         bundles[cpus] = tmp_path / f"cpus{cpus}"
         run_analyze(PipelineConfig.from_json(config), bundles[cpus])
-        assert pools == workers  # min(captures, CPUs) workers, and no pool for one
-        assert len(in_parent) == states_in_parent
-        assert multiprocessing.active_children() == []
-    per_vantage = json.loads((bundles[1] / "sanitize.json").read_text())["per_vantage"]
-    assert sorted(per_vantage) == ["isp", "ixp"]
+        assert len(forks) == (0 if cpus == 1 else cpus)
+        assert in_parent == (list(range(len(captures))) if cpus == 1 else [])
+        assert _open_fds() == fds
+        _no_child_left()
+        summary = json.loads((bundles[cpus] / "run_summary.json").read_text())
+        assert [c["path"].rsplit("/", 1)[-1] for c in summary["captures"]] == captures
+    assert summary["kept"] > 0
     names = sorted(p.name for p in bundles[1].iterdir())
-    for cpus in (2, 8):
+    for cpus in (2, 3, 8):
         assert sorted(p.name for p in bundles[cpus].iterdir()) == names
         for name in names:
             assert (bundles[1] / name).read_bytes() == (bundles[cpus] / name).read_bytes(), name
+    return bundles[1]
+
+
+def test_pool_and_in_process_runs_write_the_same_bundle(tmp_path, monkeypatch):
+    corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
+    config = _config(corpus, "three", _THREE_CAPTURES)
+    bundle = _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config,
+                                           [c["path"] for c in _THREE_CAPTURES])
+    per_vantage = json.loads((bundle / "sanitize.json").read_text())["per_vantage"]
+    assert sorted(per_vantage) == ["isp", "ixp"]
+
+
+def test_one_capture_cut_into_pieces_writes_the_same_bundle(tmp_path, monkeypatch):
+    corpus = generate(ScenarioSpec.from_dict(SCENARIO), tmp_path / "corpus")
+    _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, corpus.config, ["corpus.pcap"])
+
+
+def test_pieces_cover_the_record_bytes_once(tmp_path):
+    sizes = [0, 100, 0, 7, 50, 0]  # record bytes per capture
+    captures = []
+    for index, size in enumerate(sizes):
+        path = tmp_path / f"{index}.pcap"
+        path.write_bytes(bytes(24 + size))
+        captures.append(pipeline.CaptureSource(path, None))
+    for count in (1, 2, 3, 8, 200):
+        pieces = pipeline._pieces(captures, count)
+        assert 1 <= len(pieces) <= count
+        parts = [part for piece in pieces for part in piece]
+        assert [index for index, _, _ in parts] == sorted(index for index, _, _ in parts)
+        for index, size in enumerate(sizes):
+            ranges = [(start, stop) for i, start, stop in parts if i == index]
+            assert ranges  # every capture is read, if only its header
+            assert ranges[0][0] == 24 and ranges[-1][1] == 24 + size
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert all(start < stop for start, stop in ranges) or ranges == [(24, 24)]
+        lengths = [sum(stop - start for _, start, stop in piece) for piece in pieces]
+        assert sum(lengths) == sum(sizes)
+        if count <= sum(sizes):  # equal pieces, to the byte
+            assert len(pieces) == count and max(lengths) - min(lengths) <= 1
+    assert pipeline._pieces([], 4) == []
 
 
 def test_truncated_later_capture_fails_the_pool_run(tmp_path, monkeypatch, capsys):
     corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
     third = corpus.out_dir / "third.pcap"
     third.write_bytes(third.read_bytes()[:-5])  # the last record runs past the end
+    with pytest.raises(CaptureError) as whole_read:
+        list(read_capture(third, CaptureMeta("ixp")))
     config = _config(corpus, "cut", _THREE_CAPTURES)
-    _cpus(monkeypatch, 2)
-    with pytest.raises(CaptureError, match="third.pcap: record .* runs past the end"):
-        run_analyze(PipelineConfig.from_json(config), tmp_path / "direct")
+    for cpus in (1, 2, 8):
+        _cpus(monkeypatch, cpus)
+        fds = _open_fds()
+        # The file-absolute record index, as a whole read of the capture names it.
+        with pytest.raises(CaptureError, match="third.pcap: record .* runs past the end") as run:
+            run_analyze(PipelineConfig.from_json(config), tmp_path / f"direct{cpus}")
+        assert str(run.value) == str(whole_read.value)
+        assert _open_fds() == fds
+        _no_child_left()
     reports = tmp_path / "reports"
     assert main(["analyze", "--config", str(config), "--out", str(reports)]) == 2
     assert "runs past the end of the file" in capsys.readouterr().err
     assert list(reports.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    _no_child_left()
+
+
+def test_the_first_bad_capture_names_the_error_at_any_cpu_count(tmp_path, monkeypatch):
+    corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
+    for name in ("first.pcap", "third.pcap"):  # cut in the first and in the last piece
+        path = corpus.out_dir / name
+        path.write_bytes(path.read_bytes()[:-5])
+    config = _config(corpus, "two_cut", _THREE_CAPTURES)
+    test_pid, real_state = os.getpid(), pipeline.capture_state
+
+    def first_piece_is_slow(config, inputs, index, *args):
+        if os.getpid() != test_pid and index == 0:
+            time.sleep(0.5)  # the later piece meets its error first
+        return real_state(config, inputs, index, *args)
+
+    monkeypatch.setattr(pipeline, "capture_state", first_piece_is_slow)
+    messages = set()
+    for cpus in (1, 2, 8):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(CaptureError, match="first.pcap: record .* runs past the end") as run:
+            run_analyze(PipelineConfig.from_json(config), tmp_path / f"out{cpus}")
+        messages.add(str(run.value))
+        _no_child_left()
+    assert len(messages) == 1
+
+
+def _fails_in_a_child(tmp_path, monkeypatch, name, behaviour):
+    """The three-capture config on 2 CPUs, with capture_state running
+    behaviour(index) first whenever it runs in a forked child."""
+    corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
+    config = _config(corpus, name, _THREE_CAPTURES)
+    test_pid, real_state = os.getpid(), pipeline.capture_state
+
+    def state(config, inputs, index, *args):
+        if os.getpid() != test_pid:  # never end the test process itself
+            behaviour(index)
+        return real_state(config, inputs, index, *args)
+
+    monkeypatch.setattr(pipeline, "capture_state", state)
+    _cpus(monkeypatch, 2)
+    return config
 
 
 def test_a_worker_that_dies_fails_the_run(tmp_path, monkeypatch):
-    corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
-    config = _config(corpus, "dies", _THREE_CAPTURES)
-    real_state = pipeline.capture_state
+    def dies_on_the_third(index):
+        if index == 2:
+            os._exit(1)  # as a child the kernel kills for memory would
 
-    def dies_on_the_third(source, *args):
-        if source.path.name == "third.pcap":
-            os._exit(1)  # as a worker the kernel kills for memory would
-        return real_state(source, *args)
-
-    monkeypatch.setattr(pipeline, "capture_state", dies_on_the_third)
-    _cpus(monkeypatch, 2)
+    config = _fails_in_a_child(tmp_path, monkeypatch, "dies", dies_on_the_third)
+    fds = _open_fds()
     # Should the run wait forever, end the test session after 60 s instead.
     faulthandler.dump_traceback_later(60, exit=True)
     try:
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ChildError, match="exit status 1"):
             run_analyze(PipelineConfig.from_json(config), tmp_path / "reports")
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert not (tmp_path / "reports" / "run_summary.json").exists()
-    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+    _no_child_left()
+
+
+def test_a_child_killed_by_sigkill_fails_the_run_at_once(tmp_path, monkeypatch, capsys):
+    def killed_or_slow(index):
+        if index == 2:  # only in the second piece
+            os.kill(os.getpid(), signal.SIGKILL)
+        if index == 0:  # only in the first piece, which must not be waited for
+            time.sleep(60)
+
+    config = _fails_in_a_child(tmp_path, monkeypatch, "killed", killed_or_slow)
+    reports = tmp_path / "reports"
+    fds = _open_fds()
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        started = time.monotonic()
+        assert main(["analyze", "--config", str(config), "--out", str(reports)]) == 1
+        assert time.monotonic() - started < 30
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert f"killed by signal {signal.SIGKILL.value}" in capsys.readouterr().err
+    assert list(reports.iterdir()) == []
+    assert _open_fds() == fds
+    _no_child_left()
 
 
 _TABLE_KEYS = ("scanner_registry", "hp_all", "hp_ics", "rdns", "asn_table", "cone", "geo",
