@@ -14,8 +14,10 @@ import pickle
 import select
 import signal
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import metrics
 from .capture import (
@@ -185,43 +187,68 @@ class LoadedInputs:
     dpi_catalog: DpiCatalog
 
 
-def load_inputs(config: PipelineConfig) -> LoadedInputs:
+class _Step(NamedTuple):
+    """How load_inputs fills one LoadedInputs field: loader(*arguments)."""
+
+    name: str
+    loader: Callable
+    arguments: tuple = ()  # the files it reads first; none for an empty stand-in
+
+
+# The LoadedInputs fields read from line tables: text files of up to
+# millions of rows, each worth a forked child of its own. The JSON sidecars
+# are C-parsed and small, and load in the calling process meanwhile.
+_LINE_TABLES = frozenset({"honeypots", "rdns", "asn_table", "geo"})
+
+
+def _unpaired_honeypots():
+    raise ConfigError("hp_all and hp_ics must be configured together")
+
+
+def _load(step: _Step):
+    """One input table; a table that cannot be read or parsed raises ConfigError."""
     try:
-        scanner_registry = (
-            ScannerRegistry.from_json(config.scanner_registry)
-            if config.scanner_registry
-            else default_scanner_registry()
-        )
-        if config.hp_all and config.hp_ics:
-            honeypots = HoneypotSets.from_files(config.hp_all, config.hp_ics)
-        elif config.hp_all or config.hp_ics:
-            raise ConfigError("hp_all and hp_ics must be configured together")
-        else:
-            honeypots = HoneypotSets.empty()
-        rdns = RdnsTable.from_csv(config.rdns) if config.rdns else RdnsTable.empty()
-        asn_table = load_asn_table(config.asn_table) if config.asn_table else None
-        topology = (
-            IxpTopology.from_json(config.cone, config.tag_members)
-            if config.cone
-            else IxpTopology.empty()
-        )
-        geo = load_geo_table(config.geo) if config.geo else None
-        snapshot = load_scan_snapshot(config.scan_snapshot) if config.scan_snapshot else {}
-        catalog = DpiCatalog.from_json(config.dpi_catalog) if config.dpi_catalog else default_catalog()
+        return step.loader(*step.arguments)
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
         raise ConfigError(f"failed to load pipeline inputs: {exc}") from exc
-    return LoadedInputs(
-        scanner_registry=scanner_registry,
-        honeypots=honeypots,
-        rdns=rdns,
-        asn_table=asn_table,
-        topology=topology,
-        geo=geo,
-        scan_snapshot=snapshot,
-        dpi_catalog=catalog,
-    )
+
+
+def load_inputs(config: PipelineConfig) -> LoadedInputs:
+    """Every input table the config names, or its empty stand-in.
+
+    With more than one CPU each configured line table loads in a forked
+    child of its own (_fork_map) while this process loads the JSON sidecars;
+    with one CPU everything loads here. Either way a bad table raises the
+    ConfigError a one-CPU load meets first, in the order of the steps below.
+    """
+
+    def step(name: str, path: Path | None, loader, *arguments, empty=lambda: None) -> _Step:
+        return _Step(name, loader, (path, *arguments)) if path else _Step(name, empty)
+
+    if config.hp_all and config.hp_ics:
+        honeypots = _Step("honeypots", HoneypotSets.from_files, (config.hp_all, config.hp_ics))
+    elif config.hp_all or config.hp_ics:
+        honeypots = _Step("honeypots", _unpaired_honeypots)
+    else:
+        honeypots = _Step("honeypots", HoneypotSets.empty)
+    steps = [
+        step("scanner_registry", config.scanner_registry, ScannerRegistry.from_json,
+             empty=default_scanner_registry),
+        honeypots,
+        step("rdns", config.rdns, RdnsTable.from_csv, empty=RdnsTable.empty),
+        step("asn_table", config.asn_table, load_asn_table),
+        step("topology", config.cone, IxpTopology.from_json, config.tag_members,
+             empty=IxpTopology.empty),
+        step("geo", config.geo, load_geo_table),
+        step("scan_snapshot", config.scan_snapshot, load_scan_snapshot, empty=dict),
+        step("dpi_catalog", config.dpi_catalog, DpiCatalog.from_json, empty=default_catalog),
+    ]
+    fork = len(os.sched_getaffinity(0)) > 1
+    tables = _fork_map(_load, steps,
+                       lambda s: fork and s.name in _LINE_TABLES and bool(s.arguments))
+    return LoadedInputs(**{s.name: table for s, table in zip(steps, tables)})
 
 
 def _fmt(value) -> str:
@@ -433,27 +460,28 @@ def _pieces(captures: list[CaptureSource], count: int) -> list[list[tuple[int, i
     return [piece for piece in pieces if piece]
 
 
-def _piece_state(piece, config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
-    return _combine(capture_state(config, inputs, *part) for part in piece)
-
-
 class ChildError(RuntimeError):
-    """An analysis child died, or failed other than on a capture, before
-    handing back its state."""
+    """A forked child died, or failed other than on its input, before
+    handing back its result."""
 
 
-def _run_child(piece, config: PipelineConfig, inputs: LoadedInputs, write_fd: int) -> None:
-    """The body of a forked child: its piece's state, or the error that
+# The errors a forked child hands back for the calling process to raise:
+# a bad input, named as a one-process run names it.
+_INPUT_ERRORS = (CaptureError, ConfigError)
+
+
+def _run_child(function, job, write_fd: int) -> None:
+    """The body of a forked child: function(job), or the input error that
     stopped it, pickled to its pipe. Never returns."""
     status = 1
     try:
         try:
-            result = _piece_state(piece, config, inputs)
-        except CaptureError as exc:
+            result = function(job)
+        except _INPUT_ERRORS as exc:
             result = exc
         except Exception as exc:  # the traceback stays in this process; log it here
-            log.exception("analysis child %d failed", os.getpid())
-            result = ChildError(f"analysis child {os.getpid()} failed: "
+            log.exception("forked child %d failed", os.getpid())
+            result = ChildError(f"forked child {os.getpid()} failed: "
                                 f"{type(exc).__name__}: {exc}")
         with open(write_fd, "wb") as pipe:
             pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
@@ -462,24 +490,29 @@ def _run_child(piece, config: PipelineConfig, inputs: LoadedInputs, write_fd: in
         os._exit(status)
 
 
-def _fork_pieces(pieces, config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
-    """Each piece's state from a forked child of its own, combined in piece order.
+def _fork_map(function, jobs, in_child) -> list:
+    """[function(job) for job in jobs], each job for which in_child(job)
+    holds run in a forked child of its own, the others in this process, in
+    order, while the children run.
 
-    The children inherit the config and the loaded inputs through fork, so
-    the calling process must run no other thread. Each pickles its state to
+    The children inherit function and their jobs through fork, so the
+    calling process must run no other thread. Each pickles its result to
     its own pipe, whose write end only it holds, and leaves by os._exit;
-    this process only waits. A capture error is raised here as the child
-    met it, once the pieces before that child's have ended without one; a
-    child that dies (killed for memory, say) ends its pipe short, which
+    this process polls the pipes. An input error (CaptureError,
+    ConfigError) is raised here as its job met it, once every earlier job
+    has ended without one, so it is the error a one-process run meets first;
+    a child that dies (killed for memory, say) ends its pipe short, which
     raises ChildError at once. Either way the other children are killed,
     and every child is reaped and every pipe closed before this returns or
     raises.
     """
-    pids: dict[int, int] = {}  # piece number -> its child's pid, until reaped
-    reads: dict[int, int] = {}  # read end of a child's pipe -> piece number
-    states: list[CaptureState | None] = [None] * len(pieces)
+    pids: dict[int, int] = {}  # job number -> its child's pid, until reaped
+    reads: dict[int, int] = {}  # read end of a child's pipe -> job number
+    results: list = [None] * len(jobs)
     try:
-        for number, piece in enumerate(pieces):
+        for number, job in enumerate(jobs):
+            if not in_child(job):
+                continue
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -490,19 +523,26 @@ def _fork_pieces(pieces, config: PipelineConfig, inputs: LoadedInputs) -> Captur
             if pid == 0:
                 for fd in (read_fd, *reads):
                     os.close(fd)
-                _run_child(piece, config, inputs, write_fd)
+                _run_child(function, job, write_fd)
             os.close(write_fd)
             reads[read_fd] = number
             pids[number] = pid
+        # Once a job has met an input error only the jobs before it still
+        # count, so that the error raised is the one a one-process run
+        # meets first.
+        error: Exception | None = None
+        first_error = len(jobs)
+        for number, job in enumerate(jobs):
+            if number not in pids:
+                try:
+                    results[number] = function(job)
+                except _INPUT_ERRORS as exc:
+                    error, first_error = exc, number
+                    break
         chunks: dict[int, list[bytes]] = {fd: [] for fd in reads}
         poller = select.poll()
         for fd in reads:
             poller.register(fd, select.POLLIN)
-        # Once a piece has met a capture error only the pieces before it
-        # still count, so that the error raised is the one a one-process run
-        # meets first.
-        error: CaptureError | None = None
-        first_error = len(pieces)
         while any(reads[fd] < first_error for fd in chunks):
             for fd, _ in poller.poll():
                 chunk = os.read(fd, 1 << 20)
@@ -516,19 +556,19 @@ def _fork_pieces(pieces, config: PipelineConfig, inputs: LoadedInputs) -> Captur
                 except Exception:
                     code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(number), 0)[1])
                     how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                    result = ChildError(f"the analysis child of piece {number} died before "
-                                        f"handing back its state ({how})")
+                    result = ChildError(f"the forked child of job {number} died before "
+                                        f"handing back its result ({how})")
                 if number > first_error:
                     continue
-                if isinstance(result, CaptureError):
+                if isinstance(result, _INPUT_ERRORS):
                     error, first_error = result, number
                 elif isinstance(result, Exception):
                     raise result
                 else:
-                    states[number] = result
+                    results[number] = result
         if error is not None:
             raise error
-        return _combine(states)
+        return results
     except BaseException:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
@@ -544,13 +584,15 @@ def _run_captures(config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
     """The combined state of every capture.
 
     The record bytes of all captures are cut into one piece per CPU this
-    process may use, each run in a forked child (_fork_pieces); with one
-    CPU, or one piece, everything runs in this process.
+    process may use, each run in a forked child (_fork_map); with one CPU,
+    or one piece, everything runs in this process.
     """
     pieces = _pieces(config.captures, len(os.sched_getaffinity(0)))
-    if len(pieces) <= 1:
-        return _combine(_piece_state(piece, config, inputs) for piece in pieces)
-    return _fork_pieces(pieces, config, inputs)
+
+    def piece_state(piece) -> CaptureState:
+        return _combine(capture_state(config, inputs, *part) for part in piece)
+
+    return _combine(_fork_map(piece_state, pieces, lambda piece: len(pieces) > 1))
 
 
 def _by_first(pairs) -> dict:

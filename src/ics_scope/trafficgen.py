@@ -7,9 +7,9 @@ with one record per packet plus every sidecar table the analysis pipeline
 consumes (scanner registry, honeypot lists, reverse DNS snapshot, prefix
 tables, topology, scan snapshot and a ready-made analyze config).
 
-The per-protocol payload templates below are also the source of the golden
-packet corpus used by the dissector tests, so the generator and the tests
-cannot drift apart.
+The per-protocol frame and payload builders below are public: the tests
+build their golden reference packets from them, so the generator and the
+tests cannot drift apart.
 """
 
 from __future__ import annotations
@@ -177,11 +177,6 @@ def modbus_reply(function_code: int = 3, transaction_id: int = 1, unit: int = 1)
     return struct.pack(">HHH", transaction_id & 0xFFFF, 0, len(body)) + body
 
 
-def modbus_exception_reply(function_code: int = 3, transaction_id: int = 1) -> bytes:
-    body = bytes([1, function_code | 0x80, 0x02])
-    return struct.pack(">HHH", transaction_id & 0xFFFF, 0, len(body)) + body
-
-
 def bacnet_read_property(invoke_id: int = 1, property_id: int = 85) -> bytes:
     apdu = bytes([0x00, 0x05, invoke_id & 0xFF, 0x0C, 0x0C, 0x00, 0x80, 0x00, 0x01,
                   0x19, property_id & 0xFF])
@@ -297,10 +292,6 @@ def iec104_i_frame(type_id: int = 100, body: bytes = b"\x01\x06\x01",
                                                       (recv_seq << 1) & 0xFFFF) + asdu
 
 
-def iec104_u_frame(function: int = 0x07) -> bytes:
-    return bytes([0x68, 0x04, function, 0x00, 0x00, 0x00])
-
-
 def bacnet_dns_chimera() -> bytes:
     """Payload that is a well-formed BACnet message and a plausible DNS header.
 
@@ -366,7 +357,7 @@ def _reply_payload(protocol: str, rng: random.Random) -> tuple[bytes, int]:
     raise ValueError(f"no reply template for {protocol}")
 
 
-def _malformed_payload(protocol: str, rng: random.Random) -> tuple[bytes, int | None, str]:
+def malformed_payload(protocol: str, rng: random.Random) -> tuple[bytes, int | None, str]:
     """One enumerated header field corrupted; returns (payload, fc, role)."""
     if protocol == MODBUS:
         p = bytearray(modbus_request(transaction_id=rng.randrange(1, 0xFFFF)))
@@ -411,89 +402,6 @@ def protocol_port(protocol: str) -> int:
     return ports[_PROTOCOL_TRANSPORT[protocol]][0]
 
 
-# ---------------------------------------------------------------------------
-# Golden corpus
-
-
-@dataclass(frozen=True)
-class GoldenPacket:
-    name: str
-    protocol: str
-    frame: bytes
-    kind: str
-    role: str
-    function_code: int | None
-    verdict: str
-
-
-def golden_packets() -> list[GoldenPacket]:
-    """One well-formed and one malformed reference packet per protocol.
-
-    Layouts are pinned deliberately: transport choice and TCP option sizes
-    give each well-formed packet exactly its registered identification
-    floor under byte-wise truncation.
-    """
-    golden = [
-        GoldenPacket(
-            "modbus_wellformed", MODBUS,
-            build_frame("198.18.1.10", "198.18.1.20", "tcp", 49152, 502,
-                        bytes.fromhex("00010000000601030000000a"),
-                        tcp_options=TCP_TS_OPTIONS),
-            NORMAL, REQUEST, 3, WELL_FORMED,
-        ),
-        GoldenPacket(
-            "s7comm_wellformed", S7COMM,
-            build_frame("198.18.2.10", "198.18.2.20", "tcp", 34962, 8102,
-                        s7_setup_ack(), tcp_options=TCP_TS_OPTIONS),
-            HEURISTIC, REPLY, 0xF0, WELL_FORMED,
-        ),
-        GoldenPacket(
-            "ethernetip_wellformed", ETHERNETIP,
-            build_frame("198.18.3.10", "198.18.3.20", "udp", 44818, 51000,
-                        enip_list_identity_reply()),
-            NORMAL, REPLY, 0x63, WELL_FORMED,
-        ),
-        GoldenPacket(
-            "bacnet_wellformed", BACNET,
-            build_frame("198.18.4.10", "198.18.4.20", "udp", 47809, 47808,
-                        bacnet_read_property()),
-            NORMAL, REQUEST, 12, WELL_FORMED,
-        ),
-        GoldenPacket(
-            "dnp3_wellformed", DNP3,
-            build_frame("198.18.5.10", "198.18.5.20", "tcp", 49153, 20000,
-                        dnp3_read_request()),
-            NORMAL, REQUEST, 4, WELL_FORMED,
-        ),
-        GoldenPacket(
-            "hartip_wellformed", HARTIP,
-            build_frame("198.18.6.10", "198.18.6.20", "tcp", 50001, 5094,
-                        hartip_message(0, 3, hart_token_body())),
-            NORMAL, REQUEST, 3, WELL_FORMED,
-        ),
-        GoldenPacket(
-            "iec104_wellformed", IEC104,
-            build_frame("198.18.7.10", "198.18.7.20", "tcp", 50002, 2404,
-                        iec104_i_frame(), tcp_options=TCP_TS_OPTIONS),
-            NORMAL, REQUEST, 100, WELL_FORMED,
-        ),
-    ]
-    rng = random.Random(7)
-    for protocol, src_octet in ((MODBUS, 11), (S7COMM, 12), (ETHERNETIP, 13),
-                                (BACNET, 14), (DNP3, 15), (HARTIP, 16), (IEC104, 17)):
-        payload, fc, role = _malformed_payload(protocol, rng)
-        golden.append(
-            GoldenPacket(
-                f"{protocol}_malformed", protocol,
-                build_frame(f"198.18.{src_octet}.10", f"198.18.{src_octet}.20",
-                            _PROTOCOL_TRANSPORT[protocol], 49200,
-                            protocol_port(protocol), payload),
-                NORMAL, role, fc, MALFORMED,
-            )
-        )
-    return golden
-
-
 def write_pcap(path, packets, snap_len: int = 65535, nanos: bool = False) -> None:
     """Classic little-endian pcap; packets are (ts_us, frame_bytes) pairs."""
     magic = 0xA1B23C4D if nanos else 0xA1B2C3D4
@@ -505,30 +413,6 @@ def write_pcap(path, packets, snap_len: int = 65535, nanos: bool = False) -> Non
             data = frame[:snap_len]
             fh.write(struct.pack("<IIII", sec, frac, len(data), len(frame)))
             fh.write(data)
-
-
-def write_golden_corpus(directory) -> Path:
-    """Per-protocol pcap files plus the JSON manifest the tests consume."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    base_ts = 1_514_808_000_000_000  # 2018-01-01 12:00:00 UTC
-    for index, packet in enumerate(golden_packets()):
-        filename = f"{packet.name}.pcap"
-        write_pcap(directory / filename, [(base_ts + index * 1_000_000, packet.frame)])
-        manifest.append(
-            {
-                "file": filename,
-                "protocol": packet.protocol,
-                "verdict": packet.verdict,
-                "role": packet.role,
-                "function_code": packet.function_code,
-                "kind": packet.kind,
-            }
-        )
-    manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +740,7 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
                         "sanitize": DROPPED_TUNNEL, "label": None, "reasons": None,
                     }
                 elif flow.kind == MALFORMED_KIND:
-                    payload, fc, role = _malformed_payload(flow.protocol, rng)
+                    payload, fc, role = malformed_payload(flow.protocol, rng)
                     frame = build_frame(src, dst, transport, rng.randrange(49152, 65536),
                                         port, payload, ident=ident)
                     truth = {

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from ics_scope.trafficgen import ScenarioSpec, generate, write_golden_corpus
+from ics_scope.trafficgen import ScenarioSpec, generate
+
+from golden import write_golden_corpus
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,9 @@ from ics_scope.enrich import (
 from ics_scope.metrics import extrapolate, host_stability
 from ics_scope.pipeline import CandidateStream, CaptureSource, PipelineConfig, run_analyze
 from ics_scope.sanitize import KEPT, default_catalog, retention, sanitize_candidate
-from ics_scope.trafficgen import ScenarioSpec, generate, golden_packets
+from ics_scope.trafficgen import ScenarioSpec, generate
+
+from golden import golden_packets
 from oracles import is_local
 
 SCANNERS = frozenset({SCANNER_PREFIX, SCANNER_RDNS})

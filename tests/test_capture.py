@@ -34,10 +34,11 @@ from ics_scope.trafficgen import (
     build_frame,
     build_ipv4,
     build_udp,
-    golden_packets,
     modbus_request,
     write_pcap,
 )
+
+from golden import golden_packets
 
 ARP_FRAME = (
     b"\xff\xff\xff\xff\xff\xff" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x06" + b"\x00" * 28

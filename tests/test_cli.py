@@ -1,11 +1,20 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ics_scope
 from ics_scope import __version__
+from ics_scope.capture import ip_to_int
 from ics_scope.cli import main
-from ics_scope.trafficgen import golden_packets, write_pcap
+from ics_scope.pipeline import PipelineConfig, load_inputs
+from ics_scope.trafficgen import write_pcap
+
+from golden import golden_packets
 
 SCENARIO = {
     "seed": 9,
@@ -65,38 +74,73 @@ def test_gen_and_analyze_roundtrip(tmp_path, capsys):
     assert summary["kept"] == 40
 
 
-def test_analyze_missing_honeypot_file_exit_2(tmp_path, capsys):
+def _at_any_cpu_count(monkeypatch, capsys, argv):
+    """The exit code and standard error of main(argv) as if on 1, 2 and 8
+    CPUs, which must be the same at all three."""
+    outcomes = set()
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        code = main(argv)
+        outcomes.add((code, capsys.readouterr().err))
+    assert len(outcomes) == 1, outcomes
+    return outcomes.pop()
+
+
+def _analyze(corpus, tmp_path):
+    return ["analyze", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "r")]
+
+
+def test_analyze_missing_honeypot_file_exit_2(tmp_path, capsys, monkeypatch):
     corpus = _gen(tmp_path)
     config = json.loads((corpus / "config.json").read_text())
     config["hp_all"] = "does_not_exist.txt"
     bad = corpus / "bad_config.json"
     bad.write_text(json.dumps(config))
-    code = main(["analyze", "--config", str(bad), "--out", str(tmp_path / "r")])
+    code, err = _at_any_cpu_count(monkeypatch, capsys, [
+        "analyze", "--config", str(bad), "--out", str(tmp_path / "r")])
     assert code == 2
-    err = capsys.readouterr().err
     assert "does_not_exist.txt" in err
 
 
-def _analyze_with_short_row(tmp_path, capsys, sidecar):
+@pytest.mark.parametrize("key", ["hp_all", "hp_ics"])
+def test_analyze_one_honeypot_list_alone_exit_2(tmp_path, capsys, monkeypatch, key):
     corpus = _gen(tmp_path)
+    config = json.loads((corpus / "config.json").read_text())
+    del config["hp_ics" if key == "hp_all" else "hp_all"]
+    (corpus / "config.json").write_text(json.dumps(config))
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert (code, err) == (2, "error: hp_all and hp_ics must be configured together\n")
+    assert not (tmp_path / "r").exists()
+
+
+def _short_row(corpus, sidecar) -> str:
+    """Append a row without its second column to a CSV table of the corpus;
+    returns the message a load of it fails with."""
     config = json.loads((corpus / "config.json").read_text())
     with open(corpus / config[sidecar], "a") as fh:
         fh.write("10.0.0.1\n")
     lines = (corpus / config[sidecar]).read_text().count("\n")
-    code = main(["analyze", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "r")])
-    return code, capsys.readouterr().err, f"{config[sidecar]} line {lines}"
+    expected = {"rdns": "ip,name", "geo": "prefix,country"}[sidecar]
+    return (f"error: failed to load pipeline inputs: {corpus / config[sidecar]} line {lines}: "
+            f"expected '{expected}'\n")
 
 
-def test_analyze_short_rdns_row_exit_2(tmp_path, capsys):
-    code, err, where = _analyze_with_short_row(tmp_path, capsys, "rdns")
+def _analyze_with_short_row(tmp_path, capsys, monkeypatch, sidecar):
+    corpus = _gen(tmp_path)
+    message = _short_row(corpus, sidecar)
+    return (*_at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path)), message)
+
+
+def test_analyze_short_rdns_row_exit_2(tmp_path, capsys, monkeypatch):
+    code, err, message = _analyze_with_short_row(tmp_path, capsys, monkeypatch, "rdns")
     assert code == 2
-    assert where in err
+    assert err == message
 
 
-def test_analyze_short_geo_row_exit_2(tmp_path, capsys):
-    code, err, where = _analyze_with_short_row(tmp_path, capsys, "geo")
+def test_analyze_short_geo_row_exit_2(tmp_path, capsys, monkeypatch):
+    code, err, message = _analyze_with_short_row(tmp_path, capsys, monkeypatch, "geo")
     assert code == 2
-    assert where in err
+    assert err == message
 
 
 def _exit_code(argv) -> int:
@@ -179,18 +223,88 @@ _SIDECAR_FAULTS = [
 
 
 @pytest.mark.parametrize("key, table, message", _SIDECAR_FAULTS)
-def test_malformed_sidecar_exit_2(tmp_path, capsys, key, table, message):
+def test_malformed_sidecar_exit_2(tmp_path, capsys, monkeypatch, key, table, message):
     corpus = _gen(tmp_path)
     config = json.loads((corpus / "config.json").read_text())
     (corpus / "bad_table.json").write_text(json.dumps(table))
     (corpus / "config.json").write_text(json.dumps({**config, key: "bad_table.json"}))
-    reports = tmp_path / "reports"
-    assert main(["analyze", "--config", str(corpus / "config.json"),
-                 "--out", str(reports)]) == 2
-    err = capsys.readouterr().err
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert code == 2
     assert message in err
     assert "bad_table.json" in err
-    assert not reports.exists()
+    assert not (tmp_path / "r").exists()
+
+
+def _bad_registry(corpus):
+    (corpus / "registry.json").write_text(json.dumps({"Shodan": {"prefixes": []}}))
+    return "expected a list of project entries, got dict"
+
+
+def _bad_cone(corpus):
+    (corpus / "cone.json").write_text(json.dumps([64500]))
+    return "expected an object mapping member AS to its cone, got list"
+
+
+def _bad_snapshot(corpus):
+    (corpus / "scan_snapshot.json").write_text(json.dumps({"modbus": ["100.64.0.1"]}))
+    return "'modbus' must map to an object, got list"
+
+
+# Two broken tables, the first in the order a one-CPU load reads them first;
+# JSON sidecars load in the analyzing process, line tables in children.
+@pytest.mark.parametrize("first, second", [
+    pytest.param(_bad_registry, lambda corpus: _short_row(corpus, "rdns"),
+                 id="registry-then-rdns"),
+    pytest.param(lambda corpus: _short_row(corpus, "rdns"),
+                 lambda corpus: _short_row(corpus, "geo"), id="rdns-then-geo"),
+    pytest.param(_bad_cone, lambda corpus: _short_row(corpus, "geo"), id="cone-then-geo"),
+    pytest.param(lambda corpus: _short_row(corpus, "geo"), _bad_snapshot,
+                 id="geo-then-snapshot"),
+])
+def test_analyze_reports_the_first_bad_table_at_any_cpu_count(tmp_path, capsys, monkeypatch,
+                                                              first, second):
+    corpus = _gen(tmp_path)
+    message = first(corpus)
+    second(corpus)
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "r").exists()
+
+
+# ics-scope analyze as if on 2 CPUs, so that the line tables load in children.
+_ANALYZE_AT_TWO_CPUS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from ics_scope.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_analyze_logs_table_warnings_from_load_children(tmp_path, capfd, monkeypatch):
+    corpus = _gen(tmp_path)
+    config = json.loads((corpus / "config.json").read_text())
+    first = (corpus / config["asn_table"]).read_text().split("\n", 1)[0]
+    prefix, asn = first.split()
+    with open(corpus / config["asn_table"], "a") as fh:
+        fh.write(f"{prefix} {int(asn) + 1000}\n")
+    cone = json.loads((corpus / config["cone"]).read_text())
+    member = min(cone)
+    cone[member].append(int(member))
+    (corpus / config["cone"]).write_text(json.dumps(cone))
+
+    env = {**os.environ, "ICS_SCOPE_LOG": "WARNING",
+           "PYTHONPATH": str(Path(ics_scope.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", _ANALYZE_AT_TWO_CPUS,
+                             *_analyze(corpus, tmp_path)], env=env)
+    assert result.returncode == 0
+    err = capfd.readouterr().err
+    assert (f"WARNING ics_scope.enrich: duplicate prefix {prefix}: {int(asn) + 1000} "
+            f"overrides {asn}") in err
+    assert f"WARNING ics_scope.enrich: member AS {member} listed in its own cone" in err
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    inputs = load_inputs(PipelineConfig.from_json(corpus / "config.json"))
+    assert inputs.asn_table.lookup(ip_to_int(prefix.split("/")[0])) == int(asn) + 1000
 
 
 @pytest.mark.parametrize("label, code", [("industrial", 0), ("non_industrial", 0), ("all", 0),
@@ -210,16 +324,16 @@ def test_analyze_stability_label(tmp_path, capsys, label, code):
         assert len((reports / "stability.csv").read_text().splitlines()) > 1
 
 
-def test_analyze_unknown_dpi_transport_exit_2(tmp_path, capsys):
+def test_analyze_unknown_dpi_transport_exit_2(tmp_path, capsys, monkeypatch):
     corpus = _gen(tmp_path)
     (corpus / "dpi.json").write_text(json.dumps(
         [{"name": "http", "transport": "TCP", "prefix_bytes": "47455420"}]))
     config = json.loads((corpus / "config.json").read_text())
     config["dpi_catalog"] = "dpi.json"
     (corpus / "config.json").write_text(json.dumps(config))
-    code = main(["analyze", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "r")])
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
     assert code == 2
-    assert "signature http: unknown transport 'TCP'" in capsys.readouterr().err
+    assert "signature http: unknown transport 'TCP'" in err
 
 
 def test_truncated_record_fails_analyze_and_sanitize(tmp_path, capsys):

@@ -35,13 +35,13 @@ from ics_scope.dissectors import (
 from ics_scope.trafficgen import (
     build_frame,
     dnp3_read_request,
-    golden_packets,
     hartip_message,
-    modbus_exception_reply,
     modbus_request,
     s7_setup_job,
     write_pcap,
 )
+
+from golden import golden_packets, modbus_exception_reply
 
 
 def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ics_scope import pipeline
-from ics_scope.capture import CaptureError, CaptureMeta, read_capture
+from ics_scope.capture import CaptureError, CaptureMeta, int_to_ip, ip_to_int, read_capture
 from ics_scope.cli import main
 from ics_scope.pipeline import (
     ChildError,
@@ -148,12 +148,54 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# The line tables of a generated corpus (hp_all with hp_ics, rdns, asn_table,
+# geo): with more than one CPU each loads in a forked child of its own.
+_LINE_TABLES = 4
+
+
+def _pad_tables(corpus, rows=3000):
+    """Append rows rows to each line table of the corpus, in address space its
+    traffic never uses; every hundredth prefix repeats the one fifty rows up
+    with another value, which must win."""
+    raw = json.loads(corpus.config.read_text())
+    base = ip_to_int("172.16.0.0")
+    hosts = [int_to_ip(base + 256 * n + 1) for n in range(rows)]
+    prefixes = [f"{int_to_ip(base + 256 * (n - 50 if n % 100 == 99 else n))}/24"
+                for n in range(rows)]
+    appended = {
+        "hp_all": [f"{ip}\n" for ip in hosts],
+        "hp_ics": [f"{ip}\n" for ip in hosts[::5]],
+        "rdns": [f"{ip},host{n}.example.net\n" for n, ip in enumerate(hosts)],
+        "asn_table": [f"{prefix} {65000 + n % 700}\n" for n, prefix in enumerate(prefixes)],
+        "geo": [f"{prefix},{('FR', 'JP', 'BR')[n % 3]}\n" for n, prefix in enumerate(prefixes)],
+    }
+    for key, lines in appended.items():
+        with open(corpus.out_dir / raw[key], "a") as fh:
+            fh.writelines(lines)
+
+
+def _tables(inputs):
+    """Every loaded table, field by field."""
+    return {
+        "registry": (inputs.scanner_registry.projects, inputs.scanner_registry._prefixes),
+        "hp_all": inputs.honeypots.hp_all,
+        "hp_ics": inputs.honeypots.hp_ics,
+        "rdns": inputs.rdns.mapping,
+        **{name: (table._by_len, table._probes, table.entries)
+           for name, table in (("asn_table", inputs.asn_table), ("geo", inputs.geo))},
+        "cone": (inputs.topology.members, inputs.topology.cone, inputs.topology.tag_members),
+        "scan_snapshot": inputs.scan_snapshot,
+        "dpi_catalog": inputs.dpi_catalog.signatures,
+    }
+
+
 def _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config, captures):
     """Analyze config as if on 1, 2, 3 and 8 CPUs: one bundle, byte for byte,
-    with one reader summary per configured capture; no fork on one CPU and
-    one forked child per CPU otherwise, none left afterwards."""
-    forks, in_parent = [], []
-    real_fork, real_state = os.fork, pipeline.capture_state
+    with one reader summary per configured capture, from tables equal field
+    by field; no fork on one CPU and otherwise one forked child per line
+    table and one per CPU, none left afterwards."""
+    forks, in_parent, loads = [], [], []
+    real_fork, real_state, real_load = os.fork, pipeline.capture_state, pipeline.load_inputs
 
     def counted_fork():
         pid = real_fork()
@@ -166,7 +208,9 @@ def _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config, captures):
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(pipeline, "capture_state",
                         lambda *args: in_parent.append(args[2]) or real_state(*args))
-    bundles = {}
+    monkeypatch.setattr(pipeline, "load_inputs",
+                        lambda config: loads.append(real_load(config)) or loads[-1])
+    bundles, tables = {}, {}
     for cpus in (1, 2, 3, 8):
         _cpus(monkeypatch, cpus)
         forks.clear()
@@ -174,33 +218,42 @@ def _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config, captures):
         fds = _open_fds()
         bundles[cpus] = tmp_path / f"cpus{cpus}"
         run_analyze(PipelineConfig.from_json(config), bundles[cpus])
-        assert len(forks) == (0 if cpus == 1 else cpus)
+        assert len(forks) == (0 if cpus == 1 else _LINE_TABLES + cpus)
         assert in_parent == (list(range(len(captures))) if cpus == 1 else [])
         assert _open_fds() == fds
         _no_child_left()
+        tables[cpus] = _tables(loads.pop())
         summary = json.loads((bundles[cpus] / "run_summary.json").read_text())
         assert [c["path"].rsplit("/", 1)[-1] for c in summary["captures"]] == captures
     assert summary["kept"] > 0
     names = sorted(p.name for p in bundles[1].iterdir())
     for cpus in (2, 3, 8):
+        assert tables[cpus] == tables[1]
         assert sorted(p.name for p in bundles[cpus].iterdir()) == names
         for name in names:
             assert (bundles[1] / name).read_bytes() == (bundles[cpus] / name).read_bytes(), name
-    return bundles[1]
+    return bundles[1], tables[1]
 
 
 def test_pool_and_in_process_runs_write_the_same_bundle(tmp_path, monkeypatch):
     corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
     config = _config(corpus, "three", _THREE_CAPTURES)
-    bundle = _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config,
-                                           [c["path"] for c in _THREE_CAPTURES])
+    bundle, _ = _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config,
+                                              [c["path"] for c in _THREE_CAPTURES])
     per_vantage = json.loads((bundle / "sanitize.json").read_text())["per_vantage"]
     assert sorted(per_vantage) == ["isp", "ixp"]
 
 
 def test_one_capture_cut_into_pieces_writes_the_same_bundle(tmp_path, monkeypatch):
     corpus = generate(ScenarioSpec.from_dict(SCENARIO), tmp_path / "corpus")
-    _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, corpus.config, ["corpus.pcap"])
+    _pad_tables(corpus)
+    _, tables = _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, corpus.config,
+                                              ["corpus.pcap"])
+    assert len(tables["rdns"]) >= 3000 and len(tables["hp_ics"]) >= 600
+    assert tables["asn_table"][2] > 2900 and tables["geo"][2] > 2900
+    # The last of two rows for one prefix wins.
+    assert tables["asn_table"][0][24][ip_to_int("172.16.49.0") >> 8] == 65099
+    assert tables["geo"][0][24][ip_to_int("172.16.49.0") >> 8] == "FR"
 
 
 def test_pieces_cover_the_record_bytes_once(tmp_path):
@@ -311,27 +364,56 @@ def test_a_worker_that_dies_fails_the_run(tmp_path, monkeypatch):
     _no_child_left()
 
 
-def test_a_child_killed_by_sigkill_fails_the_run_at_once(tmp_path, monkeypatch, capsys):
+def _killed_in_the_stream(tmp_path, monkeypatch):
     def killed_or_slow(index):
         if index == 2:  # only in the second piece
             os.kill(os.getpid(), signal.SIGKILL)
         if index == 0:  # only in the first piece, which must not be waited for
             time.sleep(60)
 
-    config = _fails_in_a_child(tmp_path, monkeypatch, "killed", killed_or_slow)
-    reports = tmp_path / "reports"
-    fds = _open_fds()
-    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
-    try:
-        started = time.monotonic()
-        assert main(["analyze", "--config", str(config), "--out", str(reports)]) == 1
-        assert time.monotonic() - started < 30
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-    assert f"killed by signal {signal.SIGKILL.value}" in capsys.readouterr().err
-    assert list(reports.iterdir()) == []
-    assert _open_fds() == fds
-    _no_child_left()
+    return _fails_in_a_child(tmp_path, monkeypatch, "killed", killed_or_slow)
+
+
+def _killed_loading_a_table(tmp_path, monkeypatch):
+    """The three-capture config on 2 CPUs, whose prefix-to-AS table's load
+    child is killed while the geo table's load child sleeps."""
+    corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
+    config = _config(corpus, "killed", _THREE_CAPTURES)
+    test_pid, real_asn, real_geo = os.getpid(), pipeline.load_asn_table, pipeline.load_geo_table
+
+    def killed(path):
+        if os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_asn(path)
+
+    def slow(path):
+        if os.getpid() != test_pid:
+            time.sleep(60)  # must not be waited for
+        return real_geo(path)
+
+    monkeypatch.setattr(pipeline, "load_asn_table", killed)
+    monkeypatch.setattr(pipeline, "load_geo_table", slow)
+    _cpus(monkeypatch, 2)
+    return config
+
+
+def test_a_child_killed_by_sigkill_fails_the_run_at_once(tmp_path, monkeypatch, capsys):
+    for case in (_killed_in_the_stream, _killed_loading_a_table):
+        with monkeypatch.context() as patch:
+            config = case(tmp_path / case.__name__, patch)
+            reports = tmp_path / case.__name__ / "reports"
+            fds = _open_fds()
+            faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+            try:
+                started = time.monotonic()
+                assert main(["analyze", "--config", str(config), "--out", str(reports)]) == 1
+                assert time.monotonic() - started < 30
+            finally:
+                faulthandler.cancel_dump_traceback_later()
+        assert f"killed by signal {signal.SIGKILL.value}" in capsys.readouterr().err
+        assert list(reports.glob("*")) == []
+        assert _open_fds() == fds
+        _no_child_left()
 
 
 _TABLE_KEYS = ("scanner_registry", "hp_all", "hp_ics", "rdns", "asn_table", "cone", "geo",

@@ -5,12 +5,9 @@ import pytest
 
 from ics_scope.capture import CaptureMeta, read_capture, record_from_frame
 from ics_scope.dissectors import dissect
-from ics_scope.trafficgen import (
-    ScenarioError,
-    ScenarioSpec,
-    generate,
-    golden_packets,
-)
+from ics_scope.trafficgen import ScenarioError, ScenarioSpec, generate
+
+from golden import golden_packets
 
 
 def _spec(**overrides):
