@@ -231,10 +231,11 @@ class PcapReader:
     that capture and is skipped as "over_snaplen".
 
     frames_read counts from the file's first record, walked ones included,
-    so an error names the same record index whatever the range; first_frame
-    is the index of the range's first record. Skip counters and frame totals
-    are reliable once iteration stops; records_yielded plus the sum of
-    skipped reasons always equals frames_read - first_frame.
+    so an error names the same record index whatever the range. Skip
+    counters and frame totals are reliable once iteration stops;
+    records_yielded plus the sum of skipped reasons then equals frames_read
+    less the records walked to reach start, which in a cut of the file into
+    consecutive ranges is the previous range's frames_read.
     """
 
     def __init__(self, path, meta: CaptureMeta, start: int = PCAP_HEADER_LEN,
@@ -244,7 +245,6 @@ class PcapReader:
         self.start = max(start, PCAP_HEADER_LEN)
         self.stop = stop
         self.skipped: Counter[str] = Counter()
-        self.first_frame = 0
         self.frames_read = 0
         self.records_yielded = 0
         try:
@@ -300,7 +300,6 @@ class PcapReader:
                 fh.seek(incl_len, os.SEEK_CUR)
                 pos += 16 + incl_len
                 self.frames_read += 1
-            self.first_frame = self.frames_read
             while pos < stop:
                 head = fh.read(16)
                 if len(head) < 16:

@@ -141,15 +141,17 @@ class HoneypotSets:
     ICS-port requesters."""
 
     def __init__(self, hp_all: frozenset[int], hp_ics: frozenset[int]):
-        if not hp_ics <= hp_all:
-            extra = sorted(map(int_to_ip, hp_ics - hp_all))[:3]
-            raise ValueError(f"hp_ics must be a subset of hp_all, offending entries: {extra}")
         self.hp_all = hp_all
         self.hp_ics = hp_ics
 
     @classmethod
     def from_files(cls, all_path, ics_path) -> "HoneypotSets":
-        return cls(_read_ip_set(all_path), _read_ip_set(ics_path))
+        hp_all, hp_ics = _read_ip_set(all_path), _read_ip_set(ics_path)
+        if not hp_ics <= hp_all:
+            extra = sorted(map(int_to_ip, hp_ics - hp_all))[:3]
+            raise ValueError(f"hp_ics {ics_path} must be a subset of hp_all {all_path}, "
+                             f"offending entries: {extra}")
+        return cls(hp_all, hp_ics)
 
     @classmethod
     def empty(cls) -> "HoneypotSets":

@@ -17,7 +17,14 @@ from . import __version__
 from .capture import CaptureError, CaptureMeta, read_capture
 from .classify import FILTER_FAMILIES
 from .dissectors import action_name, dissect
-from .pipeline import CandidateStream, CaptureSource, ConfigError, PipelineConfig, run_analyze
+from .pipeline import (
+    CaptureSource,
+    CaptureState,
+    ConfigError,
+    PipelineConfig,
+    kept_candidates,
+    run_analyze,
+)
 from .sanitize import default_catalog, retention, sanitize_rows
 from .trafficgen import ScenarioError, ScenarioSpec, generate
 
@@ -124,12 +131,12 @@ def _cmd_dissect(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    meta = CaptureMeta("cli", snap_len=args.snap_len)
-    stream = CandidateStream(CaptureSource(Path(args.pcap), meta), default_catalog())
-    for _ in stream:
+    state = CaptureState()
+    source = CaptureSource(Path(args.pcap), CaptureMeta("cli", snap_len=args.snap_len))
+    for _ in kept_candidates(state, source, 0, default_catalog()):
         pass
     print("step,remaining_count,remaining_pct")
-    for row in sanitize_rows(retention(stream.events)[0]):
+    for row in sanitize_rows(retention(state.events)[0]):
         pct = "" if row["remaining_pct"] is None else f"{row['remaining_pct']:.1f}"
         print(f"{row['step']},{row['remaining_count']},{pct}")
     return 0

@@ -46,25 +46,12 @@ BACNET = "bacnet"
 DNP3 = "dnp3"
 HARTIP = "hartip"
 IEC104 = "iec104"
-PROTOCOLS = (MODBUS, S7COMM, ETHERNETIP, BACNET, DNP3, HARTIP, IEC104)
 
 NORMAL = "normal"
 HEURISTIC = "heuristic"
 WELL_FORMED = "well_formed"
 MALFORMED = "malformed"
 UNKNOWN = "unknown"
-
-# Frame length (from link-layer start) at which each protocol's golden
-# packet becomes identifiable; derived byte-wise against the golden corpus.
-MIN_IDENTIFIABLE_FRAME_BYTES = {
-    MODBUS: 74,
-    S7COMM: 93,
-    ETHERNETIP: 74,
-    BACNET: 46,
-    DNP3: 62,
-    HARTIP: 78,
-    IEC104: 76,
-}
 
 ENIP_COMMANDS = frozenset(
     {0x0000, 0x0004, 0x0063, 0x0064, 0x0065, 0x0066, 0x006F, 0x0070, 0x0072, 0x0073}

@@ -99,7 +99,8 @@ def load_geo_table(path) -> LpmTable:
                 raise ValueError(f"{path} line {reader.line_num}: expected 'prefix,country'")
             prefix, country = row[0].strip(), row[1].strip().upper()
             if not _COUNTRY_RE.match(country):
-                raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
+                raise ValueError(f"{path} line {reader.line_num}: invalid country code "
+                                 f"{country!r} for prefix {prefix}")
             try:
                 table.add(prefix, country)
             except ValueError as exc:

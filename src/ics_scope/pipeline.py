@@ -143,8 +143,11 @@ class PipelineConfig:
             value = raw.get(key)
             return None if value is None else existing(value, key)
 
+        entries = typed(raw.get("captures", []), list, "captures")
+        if not entries:
+            raise ConfigError(f"config {path}: captures must list at least one capture")
         captures = []
-        for index, entry in enumerate(typed(raw.get("captures", []), list, "captures")):
+        for index, entry in enumerate(entries):
             key = f"captures[{index}]"
             if not isinstance(entry, dict) or "path" not in entry:
                 raise ConfigError(f"config {path}: {key} has no 'path'")
@@ -284,48 +287,6 @@ def _share_pct(share: float | None) -> float | None:
     return None if share is None else round(100 * share, 1)
 
 
-class CandidateStream:
-    """One pass over one capture, or a byte range of it, from pcap record to
-    sanitize verdict.
-
-    Iterating yields (record, dissection) for each kept candidate, in file
-    order. Every record is read once, checked once by the port-only
-    predicate and dissected once; every candidate gets one verdict. The
-    counts are complete once iteration ends: events holds one
-    (vantage, verdict) per candidate and one (vantage, PORT_ONLY) per
-    port-only record, the vantage coming from the capture's CaptureMeta;
-    candidates holds the candidates per protocol, notes the dissector notes
-    and reader the PcapReader with its frame counts.
-    """
-
-    def __init__(self, source: CaptureSource, catalog: DpiCatalog,
-                 start: int = PCAP_HEADER_LEN, stop: int | None = None):
-        self.source = source
-        self.catalog = catalog
-        self.range = (start, stop)
-        self.events: Counter[tuple[str, str]] = Counter()
-        self.candidates: Counter[str] = Counter()
-        self.notes: Counter[str] = Counter()
-        self.reader = None
-
-    def __iter__(self):
-        events = self.events
-        vantage = self.source.meta.vantage
-        port_only = (vantage, PORT_ONLY)
-        self.reader = read_capture(self.source.path, self.source.meta, *self.range)
-        for record in self.reader:
-            if is_port_only(record):
-                events[port_only] += 1
-            dissection = dissect(record, self.notes)
-            if dissection is None:
-                continue
-            self.candidates[dissection.protocol] += 1
-            verdict = sanitize_candidate(record, dissection, self.catalog)
-            events[(vantage, verdict)] += 1
-            if verdict == KEPT:
-                yield record, dissection
-
-
 # The outcome a frame the reader yields counts under in CaptureState.frames;
 # a skipped frame counts under its skip reason.
 RECORD = "record"
@@ -342,7 +303,8 @@ class CaptureState:
     and the order of combining never show in the bundle.
     """
 
-    events: Counter = field(default_factory=Counter)  # CandidateStream.events
+    # Candidates per (vantage, verdict), port-only records per (vantage, PORT_ONLY).
+    events: Counter = field(default_factory=Counter)
     candidates: Counter = field(default_factory=Counter)  # candidates per protocol
     notes: Counter = field(default_factory=Counter)  # dissector notes
     # Frames read per (capture index in the config, RECORD or skip reason).
@@ -362,6 +324,39 @@ class CaptureState:
     passive_hosts: set = field(default_factory=set)
 
 
+def kept_candidates(state: CaptureState, source: CaptureSource, index: int,
+                    catalog: DpiCatalog, start: int = PCAP_HEADER_LEN, stop: int | None = None):
+    """One pass over one capture, or the byte range [start, stop) of it, from
+    pcap record to sanitize verdict, counted into state.
+
+    Yields (record, dissection) for each kept candidate, in file order. Every
+    record is read once, checked once by the port-only predicate and
+    dissected once; every candidate gets one verdict. As they happen,
+    state.events counts each candidate's verdict and each port-only record
+    under the capture's vantage, state.candidates the candidates per protocol
+    and state.notes the dissector notes; once the reader stops, state.frames
+    counts the frames under index, the capture's place in the config.
+    """
+    events, candidates, notes = state.events, state.candidates, state.notes
+    vantage = source.meta.vantage
+    port_only = (vantage, PORT_ONLY)
+    reader = read_capture(source.path, source.meta, start, stop)
+    for record in reader:
+        if is_port_only(record):
+            events[port_only] += 1
+        dissection = dissect(record, notes)
+        if dissection is None:
+            continue
+        candidates[dissection.protocol] += 1
+        verdict = sanitize_candidate(record, dissection, catalog)
+        events[(vantage, verdict)] += 1
+        if verdict == KEPT:
+            yield record, dissection
+    for reason, n in reader.skipped.items():
+        state.frames[(index, reason)] += n
+    state.frames[(index, RECORD)] += reader.records_yielded
+
+
 def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
                   start: int = PCAP_HEADER_LEN, stop: int | None = None) -> CaptureState:
     """Stream the byte range [start, stop) of the capture config.captures[index]
@@ -371,22 +366,18 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
     counts keys; classification and enrichment run once per distinct key.
     """
     source = config.captures[index]
-    stream = CandidateStream(source, inputs.dpi_catalog, start, stop)
+    state = CaptureState()
     keys: Counter[tuple] = Counter()
-    for record, dissection in stream:
+    for record, dissection in kept_candidates(state, source, index, inputs.dpi_catalog,
+                                              start, stop):
         keys[(dissection.protocol, direction(record), record.src_ip, record.dst_ip,
               record.day)] += 1
-    frames = Counter({(index, reason): n for reason, n in stream.reader.skipped.items()})
-    frames[(index, RECORD)] = stream.reader.records_yielded
 
     vantage, sample_interval = source.meta.vantage, source.meta.sample_interval
     active = FILTER_FAMILIES[config.filters]
-    filter_counts: Counter[tuple] = Counter()
-    daily_counts: Counter[tuple] = Counter()
-    groups: Counter[tuple[str, str, str]] = Counter()
-    stable_days: set[tuple] = set()
-    request_protocols: set[tuple[int, str]] = set()
-    passive_hosts: set[tuple[str, str, int]] = set()
+    filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups
+    stable_days, request_protocols = state.stable_days, state.request_protocols
+    passive_hosts = state.passive_hosts
     for key, n in keys.items():
         protocol, packet_direction, src_ip, dst_ip, day = key
         reasons = classify(src_ip, dst_ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
@@ -409,12 +400,7 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
         domestic = is_domestic(src_ip, dst_ip, inputs.geo) if inputs.geo is not None else None
         status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
         groups[(protocol, label, status)] += n
-    return CaptureState(
-        events=stream.events, candidates=stream.candidates, notes=stream.notes,
-        frames=frames, filter_counts=filter_counts, daily_counts=daily_counts,
-        groups=groups, stable_days=stable_days, request_protocols=request_protocols,
-        passive_hosts=passive_hosts,
-    )
+    return state
 
 
 def _combine(states) -> CaptureState:

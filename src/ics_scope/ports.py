@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from importlib import resources
 
 # IP protocol numbers of the transport names the data files use.
@@ -55,10 +54,5 @@ class PortRegistry:
         return out
 
 
-@lru_cache(maxsize=1)
-def default_registry() -> PortRegistry:
-    return PortRegistry(load_packaged_json("ports.json"))
-
-
-# The one port table the dissect path reads: the packaged ports.json.
-PORTS = default_registry()
+# The one port table: the packaged ports.json.
+PORTS = PortRegistry(load_packaged_json("ports.json"))

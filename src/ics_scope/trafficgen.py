@@ -38,7 +38,7 @@ from .dissectors import (
     WELL_FORMED,
     dnp3_crc,
 )
-from .ports import default_registry
+from .ports import PORTS
 from .sanitize import DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -398,7 +398,7 @@ _PROTOCOL_TRANSPORT = {
 
 
 def protocol_port(protocol: str) -> int:
-    ports = default_registry().ports_for(protocol)
+    ports = PORTS.ports_for(protocol)
     return ports[_PROTOCOL_TRANSPORT[protocol]][0]
 
 

@@ -40,6 +40,21 @@ from ics_scope.trafficgen import (
 )
 
 
+PROTOCOLS = (MODBUS, S7COMM, ETHERNETIP, BACNET, DNP3, HARTIP, IEC104)
+
+# Frame length (from link-layer start) at which each protocol's golden
+# packet becomes identifiable; derived byte-wise against the golden corpus.
+MIN_IDENTIFIABLE_FRAME_BYTES = {
+    MODBUS: 74,
+    S7COMM: 93,
+    ETHERNETIP: 74,
+    BACNET: 46,
+    DNP3: 62,
+    HARTIP: 78,
+    IEC104: 76,
+}
+
+
 @dataclass(frozen=True)
 class GoldenPacket:
     name: str

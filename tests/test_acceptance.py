@@ -35,7 +35,7 @@ from ics_scope.classify import (
     classify,
     label_under,
 )
-from ics_scope.dissectors import MIN_IDENTIFIABLE_FRAME_BYTES, WELL_FORMED, dissect
+from ics_scope.dissectors import WELL_FORMED, dissect
 from ics_scope.enrich import (
     IxpTopology,
     LpmTable,
@@ -46,11 +46,17 @@ from ics_scope.enrich import (
     transition,
 )
 from ics_scope.metrics import extrapolate, host_stability
-from ics_scope.pipeline import CandidateStream, CaptureSource, PipelineConfig, run_analyze
+from ics_scope.pipeline import (
+    CaptureSource,
+    CaptureState,
+    PipelineConfig,
+    kept_candidates,
+    run_analyze,
+)
 from ics_scope.sanitize import KEPT, default_catalog, retention, sanitize_candidate
 from ics_scope.trafficgen import ScenarioSpec, generate
 
-from golden import golden_packets
+from golden import MIN_IDENTIFIABLE_FRAME_BYTES, golden_packets
 from oracles import is_local
 
 SCANNERS = frozenset({SCANNER_PREFIX, SCANNER_RDNS})
@@ -256,10 +262,11 @@ def test_criterion_2_sanitization_arithmetic(tmp_path):
     raw = {"seed": 404, "vantage": "vp", "start_day": "2018-01-01",
            "end_day": "2018-01-01", "flows": flows}
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
-    stream = CandidateStream(CaptureSource(corpus.pcap, _capture_meta(corpus)), default_catalog())
-    for _ in stream:
+    state = CaptureState()
+    source = CaptureSource(corpus.pcap, _capture_meta(corpus))
+    for _ in kept_candidates(state, source, 0, default_catalog()):
         pass
-    total, _ = retention(stream.events)
+    total, _ = retention(state.events)
     counts = (total["candidates_in"], total["after_tunnel"], total["after_malformed"],
               total["after_dpi"])
     assert counts == (100, 99, 14, 13), counts

@@ -27,8 +27,7 @@ from ics_scope.capture import (
     record_from_frame,
     utc_day,
 )
-from ics_scope.dissectors import PROTOCOLS
-from ics_scope.ports import default_registry
+from ics_scope.ports import PORTS
 from ics_scope.trafficgen import (
     ETH_HEADER,
     build_frame,
@@ -38,7 +37,7 @@ from ics_scope.trafficgen import (
     write_pcap,
 )
 
-from golden import golden_packets
+from golden import PROTOCOLS, golden_packets
 
 ARP_FRAME = (
     b"\xff\xff\xff\xff\xff\xff" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x06" + b"\x00" * 28
@@ -251,8 +250,8 @@ _GOLDEN_PCAP = _golden_pcap()
 
 def _read(path, start=24, stop=None):
     """What a reader of [start, stop) of path yields: its records, skip
-    counts, first frame and frames read, and the CaptureError message or
-    None. The reader is None when the file header was refused."""
+    counts and frames read, and the CaptureError message or None. The
+    reader is None when the file header was refused."""
     records, reader, error = [], None, None
     try:
         reader = read_capture(path, CaptureMeta("vp"), start, stop)
@@ -299,9 +298,11 @@ def test_mutated_pcap_reads_the_same_whole_or_in_ranges(flips, cut, cuts):
     assert len(failed) == (error is not None)
     frames, skipped, joined = 0, Counter(), []
     for i, (piece_records, reader, message) in enumerate(pieces):
-        assert reader.first_frame == frames  # file-absolute frame numbers
+        # File-absolute frame numbers: each range counts on from the previous one.
         assert reader.records_yielded + sum(reader.skipped.values()) == (
-            reader.frames_read - reader.first_frame)
+            reader.frames_read - frames)
+        if failed and i > failed[0]:
+            assert piece_records == [] and reader.frames_read == frames
         frames = reader.frames_read
         skipped += reader.skipped
         joined += piece_records
@@ -311,8 +312,6 @@ def test_mutated_pcap_reads_the_same_whole_or_in_ranges(flips, cut, cuts):
             bad = _record_offsets(data)[whole.frames_read]
             start, stop = bounds[i], bounds[i + 1]
             assert max(start, 24) <= bad and (stop is None or bad < stop)
-        if failed and i > failed[0]:
-            assert piece_records == [] and reader.frames_read == reader.first_frame
     assert joined == records
     assert skipped == whole.skipped
     assert frames == whole.frames_read
@@ -340,9 +339,8 @@ def test_direction_examples():
 
 
 def test_direction_all_registered_pairs_are_requests():
-    registry = default_registry()
     pairs = [(port, transport) for protocol in PROTOCOLS
-             for transport, ports in registry.ports_for(protocol).items() for port in ports]
+             for transport, ports in PORTS.ports_for(protocol).items() for port in ports]
     by_transport = {"tcp": 6, "udp": 17}
     for port_a, transport in pairs:
         for port_b, transport_b in pairs:

@@ -143,6 +143,29 @@ def test_analyze_short_geo_row_exit_2(tmp_path, capsys, monkeypatch):
     assert err == message
 
 
+def test_analyze_bad_country_code_names_the_geo_line(tmp_path, capsys, monkeypatch):
+    corpus = _gen(tmp_path)
+    geo = corpus / "geo.csv"
+    with open(geo, "a") as fh:
+        fh.write("10.0.0.0/8,ZZZ\n")
+    lines = geo.read_text().count("\n")
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert (code, err) == (2, f"error: failed to load pipeline inputs: {geo} line {lines}: "
+                              f"invalid country code 'ZZZ' for prefix 10.0.0.0/8\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_analyze_honeypot_subset_error_names_both_files(tmp_path, capsys, monkeypatch):
+    corpus = _gen(tmp_path)
+    (corpus / "hp_all.txt").write_text("10.0.0.1\n")
+    (corpus / "hp_ics.txt").write_text("10.0.0.1\n10.0.0.9\n")
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert (code, err) == (2, f"error: failed to load pipeline inputs: hp_ics "
+                              f"{corpus / 'hp_ics.txt'} must be a subset of hp_all "
+                              f"{corpus / 'hp_all.txt'}, offending entries: ['10.0.0.9']\n")
+    assert not (tmp_path / "r").exists()
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -155,6 +178,10 @@ def _capture(config, **changes):
 
 
 _FAULTS = [
+    pytest.param("analyze", lambda c: {k: v for k, v in c.items() if k != "captures"},
+                 "captures must list at least one capture", id="captures-missing"),
+    pytest.param("analyze", lambda c: {**c, "captures": []},
+                 "captures must list at least one capture", id="captures-empty"),
     pytest.param("analyze", lambda c: {**c, "captures": [{"vantage": "ixp0"}]},
                  "captures[0] has no 'path'", id="capture-without-path"),
     pytest.param("analyze", lambda c: _capture(c, sample_interval=0),
@@ -199,6 +226,7 @@ def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message
         argv = [command, "--config", str(bad), "--out", str(tmp_path / "r")]
     assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 # A sidecar table of the wrong shape names the file and the key and exits 2.
@@ -504,6 +532,40 @@ def test_sanitize_subcommand(tmp_path, capsys, golden_dir):
     out = capsys.readouterr().out
     assert "candidates,1,100.0" in out
     assert "dpi_removal,1,100.0" in out
+
+
+# Every sanitize step drops packets: tunnel (backscatter), malformed and DPI.
+_SANITIZE_SCENARIO = {
+    **SCENARIO,
+    "flows": SCENARIO["flows"] + [
+        {"kind": kind, "protocol": protocol, "src": src, "dst": dst,
+         "schedule": {"start_day": "2018-01-02", "end_day": "2018-01-02",
+                      "packets_per_day": 3}}
+        for kind, protocol, src, dst in [
+            ("backscatter", "bacnet", "100.71.9.1", "100.72.9.1"),
+            ("malformed", "modbus", "100.73.40.1", "100.74.40.1"),
+            ("malformed", "dnp3", "100.73.41.1", "100.74.41.1"),
+            ("dpi_decoy", "bacnet", "100.127.9.1", "100.127.9.2"),
+        ]
+    ],
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sanitize_prints_the_sanitize_csv_of_analyze(tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(_SANITIZE_SCENARIO))
+    corpus = tmp_path / "corpus"
+    assert main(["gen", str(spec), "--out", str(corpus)]) == 0
+    assert main(_analyze(corpus, tmp_path)) == 0
+    capsys.readouterr()
+    snap_len = str(_SANITIZE_SCENARIO["snap_len"])
+    assert main(["sanitize", str(corpus / "corpus.pcap"), "--snap-len", snap_len]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (tmp_path / "r" / "sanitize.csv").read_text()
+    assert [line.split(",")[1] for line in printed.splitlines()[1:]] == [
+        "52", "49", "43", "40", "49"]
 
 
 def test_version(capsys):

@@ -11,7 +11,6 @@ from ics_scope.dissectors import (
     HEURISTICS,
     IEC104,
     MALFORMED,
-    MIN_IDENTIFIABLE_FRAME_BYTES,
     MODBUS,
     NORMAL,
     REPLY,
@@ -41,7 +40,7 @@ from ics_scope.trafficgen import (
     write_pcap,
 )
 
-from golden import golden_packets, modbus_exception_reply
+from golden import MIN_IDENTIFIABLE_FRAME_BYTES, golden_packets, modbus_exception_reply
 
 
 def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):

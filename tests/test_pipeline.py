@@ -436,6 +436,7 @@ _VALID_CONFIG = st.fixed_dictionaries(
                     "snap_len": st.integers(min_value=46, max_value=65535),
                 },
             ),
+            min_size=1,
             max_size=3,
         ),
     },
