@@ -24,6 +24,8 @@ from .pipeline import (
     PipelineConfig,
     kept_candidates,
     run_analyze,
+    sanitize_table,
+    write_csv,
 )
 from .sanitize import default_catalog, retention, sanitize_rows
 from .trafficgen import ScenarioError, ScenarioSpec, generate
@@ -135,10 +137,7 @@ def _cmd_sanitize(args) -> int:
     source = CaptureSource(Path(args.pcap), CaptureMeta("cli", snap_len=args.snap_len))
     for _ in kept_candidates(state, source, 0, default_catalog()):
         pass
-    print("step,remaining_count,remaining_pct")
-    for row in sanitize_rows(retention(state.events)[0]):
-        pct = "" if row["remaining_pct"] is None else f"{row['remaining_pct']:.1f}"
-        print(f"{row['step']},{row['remaining_count']},{pct}")
+    write_csv(sys.stdout, sanitize_table(sanitize_rows(retention(state.events)[0])))
     return 0
 
 

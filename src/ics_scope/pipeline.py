@@ -262,18 +262,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_csv(fh, content, delimiter: str = ",") -> None:
+    """A report CSV from (header, rows) to an open text stream."""
+    header, rows = content
+    writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
 def _write(path: Path, content) -> None:
     """A JSON payload, or a CSV (tab-separated for .tsv) from (header, rows)."""
     if path.suffix == ".json":
         path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
         return
-    header, rows = content
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t" if path.suffix == ".tsv" else ",",
-                            lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        write_csv(fh, content, "\t" if path.suffix == ".tsv" else ",")
 
 
 def _columns(rows: list[dict], header: list[str], **convert) -> tuple[list[str], list[list]]:
@@ -281,6 +285,11 @@ def _columns(rows: list[dict], header: list[str], **convert) -> tuple[list[str],
     through convert[column] where the CSV shows a value differently."""
     return header, [[convert[c](row[c]) if c in convert else row[c] for c in header]
                     for row in rows]
+
+
+def sanitize_table(steps: list[dict]) -> tuple[list[str], list[list]]:
+    """sanitize.csv's (header, rows) from sanitize_rows' steps."""
+    return _columns(steps, ["step", "remaining_count", "remaining_pct"])
 
 
 def _share_pct(share: float | None) -> float | None:
@@ -650,7 +659,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         "dissect_notes": dict(sorted(state.notes.items())),
     }
     bundle = {
-        "sanitize.csv": _columns(steps, ["step", "remaining_count", "remaining_pct"]),
+        "sanitize.csv": sanitize_table(steps),
         "sanitize.json": {"steps": steps, "per_vantage": per_vantage},
         "filters.csv": _columns(family_rows, ["protocol", "total_packets", *share_columns],
                                 **dict.fromkeys(share_columns, _share_pct)),

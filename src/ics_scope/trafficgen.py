@@ -14,7 +14,6 @@ tests cannot drift apart.
 
 from __future__ import annotations
 
-import ipaddress
 import json
 import random
 import struct
@@ -22,7 +21,8 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .capture import REPLY, REQUEST, UNRELATED, CaptureMeta, int_to_ip, ip_to_int
+from .capture import REPLY, REQUEST, UNRELATED, CaptureMeta, int_to_ip, ip_to_int, parse_cidr
+from .classify import INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL, default_scanner_registry
 from .dissectors import (
     BACNET,
     DNP3,
@@ -46,26 +46,12 @@ _US_PER_DAY = 86_400_000_000
 
 ETH_HEADER = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x00"
 
-TCP_TS_OPTIONS = b"\x01\x01\x08\x0a" + struct.pack(">II", 1, 0)
-
-INDUSTRIAL_LABEL = "industrial"
-NON_INDUSTRIAL_LABEL = "non_industrial"
-
 INDUSTRIAL = "industrial"
 SCANNER_SWEEP = "scanner_sweep"
 BACKSCATTER = "backscatter"
 MALFORMED_KIND = "malformed"
 DPI_DECOY = "dpi_decoy"
 FLOW_KINDS = (INDUSTRIAL, SCANNER_SWEEP, BACKSCATTER, MALFORMED_KIND, DPI_DECOY)
-
-# Canonical scan-project rDNS patterns; prefix lists come from the flows.
-PROJECT_PATTERNS = {
-    "Shodan": ["shodan"],
-    "Rapid7": ["rapid7", "sonar."],
-    "Censys": ["census"],
-    "Kudelski": ["kudelski"],
-}
-PROJECT_ORDER = ("Shodan", "Rapid7", "Censys", "Kudelski")
 
 
 class ScenarioError(ValueError):
@@ -77,8 +63,7 @@ class ScenarioError(ValueError):
 
 
 def _aton(ip: str) -> bytes:
-    a, b, c, d = ip.split(".")
-    return bytes((int(a), int(b), int(c), int(d)))
+    return ip_to_int(ip).to_bytes(4, "big")
 
 
 def _checksum16(data: bytes) -> int:
@@ -106,13 +91,13 @@ def _pseudo_header(src: str, dst: str, proto: int, length: int) -> bytes:
 
 def build_tcp(
     src_ip: str, dst_ip: str, sport: int, dport: int, payload: bytes,
-    options: bytes = b"", seq: int = 1000,
+    options: bytes = b"",
 ) -> bytes:
     if len(options) % 4:
         raise ValueError("TCP options must pad to 32-bit words")
     offset = (20 + len(options)) // 4
     header = struct.pack(
-        ">HHIIBBHHH", sport, dport, seq, 0, offset << 4, 0x18, 8192, 0, 0
+        ">HHIIBBHHH", sport, dport, 1000, 0, offset << 4, 0x18, 8192, 0, 0
     ) + options
     segment = header + payload
     checksum = _checksum16(_pseudo_header(src_ip, dst_ip, 6, len(segment)) + segment)
@@ -568,16 +553,12 @@ class ScenarioSpec:
             for day in flow.days():
                 if not self.start_day <= day <= self.end_day:
                     raise ScenarioError(f"{where}: schedule day {day} outside corpus range")
-            if flow.kind == SCANNER_SWEEP:
-                if not flow.project:
-                    raise ScenarioError(f"{where}: sweeps need a project")
-                total = flow.packets_per_day * len(flow.days())
-                if _usable_hosts(dst_net) > total:
-                    raise ScenarioError(
-                        f"{where}: destination CIDR larger than the {total} packets requested"
-                    )
-            if flow.rdns_name and not flow.rdns_project:
-                raise ScenarioError(f"{where}: rdns_name needs rdns_project")
+            total = flow.packets_per_day * len(flow.days())
+            if flow.kind == SCANNER_SWEEP and len(_host_range(dst_net)) > total:
+                raise ScenarioError(
+                    f"{where}: destination CIDR larger than the {total} packets requested"
+                )
+            _validate_projects(where, flow, min(len(_host_range(src_net)), total))
             if flow.honeypot not in (None, "ics", "all"):
                 raise ScenarioError(f"{where}: honeypot must be 'ics' or 'all'")
         self._validate_pools(networks)
@@ -587,8 +568,8 @@ class ScenarioSpec:
 
         networks: (flow, source network, destination network) per flow.
         """
-        tagged: list[tuple[ipaddress.IPv4Network, tuple[str, ...]]] = []
-        plain: list[ipaddress.IPv4Network] = []
+        tagged: list[tuple[tuple[int, int], tuple[str, ...]]] = []
+        plain: list[tuple[int, int]] = []
         for flow, src_net, dst_net in networks:
             if flow.tags():
                 tagged.append((src_net, flow.tags()))
@@ -598,44 +579,70 @@ class ScenarioSpec:
                 plain.append(dst_net)
         for plain_net in plain:
             for tagged_net, tags in tagged:
-                if plain_net.overlaps(tagged_net):
+                if _overlaps(plain_net, tagged_net):
                     raise ScenarioError(
-                        f"untagged network {plain_net} overlaps {tagged_net} "
+                        f"untagged network {_cidr(plain_net)} overlaps {_cidr(tagged_net)} "
                         f"(tagged {','.join(tags)}); ground truth would be ambiguous"
                     )
         for i, (net_a, tags_a) in enumerate(tagged):
             for net_b, tags_b in tagged[i + 1:]:
-                if net_a.overlaps(net_b) and tags_a != tags_b:
+                if _overlaps(net_a, net_b) and tags_a != tags_b:
                     raise ScenarioError(
-                        f"tagged networks {net_a} and {net_b} overlap with different "
-                        f"filter tags; ground truth would be ambiguous"
+                        f"tagged networks {_cidr(net_a)} and {_cidr(net_b)} overlap with "
+                        f"different filter tags; ground truth would be ambiguous"
                     )
 
 
-def _as_network(spec: str) -> ipaddress.IPv4Network:
-    return ipaddress.IPv4Network(spec if "/" in spec else spec + "/32")
+def _validate_projects(where: str, flow: FlowSpec, hosts: int) -> None:
+    """The packaged scanner registry flags the flow as its tags say: a
+    sweep's project and the rdns_project are registry projects, and each rDNS
+    name the flow can give its first `hosts` source hosts matches the latter."""
+    registry = default_scanner_registry()
+    projects = [project.name for project in registry.projects]
+    if flow.kind == SCANNER_SWEEP and flow.project not in projects:
+        raise ScenarioError(f"{where}: project must be one of {projects}, got {flow.project!r}")
+    if (flow.rdns_name or flow.rdns_project) and flow.rdns_project not in projects:
+        raise ScenarioError(f"{where}: rdns_project must be one of {projects}, "
+                            f"got {flow.rdns_project!r}")
+    if flow.rdns_project and not flow.rdns_name:
+        raise ScenarioError(f"{where}: rdns_project needs rdns_name")
+    for i in range(hosts if flow.rdns_name else 0):
+        try:
+            name = flow.rdns_name.format(i=i)
+        except (AttributeError, IndexError, KeyError, ValueError) as exc:
+            raise ScenarioError(f"{where}: rdns_name must format with {{i}}, "
+                                f"got {flow.rdns_name!r} ({exc})") from None
+        if registry.match_rdns(name) != flow.rdns_project:
+            raise ScenarioError(f"{where}: the scanner registry matches rdns_name {name!r} to "
+                                f"{registry.match_rdns(name) or 'no project'}, "
+                                f"not {flow.rdns_project}")
 
 
-def _flow_network(where: str, key: str, spec) -> ipaddress.IPv4Network:
+def _flow_network(where: str, key: str, spec) -> tuple[int, int]:
     """A flow's src or dst: an address, or a network without host bits."""
     try:
-        return _as_network(spec)
-    except (TypeError, ValueError) as exc:
+        return parse_cidr(spec, strict=True)
+    except (AttributeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {key} must be an IPv4 address or network, "
                             f"got {spec!r} ({exc})") from None
 
 
-def _usable_hosts(network: ipaddress.IPv4Network) -> int:
-    if network.prefixlen >= 31:
-        return network.num_addresses
-    return network.num_addresses - 2
+def _cidr(network: tuple[int, int]) -> str:
+    return f"{int_to_ip(network[0])}/{network[1]}"
 
 
-def _host_list(spec: str) -> list[str]:
-    network = _as_network(spec)
-    if network.prefixlen >= 31:
-        return [str(a) for a in network]
-    return [str(a) for a in network.hosts()]
+def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether two networks share the top bits of the shorter prefix."""
+    shift = 32 - min(a[1], b[1])
+    return a[0] >> shift == b[0] >> shift
+
+
+def _host_range(network: tuple[int, int]) -> range:
+    """A network's host addresses: all of a /31 or /32, otherwise all but
+    the network and broadcast addresses."""
+    start, plen = network
+    end = start + (1 << (32 - plen))
+    return range(start, end) if plen >= 31 else range(start + 1, end - 1)
 
 
 def _day_us(day: date) -> int:
@@ -652,7 +659,7 @@ class GeneratedCorpus:
     pcap: Path
     ground_truth: Path
     config: Path
-    sidecars: dict[str, Path] = field(default_factory=dict)
+    sidecars: dict[str, Path] = field(default_factory=dict)  # keyed by config key
 
 
 @dataclass
@@ -661,6 +668,10 @@ class _Pending:
     seq: int
     frame: bytes
     truth: dict
+
+
+def _ephemeral_port(rng: random.Random) -> int:
+    return rng.randrange(49152, 65536)
 
 
 def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
@@ -684,16 +695,16 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
 
     for flow in spec.flows:
         if flow.kind == SCANNER_SWEEP:
-            registry_prefixes.setdefault(flow.project, set()).add(str(_as_network(flow.src)))
+            network = _cidr(parse_cidr(flow.src, strict=True))
+            registry_prefixes.setdefault(flow.project, set()).add(network)
 
     for flow in spec.flows:
         transport = _PROTOCOL_TRANSPORT[flow.protocol]
         port = protocol_port(flow.protocol)
-        src_hosts = _host_list(flow.src)
-        dst_hosts = _host_list(flow.dst)
+        src_hosts = _host_range(parse_cidr(flow.src, strict=True))
+        dst_hosts = _host_range(parse_cidr(flow.dst, strict=True))
         reasons = list(flow.tags())
-        label = NON_INDUSTRIAL_LABEL if reasons else INDUSTRIAL_LABEL
-        rdns_counter = 0
+        label = NON_INDUSTRIAL if reasons else INDUSTRIAL_LABEL
         named: set[str] = set()
         sweep_index = 0
 
@@ -707,12 +718,13 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
             for pkt_index in range(flow.packets_per_day):
                 ts = day_us + rng.randrange(_US_PER_DAY)
                 is_request = pkt_index < n_requests
-                src = src_hosts[0] if len(src_hosts) == 1 else rng.choice(src_hosts)
+                src = int_to_ip(src_hosts[0] if len(src_hosts) == 1 else rng.choice(src_hosts))
                 if flow.kind == SCANNER_SWEEP:
-                    dst = dst_hosts[sweep_index % len(dst_hosts)]
+                    dst = int_to_ip(dst_hosts[sweep_index % len(dst_hosts)])
                     sweep_index += 1
                 else:
-                    dst = dst_hosts[0] if len(dst_hosts) == 1 else rng.choice(dst_hosts)
+                    dst = int_to_ip(dst_hosts[0] if len(dst_hosts) == 1
+                                    else rng.choice(dst_hosts))
 
                 if flow.honeypot == "ics":
                     hp_all.add(src)
@@ -720,72 +732,49 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
                 elif flow.honeypot == "all":
                     hp_all.add(src)
                 if flow.rdns_name and src not in named:
-                    rdns_rows.add((src, flow.rdns_name.format(i=rdns_counter)))
+                    rdns_rows.add((src, flow.rdns_name.format(i=len(named))))
                     named.add(src)
-                    rdns_counter += 1
 
                 ident += 2
-                heuristic_s7 = flow.heuristic and flow.protocol == S7COMM
-
+                truth = {
+                    "protocol": flow.protocol, "kind": NORMAL, "verdict": WELL_FORMED,
+                    "role": REQUEST, "function_code": None, "direction": REQUEST,
+                    "sanitize": KEPT, "label": None, "reasons": None,
+                }
                 if flow.kind == BACKSCATTER:
                     payload, fc = _request_payload(flow.protocol, rng)
                     router = f"100.80.{rng.randrange(0, 16)}.{rng.randrange(1, 255)}"
                     frame = build_backscatter_frame(
                         router, src, dst, transport,
-                        rng.randrange(49152, 65536), port, payload, ident=ident,
+                        _ephemeral_port(rng), port, payload, ident=ident,
                     )
-                    truth = {
-                        "protocol": flow.protocol, "kind": NORMAL, "verdict": WELL_FORMED,
-                        "role": REQUEST, "function_code": fc, "direction": UNRELATED,
-                        "sanitize": DROPPED_TUNNEL, "label": None, "reasons": None,
-                    }
+                    truth.update(function_code=fc, direction=UNRELATED, sanitize=DROPPED_TUNNEL)
                 elif flow.kind == MALFORMED_KIND:
                     payload, fc, role = malformed_payload(flow.protocol, rng)
-                    frame = build_frame(src, dst, transport, rng.randrange(49152, 65536),
+                    frame = build_frame(src, dst, transport, _ephemeral_port(rng),
                                         port, payload, ident=ident)
-                    truth = {
-                        "protocol": flow.protocol, "kind": NORMAL, "verdict": MALFORMED,
-                        "role": role, "function_code": fc, "direction": REQUEST,
-                        "sanitize": DROPPED_MALFORMED, "label": None, "reasons": None,
-                    }
+                    truth.update(verdict=MALFORMED, role=role, function_code=fc,
+                                 sanitize=DROPPED_MALFORMED)
                 elif flow.kind == DPI_DECOY:
                     frame = build_frame(src, dst, "udp", 53, 47808,
                                         bacnet_dns_chimera(), ident=ident)
-                    truth = {
-                        "protocol": BACNET, "kind": NORMAL, "verdict": WELL_FORMED,
-                        "role": REQUEST, "function_code": 8, "direction": REQUEST,
-                        "sanitize": DROPPED_KNOWN_PROTOCOL, "label": None, "reasons": None,
-                    }
-                elif is_request:
-                    payload, fc = _request_payload(flow.protocol, rng)
-                    if heuristic_s7:
-                        sport = rng.randrange(49152, 65536)
-                        dport = rng.randrange(49152, 65536)
-                        direction_truth, kind = UNRELATED, HEURISTIC
-                    else:
-                        sport, dport = rng.randrange(49152, 65536), port
-                        direction_truth, kind = REQUEST, NORMAL
-                    frame = build_frame(src, dst, transport, sport, dport, payload, ident=ident)
-                    truth = {
-                        "protocol": flow.protocol, "kind": kind, "verdict": WELL_FORMED,
-                        "role": REQUEST, "function_code": fc, "direction": direction_truth,
-                        "sanitize": KEPT, "label": label, "reasons": reasons or None,
-                    }
+                    truth.update(protocol=BACNET, function_code=8,
+                                 sanitize=DROPPED_KNOWN_PROTOCOL)
                 else:
-                    payload, fc = _reply_payload(flow.protocol, rng)
-                    if heuristic_s7:
-                        sport = rng.randrange(49152, 65536)
-                        dport = rng.randrange(49152, 65536)
-                        direction_truth, kind = UNRELATED, HEURISTIC
+                    role = REQUEST if is_request else REPLY
+                    build = _request_payload if is_request else _reply_payload
+                    payload, fc = build(flow.protocol, rng)
+                    if flow.heuristic and flow.protocol == S7COMM:
+                        ports = _ephemeral_port(rng), _ephemeral_port(rng)
+                        truth.update(kind=HEURISTIC, direction=UNRELATED)
                     else:
-                        sport, dport = port, rng.randrange(49152, 65536)
-                        direction_truth, kind = REPLY, NORMAL
-                    frame = build_frame(dst, src, transport, sport, dport, payload, ident=ident)
-                    truth = {
-                        "protocol": flow.protocol, "kind": kind, "verdict": WELL_FORMED,
-                        "role": REPLY, "function_code": fc, "direction": direction_truth,
-                        "sanitize": KEPT, "label": label, "reasons": reasons or None,
-                    }
+                        ports = ((_ephemeral_port(rng), port) if is_request
+                                 else (port, _ephemeral_port(rng)))
+                        truth["direction"] = role
+                    ends = (src, dst) if is_request else (dst, src)
+                    frame = build_frame(*ends, transport, *ports, payload, ident=ident)
+                    truth.update(role=role, function_code=fc, label=label,
+                                 reasons=reasons or None)
                 if flow.kind == INDUSTRIAL and not reasons:
                     industrial_endpoints.add(src)
                     industrial_endpoints.add(dst)
@@ -803,12 +792,6 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
             row = {"index": index, "vantage": spec.vantage, **packet.truth}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
-    sidecars = _write_sidecars(
-        spec, out_dir, registry_prefixes, rdns_rows, hp_all, hp_ics,
-        industrial_endpoints, pending,
-    )
-
-    config_path = out_dir / "config.json"
     config = {
         "captures": [
             {
@@ -818,72 +801,45 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
                 "snap_len": spec.snap_len,
             }
         ],
-        "scanner_registry": "registry.json",
-        "hp_all": "hp_all.txt",
-        "hp_ics": "hp_ics.txt",
-        "rdns": "rdns.csv",
-        "asn_table": "asn.txt",
-        "cone": "cone.json",
-        "geo": "geo.csv",
-        "scan_snapshot": "scan_snapshot.json",
         "filters": "all",
     }
+    sidecars = {}
+    for key, (name, text) in _sidecar_files(
+        registry_prefixes, rdns_rows, hp_all, hp_ics, industrial_endpoints, pending,
+    ).items():
+        sidecars[key] = out_dir / name
+        sidecars[key].write_text(text)
+        config[key] = name
+
+    config_path = out_dir / "config.json"
     config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
-    return GeneratedCorpus(
-        out_dir=out_dir,
-        pcap=pcap_path,
-        ground_truth=truth_path,
-        config=config_path,
-        sidecars=sidecars,
-    )
+    return GeneratedCorpus(out_dir, pcap_path, truth_path, config_path, sidecars)
 
 
-def _write_sidecars(
-    spec: ScenarioSpec,
-    out_dir: Path,
+def _sidecar_files(
     registry_prefixes: dict[str, set[str]],
     rdns_rows: set[tuple[str, str]],
     hp_all: set[str],
     hp_ics: set[str],
     industrial_endpoints: set[str],
     pending: list[_Pending],
-) -> dict[str, Path]:
-    paths: dict[str, Path] = {}
-
+) -> dict[str, tuple[str, str]]:
+    """Each sidecar table as {analyze config key: (file name, text)}."""
     registry = [
         {
-            "project": project,
-            "prefixes": sorted(registry_prefixes.get(project, set())),
-            "rdns_patterns": PROJECT_PATTERNS[project],
+            "project": project.name,
+            "prefixes": sorted(registry_prefixes.get(project.name, set())),
+            "rdns_patterns": project.rdns_patterns,
         }
-        for project in PROJECT_ORDER
+        for project in default_scanner_registry().projects
     ]
-    paths["registry"] = out_dir / "registry.json"
-    paths["registry"].write_text(json.dumps(registry, indent=2) + "\n")
-
-    paths["hp_all"] = out_dir / "hp_all.txt"
-    paths["hp_all"].write_text("".join(ip + "\n" for ip in sorted(hp_all, key=ip_to_int)))
-    paths["hp_ics"] = out_dir / "hp_ics.txt"
-    paths["hp_ics"].write_text("".join(ip + "\n" for ip in sorted(hp_ics, key=ip_to_int)))
-
-    paths["rdns"] = out_dir / "rdns.csv"
-    paths["rdns"].write_text("".join(f"{ip},{name}\n" for ip, name in sorted(rdns_rows)))
 
     # Every /24 seen on the wire gets an origin AS; industrial endpoints
     # become fabric members, every other AS lands in a member's cone.
-    endpoint_ips: set[str] = set()
-    for packet in pending:
-        frame = packet.frame
-        endpoint_ips.add(int_to_ip(int.from_bytes(frame[26:30], "big")))
-        endpoint_ips.add(int_to_ip(int.from_bytes(frame[30:34], "big")))
-    all_prefixes = sorted({ip_to_int(ip) & 0xFFFFFF00 for ip in endpoint_ips})
+    all_prefixes = sorted({int.from_bytes(packet.frame[at:at + 4], "big") & 0xFFFFFF00
+                           for packet in pending for at in (26, 30)})
     asn_of_prefix = {prefix: 64500 + i for i, prefix in enumerate(all_prefixes)}
-
-    paths["asn"] = out_dir / "asn.txt"
-    paths["asn"].write_text(
-        "".join(f"{int_to_ip(p)}/24 {asn}\n" for p, asn in sorted(asn_of_prefix.items()))
-    )
 
     member_prefixes = sorted({ip_to_int(ip) & 0xFFFFFF00 for ip in industrial_endpoints})
     members = sorted({asn_of_prefix[p] for p in member_prefixes})
@@ -892,10 +848,6 @@ def _write_sidecars(
         others = sorted(set(asn_of_prefix.values()) - set(members))
         for i, asn in enumerate(others):
             cone[members[i % len(members)]].add(asn)
-    paths["cone"] = out_dir / "cone.json"
-    paths["cone"].write_text(
-        json.dumps({str(m): sorted(c) for m, c in cone.items()}, indent=2, sort_keys=True) + "\n"
-    )
 
     member_set = set(member_prefixes)
     foreign = ["US", "JP", "NL"]
@@ -903,23 +855,30 @@ def _write_sidecars(
         f"{int_to_ip(p)}/24,{'DE' if p in member_set else foreign[i % len(foreign)]}\n"
         for i, p in enumerate(all_prefixes)
     ]
-    paths["geo"] = out_dir / "geo.csv"
-    paths["geo"].write_text("".join(geo_rows))
 
     # Scan snapshot: industrial destinations answered the transport scan,
     # alternate ones also completed the application handshake.
-    per_protocol_dsts: dict[str, set[str]] = {}
+    per_protocol_dsts: dict[str, set[int]] = {}
     for packet in pending:
         truth = packet.truth
         if truth.get("sanitize") == KEPT and truth.get("label") == INDUSTRIAL_LABEL:
             per_protocol_dsts.setdefault(truth["protocol"], set()).add(
-                int_to_ip(int.from_bytes(packet.frame[30:34], "big"))
-            )
+                int.from_bytes(packet.frame[30:34], "big"))
     snapshot = {}
     for protocol, dsts in sorted(per_protocol_dsts.items()):
-        ordered = sorted(dsts, key=ip_to_int)
+        ordered = [int_to_ip(ip) for ip in sorted(dsts)]
         snapshot[protocol] = {"transport": ordered, "application": ordered[::2]}
-    paths["scan_snapshot"] = out_dir / "scan_snapshot.json"
-    paths["scan_snapshot"].write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
-    return paths
+    return {
+        "scanner_registry": ("registry.json", json.dumps(registry, indent=2) + "\n"),
+        "hp_all": ("hp_all.txt", "".join(ip + "\n" for ip in sorted(hp_all, key=ip_to_int))),
+        "hp_ics": ("hp_ics.txt", "".join(ip + "\n" for ip in sorted(hp_ics, key=ip_to_int))),
+        "rdns": ("rdns.csv", "".join(f"{ip},{name}\n" for ip, name in sorted(rdns_rows))),
+        "asn_table": ("asn.txt", "".join(f"{int_to_ip(p)}/24 {asn}\n"
+                                         for p, asn in sorted(asn_of_prefix.items()))),
+        "cone": ("cone.json", json.dumps({str(m): sorted(c) for m, c in cone.items()},
+                                         indent=2, sort_keys=True) + "\n"),
+        "geo": ("geo.csv", "".join(geo_rows)),
+        "scan_snapshot": ("scan_snapshot.json",
+                          json.dumps(snapshot, indent=2, sort_keys=True) + "\n"),
+    }

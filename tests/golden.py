@@ -25,7 +25,6 @@ from ics_scope.dissectors import (
     WELL_FORMED,
 )
 from ics_scope.trafficgen import (
-    TCP_TS_OPTIONS,
     bacnet_read_property,
     build_frame,
     dnp3_read_request,
@@ -41,6 +40,10 @@ from ics_scope.trafficgen import (
 
 
 PROTOCOLS = (MODBUS, S7COMM, ETHERNETIP, BACNET, DNP3, HARTIP, IEC104)
+
+# NOP, NOP, timestamp (TSval 1, TSecr 0): 12 option bytes, so the TCP golden
+# packets that carry them have a data offset above 5 words.
+TCP_TS_OPTIONS = b"\x01\x01\x08\x0a" + struct.pack(">II", 1, 0)
 
 # Frame length (from link-layer start) at which each protocol's golden
 # packet becomes identifiable; derived byte-wise against the golden corpus.

@@ -216,9 +216,10 @@ def _dissect_cut(frame, length):
 
 def test_criterion_1_min_length_thresholds():
     started = time.perf_counter()
-    for packet in golden_packets():
-        if packet.verdict != WELL_FORMED:
-            continue
+    well_formed = [p for p in golden_packets() if p.verdict == WELL_FORMED]
+    # The threshold table covers every protocol, one well-formed packet each.
+    assert sorted(MIN_IDENTIFIABLE_FRAME_BYTES) == sorted(p.protocol for p in well_formed)
+    for packet in well_formed:
         threshold = MIN_IDENTIFIABLE_FRAME_BYTES[packet.protocol]
         minimal = None
         for length in range(40, len(packet.frame) + 1):
@@ -280,7 +281,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
     for name, corpus in oracle_corpora.items():
         truth = _load_truth(corpus)
         meta = _capture_meta(corpus)
-        registry = ScannerRegistry.from_json(corpus.sidecars["registry"])
+        registry = ScannerRegistry.from_json(corpus.sidecars["scanner_registry"])
         honeypots = HoneypotSets.from_files(corpus.sidecars["hp_all"],
                                             corpus.sidecars["hp_ics"])
         rdns = RdnsTable.from_csv(corpus.sidecars["rdns"])

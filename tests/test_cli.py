@@ -484,6 +484,25 @@ def _flow(index, **changes):
     pytest.param(lambda raw: raw["flows"].append(
         {**raw["flows"][1], "kind": "backscatter", "dst": "100.64.0.1/8"}),
         "flow 2 (backscatter/modbus): dst must be an IPv4", id="backscatter-dst-host-bits"),
+    pytest.param(_flow(0, src="198.18.0.0/255.255.255.0"),
+                 "flow 0 (industrial/bacnet): src must be an IPv4", id="src-netmask"),
+    pytest.param(_flow(1, project="Foo"),
+                 "flow 1 (scanner_sweep/modbus): project must be one of", id="project-unknown"),
+    pytest.param(_flow(0, rdns_project="Shodan"),
+                 "flow 0 (industrial/bacnet): rdns_project needs rdns_name", id="rdns-no-name"),
+    pytest.param(_flow(0, rdns_name="host{i}.example.net", rdns_project="Shodan"),
+                 "matches rdns_name 'host0.example.net' to no project, not Shodan",
+                 id="rdns-name-unmatched"),
+    pytest.param(_flow(0, rdns_name="scanner{i}.labs.rapid7.com", rdns_project="Shodan"),
+                 "matches rdns_name 'scanner0.labs.rapid7.com' to Rapid7, not Shodan",
+                 id="rdns-name-other-project"),
+    pytest.param(_flow(0, src="198.18.0.0/28", rdns_name="host{i}.census.rapid{i}.net",
+                       rdns_project="Censys"),
+                 "matches rdns_name 'host7.census.rapid7.net' to Rapid7, not Censys",
+                 id="rdns-eighth-name-other-project"),
+    pytest.param(_flow(0, rdns_name="host{j}.shodan.io", rdns_project="Shodan"),
+                 "rdns_name must format with {i}, got 'host{j}.shodan.io'",
+                 id="rdns-name-format"),
 ])
 def test_gen_malformed_flow_exit_2(tmp_path, capsys, edit, message):
     raw = json.loads(json.dumps(SCENARIO))
@@ -492,6 +511,7 @@ def test_gen_malformed_flow_exit_2(tmp_path, capsys, edit, message):
     bad.write_text(json.dumps(raw))
     assert main(["gen", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -69,7 +69,7 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
     assert all(t["direction"] == "request" for t in truth)
     assert all(t["label"] == "non_industrial" for t in truth)
     assert all(t["reasons"] == ["scanner_prefix:Shodan"] for t in truth)
-    registry = json.loads(corpus.sidecars["registry"].read_text())
+    registry = json.loads(corpus.sidecars["scanner_registry"].read_text())
     shodan = next(e for e in registry if e["project"] == "Shodan")
     assert shodan["prefixes"] == ["203.0.113.0/29"]
     from ics_scope.capture import direction
@@ -123,6 +123,23 @@ def test_oversized_sweep_cidr_rejected():
     ])
     with pytest.raises(ScenarioError, match="CIDR larger"):
         ScenarioSpec.from_dict(raw)
+
+
+@pytest.mark.parametrize("src, packets_per_day, ok", [
+    ("198.18.0.0/29", 10, True),   # 6 source hosts: names 0-5 only
+    ("198.18.0.0/28", 7, True),    # 7 packets: names 0-6 only
+    ("198.18.0.0/28", 10, False),  # name 7 is host7.census.rapid7.net
+])
+def test_rdns_names_checked_up_to_hosts_and_packets(src, packets_per_day, ok):
+    raw = _spec()
+    raw["flows"][0].update(src=src, rdns_name="host{i}.census.rapid{i}.net",
+                           rdns_project="Censys")
+    raw["flows"][0]["schedule"].update(end_day="2018-01-01", packets_per_day=packets_per_day)
+    if ok:
+        ScenarioSpec.from_dict(raw)
+    else:
+        with pytest.raises(ScenarioError, match="to Rapid7, not Censys"):
+            ScenarioSpec.from_dict(raw)
 
 
 def test_pool_overlap_rejected():
@@ -185,7 +202,7 @@ def test_protocols_per_asn_matches_ground_truth(tmp_path):
     from ics_scope.capture import direction
     from ics_scope.enrich import load_asn_table, protocols_per_asn
 
-    asn_table = load_asn_table(corpus.sidecars["asn"])
+    asn_table = load_asn_table(corpus.sidecars["asn_table"])
     truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
 
