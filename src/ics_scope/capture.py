@@ -2,8 +2,8 @@
 
 The reader keeps only what the downstream stages need: IPv4 frames carrying
 ICMP, TCP or UDP, snapped to the vantage point's capture length. Everything
-else is skipped and counted so that record + skip totals always reconcile
-with the frame count in the file.
+else is skipped with its reason; the reader yields one outcome per frame, so
+that record + skip totals always reconcile with the frame count in the file.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -35,6 +34,10 @@ ICMP_ERROR_TYPES = (3, 11, 12)
 REQUEST = "request"
 REPLY = "reply"
 UNRELATED = "unrelated"
+
+# The reader's outcome for a frame decoded to a record; a skipped frame's
+# outcome is its skip reason.
+RECORD = "record"
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _US_PER_DAY = 86_400_000_000
@@ -117,7 +120,7 @@ class CaptureMeta:
 class PacketRecord:
     """One IPv4 datagram decoded down to its transport payload.
 
-    The reader yields one per captured frame, and an ICMP error's quoted
+    The reader yields one per frame it keeps, and an ICMP error's quoted
     datagram is decoded into one too. payload holds the captured bytes after
     the transport header (after the 8-byte ICMP header for ICMP: the quoted
     datagram for error messages); payload_wire_len is the payload's length
@@ -191,7 +194,7 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
     """The reader's step for one captured frame: its record, or why it is skipped.
 
     Strips the Ethernet header (one VLAN tag tolerated) and decodes the IPv4
-    datagram. Returns (record, "") or (None, skip reason): "short",
+    datagram. Returns (record, RECORD) or (None, skip reason): "short",
     "qinq", "ipv6", "non_ipv4" or "non_transport".
     """
     if len(frame) < 14:
@@ -214,125 +217,85 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
     if record is None:
         proto = datagram[9] if len(datagram) >= 10 else None
         return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
-    return record, ""
-
-
-class PcapReader:
-    """Streaming reader over a classic pcap file, or over a byte range of it.
-
-    Iterating yields PacketRecords in file order and raises CaptureError at
-    a record cut short by the end of the file. A range [start, stop) of file
-    offsets selects the records whose 16-byte header starts inside it; the
-    reader reaches start by walking the earlier record headers, seeking past
-    their bodies. The ranges of any cut of the file into consecutive pieces
-    together yield exactly the whole file's records, and a record cut short
-    is raised by the one range its header starts in. A record holding more
-    bytes than the file header's snaplen (when non-zero) cannot come from
-    that capture and is skipped as "over_snaplen".
-
-    frames_read counts from the file's first record, walked ones included,
-    so an error names the same record index whatever the range. Skip
-    counters and frame totals are reliable once iteration stops;
-    records_yielded plus the sum of skipped reasons then equals frames_read
-    less the records walked to reach start, which in a cut of the file into
-    consecutive ranges is the previous range's frames_read.
-    """
-
-    def __init__(self, path, meta: CaptureMeta, start: int = PCAP_HEADER_LEN,
-                 stop: int | None = None):
-        self.path = Path(path)
-        self.meta = meta
-        self.start = max(start, PCAP_HEADER_LEN)
-        self.stop = stop
-        self.skipped: Counter[str] = Counter()
-        self.frames_read = 0
-        self.records_yielded = 0
-        try:
-            self._fh = open(self.path, "rb")
-        except OSError as exc:
-            raise CaptureError(f"cannot open capture {self.path}: {exc}") from exc
-        info = os.fstat(self._fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            self._fh.close()
-            raise CaptureError(f"{self.path}: not a regular file")
-        self._size = info.st_size
-        header = self._fh.read(PCAP_HEADER_LEN)
-        if len(header) < PCAP_HEADER_LEN:
-            self._fh.close()
-            raise CaptureError(f"{self.path}: truncated pcap file header")
-        magic_le = struct.unpack("<I", header[:4])[0]
-        magic_be = struct.unpack(">I", header[:4])[0]
-        if magic_le in (PCAP_MAGIC_MICROS, PCAP_MAGIC_NANOS):
-            self._endian, magic = "<", magic_le
-        elif magic_be in (PCAP_MAGIC_MICROS, PCAP_MAGIC_NANOS):
-            self._endian, magic = ">", magic_be
-        else:
-            self._fh.close()
-            raise CaptureError(f"{self.path}: unknown pcap magic {header[:4].hex()}")
-        self._nanos = magic == PCAP_MAGIC_NANOS
-        _, _, _, _, self.snaplen, linktype = struct.unpack(self._endian + "HHiIII", header[4:])
-        if linktype != LINKTYPE_ETHERNET:
-            self._fh.close()
-            raise CaptureError(f"{self.path}: unsupported link type {linktype}, expected Ethernet")
-
-    def close(self):
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __iter__(self):
-        if self._fh.closed:  # single-consumer stream; a second pass needs a new reader
-            return
-        fh, size = self._fh, self._size
-        rec_header = struct.Struct(self._endian + "IIII")
-        # A file header snaplen of 0 sets no limit; incl_len is 32 bits.
-        max_incl_len = self.snaplen or 0xFFFFFFFF
-        stop = size if self.stop is None else min(self.stop, size)
-        pos = PCAP_HEADER_LEN
-        try:
-            while pos < self.start:
-                head = fh.read(16)
-                incl_len = rec_header.unpack(head)[2] if len(head) == 16 else size
-                if incl_len > size - pos - 16:
-                    # Cut short: raised by the range its header starts in;
-                    # this later range holds nothing.
-                    pos = size
-                    break
-                fh.seek(incl_len, os.SEEK_CUR)
-                pos += 16 + incl_len
-                self.frames_read += 1
-            while pos < stop:
-                head = fh.read(16)
-                if len(head) < 16:
-                    raise CaptureError(f"{self.path}: record {self.frames_read}: truncated "
-                                       f"record header ({len(head)} of 16 bytes)")
-                sec, frac, incl_len, _ = rec_header.unpack(head)
-                pos += 16
-                # Checked before reading, so a bogus length never becomes a buffer.
-                if incl_len > size - pos:
-                    raise CaptureError(f"{self.path}: record {self.frames_read}: runs past the "
-                                       f"end of the file ({size - pos} of {incl_len} bytes)")
-                data = fh.read(incl_len)
-                pos += incl_len
-                self.frames_read += 1
-                if incl_len > max_incl_len:
-                    self.skipped["over_snaplen"] += 1
-                    continue
-                ts = sec * 1_000_000 + (frac // 1000 if self._nanos else frac)
-                record, reason = _decode_frame(data[: self.meta.snap_len], ts)
-                if record is None:
-                    self.skipped[reason] += 1
-                    continue
-                self.records_yielded += 1
-                yield record
-        finally:
-            self.close()
+    return record, RECORD
 
 
 def read_capture(path, meta: CaptureMeta, start: int = PCAP_HEADER_LEN,
-                 stop: int | None = None) -> PcapReader:
-    """Open a pcap, or the byte range [start, stop) of it, for streaming;
-    iterate the result to get PacketRecords."""
-    return PcapReader(path, meta, start, stop)
+                 stop: int | None = None):
+    """Stream a classic pcap file, or a byte range of it: one outcome per
+    frame, in file order, (record, RECORD) or (None, skip reason).
+
+    The file is opened and its header checked on the first next(), and
+    closed when the generator ends or is dropped. A range [start, stop) of
+    file offsets selects the records whose 16-byte header starts inside it,
+    reached by walking the earlier record headers. The ranges of any cut of
+    the file into consecutive pieces together yield exactly the whole file's
+    outcomes. A record cut short by the end of the file raises CaptureError
+    in the one range its header starts in, named by its index in the whole
+    file. A record holding more bytes than the file header's snaplen (when
+    non-zero) cannot come from that capture and is skipped as "over_snaplen".
+    """
+    path = Path(path)
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CaptureError(f"cannot open capture {path}: {exc}") from exc
+    with fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise CaptureError(f"{path}: not a regular file")
+        size = info.st_size
+        header = fh.read(PCAP_HEADER_LEN)
+        if len(header) < PCAP_HEADER_LEN:
+            raise CaptureError(f"{path}: truncated pcap file header")
+        magic_le = struct.unpack("<I", header[:4])[0]
+        magic_be = struct.unpack(">I", header[:4])[0]
+        if magic_le in (PCAP_MAGIC_MICROS, PCAP_MAGIC_NANOS):
+            endian, magic = "<", magic_le
+        elif magic_be in (PCAP_MAGIC_MICROS, PCAP_MAGIC_NANOS):
+            endian, magic = ">", magic_be
+        else:
+            raise CaptureError(f"{path}: unknown pcap magic {header[:4].hex()}")
+        nanos = magic == PCAP_MAGIC_NANOS
+        _, _, _, _, snaplen, linktype = struct.unpack(endian + "HHiIII", header[4:])
+        if linktype != LINKTYPE_ETHERNET:
+            raise CaptureError(f"{path}: unsupported link type {linktype}, expected Ethernet")
+        rec_header = struct.Struct(endian + "IIII")
+        # A file header snaplen of 0 sets no limit; incl_len is 32 bits.
+        max_incl_len = snaplen or 0xFFFFFFFF
+        start = max(start, PCAP_HEADER_LEN)
+        stop = size if stop is None else min(stop, size)
+        pos = PCAP_HEADER_LEN
+        index = 0  # of the next record in the whole file
+        while pos < start:
+            head = fh.read(16)
+            incl_len = rec_header.unpack(head)[2] if len(head) == 16 else size
+            if incl_len > size - pos - 16:
+                # Cut short: raised by the range its header starts in;
+                # this later range holds nothing.
+                return
+            fh.seek(incl_len, os.SEEK_CUR)
+            pos += 16 + incl_len
+            index += 1
+        while pos < stop:
+            head = fh.read(16)
+            if len(head) < 16:
+                raise CaptureError(f"{path}: record {index}: truncated "
+                                   f"record header ({len(head)} of 16 bytes)")
+            sec, frac, incl_len, _ = rec_header.unpack(head)
+            pos += 16
+            # Checked before reading, so a bogus length never becomes a buffer.
+            if incl_len > size - pos:
+                raise CaptureError(f"{path}: record {index}: runs past the "
+                                   f"end of the file ({size - pos} of {incl_len} bytes)")
+            data = fh.read(incl_len)
+            pos += incl_len
+            index += 1
+            if incl_len > max_incl_len:
+                yield None, "over_snaplen"
+                continue
+            ts = sec * 1_000_000 + (frac // 1000 if nanos else frac)
+            yield _decode_frame(data[: meta.snap_len], ts)
 
 
 def record_from_frame(frame: bytes, ts: int = 0,

@@ -87,16 +87,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _dissect_lines(pcap, meta: CaptureMeta, out) -> None:
-    reader = read_capture(pcap, meta)
-    for record in reader:
-        dissection = dissect(record)
+    # The index is the frame's position in the pcap, skipped frames included.
+    for index, (record, _) in enumerate(read_capture(pcap, meta)):
+        dissection = None if record is None else dissect(record)
         if dissection is None:
             continue
         out.write(
             json.dumps(
                 {
-                    # The frame's position in the pcap, skipped frames included.
-                    "index": reader.frames_read - 1,
+                    "index": index,
                     "protocol": dissection.protocol,
                     "kind": dissection.kind,
                     "role": dissection.role,

@@ -22,6 +22,7 @@ from typing import NamedTuple
 from . import metrics
 from .capture import (
     PCAP_HEADER_LEN,
+    RECORD,
     REQUEST,
     CaptureError,
     CaptureMeta,
@@ -296,11 +297,6 @@ def _share_pct(share: float | None) -> float | None:
     return None if share is None else round(100 * share, 1)
 
 
-# The outcome a frame the reader yields counts under in CaptureState.frames;
-# a skipped frame counts under its skip reason.
-RECORD = "record"
-
-
 @dataclass
 class CaptureState:
     """What the report bundle needs of a byte range of one capture, or of
@@ -349,8 +345,11 @@ def kept_candidates(state: CaptureState, source: CaptureSource, index: int,
     events, candidates, notes = state.events, state.candidates, state.notes
     vantage = source.meta.vantage
     port_only = (vantage, PORT_ONLY)
-    reader = read_capture(source.path, source.meta, start, stop)
-    for record in reader:
+    frames: Counter[str] = Counter()
+    for record, outcome in read_capture(source.path, source.meta, start, stop):
+        frames[outcome] += 1
+        if record is None:
+            continue
         if is_port_only(record):
             events[port_only] += 1
         dissection = dissect(record, notes)
@@ -361,9 +360,8 @@ def kept_candidates(state: CaptureState, source: CaptureSource, index: int,
         events[(vantage, verdict)] += 1
         if verdict == KEPT:
             yield record, dissection
-    for reason, n in reader.skipped.items():
-        state.frames[(index, reason)] += n
-    state.frames[(index, RECORD)] += reader.records_yielded
+    for outcome, n in frames.items():
+        state.frames[(index, outcome)] += n
 
 
 def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,

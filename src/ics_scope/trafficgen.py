@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .capture import REPLY, REQUEST, UNRELATED, CaptureMeta, int_to_ip, ip_to_int, parse_cidr
+from .capture import (_EPOCH_ORDINAL, _US_PER_DAY, LINKTYPE_ETHERNET, PCAP_MAGIC_MICROS,
+                      PCAP_MAGIC_NANOS, REPLY, REQUEST, UNRELATED, CaptureMeta, int_to_ip,
+                      ip_to_int, parse_cidr)
 from .classify import INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL, default_scanner_registry
 from .dissectors import (
     BACNET,
@@ -40,9 +42,6 @@ from .dissectors import (
 )
 from .ports import PORTS
 from .sanitize import DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT
-
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_US_PER_DAY = 86_400_000_000
 
 ETH_HEADER = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x00"
 
@@ -389,9 +388,9 @@ def protocol_port(protocol: str) -> int:
 
 def write_pcap(path, packets, snap_len: int = 65535, nanos: bool = False) -> None:
     """Classic little-endian pcap; packets are (ts_us, frame_bytes) pairs."""
-    magic = 0xA1B23C4D if nanos else 0xA1B2C3D4
+    magic = PCAP_MAGIC_NANOS if nanos else PCAP_MAGIC_MICROS
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<IHHiIII", magic, 2, 4, 0, 0, snap_len, 1))
+        fh.write(struct.pack("<IHHiIII", magic, 2, 4, 0, 0, snap_len, LINKTYPE_ETHERNET))
         for ts_us, frame in packets:
             sec, rem = divmod(ts_us, 1_000_000)
             frac = rem * 1000 if nanos else rem
@@ -402,6 +401,12 @@ def write_pcap(path, packets, snap_len: int = 65535, nanos: bool = False) -> Non
 
 # ---------------------------------------------------------------------------
 # Scenario model
+
+
+# Flow values a scenario gives as JSON, and the types each may have.
+_FLOW_VALUE_TYPES = (("packets_per_day", (int,), "an integer"),
+                     ("request_ratio", (int, float), "a number"),
+                     ("heuristic", (bool,), "a boolean"))
 
 
 @dataclass
@@ -495,19 +500,19 @@ class ScenarioSpec:
                         dst=flow["dst"],
                         start_day=date.fromisoformat(start),
                         end_day=date.fromisoformat(schedule.get("end_day", start)),
-                        packets_per_day=int(schedule.get("packets_per_day", 1)),
+                        packets_per_day=schedule.get("packets_per_day", 1),
                         active_days=[date.fromisoformat(d) for d in active] if active else None,
-                        request_ratio=float(flow.get("request_ratio", 1.0)),
+                        request_ratio=flow.get("request_ratio", 1.0),
                         project=flow.get("project"),
                         rdns_name=flow.get("rdns_name"),
                         rdns_project=flow.get("rdns_project"),
                         honeypot=flow.get("honeypot"),
-                        heuristic=bool(flow.get("heuristic", False)),
+                        heuristic=flow.get("heuristic", False),
                     )
                 )
             meta = _capture_meta(raw)
             spec = cls(
-                seed=int(raw["seed"]),
+                seed=raw["seed"],
                 vantage=meta.vantage,
                 start_day=date.fromisoformat(raw["start_day"]),
                 end_day=date.fromisoformat(raw["end_day"]),
@@ -536,6 +541,8 @@ class ScenarioSpec:
     def validate(self) -> None:
         if self.start_day > self.end_day:
             raise ScenarioError("corpus start_day after end_day")
+        if type(self.seed) is not int:
+            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
         networks = []
         for index, flow in enumerate(self.flows):
             where = f"flow {index} ({flow.kind}/{flow.protocol})"
@@ -543,6 +550,10 @@ class ScenarioSpec:
                 raise ScenarioError(f"{where}: unknown kind")
             if flow.protocol not in _PROTOCOL_TRANSPORT:
                 raise ScenarioError(f"{where}: unknown protocol")
+            for key, kinds, name in _FLOW_VALUE_TYPES:
+                value = getattr(flow, key)
+                if type(value) not in kinds:  # a bool is no number here
+                    raise ScenarioError(f"{where}: {key} must be {name}, got {value!r}")
             src_net = _flow_network(where, "src", flow.src)
             dst_net = _flow_network(where, "dst", flow.dst)
             networks.append((flow, src_net, dst_net))

@@ -19,7 +19,6 @@ from ics_scope.capture import (
     direction,
     int_to_ip,
     ip_to_int,
-    read_capture,
     record_from_frame,
 )
 from ics_scope.classify import (
@@ -58,6 +57,7 @@ from ics_scope.trafficgen import ScenarioSpec, generate
 
 from golden import MIN_IDENTIFIABLE_FRAME_BYTES, golden_packets
 from oracles import is_local
+from reads import read_all
 
 SCANNERS = frozenset({SCANNER_PREFIX, SCANNER_RDNS})
 
@@ -288,7 +288,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         catalog = default_catalog()
 
         started = time.perf_counter()
-        records = list(read_capture(corpus.pcap, meta))
+        records = read_all(corpus.pcap, meta)[0]
         dissections = [dissect(record) for record in records]
         pairs = [(r, d) for r, d in zip(records, dissections) if d is not None]
         verdicts = [sanitize_candidate(r, d, catalog) for r, d in pairs]
@@ -346,7 +346,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
 def test_criterion_4_host_stability(oracle_corpora):
     corpus = oracle_corpora["industrial_stable"]
     meta = _capture_meta(corpus)
-    records = list(read_capture(corpus.pcap, meta))
+    records = read_all(corpus.pcap, meta)[0]
     rows: dict[str, set] = {}
     for record in records:
         dissection = dissect(record)
@@ -448,7 +448,7 @@ def test_criterion_6_locality_consistency(oracle_corpora):
     asn_table = load_asn_table(config.asn_table)
     topo = IxpTopology.from_json(config.cone)
     counts: Counter = Counter()
-    for record in read_capture(corpus.pcap, _capture_meta(corpus)):
+    for record in read_all(corpus.pcap, _capture_meta(corpus))[0]:
         dissection = dissect(record)
         if dissection is None:
             continue

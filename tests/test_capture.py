@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import ics_scope
 
 from ics_scope.capture import (
+    RECORD,
     REPLY,
     REQUEST,
     UNRELATED,
@@ -38,6 +39,7 @@ from ics_scope.trafficgen import (
 )
 
 from golden import PROTOCOLS, golden_packets
+from reads import read_all
 
 ARP_FRAME = (
     b"\xff\xff\xff\xff\xff\xff" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x06" + b"\x00" * 28
@@ -55,14 +57,13 @@ def _udp_frame():
 def test_read_capture_skips_non_ip(tmp_path):
     path = tmp_path / "mixed.pcap"
     write_pcap(path, [(1000, _tcp_frame()), (2000, ARP_FRAME), (3000, _udp_frame())])
-    reader = read_capture(path, CaptureMeta("vp"))
-    records = list(reader)
+    records, outcomes = read_all(path, CaptureMeta("vp"))
     assert len(records) == 2
-    assert reader.frames_read == 3
-    assert sum(reader.skipped.values()) == 1
-    assert reader.skipped["non_ipv4"] == 1
+    assert outcomes.total() == 3
+    assert outcomes.total() - outcomes[RECORD] == 1
+    assert outcomes["non_ipv4"] == 1
     assert records[0].ip_proto == 6 and records[1].ip_proto == 17
-    assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read
+    assert outcomes[RECORD] == len(records)
 
 
 def test_snap_truncation_recorded(tmp_path):
@@ -70,7 +71,7 @@ def test_snap_truncation_recorded(tmp_path):
     assert len(frame) == 508
     path = tmp_path / "big.pcap"
     write_pcap(path, [(0, frame)])
-    record = next(iter(read_capture(path, CaptureMeta("vp", snap_len=128))))
+    record, _ = next(read_capture(path, CaptureMeta("vp", snap_len=128)))
     assert len(record.payload) == 128 - 14 - 20 - 8
     assert record.payload_wire_len == 508 - 14 - 20 - 8
 
@@ -85,12 +86,11 @@ def test_record_over_the_file_snaplen_is_skipped(tmp_path, snaplen, over):
     data = bytearray(path.read_bytes())
     struct.pack_into("<I", data, 16, snaplen)  # the file header's snaplen field
     path.write_bytes(bytes(data))
-    reader = read_capture(path, CaptureMeta("vp"))
-    records = list(reader)
-    assert reader.snaplen == snaplen
-    assert reader.skipped["over_snaplen"] == over
+    records, outcomes = read_all(path, CaptureMeta("vp"))
+    assert struct.unpack_from("<I", path.read_bytes(), 16)[0] == snaplen
+    assert outcomes["over_snaplen"] == over
     assert len(records) == 3 - over
-    assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read == 3
+    assert outcomes[RECORD] == len(records) and outcomes.total() == 3
 
 
 def test_nanosecond_and_byteswapped_variants_agree(tmp_path):
@@ -109,7 +109,7 @@ def test_nanosecond_and_byteswapped_variants_agree(tmp_path):
 
     results = []
     for path in (micro, nano, swapped):
-        records = list(read_capture(path, CaptureMeta("vp")))
+        records, _ = read_all(path, CaptureMeta("vp"))
         assert len(records) == 1
         results.append(records[0])
     assert results[0] == results[1] == results[2]
@@ -122,11 +122,10 @@ def test_vlan_unwrapped_once_qinq_skipped(tmp_path):
     qinq = ARP_FRAME[:12] + b"\x81\x00\x00\x64\x81\x00\x00\x65\x08\x00" + inner
     path = tmp_path / "vlan.pcap"
     write_pcap(path, [(0, vlan), (1, qinq)])
-    reader = read_capture(path, CaptureMeta("vp"))
-    records = list(reader)
+    records, outcomes = read_all(path, CaptureMeta("vp"))
     assert len(records) == 1
     assert int_to_ip(records[0].src_ip) == "10.1.0.1"
-    assert reader.skipped["qinq"] == 1
+    assert outcomes["qinq"] == 1
 
 
 def test_icmp_records_have_zero_ports(tmp_path):
@@ -134,7 +133,7 @@ def test_icmp_records_have_zero_ports(tmp_path):
     frame = ETH_HEADER + build_ipv4("10.2.0.1", "10.2.0.2", 1, icmp_body)
     path = tmp_path / "icmp.pcap"
     write_pcap(path, [(0, frame)])
-    record = next(iter(read_capture(path, CaptureMeta("vp"))))
+    record, _ = next(read_capture(path, CaptureMeta("vp")))
     assert record.ip_proto == 1
     assert record.src_port == 0 and record.dst_port == 0
 
@@ -143,27 +142,66 @@ def test_unknown_magic_rejected(tmp_path):
     path = tmp_path / "bad.pcap"
     path.write_bytes(b"\xde\xad\xbe\xef" + b"\x00" * 20)
     with pytest.raises(CaptureError, match="unknown pcap magic"):
-        read_capture(path, CaptureMeta("vp"))
+        next(read_capture(path, CaptureMeta("vp")))
 
 
 def test_truncated_file_header_rejected(tmp_path):
     path = tmp_path / "short.pcap"
     path.write_bytes(b"\xd4\xc3\xb2\xa1\x02\x00")
     with pytest.raises(CaptureError, match="truncated pcap file header"):
-        read_capture(path, CaptureMeta("vp"))
+        next(read_capture(path, CaptureMeta("vp")))
 
 
 def test_non_regular_file_rejected():
     # The reader needs the file size to check record lengths and cut ranges.
     with pytest.raises(CaptureError, match="not a regular file"):
-        read_capture(os.devnull, CaptureMeta("vp"))
+        next(read_capture(os.devnull, CaptureMeta("vp")))
 
 
 def test_non_ethernet_linktype_rejected(tmp_path):
     path = tmp_path / "raw.pcap"
     path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
     with pytest.raises(CaptureError, match="link type"):
-        read_capture(path, CaptureMeta("vp"))
+        next(read_capture(path, CaptureMeta("vp")))
+
+
+def _opened(path):
+    """How many of this process's file descriptors are open on path."""
+    fds = [f"/proc/self/fd/{fd}" for fd in os.listdir("/proc/self/fd")]
+    return sum(1 for fd in fds if os.path.exists(fd) and os.readlink(fd) == str(path))
+
+
+def test_reader_dropped_unread_leaves_no_file_open(tmp_path):
+    path = tmp_path / "one.pcap"
+    write_pcap(path, [(0, _tcp_frame())])
+    reader = read_capture(path, CaptureMeta("vp"))
+    assert _opened(path) == 0
+    del reader
+    assert _opened(path) == 0
+
+
+def test_reader_abandoned_after_one_frame_closes_its_file(tmp_path):
+    path = tmp_path / "two.pcap"
+    write_pcap(path, [(0, _tcp_frame()), (1, _udp_frame())])
+    reader = read_capture(path, CaptureMeta("vp"))
+    _, outcome = next(reader)
+    assert outcome == RECORD and _opened(path) == 1
+    del reader
+    assert _opened(path) == 0
+
+
+def _read(path, start=24, stop=None):
+    """What a reader of [start, stop) of path yields up to a CaptureError:
+    its records, the Counter of its outcomes, and the error message or None."""
+    records, outcomes, error = [], Counter(), None
+    try:
+        for record, outcome in read_capture(path, CaptureMeta("vp"), start, stop):
+            outcomes[outcome] += 1
+            if record is not None:
+                records.append(record)
+    except CaptureError as exc:
+        error = str(exc)
+    return records, outcomes, error
 
 
 def test_truncated_final_record_warns_and_stops(tmp_path):
@@ -172,13 +210,10 @@ def test_truncated_final_record_warns_and_stops(tmp_path):
     write_pcap(path, [(0, frame), (1, frame)])
     data = path.read_bytes()
     path.write_bytes(data[:-10])
-    reader = read_capture(path, CaptureMeta("vp"))
-    records = []
-    with pytest.raises(CaptureError, match="cut.pcap: record 1: runs past the end"):
-        for record in reader:
-            records.append(record)
+    records, outcomes, error = _read(path)
+    assert "cut.pcap: record 1: runs past the end" in error
     assert len(records) == 1
-    assert reader.frames_read == 1
+    assert outcomes.total() == 1
 
 
 def _cut_corpus():
@@ -187,7 +222,7 @@ def _cut_corpus():
         path = Path(tmp) / "full.pcap"
         write_pcap(path, [(i, frame) for i, frame in enumerate(frames)])
         data = path.read_bytes()
-        records = list(read_capture(path, CaptureMeta("vp")))
+        records, _ = read_all(path, CaptureMeta("vp"))
     boundaries, offset = [24], 24
     for frame in frames:
         offset += 16 + len(frame)
@@ -205,20 +240,15 @@ def test_pcap_cut_anywhere_yields_complete_records_then_fails(cut):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cut.pcap"
         path.write_bytes(_CUT_DATA[:cut])
-        reader = read_capture(path, CaptureMeta("vp"))
-        records = []
-        try:
-            for record in reader:
-                records.append(record)
-        except CaptureError as exc:
-            assert cut not in _CUT_BOUNDARIES
-            assert f"record {complete}:" in str(exc)
-        else:
-            assert cut in _CUT_BOUNDARIES
-    assert reader.frames_read == complete
-    assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read
+        records, outcomes, error = _read(path)
+    if error is not None:
+        assert cut not in _CUT_BOUNDARIES
+        assert f"record {complete}:" in error
+    else:
+        assert cut in _CUT_BOUNDARIES
+    assert outcomes.total() == complete
     assert records == _CUT_RECORDS[: len(records)]
-    assert len(records) == reader.records_yielded
+    assert len(records) == outcomes[RECORD]
 
 
 def test_huge_incl_len_is_refused_before_it_is_read(tmp_path):
@@ -248,19 +278,6 @@ def _golden_pcap():
 _GOLDEN_PCAP = _golden_pcap()
 
 
-def _read(path, start=24, stop=None):
-    """What a reader of [start, stop) of path yields: its records, skip
-    counts and frames read, and the CaptureError message or None. The
-    reader is None when the file header was refused."""
-    records, reader, error = [], None, None
-    try:
-        reader = read_capture(path, CaptureMeta("vp"), start, stop)
-        records.extend(reader)
-    except CaptureError as exc:
-        error = str(exc)
-    return records, reader, error
-
-
 def _record_offsets(data):
     """The file offset of each record header a whole read walks over, in order."""
     offsets, pos = [], 24
@@ -285,44 +302,42 @@ def test_mutated_pcap_reads_the_same_whole_or_in_ranges(flips, cut, cuts):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.pcap"
         path.write_bytes(data)
-        records, whole, error = _read(path)
+        records, outcomes, error = _read(path)
+        # An empty range reads the file header and no record.
+        header_error = _read(path, 24, 24)[2]
         bounds = [24, *sorted(cuts), None]
         pieces = [_read(path, start, stop) for start, stop in zip(bounds, bounds[1:])]
-    if whole is None:  # the file header was refused: by every range alike
-        assert error is not None
-        assert all(reader is None and message == error for _, reader, message in pieces)
+    if header_error is not None:  # the file header was refused: by every range alike
+        assert error == header_error and outcomes == Counter()
+        assert all(piece == ([], Counter(), error) for piece in pieces)
         return
-    assert whole.records_yielded + sum(whole.skipped.values()) == whole.frames_read
-    assert len(records) == whole.records_yielded
+    assert len(records) == outcomes[RECORD]
     failed = [i for i, (_, _, message) in enumerate(pieces) if message is not None]
     assert len(failed) == (error is not None)
-    frames, skipped, joined = 0, Counter(), []
-    for i, (piece_records, reader, message) in enumerate(pieces):
-        # File-absolute frame numbers: each range counts on from the previous one.
-        assert reader.records_yielded + sum(reader.skipped.values()) == (
-            reader.frames_read - frames)
+    summed, joined = Counter(), []
+    for i, (piece_records, piece_outcomes, message) in enumerate(pieces):
+        assert len(piece_records) == piece_outcomes[RECORD]
         if failed and i > failed[0]:
-            assert piece_records == [] and reader.frames_read == frames
-        frames = reader.frames_read
-        skipped += reader.skipped
+            assert piece_records == [] and piece_outcomes == Counter()
+        summed += piece_outcomes
         joined += piece_records
         if message is not None:
-            # Raised by the range that holds the start of the bad record.
+            # Raised by the range that holds the start of the bad record,
+            # named by its index in the whole file.
             assert message == error
-            bad = _record_offsets(data)[whole.frames_read]
+            bad = _record_offsets(data)[outcomes.total()]
             start, stop = bounds[i], bounds[i + 1]
             assert max(start, 24) <= bad and (stop is None or bad < stop)
     assert joined == records
-    assert skipped == whole.skipped
-    assert frames == whole.frames_read
+    assert summed == outcomes
 
 
 def test_empty_pcap_yields_nothing(tmp_path):
     path = tmp_path / "empty.pcap"
     write_pcap(path, [])
-    reader = read_capture(path, CaptureMeta("vp"))
-    assert list(reader) == []
-    assert reader.frames_read == 0
+    records, outcomes = read_all(path, CaptureMeta("vp"))
+    assert records == []
+    assert outcomes.total() == 0
 
 
 def _record(proto, sport, dport):
@@ -372,8 +387,8 @@ def test_utc_day_bucketing():
 def test_reading_is_deterministic(tmp_path):
     path = tmp_path / "twice.pcap"
     write_pcap(path, [(i, _tcp_frame()) for i in range(5)] + [(9, _udp_frame())])
-    first = list(read_capture(path, CaptureMeta("vp")))
-    second = list(read_capture(path, CaptureMeta("vp")))
+    first = read_all(path, CaptureMeta("vp"))
+    second = read_all(path, CaptureMeta("vp"))
     assert first == second
 
 
@@ -381,7 +396,7 @@ def test_record_from_frame_matches_reader(tmp_path):
     frame = _tcp_frame()
     path = tmp_path / "one.pcap"
     write_pcap(path, [(7, frame)])
-    from_reader = next(iter(read_capture(path, CaptureMeta("synthetic"))))
+    from_reader, _ = next(read_capture(path, CaptureMeta("synthetic")))
     direct = record_from_frame(frame, ts=7)
     assert direct == from_reader
 
@@ -396,12 +411,11 @@ def test_reader_and_record_from_frame_agree_on_every_cut(tmp_path):
     for packet in golden_packets():
         for length in range(14, len(packet.frame) + 1):
             write_pcap(path, [(ts, packet.frame[:length])])
-            reader = read_capture(path, CaptureMeta("vp"))
-            records = list(reader)
+            records, outcomes = read_all(path, CaptureMeta("vp"))
             expected = record_from_frame(packet.frame, ts, captured_len=length)
             assert records == ([] if expected is None else [expected]), (packet.name, length)
-            assert reader.frames_read == 1
-            assert reader.records_yielded + sum(reader.skipped.values()) == reader.frames_read
+            assert outcomes.total() == 1
+            assert outcomes[RECORD] == len(records)
             skipped += expected is None
     assert skipped > 0
 
@@ -478,6 +492,6 @@ def test_parse_cidr_rejects_netmask_form():
 def test_reader_yields_integer_addresses(tmp_path):
     path = tmp_path / "one.pcap"
     write_pcap(path, [(0, _tcp_frame())])
-    record = next(iter(read_capture(path, CaptureMeta("vp"))))
+    record, _ = next(read_capture(path, CaptureMeta("vp")))
     assert (record.src_ip, record.dst_ip) == (0x0A000001, 0x0A000002)
     assert int_to_ip(record.dst_ip) == "10.0.0.2"

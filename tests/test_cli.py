@@ -503,6 +503,17 @@ def _flow(index, **changes):
     pytest.param(_flow(0, rdns_name="host{j}.shodan.io", rdns_project="Shodan"),
                  "rdns_name must format with {i}, got 'host{j}.shodan.io'",
                  id="rdns-name-format"),
+    pytest.param(lambda raw: raw.update(seed="7"), "seed must be an integer, got '7'",
+                 id="seed-text"),
+    pytest.param(_flow(0, heuristic="false"),
+                 "flow 0 (industrial/bacnet): heuristic must be a boolean, got 'false'",
+                 id="heuristic-text"),
+    pytest.param(_flow(0, schedule={**SCENARIO["flows"][0]["schedule"], "packets_per_day": 2.7}),
+                 "flow 0 (industrial/bacnet): packets_per_day must be an integer, got 2.7",
+                 id="packets-per-day-fraction"),
+    pytest.param(_flow(0, request_ratio="0.5"),
+                 "flow 0 (industrial/bacnet): request_ratio must be a number, got '0.5'",
+                 id="request-ratio-text"),
 ])
 def test_gen_malformed_flow_exit_2(tmp_path, capsys, edit, message):
     raw = json.loads(json.dumps(SCENARIO))

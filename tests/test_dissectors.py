@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import TCP, UDP, CaptureMeta, PacketRecord, read_capture, record_from_frame
+from ics_scope.capture import TCP, UDP, CaptureMeta, PacketRecord, record_from_frame
 from ics_scope.dissectors import (
     BACNET,
     DNP3,
@@ -41,6 +41,7 @@ from ics_scope.trafficgen import (
 )
 
 from golden import MIN_IDENTIFIABLE_FRAME_BYTES, golden_packets, modbus_exception_reply
+from reads import read_all
 
 
 def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):
@@ -360,7 +361,7 @@ def test_min_identifiable_lengths_registered():
 
 def test_golden_corpus_dissects_to_manifest(golden_dir, golden_manifest):
     for entry in golden_manifest:
-        records = list(read_capture(golden_dir / entry["file"], CaptureMeta("golden")))
+        records = read_all(golden_dir / entry["file"], CaptureMeta("golden"))[0]
         assert len(records) == 1
         d = dissect(records[0])
         assert d is not None, entry["file"]
@@ -389,9 +390,9 @@ def test_capture_cut_in_transport_header_never_dissects(tmp_path):
     assert record_from_frame(frame, captured_len=cut) is None
     path = tmp_path / "cut.pcap"
     write_pcap(path, [(0, frame[:cut])])
-    reader = read_capture(path, CaptureMeta("vp"))
-    assert list(reader) == []
-    assert reader.skipped == {"short": 1}
+    records, outcomes = read_all(path, CaptureMeta("vp"))
+    assert records == []
+    assert outcomes == {"short": 1}
 
 
 def test_exclusivity_on_golden_corpus():

@@ -3,11 +3,12 @@ from collections import Counter
 
 import pytest
 
-from ics_scope.capture import CaptureMeta, read_capture, record_from_frame
+from ics_scope.capture import CaptureMeta, record_from_frame
 from ics_scope.dissectors import dissect
 from ics_scope.trafficgen import ScenarioError, ScenarioSpec, generate
 
 from golden import golden_packets
+from reads import read_all
 
 
 def _spec(**overrides):
@@ -75,7 +76,7 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
     from ics_scope.capture import direction
     from ics_scope.classify import filter_report
 
-    records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
+    records = read_all(corpus.pcap, CaptureMeta("vp0"))[0]
     report = filter_report(Counter((dissect(r).protocol, direction(r), frozenset())
                                    for r in records))
     assert next(row for row in report if row["protocol"] == "bacnet")["request_share"] == 1.0
@@ -85,7 +86,7 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
 
 def test_ground_truth_aligns_with_pcap(tmp_path):
     corpus = generate(ScenarioSpec.from_dict(_spec()), tmp_path)
-    records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
+    records = read_all(corpus.pcap, CaptureMeta("vp0"))[0]
     truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     assert len(records) == len(truth) == 50
     assert [t["index"] for t in truth] == list(range(50))
@@ -97,7 +98,7 @@ def test_snap_len_emulation(tmp_path):
     raw = _spec(snap_len=96)
     raw["flows"][0]["protocol"] = "s7comm"
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
-    records = list(read_capture(corpus.pcap, CaptureMeta("vp0", snap_len=96)))
+    records = read_all(corpus.pcap, CaptureMeta("vp0", snap_len=96))[0]
     assert all(len(r.payload) <= 96 - 14 - 20 - 20 for r in records)
     assert all(dissect(r) is not None for r in records)
 
@@ -183,7 +184,7 @@ def test_active_day_schedule(tmp_path):
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
     truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     assert len(truth) == 6
-    records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
+    records = read_all(corpus.pcap, CaptureMeta("vp0"))[0]
     days = sorted({r.day.isoformat() for r in records})
     assert days == ["2018-01-01", "2018-01-15", "2018-02-20"]
 
@@ -204,7 +205,7 @@ def test_protocols_per_asn_matches_ground_truth(tmp_path):
 
     asn_table = load_asn_table(corpus.sidecars["asn_table"])
     truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
-    records = list(read_capture(corpus.pcap, CaptureMeta("vp0")))
+    records = read_all(corpus.pcap, CaptureMeta("vp0"))[0]
 
     rows: dict[int, set] = {}
     expected: dict[int, set] = {}
