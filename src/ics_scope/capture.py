@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
+from .inputs import ConfigError, typed
 from .ports import PORTS, TCP, UDP
 
 PCAP_MAGIC_MICROS = 0xA1B2C3D4
@@ -114,6 +115,19 @@ class CaptureMeta:
             raise ValueError("sample_interval must be >= 1")
         if self.snap_len < 46:
             raise ValueError("snap_len below 46 bytes cannot identify any supported protocol")
+
+    @classmethod
+    def from_entry(cls, raw: dict, where: str, prefix: str = "") -> "CaptureMeta":
+        """The capture setup an analyze config's capture entry or a gen
+        scenario gives, each value checked as analyze checks it; an error
+        names the key after prefix."""
+        values = {key: typed(raw.get(key, default), kind, where, prefix + key)
+                  for key, default, kind in (("vantage", "vp0", str), ("sample_interval", 1, int),
+                                             ("snap_len", 65535, int))}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {prefix}{exc}") from None
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,12 @@ pass supports every filter-family report column.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .capture import int_to_ip, ip_to_int, parse_cidr
-from .ports import load_packaged_json
+from .inputs import ConfigError, fault, load_packaged_json, read_json, table_rows, typed
 
 INDUSTRIAL = "industrial"
 NON_INDUSTRIAL = "non_industrial"
@@ -74,35 +72,29 @@ class ScannerRegistry:
         """Projects from a JSON list of {project, prefixes, rdns_patterns} objects.
 
         Prefixes are parsed strictly: host bits set below the prefix length
-        are an error. Any other shape raises ValueError naming the source,
+        are an error. Any other shape raises ConfigError naming the source,
         the entry and the key.
         """
-        if not isinstance(entries, list):
-            raise ValueError(f"{source}: expected a list of project entries, "
-                             f"got {type(entries).__name__}")
         projects = []
-        for index, entry in enumerate(entries):
+        for index, entry in enumerate(typed(entries, list, source)):
             where = f"{source} entry {index}"
-            if not isinstance(entry, dict):
-                raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
+            entry = typed(entry, dict, where)
             name = entry.get("project")
-            if not isinstance(name, str):
-                raise ValueError(f"{where}: 'project' must be a string, got {name!r}")
-            if not name:
-                raise ValueError(f"{where}: empty project name")
-            prefixes = _strings(entry, "prefixes", where)
-            patterns = _strings(entry, "rdns_patterns", where)
+            if type(name) is not str or not name:
+                raise fault(where, "project", "a non-empty string", name)
+            prefixes = typed(entry.get("prefixes", []), list, where, "prefixes", items=str)
+            patterns = typed(entry.get("rdns_patterns", []), list, where, "rdns_patterns",
+                             items=str)
             try:
                 networks = tuple(parse_cidr(prefix, strict=True) for prefix in prefixes)
             except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+                raise ConfigError(f"{where}: {exc}") from None
             projects.append(ScannerProject(name, networks, tuple(p.lower() for p in patterns)))
         return cls(projects)
 
     @classmethod
     def from_json(cls, path) -> "ScannerRegistry":
-        with open(path) as fh:
-            return cls.from_entries(json.load(fh), str(path))
+        return cls.from_entries(read_json(path), str(path))
 
     def match_prefix(self, ip: int) -> str | None:
         """Project of the most specific covering prefix, if any."""
@@ -123,14 +115,6 @@ class ScannerRegistry:
         return None
 
 
-def _strings(entry: dict, key: str, where: str) -> list[str]:
-    """An optional list-of-strings value of a registry entry."""
-    value = entry.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ValueError(f"{where}: {key!r} must be a list of strings, got {value!r}")
-    return value
-
-
 @lru_cache(maxsize=1)
 def default_scanner_registry() -> ScannerRegistry:
     return ScannerRegistry.from_entries(load_packaged_json("scanner_registry.json"))
@@ -149,8 +133,8 @@ class HoneypotSets:
         hp_all, hp_ics = _read_ip_set(all_path), _read_ip_set(ics_path)
         if not hp_ics <= hp_all:
             extra = sorted(map(int_to_ip, hp_ics - hp_all))[:3]
-            raise ValueError(f"hp_ics {ics_path} must be a subset of hp_all {all_path}, "
-                             f"offending entries: {extra}")
+            raise ConfigError(f"hp_ics {ics_path} must be a subset of hp_all {all_path}, "
+                              f"offending entries: {extra}")
         return cls(hp_all, hp_ics)
 
     @classmethod
@@ -159,17 +143,8 @@ class HoneypotSets:
 
 
 def _read_ip_set(path) -> frozenset[int]:
-    out = set()
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                out.add(ip_to_int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {number}: {exc}") from None
-    return frozenset(out)
+    with table_rows(path) as rows:
+        return frozenset(map(ip_to_int, rows))
 
 
 class RdnsTable:
@@ -182,18 +157,11 @@ class RdnsTable:
     @classmethod
     def from_csv(cls, path) -> "RdnsTable":
         mapping: dict[int, str] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].startswith("#"):
-                    continue
+        with table_rows(path, ",") as rows:
+            for row in rows:
                 if len(row) < 2:
-                    raise ValueError(f"{path} line {reader.line_num}: expected 'ip,name'")
-                try:
-                    ip = ip_to_int(row[0].strip())
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-                mapping[ip] = row[1].strip()
+                    raise ValueError("expected 'ip,name'")
+                mapping[ip_to_int(row[0].strip())] = row[1].strip()
         return cls(mapping)
 
     @classmethod

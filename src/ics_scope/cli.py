@@ -28,7 +28,7 @@ from .pipeline import (
     write_csv,
 )
 from .sanitize import default_catalog, retention, sanitize_rows
-from .trafficgen import ScenarioError, ScenarioSpec, generate
+from .trafficgen import ScenarioSpec, generate
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         if args.command == "version":
             print(__version__)
             return 0
-    except (ConfigError, ScenarioError, CaptureError, FileNotFoundError) as exc:
+    except (ConfigError, CaptureError, FileNotFoundError) as exc:
         # Bad or missing inputs named on the command line or in the config.
         print(f"error: {exc}", file=sys.stderr)
         return 2

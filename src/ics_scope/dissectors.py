@@ -35,7 +35,8 @@ from .capture import (
     PacketRecord,
     ipv4_view,
 )
-from .ports import PORTS, load_packaged_json
+from .inputs import load_packaged_json
+from .ports import PORTS
 
 log = logging.getLogger(__name__)
 

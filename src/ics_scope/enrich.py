@@ -8,13 +8,12 @@ customer cone.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 
 from .capture import int_to_ip, ip_to_int, parse_cidr
+from .inputs import ConfigError, fault, read_json, table_rows, typed
 
 log = logging.getLogger(__name__)
 
@@ -68,43 +67,30 @@ class LpmTable:
 def load_asn_table(path) -> LpmTable:
     """Prefix-to-origin table from 'prefix asn' or 'address length asn' lines."""
     table = LpmTable()
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    with table_rows(path) as rows:
+        for line in rows:
             parts = line.split()
             if len(parts) == 2:
                 prefix, asn = parts
             elif len(parts) == 3:
                 prefix, asn = f"{parts[0]}/{parts[1]}", parts[2]
             else:
-                raise ValueError(f"{path} line {number}: unparseable prefix line: {line!r}")
-            try:
-                table.add(prefix, int(asn))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {number}: {exc}") from None
+                raise ValueError(f"unparseable prefix line: {line!r}")
+            table.add(prefix, int(asn))
     return table
 
 
 def load_geo_table(path) -> LpmTable:
     """Prefix-to-country table from CSV 'prefix,country' rows."""
     table = LpmTable()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
+    with table_rows(path, ",") as rows:
+        for row in rows:
             if len(row) < 2:
-                raise ValueError(f"{path} line {reader.line_num}: expected 'prefix,country'")
+                raise ValueError("expected 'prefix,country'")
             prefix, country = row[0].strip(), row[1].strip().upper()
             if not _COUNTRY_RE.match(country):
-                raise ValueError(f"{path} line {reader.line_num}: invalid country code "
-                                 f"{country!r} for prefix {prefix}")
-            try:
-                table.add(prefix, country)
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+                raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
+            table.add(prefix, country)
     return table
 
 
@@ -133,19 +119,11 @@ class IxpTopology:
 
     @classmethod
     def from_json(cls, path, tag_members: dict[str, int] | None = None) -> "IxpTopology":
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: expected an object mapping member AS to its cone, "
-                             f"got {type(raw).__name__}")
         cone = {}
-        for member, ases in raw.items():
-            valid = (member.isascii() and member.isdigit() and isinstance(ases, list)
-                     and all(type(a) is int for a in ases))
-            if not valid:
-                raise ValueError(f"{path}: key {member!r} must be an AS number mapping to a "
-                                 f"list of integer AS numbers, got {ases!r}")
-            cone[int(member)] = frozenset(ases)
+        for member, ases in typed(read_json(path), dict, str(path)).items():
+            if not (member.isascii() and member.isdigit()):
+                raise fault(str(path), "member", "an AS number", member)
+            cone[int(member)] = frozenset(typed(ases, list, str(path), member, items=int))
         return cls(
             members=frozenset(cone),
             cone=cone,
@@ -227,31 +205,22 @@ def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[int]]]:
     """Active-scan snapshot per protocol: {protocol: {"transport": [ip, ...],
     "application": [ip, ...]}}. Addresses are parsed strictly; application
     hosts must be a subset of transport hosts or the file is rejected."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected an object mapping protocol to its scan sets, "
-                         f"got {type(raw).__name__}")
+    where = str(path)
     snapshot = {}
-    for protocol, sets in raw.items():
-        if not isinstance(sets, dict):
-            raise ValueError(f"{path}: {protocol!r} must map to an object, "
-                             f"got {type(sets).__name__}")
+    for protocol, sets in typed(read_json(path), dict, where).items():
+        sets = typed(sets, dict, where, protocol)
         parsed = {}
         for layer in ("transport", "application"):
-            hosts = sets.get(layer, [])
-            where = f"{path}: {protocol!r} {layer!r}"
-            if not isinstance(hosts, list) or not all(isinstance(h, str) for h in hosts):
-                raise ValueError(f"{where} must be a list of address strings, got {hosts!r}")
+            key = f"{protocol}.{layer}"
+            hosts = typed(sets.get(layer, []), list, where, key, items=str)
             try:
                 parsed[layer] = frozenset(map(ip_to_int, hosts))
             except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+                raise ConfigError(f"{where}: {key}: {exc}") from None
         if not parsed["application"] <= parsed["transport"]:
             extra = sorted(map(int_to_ip, parsed["application"] - parsed["transport"]))[:3]
-            raise ValueError(
-                f"scan snapshot for {protocol}: application hosts not in transport scan: {extra}"
-            )
+            raise ConfigError(f"{where}: {protocol}: application hosts not in transport scan: "
+                              f"{extra}")
         snapshot[protocol] = parsed
     return snapshot
 

@@ -1,0 +1,125 @@
+"""Reading input files: JSON configs, scenarios and sidecar tables, and line tables.
+
+This module alone knows how an input file is read and how a bad value in
+one is named. Every failure is a ConfigError: a file that cannot be read,
+is not UTF-8 or is not JSON names the file, a bad row of a line table reads
+`FILE line N: ...`, and a value of the wrong JSON type or outside its set
+reads `WHERE: KEY must be KIND, got VALUE`. A value's JSON type is its
+Python type exactly, so a bool is no integer.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import reprlib
+from contextlib import contextmanager
+from importlib import resources
+
+
+class ConfigError(ValueError):
+    """An input file missing or unreadable, or a value in it malformed."""
+
+
+# What a JSON value of each Python type is called in an error message.
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def load_packaged_json(name: str):
+    """A JSON data file packaged with the program."""
+    return json.loads(resources.files("ics_scope.data").joinpath(name).read_text())
+
+
+def read_json(path):
+    """The JSON value a file holds."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
+def fault(where: str, key: str | None, kind: str, value, detail: str = "") -> ConfigError:
+    """The error for a value that is not kind: the value at key, or without
+    a key the whole of where. A long value is shortened."""
+    name = where if key is None else f"{where}: {key}"
+    return ConfigError(f"{name} must be {kind}, got {reprlib.repr(value)}"
+                       + (f" ({detail})" if detail else ""))
+
+
+def typed(value, kind: type, where: str, key: str | None = None, items: type | None = None,
+          optional: bool = False):
+    """value, when its JSON type is kind (float: a number, an integer
+    included) and, for a list, each item's type is items; None as well
+    when optional."""
+    if optional and value is None:
+        return value
+    if not (type(value) is kind or kind is float and type(value) is int) or (
+            items is not None and not all(type(item) is items for item in value)):
+        of = f" of {_KINDS[items].split()[1]}s" if items is not None else ""
+        raise fault(where, key, _KINDS[kind] + of, value)
+    return value
+
+
+def choice(value, allowed, where: str, key: str) -> str:
+    """value, when it is one of the strings allowed."""
+    if type(value) is not str or value not in allowed:
+        raise fault(where, key, f"one of {', '.join(sorted(allowed))}", value)
+    return value
+
+
+def parsed(parse, value, where: str, key: str, kind: str):
+    """parse(value), for a value that parse, raising ValueError, TypeError,
+    LookupError or AttributeError, finds is not kind."""
+    try:
+        return parse(value)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise fault(where, key, kind, value, str(exc)) from None
+
+
+@contextmanager
+def table_rows(path, delimiter: str | None = None):
+    """The rows of a line table, in file order, for a with block to iterate.
+
+    Without delimiter a row is a line stripped of surrounding whitespace;
+    with one it is a CSV record's list of fields. Blank rows and rows that
+    start with '#' are skipped. The first of these in the file is a
+    ConfigError naming the file and the line: a row the with block refuses
+    with ValueError, a record the CSV reader cannot parse, a line that is
+    not UTF-8.
+    """
+    number = 0
+
+    def lines(fh):
+        nonlocal number
+        for number, line in enumerate(fh, 1):
+            if not line.isascii():
+                line.encode("utf-8")  # fails on a byte surrogateescape kept undecoded
+            yield line
+
+    def rows(fh):
+        if delimiter:
+            for fields in csv.reader(lines(fh), delimiter=delimiter):
+                if fields and not fields[0].startswith("#"):
+                    yield fields
+        else:
+            for line in lines(fh):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield line
+
+    try:
+        # The file is decoded a block at a time. Strict decoding would fail
+        # on the whole block, ahead of its rows before the bad line, so
+        # each line is checked as it is read instead.
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            yield rows(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeEncodeError:
+        raise ConfigError(f"{path} line {number}: not UTF-8 text") from None
+    except (ValueError, csv.Error) as exc:
+        raise ConfigError(f"{path} line {number}: {exc}") from None

@@ -57,6 +57,7 @@ from .enrich import (
     scan_overlap,
     transition,
 )
+from .inputs import ConfigError, choice, read_json, typed
 from .sanitize import (
     KEPT,
     PORT_ONLY,
@@ -74,11 +75,9 @@ log = logging.getLogger(__name__)
 # Which kept packets' destinations stability.csv covers.
 STABILITY_LABELS = (INDUSTRIAL, NON_INDUSTRIAL, "all")
 
-# What a config value of each Python type is called in an error message.
-_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
-
-class ConfigError(ValueError):
-    """Configuration file missing, unreadable or referencing missing inputs."""
+# The PipelineConfig fields that name an input table.
+_TABLE_KEYS = ("scanner_registry", "hp_all", "hp_ics", "rdns", "asn_table", "cone", "geo",
+               "scan_snapshot", "dpi_catalog")
 
 
 @dataclass
@@ -106,76 +105,38 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path}: expected a JSON object, got {type(raw).__name__}")
-        base = path.parent
-
-        def fault(key: str, expected: str, value) -> ConfigError:
-            return ConfigError(f"config {path}: {key} must be {expected}, got {value!r}")
-
-        def typed(value, kind: type, key: str):
-            if type(value) is not kind:
-                raise fault(key, _JSON_TYPES[kind], value)
-            return value
-
-        def choice(key: str, default: str, allowed) -> str:
-            value = raw.get(key, default)
-            if type(value) is not str or value not in allowed:
-                raise fault(key, f"one of {', '.join(sorted(allowed))}", value)
-            return value
+        where = f"config {path}"
+        raw = typed(read_json(path), dict, where)
 
         def existing(value, key: str) -> Path:
-            resolved = base / typed(value, str, key)
+            resolved = path.parent / typed(value, str, where, key)
             try:
                 found = resolved.exists()
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"config {path}: {key}: {exc}") from None
+                raise ConfigError(f"{where}: {key}: {exc}") from None
             if not found:
-                raise ConfigError(f"config {path}: {key} file not found: {resolved}")
+                raise ConfigError(f"{where}: {key} file not found: {resolved}")
             return resolved
 
-        def resolve(key: str) -> Path | None:
-            value = raw.get(key)
-            return None if value is None else existing(value, key)
-
-        entries = typed(raw.get("captures", []), list, "captures")
+        entries = typed(raw.get("captures", []), list, where, "captures")
         if not entries:
-            raise ConfigError(f"config {path}: captures must list at least one capture")
+            raise ConfigError(f"{where}: captures must list at least one capture")
         captures = []
         for index, entry in enumerate(entries):
             key = f"captures[{index}]"
-            if not isinstance(entry, dict) or "path" not in entry:
-                raise ConfigError(f"config {path}: {key} has no 'path'")
-            pcap = existing(entry["path"], f"{key}.path")
-            vantage = typed(entry.get("vantage", "vp0"), str, f"{key}.vantage")
-            sample_interval = typed(entry.get("sample_interval", 1), int, f"{key}.sample_interval")
-            snap_len = typed(entry.get("snap_len", 65535), int, f"{key}.snap_len")
-            try:
-                meta = CaptureMeta(vantage, sample_interval, snap_len)
-            except ValueError as exc:
-                raise ConfigError(f"config {path}: {key}: {exc}") from exc
-            captures.append(CaptureSource(path=pcap, meta=meta))
-        tag_members = typed(raw.get("tag_members", {}), dict, "tag_members")
+            entry = typed(entry, dict, where, key)
+            captures.append(CaptureSource(existing(entry.get("path"), f"{key}.path"),
+                                          CaptureMeta.from_entry(entry, where, f"{key}.")))
+        tag_members = typed(raw.get("tag_members", {}), dict, where, "tag_members")
         return cls(
             captures=captures,
-            scanner_registry=resolve("scanner_registry"),
-            hp_all=resolve("hp_all"),
-            hp_ics=resolve("hp_ics"),
-            rdns=resolve("rdns"),
-            asn_table=resolve("asn_table"),
-            cone=resolve("cone"),
-            geo=resolve("geo"),
-            scan_snapshot=resolve("scan_snapshot"),
-            dpi_catalog=resolve("dpi_catalog"),
-            filters=choice("filters", "all", FILTER_FAMILIES),
-            stability_label=choice("stability_label", INDUSTRIAL, STABILITY_LABELS),
-            tag_members={k: typed(v, int, f"tag_members[{k!r}]") for k, v in tag_members.items()},
+            **{key: None if raw.get(key) is None else existing(raw[key], key)
+               for key in _TABLE_KEYS},
+            filters=choice(raw.get("filters", "all"), FILTER_FAMILIES, where, "filters"),
+            stability_label=choice(raw.get("stability_label", INDUSTRIAL), STABILITY_LABELS,
+                                   where, "stability_label"),
+            tag_members={k: typed(v, int, where, f"tag_members[{k!r}]")
+                         for k, v in tag_members.items()},
         )
 
 
@@ -209,16 +170,6 @@ def _unpaired_honeypots():
     raise ConfigError("hp_all and hp_ics must be configured together")
 
 
-def _load(step: _Step):
-    """One input table; a table that cannot be read or parsed raises ConfigError."""
-    try:
-        return step.loader(*step.arguments)
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"failed to load pipeline inputs: {exc}") from exc
-
-
 def load_inputs(config: PipelineConfig) -> LoadedInputs:
     """Every input table the config names, or its empty stand-in.
 
@@ -250,7 +201,7 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
         step("dpi_catalog", config.dpi_catalog, DpiCatalog.from_json, empty=default_catalog),
     ]
     fork = len(os.sched_getaffinity(0)) > 1
-    tables = _fork_map(_load, steps,
+    tables = _fork_map(lambda s: s.loader(*s.arguments), steps,
                        lambda s: fork and s.name in _LINE_TABLES and bool(s.arguments))
     return LoadedInputs(**{s.name: table for s, table in zip(steps, tables)})
 

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import json
-from importlib import resources
+from .inputs import load_packaged_json
 
 # IP protocol numbers of the transport names the data files use.
 TCP = 6
 UDP = 17
 TRANSPORTS = {"tcp": TCP, "udp": UDP}
-
-
-def load_packaged_json(name: str):
-    return json.loads(resources.files("ics_scope.data").joinpath(name).read_text())
 
 
 class PortRegistry:

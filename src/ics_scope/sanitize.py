@@ -16,7 +16,8 @@ from functools import lru_cache
 
 from .capture import TCP, UDP, PacketRecord
 from .dissectors import MALFORMED, Dissection
-from .ports import PORTS, TRANSPORTS, load_packaged_json
+from .inputs import ConfigError, choice, fault, load_packaged_json, parsed, read_json, typed
+from .ports import PORTS, TRANSPORTS
 
 KEPT = "kept"
 DROPPED_TUNNEL = "dropped_tunnel"
@@ -95,38 +96,34 @@ class DpiCatalog:
         """Signatures from a JSON list of {name, transport, port_hint,
         prefix_bytes, mask, check} objects; only name is required.
 
-        Any other shape raises ValueError naming the source, the entry or
+        Any other shape raises ConfigError naming the source, the entry or
         signature and the key.
         """
-        if not isinstance(entries, list):
-            raise ValueError(f"{source}: expected a list of signatures, "
-                             f"got {type(entries).__name__}")
         sigs = []
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"{source} entry {index}: expected an object, "
-                                 f"got {type(entry).__name__}")
+        for index, entry in enumerate(typed(entries, list, source)):
+            where = f"{source} entry {index}"
+            entry = typed(entry, dict, where)
             name = entry.get("name")
             # The name is what a match returns, so an empty one would never drop.
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"{source} entry {index}: 'name' must be a non-empty "
-                                 f"string, got {name!r}")
-            where = f"signature {name}"
-            prefix = _hex(entry, "prefix_bytes", where)
-            mask = _hex(entry, "mask", where) or b"\xff" * len(prefix)
+            if type(name) is not str or not name:
+                raise fault(where, "name", "a non-empty string", name)
+            where = f"{source} signature {name}"
+            prefix = parsed(bytes.fromhex, entry.get("prefix_bytes", ""), where, "prefix_bytes",
+                            "a hex string")
+            mask = parsed(bytes.fromhex, entry.get("mask", ""), where, "mask",
+                          "a hex string") or b"\xff" * len(prefix)
             if len(mask) != len(prefix):
-                raise ValueError(f"{where}: mask/prefix length mismatch")
+                raise ConfigError(f"{where}: mask/prefix length mismatch")
             check = entry.get("check")
-            if check is not None and (type(check) is not str or check not in _STRUCTURAL_CHECKS):
-                raise ValueError(f"{where}: unknown check {check!r}")
+            if check is not None:
+                choice(check, _STRUCTURAL_CHECKS, where, "check")
             transport = entry.get("transport")
-            if transport is not None and (type(transport) is not str
-                                          or transport not in TRANSPORTS):
-                raise ValueError(f"{where}: unknown transport {transport!r}")
+            if transport is not None:
+                choice(transport, TRANSPORTS, where, "transport")
             port_hint = entry.get("port_hint")
             if port_hint is not None and (type(port_hint) is not int
                                           or not 0 <= port_hint <= 65535):
-                raise ValueError(f"{where}: port_hint must be a port number, got {port_hint!r}")
+                raise fault(where, "port_hint", "a port number", port_hint)
             sigs.append(
                 DpiSignature(
                     name=name,
@@ -141,10 +138,7 @@ class DpiCatalog:
 
     @classmethod
     def from_json(cls, path) -> "DpiCatalog":
-        import json
-
-        with open(path) as fh:
-            return cls.from_entries(json.load(fh), str(path))
+        return cls.from_entries(read_json(path), str(path))
 
     def match(self, record: PacketRecord) -> str | None:
         if record.ip_proto not in (TCP, UDP) or not record.payload:
@@ -153,17 +147,6 @@ class DpiCatalog:
             if sig.matches(record.ip_proto, record.src_port, record.dst_port, record.payload):
                 return sig.name
         return None
-
-
-def _hex(entry: dict, key: str, where: str) -> bytes:
-    """The bytes of an optional hex-string value of a catalog entry."""
-    value = entry.get(key, "")
-    if isinstance(value, str):
-        try:
-            return bytes.fromhex(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{where}: {key!r} must be a hex string, got {value!r}")
 
 
 @lru_cache(maxsize=1)

@@ -40,6 +40,7 @@ from .dissectors import (
     WELL_FORMED,
     dnp3_crc,
 )
+from .inputs import ConfigError, choice, parsed, read_json, typed
 from .ports import PORTS
 from .sanitize import DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT
 
@@ -51,10 +52,6 @@ BACKSCATTER = "backscatter"
 MALFORMED_KIND = "malformed"
 DPI_DECOY = "dpi_decoy"
 FLOW_KINDS = (INDUSTRIAL, SCANNER_SWEEP, BACKSCATTER, MALFORMED_KIND, DPI_DECOY)
-
-
-class ScenarioError(ValueError):
-    """Invalid scenario specification."""
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +400,6 @@ def write_pcap(path, packets, snap_len: int = 65535, nanos: bool = False) -> Non
 # Scenario model
 
 
-# Flow values a scenario gives as JSON, and the types each may have.
-_FLOW_VALUE_TYPES = (("packets_per_day", (int,), "an integer"),
-                     ("request_ratio", (int, float), "a number"),
-                     ("heuristic", (bool,), "a boolean"))
-
-
 @dataclass
 class FlowSpec:
     kind: str
@@ -450,23 +441,38 @@ class FlowSpec:
         return tuple(sorted(reasons))
 
 
-def _capture_meta(raw: dict) -> CaptureMeta:
-    """The scenario's capture setup, checked as analyze checks a capture entry.
+def _day(value, where: str, key: str) -> date:
+    return parsed(date.fromisoformat, value, where, key, "a date (YYYY-MM-DD)")
 
-    These values go into the corpus's config.json as they are, so a value
-    analyze would refuse is a ScenarioError naming its key.
-    """
-    values = {}
-    for key, default, kind, name in (("vantage", "vp0", str, "a string"),
-                                     ("sample_interval", 1, int, "an integer"),
-                                     ("snap_len", 65535, int, "an integer")):
-        value = values[key] = raw.get(key, default)
-        if type(value) is not kind:
-            raise ScenarioError(f"{key} must be {name}, got {value!r}")
-    try:
-        return CaptureMeta(**values)
-    except ValueError as exc:
-        raise ScenarioError(f"invalid scenario spec: {exc}") from None
+
+def _flow(index: int, flow, corpus_start) -> FlowSpec:
+    """Entry index of a scenario's flows, each value checked for its JSON
+    type; corpus_start is the scenario's start_day, a flow's default."""
+    where = f"flow {index}"
+    schedule = typed(typed(flow, dict, where).get("schedule", {}), dict, where, "schedule")
+    kind = choice(flow.get("kind"), FLOW_KINDS, where, "kind")
+    protocol = choice(flow.get("protocol"), _PROTOCOL_TRANSPORT, where, "protocol")
+    where = f"flow {index} ({kind}/{protocol})"
+    start = schedule.get("start_day", corpus_start)
+    active = typed(schedule.get("active_days"), list, where, "active_days", optional=True)
+    honeypot = flow.get("honeypot")
+    return FlowSpec(
+        kind=kind,
+        protocol=protocol,
+        src=flow.get("src"),
+        dst=flow.get("dst"),
+        start_day=_day(start, where, "start_day"),
+        end_day=_day(schedule.get("end_day", start), where, "end_day"),
+        packets_per_day=typed(schedule.get("packets_per_day", 1), int, where, "packets_per_day"),
+        active_days=[_day(day, where, "active_days") for day in active] if active else None,
+        request_ratio=typed(flow.get("request_ratio", 1.0), float, where, "request_ratio"),
+        project=typed(flow.get("project"), str, where, "project", optional=True),
+        rdns_name=typed(flow.get("rdns_name"), str, where, "rdns_name", optional=True),
+        rdns_project=typed(flow.get("rdns_project"), str, where, "rdns_project", optional=True),
+        honeypot=None if honeypot is None else choice(honeypot, ("all", "ics"), where,
+                                                      "honeypot"),
+        heuristic=typed(flow.get("heuristic", False), bool, where, "heuristic"),
+    )
 
 
 @dataclass
@@ -481,97 +487,51 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
-        try:
-            flows = []
-            for index, flow in enumerate(raw["flows"]):
-                if not isinstance(flow, dict):
-                    raise ScenarioError(f"flow {index}: expected an object, got {flow!r}")
-                schedule = flow.get("schedule", {})
-                if not isinstance(schedule, dict):
-                    raise ScenarioError(f"flow {index}: schedule must be an object, "
-                                        f"got {schedule!r}")
-                active = schedule.get("active_days")
-                start = schedule.get("start_day", raw["start_day"])
-                flows.append(
-                    FlowSpec(
-                        kind=flow["kind"],
-                        protocol=flow["protocol"],
-                        src=flow["src"],
-                        dst=flow["dst"],
-                        start_day=date.fromisoformat(start),
-                        end_day=date.fromisoformat(schedule.get("end_day", start)),
-                        packets_per_day=schedule.get("packets_per_day", 1),
-                        active_days=[date.fromisoformat(d) for d in active] if active else None,
-                        request_ratio=flow.get("request_ratio", 1.0),
-                        project=flow.get("project"),
-                        rdns_name=flow.get("rdns_name"),
-                        rdns_project=flow.get("rdns_project"),
-                        honeypot=flow.get("honeypot"),
-                        heuristic=flow.get("heuristic", False),
-                    )
-                )
-            meta = _capture_meta(raw)
-            spec = cls(
-                seed=raw["seed"],
-                vantage=meta.vantage,
-                start_day=date.fromisoformat(raw["start_day"]),
-                end_day=date.fromisoformat(raw["end_day"]),
-                flows=flows,
-                sample_interval=meta.sample_interval,
-                snap_len=meta.snap_len,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(f"invalid scenario spec: {exc}") from exc
+        """A scenario from its JSON object; any fault raises ConfigError naming
+        the flow, if any, and the key."""
+        raw = typed(raw, dict, "scenario")
+        flows = typed(raw.get("flows", []), list, "scenario", "flows")
+        if not flows:
+            raise ConfigError("scenario: flows must list at least one flow")
+        meta = CaptureMeta.from_entry(raw, "scenario")
+        spec = cls(
+            seed=typed(raw.get("seed"), int, "scenario", "seed"),
+            vantage=meta.vantage,
+            start_day=_day(raw.get("start_day"), "scenario", "start_day"),
+            end_day=_day(raw.get("end_day"), "scenario", "end_day"),
+            flows=[_flow(index, flow, raw.get("start_day")) for index, flow in enumerate(flows)],
+            sample_interval=meta.sample_interval,
+            snap_len=meta.snap_len,
+        )
         spec.validate()
         return spec
 
     @classmethod
     def from_json(cls, path) -> "ScenarioSpec":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario spec is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario spec must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     def validate(self) -> None:
         if self.start_day > self.end_day:
-            raise ScenarioError("corpus start_day after end_day")
-        if type(self.seed) is not int:
-            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+            raise ConfigError("scenario: start_day after end_day")
         networks = []
         for index, flow in enumerate(self.flows):
             where = f"flow {index} ({flow.kind}/{flow.protocol})"
-            if flow.kind not in FLOW_KINDS:
-                raise ScenarioError(f"{where}: unknown kind")
-            if flow.protocol not in _PROTOCOL_TRANSPORT:
-                raise ScenarioError(f"{where}: unknown protocol")
-            for key, kinds, name in _FLOW_VALUE_TYPES:
-                value = getattr(flow, key)
-                if type(value) not in kinds:  # a bool is no number here
-                    raise ScenarioError(f"{where}: {key} must be {name}, got {value!r}")
             src_net = _flow_network(where, "src", flow.src)
             dst_net = _flow_network(where, "dst", flow.dst)
             networks.append((flow, src_net, dst_net))
             if flow.packets_per_day < 1:
-                raise ScenarioError(f"{where}: packets_per_day must be positive")
+                raise ConfigError(f"{where}: packets_per_day must be positive")
             if not 0.0 <= flow.request_ratio <= 1.0:
-                raise ScenarioError(f"{where}: request_ratio out of [0, 1]")
+                raise ConfigError(f"{where}: request_ratio out of [0, 1]")
             for day in flow.days():
                 if not self.start_day <= day <= self.end_day:
-                    raise ScenarioError(f"{where}: schedule day {day} outside corpus range")
+                    raise ConfigError(f"{where}: schedule day {day} outside corpus range")
             total = flow.packets_per_day * len(flow.days())
             if flow.kind == SCANNER_SWEEP and len(_host_range(dst_net)) > total:
-                raise ScenarioError(
+                raise ConfigError(
                     f"{where}: destination CIDR larger than the {total} packets requested"
                 )
             _validate_projects(where, flow, min(len(_host_range(src_net)), total))
-            if flow.honeypot not in (None, "ics", "all"):
-                raise ScenarioError(f"{where}: honeypot must be 'ics' or 'all'")
         self._validate_pools(networks)
 
     def _validate_pools(self, networks) -> None:
@@ -591,14 +551,14 @@ class ScenarioSpec:
         for plain_net in plain:
             for tagged_net, tags in tagged:
                 if _overlaps(plain_net, tagged_net):
-                    raise ScenarioError(
+                    raise ConfigError(
                         f"untagged network {_cidr(plain_net)} overlaps {_cidr(tagged_net)} "
                         f"(tagged {','.join(tags)}); ground truth would be ambiguous"
                     )
         for i, (net_a, tags_a) in enumerate(tagged):
             for net_b, tags_b in tagged[i + 1:]:
                 if _overlaps(net_a, net_b) and tags_a != tags_b:
-                    raise ScenarioError(
+                    raise ConfigError(
                         f"tagged networks {_cidr(net_a)} and {_cidr(net_b)} overlap with "
                         f"different filter tags; ground truth would be ambiguous"
                     )
@@ -610,32 +570,25 @@ def _validate_projects(where: str, flow: FlowSpec, hosts: int) -> None:
     name the flow can give its first `hosts` source hosts matches the latter."""
     registry = default_scanner_registry()
     projects = [project.name for project in registry.projects]
-    if flow.kind == SCANNER_SWEEP and flow.project not in projects:
-        raise ScenarioError(f"{where}: project must be one of {projects}, got {flow.project!r}")
-    if (flow.rdns_name or flow.rdns_project) and flow.rdns_project not in projects:
-        raise ScenarioError(f"{where}: rdns_project must be one of {projects}, "
-                            f"got {flow.rdns_project!r}")
+    if flow.kind == SCANNER_SWEEP:
+        choice(flow.project, projects, where, "project")
+    if flow.rdns_name or flow.rdns_project:
+        choice(flow.rdns_project, projects, where, "rdns_project")
     if flow.rdns_project and not flow.rdns_name:
-        raise ScenarioError(f"{where}: rdns_project needs rdns_name")
+        raise ConfigError(f"{where}: rdns_project needs rdns_name")
     for i in range(hosts if flow.rdns_name else 0):
-        try:
-            name = flow.rdns_name.format(i=i)
-        except (AttributeError, IndexError, KeyError, ValueError) as exc:
-            raise ScenarioError(f"{where}: rdns_name must format with {{i}}, "
-                                f"got {flow.rdns_name!r} ({exc})") from None
+        name = parsed(lambda pattern: pattern.format(i=i), flow.rdns_name, where, "rdns_name",
+                      "a name pattern with {i}")
         if registry.match_rdns(name) != flow.rdns_project:
-            raise ScenarioError(f"{where}: the scanner registry matches rdns_name {name!r} to "
+            raise ConfigError(f"{where}: the scanner registry matches rdns_name {name!r} to "
                                 f"{registry.match_rdns(name) or 'no project'}, "
                                 f"not {flow.rdns_project}")
 
 
 def _flow_network(where: str, key: str, spec) -> tuple[int, int]:
     """A flow's src or dst: an address, or a network without host bits."""
-    try:
-        return parse_cidr(spec, strict=True)
-    except (AttributeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {key} must be an IPv4 address or network, "
-                            f"got {spec!r} ({exc})") from None
+    return parsed(lambda text: parse_cidr(text, strict=True), spec, where, key,
+                  "an IPv4 address or network")
 
 
 def _cidr(network: tuple[int, int]) -> str:

@@ -190,7 +190,7 @@ def test_filter_family_monotonicity_spot():
 
 
 def test_registry_rejects_empty_project():
-    with pytest.raises(ValueError, match="empty project"):
+    with pytest.raises(ValueError, match="project must be a non-empty string, got ''"):
         ScannerRegistry.from_entries([{"project": "", "prefixes": []}])
 
 

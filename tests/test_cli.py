@@ -121,8 +121,7 @@ def _short_row(corpus, sidecar) -> str:
         fh.write("10.0.0.1\n")
     lines = (corpus / config[sidecar]).read_text().count("\n")
     expected = {"rdns": "ip,name", "geo": "prefix,country"}[sidecar]
-    return (f"error: failed to load pipeline inputs: {corpus / config[sidecar]} line {lines}: "
-            f"expected '{expected}'\n")
+    return f"error: {corpus / config[sidecar]} line {lines}: expected '{expected}'\n"
 
 
 def _analyze_with_short_row(tmp_path, capsys, monkeypatch, sidecar):
@@ -150,7 +149,7 @@ def test_analyze_bad_country_code_names_the_geo_line(tmp_path, capsys, monkeypat
         fh.write("10.0.0.0/8,ZZZ\n")
     lines = geo.read_text().count("\n")
     code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
-    assert (code, err) == (2, f"error: failed to load pipeline inputs: {geo} line {lines}: "
+    assert (code, err) == (2, f"error: {geo} line {lines}: "
                               f"invalid country code 'ZZZ' for prefix 10.0.0.0/8\n")
     assert not (tmp_path / "r").exists()
 
@@ -160,7 +159,7 @@ def test_analyze_honeypot_subset_error_names_both_files(tmp_path, capsys, monkey
     (corpus / "hp_all.txt").write_text("10.0.0.1\n")
     (corpus / "hp_ics.txt").write_text("10.0.0.1\n10.0.0.9\n")
     code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
-    assert (code, err) == (2, f"error: failed to load pipeline inputs: hp_ics "
+    assert (code, err) == (2, f"error: hp_ics "
                               f"{corpus / 'hp_ics.txt'} must be a subset of hp_all "
                               f"{corpus / 'hp_all.txt'}, offending entries: ['10.0.0.9']\n")
     assert not (tmp_path / "r").exists()
@@ -183,14 +182,14 @@ _FAULTS = [
     pytest.param("analyze", lambda c: {**c, "captures": []},
                  "captures must list at least one capture", id="captures-empty"),
     pytest.param("analyze", lambda c: {**c, "captures": [{"vantage": "ixp0"}]},
-                 "captures[0] has no 'path'", id="capture-without-path"),
+                 "captures[0].path must be a string, got None", id="capture-without-path"),
     pytest.param("analyze", lambda c: _capture(c, sample_interval=0),
-                 "captures[0]: sample_interval must be >= 1", id="sample-interval-0"),
+                 "captures[0].sample_interval must be >= 1", id="sample-interval-0"),
     pytest.param("analyze", lambda c: _capture(c, sample_interval="abc"),
                  "captures[0].sample_interval must be an integer", id="sample-interval-text"),
     pytest.param("analyze", lambda c: _capture(c, snap_len=10),
-                 "captures[0]: snap_len below 46 bytes", id="snap-len-10"),
-    pytest.param("analyze", lambda c: [c], "expected a JSON object, got list",
+                 "captures[0].snap_len below 46 bytes", id="snap-len-10"),
+    pytest.param("analyze", lambda c: [c], "bad_config.json must be an object, got [{",
                  id="top-level-list"),
     pytest.param("analyze", lambda c: {**c, "tag_members": {"ixp0:in": "x"}},
                  "tag_members['ixp0:in'] must be an integer", id="tag-member-text"),
@@ -210,6 +209,9 @@ _FAULTS = [
                  id="sample-interval-fraction"),
     pytest.param("analyze", lambda c: _capture(c, snap_len=128.5),
                  "captures[0].snap_len must be an integer, got 128.5", id="snap-len-fraction"),
+    pytest.param("analyze", lambda c: json.dumps(c).encode().replace(b"ixp0", b"ixp\xff"),
+                 "bad_config.json is not valid JSON: 'utf-8' codec can't decode byte 0xff",
+                 id="config-not-utf8"),
     pytest.param("dissect", None, "snap_len below 46 bytes", id="dissect-snap-len-10"),
     pytest.param("sanitize", None, "snap_len below 46 bytes", id="sanitize-snap-len-10"),
 ]
@@ -222,7 +224,8 @@ def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message
         argv = [command, str(corpus / "corpus.pcap"), "--snap-len", "10"]
     else:
         bad = corpus / "bad_config.json"
-        bad.write_text(json.dumps(edit(json.loads((corpus / "config.json").read_text()))))
+        content = edit(json.loads((corpus / "config.json").read_text()))
+        bad.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
         argv = [command, "--config", str(bad), "--out", str(tmp_path / "r")]
     assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
@@ -231,22 +234,25 @@ def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message
 
 # A sidecar table of the wrong shape names the file and the key and exits 2.
 _SIDECAR_FAULTS = [
-    pytest.param("cone", [64500],
-                 "expected an object mapping member AS to its cone, got list", id="cone-list"),
+    pytest.param("cone", [64500], "bad_table.json must be an object, got [64500]",
+                 id="cone-list"),
     pytest.param("scanner_registry", [{"prefixes": ["192.0.2.0/24"]}],
-                 "entry 0: 'project' must be a string, got None",
+                 "entry 0: project must be a non-empty string, got None",
                  id="registry-entry-without-project"),
     pytest.param("scanner_registry", {"Shodan": {"prefixes": ["192.0.2.0/24"]}},
-                 "expected a list of project entries, got dict", id="registry-object"),
+                 "bad_table.json must be a list, got {'Shodan'", id="registry-object"),
     pytest.param("scan_snapshot", {"modbus": ["100.64.0.1"]},
-                 "'modbus' must map to an object, got list", id="snapshot-protocol-list"),
+                 "modbus must be an object, got ['100.64.0.1']", id="snapshot-protocol-list"),
     pytest.param("scan_snapshot", {"modbus": {"transport": "100.64.0.1"}},
-                 "'modbus' 'transport' must be a list of address strings",
+                 "modbus.transport must be a list of strings, got '100.64.0.1'",
                  id="snapshot-hosts-string"),
     pytest.param("scan_snapshot", {"modbus": {"transport": ["100.64.0.1", "scanner-a"],
                                               "application": []}},
-                 "'modbus' 'transport': invalid IPv4 address 'scanner-a'",
+                 "modbus.transport: invalid IPv4 address 'scanner-a'",
                  id="snapshot-non-address"),
+    pytest.param("cone", b'{"64500": [64501], "\xff": []}',
+                 "bad_table.json is not valid JSON: 'utf-8' codec can't decode byte 0xff",
+                 id="cone-not-utf8"),
 ]
 
 
@@ -254,7 +260,8 @@ _SIDECAR_FAULTS = [
 def test_malformed_sidecar_exit_2(tmp_path, capsys, monkeypatch, key, table, message):
     corpus = _gen(tmp_path)
     config = json.loads((corpus / "config.json").read_text())
-    (corpus / "bad_table.json").write_text(json.dumps(table))
+    (corpus / "bad_table.json").write_bytes(table if isinstance(table, bytes)
+                                           else json.dumps(table).encode())
     (corpus / "config.json").write_text(json.dumps({**config, key: "bad_table.json"}))
     code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
     assert code == 2
@@ -263,19 +270,29 @@ def test_malformed_sidecar_exit_2(tmp_path, capsys, monkeypatch, key, table, mes
     assert not (tmp_path / "r").exists()
 
 
+def _not_utf8_row(corpus, sidecar) -> str:
+    """Append a row that is not UTF-8 to a line table of the corpus; returns
+    the message a load of it fails with."""
+    config = json.loads((corpus / "config.json").read_text())
+    with open(corpus / config[sidecar], "ab") as fh:
+        fh.write(b"10.0.0.1,caf\xe9\n" if sidecar == "rdns" else b"10.0.0.0/8 6450\xff\n")
+    lines = (corpus / config[sidecar]).read_bytes().count(b"\n")
+    return f"error: {corpus / config[sidecar]} line {lines}: not UTF-8 text\n"
+
+
 def _bad_registry(corpus):
     (corpus / "registry.json").write_text(json.dumps({"Shodan": {"prefixes": []}}))
-    return "expected a list of project entries, got dict"
+    return "registry.json must be a list, got {'Shodan': {'prefixes': []}}"
 
 
 def _bad_cone(corpus):
     (corpus / "cone.json").write_text(json.dumps([64500]))
-    return "expected an object mapping member AS to its cone, got list"
+    return "cone.json must be an object, got [64500]"
 
 
 def _bad_snapshot(corpus):
     (corpus / "scan_snapshot.json").write_text(json.dumps({"modbus": ["100.64.0.1"]}))
-    return "'modbus' must map to an object, got list"
+    return "modbus must be an object, got ['100.64.0.1']"
 
 
 # Two broken tables, the first in the order a one-CPU load reads them first;
@@ -288,6 +305,10 @@ def _bad_snapshot(corpus):
     pytest.param(_bad_cone, lambda corpus: _short_row(corpus, "geo"), id="cone-then-geo"),
     pytest.param(lambda corpus: _short_row(corpus, "geo"), _bad_snapshot,
                  id="geo-then-snapshot"),
+    pytest.param(lambda corpus: _not_utf8_row(corpus, "rdns"),
+                 lambda corpus: _short_row(corpus, "geo"), id="rdns-not-utf8-then-geo"),
+    pytest.param(lambda corpus: _not_utf8_row(corpus, "asn_table"), _bad_snapshot,
+                 id="asn-not-utf8-then-snapshot"),
 ])
 def test_analyze_reports_the_first_bad_table_at_any_cpu_count(tmp_path, capsys, monkeypatch,
                                                               first, second):
@@ -361,7 +382,7 @@ def test_analyze_unknown_dpi_transport_exit_2(tmp_path, capsys, monkeypatch):
     (corpus / "config.json").write_text(json.dumps(config))
     code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
     assert code == 2
-    assert "signature http: unknown transport 'TCP'" in err
+    assert "signature http: transport must be one of tcp, udp, got 'TCP'" in err
 
 
 def test_truncated_record_fails_analyze_and_sanitize(tmp_path, capsys):
@@ -477,7 +498,7 @@ def _flow(index, **changes):
                  id="src-host-bits"),
     pytest.param(_flow(0, src=5), "flow 0 (industrial/bacnet): src must be an IPv4",
                  id="src-number"),
-    pytest.param(lambda raw: raw["flows"].append("x"), "flow 2: expected an object, got 'x'",
+    pytest.param(lambda raw: raw["flows"].append("x"), "flow 2 must be an object, got 'x'",
                  id="flow-text"),
     pytest.param(_flow(1, schedule="x"), "flow 1: schedule must be an object, got 'x'",
                  id="schedule-text"),
@@ -501,7 +522,7 @@ def _flow(index, **changes):
                  "matches rdns_name 'host7.census.rapid7.net' to Rapid7, not Censys",
                  id="rdns-eighth-name-other-project"),
     pytest.param(_flow(0, rdns_name="host{j}.shodan.io", rdns_project="Shodan"),
-                 "rdns_name must format with {i}, got 'host{j}.shodan.io'",
+                 "rdns_name must be a name pattern with {i}, got 'host{j}.shodan.io'",
                  id="rdns-name-format"),
     pytest.param(lambda raw: raw.update(seed="7"), "seed must be an integer, got '7'",
                  id="seed-text"),
@@ -514,12 +535,34 @@ def _flow(index, **changes):
     pytest.param(_flow(0, request_ratio="0.5"),
                  "flow 0 (industrial/bacnet): request_ratio must be a number, got '0.5'",
                  id="request-ratio-text"),
+    pytest.param(lambda raw: raw.update(flows={}), "scenario: flows must be a list, got {}",
+                 id="flows-object"),
+    pytest.param(lambda raw: raw.update(flows=[]),
+                 "scenario: flows must list at least one flow", id="flows-empty"),
+    pytest.param(_flow(0, schedule={"active_days": {"2018-01-01": 0}}),
+                 "flow 0 (industrial/bacnet): active_days must be a list, got {'2018-01-01': 0}",
+                 id="active-days-object"),
+    pytest.param(_flow(0, schedule={"active_days": "2018-01-01"}),
+                 "flow 0 (industrial/bacnet): active_days must be a list, got '2018-01-01'",
+                 id="active-days-text"),
+    pytest.param(lambda raw: raw["flows"][0].pop("dst"),
+                 "flow 0 (industrial/bacnet): dst must be an IPv4 address or network, got None",
+                 id="dst-missing"),
+    pytest.param(_flow(0, protocol=["bacnet"]), "flow 0: protocol must be one of bacnet, dnp3, "
+                 "ethernetip, hartip, iec104, modbus, s7comm, got ['bacnet']",
+                 id="protocol-list"),
+    pytest.param(_flow(0, project=["x"]),
+                 "flow 0 (industrial/bacnet): project must be a string, got ['x']",
+                 id="industrial-project-list"),
+    pytest.param(lambda raw: json.dumps(raw).encode().replace(b"ixp0", b"ixp\xff"),
+                 "bad.json is not valid JSON: 'utf-8' codec can't decode byte 0xff",
+                 id="scenario-not-utf8"),
 ])
 def test_gen_malformed_flow_exit_2(tmp_path, capsys, edit, message):
     raw = json.loads(json.dumps(SCENARIO))
-    edit(raw)
+    content = edit(raw)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
+    bad.write_bytes(content if isinstance(content, bytes) else json.dumps(raw).encode())
     assert main(["gen", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

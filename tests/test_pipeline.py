@@ -21,6 +21,7 @@ from ics_scope.pipeline import (
     run_analyze,
 )
 from ics_scope.trafficgen import ScenarioSpec, generate
+from test_cli import SCENARIO as CLI_SCENARIO
 
 SCENARIO = {
     "seed": 17,
@@ -546,6 +547,48 @@ def test_sidecar_loaders_on_mutated_json_raise_only_config_error(tmp_path_factor
 
     mutated = _mutated(data, json.loads(json.dumps(_SIDECARS[key])))
     (directory / f"{key}.json").write_text(json.dumps(mutated))
+    try:
+        load_inputs(PipelineConfig.from_json(directory / "config.json"))
+    except ConfigError:
+        pass  # any other exception fails the property
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scenario_reader_on_mutated_json_raises_only_config_error(data):
+    assert isinstance(ScenarioSpec.from_dict(json.loads(json.dumps(CLI_SCENARIO))), ScenarioSpec)
+    try:
+        ScenarioSpec.from_dict(_mutated(data, json.loads(json.dumps(CLI_SCENARIO))))
+    except ConfigError:
+        pass  # any other exception fails the property
+
+
+# One valid line table of each kind load_inputs reads, by config key.
+_LINE_TABLE_TEXTS = {
+    "hp_all": "10.0.0.1\n# a comment\n10.0.0.2\n",
+    "hp_ics": "10.0.0.2\n",
+    "rdns": "10.0.0.1,scanner.example.net\n",
+    "asn_table": "10.0.0.0/8 64500\n10.1.0.0 16 64501\n",
+    "geo": "10.0.0.0/8,DE\n",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(_LINE_TABLE_TEXTS)), tail=st.binary(max_size=40))
+def test_line_tables_with_any_bytes_appended_raise_only_config_error(tmp_path_factory, key,
+                                                                      tail):
+    directory = tmp_path_factory.mktemp("tables")
+    (directory / "a.pcap").write_text("")
+    config = {"captures": [{"path": "a.pcap"}]}
+    for name, content in _LINE_TABLE_TEXTS.items():
+        (directory / name).write_text(content)
+        config[name] = name
+    (directory / "config.json").write_text(json.dumps(config))
+    assert isinstance(load_inputs(PipelineConfig.from_json(directory / "config.json")),
+                      LoadedInputs)
+
+    with open(directory / key, "ab") as fh:
+        fh.write(tail)
     try:
         load_inputs(PipelineConfig.from_json(directory / "config.json"))
     except ConfigError:

@@ -158,25 +158,29 @@ def test_dpi_ssh_and_ntp_checks():
 def test_catalog_rejects_bad_entries():
     with pytest.raises(ValueError, match="mask/prefix length"):
         DpiCatalog.from_entries([{"name": "x", "prefix_bytes": "aabb", "mask": "ff"}])
-    with pytest.raises(ValueError, match="unknown check"):
+    with pytest.raises(ValueError, match="check must be one of dns_header, ntp_header, "
+                                         "tls_record, got 'nope'"):
         DpiCatalog.from_entries([{"name": "x", "check": "nope"}])
 
 
 # Each of these once escaped the loader as a TypeError, AttributeError or
 # KeyError (or, for an empty name, loaded a signature that never drops).
 @pytest.mark.parametrize("entries, message", [
-    pytest.param(None, "expected a list of signatures, got NoneType", id="not-a-list"),
-    pytest.param([None], "entry 0: expected an object, got NoneType", id="entry-null"),
-    pytest.param([{"prefix_bytes": "aa"}], "entry 0: 'name' must be a non-empty string",
+    pytest.param(None, "DPI catalog must be a list, got None", id="not-a-list"),
+    pytest.param([None], "entry 0 must be an object, got None", id="entry-null"),
+    pytest.param([{"prefix_bytes": "aa"}], "entry 0: name must be a non-empty string, got None",
                  id="name-missing"),
-    pytest.param([{"name": ""}], "entry 0: 'name' must be a non-empty string", id="name-empty"),
-    pytest.param([{"name": "x", "prefix_bytes": None}], "'prefix_bytes' must be a hex string",
-                 id="prefix-null"),
-    pytest.param([{"name": "x", "prefix_bytes": "zz"}], "'prefix_bytes' must be a hex string",
-                 id="prefix-not-hex"),
-    pytest.param([{"name": "x", "check": []}], "unknown check []", id="check-list"),
-    pytest.param([{"name": "x", "transport": ["tcp"]}], "unknown transport ['tcp']",
-                 id="transport-list"),
+    pytest.param([{"name": ""}], "entry 0: name must be a non-empty string, got ''",
+                 id="name-empty"),
+    pytest.param([{"name": "x", "prefix_bytes": None}], "prefix_bytes must be a hex string, "
+                 "got None", id="prefix-null"),
+    pytest.param([{"name": "x", "prefix_bytes": "zz"}], "prefix_bytes must be a hex string, "
+                 "got 'zz'", id="prefix-not-hex"),
+    pytest.param([{"name": "x", "check": []}],
+                 "check must be one of dns_header, ntp_header, tls_record, got []",
+                 id="check-list"),
+    pytest.param([{"name": "x", "transport": ["tcp"]}],
+                 "transport must be one of tcp, udp, got ['tcp']", id="transport-list"),
     pytest.param([{"name": "x", "port_hint": "53"}], "port_hint must be a port number",
                  id="port-hint-text"),
 ])

@@ -5,7 +5,8 @@ import pytest
 
 from ics_scope.capture import CaptureMeta, record_from_frame
 from ics_scope.dissectors import dissect
-from ics_scope.trafficgen import ScenarioError, ScenarioSpec, generate
+from ics_scope.inputs import ConfigError
+from ics_scope.trafficgen import ScenarioSpec, generate
 
 from golden import golden_packets
 from reads import read_all
@@ -106,7 +107,7 @@ def test_snap_len_emulation(tmp_path):
 def test_schedule_outside_range_rejected():
     raw = _spec()
     raw["flows"][0]["schedule"]["end_day"] = "2018-02-01"
-    with pytest.raises(ScenarioError, match="outside corpus range"):
+    with pytest.raises(ConfigError, match="outside corpus range"):
         ScenarioSpec.from_dict(raw)
 
 
@@ -122,7 +123,7 @@ def test_oversized_sweep_cidr_rejected():
                          "packets_per_day": 100},
         }
     ])
-    with pytest.raises(ScenarioError, match="CIDR larger"):
+    with pytest.raises(ConfigError, match="CIDR larger"):
         ScenarioSpec.from_dict(raw)
 
 
@@ -139,7 +140,7 @@ def test_rdns_names_checked_up_to_hosts_and_packets(src, packets_per_day, ok):
     if ok:
         ScenarioSpec.from_dict(raw)
     else:
-        with pytest.raises(ScenarioError, match="to Rapid7, not Censys"):
+        with pytest.raises(ConfigError, match="to Rapid7, not Censys"):
             ScenarioSpec.from_dict(raw)
 
 
@@ -163,14 +164,14 @@ def test_pool_overlap_rejected():
                          "packets_per_day": 5},
         },
     ])
-    with pytest.raises(ScenarioError, match="ambiguous"):
+    with pytest.raises(ConfigError, match="ambiguous"):
         ScenarioSpec.from_dict(raw)
 
 
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ScenarioError, match="not valid JSON"):
+    with pytest.raises(ConfigError, match="not valid JSON"):
         ScenarioSpec.from_json(path)
 
 
