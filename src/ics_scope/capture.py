@@ -16,7 +16,7 @@ from datetime import date
 from pathlib import Path
 
 from .inputs import ConfigError, typed
-from .ports import PORTS, TCP, UDP
+from .ports import TCP, UDP
 
 PCAP_MAGIC_MICROS = 0xA1B2C3D4
 PCAP_MAGIC_NANOS = 0xA1B23C4D
@@ -31,10 +31,6 @@ ICMP = 1  # TCP and UDP are defined with the port table, in .ports
 
 # ICMP error messages quote the datagram that triggered them.
 ICMP_ERROR_TYPES = (3, 11, 12)
-
-REQUEST = "request"
-REPLY = "reply"
-UNRELATED = "unrelated"
 
 # The reader's outcome for a frame decoded to a record; a skipped frame's
 # outcome is its skip reason.
@@ -321,16 +317,3 @@ def record_from_frame(frame: bytes, ts: int = 0,
     what the reader yields.
     """
     return _decode_frame(frame[:captured_len], ts)[0]
-
-
-def direction(record: PacketRecord) -> str:
-    """Request, reply or unrelated, judged by registered ICS ports.
-
-    Destination port wins when both ports are registered; ICMP records never
-    relate to a port.
-    """
-    if PORTS.protocol_for(record.dst_port, record.ip_proto):
-        return REQUEST
-    if PORTS.protocol_for(record.src_port, record.ip_proto):
-        return REPLY
-    return UNRELATED

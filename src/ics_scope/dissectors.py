@@ -7,6 +7,10 @@ heuristic dissectors pattern-match the payload on any port. Heuristic
 acceptance is deliberately conservative: a heuristic declines anything its
 dissector would call malformed.
 
+dissect_segment makes the one port decision per packet: it looks up the two
+ports once, hands each dissector the role its port implies, and gives the
+dissection its direction. The dissectors themselves judge only bytes.
+
 Verdict rules per protocol follow one scheme: the entry magic (or port)
 must match or the packet is not this protocol at all; an enumerated or
 range-constrained header field that is readable but out of specification
@@ -22,14 +26,12 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .capture import (
     ICMP,
     ICMP_ERROR_TYPES,
-    REPLY,
-    REQUEST,
     TCP,
     UDP,
     PacketRecord,
@@ -53,6 +55,11 @@ HEURISTIC = "heuristic"
 WELL_FORMED = "well_formed"
 MALFORMED = "malformed"
 UNKNOWN = "unknown"
+
+# A packet's direction: sent to a registered port, from one, or neither.
+REQUEST = "request"
+REPLY = "reply"
+UNRELATED = "unrelated"
 
 ENIP_COMMANDS = frozenset(
     {0x0000, 0x0004, 0x0063, 0x0064, 0x0065, 0x0066, 0x006F, 0x0070, 0x0072, 0x0073}
@@ -88,6 +95,9 @@ class Dissection:
     role: str  # request | reply | unknown
     function_code: int | None
     verdict: str  # well_formed | malformed
+    # request when the destination port is registered on the transport, else
+    # reply; unrelated for a heuristic claim and anything an ICMP error quotes.
+    direction: str
     via_icmp_quote: bool = False  # found in the datagram an ICMP error message quotes
 
 
@@ -103,15 +113,13 @@ def action_name(protocol: str, function_code: int | None) -> str | None:
     return _opcode_tables().get(protocol, {}).get(str(function_code))
 
 
-def _port_role(packet: PacketRecord, protocol: str) -> str:
-    if PORTS.protocol_for(packet.dst_port, packet.ip_proto) == protocol:
-        return REQUEST
-    if PORTS.protocol_for(packet.src_port, packet.ip_proto) == protocol:
-        return REPLY
-    return UNKNOWN
+# Each dissector takes the packet and the role its port implies (REQUEST on
+# the destination port, REPLY on the source port, UNKNOWN for a heuristic)
+# and returns (role, function code, verdict), or None when the bytes are not
+# its protocol or too little of them was captured.
 
 
-def dissect_modbus(packet: PacketRecord) -> Dissection | None:
+def dissect_modbus(packet: PacketRecord, port_role: str) -> tuple | None:
     """Modbus/TCP: MBAP header plus function code.
 
     Needs the 7-byte MBAP header and the function code captured. Protocol id
@@ -121,18 +129,13 @@ def dissect_modbus(packet: PacketRecord) -> Dissection | None:
     p = packet.payload
     if packet.payload_wire_len < 8 or len(p) < 8:
         return None
-    role = _port_role(packet, MODBUS)
     fc = p[7]
-    if p[2:4] != b"\x00\x00":
-        return Dissection(MODBUS, NORMAL, role, fc, MALFORMED)
-    if fc == 0:
-        return Dissection(MODBUS, NORMAL, role, fc, MALFORMED)
+    if p[2:4] != b"\x00\x00" or fc == 0:
+        return port_role, fc, MALFORMED
     declared = int.from_bytes(p[4:6], "big")
     if declared < 2 or 6 + declared != packet.payload_wire_len:
-        return Dissection(MODBUS, NORMAL, role, fc, MALFORMED)
-    if fc >= 128:
-        role = REPLY
-    return Dissection(MODBUS, NORMAL, role, fc, WELL_FORMED)
+        return port_role, fc, MALFORMED
+    return (REPLY if fc >= 128 else port_role), fc, WELL_FORMED
 
 
 def _bacnet_service_choice(p: bytes) -> int | None:
@@ -165,7 +168,7 @@ def _bacnet_service_choice(p: bytes) -> int | None:
     return None
 
 
-def dissect_bacnet(packet: PacketRecord) -> Dissection | None:
+def dissect_bacnet(packet: PacketRecord, port_role: str) -> tuple | None:
     """BACnet/IP: the 4-byte BVLC header is the identification unit.
 
     BVLC length must equal the UDP payload length on the wire; for original
@@ -176,26 +179,26 @@ def dissect_bacnet(packet: PacketRecord) -> Dissection | None:
         return None
     if p[0] != 0x81:
         return None
-    role = _port_role(packet, BACNET)
     function = p[1]
     if function > BVLC_MAX_FUNCTION:
-        return Dissection(BACNET, NORMAL, role, None, MALFORMED)
+        return port_role, None, MALFORMED
     declared = int.from_bytes(p[2:4], "big")
     if declared != packet.payload_wire_len:
-        return Dissection(BACNET, NORMAL, role, None, MALFORMED)
+        return port_role, None, MALFORMED
     if function in (BVLC_ORIGINAL_UNICAST, BVLC_ORIGINAL_BROADCAST):
         if len(p) >= 5 and p[4] != 0x01:
-            return Dissection(BACNET, NORMAL, role, None, MALFORMED)
-    return Dissection(BACNET, NORMAL, role, _bacnet_service_choice(p), WELL_FORMED)
+            return port_role, None, MALFORMED
+    return port_role, _bacnet_service_choice(p), WELL_FORMED
 
 
-def dissect_s7(packet: PacketRecord, heuristic: bool = False) -> Dissection | None:
+def dissect_s7(packet: PacketRecord, port_role: str, heuristic: bool = False) -> tuple | None:
     """S7comm over TPKT/COTP.
 
     TPKT magic 0x03 0x00, COTP data transfer 0xF0, then the S7 header with
     protocol id 0x32 and a known message type; a bad protocol id or message
-    type is malformed. With heuristic set, the whole TPKT-declared message
-    must be captured before the packet is identified.
+    type is malformed. The message type alone decides the role. With
+    heuristic set, the whole TPKT-declared message must be captured before
+    the packet is identified.
     """
     p = packet.payload
     if packet.payload_wire_len < 17 or len(p) < 17:
@@ -207,11 +210,9 @@ def dissect_s7(packet: PacketRecord, heuristic: bool = False) -> Dissection | No
         return None
     if p[5] != 0xF0:
         return None
-    if p[7] != 0x32:
-        return Dissection(S7COMM, NORMAL, UNKNOWN, None, MALFORMED)
     msg_type = p[8]
-    if msg_type not in S7_HEADER_LEN:
-        return Dissection(S7COMM, NORMAL, UNKNOWN, None, MALFORMED)
+    if p[7] != 0x32 or msg_type not in S7_HEADER_LEN:
+        return UNKNOWN, None, MALFORMED
     role = S7_ROLE[msg_type]
     header_len = S7_HEADER_LEN[msg_type]
     need = 7 + header_len
@@ -220,14 +221,13 @@ def dissect_s7(packet: PacketRecord, heuristic: bool = False) -> Dissection | No
     param_len = int.from_bytes(p[13:15], "big")
     data_len = int.from_bytes(p[15:17], "big")
     if need + param_len + data_len != tpkt_len:
-        return Dissection(S7COMM, NORMAL, role, None, MALFORMED)
+        return role, None, MALFORMED
     if heuristic and len(p) < tpkt_len:
         return None
-    fc = p[need] if param_len >= 1 and len(p) > need else None
-    return Dissection(S7COMM, NORMAL, role, fc, WELL_FORMED)
+    return role, (p[need] if param_len >= 1 and len(p) > need else None), WELL_FORMED
 
 
-def dissect_ethernetip(packet: PacketRecord) -> Dissection | None:
+def dissect_ethernetip(packet: PacketRecord, port_role: str) -> tuple | None:
     """EtherNet/IP encapsulation: 24-byte header, known command and status.
 
     The encapsulation length plus header must match the wire payload, the
@@ -237,22 +237,15 @@ def dissect_ethernetip(packet: PacketRecord) -> Dissection | None:
     p = packet.payload
     if packet.payload_wire_len < 24 or len(p) < 24:
         return None
-    role = _port_role(packet, ETHERNETIP)
     command = int.from_bytes(p[0:2], "little")
-    if command not in ENIP_COMMANDS:
-        return Dissection(ETHERNETIP, NORMAL, role, command, MALFORMED)
     declared = int.from_bytes(p[2:4], "little")
-    if 24 + declared != packet.payload_wire_len:
-        return Dissection(ETHERNETIP, NORMAL, role, command, MALFORMED)
-    status = int.from_bytes(p[8:12], "little")
-    if status not in ENIP_STATUS:
-        return Dissection(ETHERNETIP, NORMAL, role, command, MALFORMED)
-    options = int.from_bytes(p[20:24], "little")
-    if options != 0:
-        return Dissection(ETHERNETIP, NORMAL, role, command, MALFORMED)
+    if (command not in ENIP_COMMANDS or 24 + declared != packet.payload_wire_len
+            or int.from_bytes(p[8:12], "little") not in ENIP_STATUS
+            or int.from_bytes(p[20:24], "little") != 0):
+        return port_role, command, MALFORMED
     if len(p) < 24 + declared:
         return None
-    return Dissection(ETHERNETIP, NORMAL, role, command, WELL_FORMED)
+    return port_role, command, WELL_FORMED
 
 
 def _dnp3_crc_of_byte(crc: int) -> int:
@@ -272,7 +265,7 @@ def dnp3_crc(block: bytes) -> int:
     return (~crc) & 0xFFFF
 
 
-def dissect_dnp3(packet: PacketRecord, heuristic: bool = False) -> Dissection | None:
+def dissect_dnp3(packet: PacketRecord, port_role: str, heuristic: bool = False) -> tuple | None:
     """DNP3 data-link frame: 0x05 0x64 magic, length sanity, header CRC.
 
     Identification needs the header through the source address captured;
@@ -285,26 +278,25 @@ def dissect_dnp3(packet: PacketRecord, heuristic: bool = False) -> Dissection | 
         return None
     if p[0] != 0x05 or p[1] != 0x64:
         return None
-    role_fallback = _port_role(packet, DNP3)
     length = p[2]
     ctrl = p[3]
     fc = ctrl & 0x0F
-    role = REQUEST if ctrl & 0x80 else REPLY
     if length < 5:
-        return Dissection(DNP3, NORMAL, role_fallback, fc, MALFORMED)
+        return port_role, fc, MALFORMED
+    role = REQUEST if ctrl & 0x80 else REPLY
     user = length - 5
     expected_total = 10 + user + 2 * ((user + 15) // 16)
     if expected_total != packet.payload_wire_len:
-        return Dissection(DNP3, NORMAL, role, fc, MALFORMED)
+        return role, fc, MALFORMED
     if len(p) >= 10:
         if int.from_bytes(p[8:10], "little") != dnp3_crc(p[0:8]):
-            return Dissection(DNP3, NORMAL, role, fc, MALFORMED)
+            return role, fc, MALFORMED
     elif heuristic:
         return None
-    return Dissection(DNP3, NORMAL, role, fc, WELL_FORMED)
+    return role, fc, WELL_FORMED
 
 
-def dissect_hartip(packet: PacketRecord) -> Dissection | None:
+def dissect_hartip(packet: PacketRecord, port_role: str) -> tuple | None:
     """HART-IP: version 1 header, enumerated message type and id.
 
     The byte-count field covers the whole message and must equal the wire
@@ -317,20 +309,16 @@ def dissect_hartip(packet: PacketRecord) -> Dissection | None:
         return None
     msg_type = p[1]
     msg_id = p[2]
-    role = HARTIP_ROLE.get(msg_type, _port_role(packet, HARTIP))
-    if msg_type > 3:
-        return Dissection(HARTIP, NORMAL, role, msg_id, MALFORMED)
-    if msg_id > 3:
-        return Dissection(HARTIP, NORMAL, role, msg_id, MALFORMED)
+    role = HARTIP_ROLE.get(msg_type, port_role)
     declared = int.from_bytes(p[6:8], "big")
-    if declared != packet.payload_wire_len:
-        return Dissection(HARTIP, NORMAL, role, msg_id, MALFORMED)
+    if msg_type > 3 or msg_id > 3 or declared != packet.payload_wire_len:
+        return role, msg_id, MALFORMED
     if len(p) < declared:
         return None
-    return Dissection(HARTIP, NORMAL, role, msg_id, WELL_FORMED)
+    return role, msg_id, WELL_FORMED
 
 
-def dissect_iec104(packet: PacketRecord) -> Dissection | None:
+def dissect_iec104(packet: PacketRecord, port_role: str) -> tuple | None:
     """IEC 60870-5-104 APCI: 0x68 start, APDU length in [4, 253], I/S/U frame.
 
     I-frames must carry an ASDU with a defined type id; the first APDU must
@@ -341,30 +329,23 @@ def dissect_iec104(packet: PacketRecord) -> Dissection | None:
         return None
     if p[0] != 0x68:
         return None
-    role = _port_role(packet, IEC104)
     apdu_len = p[1]
-    if not 4 <= apdu_len <= 253:
-        return Dissection(IEC104, NORMAL, role, None, MALFORMED)
-    if 2 + apdu_len > packet.payload_wire_len:
-        return Dissection(IEC104, NORMAL, role, None, MALFORMED)
+    if not 4 <= apdu_len <= 253 or 2 + apdu_len > packet.payload_wire_len:
+        return port_role, None, MALFORMED
     ctrl0 = p[2]
     if ctrl0 & 0x01 == 0:  # I-frame
         if apdu_len <= 4:
-            return Dissection(IEC104, NORMAL, role, None, MALFORMED)
+            return port_role, None, MALFORMED
         if len(p) < 2 + apdu_len:
             return None
         type_id = p[6]
-        if type_id not in IEC104_TYPE_IDS:
-            return Dissection(IEC104, NORMAL, role, type_id, MALFORMED)
-        return Dissection(IEC104, NORMAL, role, type_id, WELL_FORMED)
+        return port_role, type_id, (WELL_FORMED if type_id in IEC104_TYPE_IDS else MALFORMED)
     if ctrl0 & 0x03 == 0x01:  # S-frame
-        if apdu_len != 4 or p[3] != 0:
-            return Dissection(IEC104, NORMAL, role, None, MALFORMED)
-        return Dissection(IEC104, NORMAL, role, None, WELL_FORMED)
+        return port_role, None, (WELL_FORMED if apdu_len == 4 and p[3] == 0 else MALFORMED)
     # U-frame
     if apdu_len != 4 or ctrl0 not in IEC104_U_FUNCTIONS or p[3:6] != b"\x00\x00\x00":
-        return Dissection(IEC104, NORMAL, role, None, MALFORMED)
-    return Dissection(IEC104, NORMAL, role, ctrl0, WELL_FORMED)
+        return port_role, None, MALFORMED
+    return port_role, ctrl0, WELL_FORMED
 
 
 _NORMAL_DISSECTORS = {
@@ -377,52 +358,46 @@ _NORMAL_DISSECTORS = {
     IEC104: dissect_iec104,
 }
 
-# Heuristic dissectors in decreasing order of magic selectivity.
+# Heuristic (protocol, dissector) pairs in decreasing order of magic selectivity.
 HEURISTICS = (
-    dissect_iec104,
-    partial(dissect_dnp3, heuristic=True),
-    partial(dissect_s7, heuristic=True),
+    (IEC104, dissect_iec104),
+    (DNP3, partial(dissect_dnp3, heuristic=True)),
+    (S7COMM, partial(dissect_s7, heuristic=True)),
 )
 
 
-def _heuristic_claim(dissector, packet: PacketRecord) -> Dissection | None:
-    """The one heuristic rule, for every heuristic dissector.
-
-    A heuristic declines anything its dissector would call malformed, and
-    what it claims is kind=heuristic.
-    """
-    found = dissector(packet)
-    if found is None or found.verdict == MALFORMED:
-        return None
-    return replace(found, kind=HEURISTIC)
-
-
-def dissect_segment(packet: PacketRecord, stats: Counter | None = None) -> Dissection | None:
+def dissect_segment(packet: PacketRecord, stats: Counter | None = None,
+                    via_icmp_quote: bool = False) -> Dissection | None:
     """Identify a transport payload: registered-port dissectors first.
 
-    When either port is registered the matching normal dissector decides and
-    heuristics are never consulted. Empty payloads (pure transport control
-    segments) are never candidates.
+    The one place a packet's ports are looked up. When either port is
+    registered, the normal dissector of the destination port's protocol
+    decides first (port role request), then the source port's (reply), and
+    heuristics are never consulted; the direction is request when the
+    destination port is registered, else reply. With neither registered,
+    the first heuristic to claim the payload decides, declining anything it
+    would call malformed; the direction is unrelated. Empty payloads (pure
+    transport control segments) are never candidates.
     """
     if not packet.payload:
         return None
-    tried: list[str] = []
-    for port in (packet.dst_port, packet.src_port):
-        protocol = PORTS.protocol_for(port, packet.ip_proto)
-        if protocol is None or protocol in tried:
+    dst_protocol = PORTS.protocol_for(packet.dst_port, packet.ip_proto)
+    src_protocol = PORTS.protocol_for(packet.src_port, packet.ip_proto)
+    if dst_protocol is None and src_protocol is None:
+        for protocol, dissector in HEURISTICS:
+            found = dissector(packet, UNKNOWN)
+            if found is not None and found[2] != MALFORMED:
+                return Dissection(protocol, HEURISTIC, *found, UNRELATED, via_icmp_quote)
+        return None
+    direction = UNRELATED if via_icmp_quote else (REQUEST if dst_protocol else REPLY)
+    for protocol, port_role in ((dst_protocol, REQUEST), (src_protocol, REPLY)):
+        if protocol is None or (port_role == REPLY and protocol == dst_protocol):
             continue
-        result = _NORMAL_DISSECTORS[protocol](packet)
-        if result is not None:
-            return result
-        tried.append(protocol)
+        found = _NORMAL_DISSECTORS[protocol](packet, port_role)
+        if found is not None:
+            return Dissection(protocol, NORMAL, *found, direction, via_icmp_quote)
         if protocol == S7COMM and stats is not None and packet.payload[:2] == b"\x03\x00":
             stats["non_s7comm_tpkt_on_102"] += 1
-    if tried:
-        return None
-    for dissector in HEURISTICS:
-        result = _heuristic_claim(dissector, packet)
-        if result is not None:
-            return result
     return None
 
 
@@ -443,5 +418,4 @@ def dissect(record: PacketRecord, stats: Counter | None = None) -> Dissection | 
     inner = ipv4_view(record.payload, record.ts)
     if inner is None or inner.ip_proto not in (TCP, UDP):
         return None
-    found = dissect_segment(inner, stats)
-    return None if found is None else replace(found, via_icmp_quote=True)
+    return dissect_segment(inner, stats, via_icmp_quote=True)

@@ -76,6 +76,8 @@ def load_asn_table(path) -> LpmTable:
                 prefix, asn = f"{parts[0]}/{parts[1]}", parts[2]
             else:
                 raise ValueError(f"unparseable prefix line: {line!r}")
+            if not (asn.isascii() and asn.isdigit()):
+                raise ValueError(f"AS number must be ASCII decimal digits, got {asn!r}")
             table.add(prefix, int(asn))
     return table
 

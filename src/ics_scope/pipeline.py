@@ -23,10 +23,8 @@ from . import metrics
 from .capture import (
     PCAP_HEADER_LEN,
     RECORD,
-    REQUEST,
     CaptureError,
     CaptureMeta,
-    direction,
     int_to_ip,
     read_capture,
 )
@@ -43,7 +41,7 @@ from .classify import (
     filter_report,
     label_under,
 )
-from .dissectors import dissect
+from .dissectors import REQUEST, dissect
 from .enrich import (
     IxpTopology,
     LpmTable,
@@ -328,7 +326,7 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
     keys: Counter[tuple] = Counter()
     for record, dissection in kept_candidates(state, source, index, inputs.dpi_catalog,
                                               start, stop):
-        keys[(dissection.protocol, direction(record), record.src_ip, record.dst_ip,
+        keys[(dissection.protocol, dissection.direction, record.src_ip, record.dst_ip,
               record.day)] += 1
 
     vantage, sample_interval = source.meta.vantage, source.meta.sample_interval

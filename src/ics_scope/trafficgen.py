@@ -22,8 +22,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .capture import (_EPOCH_ORDINAL, _US_PER_DAY, LINKTYPE_ETHERNET, PCAP_MAGIC_MICROS,
-                      PCAP_MAGIC_NANOS, REPLY, REQUEST, UNRELATED, CaptureMeta, int_to_ip,
-                      ip_to_int, parse_cidr)
+                      PCAP_MAGIC_NANOS, CaptureMeta, int_to_ip, ip_to_int, parse_cidr)
 from .classify import INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL, default_scanner_registry
 from .dissectors import (
     BACNET,
@@ -35,8 +34,11 @@ from .dissectors import (
     MALFORMED,
     MODBUS,
     NORMAL,
+    REPLY,
+    REQUEST,
     S7COMM,
     UNKNOWN,
+    UNRELATED,
     WELL_FORMED,
     dnp3_crc,
 )
@@ -455,6 +457,8 @@ def _flow(index: int, flow, corpus_start) -> FlowSpec:
     where = f"flow {index} ({kind}/{protocol})"
     start = schedule.get("start_day", corpus_start)
     active = typed(schedule.get("active_days"), list, where, "active_days", optional=True)
+    if active == []:
+        raise ConfigError(f"{where}: active_days must list at least one day")
     honeypot = flow.get("honeypot")
     return FlowSpec(
         kind=kind,

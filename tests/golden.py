@@ -10,7 +10,6 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from ics_scope.capture import REPLY, REQUEST
 from ics_scope.dissectors import (
     BACNET,
     DNP3,
@@ -21,6 +20,8 @@ from ics_scope.dissectors import (
     MALFORMED,
     MODBUS,
     NORMAL,
+    REPLY,
+    REQUEST,
     S7COMM,
     WELL_FORMED,
 )

@@ -16,7 +16,6 @@ import pytest
 
 from ics_scope.capture import (
     CaptureMeta,
-    direction,
     int_to_ip,
     ip_to_int,
     record_from_frame,
@@ -302,13 +301,13 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         total_packets += len(records)
         assert len(records) == len(truth), name
 
-        for record, dissection, expected in zip(records, dissections, truth):
+        for dissection, expected in zip(dissections, truth):
             if expected["protocol"] is None:
                 assert dissection is None, expected["index"]
                 continue
             assert dissection is not None, (name, expected["index"])
             got = (dissection.protocol, dissection.kind, dissection.verdict,
-                   dissection.role, dissection.function_code, direction(record))
+                   dissection.role, dissection.function_code, dissection.direction)
             want = (expected["protocol"], expected["kind"], expected["verdict"],
                     expected["role"], expected["function_code"], expected["direction"])
             assert got == want, (name, expected["index"], got, want)

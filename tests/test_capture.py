@@ -14,13 +14,8 @@ import ics_scope
 
 from ics_scope.capture import (
     RECORD,
-    REPLY,
-    REQUEST,
-    UNRELATED,
     CaptureError,
     CaptureMeta,
-    PacketRecord,
-    direction,
     int_to_ip,
     ip_to_int,
     parse_cidr,
@@ -28,9 +23,11 @@ from ics_scope.capture import (
     record_from_frame,
     utc_day,
 )
+from ics_scope.dissectors import REPLY, REQUEST, UNRELATED, dissect
 from ics_scope.ports import PORTS
 from ics_scope.trafficgen import (
     ETH_HEADER,
+    build_backscatter_frame,
     build_frame,
     build_ipv4,
     build_udp,
@@ -38,7 +35,7 @@ from ics_scope.trafficgen import (
     write_pcap,
 )
 
-from golden import PROTOCOLS, golden_packets
+from golden import golden_packets
 from reads import read_all
 
 ARP_FRAME = (
@@ -340,41 +337,36 @@ def test_empty_pcap_yields_nothing(tmp_path):
     assert outcomes.total() == 0
 
 
-def _record(proto, sport, dport):
-    return PacketRecord(0, ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2"), proto, sport, dport, b"", 0)
-
-
-def test_direction_examples():
-    assert direction(_record(6, 49152, 502)) == REQUEST
-    assert direction(_record(6, 502, 49152)) == REPLY
-    # Both ports registered: destination-port precedence wins.
-    assert direction(_record(17, 47808, 47809)) == REQUEST
-    assert direction(_record(6, 49152, 49153)) == UNRELATED
-    assert direction(_record(1, 0, 0)) == UNRELATED
-
-
-def test_direction_all_registered_pairs_are_requests():
-    pairs = [(port, transport) for protocol in PROTOCOLS
-             for transport, ports in PORTS.ports_for(protocol).items() for port in ports]
-    by_transport = {"tcp": 6, "udp": 17}
-    for port_a, transport in pairs:
-        for port_b, transport_b in pairs:
-            if transport != transport_b:
-                continue
-            record = _record(by_transport[transport], port_a, port_b)
-            assert direction(record) == REQUEST
-
-
 @given(
-    proto=st.sampled_from([1, 6, 17]),
+    transport=st.sampled_from(["icmp", "tcp", "udp"]),
     sport=st.integers(min_value=0, max_value=65535),
     dport=st.integers(min_value=0, max_value=65535),
+    index=st.integers(min_value=0),
 )
-def test_direction_total_and_deterministic(proto, sport, dport):
-    record = _record(proto, sport, dport)
-    first = direction(record)
-    assert first in (REQUEST, REPLY, UNRELATED)
-    assert direction(record) == first
+def test_direction_total_and_deterministic(transport, sport, dport, index):
+    # A captured segment's direction comes with its dissection: one of the
+    # three values, the same on every call, and set by the registered port.
+    packets = golden_packets()
+    payload = record_from_frame(packets[index % len(packets)].frame).payload
+    if transport == "icmp":
+        frame = build_backscatter_frame("10.0.0.9", "10.0.0.1", "10.0.0.2", "tcp",
+                                        sport, dport, payload)
+    else:
+        frame = build_frame("10.0.0.1", "10.0.0.2", transport, sport, dport, payload)
+    record = record_from_frame(frame)
+    first = dissect(record)
+    assert dissect(record) == first
+    if first is None:
+        return
+    assert first.direction in (REQUEST, REPLY, UNRELATED)
+    if transport == "icmp":
+        assert first.direction == UNRELATED
+    elif PORTS.protocol_for(dport, record.ip_proto) is not None:
+        assert first.direction == REQUEST
+    elif PORTS.protocol_for(sport, record.ip_proto) is not None:
+        assert first.direction == REPLY
+    else:
+        assert first.direction == UNRELATED
 
 
 def test_utc_day_bucketing():

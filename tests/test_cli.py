@@ -545,6 +545,9 @@ def _flow(index, **changes):
     pytest.param(_flow(0, schedule={"active_days": "2018-01-01"}),
                  "flow 0 (industrial/bacnet): active_days must be a list, got '2018-01-01'",
                  id="active-days-text"),
+    pytest.param(_flow(0, schedule={"active_days": []}),
+                 "flow 0 (industrial/bacnet): active_days must list at least one day",
+                 id="active-days-empty"),
     pytest.param(lambda raw: raw["flows"][0].pop("dst"),
                  "flow 0 (industrial/bacnet): dst must be an IPv4 address or network, got None",
                  id="dst-missing"),

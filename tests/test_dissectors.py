@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,21 +19,16 @@ from ics_scope.dissectors import (
     REQUEST,
     S7COMM,
     UNKNOWN,
+    UNRELATED,
     WELL_FORMED,
     action_name,
     dissect,
-    dissect_bacnet,
-    dissect_dnp3,
-    dissect_ethernetip,
-    dissect_hartip,
-    dissect_iec104,
-    dissect_modbus,
-    dissect_s7,
     dissect_segment,
-    _heuristic_claim,
     dnp3_crc,
 )
+from ics_scope.ports import PORTS, TRANSPORTS
 from ics_scope.trafficgen import (
+    build_backscatter_frame,
     build_frame,
     dnp3_read_request,
     hartip_message,
@@ -40,7 +37,7 @@ from ics_scope.trafficgen import (
     write_pcap,
 )
 
-from golden import MIN_IDENTIFIABLE_FRAME_BYTES, golden_packets, modbus_exception_reply
+from golden import MIN_IDENTIFIABLE_FRAME_BYTES, PROTOCOLS, golden_packets, modbus_exception_reply
 from reads import read_all
 
 
@@ -54,30 +51,30 @@ def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):
 
 def test_modbus_read_request_wellformed():
     payload = bytes.fromhex("00010000000601030000000a")
-    d = dissect_modbus(seg(payload, dport=502))
+    d = dissect_segment(seg(payload, dport=502))
     assert d.protocol == MODBUS and d.verdict == WELL_FORMED
     assert d.role == REQUEST and d.function_code == 3
 
 
 def test_modbus_bad_protocol_id_malformed():
     payload = bytes.fromhex("00010001000601030000000a")
-    assert dissect_modbus(seg(payload, dport=502)).verdict == MALFORMED
+    assert dissect_segment(seg(payload, dport=502)).verdict == MALFORMED
 
 
 def test_modbus_exception_is_reply():
     payload = modbus_exception_reply(3)
-    d = dissect_modbus(seg(payload, sport=502, dport=49152))
+    d = dissect_segment(seg(payload, sport=502, dport=49152))
     assert d.verdict == WELL_FORMED
     assert d.role == REPLY and d.function_code == 0x83
 
 
 def test_modbus_function_code_zero_malformed():
     payload = bytes.fromhex("000100000006010000000000")
-    assert dissect_modbus(seg(payload, dport=502)).verdict == MALFORMED
+    assert dissect_segment(seg(payload, dport=502)).verdict == MALFORMED
 
 
 def test_modbus_short_payload_rejected():
-    assert dissect_modbus(seg(b"\x00\x01\x00\x00\x00\x02\x01", dport=502)) is None
+    assert dissect_segment(seg(b"\x00\x01\x00\x00\x00\x02\x01", dport=502)) is None
 
 
 # --- bacnet ----------------------------------------------------------------
@@ -85,28 +82,28 @@ def test_modbus_short_payload_rejected():
 
 def test_bacnet_read_property_wellformed():
     payload = bytes.fromhex("810a001101040005010c0c00800001195537")[:17]
-    d = dissect_bacnet(seg(payload, ip_proto=UDP, sport=47809, dport=47808))
+    d = dissect_segment(seg(payload, ip_proto=UDP, sport=47809, dport=47808))
     assert d.protocol == BACNET and d.verdict == WELL_FORMED
     assert d.role == REQUEST and d.function_code == 12
 
 
 def test_bacnet_wrong_magic_rejected():
-    assert dissect_bacnet(seg(b"\x82\x0a\x00\x04", ip_proto=UDP, dport=47808)) is None
+    assert dissect_segment(seg(b"\x82\x0a\x00\x04", ip_proto=UDP, dport=47808)) is None
 
 
 def test_bacnet_undefined_bvlc_function_malformed():
-    d = dissect_bacnet(seg(b"\x81\x0f\x00\x04", ip_proto=UDP, dport=47808))
+    d = dissect_segment(seg(b"\x81\x0f\x00\x04", ip_proto=UDP, dport=47808))
     assert d.verdict == MALFORMED
 
 
 def test_bacnet_length_mismatch_malformed():
-    d = dissect_bacnet(seg(b"\x81\x0a\x00\x09\x01\x00\x10\x08", ip_proto=UDP, dport=47808))
+    d = dissect_segment(seg(b"\x81\x0a\x00\x09\x01\x00\x10\x08", ip_proto=UDP, dport=47808))
     assert d.verdict == MALFORMED
 
 
 def test_bacnet_npdu_version_checked_when_readable():
     payload = bytes([0x81, 0x0A, 0x00, 0x08, 0x02, 0x00, 0x10, 0x08])
-    d = dissect_bacnet(seg(payload, ip_proto=UDP, dport=47808))
+    d = dissect_segment(seg(payload, ip_proto=UDP, dport=47808))
     assert d.verdict == MALFORMED
 
 
@@ -127,14 +124,14 @@ def test_bacnet_complete_46_byte_frame():
 
 def test_s7_job_on_port_102_wellformed():
     payload = s7_setup_job()
-    d = dissect_s7(seg(payload, dport=102))
+    d = dissect_segment(seg(payload, dport=102))
     assert d.protocol == S7COMM and d.kind == NORMAL
     assert d.role == REQUEST and d.function_code == 0xF0 and d.verdict == WELL_FORMED
 
 
 def test_s7_wrong_tpkt_rejected():
     payload = b"\x02" + s7_setup_job()[1:]
-    assert dissect_s7(seg(payload, dport=102)) is None
+    assert dissect_segment(seg(payload, dport=102)) is None
 
 
 def test_s7_bad_protocol_id_asymmetric():
@@ -142,14 +139,14 @@ def test_s7_bad_protocol_id_asymmetric():
     payload[7] = 0x33
     payload = bytes(payload)
     assert dissect_segment(seg(payload)) is None
-    d = dissect_s7(seg(payload, dport=102))
+    d = dissect_segment(seg(payload, dport=102))
     assert d.verdict == MALFORMED and d.kind == NORMAL
 
 
 def test_s7_heuristic_requires_full_message():
     payload = s7_setup_job()
     truncated = seg(payload[:20], wire_len=len(payload))
-    assert dissect_s7(truncated, heuristic=True) is None
+    assert dissect_segment(truncated) is None
     assert dissect_segment(seg(payload)).kind == HEURISTIC
 
 
@@ -161,24 +158,24 @@ def test_enip_list_identity_request():
 
     payload = enip_list_identity_request()
     assert len(payload) == 24
-    d = dissect_ethernetip(seg(payload, dport=44818))
+    d = dissect_segment(seg(payload, dport=44818))
     assert d.protocol == ETHERNETIP and d.verdict == WELL_FORMED
     assert d.role == REQUEST and d.function_code == 0x63
 
 
 def test_enip_unknown_command_malformed():
     payload = (0xBEEF).to_bytes(2, "little") + b"\x00" * 22
-    assert dissect_ethernetip(seg(payload, dport=44818)).verdict == MALFORMED
+    assert dissect_segment(seg(payload, dport=44818)).verdict == MALFORMED
 
 
 def test_enip_short_payload_rejected():
-    assert dissect_ethernetip(seg(b"\x63\x00" + b"\x00" * 8, dport=44818)) is None
+    assert dissect_segment(seg(b"\x63\x00" + b"\x00" * 8, dport=44818)) is None
 
 
 def test_enip_nonzero_options_malformed():
     payload = bytearray(b"\x63\x00" + b"\x00" * 22)
     payload[20] = 1
-    assert dissect_ethernetip(seg(bytes(payload), dport=44818)).verdict == MALFORMED
+    assert dissect_segment(seg(bytes(payload), dport=44818)).verdict == MALFORMED
 
 
 # --- dnp3 ------------------------------------------------------------------
@@ -213,20 +210,20 @@ def test_dnp3_crc_against_independent_oracle():
 
 def test_dnp3_valid_frame_wellformed():
     payload = dnp3_read_request()
-    d = dissect_dnp3(seg(payload, dport=20000))
+    d = dissect_segment(seg(payload, dport=20000))
     assert d.protocol == DNP3 and d.verdict == WELL_FORMED
     assert d.role == REQUEST and d.function_code == 4
 
 
 def test_dnp3_wrong_start_rejected():
     payload = b"\x05\x65" + dnp3_read_request()[2:]
-    assert dissect_dnp3(seg(payload, dport=20000)) is None
+    assert dissect_segment(seg(payload, dport=20000)) is None
 
 
 def test_dnp3_corrupted_crc_malformed_on_port():
     payload = bytearray(dnp3_read_request())
     payload[8] ^= 0x01
-    d = dissect_dnp3(seg(bytes(payload), dport=20000))
+    d = dissect_segment(seg(bytes(payload), dport=20000))
     assert d.verdict == MALFORMED
     assert dissect_segment(seg(bytes(payload))) is None
 
@@ -234,7 +231,7 @@ def test_dnp3_corrupted_crc_malformed_on_port():
 def test_dnp3_reply_role_from_dir_bit():
     from ics_scope.trafficgen import dnp3_response
 
-    d = dissect_dnp3(seg(dnp3_response(), sport=20000, dport=49152))
+    d = dissect_segment(seg(dnp3_response(), sport=20000, dport=49152))
     assert d.role == REPLY
 
 
@@ -243,44 +240,44 @@ def test_dnp3_reply_role_from_dir_bit():
 
 def test_hartip_session_initiate_wellformed():
     payload = bytes.fromhex("010000000001000d") + b"\x01\x00\x00\x75\x30"
-    d = dissect_hartip(seg(payload, dport=5094))
+    d = dissect_segment(seg(payload, dport=5094))
     assert d.protocol == HARTIP and d.verdict == WELL_FORMED
     assert d.role == REQUEST and d.function_code == 0
 
 
 def test_hartip_bad_version_rejected():
     payload = b"\x07" + hartip_message(0, 0, b"\x01\x00\x00\x75\x30")[1:]
-    assert dissect_hartip(seg(payload, dport=5094)) is None
+    assert dissect_segment(seg(payload, dport=5094)) is None
 
 
 def test_hartip_bad_message_type_malformed():
     payload = bytearray(hartip_message(0, 0, b"\x01\x00\x00\x75\x30"))
     payload[1] = 9
-    assert dissect_hartip(seg(bytes(payload), dport=5094)).verdict == MALFORMED
+    assert dissect_segment(seg(bytes(payload), dport=5094)).verdict == MALFORMED
 
 
 # --- iec104 ----------------------------------------------------------------
 
 
 def test_iec104_u_frame_startdt_wellformed():
-    d = dissect_iec104(seg(bytes.fromhex("680407000000"), dport=2404))
+    d = dissect_segment(seg(bytes.fromhex("680407000000"), dport=2404))
     assert d.protocol == IEC104 and d.verdict == WELL_FORMED
     assert d.function_code == 0x07
 
 
 def test_iec104_wrong_start_rejected():
-    assert dissect_iec104(seg(bytes.fromhex("670407000000"), dport=2404)) is None
+    assert dissect_segment(seg(bytes.fromhex("670407000000"), dport=2404)) is None
 
 
 def test_iec104_oversized_length_malformed_on_port():
-    d = dissect_iec104(seg(bytes.fromhex("68ff00000000"), dport=2404))
+    d = dissect_segment(seg(bytes.fromhex("68ff00000000"), dport=2404))
     assert d.verdict == MALFORMED
     assert dissect_segment(seg(bytes.fromhex("68ff00000000"))) is None
 
 
 def test_iec104_undefined_type_id_malformed():
     payload = bytes([0x68, 0x08, 0x00, 0x00, 0x00, 0x00, 0xFF, 0x01, 0x06, 0x01])
-    assert dissect_iec104(seg(payload, dport=2404)).verdict == MALFORMED
+    assert dissect_segment(seg(payload, dport=2404)).verdict == MALFORMED
 
 
 def test_iec104_heuristic_needs_full_sanity():
@@ -344,21 +341,6 @@ def test_heuristics_decline_what_only_ports_may_judge(protocol, port, payload, w
 # --- table values and corpus-level properties -------------------------------
 
 
-def test_min_identifiable_lengths_registered():
-    assert MIN_IDENTIFIABLE_FRAME_BYTES == {
-        MODBUS: 74,
-        S7COMM: 93,
-        ETHERNETIP: 74,
-        BACNET: 46,
-        DNP3: 62,
-        HARTIP: 78,
-        IEC104: 76,
-    }
-    assert MIN_IDENTIFIABLE_FRAME_BYTES[BACNET] == 46
-    assert MIN_IDENTIFIABLE_FRAME_BYTES[S7COMM] == 93
-    assert MIN_IDENTIFIABLE_FRAME_BYTES[MODBUS] == 74
-
-
 def test_golden_corpus_dissects_to_manifest(golden_dir, golden_manifest):
     for entry in golden_manifest:
         records = read_all(golden_dir / entry["file"], CaptureMeta("golden"))[0]
@@ -402,9 +384,10 @@ def test_exclusivity_on_golden_corpus():
         record = record_from_frame(packet.frame)
         d = dissect(record)
         assert d.protocol == packet.protocol
-        for dissector in HEURISTICS:
-            claim = _heuristic_claim(dissector, record)
-            assert claim is None or claim.protocol == packet.protocol, (packet.name, claim)
+        for protocol, dissector in HEURISTICS:
+            found = dissector(record, UNKNOWN)
+            claimed = found is not None and found[2] != MALFORMED
+            assert not claimed or protocol == packet.protocol, (packet.name, protocol)
 
 
 def test_normal_path_blocks_heuristics():
@@ -428,11 +411,56 @@ def test_action_names_loaded():
     assert action_name(MODBUS, 250) is None
 
 
+# --- direction: which registered port a packet is sent to or from -----------
+
+
+def _golden_payloads():
+    return {p.name: record_from_frame(p.frame).payload for p in golden_packets()}
+
+
+def test_direction_examples():
+    golden = _golden_payloads()
+    modbus = golden["modbus_wellformed"]
+    assert dissect_segment(seg(modbus, sport=49152, dport=502)).direction == REQUEST
+    assert dissect_segment(seg(modbus, sport=502, dport=49152)).direction == REPLY
+    # Both ports registered: destination-port precedence wins.
+    bacnet = golden["bacnet_wellformed"]
+    assert dissect_segment(seg(bacnet, UDP, sport=47808, dport=47809)).direction == REQUEST
+    # A heuristic claim relates to no registered port.
+    d = dissect_segment(seg(golden["s7comm_wellformed"], sport=49152, dport=49153))
+    assert (d.kind, d.direction) == (HEURISTIC, UNRELATED)
+    # Nor does a dissection found through an ICMP error's quote.
+    frame = build_backscatter_frame("10.0.0.9", "10.0.0.1", "10.0.0.2", "tcp", 49152, 502, modbus)
+    d = dissect(record_from_frame(frame))
+    assert (d.protocol, d.via_icmp_quote, d.direction) == (MODBUS, True, UNRELATED)
+
+
+def test_direction_all_registered_pairs_are_requests():
+    golden = {p.protocol: record_from_frame(p.frame).payload
+              for p in golden_packets() if p.verdict == WELL_FORMED}
+    for transport, ip_proto in TRANSPORTS.items():
+        ports = [(port, protocol) for protocol in PROTOCOLS
+                 for port in PORTS.ports_for(protocol).get(transport, [])]
+        for sport, src_protocol in ports:
+            for dport, dst_protocol in ports:
+                # Whichever port's dissector claims the payload, the
+                # registered destination port makes it a request.
+                for protocol in {src_protocol, dst_protocol}:
+                    d = dissect_segment(seg(golden[protocol], ip_proto, sport, dport))
+                    assert d is not None and d.kind == NORMAL, (transport, sport, dport)
+                    assert d.direction == REQUEST, (transport, sport, dport, protocol)
+
+
+_REGISTERED_PORTS = sorted({port for protocol in PROTOCOLS
+                            for ports in PORTS.ports_for(protocol).values() for port in ports})
+_PORTS = st.one_of(st.sampled_from(_REGISTERED_PORTS), st.integers(min_value=0, max_value=65535))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     payload=st.binary(min_size=0, max_size=80),
-    sport=st.integers(min_value=1, max_value=65535),
-    dport=st.integers(min_value=1, max_value=65535),
+    sport=_PORTS,
+    dport=_PORTS,
     ip_proto=st.sampled_from([TCP, UDP]),
 )
 def test_dissect_segment_total_and_deterministic(payload, sport, dport, ip_proto):
@@ -440,9 +468,22 @@ def test_dissect_segment_total_and_deterministic(payload, sport, dport, ip_proto
     first = dissect_segment(segment)
     second = dissect_segment(segment)
     assert first == second
-    if first is not None:
-        assert first.verdict in (WELL_FORMED, MALFORMED)
-        assert first.kind in (NORMAL, HEURISTIC)
+    if first is None:
+        return
+    assert first.verdict in (WELL_FORMED, MALFORMED)
+    dst_registered = PORTS.protocol_for(dport, ip_proto) is not None
+    src_registered = PORTS.protocol_for(sport, ip_proto) is not None
+    if dst_registered or src_registered:
+        assert first.kind == NORMAL
+        assert first.direction == (REQUEST if dst_registered else REPLY)
+    else:
+        assert (first.kind, first.direction) == (HEURISTIC, UNRELATED)
+    # The same segment quoted by an ICMP error: the same dissection, unrelated.
+    transport = "tcp" if ip_proto == TCP else "udp"
+    frame = build_backscatter_frame("10.0.0.9", "10.0.0.1", "10.0.0.2", transport, sport, dport,
+                                    payload)
+    quoted = dissect(record_from_frame(frame))
+    assert quoted == replace(first, direction=UNRELATED, via_icmp_quote=True)
 
 
 def test_golden_manifest_shape(golden_manifest):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from ics_scope.enrich import (
     scan_overlap,
     transition,
 )
+from ics_scope.inputs import ConfigError
 from oracles import is_local
 
 
@@ -87,6 +89,18 @@ def test_load_asn_table_duplicate_last_wins(tmp_path, caplog):
         table = load_asn_table(path)
     assert table.lookup(ip_to_int("10.5.5.5")) == 2
     assert any("duplicate prefix" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize("asn", ["1_000", "+7", "\u0663", "64500"])
+def test_load_asn_table_takes_only_ascii_digits(tmp_path, asn):
+    path = tmp_path / "asn.txt"
+    path.write_text(f"11.0.0.0/8 1\n10.0.0.0/8 {asn}\n", encoding="utf-8")
+    if asn == "64500":
+        assert load_asn_table(path).lookup(ip_to_int("10.1.2.3")) == 64500
+        return
+    with pytest.raises(ConfigError, match=f"asn.txt line 2: AS number must be ASCII decimal "
+                                          f"digits, got '{re.escape(asn)}'"):
+        load_asn_table(path)
 
 
 def test_geo_table_validates_country(tmp_path):

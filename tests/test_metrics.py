@@ -137,7 +137,7 @@ def test_host_stability_bruteforce(host_days):
 
 
 def _dissection(protocol):
-    return Dissection(protocol, "normal", "request", None, "well_formed")
+    return Dissection(protocol, "normal", "request", None, "well_formed", "request")
 
 
 def _counts(dissections):

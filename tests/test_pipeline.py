@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ics_scope import pipeline
-from ics_scope.capture import CaptureError, CaptureMeta, int_to_ip, ip_to_int, read_capture
+from ics_scope.capture import (RECORD, CaptureError, CaptureMeta, int_to_ip, ip_to_int,
+                             read_capture)
 from ics_scope.cli import main
 from ics_scope.pipeline import (
     ChildError,
@@ -20,6 +21,7 @@ from ics_scope.pipeline import (
     load_inputs,
     run_analyze,
 )
+from ics_scope.ports import PORTS
 from ics_scope.trafficgen import ScenarioSpec, generate
 from test_cli import SCENARIO as CLI_SCENARIO
 
@@ -125,6 +127,48 @@ def test_split_capture_gives_the_one_capture_bundle(tmp_path):
     whole_summary.pop("captures")
     assert whole_summary == split_summary
     assert whole_summary["kept"] < whole_summary["candidates"]
+
+
+def test_each_record_looks_up_its_ports_at_most_twice(tmp_path, monkeypatch):
+    schedule = {"start_day": "2018-03-01", "end_day": "2018-03-02", "packets_per_day": 6}
+    flows = [
+        {"kind": "industrial", "protocol": "modbus", "src": "198.18.0.10",
+         "dst": "198.19.0.20", "schedule": schedule, "request_ratio": 0.5},
+        {"kind": "backscatter", "protocol": "bacnet", "src": "100.71.0.1",
+         "dst": "100.72.0.1", "schedule": schedule},
+        {"kind": "industrial", "protocol": "s7comm", "src": "198.18.1.10",
+         "dst": "198.19.1.20", "schedule": schedule, "request_ratio": 0.5, "heuristic": True},
+    ]
+    corpus = generate(ScenarioSpec.from_dict({**SCENARIO, "snap_len": 65535, "flows": flows}),
+                      tmp_path)
+    config = PipelineConfig.from_json(corpus.config)
+    inputs = load_inputs(config)
+    calls = 0
+    protocol_for = PORTS.protocol_for
+
+    def counted(port, ip_proto):
+        nonlocal calls
+        calls += 1
+        return protocol_for(port, ip_proto)
+
+    per_record = []
+    read = pipeline.read_capture
+
+    def reading(*args):
+        # The stream is done with a record when it asks for the next one.
+        for outcome in read(*args):
+            before = calls
+            yield outcome
+            per_record.append(calls - before)
+
+    monkeypatch.setattr(PORTS, "protocol_for", counted)
+    monkeypatch.setattr(pipeline, "read_capture", reading)
+    state = pipeline.capture_state(config, inputs, 0)
+    assert len(per_record) == state.frames[(0, RECORD)] == 36
+    assert state.filter_counts.keys() >= {("modbus", "request", frozenset()),
+                                          ("modbus", "reply", frozenset()),
+                                          ("s7comm", "unrelated", frozenset())}
+    assert max(per_record) <= 2, per_record
 
 
 # Three captures at two vantage points, the third with its own interval.

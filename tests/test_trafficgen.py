@@ -74,11 +74,10 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
     registry = json.loads(corpus.sidecars["scanner_registry"].read_text())
     shodan = next(e for e in registry if e["project"] == "Shodan")
     assert shodan["prefixes"] == ["203.0.113.0/29"]
-    from ics_scope.capture import direction
     from ics_scope.classify import filter_report
 
     records = read_all(corpus.pcap, CaptureMeta("vp0"))[0]
-    report = filter_report(Counter((dissect(r).protocol, direction(r), frozenset())
+    report = filter_report(Counter((dissect(r).protocol, dissect(r).direction, frozenset())
                                    for r in records))
     assert next(row for row in report if row["protocol"] == "bacnet")["request_share"] == 1.0
     # Destination coverage: every host of the /26 shows up.
@@ -201,7 +200,6 @@ def test_protocols_per_asn_matches_ground_truth(tmp_path):
         for i, protocol in enumerate(["modbus", "bacnet", "dnp3", "iec104", "hartip"])
     ])
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
-    from ics_scope.capture import direction
     from ics_scope.enrich import load_asn_table, protocols_per_asn
 
     asn_table = load_asn_table(corpus.sidecars["asn_table"])
@@ -211,7 +209,7 @@ def test_protocols_per_asn_matches_ground_truth(tmp_path):
     rows: dict[int, set] = {}
     expected: dict[int, set] = {}
     for record, t in zip(records, truth):
-        if direction(record) != "request":
+        if dissect(record).direction != "request":
             continue
         asn = asn_table.lookup(record.src_ip)
         assert asn is not None
