@@ -102,6 +102,8 @@ def _dissect_lines(pcap, meta: CaptureMeta, out) -> None:
                     "function_code": dissection.function_code,
                     "action": action_name(dissection.protocol, dissection.function_code),
                     "verdict": dissection.verdict,
+                    "direction": dissection.direction,
+                    "via_icmp_quote": dissection.via_icmp_quote,
                 },
                 sort_keys=True,
             )

@@ -85,19 +85,36 @@ class DpiSignature:
         return bool(self.prefix) or self.check is not None
 
 
+_ENTRY_KEYS = ("name", "transport", "port_hint", "prefix_bytes", "mask", "check")
+
+
 class DpiCatalog:
     """Data-driven catalog of non-ICS protocol fingerprints."""
 
     def __init__(self, signatures: list[DpiSignature]):
         self.signatures = list(signatures)
+        # (ip_proto, first payload byte) -> the signatures that can match
+        # such a payload, in catalog order; only non-empty buckets are kept.
+        self._buckets: dict[tuple[int, int], list[DpiSignature]] = {}
+        for sig in self.signatures:
+            if not sig.prefix:
+                firsts = range(256)
+            elif sig.mask[0] == 0xFF:
+                firsts = (sig.prefix[0],)
+            else:
+                firsts = [b for b in range(256) if b & sig.mask[0] == sig.prefix[0] & sig.mask[0]]
+            for ip_proto in (TCP, UDP) if sig.ip_proto is None else (sig.ip_proto,):
+                for first in firsts:
+                    self._buckets.setdefault((ip_proto, first), []).append(sig)
 
     @classmethod
     def from_entries(cls, entries, source: str = "DPI catalog") -> "DpiCatalog":
         """Signatures from a JSON list of {name, transport, port_hint,
-        prefix_bytes, mask, check} objects; only name is required.
+        prefix_bytes, mask, check} objects; name and one of prefix_bytes
+        and check are required.
 
-        Any other shape raises ConfigError naming the source, the entry or
-        signature and the key.
+        Any other shape, another key included, raises ConfigError naming
+        the source, the entry or signature and the key.
         """
         sigs = []
         for index, entry in enumerate(typed(entries, list, source)):
@@ -108,6 +125,10 @@ class DpiCatalog:
             if type(name) is not str or not name:
                 raise fault(where, "name", "a non-empty string", name)
             where = f"{source} signature {name}"
+            for key in entry:
+                if key not in _ENTRY_KEYS:
+                    raise ConfigError(f"{where}: {key} is not a signature key "
+                                      f"(one of {', '.join(_ENTRY_KEYS)})")
             prefix = parsed(bytes.fromhex, entry.get("prefix_bytes", ""), where, "prefix_bytes",
                             "a hex string")
             mask = parsed(bytes.fromhex, entry.get("mask", ""), where, "mask",
@@ -124,6 +145,9 @@ class DpiCatalog:
             if port_hint is not None and (type(port_hint) is not int
                                           or not 0 <= port_hint <= 65535):
                 raise fault(where, "port_hint", "a port number", port_hint)
+            if not prefix and check is None:
+                raise ConfigError(f"{where}: prefix_bytes or check must be given, "
+                                  "or the signature never matches")
             sigs.append(
                 DpiSignature(
                     name=name,
@@ -143,7 +167,7 @@ class DpiCatalog:
     def match(self, record: PacketRecord) -> str | None:
         if record.ip_proto not in (TCP, UDP) or not record.payload:
             return None
-        for sig in self.signatures:
+        for sig in self._buckets.get((record.ip_proto, record.payload[0]), ()):
             if sig.matches(record.ip_proto, record.src_port, record.dst_port, record.payload):
                 return sig.name
         return None

@@ -385,6 +385,25 @@ def test_analyze_unknown_dpi_transport_exit_2(tmp_path, capsys, monkeypatch):
     assert "signature http: transport must be one of tcp, udp, got 'TCP'" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    pytest.param({"name": "http", "transport": "tcp", "prefix": "47455420"},
+                 "signature http: prefix is not a signature key", id="key-misspelt"),
+    pytest.param({"name": "http", "transport": "tcp"},
+                 "signature http: prefix_bytes or check must be given", id="no-prefix-no-check"),
+])
+def test_analyze_dpi_signature_that_never_matches_exit_2(tmp_path, capsys, monkeypatch, entry,
+                                                          message):
+    corpus = _gen(tmp_path)
+    (corpus / "dpi.json").write_text(json.dumps([entry]))
+    config = json.loads((corpus / "config.json").read_text())
+    config["dpi_catalog"] = "dpi.json"
+    (corpus / "config.json").write_text(json.dumps(config))
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_truncated_record_fails_analyze_and_sanitize(tmp_path, capsys):
     corpus = _gen(tmp_path)
     pcap = corpus / "corpus.pcap"
@@ -428,6 +447,8 @@ def test_dissect_golden_modbus(tmp_path, capsys, golden_dir):
     assert lines[0]["protocol"] == "modbus"
     assert lines[0]["function_code"] == 3
     assert lines[0]["action"] == "read_holding_registers"
+    assert lines[0]["direction"] == "request"
+    assert lines[0]["via_icmp_quote"] is False
 
 
 ARP_FRAME = b"\xff" * 6 + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x06" + b"\x00" * 28
@@ -626,6 +647,25 @@ _SANITIZE_SCENARIO = {
         ]
     ],
 }
+
+
+def test_dissect_gives_the_direction_of_the_ground_truth(tmp_path, capsys):
+    heuristic = {"kind": "industrial", "protocol": "s7comm", "src": "198.18.2.10",
+                 "dst": "198.19.2.20", "heuristic": True, "request_ratio": 0.5,
+                 "schedule": {"start_day": "2018-01-01", "end_day": "2018-01-02",
+                              "packets_per_day": 4}}
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps({**_SANITIZE_SCENARIO, "snap_len": 65535,
+                                "flows": _SANITIZE_SCENARIO["flows"] + [heuristic]}))
+    corpus = tmp_path / "corpus"
+    assert main(["gen", str(spec), "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["dissect", str(corpus / "corpus.pcap")]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    truth = [json.loads(line) for line in (corpus / "ground_truth.jsonl").read_text().splitlines()]
+    assert [(l["index"], l["direction"], l["via_icmp_quote"]) for l in lines] == [
+        (t["index"], t["direction"], t["sanitize"] == "dropped_tunnel") for t in truth]
+    assert {t["direction"] for t in truth} == {"request", "reply", "unrelated"}
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

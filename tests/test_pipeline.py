@@ -22,6 +22,7 @@ from ics_scope.pipeline import (
     run_analyze,
 )
 from ics_scope.ports import PORTS
+from ics_scope.sanitize import DROPPED_KNOWN_PROTOCOL, KEPT, DpiSignature
 from ics_scope.trafficgen import ScenarioSpec, generate
 from test_cli import SCENARIO as CLI_SCENARIO
 
@@ -129,27 +130,20 @@ def test_split_capture_gives_the_one_capture_bundle(tmp_path):
     assert whole_summary["kept"] < whole_summary["candidates"]
 
 
-def test_each_record_looks_up_its_ports_at_most_twice(tmp_path, monkeypatch):
-    schedule = {"start_day": "2018-03-01", "end_day": "2018-03-02", "packets_per_day": 6}
-    flows = [
-        {"kind": "industrial", "protocol": "modbus", "src": "198.18.0.10",
-         "dst": "198.19.0.20", "schedule": schedule, "request_ratio": 0.5},
-        {"kind": "backscatter", "protocol": "bacnet", "src": "100.71.0.1",
-         "dst": "100.72.0.1", "schedule": schedule},
-        {"kind": "industrial", "protocol": "s7comm", "src": "198.18.1.10",
-         "dst": "198.19.1.20", "schedule": schedule, "request_ratio": 0.5, "heuristic": True},
-    ]
+def _calls_per_record(monkeypatch, tmp_path, flows, owner, name):
+    """The calls to owner.name that capture_state makes for each record of a
+    corpus of the flows, and the capture's state."""
     corpus = generate(ScenarioSpec.from_dict({**SCENARIO, "snap_len": 65535, "flows": flows}),
                       tmp_path)
     config = PipelineConfig.from_json(corpus.config)
     inputs = load_inputs(config)
     calls = 0
-    protocol_for = PORTS.protocol_for
+    wrapped = getattr(owner, name)
 
-    def counted(port, ip_proto):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return protocol_for(port, ip_proto)
+        return wrapped(*args)
 
     per_record = []
     read = pipeline.read_capture
@@ -161,14 +155,49 @@ def test_each_record_looks_up_its_ports_at_most_twice(tmp_path, monkeypatch):
             yield outcome
             per_record.append(calls - before)
 
-    monkeypatch.setattr(PORTS, "protocol_for", counted)
+    monkeypatch.setattr(owner, name, counted)
     monkeypatch.setattr(pipeline, "read_capture", reading)
     state = pipeline.capture_state(config, inputs, 0)
-    assert len(per_record) == state.frames[(0, RECORD)] == 36
+    assert len(per_record) == state.frames[(0, RECORD)]
+    return per_record, state
+
+
+_SCHEDULE = {"start_day": "2018-03-01", "end_day": "2018-03-02", "packets_per_day": 6}
+
+
+def test_each_record_looks_up_its_ports_at_most_twice(tmp_path, monkeypatch):
+    flows = [
+        {"kind": "industrial", "protocol": "modbus", "src": "198.18.0.10",
+         "dst": "198.19.0.20", "schedule": _SCHEDULE, "request_ratio": 0.5},
+        {"kind": "backscatter", "protocol": "bacnet", "src": "100.71.0.1",
+         "dst": "100.72.0.1", "schedule": _SCHEDULE},
+        {"kind": "industrial", "protocol": "s7comm", "src": "198.18.1.10",
+         "dst": "198.19.1.20", "schedule": _SCHEDULE, "request_ratio": 0.5, "heuristic": True},
+    ]
+    per_record, state = _calls_per_record(monkeypatch, tmp_path, flows, PORTS, "protocol_for")
+    assert len(per_record) == 36
     assert state.filter_counts.keys() >= {("modbus", "request", frozenset()),
                                           ("modbus", "reply", frozenset()),
                                           ("s7comm", "unrelated", frozenset())}
     assert max(per_record) <= 2, per_record
+
+
+def test_each_candidate_tests_at_most_three_dpi_signatures(tmp_path, monkeypatch):
+    flows = [
+        {"kind": "industrial", "protocol": "modbus", "src": "198.18.0.10",
+         "dst": "198.19.0.20", "schedule": _SCHEDULE, "request_ratio": 0.5},
+        {"kind": "industrial", "protocol": "bacnet", "src": "198.18.1.10",
+         "dst": "198.19.1.20", "schedule": _SCHEDULE, "request_ratio": 0.5},
+        {"kind": "dpi_decoy", "protocol": "bacnet", "src": "100.127.9.1",
+         "dst": "100.127.9.2", "schedule": _SCHEDULE},
+    ]
+    per_record, state = _calls_per_record(monkeypatch, tmp_path, flows, DpiSignature, "matches")
+    assert len(per_record) == 36
+    assert state.events[("vp0", KEPT)] == 24
+    assert state.events[("vp0", DROPPED_KNOWN_PROTOCOL)] == 12
+    # The largest bucket of the packaged catalog: UDP payloads that start
+    # with "S" may be ssh, dns or ntp. A linear walk tests all 12.
+    assert max(per_record) <= 3, per_record
 
 
 # Three captures at two vantage points, the third with its own interval.

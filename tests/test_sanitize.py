@@ -1,13 +1,16 @@
 import itertools
+import json
 import random
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import record_from_frame
+from ics_scope.capture import ICMP, PacketRecord, record_from_frame
 from ics_scope.dissectors import dissect
+from ics_scope.inputs import ConfigError
+from ics_scope.ports import TCP, UDP
 from ics_scope.sanitize import (
     DROPPED_KNOWN_PROTOCOL,
     DROPPED_MALFORMED,
@@ -35,6 +38,8 @@ from ics_scope.trafficgen import (
     build_ipv4,
     modbus_request,
 )
+
+from test_pipeline import _SIDECARS, _mutated
 
 
 def _sanitize(pairs, port_only=0):
@@ -183,6 +188,14 @@ def test_catalog_rejects_bad_entries():
                  "transport must be one of tcp, udp, got ['tcp']", id="transport-list"),
     pytest.param([{"name": "x", "port_hint": "53"}], "port_hint must be a port number",
                  id="port-hint-text"),
+    # These loaded a signature that never matches.
+    pytest.param([{"name": "http", "transport": "tcp", "prefix": "47455420"}],
+                 "signature http: prefix is not a signature key (one of name, transport, "
+                 "port_hint, prefix_bytes, mask, check)", id="key-misspelt"),
+    pytest.param([{"name": "x"}], "signature x: prefix_bytes or check must be given, "
+                 "or the signature never matches", id="name-alone"),
+    pytest.param([{"name": "x", "prefix_bytes": "", "transport": "udp"}],
+                 "signature x: prefix_bytes or check must be given", id="prefix-empty"),
 ])
 def test_catalog_rejects_malformed_json(entries, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -304,3 +317,94 @@ def test_retention_per_vantage_sums_to_totals(events):
 def test_default_catalog_loads_all_signatures():
     names = {sig.name for sig in default_catalog().signatures}
     assert names == {"http", "tls", "ssh", "smtp", "dns", "ntp"}
+
+
+def _linear_match(catalog, record):
+    """The name the first signature in catalog order that matches gives."""
+    if record.ip_proto not in (TCP, UDP) or not record.payload:
+        return None
+    return next((sig.name for sig in catalog.signatures
+                 if sig.matches(record.ip_proto, record.src_port, record.dst_port,
+                                record.payload)), None)
+
+
+_CHECKS = ["dns_header", "ntp_header", "tls_record"]
+
+
+@st.composite
+def _catalog_entries(draw):
+    """1-6 valid catalog entries named by position, with first mask bytes
+    00, f0, ff or any; a later prefix sometimes repeats an earlier one."""
+    entries = []
+    for index in range(draw(st.integers(1, 6))):
+        entry = {"name": f"sig{index}"}
+        earlier = [e["prefix_bytes"] for e in entries if "prefix_bytes" in e]
+        if earlier and draw(st.booleans()):
+            prefix = bytes.fromhex(draw(st.sampled_from(earlier)))
+        else:
+            prefix = draw(st.binary(max_size=4))
+        if prefix:
+            first = draw(st.sampled_from([0x00, 0xF0, 0xFF]) | st.integers(0, 255))
+            rest = draw(st.binary(min_size=len(prefix) - 1, max_size=len(prefix) - 1))
+            entry.update(prefix_bytes=prefix.hex(), mask=(bytes([first]) + rest).hex())
+        check = draw(st.sampled_from([None] + _CHECKS) if prefix else st.sampled_from(_CHECKS))
+        transport = draw(st.sampled_from([None, "tcp", "udp"]))
+        port_hint = draw(st.sampled_from([None, 53, 123, 502]))
+        for key, value in (("check", check), ("transport", transport), ("port_hint", port_hint)):
+            if value is not None:
+                entry[key] = value
+        entries.append(entry)
+    return entries
+
+
+@st.composite
+def _records(draw, catalog):
+    """A TCP, UDP or ICMP record whose payload starts with a signature's
+    prefix, that prefix with one bit flipped, or nothing in particular, and
+    whose ports are on a signature's port hint or anywhere."""
+    prefixes = [sig.prefix for sig in catalog.signatures if sig.prefix]
+    start = draw(st.sampled_from([b""] + prefixes))
+    if start and draw(st.booleans()):
+        bit = 1 << draw(st.integers(0, 8 * len(start) - 1))
+        start = (int.from_bytes(start, "big") ^ bit).to_bytes(len(start), "big")
+    payload = start + draw(st.binary(max_size=64))
+    hints = [sig.port_hint for sig in catalog.signatures if sig.port_hint is not None]
+    ports = st.integers(0, 65535) | st.sampled_from(hints) if hints else st.integers(0, 65535)
+    return PacketRecord(ts=0, src_ip=1, dst_ip=2, ip_proto=draw(st.sampled_from([TCP, UDP, ICMP])),
+                        src_port=draw(ports), dst_port=draw(ports), payload=payload,
+                        payload_wire_len=len(payload))
+
+
+def _agrees_with_linear_match(data, catalog):
+    for _ in range(8):
+        record = data.draw(_records(catalog))
+        assert catalog.match(record) == _linear_match(catalog, record), record
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_indexed_match_is_the_linear_match(data):
+    _agrees_with_linear_match(data, DpiCatalog.from_entries(data.draw(_catalog_entries())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_indexed_match_is_the_linear_match_on_mutated_sidecars(data):
+    try:
+        catalog = DpiCatalog.from_entries(
+            _mutated(data, json.loads(json.dumps(_SIDECARS["dpi_catalog"]))))
+    except ConfigError:
+        return
+    _agrees_with_linear_match(data, catalog)
+
+
+def test_the_first_of_two_signatures_sharing_a_prefix_wins():
+    first = {"name": "first", "transport": "tcp", "prefix_bytes": "4745", "mask": "f0ff"}
+    second = {"name": "second", "prefix_bytes": "4745"}
+    payload = b"GET / HTTP/1.1\r\n"
+    record = PacketRecord(0, 1, 2, TCP, 49152, 80, payload, len(payload))
+    assert DpiCatalog.from_entries([first, second]).match(record) == "first"
+    assert DpiCatalog.from_entries([second, first]).match(record) == "second"
+    # "O" (0x4f) differs from "G" (0x47) only in a bit that first's mask leaves out.
+    record = PacketRecord(0, 1, 2, TCP, 49152, 80, b"OE" + payload[2:], len(payload))
+    assert DpiCatalog.from_entries([second, first]).match(record) == "first"
