@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from .inputs import ConfigError, typed
 from .ports import TCP, UDP
@@ -126,8 +127,7 @@ class CaptureMeta:
             raise ConfigError(f"{where}: {prefix}{exc}") from None
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     """One IPv4 datagram decoded down to its transport payload.
 
     The reader yields one per frame it keeps, and an ICMP error's quoted
@@ -155,66 +155,66 @@ class PacketRecord:
         return utc_day(self.ts)
 
 
-def ipv4_view(datagram: bytes, ts: int) -> PacketRecord | None:
+# Version and IHL, total length, protocol, source and destination address.
+_IPV4_HEADER = struct.Struct("!BxH5xB2xII")
+_PORTS = struct.Struct("!HH")
+_ETHERTYPE = struct.Struct("!H")
+
+
+def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> PacketRecord | None:
     """Parse a possibly truncated IPv4 datagram down to its transport payload.
 
-    ts becomes the record's timestamp. None when the datagram is not IPv4
-    carrying ICMP, TCP or UDP, or when the capture stops inside the IP or
-    transport header.
+    The datagram starts at offset in buf and runs to the end of buf; its
+    headers are read in place and only the payload is copied. ts becomes
+    the record's timestamp. None when the datagram is not IPv4 carrying
+    ICMP, TCP or UDP, or when the capture stops inside the IP or transport
+    header.
     """
-    if len(datagram) < 20:
+    size = len(buf)
+    if size - offset < 20:
         return None
-    if datagram[0] >> 4 != 4:
+    first, total_len, proto, src, dst = _IPV4_HEADER.unpack_from(buf, offset)
+    ihl = (first & 0x0F) * 4
+    if first >> 4 != 4 or ihl < 20 or size - offset < ihl or total_len < ihl:
         return None
-    ihl = (datagram[0] & 0x0F) * 4
-    if ihl < 20 or len(datagram) < ihl:
-        return None
-    total_len = int.from_bytes(datagram[2:4], "big")
-    if total_len < ihl:
-        return None
-    proto = datagram[9]
-    src = int.from_bytes(datagram[12:16], "big")
-    dst = int.from_bytes(datagram[16:20], "big")
+    body = offset + ihl
     # Trailing bytes beyond the IP total length are link padding, not payload.
-    body = datagram[ihl:total_len] if len(datagram) > total_len else datagram[ihl:]
-    wire_body = total_len - ihl
+    end = min(size, offset + total_len)
+    captured = end - body
     if proto == TCP:
-        if len(body) < 20:
+        if captured < 20:
             return None
-        thl = (body[12] >> 4) * 4
-        if thl < 20 or len(body) < thl:
+        thl = (buf[body + 12] >> 4) * 4
+        if thl < 20 or captured < thl:
             return None
-        sport = int.from_bytes(body[0:2], "big")
-        dport = int.from_bytes(body[2:4], "big")
-        return PacketRecord(ts, src, dst, TCP, sport, dport, body[thl:], max(wire_body - thl, 0))
-    if proto == UDP:
-        if len(body) < 8:
+    elif proto == UDP or proto == ICMP:
+        if captured < 8:
             return None
-        sport = int.from_bytes(body[0:2], "big")
-        dport = int.from_bytes(body[2:4], "big")
-        return PacketRecord(ts, src, dst, UDP, sport, dport, body[8:], max(wire_body - 8, 0))
+        thl = 8  # the UDP header, or the ICMP header
+    else:
+        return None
+    payload, wire_len = buf[body + thl:end], max(total_len - ihl - thl, 0)
     if proto == ICMP:
-        if len(body) < 8:
-            return None
-        return PacketRecord(ts, src, dst, ICMP, 0, 0, body[8:], max(wire_body - 8, 0), body[0])
-    return None
+        return PacketRecord(ts, src, dst, ICMP, 0, 0, payload, wire_len, buf[body])
+    sport, dport = _PORTS.unpack_from(buf, body)
+    return PacketRecord(ts, src, dst, proto, sport, dport, payload, wire_len)
 
 
 def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
     """The reader's step for one captured frame: its record, or why it is skipped.
 
     Strips the Ethernet header (one VLAN tag tolerated) and decodes the IPv4
-    datagram. Returns (record, RECORD) or (None, skip reason): "short",
-    "qinq", "ipv6", "non_ipv4" or "non_transport".
+    datagram in place. Returns (record, RECORD) or (None, skip reason):
+    "short", "qinq", "ipv6", "non_ipv4" or "non_transport".
     """
     if len(frame) < 14:
         return None, "short"
-    ethertype = int.from_bytes(frame[12:14], "big")
+    ethertype = _ETHERTYPE.unpack_from(frame, 12)[0]
     offset = 14
     if ethertype == ETHERTYPE_VLAN:
         if len(frame) < 18:
             return None, "short"
-        ethertype = int.from_bytes(frame[16:18], "big")
+        ethertype = _ETHERTYPE.unpack_from(frame, 16)[0]
         offset = 18
         if ethertype == ETHERTYPE_VLAN:
             return None, "qinq"
@@ -222,10 +222,9 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
         return None, "ipv6"
     if ethertype != ETHERTYPE_IPV4:
         return None, "non_ipv4"
-    datagram = frame[offset:]
-    record = ipv4_view(datagram, ts)
+    record = ipv4_view(frame, ts, offset)
     if record is None:
-        proto = datagram[9] if len(datagram) >= 10 else None
+        proto = frame[offset + 9] if len(frame) >= offset + 10 else None
         return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
     return record, RECORD
 

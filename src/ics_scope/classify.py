@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .capture import int_to_ip, ip_to_int, parse_cidr
 from .inputs import ConfigError, fault, load_packaged_json, read_json, table_rows, typed
@@ -37,8 +38,7 @@ FAMILIES = (
 FILTER_FAMILIES = {name: filters for name, _, filters in FAMILIES}
 
 
-@dataclass(frozen=True, order=True)
-class Reason:
+class Reason(NamedTuple):
     kind: str
     project: str | None = None
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .capture import (
     ICMP,
@@ -88,8 +88,7 @@ IEC104_TYPE_IDS = frozenset(
 HARTIP_ROLE = {0: REQUEST, 1: REPLY, 2: REPLY, 3: REPLY}
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(NamedTuple):
     protocol: str
     kind: str  # normal | heuristic
     role: str  # request | reply | unknown

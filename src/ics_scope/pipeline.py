@@ -330,6 +330,7 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
               record.day)] += 1
 
     vantage, sample_interval = source.meta.vantage, source.meta.sample_interval
+    ingress_tag, egress_tag = f"{vantage}:in", f"{vantage}:out"
     active = FILTER_FAMILIES[config.filters]
     filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups
     stable_days, request_protocols = state.stable_days, state.request_protocols
@@ -349,8 +350,8 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
         dst_asn = inputs.asn_table.lookup(dst_ip) if inputs.asn_table else None
         if packet_direction == REQUEST and src_asn is not None:
             request_protocols.add((src_asn, protocol))
-        ingress = inputs.topology.resolve_member(src_asn, tag=f"{vantage}:in")
-        egress = inputs.topology.resolve_member(dst_asn, tag=f"{vantage}:out")
+        ingress = inputs.topology.resolve_member(src_asn, tag=ingress_tag)
+        egress = inputs.topology.resolve_member(dst_asn, tag=egress_tag)
         groups[(protocol, label, transition(src_asn, dst_asn, ingress, egress,
                                             inputs.topology))] += n
         domestic = is_domestic(src_ip, dst_ip, inputs.geo) if inputs.geo is not None else None

@@ -13,9 +13,17 @@ from hypothesis import given, settings, strategies as st
 import ics_scope
 
 from ics_scope.capture import (
+    ETHERTYPE_IPV4,
+    ETHERTYPE_IPV6,
+    ETHERTYPE_VLAN,
+    ICMP,
+    ICMP_ERROR_TYPES,
     RECORD,
+    TCP,
+    UDP,
     CaptureError,
     CaptureMeta,
+    PacketRecord,
     int_to_ip,
     ip_to_int,
     parse_cidr,
@@ -23,13 +31,14 @@ from ics_scope.capture import (
     record_from_frame,
     utc_day,
 )
-from ics_scope.dissectors import REPLY, REQUEST, UNRELATED, dissect
+from ics_scope.dissectors import REPLY, REQUEST, UNRELATED, dissect, dissect_segment
 from ics_scope.ports import PORTS
 from ics_scope.trafficgen import (
     ETH_HEADER,
     build_backscatter_frame,
     build_frame,
     build_ipv4,
+    build_tcp,
     build_udp,
     modbus_request,
     write_pcap,
@@ -487,3 +496,150 @@ def test_reader_yields_integer_addresses(tmp_path):
     record, _ = next(read_capture(path, CaptureMeta("vp")))
     assert (record.src_ip, record.dst_ip) == (0x0A000001, 0x0A000002)
     assert int_to_ip(record.dst_ip) == "10.0.0.2"
+
+
+# The slicing decode the in-place one replaced, kept as its reference: each
+# header is sliced off and each field read from its own slice.
+
+
+def _slicing_ipv4_view(datagram: bytes, ts: int) -> PacketRecord | None:
+    if len(datagram) < 20:
+        return None
+    if datagram[0] >> 4 != 4:
+        return None
+    ihl = (datagram[0] & 0x0F) * 4
+    if ihl < 20 or len(datagram) < ihl:
+        return None
+    total_len = int.from_bytes(datagram[2:4], "big")
+    if total_len < ihl:
+        return None
+    proto = datagram[9]
+    src = int.from_bytes(datagram[12:16], "big")
+    dst = int.from_bytes(datagram[16:20], "big")
+    # Trailing bytes beyond the IP total length are link padding, not payload.
+    body = datagram[ihl:total_len] if len(datagram) > total_len else datagram[ihl:]
+    wire_body = total_len - ihl
+    if proto == TCP:
+        if len(body) < 20:
+            return None
+        thl = (body[12] >> 4) * 4
+        if thl < 20 or len(body) < thl:
+            return None
+        sport = int.from_bytes(body[0:2], "big")
+        dport = int.from_bytes(body[2:4], "big")
+        return PacketRecord(ts, src, dst, TCP, sport, dport, body[thl:], max(wire_body - thl, 0))
+    if proto == UDP:
+        if len(body) < 8:
+            return None
+        sport = int.from_bytes(body[0:2], "big")
+        dport = int.from_bytes(body[2:4], "big")
+        return PacketRecord(ts, src, dst, UDP, sport, dport, body[8:], max(wire_body - 8, 0))
+    if proto == ICMP:
+        if len(body) < 8:
+            return None
+        return PacketRecord(ts, src, dst, ICMP, 0, 0, body[8:], max(wire_body - 8, 0), body[0])
+    return None
+
+
+def _slicing_decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
+    if len(frame) < 14:
+        return None, "short"
+    ethertype = int.from_bytes(frame[12:14], "big")
+    offset = 14
+    if ethertype == ETHERTYPE_VLAN:
+        if len(frame) < 18:
+            return None, "short"
+        ethertype = int.from_bytes(frame[16:18], "big")
+        offset = 18
+        if ethertype == ETHERTYPE_VLAN:
+            return None, "qinq"
+    if ethertype == ETHERTYPE_IPV6:
+        return None, "ipv6"
+    if ethertype != ETHERTYPE_IPV4:
+        return None, "non_ipv4"
+    datagram = frame[offset:]
+    record = _slicing_ipv4_view(datagram, ts)
+    if record is None:
+        proto = datagram[9] if len(datagram) >= 10 else None
+        return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
+    return record, RECORD
+
+
+# s7comm, modbus, iec104, hartip, dnp3, ethernetip and bacnet ports.
+_ICS_PORTS = (102, 502, 2404, 5094, 20000, 44818, 47808)
+
+
+_QUOTED_MODBUS = build_ipv4("10.0.0.1", "10.0.0.2", TCP,
+                            build_tcp("10.0.0.1", "10.0.0.2", 49152, 502, modbus_request()))
+
+
+@st.composite
+def _datagrams(draw, quoted=False):
+    """An IPv4-shaped datagram with any version, IHL and total length (below,
+    at or above its bytes), carrying TCP with any data offset, UDP, ICMP or
+    another protocol; an ICMP error quotes one more such datagram."""
+    version = draw(st.sampled_from([4, 4, 4, 4, 4, 0, 6, 15]))
+    ihl = draw(st.just(5) | st.integers(0, 15))
+    proto = draw(st.sampled_from([ICMP, TCP, TCP, TCP, UDP, UDP, 0, 47]))
+    options = draw(st.binary(min_size=max(ihl * 4 - 20, 0), max_size=max(ihl * 4 - 20, 0)))
+    ports = struct.pack("!HH", *(draw(st.sampled_from(_ICS_PORTS) | st.integers(0, 65535))
+                                 for _ in range(2)))
+    if proto == TCP:
+        data_offset = draw(st.just(5) | st.integers(0, 15))
+        transport = (ports + draw(st.binary(min_size=8, max_size=8))
+                     + bytes([data_offset << 4]) + draw(st.binary(min_size=7, max_size=7))
+                     + draw(st.binary(min_size=max(data_offset * 4 - 20, 0),
+                                      max_size=max(data_offset * 4 - 20, 0))))
+    elif proto == UDP:
+        transport = ports + draw(st.binary(min_size=4, max_size=4))
+    elif proto == ICMP:
+        icmp_type = draw(st.sampled_from([*ICMP_ERROR_TYPES, 0, 8]))
+        transport = bytes([icmp_type]) + draw(st.binary(min_size=7, max_size=7))
+        if icmp_type in ICMP_ERROR_TYPES and not quoted:
+            transport += draw(st.just(_QUOTED_MODBUS) | _datagrams(quoted=True))
+    else:
+        transport = b""
+    payload = draw(st.binary(max_size=24) | st.just(modbus_request()))
+    length = 20 + len(options) + len(transport) + len(payload)
+    total_len = draw(st.just(length) | st.integers(max(length - 12, 0), length + 12)
+                     | st.integers(0, 65535))
+    header = struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, total_len, 0, 0, 64, proto, 0,
+                         draw(st.binary(min_size=4, max_size=4)),
+                         draw(st.binary(min_size=4, max_size=4)))
+    return header + options + transport + payload
+
+
+@st.composite
+def _frames(draw):
+    """An Ethernet frame with 0, 1 or 2 VLAN tags, any of the IPv4, IPv6 or
+    another ethertype, and link padding after the datagram."""
+    tags = b"".join(b"\x81\x00" + draw(st.binary(min_size=2, max_size=2))
+                    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2]))))
+    ethertype = draw(st.sampled_from([ETHERTYPE_IPV4] * 6 + [ETHERTYPE_IPV6, 0x0806]))
+    return (draw(st.binary(min_size=12, max_size=12)) + tags + struct.pack("!H", ethertype)
+            + draw(_datagrams()) + draw(st.binary(max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_frames())
+def test_in_place_decode_matches_the_slicing_reference(frame):
+    # The frame cut at every length: the reader's outcome for each cut and
+    # record_from_frame's record equal the slicing decode's, and an ICMP
+    # error dissects through the slicing decode of its quoted datagram.
+    ts = 1_515_023_999_123_456
+    expected = [_slicing_decode_frame(frame[:length], ts) for length in range(len(frame) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cuts.pcap"
+        write_pcap(path, [(ts, frame[:length]) for length in range(len(frame) + 1)])
+        assert list(read_capture(path, CaptureMeta("vp"))) == expected
+    for length, (want, _) in enumerate(expected):
+        record = record_from_frame(frame, ts, captured_len=length)
+        assert record == want
+        if record is None:
+            continue
+        assert type(record.payload) is bytes
+        if record.ip_proto == ICMP and record.icmp_type in ICMP_ERROR_TYPES and record.payload:
+            inner = _slicing_ipv4_view(record.payload, ts)
+            quoted = (dissect_segment(inner, via_icmp_quote=True)
+                      if inner is not None and inner.ip_proto in (TCP, UDP) else None)
+            assert dissect(record) == quoted

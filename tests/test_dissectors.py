@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -483,7 +481,7 @@ def test_dissect_segment_total_and_deterministic(payload, sport, dport, ip_proto
     frame = build_backscatter_frame("10.0.0.9", "10.0.0.1", "10.0.0.2", transport, sport, dport,
                                     payload)
     quoted = dissect(record_from_frame(frame))
-    assert quoted == replace(first, direction=UNRELATED, via_icmp_quote=True)
+    assert quoted == first._replace(direction=UNRELATED, via_icmp_quote=True)
 
 
 def test_golden_manifest_shape(golden_manifest):
