@@ -14,15 +14,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .capture import CaptureError, CaptureMeta, read_capture
+from .capture import CaptureError, CaptureMeta
 from .classify import FILTER_FAMILIES
-from .dissectors import action_name, dissect
+from .dissectors import action_name
+from .inputs import writable
 from .pipeline import (
     CaptureSource,
     CaptureState,
     ConfigError,
     PipelineConfig,
-    kept_candidates,
+    candidate_verdicts,
     run_analyze,
     sanitize_table,
     write_csv,
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="filter family override for the industrial label",
     )
 
-    dissect_cmd = sub.add_parser("dissect", help="per-packet dissection dump as JSON lines")
+    dissect_cmd = sub.add_parser("dissect", help="per-candidate verdicts as JSON lines")
     dissect_cmd.add_argument("pcap", help="capture file to dissect")
     dissect_cmd.add_argument("--snap-len", type=_snap_len, default=65535)
     dissect_cmd.add_argument("--out", help="write JSON lines here instead of stdout")
@@ -86,47 +87,38 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _dissect_lines(pcap, meta: CaptureMeta, out) -> None:
-    # The index is the frame's position in the pcap, skipped frames included.
-    for index, (record, _) in enumerate(read_capture(pcap, meta)):
-        dissection = None if record is None else dissect(record)
-        if dissection is None:
-            continue
-        out.write(
-            json.dumps(
-                {
-                    "index": index,
-                    "protocol": dissection.protocol,
-                    "kind": dissection.kind,
-                    "role": dissection.role,
-                    "function_code": dissection.function_code,
-                    "action": action_name(dissection.protocol, dissection.function_code),
-                    "verdict": dissection.verdict,
-                    "direction": dissection.direction,
-                    "via_icmp_quote": dissection.via_icmp_quote,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+def _capture_source(args) -> CaptureSource:
+    """The one capture a dissect or sanitize command reads."""
+    return CaptureSource(Path(args.pcap), CaptureMeta("cli", snap_len=args.snap_len))
+
+
+def _dissect_lines(source: CaptureSource, out) -> None:
+    """A JSON line per candidate of the stream, with the packaged DPI catalog:
+    its dissection, action and verdict; index is the frame's position in the
+    pcap, skipped frames included."""
+    for index, _, dissection, verdict in candidate_verdicts(CaptureState(), source, 0,
+                                                            default_catalog()):
+        line = {"index": index, **dissection._asdict(), "sanitize": verdict,
+                "action": action_name(dissection.protocol, dissection.function_code)}
+        out.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def _cmd_dissect(args) -> int:
-    meta = CaptureMeta("cli", snap_len=args.snap_len)
+    source = _capture_source(args)
     if not args.out:
-        _dissect_lines(args.pcap, meta, sys.stdout)
+        _dissect_lines(source, sys.stdout)
         return 0
     out = Path(args.out)
     if out.exists() and not out.is_file():  # a device or a FIFO is written as it goes
-        with open(out, "w") as fh:
-            _dissect_lines(args.pcap, meta, fh)
+        with writable(out, lambda: open(out, "w")) as fh:
+            _dissect_lines(source, fh)
         return 0
     # A sibling file renamed over --out once complete: a failed run leaves
     # --out as it was.
     partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
     try:
-        with open(partial, "x") as fh:
-            _dissect_lines(args.pcap, meta, fh)
+        with writable(out, lambda: open(partial, "x")) as fh:
+            _dissect_lines(source, fh)
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
@@ -135,8 +127,7 @@ def _cmd_dissect(args) -> int:
 
 def _cmd_sanitize(args) -> int:
     state = CaptureState()
-    source = CaptureSource(Path(args.pcap), CaptureMeta("cli", snap_len=args.snap_len))
-    for _ in kept_candidates(state, source, 0, default_catalog()):
+    for _ in candidate_verdicts(state, _capture_source(args), 0, default_catalog()):
         pass
     write_csv(sys.stdout, sanitize_table(sanitize_rows(retention(state.events)[0])))
     return 0

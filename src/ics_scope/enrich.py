@@ -38,7 +38,6 @@ class LpmTable:
     def __init__(self):
         self._by_len: dict[int, dict[int, object]] = {}
         self._probes: tuple[tuple[int, dict[int, object]], ...] = ()
-        self.entries = 0
 
     def add(self, prefix: str, value) -> None:
         """Add a CIDR (host bits are masked off); a later value for the same
@@ -52,8 +51,6 @@ class LpmTable:
             self._probes = tuple((32 - n, self._by_len[n]) for n in lengths)
         if key in bucket and bucket[key] != value:
             log.warning("duplicate prefix %s: %r overrides %r", prefix, value, bucket[key])
-        else:
-            self.entries += key not in bucket
         bucket[key] = value
 
     def lookup(self, ip: int):

@@ -18,7 +18,8 @@ from importlib import resources
 
 
 class ConfigError(ValueError):
-    """An input file missing or unreadable, or a value in it malformed."""
+    """An input file missing or unreadable, a value in it malformed, or an
+    output path that cannot be written."""
 
 
 # What a JSON value of each Python type is called in an error message.
@@ -40,6 +41,15 @@ def read_json(path):
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
+def writable(out, make):
+    """make(), which creates the output path out or opens it for writing;
+    the OSError it raises becomes ConfigError 'cannot write OUT: REASON'."""
+    try:
+        return make()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def fault(where: str, key: str | None, kind: str, value, detail: str = "") -> ConfigError:

@@ -55,7 +55,7 @@ from .enrich import (
     scan_overlap,
     transition,
 )
-from .inputs import ConfigError, choice, read_json, typed
+from .inputs import ConfigError, choice, read_json, typed, writable
 from .sanitize import (
     KEPT,
     PORT_ONLY,
@@ -143,9 +143,9 @@ class LoadedInputs:
     scanner_registry: ScannerRegistry
     honeypots: HoneypotSets
     rdns: RdnsTable
-    asn_table: LpmTable | None
+    asn_table: LpmTable
     topology: IxpTopology
-    geo: LpmTable | None
+    geo: LpmTable
     scan_snapshot: dict
     dpi_catalog: DpiCatalog
 
@@ -177,7 +177,7 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     ConfigError a one-CPU load meets first, in the order of the steps below.
     """
 
-    def step(name: str, path: Path | None, loader, *arguments, empty=lambda: None) -> _Step:
+    def step(name: str, path: Path | None, loader, *arguments, empty) -> _Step:
         return _Step(name, loader, (path, *arguments)) if path else _Step(name, empty)
 
     if config.hp_all and config.hp_ics:
@@ -191,10 +191,10 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
              empty=default_scanner_registry),
         honeypots,
         step("rdns", config.rdns, RdnsTable.from_csv, empty=RdnsTable.empty),
-        step("asn_table", config.asn_table, load_asn_table),
+        step("asn_table", config.asn_table, load_asn_table, empty=LpmTable),
         step("topology", config.cone, IxpTopology.from_json, config.tag_members,
              empty=IxpTopology.empty),
-        step("geo", config.geo, load_geo_table),
+        step("geo", config.geo, load_geo_table, empty=LpmTable),
         step("scan_snapshot", config.scan_snapshot, load_scan_snapshot, empty=dict),
         step("dpi_catalog", config.dpi_catalog, DpiCatalog.from_json, empty=default_catalog),
     ]
@@ -278,24 +278,28 @@ class CaptureState:
     passive_hosts: set = field(default_factory=set)
 
 
-def kept_candidates(state: CaptureState, source: CaptureSource, index: int,
-                    catalog: DpiCatalog, start: int = PCAP_HEADER_LEN, stop: int | None = None):
+def candidate_verdicts(state: CaptureState, source: CaptureSource, index: int,
+                       catalog: DpiCatalog, start: int = PCAP_HEADER_LEN, stop: int | None = None):
     """One pass over one capture, or the byte range [start, stop) of it, from
-    pcap record to sanitize verdict, counted into state.
+    pcap record to sanitize verdict, counted into state: the one stream every
+    reader of a capture drains.
 
-    Yields (record, dissection) for each kept candidate, in file order. Every
-    record is read once, checked once by the port-only predicate and
-    dissected once; every candidate gets one verdict. As they happen,
-    state.events counts each candidate's verdict and each port-only record
-    under the capture's vantage, state.candidates the candidates per protocol
-    and state.notes the dissector notes; once the reader stops, state.frames
-    counts the frames under index, the capture's place in the config.
+    Yields (position, record, dissection, verdict) for each candidate in file
+    order, position being the frame's place in the range, skipped frames
+    included. Every record is read once, checked once by the port-only
+    predicate and dissected once; every candidate gets one verdict. As they
+    happen, state.events counts each candidate's verdict and each port-only
+    record under the capture's vantage, state.candidates the candidates per
+    protocol and state.notes the dissector notes; once the reader stops,
+    state.frames counts the frames under index, the capture's place in the
+    config.
     """
     events, candidates, notes = state.events, state.candidates, state.notes
     vantage = source.meta.vantage
     port_only = (vantage, PORT_ONLY)
     frames: Counter[str] = Counter()
-    for record, outcome in read_capture(source.path, source.meta, start, stop):
+    for position, (record, outcome) in enumerate(read_capture(source.path, source.meta,
+                                                              start, stop)):
         frames[outcome] += 1
         if record is None:
             continue
@@ -307,8 +311,7 @@ def kept_candidates(state: CaptureState, source: CaptureSource, index: int,
         candidates[dissection.protocol] += 1
         verdict = sanitize_candidate(record, dissection, catalog)
         events[(vantage, verdict)] += 1
-        if verdict == KEPT:
-            yield record, dissection
+        yield position, record, dissection, verdict
     for outcome, n in frames.items():
         state.frames[(index, outcome)] += n
 
@@ -324,10 +327,11 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
     source = config.captures[index]
     state = CaptureState()
     keys: Counter[tuple] = Counter()
-    for record, dissection in kept_candidates(state, source, index, inputs.dpi_catalog,
-                                              start, stop):
-        keys[(dissection.protocol, dissection.direction, record.src_ip, record.dst_ip,
-              record.day)] += 1
+    for _, record, dissection, verdict in candidate_verdicts(state, source, index,
+                                                             inputs.dpi_catalog, start, stop):
+        if verdict == KEPT:
+            keys[(dissection.protocol, dissection.direction, record.src_ip, record.dst_ip,
+                  record.day)] += 1
 
     vantage, sample_interval = source.meta.vantage, source.meta.sample_interval
     ingress_tag, egress_tag = f"{vantage}:in", f"{vantage}:out"
@@ -346,15 +350,15 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
         passive_hosts.add((protocol, "source", src_ip))
         passive_hosts.add((protocol, "destination", dst_ip))
 
-        src_asn = inputs.asn_table.lookup(src_ip) if inputs.asn_table else None
-        dst_asn = inputs.asn_table.lookup(dst_ip) if inputs.asn_table else None
+        src_asn = inputs.asn_table.lookup(src_ip)
+        dst_asn = inputs.asn_table.lookup(dst_ip)
         if packet_direction == REQUEST and src_asn is not None:
             request_protocols.add((src_asn, protocol))
         ingress = inputs.topology.resolve_member(src_asn, tag=ingress_tag)
         egress = inputs.topology.resolve_member(dst_asn, tag=egress_tag)
         groups[(protocol, label, transition(src_asn, dst_asn, ingress, egress,
                                             inputs.topology))] += n
-        domestic = is_domestic(src_ip, dst_ip, inputs.geo) if inputs.geo is not None else None
+        domestic = is_domestic(src_ip, dst_ip, inputs.geo)
         status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
         groups[(protocol, label, status)] += n
     return state
@@ -550,7 +554,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     """Run the whole pipeline and write the report bundle; returns a summary."""
     inputs = load_inputs(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    writable(out, lambda: out.mkdir(parents=True, exist_ok=True))
     state = _run_captures(config, inputs)
 
     # --- report bundle -----------------------------------------------------

@@ -178,15 +178,6 @@ def default_catalog() -> DpiCatalog:
     return DpiCatalog.from_entries(load_packaged_json("dpi_catalog.json"))
 
 
-def strip_tunnels(dissection: Dissection) -> str:
-    """Drop dissections found inside an ICMP error message's quoted datagram."""
-    return DROPPED_TUNNEL if dissection.via_icmp_quote else KEPT
-
-
-def drop_malformed(dissection: Dissection) -> str:
-    return DROPPED_MALFORMED if dissection.verdict == MALFORMED else KEPT
-
-
 def dpi_cross_check(record: PacketRecord, catalog: DpiCatalog) -> str:
     """Drop candidates whose payload fingerprints as a well-known protocol."""
     return DROPPED_KNOWN_PROTOCOL if catalog.match(record) else KEPT
@@ -200,13 +191,14 @@ def is_port_only(record: PacketRecord) -> bool:
 
 
 def sanitize_candidate(record: PacketRecord, dissection: Dissection, catalog: DpiCatalog) -> str:
-    """The verdict of the first step that drops the candidate, or KEPT."""
-    verdict = strip_tunnels(dissection)
-    if verdict == KEPT:
-        verdict = drop_malformed(dissection)
-    if verdict == KEPT:
-        verdict = dpi_cross_check(record, catalog)
-    return verdict
+    """The verdict of the first step that drops the candidate, or KEPT:
+    a dissection found inside an ICMP error's quoted datagram, then a
+    malformed one, then a payload that fingerprints as a non-ICS protocol."""
+    if dissection.via_icmp_quote:
+        return DROPPED_TUNNEL
+    if dissection.verdict == MALFORMED:
+        return DROPPED_MALFORMED
+    return dpi_cross_check(record, catalog)
 
 
 def pct(numerator: int, denominator: int) -> float | None:

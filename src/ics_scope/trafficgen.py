@@ -42,7 +42,7 @@ from .dissectors import (
     WELL_FORMED,
     dnp3_crc,
 )
-from .inputs import ConfigError, choice, parsed, read_json, typed
+from .inputs import ConfigError, choice, parsed, read_json, typed, writable
 from .ports import PORTS
 from .sanitize import DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT
 
@@ -649,7 +649,7 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
     drives every random choice and all emitted tables are sorted.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    writable(out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     rng = random.Random(spec.seed)
     pending: list[_Pending] = []
     seq = 0

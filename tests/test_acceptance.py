@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ics_scope.capture import (
+    RECORD,
     CaptureMeta,
     int_to_ip,
     ip_to_int,
@@ -48,10 +49,10 @@ from ics_scope.pipeline import (
     CaptureSource,
     CaptureState,
     PipelineConfig,
-    kept_candidates,
+    candidate_verdicts,
     run_analyze,
 )
-from ics_scope.sanitize import KEPT, default_catalog, retention, sanitize_candidate
+from ics_scope.sanitize import KEPT, default_catalog, retention
 from ics_scope.trafficgen import ScenarioSpec, generate
 
 from golden import MIN_IDENTIFIABLE_FRAME_BYTES, golden_packets
@@ -264,7 +265,7 @@ def test_criterion_2_sanitization_arithmetic(tmp_path):
     corpus = generate(ScenarioSpec.from_dict(raw), tmp_path)
     state = CaptureState()
     source = CaptureSource(corpus.pcap, _capture_meta(corpus))
-    for _ in kept_candidates(state, source, 0, default_catalog()):
+    for _ in candidate_verdicts(state, source, 0, default_catalog()):
         pass
     total, _ = retention(state.events)
     counts = (total["candidates_in"], total["after_tunnel"], total["after_malformed"],
@@ -279,7 +280,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
     label_tp = label_fp = label_fn = 0
     for name, corpus in oracle_corpora.items():
         truth = _load_truth(corpus)
-        meta = _capture_meta(corpus)
+        source = CaptureSource(corpus.pcap, _capture_meta(corpus))
         registry = ScannerRegistry.from_json(corpus.sidecars["scanner_registry"])
         honeypots = HoneypotSets.from_files(corpus.sidecars["hp_all"],
                                             corpus.sidecars["hp_ics"])
@@ -287,43 +288,43 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         catalog = default_catalog()
 
         started = time.perf_counter()
-        records = read_all(corpus.pcap, meta)[0]
-        dissections = [dissect(record) for record in records]
-        pairs = [(r, d) for r, d in zip(records, dissections) if d is not None]
-        verdicts = [sanitize_candidate(r, d, catalog) for r, d in pairs]
-        kept = [pair for pair, verdict in zip(pairs, verdicts) if verdict == KEPT]
+        state = CaptureState()
+        candidates = list(candidate_verdicts(state, source, 0, catalog))
+        kept = [(position, record) for position, record, _, verdict in candidates
+                if verdict == KEPT]
         kept_reasons = [
             classify(record.src_ip, record.dst_ip, registry, rdns, honeypots)
-            for record, _ in kept
+            for _, record in kept
         ]
         pipeline_elapsed += time.perf_counter() - started
 
-        total_packets += len(records)
-        assert len(records) == len(truth), name
+        records = state.frames[(0, RECORD)]
+        total_packets += records
+        assert records == len(truth), name
 
-        for dissection, expected in zip(dissections, truth):
-            if expected["protocol"] is None:
-                assert dissection is None, expected["index"]
-                continue
-            assert dissection is not None, (name, expected["index"])
+        # Each candidate is the truth row at its position; a row without a
+        # protocol is no candidate.
+        truth_at = {expected["index"]: expected for expected in truth}
+        assert [position for position, *_ in candidates] == [
+            expected["index"] for expected in truth if expected["protocol"] is not None], name
+        for position, _, dissection, verdict in candidates:
+            expected = truth_at[position]
             got = (dissection.protocol, dissection.kind, dissection.verdict,
                    dissection.role, dissection.function_code, dissection.direction)
             want = (expected["protocol"], expected["kind"], expected["verdict"],
                     expected["role"], expected["function_code"], expected["direction"])
-            assert got == want, (name, expected["index"], got, want)
+            assert got == want, (name, position, got, want)
+            assert verdict == expected["sanitize"], (name, position)
 
-        truth_by_pair = [t for d, t in zip(dissections, truth) if d is not None]
-        for verdict, expected in zip(verdicts, truth_by_pair):
-            assert verdict == expected["sanitize"], (name, expected["index"])
-
-        kept_truth = [t for t in truth_by_pair if t["sanitize"] == "kept"]
+        kept_truth = [t for t in truth if t["protocol"] is not None and t["sanitize"] == "kept"]
         assert len(kept_truth) == len(kept)
-        for (record, _), reasons, expected in zip(kept, kept_reasons, kept_truth):
+        for (position, _), reasons in zip(kept, kept_reasons):
+            expected = truth_at[position]
             want_reasons = sorted(expected["reasons"] or [])
             got_reasons = sorted(reason.tag() for reason in reasons)
             label = label_under(reasons, ALL_FILTERS)
-            assert label == expected["label"], (name, expected["index"])
-            assert got_reasons == want_reasons, (name, expected["index"])
+            assert label == expected["label"], (name, position)
+            assert got_reasons == want_reasons, (name, position)
             if label == "non_industrial" and expected["label"] == "non_industrial":
                 label_tp += 1
             elif label == "non_industrial":

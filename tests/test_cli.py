@@ -232,6 +232,27 @@ def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command, out, reason", [
+    pytest.param("analyze", "taken", "File exists", id="analyze-out-a-file"),
+    pytest.param("analyze", "taken/bundle", "Not a directory", id="analyze-out-under-a-file"),
+    pytest.param("gen", "taken", "File exists", id="gen-out-a-file"),
+    pytest.param("dissect", "empty", "Is a directory", id="dissect-out-a-directory"),
+])
+def test_an_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, command, out, reason):
+    corpus = _gen(tmp_path)
+    (tmp_path / "taken").write_text("kept\n")
+    (tmp_path / "empty").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    argv = {"analyze": ["analyze", "--config", str(corpus / "config.json")],
+            "gen": ["gen", str(tmp_path / "scenario.json")],
+            "dissect": ["dissect", str(corpus / "corpus.pcap")]}[command]
+    capsys.readouterr()
+    assert _exit_code([*argv, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / out}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 # A sidecar table of the wrong shape names the file and the key and exits 2.
 _SIDECAR_FAULTS = [
     pytest.param("cone", [64500], "bad_table.json must be an object, got [64500]",
@@ -663,8 +684,10 @@ def test_dissect_gives_the_direction_of_the_ground_truth(tmp_path, capsys):
     assert main(["dissect", str(corpus / "corpus.pcap")]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     truth = [json.loads(line) for line in (corpus / "ground_truth.jsonl").read_text().splitlines()]
-    assert [(l["index"], l["direction"], l["via_icmp_quote"]) for l in lines] == [
-        (t["index"], t["direction"], t["sanitize"] == "dropped_tunnel") for t in truth]
+    # Every field the stream decides, as the ground truth has it.
+    decided = ("protocol", "kind", "verdict", "role", "function_code", "direction", "sanitize")
+    assert [(l["index"], *(l[k] for k in decided), l["via_icmp_quote"]) for l in lines] == [
+        (t["index"], *(t[k] for k in decided), t["sanitize"] == "dropped_tunnel") for t in truth]
     assert {t["direction"] for t in truth} == {"request", "reply", "unrelated"}
 
 

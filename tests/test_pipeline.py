@@ -1,3 +1,4 @@
+import csv
 import faulthandler
 import json
 import os
@@ -130,6 +131,32 @@ def test_split_capture_gives_the_one_capture_bundle(tmp_path):
     assert whole_summary["kept"] < whole_summary["candidates"]
 
 
+def test_without_asn_and_geo_tables_every_kept_packet_is_unresolved(tmp_path):
+    corpus = generate(ScenarioSpec.from_dict(SCENARIO), tmp_path / "corpus")
+    raw = json.loads(corpus.config.read_text())
+    del raw["asn_table"], raw["geo"]
+    config = corpus.out_dir / "no_asn_geo.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "bundle"
+    summary = run_analyze(PipelineConfig.from_json(config), out)
+
+    def rows(name):
+        with open(out / name) as fh:
+            return list(csv.DictReader(fh))
+
+    transitions, domestic = rows("transitions.csv"), rows("domestic.csv")
+    assert transitions and len(transitions) == len(domestic)
+    for moved, where in zip(transitions, domestic):
+        assert (moved["protocol"], moved["label"]) == (where["protocol"], where["label"])
+        assert moved["packets"] == "0"
+        assert int(moved["unknown_packets"]) > 0
+        assert (where["domestic_count"], where["resolved_count"]) == ("0", "0")
+        assert where["indeterminate_count"] == moved["unknown_packets"]
+    assert sum(int(row["unknown_packets"]) for row in transitions) == summary["kept"]
+    assert (out / "asn_protocols.csv").read_text() == (
+        "asn,distinct_protocols,protocols,suspicious\n")
+
+
 def _calls_per_record(monkeypatch, tmp_path, flows, owner, name):
     """The calls to owner.name that capture_state makes for each record of a
     corpus of the flows, and the capture's state."""
@@ -255,7 +282,7 @@ def _tables(inputs):
         "hp_all": inputs.honeypots.hp_all,
         "hp_ics": inputs.honeypots.hp_ics,
         "rdns": inputs.rdns.mapping,
-        **{name: (table._by_len, table._probes, table.entries)
+        **{name: (table._by_len, table._probes)
            for name, table in (("asn_table", inputs.asn_table), ("geo", inputs.geo))},
         "cone": (inputs.topology.members, inputs.topology.cone, inputs.topology.tag_members),
         "scan_snapshot": inputs.scan_snapshot,
@@ -324,7 +351,8 @@ def test_one_capture_cut_into_pieces_writes_the_same_bundle(tmp_path, monkeypatc
     _, tables = _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, corpus.config,
                                               ["corpus.pcap"])
     assert len(tables["rdns"]) >= 3000 and len(tables["hp_ics"]) >= 600
-    assert tables["asn_table"][2] > 2900 and tables["geo"][2] > 2900
+    for name in ("asn_table", "geo"):
+        assert sum(len(bucket) for bucket in tables[name][0].values()) > 2900
     # The last of two rows for one prefix wins.
     assert tables["asn_table"][0][24][ip_to_int("172.16.49.0") >> 8] == 65099
     assert tables["geo"][0][24][ip_to_int("172.16.49.0") >> 8] == "FR"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ics_scope.capture import ICMP, PacketRecord, record_from_frame
-from ics_scope.dissectors import dissect
+from ics_scope.dissectors import MALFORMED, dissect
 from ics_scope.inputs import ConfigError
 from ics_scope.ports import TCP, UDP
 from ics_scope.sanitize import (
@@ -21,13 +21,11 @@ from ics_scope.sanitize import (
     DpiCatalog,
     default_catalog,
     dpi_cross_check,
-    drop_malformed,
     is_port_only,
     pct,
     retention,
     sanitize_candidate,
     sanitize_rows,
-    strip_tunnels,
 )
 from ics_scope.trafficgen import (
     ETH_HEADER,
@@ -89,12 +87,12 @@ def test_strip_tunnels_drops_backscatter():
     record, dissection = _tunnel_pair()
     assert dissection.protocol == "bacnet"
     assert dissection.via_icmp_quote
-    assert strip_tunnels(dissection) == DROPPED_TUNNEL
+    assert sanitize_candidate(record, dissection, default_catalog()) == DROPPED_TUNNEL
 
 
 def test_strip_tunnels_keeps_plain_traffic():
     record, dissection = _bacnet_pair()
-    assert strip_tunnels(dissection) == KEPT
+    assert sanitize_candidate(record, dissection, default_catalog()) == KEPT
 
 
 def test_icmp_echo_is_never_a_candidate():
@@ -106,10 +104,10 @@ def test_icmp_echo_is_never_a_candidate():
 
 
 def test_drop_malformed():
-    _, good = _bacnet_pair()
-    _, bad = _malformed_pair()
-    assert drop_malformed(good) == KEPT
-    assert drop_malformed(bad) == DROPPED_MALFORMED
+    good_record, good = _bacnet_pair()
+    bad_record, bad = _malformed_pair()
+    assert sanitize_candidate(good_record, good, default_catalog()) == KEPT
+    assert sanitize_candidate(bad_record, bad, default_catalog()) == DROPPED_MALFORMED
 
 
 def test_dpi_http_signature_fires_when_forced():
@@ -143,8 +141,8 @@ def test_dpi_tls_signature_spares_modbus_transaction_0x1603():
 def test_dpi_dns_chimera_survives_to_step_three():
     record, dissection = _chimera_pair()
     assert dissection.verdict == "well_formed"
-    assert strip_tunnels(dissection) == KEPT
-    assert drop_malformed(dissection) == KEPT
+    assert not dissection.via_icmp_quote
+    assert dissection.verdict != MALFORMED
     assert dpi_cross_check(record, default_catalog()) == DROPPED_KNOWN_PROTOCOL
 
 
@@ -219,7 +217,7 @@ def test_sanitize_counts_and_order():
     # Survivors preserve input order.
     kept_ids = [id(r) for r, _ in _kept(pairs, verdicts)]
     expected = [id(r) for r, d in pairs
-                if strip_tunnels(d) == KEPT and drop_malformed(d) == KEPT
+                if not d.via_icmp_quote and d.verdict != MALFORMED
                 and dpi_cross_check(r, default_catalog()) == KEPT]
     assert kept_ids == expected
 
@@ -247,8 +245,8 @@ def test_kept_set_invariant_under_step_order():
     for _ in range(40):
         pairs.append(rng.choice(makers)())
     predicates = {
-        "tunnel": lambda r, d: strip_tunnels(d) == KEPT,
-        "malformed": lambda r, d: drop_malformed(d) == KEPT,
+        "tunnel": lambda r, d: not d.via_icmp_quote,
+        "malformed": lambda r, d: d.verdict != MALFORMED,
         "dpi": lambda r, d: dpi_cross_check(r, default_catalog()) == KEPT,
     }
     reference = None
