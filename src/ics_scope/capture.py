@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+from _socket import AF_INET, inet_pton  # importing socket builds enum classes: +0.6 MB RSS
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -45,9 +46,7 @@ class CaptureError(ValueError):
     """Unreadable or structurally invalid capture file."""
 
 
-# Canonical decimal texts (no sign, no space, no leading zero) of each octet
-# value and each prefix length.
-_OCTETS = {str(value): value for value in range(256)}
+# Canonical decimal texts (no sign, no space, no leading zero) of each prefix length.
 _PREFIX_LENGTHS = {str(plen): plen for plen in range(33)}
 
 
@@ -58,9 +57,8 @@ def ip_to_int(text: str) -> int:
     decimal octets; anything else raises ValueError.
     """
     try:
-        a, b, c, d = text.split(".")
-        return (_OCTETS[a] << 24) | (_OCTETS[b] << 16) | (_OCTETS[c] << 8) | _OCTETS[d]
-    except (KeyError, ValueError):
+        return int.from_bytes(inet_pton(AF_INET, text), "big")
+    except (OSError, ValueError):
         raise ValueError(f"invalid IPv4 address {text!r}") from None
 
 
@@ -73,13 +71,16 @@ def parse_cidr(text: str, strict: bool) -> tuple[int, int]:
     Netmask forms (a.b.c.d/255.255.255.0) are not accepted.
     """
     address, slash, length = text.partition("/")
-    value = ip_to_int(address)
+    try:
+        value = int.from_bytes(inet_pton(AF_INET, address), "big")
+    except (OSError, ValueError):
+        raise ValueError(f"invalid IPv4 address {address!r}") from None
     if not slash:
         return value, 32
     plen = _PREFIX_LENGTHS.get(length.lstrip("0") or "0") if length else None
     if plen is None:
         raise ValueError(f"invalid prefix length in {text!r}")
-    network = value & (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
+    network = value >> (32 - plen) << (32 - plen)
     if strict and network != value:
         raise ValueError(f"{text!r} has host bits set")
     return network, plen

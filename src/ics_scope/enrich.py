@@ -49,8 +49,8 @@ class LpmTable:
             bucket = self._by_len[plen] = {}
             lengths = sorted(self._by_len, reverse=True)
             self._probes = tuple((32 - n, self._by_len[n]) for n in lengths)
-        if key in bucket and bucket[key] != value:
-            log.warning("duplicate prefix %s: %r overrides %r", prefix, value, bucket[key])
+        if (old := bucket.get(key, value)) != value:
+            log.warning("duplicate prefix %s: %r overrides %r", prefix, value, old)
         bucket[key] = value
 
     def lookup(self, ip: int):
@@ -86,7 +86,8 @@ def load_geo_table(path) -> LpmTable:
         for row in rows:
             if len(row) < 2:
                 raise ValueError("expected 'prefix,country'")
-            prefix, country = row[0].strip(), row[1].strip().upper()
+            prefix, country = row[0].strip(), row[1].strip()
+            country = country.upper() if country.isascii() else country  # 'ß'.upper() == 'SS'
             if not _COUNTRY_RE.match(country):
                 raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
             table.add(prefix, country)

@@ -15,6 +15,7 @@ import json
 import reprlib
 from contextlib import contextmanager
 from importlib import resources
+from itertools import islice
 
 
 class ConfigError(ValueError):
@@ -90,6 +91,10 @@ def parsed(parse, value, where: str, key: str, kind: str):
         raise fault(where, key, kind, value, str(exc)) from None
 
 
+class _NotUtf8(Exception):
+    """Raised by a line table's line source in place of its first non-UTF-8 line."""
+
+
 @contextmanager
 def table_rows(path, delimiter: str | None = None):
     """The rows of a line table, in file order, for a with block to iterate.
@@ -101,35 +106,38 @@ def table_rows(path, delimiter: str | None = None):
     with ValueError, a record the CSV reader cannot parse, a line that is
     not UTF-8.
     """
-    number = 0
+    number, bad, reader = 0, 0, None
 
-    def lines(fh):
+    def lines_before(fh):
+        yield from islice(fh, bad - 1)
+        raise _NotUtf8
+
+    def rows(lines):
         nonlocal number
-        for number, line in enumerate(fh, 1):
-            if not line.isascii():
-                line.encode("utf-8")  # fails on a byte surrogateescape kept undecoded
-            yield line
-
-    def rows(fh):
-        if delimiter:
-            for fields in csv.reader(lines(fh), delimiter=delimiter):
-                if fields and not fields[0].startswith("#"):
-                    yield fields
-        else:
-            for line in lines(fh):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    yield line
+        for number, line in enumerate(lines, 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield line
 
     try:
-        # The file is decoded a block at a time. Strict decoding would fail
-        # on the whole block, ahead of its rows before the bad line, so
-        # each line is checked as it is read instead.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:  # line breaks split as newline="" splits
+                head = data[:exc.start]
+                bad = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            yield rows(fh)
+            lines = lines_before(fh) if bad else fh
+            if delimiter:
+                reader = csv.reader(lines, delimiter=delimiter)
+                yield (fields for fields in reader if fields and not fields[0].startswith("#"))
+            else:
+                yield rows(lines)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except UnicodeEncodeError:
-        raise ConfigError(f"{path} line {number}: not UTF-8 text") from None
+    except _NotUtf8:
+        raise ConfigError(f"{path} line {bad}: not UTF-8 text") from None
     except (ValueError, csv.Error) as exc:
-        raise ConfigError(f"{path} line {number}: {exc}") from None
+        raise ConfigError(f"{path} line {reader.line_num if reader else number}: {exc}") from None

@@ -474,6 +474,18 @@ def test_parse_cidr_matches_ipaddress(value, length, clear_host_bits, odd_addres
         _agree(lambda: parse_cidr(text, strict), reference)
 
 
+# Texts some C libraries' address parsers accept; each must be refused here
+# on every platform, whatever the libc.
+@pytest.mark.parametrize("text", [
+    "1.2.3", "1.2.3.4 ", " 1.2.3.4", "01.2.3.4", "1.2.3.04", "0x1.2.3.4", "1..3.4",
+    "256.1.1.1", "1.2.3.4\x00", "1.2.3.4\ud800", "\uff11.2.3.4", "",
+])
+def test_ip_to_int_refuses_what_a_lax_libc_accepts(text):
+    with pytest.raises(ValueError) as caught:
+        ip_to_int(text)
+    assert str(caught.value) == f"invalid IPv4 address {text!r}"
+
+
 def test_parse_cidr_host_bits():
     assert parse_cidr("10.1.2.3/8", strict=False) == (ip_to_int("10.0.0.0"), 8)
     with pytest.raises(ValueError, match="host bits"):

@@ -154,6 +154,18 @@ def test_analyze_bad_country_code_names_the_geo_line(tmp_path, capsys, monkeypat
     assert not (tmp_path / "r").exists()
 
 
+def test_analyze_non_ascii_country_code_names_the_geo_line(tmp_path, capsys, monkeypatch):
+    corpus = _gen(tmp_path)
+    geo = corpus / "geo.csv"
+    with open(geo, "a", encoding="utf-8") as fh:
+        fh.write("10.0.0.0/8,\u00df\n")  # 'ß'.upper() is 'SS'
+    lines = geo.read_text().count("\n")
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert (code, err) == (2, f"error: {geo} line {lines}: "
+                              f"invalid country code '\u00df' for prefix 10.0.0.0/8\n")
+    assert not (tmp_path / "r").exists()
+
+
 def test_analyze_honeypot_subset_error_names_both_files(tmp_path, capsys, monkeypatch):
     corpus = _gen(tmp_path)
     (corpus / "hp_all.txt").write_text("10.0.0.1\n")
@@ -271,6 +283,8 @@ _SIDECAR_FAULTS = [
                                               "application": []}},
                  "modbus.transport: invalid IPv4 address 'scanner-a'",
                  id="snapshot-non-address"),
+    pytest.param("scan_snapshot", {"modbus": {"transport": ["\ud800"]}},
+                 "modbus.transport: invalid IPv4 address '\\ud800'", id="snapshot-lone-surrogate"),
     pytest.param("cone", b'{"64500": [64501], "\xff": []}',
                  "bad_table.json is not valid JSON: 'utf-8' codec can't decode byte 0xff",
                  id="cone-not-utf8"),

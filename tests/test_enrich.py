@@ -114,6 +114,17 @@ def test_geo_table_validates_country(tmp_path):
         load_geo_table(bad)
 
 
+@pytest.mark.parametrize("code", ["\u00df", "\ufb00", "\u017fe"])
+def test_geo_country_must_be_two_ascii_letters_before_upper_casing(tmp_path, code):
+    # 'ß', 'ﬀ' and 'ſe' upper-case to 'SS', 'FF' and 'SE'.
+    path = tmp_path / "geo.csv"
+    path.write_text(f"10.0.0.0/8,de\n11.0.0.0/8,{code}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_geo_table(path)
+    assert str(caught.value) == (f"{path} line 2: invalid country code {code!r} "
+                                 f"for prefix 11.0.0.0/8")
+
+
 def test_prefix_table_errors_name_the_line(tmp_path):
     asn = tmp_path / "asn.txt"
     asn.write_text("10.0.0.0/8 1\n10.0.0.0/255.0.0.0 2\n")

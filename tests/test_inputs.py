@@ -1,0 +1,110 @@
+"""The line-table reader: on any bytes it yields the rows, in order, and ends
+in the error, that the earlier line-by-line reader gave."""
+
+import csv
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ics_scope.inputs import ConfigError, table_rows
+
+
+@contextmanager
+def _line_by_line_rows(path, delimiter=None):
+    """The reader table_rows replaced, kept as the reference: it decodes with
+    surrogateescape and checks each line's UTF-8 as the line is read."""
+    number = 0
+
+    def lines(fh):
+        nonlocal number
+        for number, line in enumerate(fh, 1):
+            if not line.isascii():
+                line.encode("utf-8")  # fails on a byte surrogateescape kept undecoded
+            yield line
+
+    def rows(fh):
+        if delimiter:
+            for fields in csv.reader(lines(fh), delimiter=delimiter):
+                if fields and not fields[0].startswith("#"):
+                    yield fields
+        else:
+            for line in lines(fh):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield line
+
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            yield rows(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeEncodeError:
+        raise ConfigError(f"{path} line {number}: not UTF-8 text") from None
+    except (ValueError, csv.Error) as exc:
+        raise ConfigError(f"{path} line {number}: {exc}") from None
+
+
+def _drain(reader, path, delimiter):
+    """The rows a with block takes from reader before it ends, and the
+    ConfigError message it ends in (None without one). The block refuses a
+    row holding 'bad' with ValueError."""
+    seen = []
+    try:
+        with reader(path, delimiter) as rows:
+            for row in rows:
+                if "bad" in (row if delimiter is None else ",".join(row)):
+                    raise ValueError(f"refused {row!r}")
+                seen.append(row)
+    except ConfigError as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+# Pieces of a table: rows, comments, blanks, every line end, quoted CSV
+# fields that span lines, bytes that are not UTF-8 (also inside a comment or
+# a quoted field), UTF-8-encoded surrogates and code points past U+10FFFF,
+# and breaks that str.splitlines splits on but newline="" reading does not.
+_PIECES = st.sampled_from([
+    b"10.0.0.1", b"a,b", b"x, y ,z", b"bad", b"bad,row", b"#", b"# note", b"# caf\xe9",
+    b" ", b"\t", b",", b'"', b'"two\nlines"', b'"q\r\n\xffq"', b"\n", b"\r", b"\r\n",
+    b"\n\n", b"\r\r\n", b"\xff", b"\xe9", b"\xc3", b"caf\xc3\xa9", b"\xed\xa0\x80",
+    b"\xf4\x90\x80\x80", b"\xe2\x82", b"\x00", b"\x85", b"\x0c", b"\x1c",
+    "\u2028\u00a0".encode(),
+])
+_TABLES = st.lists(st.one_of(_PIECES, st.binary(max_size=3)), max_size=40).map(b"".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(content=_TABLES, delimiter=st.sampled_from([None, ","]))
+def test_table_rows_match_the_line_by_line_reader(tmp_path_factory, content, delimiter):
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    path.write_bytes(content)
+    assert _drain(table_rows, path, delimiter) == _drain(_line_by_line_rows, path, delimiter)
+
+
+@pytest.mark.parametrize("content, line", [
+    (b"a\r\nb\rc\nd\xff\n", 4),
+    (b"# caf\xe9\n10.0.0.1\n", 1),
+    (b'x,"one\r\ntwo\xff"\n', 2),
+    (b"\n\n\r\r\n\xed\xa0\x80", 5),
+])
+def test_the_first_line_that_is_not_utf8_is_named(tmp_path, content, line):
+    path = tmp_path / "table.txt"
+    path.write_bytes(content)
+    assert _drain(table_rows, path, ",")[1] == f"{path} line {line}: not UTF-8 text"
+
+
+def test_an_earlier_refused_row_wins_over_a_later_bad_byte(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"10.0.0.1\nbad\n\xff\n")
+    assert _drain(table_rows, path, None) == (["10.0.0.1"], f"{path} line 2: refused 'bad'")
+
+
+def test_a_unicode_error_of_the_with_block_keeps_its_message(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("10.0.0.1\n")
+    with pytest.raises(ConfigError, match="table.txt line 1: 'utf-8' codec can't encode"):
+        with table_rows(path) as rows:
+            for _ in rows:
+                "\ud800".encode("utf-8")

@@ -674,23 +674,30 @@ _LINE_TABLE_TEXTS = {
 }
 
 
-@settings(max_examples=200, deadline=None)
-@given(key=st.sampled_from(sorted(_LINE_TABLE_TEXTS)), tail=st.binary(max_size=40))
-def test_line_tables_with_any_bytes_appended_raise_only_config_error(tmp_path_factory, key,
-                                                                      tail):
-    directory = tmp_path_factory.mktemp("tables")
+def _line_tables(directory):
+    """The config of directory, written with the valid line tables it names."""
     (directory / "a.pcap").write_text("")
     config = {"captures": [{"path": "a.pcap"}]}
     for name, content in _LINE_TABLE_TEXTS.items():
         (directory / name).write_text(content)
         config[name] = name
     (directory / "config.json").write_text(json.dumps(config))
-    assert isinstance(load_inputs(PipelineConfig.from_json(directory / "config.json")),
+    return directory / "config.json"
+
+
+def test_the_valid_line_tables_load(tmp_path):
+    assert isinstance(load_inputs(PipelineConfig.from_json(_line_tables(tmp_path))),
                       LoadedInputs)
 
-    with open(directory / key, "ab") as fh:
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(_LINE_TABLE_TEXTS)), tail=st.binary(max_size=40))
+def test_line_tables_with_any_bytes_appended_raise_only_config_error(tmp_path_factory, key,
+                                                                      tail):
+    config = _line_tables(tmp_path_factory.mktemp("tables"))
+    with open(config.parent / key, "ab") as fh:
         fh.write(tail)
     try:
-        load_inputs(PipelineConfig.from_json(directory / "config.json"))
+        load_inputs(PipelineConfig.from_json(config))
     except ConfigError:
         pass  # any other exception fails the property
