@@ -151,10 +151,6 @@ class PacketRecord(NamedTuple):
     payload_wire_len: int
     icmp_type: int = -1
 
-    @property
-    def day(self) -> date:
-        return utc_day(self.ts)
-
 
 # Version and IHL, total length, protocol, source and destination address.
 _IPV4_HEADER = struct.Struct("!BxH5xB2xII")

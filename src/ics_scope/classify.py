@@ -172,6 +172,27 @@ class RdnsTable:
         return self.mapping.get(ip)
 
 
+def endpoint_reasons(
+    ip: int,
+    registry: ScannerRegistry,
+    rdns: RdnsTable,
+    honeypots: HoneypotSets,
+) -> frozenset[Reason]:
+    """Every filter's reasons for calling traffic to or from one address non-industrial."""
+    reasons = []
+    project = registry.match_prefix(ip)
+    if project:
+        reasons.append(Reason(SCANNER_PREFIX, project))
+    project = registry.match_rdns(rdns.lookup(ip))
+    if project:
+        reasons.append(Reason(SCANNER_RDNS, project))
+    if ip in honeypots.hp_all:
+        reasons.append(Reason(HP_ALL))
+    if ip in honeypots.hp_ics:
+        reasons.append(Reason(HP_ICS))
+    return frozenset(reasons)
+
+
 def classify(
     src_ip: int,
     dst_ip: int,
@@ -179,23 +200,13 @@ def classify(
     rdns: RdnsTable,
     honeypots: HoneypotSets,
 ) -> frozenset[Reason]:
-    """Every filter's reasons for calling traffic between two endpoints non-industrial.
+    """Every filter's reasons for calling traffic between two endpoints
+    non-industrial: the union of the two endpoints' reasons.
 
     label_under turns the reason set into a label for a filter family.
     """
-    reasons: set[Reason] = set()
-    for ip in (src_ip, dst_ip):
-        project = registry.match_prefix(ip)
-        if project:
-            reasons.add(Reason(SCANNER_PREFIX, project))
-        project = registry.match_rdns(rdns.lookup(ip))
-        if project:
-            reasons.add(Reason(SCANNER_RDNS, project))
-        if ip in honeypots.hp_all:
-            reasons.add(Reason(HP_ALL))
-        if ip in honeypots.hp_ics:
-            reasons.add(Reason(HP_ICS))
-    return frozenset(reasons)
+    return (endpoint_reasons(src_ip, registry, rdns, honeypots)
+            | endpoint_reasons(dst_ip, registry, rdns, honeypots))
 
 
 def label_under(reasons: frozenset[Reason], active: frozenset[str]) -> str:

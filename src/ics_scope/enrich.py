@@ -38,10 +38,12 @@ class LpmTable:
     def __init__(self):
         self._by_len: dict[int, dict[int, object]] = {}
         self._probes: tuple[tuple[int, dict[int, object]], ...] = ()
+        self.overridden = 0  # adds that changed the value of a prefix already present
 
     def add(self, prefix: str, value) -> None:
         """Add a CIDR (host bits are masked off); a later value for the same
-        prefix overrides an earlier one."""
+        prefix overrides an earlier one. Only the first override is logged;
+        the loaders log how many more there were."""
         network, plen = parse_cidr(prefix, strict=False)
         key = network >> (32 - plen)
         bucket = self._by_len.get(plen)
@@ -50,7 +52,9 @@ class LpmTable:
             lengths = sorted(self._by_len, reverse=True)
             self._probes = tuple((32 - n, self._by_len[n]) for n in lengths)
         if (old := bucket.get(key, value)) != value:
-            log.warning("duplicate prefix %s: %r overrides %r", prefix, value, old)
+            if not self.overridden:
+                log.warning("duplicate prefix %s: %r overrides %r", prefix, value, old)
+            self.overridden += 1
         bucket[key] = value
 
     def lookup(self, ip: int):
@@ -59,6 +63,13 @@ class LpmTable:
             if hit is not None:
                 return hit
         return None
+
+
+def _loaded(table: LpmTable, path) -> LpmTable:
+    """table, loaded from path, after logging how many overrides add left unnamed."""
+    if table.overridden > 1:
+        log.warning("%d more duplicate prefixes overridden in %s", table.overridden - 1, path)
+    return table
 
 
 def load_asn_table(path) -> LpmTable:
@@ -76,7 +87,7 @@ def load_asn_table(path) -> LpmTable:
             if not (asn.isascii() and asn.isdigit()):
                 raise ValueError(f"AS number must be ASCII decimal digits, got {asn!r}")
             table.add(prefix, int(asn))
-    return table
+    return _loaded(table, path)
 
 
 def load_geo_table(path) -> LpmTable:
@@ -91,7 +102,7 @@ def load_geo_table(path) -> LpmTable:
             if not _COUNTRY_RE.match(country):
                 raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
             table.add(prefix, country)
-    return table
+    return _loaded(table, path)
 
 
 @dataclass
@@ -151,35 +162,30 @@ class IxpTopology:
         return owner
 
 
-def transition(
-    src_asn: int | None,
-    dst_asn: int | None,
-    ingress_member: int | None,
-    egress_member: int | None,
-    topo: IxpTopology,
-) -> str:
-    """Type a packet's path across the fabric; unresolvable sides are unknown."""
-
-    def side(asn: int | None, member: int | None) -> str | None:
-        if asn is None or member is None:
-            return None
-        if asn == member:
-            return "member"
-        if asn in topo.cone.get(member, frozenset()):
-            return "cone"
+def fabric_side(asn: int | None, member: int | None, topo: IxpTopology) -> str | None:
+    """One side of a packet's path across the fabric: "member" when its AS
+    is the member that handled it, "cone" when the AS sits in that member's
+    customer cone, None when either is unresolved or neither holds."""
+    if asn is None or member is None:
         return None
+    if asn == member:
+        return "member"
+    if asn in topo.cone.get(member, frozenset()):
+        return "cone"
+    return None
 
-    src_side = side(src_asn, ingress_member)
-    dst_side = side(dst_asn, egress_member)
+
+def transition(src_side: str | None, dst_side: str | None) -> str:
+    """Type a packet's path across the fabric from its two fabric_side
+    values; an unresolvable side makes it unknown."""
     if src_side is None or dst_side is None:
         return UNKNOWN_TRANSITION
     return f"{src_side}_to_{dst_side}"
 
 
-def is_domestic(src_ip: int, dst_ip: int, geo: LpmTable) -> bool | None:
-    """Same-country endpoints; None when either side is unresolved."""
-    src_country = geo.lookup(src_ip)
-    dst_country = geo.lookup(dst_ip)
+def is_domestic(src_country: str | None, dst_country: str | None) -> bool | None:
+    """Same-country endpoints, from each side's geo lookup; None when either
+    side is unresolved."""
     if src_country is None or dst_country is None:
         return None
     return src_country == dst_country

@@ -122,6 +122,9 @@ def table_rows(path, delimiter: str | None = None):
     try:
         with open(path, "rb") as fh:
             data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    try:
         if not data.isascii():
             try:
                 data.decode("utf-8")

@@ -21,12 +21,14 @@ from typing import NamedTuple
 
 from . import metrics
 from .capture import (
+    _US_PER_DAY,
     PCAP_HEADER_LEN,
     RECORD,
     CaptureError,
     CaptureMeta,
     int_to_ip,
     read_capture,
+    utc_day,
 )
 from .classify import (
     FAMILIES,
@@ -36,8 +38,8 @@ from .classify import (
     HoneypotSets,
     RdnsTable,
     ScannerRegistry,
-    classify,
     default_scanner_registry,
+    endpoint_reasons,
     filter_report,
     label_under,
 )
@@ -47,6 +49,7 @@ from .enrich import (
     LpmTable,
     UNKNOWN_TRANSITION,
     TRANSITIONS,
+    fabric_side,
     is_domestic,
     load_asn_table,
     load_geo_table,
@@ -322,7 +325,7 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
     and derive its complete run state.
 
     Every report is a function of a kept packet's key, so the stream only
-    counts keys; classification and enrichment run once per distinct key.
+    counts keys, and count_keys derives the rest from them.
     """
     source = config.captures[index]
     state = CaptureState()
@@ -331,37 +334,65 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
                                                              inputs.dpi_catalog, start, stop):
         if verdict == KEPT:
             keys[(dissection.protocol, dissection.direction, record.src_ip, record.dst_ip,
-                  record.day)] += 1
+                  record.ts // _US_PER_DAY)] += 1
+    count_keys(state, keys, source.meta, config, inputs)
+    return state
 
-    vantage, sample_interval = source.meta.vantage, source.meta.sample_interval
-    ingress_tag, egress_tag = f"{vantage}:in", f"{vantage}:out"
+
+def _address_facts(ip: int, tag: str, inputs: LoadedInputs) -> tuple:
+    """What the reports need of one address on one side of a packet, tag
+    being that side's capture tag: (classify reasons, AS, fabric side, country)."""
+    asn = inputs.asn_table.lookup(ip)
+    topology = inputs.topology
+    return (endpoint_reasons(ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots), asn,
+            fabric_side(asn, topology.resolve_member(asn, tag=tag), topology),
+            inputs.geo.lookup(ip))
+
+
+def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: PipelineConfig,
+               inputs: LoadedInputs) -> None:
+    """Count a capture's kept packets into state from their keys: packets
+    per (protocol, direction, source, destination, UTC day number).
+
+    Each fact is computed once per distinct value it depends on: an
+    address's classify reasons, AS, fabric side and country once per side
+    it appears on (the side picks the capture tag, vantage:in or
+    vantage:out, that resolves its member), a reason set's label once, a
+    day's date once. Per key only their joins remain.
+    """
+    sources = {ip: _address_facts(ip, f"{meta.vantage}:in", inputs)
+               for ip in {key[2] for key in keys}}
+    destinations = {ip: _address_facts(ip, f"{meta.vantage}:out", inputs)
+                    for ip in {key[3] for key in keys}}
+    dates = {day: utc_day(day * _US_PER_DAY) for day in {key[4] for key in keys}}
+    labels: dict[frozenset, str] = {}
+
+    vantage, sample_interval = meta.vantage, meta.sample_interval
     active = FILTER_FAMILIES[config.filters]
+    stability_label = config.stability_label
     filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups
     stable_days, request_protocols = state.stable_days, state.request_protocols
     passive_hosts = state.passive_hosts
-    for key, n in keys.items():
-        protocol, packet_direction, src_ip, dst_ip, day = key
-        reasons = classify(src_ip, dst_ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots)
-        label = label_under(reasons, active)
+    for (protocol, packet_direction, src_ip, dst_ip, day_number), n in keys.items():
+        src_reasons, src_asn, src_side, src_country = sources[src_ip]
+        dst_reasons, _, dst_side, dst_country = destinations[dst_ip]
+        reasons = src_reasons | dst_reasons
+        label = labels.get(reasons)
+        if label is None:
+            label = labels[reasons] = label_under(reasons, active)
+        day = dates[day_number]
         filter_counts[(protocol, packet_direction, reasons)] += n
         daily_counts[(vantage, protocol, day, label == INDUSTRIAL, sample_interval)] += n
-        if config.stability_label == "all" or label == config.stability_label:
+        if stability_label == "all" or label == stability_label:
             stable_days.add((dst_ip, day))
         passive_hosts.add((protocol, "source", src_ip))
         passive_hosts.add((protocol, "destination", dst_ip))
-
-        src_asn = inputs.asn_table.lookup(src_ip)
-        dst_asn = inputs.asn_table.lookup(dst_ip)
         if packet_direction == REQUEST and src_asn is not None:
             request_protocols.add((src_asn, protocol))
-        ingress = inputs.topology.resolve_member(src_asn, tag=ingress_tag)
-        egress = inputs.topology.resolve_member(dst_asn, tag=egress_tag)
-        groups[(protocol, label, transition(src_asn, dst_asn, ingress, egress,
-                                            inputs.topology))] += n
-        domestic = is_domestic(src_ip, dst_ip, inputs.geo)
+        groups[(protocol, label, transition(src_side, dst_side))] += n
+        domestic = is_domestic(src_country, dst_country)
         status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
         groups[(protocol, label, status)] += n
-    return state
 
 
 def _combine(states) -> CaptureState:

@@ -20,6 +20,7 @@ from ics_scope.capture import (
     int_to_ip,
     ip_to_int,
     record_from_frame,
+    utc_day,
 )
 from ics_scope.classify import (
     ALL_FILTERS,
@@ -41,6 +42,7 @@ from ics_scope.enrich import (
     MEMBER_TO_MEMBER,
     TRANSITIONS,
     UNKNOWN_TRANSITION,
+    fabric_side,
     scan_overlap,
     transition,
 )
@@ -351,7 +353,7 @@ def test_criterion_4_host_stability(oracle_corpora):
     for record in records:
         dissection = dissect(record)
         if dissection is not None:
-            rows.setdefault(int_to_ip(record.dst_ip), set()).add(record.day)
+            rows.setdefault(int_to_ip(record.dst_ip), set()).add(utc_day(record.ts))
     stable = {h.ip: h for h in host_stability(rows)}["198.19.10.1"]
     assert (stable.window_days, stable.active_day_count) == (179, 146)
 
@@ -424,6 +426,11 @@ def _partition_topologies(n_ases):
             )
 
 
+def _transition(src_asn, dst_asn, ingress, egress, topo) -> str:
+    """A packet's transition from its two sides, as the pipeline joins it."""
+    return transition(fabric_side(src_asn, ingress, topo), fabric_side(dst_asn, egress, topo))
+
+
 def test_criterion_6_locality_consistency(oracle_corpora):
     checked = 0
     for n_ases in range(2, 7):
@@ -434,7 +441,7 @@ def test_criterion_6_locality_consistency(oracle_corpora):
                 for ingress in members:
                     for egress in members:
                         local = is_local(src, ingress, egress, dst)
-                        kind = transition(src, dst, ingress, egress, topo)
+                        kind = _transition(src, dst, ingress, egress, topo)
                         assert local == (kind == MEMBER_TO_MEMBER)
                         checked += 1
 
@@ -457,7 +464,7 @@ def test_criterion_6_locality_consistency(oracle_corpora):
         ingress = topo.resolve_member(src_asn)
         egress = topo.resolve_member(dst_asn)
         counts[(dissection.protocol,
-                transition(src_asn, dst_asn, ingress, egress, topo))] += 1
+                _transition(src_asn, dst_asn, ingress, egress, topo))] += 1
     protocols = {p for p, _ in counts}
     for protocol in protocols:
         known = sum(counts[(protocol, t)] for t in TRANSITIONS)

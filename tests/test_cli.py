@@ -727,6 +727,25 @@ def test_version(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(ics_scope.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-m", "ics_scope", "version"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout.strip()) == (0, __version__)
+
+
+def test_analyze_table_path_with_a_nul_exit_2(tmp_path, capsys, monkeypatch):
+    corpus = _gen(tmp_path)
+    config = json.loads((corpus / "config.json").read_text())
+    config["asn_table"] = "asn\u0000.txt"
+    (corpus / "config.json").write_text(json.dumps(config))
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "asn_table" in err and "line 0" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_analyze_filters_override(tmp_path):
     corpus = _gen(tmp_path)
     reports = tmp_path / "scanner_reports"

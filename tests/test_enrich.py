@@ -12,6 +12,7 @@ from ics_scope.enrich import (
     MEMBER_TO_CONE,
     MEMBER_TO_MEMBER,
     UNKNOWN_TRANSITION,
+    fabric_side,
     is_domestic,
     load_asn_table,
     load_geo_table,
@@ -91,6 +92,26 @@ def test_load_asn_table_duplicate_last_wins(tmp_path, caplog):
     assert any("duplicate prefix" in m for m in caplog.messages)
 
 
+def test_many_duplicate_prefixes_log_two_lines(tmp_path, caplog):
+    path = tmp_path / "asn.txt"
+    prefixes = [f"10.{i // 256}.{i % 256}.0/24" for i in range(1000)]
+    path.write_text("".join(f"{p} 1\n" for p in prefixes) + "".join(f"{p} 2\n" for p in prefixes))
+    with caplog.at_level("WARNING"):
+        table = load_asn_table(path)
+    assert table.lookup(ip_to_int("10.3.231.1")) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "duplicate prefix 10.0.0.0/24: 2 overrides 1",
+        f"999 more duplicate prefixes overridden in {path}",
+    ]
+
+
+def test_table_path_with_a_nul_cannot_be_read():
+    for load in (load_asn_table, load_geo_table):
+        with pytest.raises(ConfigError) as caught:
+            load("a\x00b")
+        assert str(caught.value) == "cannot read a\x00b: embedded null byte"
+
+
 @pytest.mark.parametrize("asn", ["1_000", "+7", "\u0663", "64500"])
 def test_load_asn_table_takes_only_ascii_digits(tmp_path, asn):
     path = tmp_path / "asn.txt"
@@ -144,18 +165,23 @@ def topo():
     )
 
 
+def _transition(src_asn, dst_asn, ingress, egress, topo) -> str:
+    """A packet's transition from its two sides, as the pipeline joins it."""
+    return transition(fabric_side(src_asn, ingress, topo), fabric_side(dst_asn, egress, topo))
+
+
 def test_transition_definitions(topo):
-    assert transition(64500, 64501, 64500, 64501, topo) == MEMBER_TO_MEMBER
-    assert transition(64500, 64700, 64500, 64501, topo) == MEMBER_TO_CONE
-    assert transition(64600, 64501, 64500, 64501, topo) == CONE_TO_MEMBER
-    assert transition(64600, 64700, 64500, 64501, topo) == CONE_TO_CONE
+    assert _transition(64500, 64501, 64500, 64501, topo) == MEMBER_TO_MEMBER
+    assert _transition(64500, 64700, 64500, 64501, topo) == MEMBER_TO_CONE
+    assert _transition(64600, 64501, 64500, 64501, topo) == CONE_TO_MEMBER
+    assert _transition(64600, 64700, 64500, 64501, topo) == CONE_TO_CONE
 
 
 def test_transition_unknown_cases(topo):
     # Source AS absent from the ingress member's cone.
-    assert transition(64999, 64501, 64500, 64501, topo) == UNKNOWN_TRANSITION
-    assert transition(None, 64501, 64500, 64501, topo) == UNKNOWN_TRANSITION
-    assert transition(64500, 64501, None, 64501, topo) == UNKNOWN_TRANSITION
+    assert _transition(64999, 64501, 64500, 64501, topo) == UNKNOWN_TRANSITION
+    assert _transition(None, 64501, 64500, 64501, topo) == UNKNOWN_TRANSITION
+    assert _transition(64500, 64501, None, 64501, topo) == UNKNOWN_TRANSITION
 
 
 def test_cone_for_non_member_rejected():
@@ -197,16 +223,20 @@ def test_is_local_equivalent_to_member_to_member(topo):
         local = is_local(src, ingress, egress, dst)
         if local is None:
             continue
-        assert local == (transition(src, dst, ingress, egress, topo) == MEMBER_TO_MEMBER)
+        assert local == (_transition(src, dst, ingress, egress, topo) == MEMBER_TO_MEMBER)
 
 
 def test_is_domestic():
     geo = LpmTable()
     geo.add("10.0.0.0/8", "DE")
     geo.add("11.0.0.0/8", "JP")
-    assert is_domestic(ip_to_int("10.0.0.1"), ip_to_int("10.0.0.2"), geo) is True
-    assert is_domestic(ip_to_int("10.0.0.1"), ip_to_int("11.0.0.1"), geo) is False
-    assert is_domestic(ip_to_int("12.0.0.1"), ip_to_int("10.0.0.1"), geo) is None
+
+    def domestic(src, dst):
+        return is_domestic(geo.lookup(ip_to_int(src)), geo.lookup(ip_to_int(dst)))
+
+    assert domestic("10.0.0.1", "10.0.0.2") is True
+    assert domestic("10.0.0.1", "11.0.0.1") is False
+    assert domestic("12.0.0.1", "10.0.0.1") is None
 
 
 def _by_asn(rows) -> dict:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ics_scope.capture import CaptureMeta, record_from_frame
+from ics_scope.capture import CaptureMeta, record_from_frame, utc_day
 from ics_scope.dissectors import dissect
 from ics_scope.inputs import ConfigError
 from ics_scope.trafficgen import ScenarioSpec, generate
@@ -185,7 +185,7 @@ def test_active_day_schedule(tmp_path):
     truth = [json.loads(line) for line in corpus.ground_truth.read_text().splitlines()]
     assert len(truth) == 6
     records = read_all(corpus.pcap, CaptureMeta("vp0"))[0]
-    days = sorted({r.day.isoformat() for r in records})
+    days = sorted({utc_day(r.ts).isoformat() for r in records})
     assert days == ["2018-01-01", "2018-01-15", "2018-02-20"]
 
 
