@@ -36,10 +36,12 @@ def load_packaged_json(name: str):
 def read_json(path):
     """The JSON value a file holds."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    try:
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 

@@ -58,7 +58,7 @@ from .enrich import (
     scan_overlap,
     transition,
 )
-from .inputs import ConfigError, choice, read_json, typed, writable
+from .inputs import ConfigError, choice, fault, read_json, typed, writable
 from .sanitize import (
     KEPT,
     PORT_ONLY,
@@ -110,10 +110,12 @@ class PipelineConfig:
         raw = typed(read_json(path), dict, where)
 
         def existing(value, key: str) -> Path:
-            resolved = path.parent / typed(value, str, where, key)
+            if "\x00" in typed(value, str, where, key):
+                raise fault(where, key, "a path without a NUL byte", value)
+            resolved = path.parent / value
             try:
                 found = resolved.exists()
-            except (OSError, ValueError) as exc:
+            except OSError as exc:
                 raise ConfigError(f"{where}: {key}: {exc}") from None
             if not found:
                 raise ConfigError(f"{where}: {key} file not found: {resolved}")

@@ -17,13 +17,14 @@ from __future__ import annotations
 import json
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .capture import (_EPOCH_ORDINAL, _US_PER_DAY, LINKTYPE_ETHERNET, PCAP_MAGIC_MICROS,
+from .capture import (_EPOCH_ORDINAL, _US_PER_DAY, ICMP, LINKTYPE_ETHERNET, PCAP_MAGIC_MICROS,
                       PCAP_MAGIC_NANOS, CaptureMeta, int_to_ip, ip_to_int, parse_cidr)
-from .classify import INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL, default_scanner_registry
+from .classify import (HP_ALL, HP_ICS, INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL,
+                       SCANNER_PREFIX, SCANNER_RDNS, Reason, default_scanner_registry)
 from .dissectors import (
     BACNET,
     DNP3,
@@ -43,7 +44,7 @@ from .dissectors import (
     dnp3_crc,
 )
 from .inputs import ConfigError, choice, parsed, read_json, typed, writable
-from .ports import PORTS
+from .ports import PORTS, TCP, TRANSPORTS, UDP
 from .sanitize import DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT
 
 ETH_HEADER = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x00"
@@ -67,7 +68,7 @@ def _aton(ip: str) -> bytes:
 def _checksum16(data: bytes) -> int:
     if len(data) % 2:
         data += b"\x00"
-    total = sum(int.from_bytes(data[i:i + 2], "big") for i in range(0, len(data), 2))
+    total = sum(struct.unpack(f">{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
@@ -98,14 +99,14 @@ def build_tcp(
         ">HHIIBBHHH", sport, dport, 1000, 0, offset << 4, 0x18, 8192, 0, 0
     ) + options
     segment = header + payload
-    checksum = _checksum16(_pseudo_header(src_ip, dst_ip, 6, len(segment)) + segment)
+    checksum = _checksum16(_pseudo_header(src_ip, dst_ip, TCP, len(segment)) + segment)
     return segment[:16] + checksum.to_bytes(2, "big") + segment[18:]
 
 
 def build_udp(src_ip: str, dst_ip: str, sport: int, dport: int, payload: bytes) -> bytes:
     length = 8 + len(payload)
     datagram = struct.pack(">HHHH", sport, dport, length, 0) + payload
-    checksum = _checksum16(_pseudo_header(src_ip, dst_ip, 17, length) + datagram) or 0xFFFF
+    checksum = _checksum16(_pseudo_header(src_ip, dst_ip, UDP, length) + datagram) or 0xFFFF
     return datagram[:6] + checksum.to_bytes(2, "big") + datagram[8:]
 
 
@@ -121,13 +122,11 @@ def build_frame(
 ) -> bytes:
     if transport == "tcp":
         body = build_tcp(src_ip, dst_ip, sport, dport, payload, options=tcp_options)
-        proto = 6
     elif transport == "udp":
         body = build_udp(src_ip, dst_ip, sport, dport, payload)
-        proto = 17
     else:
         raise ValueError(f"unknown transport {transport!r}")
-    return ETH_HEADER + build_ipv4(src_ip, dst_ip, proto, body, ident=ident)
+    return ETH_HEADER + build_ipv4(src_ip, dst_ip, TRANSPORTS[transport], body, ident=ident)
 
 
 def build_backscatter_frame(
@@ -135,15 +134,9 @@ def build_backscatter_frame(
     sport: int, dport: int, probe_payload: bytes, ident: int = 0,
 ) -> bytes:
     """ICMP port-unreachable quoting the original probe datagram in full."""
-    if transport == "udp":
-        inner_body = build_udp(probe_src, probe_dst, sport, dport, probe_payload)
-        inner_proto = 17
-    else:
-        inner_body = build_tcp(probe_src, probe_dst, sport, dport, probe_payload)
-        inner_proto = 6
-    inner = build_ipv4(probe_src, probe_dst, inner_proto, inner_body, ident=ident)
-    icmp = build_icmp_error(3, 3, inner)
-    return ETH_HEADER + build_ipv4(router_ip, probe_src, 1, icmp, ident=ident + 1)
+    probe = build_frame(probe_src, probe_dst, transport, sport, dport, probe_payload, ident=ident)
+    icmp = build_icmp_error(3, 3, probe[len(ETH_HEADER):])
+    return ETH_HEADER + build_ipv4(router_ip, probe_src, ICMP, icmp, ident=ident + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +399,8 @@ def write_pcap(path, packets, snap_len: int = 65535, nanos: bool = False) -> Non
 class FlowSpec:
     kind: str
     protocol: str
-    src: str
-    dst: str
+    src: tuple[int, int]  # (network address as int, prefix length)
+    dst: tuple[int, int]
     start_day: date
     end_day: date
     packets_per_day: int
@@ -433,40 +426,41 @@ class FlowSpec:
         """Filter reasons every packet of this flow must trigger."""
         reasons = []
         if self.kind == SCANNER_SWEEP and self.project:
-            reasons.append(f"scanner_prefix:{self.project}")
+            reasons.append(Reason(SCANNER_PREFIX, self.project))
         if self.rdns_project:
-            reasons.append(f"scanner_rdns:{self.rdns_project}")
+            reasons.append(Reason(SCANNER_RDNS, self.rdns_project))
+        if self.honeypot:
+            reasons.append(Reason(HP_ALL))
         if self.honeypot == "ics":
-            reasons.extend(["hp_all", "hp_ics"])
-        elif self.honeypot == "all":
-            reasons.append("hp_all")
-        return tuple(sorted(reasons))
+            reasons.append(Reason(HP_ICS))
+        return tuple(sorted(reason.tag() for reason in reasons))
 
 
 def _day(value, where: str, key: str) -> date:
     return parsed(date.fromisoformat, value, where, key, "a date (YYYY-MM-DD)")
 
 
-def _flow(index: int, flow, corpus_start) -> FlowSpec:
-    """Entry index of a scenario's flows, each value checked for its JSON
-    type; corpus_start is the scenario's start_day, a flow's default."""
+def _flow(index: int, flow, first: date, last: date) -> FlowSpec:
+    """Entry index of a scenario's flows with all of its checks: each value's
+    JSON type and range, and each scheduled day within the corpus range
+    first..last; first is also the flow's default start_day."""
     where = f"flow {index}"
     schedule = typed(typed(flow, dict, where).get("schedule", {}), dict, where, "schedule")
     kind = choice(flow.get("kind"), FLOW_KINDS, where, "kind")
     protocol = choice(flow.get("protocol"), _PROTOCOL_TRANSPORT, where, "protocol")
     where = f"flow {index} ({kind}/{protocol})"
-    start = schedule.get("start_day", corpus_start)
+    start = _day(schedule["start_day"], where, "start_day") if "start_day" in schedule else first
     active = typed(schedule.get("active_days"), list, where, "active_days", optional=True)
     if active == []:
         raise ConfigError(f"{where}: active_days must list at least one day")
     honeypot = flow.get("honeypot")
-    return FlowSpec(
+    spec = FlowSpec(
         kind=kind,
         protocol=protocol,
-        src=flow.get("src"),
-        dst=flow.get("dst"),
-        start_day=_day(start, where, "start_day"),
-        end_day=_day(schedule.get("end_day", start), where, "end_day"),
+        src=_flow_network(where, "src", flow.get("src")),
+        dst=_flow_network(where, "dst", flow.get("dst")),
+        start_day=start,
+        end_day=_day(schedule["end_day"], where, "end_day") if "end_day" in schedule else start,
         packets_per_day=typed(schedule.get("packets_per_day", 1), int, where, "packets_per_day"),
         active_days=[_day(day, where, "active_days") for day in active] if active else None,
         request_ratio=typed(flow.get("request_ratio", 1.0), float, where, "request_ratio"),
@@ -477,95 +471,79 @@ def _flow(index: int, flow, corpus_start) -> FlowSpec:
                                                       "honeypot"),
         heuristic=typed(flow.get("heuristic", False), bool, where, "heuristic"),
     )
+    if spec.packets_per_day < 1:
+        raise ConfigError(f"{where}: packets_per_day must be positive")
+    if not 0.0 <= spec.request_ratio <= 1.0:
+        raise ConfigError(f"{where}: request_ratio out of [0, 1]")
+    days = spec.days()
+    for day in days:
+        if not first <= day <= last:
+            raise ConfigError(f"{where}: schedule day {day} outside corpus range")
+    total = spec.packets_per_day * len(days)
+    if kind == SCANNER_SWEEP and len(_host_range(spec.dst)) > total:
+        raise ConfigError(f"{where}: destination CIDR larger than the {total} packets requested")
+    _validate_projects(where, spec, min(len(_host_range(spec.src)), total))
+    return spec
 
 
 @dataclass
 class ScenarioSpec:
     seed: int
-    vantage: str
+    meta: CaptureMeta
     start_day: date
     end_day: date
     flows: list[FlowSpec]
-    sample_interval: int = 1
-    snap_len: int = 65535
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
-        """A scenario from its JSON object; any fault raises ConfigError naming
-        the flow, if any, and the key."""
+        """A scenario from its JSON object, checked in this order: the
+        scenario's own keys, each flow in document order with all of its
+        checks, then the overlap of the flows' networks. The first fault
+        raises ConfigError naming the flow, if any, and the key."""
         raw = typed(raw, dict, "scenario")
         flows = typed(raw.get("flows", []), list, "scenario", "flows")
         if not flows:
             raise ConfigError("scenario: flows must list at least one flow")
         meta = CaptureMeta.from_entry(raw, "scenario")
-        spec = cls(
-            seed=typed(raw.get("seed"), int, "scenario", "seed"),
-            vantage=meta.vantage,
-            start_day=_day(raw.get("start_day"), "scenario", "start_day"),
-            end_day=_day(raw.get("end_day"), "scenario", "end_day"),
-            flows=[_flow(index, flow, raw.get("start_day")) for index, flow in enumerate(flows)],
-            sample_interval=meta.sample_interval,
-            snap_len=meta.snap_len,
-        )
-        spec.validate()
-        return spec
+        seed = typed(raw.get("seed"), int, "scenario", "seed")
+        start_day = _day(raw.get("start_day"), "scenario", "start_day")
+        end_day = _day(raw.get("end_day"), "scenario", "end_day")
+        if start_day > end_day:
+            raise ConfigError("scenario: start_day after end_day")
+        specs = [_flow(index, flow, start_day, end_day) for index, flow in enumerate(flows)]
+        _validate_pools(specs)
+        return cls(seed, meta, start_day, end_day, specs)
 
     @classmethod
     def from_json(cls, path) -> "ScenarioSpec":
         return cls.from_dict(read_json(path))
 
-    def validate(self) -> None:
-        if self.start_day > self.end_day:
-            raise ConfigError("scenario: start_day after end_day")
-        networks = []
-        for index, flow in enumerate(self.flows):
-            where = f"flow {index} ({flow.kind}/{flow.protocol})"
-            src_net = _flow_network(where, "src", flow.src)
-            dst_net = _flow_network(where, "dst", flow.dst)
-            networks.append((flow, src_net, dst_net))
-            if flow.packets_per_day < 1:
-                raise ConfigError(f"{where}: packets_per_day must be positive")
-            if not 0.0 <= flow.request_ratio <= 1.0:
-                raise ConfigError(f"{where}: request_ratio out of [0, 1]")
-            for day in flow.days():
-                if not self.start_day <= day <= self.end_day:
-                    raise ConfigError(f"{where}: schedule day {day} outside corpus range")
-            total = flow.packets_per_day * len(flow.days())
-            if flow.kind == SCANNER_SWEEP and len(_host_range(dst_net)) > total:
+
+def _validate_pools(flows: list[FlowSpec]) -> None:
+    """Tagged source networks must not bleed into untagged traffic."""
+    tagged: list[tuple[tuple[int, int], tuple[str, ...]]] = []
+    plain: list[tuple[int, int]] = []
+    for flow in flows:
+        if flow.tags():
+            tagged.append((flow.src, flow.tags()))
+        elif flow.kind in (INDUSTRIAL, SCANNER_SWEEP):
+            plain.append(flow.src)
+        if flow.kind in (INDUSTRIAL, SCANNER_SWEEP):
+            plain.append(flow.dst)
+    for plain_net in plain:
+        for tagged_net, tags in tagged:
+            if _overlaps(plain_net, tagged_net):
                 raise ConfigError(
-                    f"{where}: destination CIDR larger than the {total} packets requested"
+                    f"untagged network {_cidr(plain_net)} overlaps {_cidr(tagged_net)} "
+                    f"(tagged {','.join(tags)}); ground truth would be ambiguous"
                 )
-            _validate_projects(where, flow, min(len(_host_range(src_net)), total))
-        self._validate_pools(networks)
-
-    def _validate_pools(self, networks) -> None:
-        """Tagged source networks must not bleed into untagged traffic.
-
-        networks: (flow, source network, destination network) per flow.
-        """
-        tagged: list[tuple[tuple[int, int], tuple[str, ...]]] = []
-        plain: list[tuple[int, int]] = []
-        for flow, src_net, dst_net in networks:
-            if flow.tags():
-                tagged.append((src_net, flow.tags()))
-            elif flow.kind in (INDUSTRIAL, SCANNER_SWEEP):
-                plain.append(src_net)
-            if flow.kind in (INDUSTRIAL, SCANNER_SWEEP):
-                plain.append(dst_net)
-        for plain_net in plain:
-            for tagged_net, tags in tagged:
-                if _overlaps(plain_net, tagged_net):
-                    raise ConfigError(
-                        f"untagged network {_cidr(plain_net)} overlaps {_cidr(tagged_net)} "
-                        f"(tagged {','.join(tags)}); ground truth would be ambiguous"
-                    )
-        for i, (net_a, tags_a) in enumerate(tagged):
-            for net_b, tags_b in tagged[i + 1:]:
-                if _overlaps(net_a, net_b) and tags_a != tags_b:
-                    raise ConfigError(
-                        f"tagged networks {_cidr(net_a)} and {_cidr(net_b)} overlap with "
-                        f"different filter tags; ground truth would be ambiguous"
-                    )
+    for i, (net_a, tags_a) in enumerate(tagged):
+        for net_b, tags_b in tagged[i + 1:]:
+            if _overlaps(net_a, net_b) and tags_a != tags_b:
+                raise ConfigError(
+                    f"tagged networks {_cidr(net_a)} and {_cidr(net_b)} overlap with "
+                    f"different filter tags; ground truth would be ambiguous"
+                )
 
 
 def _validate_projects(where: str, flow: FlowSpec, hosts: int) -> None:
@@ -630,14 +608,6 @@ class GeneratedCorpus:
     sidecars: dict[str, Path] = field(default_factory=dict)  # keyed by config key
 
 
-@dataclass
-class _Pending:
-    ts: int
-    seq: int
-    frame: bytes
-    truth: dict
-
-
 def _ephemeral_port(rng: random.Random) -> int:
     return rng.randrange(49152, 65536)
 
@@ -651,8 +621,7 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
     out_dir = Path(out_dir)
     writable(out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     rng = random.Random(spec.seed)
-    pending: list[_Pending] = []
-    seq = 0
+    pending: list[tuple[int, bytes, dict]] = []  # (ts, frame, truth) in draw order
     ident = 1
 
     registry_prefixes: dict[str, set[str]] = {}
@@ -663,14 +632,11 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
 
     for flow in spec.flows:
         if flow.kind == SCANNER_SWEEP:
-            network = _cidr(parse_cidr(flow.src, strict=True))
-            registry_prefixes.setdefault(flow.project, set()).add(network)
-
-    for flow in spec.flows:
+            registry_prefixes.setdefault(flow.project, set()).add(_cidr(flow.src))
         transport = _PROTOCOL_TRANSPORT[flow.protocol]
         port = protocol_port(flow.protocol)
-        src_hosts = _host_range(parse_cidr(flow.src, strict=True))
-        dst_hosts = _host_range(parse_cidr(flow.dst, strict=True))
+        src_hosts = _host_range(flow.src)
+        dst_hosts = _host_range(flow.dst)
         reasons = list(flow.tags())
         label = NON_INDUSTRIAL if reasons else INDUSTRIAL_LABEL
         named: set[str] = set()
@@ -746,31 +712,20 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
                 if flow.kind == INDUSTRIAL and not reasons:
                     industrial_endpoints.add(src)
                     industrial_endpoints.add(dst)
-                pending.append(_Pending(ts, seq, frame, truth))
-                seq += 1
+                pending.append((ts, frame, truth))
 
-    pending.sort(key=lambda p: (p.ts, p.seq))
+    pending.sort(key=lambda packet: packet[0])  # stable: ties keep draw order
 
     pcap_path = out_dir / "corpus.pcap"
-    write_pcap(pcap_path, [(p.ts, p.frame) for p in pending], snap_len=spec.snap_len)
+    write_pcap(pcap_path, [(ts, frame) for ts, frame, _ in pending], snap_len=spec.meta.snap_len)
 
     truth_path = out_dir / "ground_truth.jsonl"
     with open(truth_path, "w") as fh:
-        for index, packet in enumerate(pending):
-            row = {"index": index, "vantage": spec.vantage, **packet.truth}
+        for index, (_, _, truth) in enumerate(pending):
+            row = {"index": index, "vantage": spec.meta.vantage, **truth}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
-    config = {
-        "captures": [
-            {
-                "path": "corpus.pcap",
-                "vantage": spec.vantage,
-                "sample_interval": spec.sample_interval,
-                "snap_len": spec.snap_len,
-            }
-        ],
-        "filters": "all",
-    }
+    config = {"captures": [{"path": "corpus.pcap", **asdict(spec.meta)}], "filters": "all"}
     sidecars = {}
     for key, (name, text) in _sidecar_files(
         registry_prefixes, rdns_rows, hp_all, hp_ics, industrial_endpoints, pending,
@@ -791,7 +746,7 @@ def _sidecar_files(
     hp_all: set[str],
     hp_ics: set[str],
     industrial_endpoints: set[str],
-    pending: list[_Pending],
+    pending: list[tuple[int, bytes, dict]],
 ) -> dict[str, tuple[str, str]]:
     """Each sidecar table as {analyze config key: (file name, text)}."""
     registry = [
@@ -805,8 +760,8 @@ def _sidecar_files(
 
     # Every /24 seen on the wire gets an origin AS; industrial endpoints
     # become fabric members, every other AS lands in a member's cone.
-    all_prefixes = sorted({int.from_bytes(packet.frame[at:at + 4], "big") & 0xFFFFFF00
-                           for packet in pending for at in (26, 30)})
+    all_prefixes = sorted({int.from_bytes(frame[at:at + 4], "big") & 0xFFFFFF00
+                           for _, frame, _ in pending for at in (26, 30)})
     asn_of_prefix = {prefix: 64500 + i for i, prefix in enumerate(all_prefixes)}
 
     member_prefixes = sorted({ip_to_int(ip) & 0xFFFFFF00 for ip in industrial_endpoints})
@@ -827,11 +782,10 @@ def _sidecar_files(
     # Scan snapshot: industrial destinations answered the transport scan,
     # alternate ones also completed the application handshake.
     per_protocol_dsts: dict[str, set[int]] = {}
-    for packet in pending:
-        truth = packet.truth
+    for _, frame, truth in pending:
         if truth.get("sanitize") == KEPT and truth.get("label") == INDUSTRIAL_LABEL:
             per_protocol_dsts.setdefault(truth["protocol"], set()).add(
-                int.from_bytes(packet.frame[30:34], "big"))
+                int.from_bytes(frame[30:34], "big"))
     snapshot = {}
     for protocol, dsts in sorted(per_protocol_dsts.items()):
         ordered = [int_to_ip(ip) for ip in sorted(dsts)]

@@ -734,16 +734,28 @@ def test_python_dash_m_runs_the_cli():
     assert (result.returncode, result.stdout.strip()) == (0, __version__)
 
 
-def test_analyze_table_path_with_a_nul_exit_2(tmp_path, capsys, monkeypatch):
+def _analyze_with_a_nul_path(tmp_path, capsys, monkeypatch, edit, key):
     corpus = _gen(tmp_path)
     config = json.loads((corpus / "config.json").read_text())
-    config["asn_table"] = "asn\u0000.txt"
+    edit(config)
     (corpus / "config.json").write_text(json.dumps(config))
     code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "asn_table" in err and "line 0" not in err
+    assert f"{key} must be a path without a NUL byte" in err and "line 0" not in err
+    assert "\x00" not in err and "file not found" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_analyze_table_path_with_a_nul_exit_2(tmp_path, capsys, monkeypatch):
+    _analyze_with_a_nul_path(tmp_path, capsys, monkeypatch,
+                             lambda config: config.update(asn_table="asn\u0000.txt"), "asn_table")
+
+
+def test_analyze_capture_path_with_a_nul_exit_2(tmp_path, capsys, monkeypatch):
+    _analyze_with_a_nul_path(tmp_path, capsys, monkeypatch,
+                             lambda config: config["captures"][0].update(path="corpus\u0000.pcap"),
+                             "captures[0].path")
 
 
 def test_analyze_filters_override(tmp_path):

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from ics_scope.capture import int_to_ip, ip_to_int
+from ics_scope.classify import ScannerRegistry
 from ics_scope.enrich import (
     CONE_TO_CONE,
     CONE_TO_MEMBER,
@@ -22,6 +23,7 @@ from ics_scope.enrich import (
     transition,
 )
 from ics_scope.inputs import ConfigError
+from ics_scope.sanitize import DpiCatalog
 from oracles import is_local
 
 
@@ -110,6 +112,15 @@ def test_table_path_with_a_nul_cannot_be_read():
         with pytest.raises(ConfigError) as caught:
             load("a\x00b")
         assert str(caught.value) == "cannot read a\x00b: embedded null byte"
+
+
+@pytest.mark.parametrize("load", [ScannerRegistry.from_json, IxpTopology.from_json,
+                                  load_scan_snapshot, DpiCatalog.from_json],
+                         ids=["registry", "cone", "scan-snapshot", "dpi-catalog"])
+def test_json_path_with_a_nul_cannot_be_read(load):
+    with pytest.raises(ConfigError) as caught:
+        load("a\x00b.json")
+    assert str(caught.value) == "cannot read a\x00b.json: embedded null byte"
 
 
 @pytest.mark.parametrize("asn", ["1_000", "+7", "\u0663", "64500"])

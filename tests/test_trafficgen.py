@@ -2,11 +2,12 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ics_scope.capture import CaptureMeta, record_from_frame, utc_day
+from ics_scope.capture import ICMP, CaptureMeta, int_to_ip, record_from_frame, utc_day
 from ics_scope.dissectors import dissect
 from ics_scope.inputs import ConfigError
-from ics_scope.trafficgen import ScenarioSpec, generate
+from ics_scope.trafficgen import ScenarioSpec, build_backscatter_frame, build_frame, generate
 
 from golden import golden_packets
 from reads import read_all
@@ -253,3 +254,72 @@ def test_honeypot_sidecars_subset(tmp_path):
     ics_rows = [t for t in truth if t["reasons"] == ["hp_all", "hp_ics"]]
     all_rows = [t for t in truth if t["reasons"] == ["hp_all"]]
     assert len(ics_rows) == 4 and len(all_rows) == 4
+
+
+@pytest.mark.parametrize("change", [{"src": 5}, {"request_ratio": "0.5"}])
+def test_each_flow_is_checked_whole_before_the_next(change):
+    # Flow 0 schedules a day past end_day; flow 1 has a fault of its own.
+    raw = _spec(flows=[
+        _spec()["flows"][0],
+        {**_spec()["flows"][0], "src": "198.18.1.1", "dst": "198.19.1.1", **change},
+    ])
+    raw["flows"][0]["schedule"]["end_day"] = "2018-02-01"
+    with pytest.raises(ConfigError) as caught:
+        ScenarioSpec.from_dict(raw)
+    assert str(caught.value) == (
+        "flow 0 (industrial/modbus): schedule day 2018-01-06 outside corpus range")
+
+
+def _folded_sum(data: bytes) -> int:
+    """The 16-bit one's-complement sum of data, padded with a zero byte to
+    an even length, one word at a time."""
+    data += b"\x00" * (len(data) % 2)
+    total = 0
+    for i in range(0, len(data), 2):
+        total += data[i] << 8 | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def _check_datagram(datagram: bytes) -> None:
+    """The IPv4 header and the TCP or UDP segment of datagram each sum to
+    0xFFFF with their checksum in, the segment behind its pseudo-header."""
+    assert _folded_sum(datagram[:20]) == 0xFFFF
+    segment = datagram[20:]
+    pseudo = datagram[12:20] + bytes([0, datagram[9]]) + len(segment).to_bytes(2, "big")
+    assert _folded_sum(pseudo + segment) == 0xFFFF
+
+
+_addresses = st.integers(0, 2**32 - 1).map(int_to_ip)
+_ports = st.integers(0, 65535)
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=_addresses, dst=_addresses, router=_addresses,
+       transport=st.sampled_from(["tcp", "udp"]), sport=_ports, dport=_ports,
+       payload=st.binary(max_size=1500),
+       options=st.integers(0, 10).map(lambda words: b"\x01" * 4 * words),
+       ident=st.integers(0, 0xFFFE))
+@example(src="0.0.0.0", dst="0.0.0.0", router="0.0.0.0", transport="udp", sport=0, dport=0,
+         payload=b"", options=b"", ident=0)
+@example(src="255.255.255.255", dst="255.255.255.255", router="255.255.255.255",
+         transport="tcp", sport=65535, dport=65535, payload=b"\xff" * 1499, options=b"",
+         ident=0xFFFE)
+def test_frame_checksums_fold_to_all_ones(src, dst, router, transport, sport, dport, payload,
+                                          options, ident):
+    frame = build_frame(src, dst, transport, sport, dport, payload,
+                        tcp_options=options if transport == "tcp" else b"", ident=ident)
+    _check_datagram(frame[14:])
+    frame = build_backscatter_frame(router, src, dst, transport, sport, dport, payload, ident)
+    outer = frame[14:]
+    assert outer[9] == ICMP
+    assert _folded_sum(outer[:20]) == 0xFFFF
+    assert _folded_sum(outer[20:]) == 0xFFFF
+    _check_datagram(outer[28:])
+
+
+def test_an_unknown_transport_is_refused():
+    with pytest.raises(ValueError, match="unknown transport 'sctp'"):
+        build_frame("192.0.2.1", "198.51.100.1", "sctp", 1, 2, b"x")
+    with pytest.raises(ValueError, match="unknown transport 'sctp'"):
+        build_backscatter_frame("203.0.113.1", "192.0.2.1", "198.51.100.1", "sctp", 1, 2, b"x")
