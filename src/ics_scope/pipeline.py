@@ -229,9 +229,10 @@ def write_csv(fh, content, delimiter: str = ",") -> None:
 def _write(path: Path, content) -> None:
     """A JSON payload, or a CSV (tab-separated for .tsv) from (header, rows)."""
     if path.suffix == ".json":
-        path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        writable(path, lambda: path.write_text(text))
         return
-    with open(path, "w", newline="") as fh:
+    with writable(path, lambda: open(path, "w", newline="")) as fh:
         write_csv(fh, content, "\t" if path.suffix == ".tsv" else ",")
 
 
@@ -356,39 +357,55 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
     """Count a capture's kept packets into state from their keys: packets
     per (protocol, direction, source, destination, UTC day number).
 
-    Each fact is computed once per distinct value it depends on: an
-    address's classify reasons, AS, fabric side and country once per side
-    it appears on (the side picks the capture tag, vantage:in or
-    vantage:out, that resolves its member), a reason set's label once, a
-    day's date once. Per key only their joins remain.
+    Two levels, each fact computed once per distinct value it depends on.
+    Per address and side: _address_facts (classify reasons, AS, fabric
+    side, country; the side picks the capture tag, vantage:in or
+    vantage:out, that resolves its member), each distinct facts tuple
+    interned to an id with one flag, whether its reasons label a packet
+    non-industrial. A key is non-industrial exactly when either side's flag
+    is set, as label_under asks whether any reason of the union is active.
+    Per key only address bookkeeping remains: the two passive hosts, the
+    stability decision and the key's count, added to its join (protocol,
+    direction, source facts id, destination facts id, day). Per distinct
+    join: the reason-set union, the date, the transition and the domestic
+    status.
     """
-    sources = {ip: _address_facts(ip, f"{meta.vantage}:in", inputs)
-               for ip in {key[2] for key in keys}}
-    destinations = {ip: _address_facts(ip, f"{meta.vantage}:out", inputs)
-                    for ip in {key[3] for key in keys}}
-    dates = {day: utc_day(day * _US_PER_DAY) for day in {key[4] for key in keys}}
-    labels: dict[frozenset, str] = {}
+    ids: dict[tuple, int] = {}  # facts tuple -> its id, in order of first sight
 
-    vantage, sample_interval = meta.vantage, meta.sample_interval
+    def side_ids(position: int, tag: str) -> dict[int, int]:
+        return {ip: ids.setdefault(_address_facts(ip, tag, inputs), len(ids))
+                for ip in {key[position] for key in keys}}
+
+    sources = side_ids(2, f"{meta.vantage}:in")
+    destinations = side_ids(3, f"{meta.vantage}:out")
+    facts = list(ids)
     active = FILTER_FAMILIES[config.filters]
-    stability_label = config.stability_label
-    filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups
-    stable_days, request_protocols = state.stable_days, state.request_protocols
-    passive_hosts = state.passive_hosts
+    flagged = [label_under(reasons, active) == NON_INDUSTRIAL for reasons, *_ in facts]
+    dates = {day: utc_day(day * _US_PER_DAY) for day in {key[4] for key in keys}}
+
+    stable_all = config.stability_label == "all"
+    stable_flag = config.stability_label == NON_INDUSTRIAL
+    stable_days, passive_hosts = state.stable_days, state.passive_hosts
+    joined: dict[tuple, int] = {}
     for (protocol, packet_direction, src_ip, dst_ip, day_number), n in keys.items():
-        src_reasons, src_asn, src_side, src_country = sources[src_ip]
-        dst_reasons, _, dst_side, dst_country = destinations[dst_ip]
-        reasons = src_reasons | dst_reasons
-        label = labels.get(reasons)
-        if label is None:
-            label = labels[reasons] = label_under(reasons, active)
-        day = dates[day_number]
-        filter_counts[(protocol, packet_direction, reasons)] += n
-        daily_counts[(vantage, protocol, day, label == INDUSTRIAL, sample_interval)] += n
-        if stability_label == "all" or label == stability_label:
-            stable_days.add((dst_ip, day))
+        src, dst = sources[src_ip], destinations[dst_ip]
+        join = (protocol, packet_direction, src, dst, day_number)
+        joined[join] = joined.get(join, 0) + n
         passive_hosts.add((protocol, "source", src_ip))
         passive_hosts.add((protocol, "destination", dst_ip))
+        if stable_all or (flagged[src] or flagged[dst]) == stable_flag:
+            stable_days.add((dst_ip, dates[day_number]))
+
+    vantage, sample_interval = meta.vantage, meta.sample_interval
+    filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups
+    request_protocols = state.request_protocols
+    for (protocol, packet_direction, src, dst, day_number), n in joined.items():
+        src_reasons, src_asn, src_side, src_country = facts[src]
+        dst_reasons, _, dst_side, dst_country = facts[dst]
+        industrial = not (flagged[src] or flagged[dst])
+        label = INDUSTRIAL if industrial else NON_INDUSTRIAL
+        filter_counts[(protocol, packet_direction, src_reasons | dst_reasons)] += n
+        daily_counts[(vantage, protocol, dates[day_number], industrial, sample_interval)] += n
         if packet_direction == REQUEST and src_asn is not None:
             request_protocols.add((src_asn, protocol))
         groups[(protocol, label, transition(src_side, dst_side))] += n

@@ -381,7 +381,7 @@ def protocol_port(protocol: str) -> int:
 def write_pcap(path, packets, snap_len: int = 65535, nanos: bool = False) -> None:
     """Classic little-endian pcap; packets are (ts_us, frame_bytes) pairs."""
     magic = PCAP_MAGIC_NANOS if nanos else PCAP_MAGIC_MICROS
-    with open(path, "wb") as fh:
+    with writable(path, lambda: open(path, "wb")) as fh:
         fh.write(struct.pack("<IHHiIII", magic, 2, 4, 0, 0, snap_len, LINKTYPE_ETHERNET))
         for ts_us, frame in packets:
             sec, rem = divmod(ts_us, 1_000_000)
@@ -720,7 +720,7 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
     write_pcap(pcap_path, [(ts, frame) for ts, frame, _ in pending], snap_len=spec.meta.snap_len)
 
     truth_path = out_dir / "ground_truth.jsonl"
-    with open(truth_path, "w") as fh:
+    with writable(truth_path, lambda: open(truth_path, "w")) as fh:
         for index, (_, _, truth) in enumerate(pending):
             row = {"index": index, "vantage": spec.meta.vantage, **truth}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -730,12 +730,13 @@ def generate(spec: ScenarioSpec, out_dir) -> GeneratedCorpus:
     for key, (name, text) in _sidecar_files(
         registry_prefixes, rdns_rows, hp_all, hp_ics, industrial_endpoints, pending,
     ).items():
-        sidecars[key] = out_dir / name
-        sidecars[key].write_text(text)
+        sidecars[key] = path = out_dir / name
+        writable(path, lambda: path.write_text(text))
         config[key] = name
 
     config_path = out_dir / "config.json"
-    config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(config, indent=2, sort_keys=True) + "\n"
+    writable(config_path, lambda: config_path.write_text(text))
 
     return GeneratedCorpus(out_dir, pcap_path, truth_path, config_path, sidecars)
 

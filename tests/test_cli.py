@@ -265,6 +265,29 @@ def test_an_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, comman
     assert (tmp_path / "taken").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command, name", [
+    pytest.param("analyze", "sanitize.csv", id="analyze-sanitize.csv"),
+    pytest.param("analyze", "daily.tsv", id="analyze-daily.tsv"),
+    pytest.param("analyze", "run_summary.json", id="analyze-run_summary.json"),
+    pytest.param("gen", "corpus.pcap", id="gen-corpus.pcap"),
+    pytest.param("gen", "ground_truth.jsonl", id="gen-ground_truth.jsonl"),
+    pytest.param("gen", "asn.txt", id="gen-sidecar"),
+    pytest.param("gen", "config.json", id="gen-config.json"),
+])
+def test_an_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, command, name):
+    corpus = _gen(tmp_path)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = {"analyze": ["analyze", "--config", str(corpus / "config.json")],
+            "gen": ["gen", str(tmp_path / "scenario.json")]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(ics_scope.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-m", "ics_scope", *argv, "--out", str(out)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write {out / name}: Is a directory\n"
+    assert "Traceback" not in result.stderr
+
+
 # A sidecar table of the wrong shape names the file and the key and exits 2.
 _SIDECAR_FAULTS = [
     pytest.param("cone", [64500], "bad_table.json must be an object, got [64500]",
