@@ -12,7 +12,7 @@ import os
 import stat
 import struct
 from _socket import AF_INET, inet_pton  # importing socket builds enum classes: +0.6 MB RSS
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
@@ -126,6 +126,10 @@ class CaptureMeta:
             return cls(**values)
         except ValueError as exc:
             raise ConfigError(f"{where}: {prefix}{exc}") from None
+
+
+# The keys CaptureMeta.from_entry reads of a capture entry or a scenario.
+META_KEYS = tuple(f.name for f in fields(CaptureMeta))
 
 
 class PacketRecord(NamedTuple):

@@ -14,7 +14,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .capture import int_to_ip, ip_to_int, parse_cidr
-from .inputs import ConfigError, fault, load_packaged_json, read_json, table_rows, typed
+from .inputs import (ConfigError, fault, known, load_packaged_json, read_json, table_rows,
+                     typed)
 
 INDUSTRIAL = "industrial"
 NON_INDUSTRIAL = "non_industrial"
@@ -78,7 +79,8 @@ class ScannerRegistry:
         projects = []
         for index, entry in enumerate(typed(entries, list, source)):
             where = f"{source} entry {index}"
-            entry = typed(entry, dict, where)
+            entry = known(typed(entry, dict, where), ("project", "prefixes", "rdns_patterns"),
+                          where, "scanner registry")
             name = entry.get("project")
             if type(name) is not str or not name:
                 raise fault(where, "project", "a non-empty string", name)

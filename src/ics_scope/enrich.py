@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .capture import int_to_ip, ip_to_int, parse_cidr
-from .inputs import ConfigError, fault, read_json, table_rows, typed
+from .inputs import ConfigError, fault, known, read_json, table_rows, typed
 
 log = logging.getLogger(__name__)
 
@@ -142,8 +142,9 @@ class IxpTopology:
         )
 
     @classmethod
-    def empty(cls) -> "IxpTopology":
-        return cls(members=frozenset(), cone={})
+    def empty(cls, tag_members: dict[str, int]) -> "IxpTopology":
+        """No members and no cones: only the configured tags resolve a member."""
+        return cls(members=frozenset(), cone={}, tag_members=dict(tag_members))
 
     def resolve_member(self, asn: int | None, tag: str | None = None) -> int | None:
         """Member AS responsible for a packet side."""
@@ -207,6 +208,9 @@ def protocols_per_asn(protocols_by_asn) -> dict[int, dict]:
     }
 
 
+_SNAPSHOT_LAYERS = ("transport", "application")
+
+
 def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[int]]]:
     """Active-scan snapshot per protocol: {protocol: {"transport": [ip, ...],
     "application": [ip, ...]}}. Addresses are parsed strictly; application
@@ -214,9 +218,10 @@ def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[int]]]:
     where = str(path)
     snapshot = {}
     for protocol, sets in typed(read_json(path), dict, where).items():
-        sets = typed(sets, dict, where, protocol)
+        sets = known(typed(sets, dict, where, protocol), _SNAPSHOT_LAYERS, f"{where}: {protocol}",
+                     "scan snapshot")
         parsed = {}
-        for layer in ("transport", "application"):
+        for layer in _SNAPSHOT_LAYERS:
             key = f"{protocol}.{layer}"
             hosts = typed(sets.get(layer, []), list, where, key, items=str)
             try:

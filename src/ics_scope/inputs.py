@@ -3,9 +3,10 @@
 This module alone knows how an input file is read and how a bad value in
 one is named. Every failure is a ConfigError: a file that cannot be read,
 is not UTF-8 or is not JSON names the file, a bad row of a line table reads
-`FILE line N: ...`, and a value of the wrong JSON type or outside its set
-reads `WHERE: KEY must be KIND, got VALUE`. A value's JSON type is its
-Python type exactly, so a bool is no integer.
+`FILE line N: ...`, a value of the wrong JSON type or outside its set
+reads `WHERE: KEY must be KIND, got VALUE`, and a key an object may not hold
+reads `WHERE: KEY is not a NOUN key (one of A, B, ...)`. A value's JSON type
+is its Python type exactly, so a bool is no integer.
 """
 
 from __future__ import annotations
@@ -82,6 +83,15 @@ def choice(value, allowed, where: str, key: str) -> str:
     if type(value) is not str or value not in allowed:
         raise fault(where, key, f"one of {', '.join(sorted(allowed))}", value)
     return value
+
+
+def known(raw: dict, keys, where: str, noun: str) -> dict:
+    """raw, when each of its keys is one of keys: a misspelt key would
+    otherwise be ignored, its value silently replaced by the default."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{where}: {key} is not a {noun} key (one of {', '.join(keys)})")
+    return raw
 
 
 def parsed(parse, value, where: str, key: str, kind: str):

@@ -13,7 +13,7 @@ import os
 import pickle
 import select
 import signal
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -22,6 +22,7 @@ from typing import NamedTuple
 from . import metrics
 from .capture import (
     _US_PER_DAY,
+    META_KEYS,
     PCAP_HEADER_LEN,
     RECORD,
     CaptureError,
@@ -58,7 +59,7 @@ from .enrich import (
     scan_overlap,
     transition,
 )
-from .inputs import ConfigError, choice, fault, read_json, typed, writable
+from .inputs import ConfigError, choice, fault, known, read_json, typed, writable
 from .sanitize import (
     KEPT,
     PORT_ONLY,
@@ -79,6 +80,8 @@ STABILITY_LABELS = (INDUSTRIAL, NON_INDUSTRIAL, "all")
 # The PipelineConfig fields that name an input table.
 _TABLE_KEYS = ("scanner_registry", "hp_all", "hp_ics", "rdns", "asn_table", "cone", "geo",
                "scan_snapshot", "dpi_catalog")
+_CONFIG_KEYS = ("captures", *_TABLE_KEYS, "filters", "stability_label", "tag_members")
+_CAPTURE_KEYS = ("path", *META_KEYS)
 
 
 @dataclass
@@ -107,7 +110,7 @@ class PipelineConfig:
     def from_json(cls, path) -> "PipelineConfig":
         path = Path(path)
         where = f"config {path}"
-        raw = typed(read_json(path), dict, where)
+        raw = known(typed(read_json(path), dict, where), _CONFIG_KEYS, where, "config")
 
         def existing(value, key: str) -> Path:
             if "\x00" in typed(value, str, where, key):
@@ -127,7 +130,8 @@ class PipelineConfig:
         captures = []
         for index, entry in enumerate(entries):
             key = f"captures[{index}]"
-            entry = typed(entry, dict, where, key)
+            entry = known(typed(entry, dict, where, key), _CAPTURE_KEYS, f"{where}: {key}",
+                          "capture")
             captures.append(CaptureSource(existing(entry.get("path"), f"{key}.path"),
                                           CaptureMeta.from_entry(entry, where, f"{key}.")))
         tag_members = typed(raw.get("tag_members", {}), dict, where, "tag_members")
@@ -185,6 +189,10 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     def step(name: str, path: Path | None, loader, *arguments, empty) -> _Step:
         return _Step(name, loader, (path, *arguments)) if path else _Step(name, empty)
 
+    # A packet side reads the tag VANTAGE:in or VANTAGE:out of its capture;
+    # another tag would resolve nothing.
+    tags = [f"{c.meta.vantage}:{side}" for c in config.captures for side in ("in", "out")]
+    known(config.tag_members, list(dict.fromkeys(tags)), "config: tag_members", "capture tag")
     if config.hp_all and config.hp_ics:
         honeypots = _Step("honeypots", HoneypotSets.from_files, (config.hp_all, config.hp_ics))
     elif config.hp_all or config.hp_ics:
@@ -198,7 +206,7 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
         step("rdns", config.rdns, RdnsTable.from_csv, empty=RdnsTable.empty),
         step("asn_table", config.asn_table, load_asn_table, empty=LpmTable),
         step("topology", config.cone, IxpTopology.from_json, config.tag_members,
-             empty=IxpTopology.empty),
+             empty=lambda: IxpTopology.empty(config.tag_members)),
         step("geo", config.geo, load_geo_table, empty=LpmTable),
         step("scan_snapshot", config.scan_snapshot, load_scan_snapshot, empty=dict),
         step("dpi_catalog", config.dpi_catalog, DpiCatalog.from_json, empty=default_catalog),
@@ -257,10 +265,11 @@ class CaptureState:
     """What the report bundle needs of a byte range of one capture, or of
     several ranges and captures combined.
 
-    Every field is a Counter or a set, so the state of several ranges is
-    theirs combined by Counter addition and set union (_combine). Every
-    report sorts what it derives from a state, so how the captures were cut
-    and the order of combining never show in the bundle.
+    Every field is a Counter, or a defaultdict of sets or Counters (factories
+    a forked child pickles back) under the key its report reads, so the state
+    of several ranges is theirs combined key by key (_combine). Every report
+    sorts what it derives from a state, so how the captures were cut and the
+    order of combining never show in the bundle.
     """
 
     # Candidates per (vantage, verdict), port-only records per (vantage, PORT_ONLY).
@@ -273,15 +282,16 @@ class CaptureState:
     filter_counts: Counter = field(default_factory=Counter)
     # Kept packets per (vantage, protocol, day, industrial, sample_interval).
     daily_counts: Counter = field(default_factory=Counter)
-    # Kept packets per (protocol, label, name), the name a transition or a
-    # domestic status: two disjoint sets of names.
-    groups: Counter = field(default_factory=Counter)
-    # (destination, day) of kept packets under the configured stability label.
-    stable_days: set = field(default_factory=set)
-    # (source AS, protocol) of kept requests from a resolved source AS.
-    request_protocols: set = field(default_factory=set)
-    # (protocol, "source" or "destination", address) of kept packets.
-    passive_hosts: set = field(default_factory=set)
+    # Per (protocol, label), kept packets per name, the name a transition or
+    # a domestic status: two disjoint sets of names.
+    groups: defaultdict = field(default_factory=lambda: defaultdict(Counter))
+    # Per day, the destinations of kept packets under the configured
+    # stability label: per day, not per address, as most appear on one day.
+    stable_days: defaultdict = field(default_factory=lambda: defaultdict(set))
+    # Per resolved source AS, the protocols of its kept requests.
+    request_protocols: defaultdict = field(default_factory=lambda: defaultdict(set))
+    # Per (protocol, "source" or "destination"), the addresses of kept packets.
+    passive_hosts: defaultdict = field(default_factory=lambda: defaultdict(set))
 
 
 def candidate_verdicts(state: CaptureState, source: CaptureSource, index: int,
@@ -391,10 +401,10 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
         src, dst = sources[src_ip], destinations[dst_ip]
         join = (protocol, packet_direction, src, dst, day_number)
         joined[join] = joined.get(join, 0) + n
-        passive_hosts.add((protocol, "source", src_ip))
-        passive_hosts.add((protocol, "destination", dst_ip))
+        passive_hosts[(protocol, "source")].add(src_ip)
+        passive_hosts[(protocol, "destination")].add(dst_ip)
         if stable_all or (flagged[src] or flagged[dst]) == stable_flag:
-            stable_days.add((dst_ip, dates[day_number]))
+            stable_days[dates[day_number]].add(dst_ip)
 
     vantage, sample_interval = meta.vantage, meta.sample_interval
     filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups
@@ -407,23 +417,24 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
         filter_counts[(protocol, packet_direction, src_reasons | dst_reasons)] += n
         daily_counts[(vantage, protocol, dates[day_number], industrial, sample_interval)] += n
         if packet_direction == REQUEST and src_asn is not None:
-            request_protocols.add((src_asn, protocol))
-        groups[(protocol, label, transition(src_side, dst_side))] += n
+            request_protocols[src_asn].add(protocol)
+        names = groups[(protocol, label)]
+        names[transition(src_side, dst_side)] += n
         domestic = is_domestic(src_country, dst_country)
-        status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
-        groups[(protocol, label, status)] += n
+        names["domestic" if domestic else ("foreign" if domestic is False else "unresolved")] += n
 
 
 def _combine(states) -> CaptureState:
-    """The run state of several ranges: Counters add, sets unite."""
+    """The run state of several ranges: Counters add; per key, sets unite, Counters add."""
     total = CaptureState()
     for state in states:
         for f in fields(CaptureState):
-            combined = getattr(total, f.name)
-            if isinstance(combined, set):
-                combined |= getattr(state, f.name)
+            combined, part = getattr(total, f.name), getattr(state, f.name)
+            if isinstance(combined, defaultdict):
+                for key, value in part.items():
+                    combined[key].update(value)
             else:
-                combined += getattr(state, f.name)
+                combined.update(part)
     return total
 
 
@@ -468,20 +479,21 @@ _INPUT_ERRORS = (CaptureError, ConfigError)
 
 
 def _run_child(function, job, write_fd: int) -> None:
-    """The body of a forked child: function(job), or the input error that
-    stopped it, pickled to its pipe. Never returns."""
+    """The body of a forked child: function(job), the input error that
+    stopped it or a ChildError naming any other failure, pickling the result
+    included, pickled to its pipe. Never returns."""
     status = 1
     try:
         try:
-            result = function(job)
+            result = pickle.dumps(function(job), pickle.HIGHEST_PROTOCOL)
         except _INPUT_ERRORS as exc:
-            result = exc
+            result = pickle.dumps(exc)
         except Exception as exc:  # the traceback stays in this process; log it here
             log.exception("forked child %d failed", os.getpid())
-            result = ChildError(f"forked child {os.getpid()} failed: "
-                                f"{type(exc).__name__}: {exc}")
+            result = pickle.dumps(ChildError(f"forked child {os.getpid()} failed: "
+                                             f"{type(exc).__name__}: {exc}"))
         with open(write_fd, "wb") as pipe:
-            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.write(result)
         status = 0
     finally:
         os._exit(status)
@@ -592,14 +604,6 @@ def _run_captures(config: PipelineConfig, inputs: LoadedInputs) -> CaptureState:
     return _combine(_fork_map(piece_state, pieces, lambda piece: len(pieces) > 1))
 
 
-def _by_first(pairs) -> dict:
-    """{a: {b, ...}} from a set of (a, b) pairs."""
-    grouped: dict = {}
-    for a, b in pairs:
-        grouped.setdefault(a, set()).add(b)
-    return grouped
-
-
 def run_analyze(config: PipelineConfig, out_dir) -> dict:
     """Run the whole pipeline and write the report bundle; returns a summary."""
     inputs = load_inputs(config)
@@ -609,12 +613,9 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
 
     # --- report bundle -----------------------------------------------------
 
-    groups: dict[tuple[str, str], Counter[str]] = {}
-    for (protocol, label, name), n in state.groups.items():
-        groups.setdefault((protocol, label), Counter())[name] = n
     transition_rows = []
     domestic_rows = []
-    for (protocol, label), counts in sorted(groups.items()):
+    for (protocol, label), counts in sorted(state.groups.items()):
         known = sum(counts[t] for t in TRANSITIONS)
         transition_rows.append([protocol, label, *(pct(counts[t], known) for t in TRANSITIONS),
                                 known, counts[UNKNOWN_TRANSITION]])
@@ -631,15 +632,18 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
                                f"{vantage}:{protocol}:industrial"])
 
     # Formatted before sorting: the report orders hosts by address string.
-    stability = metrics.host_stability(
-        {int_to_ip(ip): days for ip, days in _by_first(state.stable_days).items()})
+    days_by_ip: defaultdict[str, set] = defaultdict(set)
+    for day, ips in state.stable_days.items():
+        for ip in ips:
+            days_by_ip[int_to_ip(ip)].add(day)
+    stability = metrics.host_stability(days_by_ip)
     total, per_vantage = retention(state.events)
     steps = sanitize_rows(total)
     family_rows = filter_report(state.filter_counts)
     share_columns = ["request_share"] + [column for _, column, _ in FAMILIES]
     passive: dict[str, dict[str, set[int]]] = {}
-    for protocol, role, ip in state.passive_hosts:
-        passive.setdefault(protocol, {}).setdefault(role, set()).add(ip)
+    for (protocol, role), hosts in state.passive_hosts.items():
+        passive.setdefault(protocol, {})[role] = hosts
     overlap_rows = scan_overlap(passive, inputs.scan_snapshot)
     readers = []
     for index, source in enumerate(config.captures):
@@ -685,7 +689,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         "asn_protocols.csv": (
             ["asn", "distinct_protocols", "protocols", "suspicious"],
             [[asn, info["distinct"], ";".join(info["protocols"]), info["suspicious"]]
-             for asn, info in protocols_per_asn(_by_first(state.request_protocols)).items()],
+             for asn, info in protocols_per_asn(state.request_protocols).items()],
         ),
         "scan_overlap.csv": _columns(
             overlap_rows,

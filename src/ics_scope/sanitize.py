@@ -16,7 +16,8 @@ from functools import lru_cache
 
 from .capture import TCP, UDP, PacketRecord
 from .dissectors import MALFORMED, Dissection
-from .inputs import ConfigError, choice, fault, load_packaged_json, parsed, read_json, typed
+from .inputs import (ConfigError, choice, fault, known, load_packaged_json, parsed, read_json,
+                     typed)
 from .ports import PORTS, TRANSPORTS
 
 KEPT = "kept"
@@ -125,10 +126,7 @@ class DpiCatalog:
             if type(name) is not str or not name:
                 raise fault(where, "name", "a non-empty string", name)
             where = f"{source} signature {name}"
-            for key in entry:
-                if key not in _ENTRY_KEYS:
-                    raise ConfigError(f"{where}: {key} is not a signature key "
-                                      f"(one of {', '.join(_ENTRY_KEYS)})")
+            known(entry, _ENTRY_KEYS, where, "signature")
             prefix = parsed(bytes.fromhex, entry.get("prefix_bytes", ""), where, "prefix_bytes",
                             "a hex string")
             mask = parsed(bytes.fromhex, entry.get("mask", ""), where, "mask",

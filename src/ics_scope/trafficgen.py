@@ -22,7 +22,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .capture import (_EPOCH_ORDINAL, _US_PER_DAY, ICMP, LINKTYPE_ETHERNET, PCAP_MAGIC_MICROS,
-                      PCAP_MAGIC_NANOS, CaptureMeta, int_to_ip, ip_to_int, parse_cidr)
+                      PCAP_MAGIC_NANOS, META_KEYS, CaptureMeta, int_to_ip, ip_to_int, parse_cidr)
 from .classify import (HP_ALL, HP_ICS, INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL,
                        SCANNER_PREFIX, SCANNER_RDNS, Reason, default_scanner_registry)
 from .dissectors import (
@@ -43,7 +43,7 @@ from .dissectors import (
     WELL_FORMED,
     dnp3_crc,
 )
-from .inputs import ConfigError, choice, parsed, read_json, typed, writable
+from .inputs import ConfigError, choice, known, parsed, read_json, typed, writable
 from .ports import PORTS, TCP, TRANSPORTS, UDP
 from .sanitize import DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT
 
@@ -440,6 +440,12 @@ def _day(value, where: str, key: str) -> date:
     return parsed(date.fromisoformat, value, where, key, "a date (YYYY-MM-DD)")
 
 
+_FLOW_KEYS = ("kind", "protocol", "src", "dst", "schedule", "request_ratio", "project",
+              "rdns_name", "rdns_project", "honeypot", "heuristic")
+_SCHEDULE_KEYS = ("start_day", "end_day", "active_days", "packets_per_day")
+_SCENARIO_KEYS = ("seed", *META_KEYS, "start_day", "end_day", "flows")
+
+
 def _flow(index: int, flow, first: date, last: date) -> FlowSpec:
     """Entry index of a scenario's flows with all of its checks: each value's
     JSON type and range, and each scheduled day within the corpus range
@@ -449,6 +455,8 @@ def _flow(index: int, flow, first: date, last: date) -> FlowSpec:
     kind = choice(flow.get("kind"), FLOW_KINDS, where, "kind")
     protocol = choice(flow.get("protocol"), _PROTOCOL_TRANSPORT, where, "protocol")
     where = f"flow {index} ({kind}/{protocol})"
+    known(flow, _FLOW_KEYS, where, "flow")
+    known(schedule, _SCHEDULE_KEYS, f"{where}: schedule", "schedule")
     start = _day(schedule["start_day"], where, "start_day") if "start_day" in schedule else first
     active = typed(schedule.get("active_days"), list, where, "active_days", optional=True)
     if active == []:
@@ -500,7 +508,7 @@ class ScenarioSpec:
         scenario's own keys, each flow in document order with all of its
         checks, then the overlap of the flows' networks. The first fault
         raises ConfigError naming the flow, if any, and the key."""
-        raw = typed(raw, dict, "scenario")
+        raw = known(typed(raw, dict, "scenario"), _SCENARIO_KEYS, "scenario", "scenario")
         flows = typed(raw.get("flows", []), list, "scenario", "flows")
         if not flows:
             raise ConfigError("scenario: flows must list at least one flow")

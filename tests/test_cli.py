@@ -211,6 +211,11 @@ _FAULTS = [
                  id="rdns-number"),
     pytest.param("analyze", lambda c: {**c, "tag_members": []},
                  "tag_members must be an object, got []", id="tag-members-list"),
+    pytest.param("analyze", lambda c: {**c, "tag_members": {"ixp0:in": 1, "ixp1:out": 2}},
+                 "config: tag_members: ixp1:out is not a capture tag key "
+                 "(one of ixp0:in, ixp0:out)", id="tag-of-no-capture"),
+    pytest.param("analyze", lambda c: {**c, "tag_members": {"ixp0": 1}},
+                 "config: tag_members: ixp0 is not a capture tag key", id="tag-without-side"),
     pytest.param("analyze", lambda c: {**c, "filters": ["all"]},
                  "filters must be one of all, hp-all, hp-ics, scanners, got ['all']",
                  id="filters-list"),
@@ -242,6 +247,55 @@ def test_config_and_usage_faults_exit_2(tmp_path, capsys, command, edit, message
     assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def _first_flow(scenario, **changes):
+    return {**scenario, "flows": [{**scenario["flows"][0], **changes}, *scenario["flows"][1:]]}
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    pytest.param("config.json", lambda c: {**c, "stabilty_label": "all"},
+                 "stabilty_label is not a config key (one of captures, scanner_registry,",
+                 id="config"),
+    pytest.param("config.json", lambda c: _capture(c, sample_intervall=16384),
+                 "captures[0]: sample_intervall is not a capture key "
+                 "(one of path, vantage, sample_interval, snap_len)", id="capture"),
+    pytest.param("registry.json", lambda r: [{**r[0], "prefix": []}, *r[1:]],
+                 "registry.json entry 0: prefix is not a scanner registry key "
+                 "(one of project, prefixes, rdns_patterns)", id="scanner-registry"),
+    pytest.param("scan_snapshot.json", lambda s: {"bacnet": {**s["bacnet"], "aplication": []}},
+                 "scan_snapshot.json: bacnet: aplication is not a scan snapshot key "
+                 "(one of transport, application)", id="scan-snapshot"),
+])
+def test_analyze_refuses_an_unknown_key(tmp_path, capsys, name, edit, message):
+    corpus = _gen(tmp_path)
+    path = corpus / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    argv = ["analyze", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "r")]
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda s: {**s, "sample_intervall": 16384},
+                 "scenario: sample_intervall is not a scenario key (one of seed, vantage,",
+                 id="scenario"),
+    pytest.param(lambda s: _first_flow(s, request_ratoi=0.5),
+                 "flow 0 (industrial/bacnet): request_ratoi is not a flow key (one of kind,",
+                 id="flow"),
+    pytest.param(lambda s: _first_flow(s, schedule={**s["flows"][0]["schedule"],
+                                                    "packets_per_dya": 3}),
+                 "flow 0 (industrial/bacnet): schedule: packets_per_dya is not a schedule key "
+                 "(one of start_day, end_day, active_days, packets_per_day)", id="schedule"),
+])
+def test_gen_refuses_an_unknown_key(tmp_path, capsys, edit, message):
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(edit(SCENARIO)))
+    out = tmp_path / "corpus"
+    assert _exit_code(["gen", str(spec), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, out, reason", [

@@ -91,21 +91,21 @@ def _reference_state(keys, source, config, inputs) -> CaptureState:
         state.filter_counts[(protocol, packet_direction, reasons)] += n
         state.daily_counts[(vantage, protocol, day, label == INDUSTRIAL, sample_interval)] += n
         if config.stability_label == "all" or label == config.stability_label:
-            state.stable_days.add((dst_ip, day))
-        state.passive_hosts.add((protocol, "source", src_ip))
-        state.passive_hosts.add((protocol, "destination", dst_ip))
+            state.stable_days[day].add(dst_ip)
+        state.passive_hosts[(protocol, "source")].add(src_ip)
+        state.passive_hosts[(protocol, "destination")].add(dst_ip)
 
         src_asn = inputs.asn_table.lookup(src_ip)
         dst_asn = inputs.asn_table.lookup(dst_ip)
         if packet_direction == REQUEST and src_asn is not None:
-            state.request_protocols.add((src_asn, protocol))
+            state.request_protocols[src_asn].add(protocol)
         ingress = inputs.topology.resolve_member(src_asn, tag=ingress_tag)
         egress = inputs.topology.resolve_member(dst_asn, tag=egress_tag)
-        state.groups[(protocol, label, _reference_transition(src_asn, dst_asn, ingress, egress,
-                                                             inputs.topology))] += n
+        state.groups[(protocol, label)][_reference_transition(src_asn, dst_asn, ingress, egress,
+                                                              inputs.topology)] += n
         domestic = _reference_is_domestic(src_ip, dst_ip, inputs.geo)
         status = "domestic" if domestic else ("foreign" if domestic is False else "unresolved")
-        state.groups[(protocol, label, status)] += n
+        state.groups[(protocol, label)][status] += n
     return state
 
 

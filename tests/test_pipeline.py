@@ -157,6 +157,29 @@ def test_without_asn_and_geo_tables_every_kept_packet_is_unresolved(tmp_path):
         "asn,distinct_protocols,protocols,suspicious\n")
 
 
+# One industrial modbus flow: 198.18.0.10 in AS 64500 to 198.19.0.20 in AS
+# 64501, both members with empty cones in the generated cone table.
+_ONE_FLOW = {
+    "seed": 5, "vantage": "ixp0", "start_day": "2018-01-01", "end_day": "2018-01-01",
+    "flows": [{"kind": "industrial", "protocol": "modbus", "src": "198.18.0.10",
+               "dst": "198.19.0.20", "schedule": {"packets_per_day": 3}}],
+}
+
+
+def test_tag_members_resolve_members_with_or_without_a_cone(tmp_path):
+    corpus = generate(ScenarioSpec.from_dict(_ONE_FLOW), tmp_path / "corpus")
+    raw = json.loads(corpus.config.read_text())
+    raw["tag_members"] = {"ixp0:in": 64500, "ixp0:out": 64501}
+    rows = {}
+    for name, cone in (("with_cone", raw["cone"]), ("without_cone", None)):
+        config = corpus.out_dir / f"{name}.json"
+        config.write_text(json.dumps({**raw, "cone": cone}))
+        run_analyze(PipelineConfig.from_json(config), tmp_path / name)
+        rows[name] = (tmp_path / name / "transitions.csv").read_text().splitlines()[1:]
+    assert rows["with_cone"] == rows["without_cone"] == [
+        "modbus,industrial,100.0,0.0,0.0,0.0,3,0"]
+
+
 def _calls_per_record(monkeypatch, tmp_path, flows, owner, name):
     """The calls to owner.name that capture_state makes for each record of a
     corpus of the flows, and the capture's state."""
@@ -462,6 +485,27 @@ def test_a_worker_that_dies_fails_the_run(tmp_path, monkeypatch):
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert not (tmp_path / "reports" / "run_summary.json").exists()
+    assert _open_fds() == fds
+    _no_child_left()
+
+
+def test_a_child_result_that_cannot_be_pickled_fails_with_its_reason(tmp_path, monkeypatch):
+    test_pid, real_state = os.getpid(), pipeline.capture_state
+
+    def unpicklable(config, inputs, index, *args):
+        state = real_state(config, inputs, index, *args)
+        if os.getpid() != test_pid:
+            state.notes[lambda: None] = 1  # pickle cannot store a lambda
+        return state
+
+    corpus = _split_corpus(tmp_path, [c["path"] for c in _THREE_CAPTURES])
+    config = _config(corpus, "unpicklable", _THREE_CAPTURES)
+    monkeypatch.setattr(pipeline, "capture_state", unpicklable)
+    _cpus(monkeypatch, 2)
+    fds = _open_fds()
+    with pytest.raises(ChildError, match=r"forked child \d+ failed: \w+: Can't pickle"):
+        run_analyze(PipelineConfig.from_json(config), tmp_path / "reports")
+    assert list((tmp_path / "reports").iterdir()) == []
     assert _open_fds() == fds
     _no_child_left()
 
