@@ -180,7 +180,9 @@ def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> PacketRecord | None:
         return None
     body = offset + ihl
     # Trailing bytes beyond the IP total length are link padding, not payload.
-    end = min(size, offset + total_len)
+    end = offset + total_len
+    if end > size:
+        end = size
     captured = end - body
     if proto == TCP:
         if captured < 20:
@@ -194,7 +196,9 @@ def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> PacketRecord | None:
         thl = 8  # the UDP header, or the ICMP header
     else:
         return None
-    payload, wire_len = buf[body + thl:end], max(total_len - ihl - thl, 0)
+    payload, wire_len = buf[body + thl:end], total_len - ihl - thl
+    if wire_len < 0:
+        wire_len = 0
     if proto == ICMP:
         return PacketRecord(ts, src, dst, ICMP, 0, 0, payload, wire_len, buf[body])
     sport, dport = _PORTS.unpack_from(buf, body)

@@ -1,7 +1,8 @@
 """Command-line front end: analyze, dissect, sanitize, gen, version.
 
 Exit codes: 0 success, 1 processing error, 2 configuration or usage error.
-Log level comes from the ICS_SCOPE_LOG environment variable.
+Log level comes from the ICS_SCOPE_LOG environment variable: one of
+LOG_LEVELS in any case, WARNING when unset.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import __version__
 from .capture import CaptureError, CaptureMeta
 from .classify import FILTER_FAMILIES
 from .dissectors import action_name
-from .inputs import writable
+from .inputs import fault, writable
 from .pipeline import (
     CaptureSource,
     CaptureState,
@@ -32,6 +33,8 @@ from .sanitize import default_catalog, retention, sanitize_rows
 from .trafficgen import ScenarioSpec, generate
 
 log = logging.getLogger(__name__)
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _snap_len(text: str) -> int:
@@ -140,14 +143,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _log_level() -> str:
+    level = os.environ.get("ICS_SCOPE_LOG", "WARNING")
+    if level.upper() not in LOG_LEVELS:
+        raise fault("ICS_SCOPE_LOG", None, f"one of {', '.join(LOG_LEVELS)}", level)
+    return level.upper()
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("ICS_SCOPE_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level(), format="%(levelname)s %(name)s: %(message)s")
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "dissect":

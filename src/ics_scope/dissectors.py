@@ -7,9 +7,12 @@ heuristic dissectors pattern-match the payload on any port. Heuristic
 acceptance is deliberately conservative: a heuristic declines anything its
 dissector would call malformed.
 
-dissect_segment makes the one port decision per packet: it looks up the two
-ports once, hands each dissector the role its port implies, and gives the
-dissection its direction. The dissectors themselves judge only bytes.
+dissect_segment makes the one port decision per packet: it reads the two
+ports from the packet's transport dict of the port table (ports.PORTS,
+the table the port-only baseline reads too), tries the destination port's
+dissector and then the source port's as straight-line code, hands each the
+role its port implies, and gives the dissection its direction. The
+dissectors themselves judge only bytes.
 
 Verdict rules per protocol follow one scheme: the entry magic (or port)
 must match or the packet is not this protocol at all; an enumerated or
@@ -365,9 +368,15 @@ HEURISTICS = (
 )
 
 
+def _note_declined_s7(packet: PacketRecord, stats: Counter | None) -> None:
+    """Count a TPKT-framed payload the S7comm dissector declined on its port."""
+    if stats is not None and packet.payload[:2] == b"\x03\x00":
+        stats["non_s7comm_tpkt_on_102"] += 1
+
+
 def dissect_segment(packet: PacketRecord, stats: Counter | None = None,
                     via_icmp_quote: bool = False) -> Dissection | None:
-    """Identify a transport payload: registered-port dissectors first.
+    """Identify a TCP or UDP payload: registered-port dissectors first.
 
     The one place a packet's ports are looked up. When either port is
     registered, the normal dissector of the destination port's protocol
@@ -380,23 +389,35 @@ def dissect_segment(packet: PacketRecord, stats: Counter | None = None,
     """
     if not packet.payload:
         return None
-    dst_protocol = PORTS.protocol_for(packet.dst_port, packet.ip_proto)
-    src_protocol = PORTS.protocol_for(packet.src_port, packet.ip_proto)
+    ports = PORTS.by_transport[packet.ip_proto]
+    dst_protocol = ports.get(packet.dst_port)
+    src_protocol = ports.get(packet.src_port)
     if dst_protocol is None and src_protocol is None:
         for protocol, dissector in HEURISTICS:
             found = dissector(packet, UNKNOWN)
             if found is not None and found[2] != MALFORMED:
-                return Dissection(protocol, HEURISTIC, *found, UNRELATED, via_icmp_quote)
+                role, function_code, verdict = found
+                return Dissection(protocol, HEURISTIC, role, function_code, verdict, UNRELATED,
+                                  via_icmp_quote)
         return None
     direction = UNRELATED if via_icmp_quote else (REQUEST if dst_protocol else REPLY)
-    for protocol, port_role in ((dst_protocol, REQUEST), (src_protocol, REPLY)):
-        if protocol is None or (port_role == REPLY and protocol == dst_protocol):
-            continue
-        found = _NORMAL_DISSECTORS[protocol](packet, port_role)
+    if dst_protocol is not None:
+        found = _NORMAL_DISSECTORS[dst_protocol](packet, REQUEST)
         if found is not None:
-            return Dissection(protocol, NORMAL, *found, direction, via_icmp_quote)
-        if protocol == S7COMM and stats is not None and packet.payload[:2] == b"\x03\x00":
-            stats["non_s7comm_tpkt_on_102"] += 1
+            role, function_code, verdict = found
+            return Dissection(dst_protocol, NORMAL, role, function_code, verdict, direction,
+                              via_icmp_quote)
+        if dst_protocol == S7COMM:
+            _note_declined_s7(packet, stats)
+        if src_protocol is None or src_protocol == dst_protocol:
+            return None
+    found = _NORMAL_DISSECTORS[src_protocol](packet, REPLY)
+    if found is not None:
+        role, function_code, verdict = found
+        return Dissection(src_protocol, NORMAL, role, function_code, verdict, direction,
+                          via_icmp_quote)
+    if src_protocol == S7COMM:
+        _note_declined_s7(packet, stats)
     return None
 
 

@@ -303,33 +303,38 @@ def candidate_verdicts(state: CaptureState, source: CaptureSource, index: int,
     Yields (position, record, dissection, verdict) for each candidate in file
     order, position being the frame's place in the range, skipped frames
     included. Every record is read once, checked once by the port-only
-    predicate and dissected once; every candidate gets one verdict. As they
-    happen, state.events counts each candidate's verdict and each port-only
-    record under the capture's vantage, state.candidates the candidates per
-    protocol and state.notes the dissector notes; once the reader stops,
-    state.frames counts the frames under index, the capture's place in the
-    config.
+    predicate and dissected once; every candidate gets one verdict.
+    state.notes counts the dissector notes as they happen. The rest is
+    counted in locals and added once the reader stops: state.frames counts
+    the frames under index, the capture's place in the config, state.events
+    each candidate's verdict and each port-only record under the capture's
+    vantage, and state.candidates the candidates per protocol.
     """
-    events, candidates, notes = state.events, state.candidates, state.notes
+    notes = state.notes
     vantage = source.meta.vantage
-    port_only = (vantage, PORT_ONLY)
     frames: Counter[str] = Counter()
+    verdicts: Counter[tuple[str, str]] = Counter()  # candidates per (protocol, verdict)
+    port_only = 0
     for position, (record, outcome) in enumerate(read_capture(source.path, source.meta,
                                                               start, stop)):
         frames[outcome] += 1
         if record is None:
             continue
         if is_port_only(record):
-            events[port_only] += 1
+            port_only += 1
         dissection = dissect(record, notes)
         if dissection is None:
             continue
-        candidates[dissection.protocol] += 1
         verdict = sanitize_candidate(record, dissection, catalog)
-        events[(vantage, verdict)] += 1
+        verdicts[(dissection.protocol, verdict)] += 1
         yield position, record, dissection, verdict
     for outcome, n in frames.items():
         state.frames[(index, outcome)] += n
+    for (protocol, verdict), n in verdicts.items():
+        state.candidates[protocol] += n
+        state.events[(vantage, verdict)] += n
+    if port_only:  # a vantage without a counted event has no figures (retention)
+        state.events[(vantage, PORT_ONLY)] += port_only
 
 
 def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,

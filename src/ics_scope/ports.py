@@ -16,13 +16,18 @@ class PortRegistry:
     The table format allows single ports or inclusive [low, high] ranges,
     keyed per transport name, e.g. {"bacnet": {"udp": [[47808, 47823]]}};
     the names are translated to IP protocol numbers once, here.
+
+    by_transport holds one dict per IP protocol. Its keys are every port
+    registered on any transport, its values the protocol registered on that
+    port on this transport, or None: one lookup answers both which dissector
+    a port names (.get) and whether a naive port-only detector flags it (in).
     """
 
     def __init__(self, table: dict):
-        self._by_proto: dict[int, dict[int, str]] = {TCP: {}, UDP: {}}
+        registered: dict[int, dict[int, str]] = {TCP: {}, UDP: {}}
         for protocol, transports in table.items():
             for transport, entries in transports.items():
-                ports = self._by_proto[TRANSPORTS[transport]]
+                ports = registered[TRANSPORTS[transport]]
                 for entry in entries:
                     if isinstance(entry, list):
                         lo, hi = entry
@@ -30,19 +35,16 @@ class PortRegistry:
                             ports[port] = protocol
                     else:
                         ports[int(entry)] = protocol
-        self._all_ports = frozenset(self._by_proto[TCP]) | frozenset(self._by_proto[UDP])
-
-    def protocol_for(self, port: int, ip_proto: int) -> str | None:
-        return self._by_proto.get(ip_proto, {}).get(port)
-
-    def is_ics_port(self, port: int) -> bool:
-        """Port registered for any protocol on any transport (naive view)."""
-        return port in self._all_ports
+        every = registered[TCP].keys() | registered[UDP].keys()
+        self.by_transport: dict[int, dict[int, str | None]] = {
+            ip_proto: {port: ports.get(port) for port in every}
+            for ip_proto, ports in registered.items()
+        }
 
     def ports_for(self, protocol: str) -> dict[str, list[int]]:
         out: dict[str, list[int]] = {}
         for transport, ip_proto in TRANSPORTS.items():
-            ports = self._by_proto[ip_proto]
+            ports = self.by_transport[ip_proto]
             matching = sorted(p for p, proto in ports.items() if proto == protocol)
             if matching:
                 out[transport] = matching

@@ -182,10 +182,12 @@ def dpi_cross_check(record: PacketRecord, catalog: DpiCatalog) -> str:
 
 
 def is_port_only(record: PacketRecord) -> bool:
-    """Whether a naive port-only detector would flag the record as ICS."""
-    return record.ip_proto in (TCP, UDP) and (
-        PORTS.is_ics_port(record.src_port) or PORTS.is_ics_port(record.dst_port)
-    )
+    """Whether a naive port-only detector would flag the record as ICS: a
+    TCP or UDP record with a port registered on either transport."""
+    if record.ip_proto not in PORTS.by_transport:
+        return False
+    ports = PORTS.by_transport[record.ip_proto]
+    return record.src_port in ports or record.dst_port in ports
 
 
 def sanitize_candidate(record: PacketRecord, dissection: Dissection, catalog: DpiCatalog) -> str:

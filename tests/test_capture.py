@@ -370,9 +370,9 @@ def test_direction_total_and_deterministic(transport, sport, dport, index):
     assert first.direction in (REQUEST, REPLY, UNRELATED)
     if transport == "icmp":
         assert first.direction == UNRELATED
-    elif PORTS.protocol_for(dport, record.ip_proto) is not None:
+    elif PORTS.by_transport[record.ip_proto].get(dport) is not None:
         assert first.direction == REQUEST
-    elif PORTS.protocol_for(sport, record.ip_proto) is not None:
+    elif PORTS.by_transport[record.ip_proto].get(sport) is not None:
         assert first.direction == REPLY
     else:
         assert first.direction == UNRELATED

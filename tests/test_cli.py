@@ -843,3 +843,17 @@ def test_analyze_filters_override(tmp_path):
     assert code == 0
     summary = json.loads((reports / "run_summary.json").read_text())
     assert summary["filters"] == "scanners"
+
+
+@pytest.mark.parametrize("level, code", [("verbose", 2), ("5", 2), ("", 2), ("debug", 0),
+                                         ("Info", 0), ("WARNING", 0), ("critical", 0)])
+def test_the_log_level_is_one_of_the_five_in_any_case(capsys, monkeypatch, level, code):
+    monkeypatch.setenv("ICS_SCOPE_LOG", level)
+    assert main(["version"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert (captured.out, captured.err) == (
+            "", "error: ICS_SCOPE_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, "
+                f"got {level!r}\n")
+    else:
+        assert captured.out == f"{__version__}\n"

@@ -469,8 +469,8 @@ def test_dissect_segment_total_and_deterministic(payload, sport, dport, ip_proto
     if first is None:
         return
     assert first.verdict in (WELL_FORMED, MALFORMED)
-    dst_registered = PORTS.protocol_for(dport, ip_proto) is not None
-    src_registered = PORTS.protocol_for(sport, ip_proto) is not None
+    dst_registered = PORTS.by_transport[ip_proto].get(dport) is not None
+    src_registered = PORTS.by_transport[ip_proto].get(sport) is not None
     if dst_registered or src_registered:
         assert first.kind == NORMAL
         assert first.direction == (REQUEST if dst_registered else REPLY)

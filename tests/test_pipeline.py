@@ -1,11 +1,15 @@
+import cProfile
 import csv
 import faulthandler
 import json
 import os
+import pstats
 import signal
 import struct
 import sys
 import time
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +27,8 @@ from ics_scope.pipeline import (
     run_analyze,
 )
 from ics_scope.ports import PORTS
-from ics_scope.sanitize import DROPPED_KNOWN_PROTOCOL, KEPT, DpiSignature
+from ics_scope.sanitize import (DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT,
+                               DpiSignature)
 from ics_scope.trafficgen import ScenarioSpec, generate
 from test_cli import SCENARIO as CLI_SCENARIO
 
@@ -180,20 +185,23 @@ def test_tag_members_resolve_members_with_or_without_a_cone(tmp_path):
         "modbus,industrial,100.0,0.0,0.0,0.0,3,0"]
 
 
-def _calls_per_record(monkeypatch, tmp_path, flows, owner, name):
-    """The calls to owner.name that capture_state makes for each record of a
-    corpus of the flows, and the capture's state."""
+def _calls_per_record(monkeypatch, tmp_path, flows, owner, *names):
+    """The calls to the methods owner.name that capture_state makes for each
+    record of a corpus of the flows, a Counter by name per record, and the
+    capture's state."""
     corpus = generate(ScenarioSpec.from_dict({**SCENARIO, "snap_len": 65535, "flows": flows}),
                       tmp_path)
     config = PipelineConfig.from_json(corpus.config)
     inputs = load_inputs(config)
-    calls = 0
-    wrapped = getattr(owner, name)
+    calls: Counter[str] = Counter()
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return wrapped(*args)
+    def counter(name):
+        wrapped = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return wrapped(*args)
+        return counted
 
     per_record = []
     read = pipeline.read_capture
@@ -201,15 +209,39 @@ def _calls_per_record(monkeypatch, tmp_path, flows, owner, name):
     def reading(*args):
         # The stream is done with a record when it asks for the next one.
         for outcome in read(*args):
-            before = calls
+            before = calls.copy()
             yield outcome
             per_record.append(calls - before)
 
-    monkeypatch.setattr(owner, name, counted)
+    for name in names:
+        monkeypatch.setattr(owner, name, counter(name))
     monkeypatch.setattr(pipeline, "read_capture", reading)
     state = pipeline.capture_state(config, inputs, 0)
     assert len(per_record) == state.frames[(0, RECORD)]
     return per_record, state
+
+
+class _PortTable(Mapping):
+    """A stand-in for one per-transport dict of PORTS.by_transport whose
+    reads a test can count."""
+
+    def __init__(self, ports):
+        self._ports = ports
+
+    def __getitem__(self, port):
+        return self._ports[port]
+
+    def __iter__(self):
+        return iter(self._ports)
+
+    def __len__(self):
+        return len(self._ports)
+
+    def __contains__(self, port):
+        return port in self._ports
+
+    def get(self, port, default=None):
+        return self._ports.get(port, default)
 
 
 _SCHEDULE = {"start_day": "2018-03-01", "end_day": "2018-03-02", "packets_per_day": 6}
@@ -224,12 +256,20 @@ def test_each_record_looks_up_its_ports_at_most_twice(tmp_path, monkeypatch):
         {"kind": "industrial", "protocol": "s7comm", "src": "198.18.1.10",
          "dst": "198.19.1.20", "schedule": _SCHEDULE, "request_ratio": 0.5, "heuristic": True},
     ]
-    per_record, state = _calls_per_record(monkeypatch, tmp_path, flows, PORTS, "protocol_for")
+    for ip_proto, ports in PORTS.by_transport.items():
+        monkeypatch.setitem(PORTS.by_transport, ip_proto, _PortTable(ports))
+    per_record, state = _calls_per_record(monkeypatch, tmp_path, flows, _PortTable,
+                                          "get", "__getitem__", "__contains__")
     assert len(per_record) == 36
     assert state.filter_counts.keys() >= {("modbus", "request", frozenset()),
                                           ("modbus", "reply", frozenset()),
                                           ("s7comm", "unrelated", frozenset())}
-    assert max(per_record) <= 2, per_record
+    # A port's protocol is looked up once per port (the dissector dispatch)
+    # and its membership tested at most once per port (the port-only test).
+    assert max(c["get"] + c["__getitem__"] for c in per_record) <= 2, per_record
+    assert max(c["__contains__"] for c in per_record) <= 2, per_record
+    # Every record reached the table: the count above is not vacuous.
+    assert all(c["get"] for c in per_record), per_record
 
 
 def test_each_candidate_tests_at_most_three_dpi_signatures(tmp_path, monkeypatch):
@@ -247,7 +287,46 @@ def test_each_candidate_tests_at_most_three_dpi_signatures(tmp_path, monkeypatch
     assert state.events[("vp0", DROPPED_KNOWN_PROTOCOL)] == 12
     # The largest bucket of the packaged catalog: UDP payloads that start
     # with "S" may be ssh, dns or ntp. A linear walk tests all 12.
-    assert max(per_record) <= 3, per_record
+    assert max(c["matches"] for c in per_record) <= 3, per_record
+
+
+_MIX_SCHEDULE = {"start_day": "2018-03-01", "end_day": "2018-03-04", "packets_per_day": 40}
+# Every stage of the stream and every sanitize verdict, over a few hosts.
+_MIX_FLOWS = [
+    {"kind": "industrial", "protocol": "modbus", "src": "198.18.0.10",
+     "dst": "198.19.0.20", "schedule": _MIX_SCHEDULE, "request_ratio": 0.5},
+    {"kind": "industrial", "protocol": "bacnet", "src": "198.18.1.10",
+     "dst": "198.19.1.20", "schedule": _MIX_SCHEDULE, "request_ratio": 0.5},
+    {"kind": "industrial", "protocol": "s7comm", "src": "198.18.2.10",
+     "dst": "198.19.2.20", "schedule": _MIX_SCHEDULE, "request_ratio": 0.5, "heuristic": True},
+    {"kind": "scanner_sweep", "protocol": "modbus", "project": "Shodan",
+     "src": "203.0.113.0/30", "dst": "100.64.0.0/25", "schedule": _MIX_SCHEDULE},
+    {"kind": "backscatter", "protocol": "bacnet", "src": "100.71.0.1",
+     "dst": "100.72.0.1", "schedule": _MIX_SCHEDULE},
+    {"kind": "malformed", "protocol": "dnp3", "src": "100.73.0.1",
+     "dst": "100.74.0.1", "schedule": _MIX_SCHEDULE},
+    {"kind": "dpi_decoy", "protocol": "bacnet", "src": "100.127.9.1",
+     "dst": "100.127.9.2", "schedule": _MIX_SCHEDULE},
+]
+# Function calls per record of capture_state on the corpus of _MIX_FLOWS,
+# counted under cProfile (34.0 when pinned). The count is a property of the
+# code, not of the host: a change that adds a call per record fails here.
+_CALLS_PER_RECORD = 34.1
+
+
+def test_the_stream_makes_at_most_its_pinned_calls_per_record(tmp_path):
+    corpus = generate(ScenarioSpec.from_dict({**SCENARIO, "flows": _MIX_FLOWS}), tmp_path)
+    config = PipelineConfig.from_json(corpus.config)
+    inputs = load_inputs(config)
+    pipeline.capture_state(config, inputs, 0)  # first-use caches filled outside the count
+    profile = cProfile.Profile()
+    state = profile.runcall(pipeline.capture_state, config, inputs, 0)
+    records = state.frames[(0, RECORD)]
+    assert records == 1120
+    assert {verdict for _, verdict in state.events} >= {KEPT, DROPPED_KNOWN_PROTOCOL,
+                                                        DROPPED_MALFORMED, DROPPED_TUNNEL}
+    calls = pstats.Stats(profile).total_calls
+    assert calls / records <= _CALLS_PER_RECORD, calls / records
 
 
 # Three captures at two vantage points, the third with its own interval.
