@@ -3,7 +3,6 @@ import csv
 import faulthandler
 import json
 import os
-import pstats
 import signal
 import struct
 import sys
@@ -309,9 +308,9 @@ _MIX_FLOWS = [
      "dst": "100.127.9.2", "schedule": _MIX_SCHEDULE},
 ]
 # Function calls per record of capture_state on the corpus of _MIX_FLOWS,
-# counted under cProfile (34.0 when pinned). The count is a property of the
+# counted under cProfile (36.17 when pinned). The count is a property of the
 # code, not of the host: a change that adds a call per record fails here.
-_CALLS_PER_RECORD = 34.1
+_CALLS_PER_RECORD = 36.2
 
 
 def test_the_stream_makes_at_most_its_pinned_calls_per_record(tmp_path):
@@ -325,7 +324,10 @@ def test_the_stream_makes_at_most_its_pinned_calls_per_record(tmp_path):
     assert records == 1120
     assert {verdict for _, verdict in state.events} >= {KEPT, DROPPED_KNOWN_PROTOCOL,
                                                         DROPPED_MALFORMED, DROPPED_TUNNEL}
-    calls = pstats.Stats(profile).total_calls
+    # One entry per code object. pstats keys by (file, line, name), under which
+    # the constructors of all namedtuples are one "<string>:1(<lambda>)" whose
+    # count is whichever class the profiler table lists last.
+    calls = sum(entry.callcount for entry in profile.getstats())
     assert calls / records <= _CALLS_PER_RECORD, calls / records
 
 
