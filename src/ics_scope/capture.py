@@ -311,13 +311,3 @@ def read_capture(path, meta: CaptureMeta, start: int = PCAP_HEADER_LEN,
             ts = sec * 1_000_000 + (frac // 1000 if nanos else frac)
             yield _decode_frame(data[: meta.snap_len], ts)
 
-
-def record_from_frame(frame: bytes, ts: int = 0,
-                      captured_len: int | None = None) -> PacketRecord | None:
-    """The record the reader yields for a frame captured up to captured_len bytes.
-
-    None exactly where the reader skips the frame. A test fixture builder
-    kept next to the decode it reuses, so that fixtures cannot drift from
-    what the reader yields.
-    """
-    return _decode_frame(frame[:captured_len], ts)[0]

@@ -195,22 +195,6 @@ def endpoint_reasons(
     return frozenset(reasons)
 
 
-def classify(
-    src_ip: int,
-    dst_ip: int,
-    registry: ScannerRegistry,
-    rdns: RdnsTable,
-    honeypots: HoneypotSets,
-) -> frozenset[Reason]:
-    """Every filter's reasons for calling traffic between two endpoints
-    non-industrial: the union of the two endpoints' reasons.
-
-    label_under turns the reason set into a label for a filter family.
-    """
-    return (endpoint_reasons(src_ip, registry, rdns, honeypots)
-            | endpoint_reasons(dst_ip, registry, rdns, honeypots))
-
-
 def label_under(reasons: frozenset[Reason], active: frozenset[str]) -> str:
     """Label a full reason set as if only the given filters were active."""
     return NON_INDUSTRIAL if any(r.kind in active for r in reasons) else INDUSTRIAL

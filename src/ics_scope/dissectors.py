@@ -53,6 +53,9 @@ DNP3 = "dnp3"
 HARTIP = "hartip"
 IEC104 = "iec104"
 
+# The seven dissected protocols, by the names every report and input file uses.
+PROTOCOLS = (MODBUS, S7COMM, ETHERNETIP, BACNET, DNP3, HARTIP, IEC104)
+
 NORMAL = "normal"
 HEURISTIC = "heuristic"
 WELL_FORMED = "well_formed"

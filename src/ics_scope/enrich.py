@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .capture import int_to_ip, ip_to_int, parse_cidr
-from .inputs import ConfigError, fault, known, read_json, table_rows, typed
+from .dissectors import PROTOCOLS
+from .inputs import (AS_MAX, ConfigError, as_number, fault, known, read_json, table_rows,
+                     typed)
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +88,10 @@ def load_asn_table(path) -> LpmTable:
                 raise ValueError(f"unparseable prefix line: {line!r}")
             if not (asn.isascii() and asn.isdigit()):
                 raise ValueError(f"AS number must be ASCII decimal digits, got {asn!r}")
-            table.add(prefix, int(asn))
+            number = int(asn)
+            if number > AS_MAX:
+                raise ValueError(f"AS number must be at most {AS_MAX}, got {asn}")
+            table.add(prefix, number)
     return _loaded(table, path)
 
 
@@ -107,60 +112,46 @@ def load_geo_table(path) -> LpmTable:
 
 @dataclass
 class IxpTopology:
-    """Members of the exchange fabric, their customer cones and tag mapping.
+    """The exchange fabric's customer cones: each member AS of the fabric,
+    the members being exactly the keys, with the ASes of its cone."""
 
-    tag_members maps capture metadata tags (vantage or interface names) to
-    the member AS that injected or extracted the packet. Without a tag, a
-    side's member is approximated as the AS itself when it is a member, or
-    the member whose cone contains it.
-    """
-
-    members: frozenset[int]
     cone: dict[int, frozenset[int]]
-    tag_members: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for member, cone in self.cone.items():
-            if member not in self.members:
-                raise ValueError(f"cone entry for non-member AS {member}")
             if member in cone:
                 log.warning("member AS %d listed in its own cone, removing", member)
                 self.cone[member] = cone - {member}
-        self._owner_cache: dict[int, int | None] = {}
+        self._owners: dict[int, int | None] = {}  # non-member AS -> its member, filled on use
 
     @classmethod
-    def from_json(cls, path, tag_members: dict[str, int] | None = None) -> "IxpTopology":
+    def from_json(cls, path) -> "IxpTopology":
+        where = str(path)
         cone = {}
-        for member, ases in typed(read_json(path), dict, str(path)).items():
+        for member, ases in typed(read_json(path), dict, where).items():
             if not (member.isascii() and member.isdigit()):
-                raise fault(str(path), "member", "an AS number", member)
-            cone[int(member)] = frozenset(typed(ases, list, str(path), member, items=int))
-        return cls(
-            members=frozenset(cone),
-            cone=cone,
-            tag_members=dict(tag_members or {}),
-        )
+                raise fault(where, "member", "an AS number", member)
+            ases = frozenset(typed(ases, list, where, member, items=int))
+            if ases and not (0 <= min(ases) and max(ases) <= AS_MAX):
+                raise fault(where, member, f"a list of AS numbers (0 to {AS_MAX})", sorted(ases))
+            cone[as_number(int(member), where, "member")] = ases
+        return cls(cone)
 
     @classmethod
-    def empty(cls, tag_members: dict[str, int]) -> "IxpTopology":
-        """No members and no cones: only the configured tags resolve a member."""
-        return cls(members=frozenset(), cone={}, tag_members=dict(tag_members))
+    def empty(cls) -> "IxpTopology":
+        """No members and no cones: only a side's tag resolves a member."""
+        return cls({})
 
-    def resolve_member(self, asn: int | None, tag: str | None = None) -> int | None:
-        """Member AS responsible for a packet side."""
-        if tag is not None and tag in self.tag_members:
-            return self.tag_members[tag]
-        if asn is None:
-            return None
-        if asn in self.members:
+    def resolve_member(self, asn: int | None) -> int | None:
+        """Member AS responsible for a packet side without a tag: the AS
+        itself when it is a member, otherwise the lowest-numbered member
+        whose cone holds it."""
+        if asn is None or asn in self.cone:
             return asn
-        cached = self._owner_cache.get(asn, -1)
-        if cached != -1:
-            return cached
-        owners = sorted(m for m, cone in self.cone.items() if asn in cone)
-        owner = owners[0] if owners else None
-        self._owner_cache[asn] = owner
-        return owner
+        if asn not in self._owners:
+            self._owners[asn] = min((m for m, cone in self.cone.items() if asn in cone),
+                                    default=None)
+        return self._owners[asn]
 
 
 def fabric_side(asn: int | None, member: int | None, topo: IxpTopology) -> str | None:
@@ -213,11 +204,13 @@ _SNAPSHOT_LAYERS = ("transport", "application")
 
 def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[int]]]:
     """Active-scan snapshot per protocol: {protocol: {"transport": [ip, ...],
-    "application": [ip, ...]}}. Addresses are parsed strictly; application
-    hosts must be a subset of transport hosts or the file is rejected."""
+    "application": [ip, ...]}}, protocol one of the seven dissected ones.
+    Addresses are parsed strictly; application hosts must be a subset of
+    transport hosts or the file is rejected."""
     where = str(path)
     snapshot = {}
-    for protocol, sets in typed(read_json(path), dict, where).items():
+    raw = known(typed(read_json(path), dict, where), PROTOCOLS, where, "scan snapshot protocol")
+    for protocol, sets in raw.items():
         sets = known(typed(sets, dict, where, protocol), _SNAPSHOT_LAYERS, f"{where}: {protocol}",
                      "scan snapshot")
         parsed = {}

@@ -78,6 +78,17 @@ def typed(value, kind: type, where: str, key: str | None = None, items: type | N
     return value
 
 
+# The largest AS number: AS numbers are four octets (RFC 6793).
+AS_MAX = 2**32 - 1
+
+
+def as_number(value, where: str, key: str) -> int:
+    """value, when it is an integer from 0 to AS_MAX."""
+    if not 0 <= typed(value, int, where, key) <= AS_MAX:
+        raise fault(where, key, f"an AS number (0 to {AS_MAX})", value)
+    return value
+
+
 def choice(value, allowed, where: str, key: str) -> str:
     """value, when it is one of the strings allowed."""
     if type(value) is not str or value not in allowed:

@@ -59,7 +59,7 @@ from .enrich import (
     scan_overlap,
     transition,
 )
-from .inputs import ConfigError, choice, fault, known, read_json, typed, writable
+from .inputs import ConfigError, as_number, choice, fault, known, read_json, typed, writable
 from .sanitize import (
     KEPT,
     PORT_ONLY,
@@ -142,7 +142,7 @@ class PipelineConfig:
             filters=choice(raw.get("filters", "all"), FILTER_FAMILIES, where, "filters"),
             stability_label=choice(raw.get("stability_label", INDUSTRIAL), STABILITY_LABELS,
                                    where, "stability_label"),
-            tag_members={k: typed(v, int, where, f"tag_members[{k!r}]")
+            tag_members={k: as_number(v, where, f"tag_members[{k!r}]")
                          for k, v in tag_members.items()},
         )
 
@@ -186,8 +186,8 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     ConfigError a one-CPU load meets first, in the order of the steps below.
     """
 
-    def step(name: str, path: Path | None, loader, *arguments, empty) -> _Step:
-        return _Step(name, loader, (path, *arguments)) if path else _Step(name, empty)
+    def step(name: str, path: Path | None, loader, empty) -> _Step:
+        return _Step(name, loader, (path,)) if path else _Step(name, empty)
 
     # A packet side reads the tag VANTAGE:in or VANTAGE:out of its capture;
     # another tag would resolve nothing.
@@ -205,8 +205,7 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
         honeypots,
         step("rdns", config.rdns, RdnsTable.from_csv, empty=RdnsTable.empty),
         step("asn_table", config.asn_table, load_asn_table, empty=LpmTable),
-        step("topology", config.cone, IxpTopology.from_json, config.tag_members,
-             empty=lambda: IxpTopology.empty(config.tag_members)),
+        step("topology", config.cone, IxpTopology.from_json, empty=IxpTopology.empty),
         step("geo", config.geo, load_geo_table, empty=LpmTable),
         step("scan_snapshot", config.scan_snapshot, load_scan_snapshot, empty=dict),
         step("dpi_catalog", config.dpi_catalog, DpiCatalog.from_json, empty=default_catalog),
@@ -357,14 +356,17 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
     return state
 
 
-def _address_facts(ip: int, tag: str, inputs: LoadedInputs) -> tuple:
-    """What the reports need of one address on one side of a packet, tag
-    being that side's capture tag: (classify reasons, AS, fabric side, country)."""
+def _address_facts(ip: int, member: int | None, inputs: LoadedInputs) -> tuple:
+    """What the reports need of one address on one side of a packet:
+    (classify reasons, AS, fabric side, country). member is the member AS
+    that side's capture tag names, or None when the tag names none; then the
+    topology resolves the member from the address's AS."""
     asn = inputs.asn_table.lookup(ip)
     topology = inputs.topology
+    if member is None:
+        member = topology.resolve_member(asn)
     return (endpoint_reasons(ip, inputs.scanner_registry, inputs.rdns, inputs.honeypots), asn,
-            fabric_side(asn, topology.resolve_member(asn, tag=tag), topology),
-            inputs.geo.lookup(ip))
+            fabric_side(asn, member, topology), inputs.geo.lookup(ip))
 
 
 def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: PipelineConfig,
@@ -373,9 +375,11 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
     per (protocol, direction, source, destination, UTC day number).
 
     Two levels, each fact computed once per distinct value it depends on.
-    Per address and side: _address_facts (classify reasons, AS, fabric
-    side, country; the side picks the capture tag, vantage:in or
-    vantage:out, that resolves its member), each distinct facts tuple
+    Per side, once: the member AS that its capture tag, vantage:in or
+    vantage:out, names in config.tag_members, if any. Per address and
+    side: _address_facts (classify reasons, AS, fabric side, country; the
+    side's member, or without one the member the topology resolves from
+    the AS), each distinct facts tuple
     interned to an id with one flag, whether its reasons label a packet
     non-industrial. A key is non-industrial exactly when either side's flag
     is set, as label_under asks whether any reason of the union is active.
@@ -387,12 +391,13 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
     """
     ids: dict[tuple, int] = {}  # facts tuple -> its id, in order of first sight
 
-    def side_ids(position: int, tag: str) -> dict[int, int]:
-        return {ip: ids.setdefault(_address_facts(ip, tag, inputs), len(ids))
+    def side_ids(position: int, side: str) -> dict[int, int]:
+        member = config.tag_members.get(f"{meta.vantage}:{side}")
+        return {ip: ids.setdefault(_address_facts(ip, member, inputs), len(ids))
                 for ip in {key[position] for key in keys}}
 
-    sources = side_ids(2, f"{meta.vantage}:in")
-    destinations = side_ids(3, f"{meta.vantage}:out")
+    sources = side_ids(2, "in")
+    destinations = side_ids(3, "out")
     facts = list(ids)
     active = FILTER_FAMILIES[config.filters]
     flagged = [label_under(reasons, active) == NON_INDUSTRIAL for reasons, *_ in facts]

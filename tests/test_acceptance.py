@@ -19,7 +19,6 @@ from ics_scope.capture import (
     CaptureMeta,
     int_to_ip,
     ip_to_int,
-    record_from_frame,
     utc_day,
 )
 from ics_scope.classify import (
@@ -32,7 +31,7 @@ from ics_scope.classify import (
     HoneypotSets,
     RdnsTable,
     ScannerRegistry,
-    classify,
+    endpoint_reasons,
     label_under,
 )
 from ics_scope.dissectors import WELL_FORMED, dissect
@@ -59,7 +58,7 @@ from ics_scope.trafficgen import ScenarioSpec, generate
 
 from golden import MIN_IDENTIFIABLE_FRAME_BYTES, golden_packets
 from oracles import is_local
-from reads import read_all
+from reads import read_all, record_from_frame
 
 SCANNERS = frozenset({SCANNER_PREFIX, SCANNER_RDNS})
 
@@ -295,7 +294,8 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         kept = [(position, record) for position, record, _, verdict in candidates
                 if verdict == KEPT]
         kept_reasons = [
-            classify(record.src_ip, record.dst_ip, registry, rdns, honeypots)
+            endpoint_reasons(record.src_ip, registry, rdns, honeypots)
+            | endpoint_reasons(record.dst_ip, registry, rdns, honeypots)
             for _, record in kept
         ]
         pipeline_elapsed += time.perf_counter() - started
@@ -397,8 +397,9 @@ def test_criterion_5_filter_family_monotonicity():
         )
         reasons = []
         for _ in range(200):
-            reasons.append(classify(rng.choice(pool), rng.choice(pool), registry, rdns,
-                                    honeypots))
+            src, dst = rng.choice(pool), rng.choice(pool)
+            reasons.append(endpoint_reasons(src, registry, rdns, honeypots)
+                           | endpoint_reasons(dst, registry, rdns, honeypots))
         share_scanners = sum(label_under(r, SCANNERS) == INDUSTRIAL for r in reasons)
         share_hp_ics = sum(label_under(r, SCANNERS | {HP_ICS}) == INDUSTRIAL for r in reasons)
         share_hp_all = sum(
@@ -420,10 +421,7 @@ def _partition_topologies(n_ases):
             for asn, slot in zip(outside, assignment):
                 if slots[slot] is not None:
                     cone[slots[slot]].add(asn)
-            yield IxpTopology(
-                members=frozenset(members),
-                cone={m: frozenset(c) for m, c in cone.items()},
-            )
+            yield IxpTopology({m: frozenset(c) for m, c in cone.items()})
 
 
 def _transition(src_asn, dst_asn, ingress, egress, topo) -> str:
@@ -435,7 +433,7 @@ def test_criterion_6_locality_consistency(oracle_corpora):
     checked = 0
     for n_ases in range(2, 7):
         for topo in _partition_topologies(n_ases):
-            members = sorted(topo.members)
+            members = sorted(topo.cone)
             ases = list(range(1, n_ases + 1))
             for src, dst in itertools.product(ases, repeat=2):
                 for ingress in members:

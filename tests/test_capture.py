@@ -28,7 +28,6 @@ from ics_scope.capture import (
     ip_to_int,
     parse_cidr,
     read_capture,
-    record_from_frame,
     utc_day,
 )
 from ics_scope.dissectors import REPLY, REQUEST, UNRELATED, dissect, dissect_segment
@@ -45,7 +44,7 @@ from ics_scope.trafficgen import (
 )
 
 from golden import golden_packets
-from reads import read_all
+from reads import read_all, record_from_frame
 
 ARP_FRAME = (
     b"\xff\xff\xff\xff\xff\xff" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x06" + b"\x00" * 28

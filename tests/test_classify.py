@@ -17,11 +17,18 @@ from ics_scope.classify import (
     RdnsTable,
     Reason,
     ScannerRegistry,
-    classify,
     default_scanner_registry,
+    endpoint_reasons,
     filter_report,
     label_under,
 )
+
+
+def classify(src_ip, dst_ip, registry, rdns, honeypots):
+    """A packet's reasons, as count_keys joins them: the union of its two
+    endpoints' reasons."""
+    return (endpoint_reasons(src_ip, registry, rdns, honeypots)
+            | endpoint_reasons(dst_ip, registry, rdns, honeypots))
 
 
 @pytest.fixture()

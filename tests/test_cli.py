@@ -177,6 +177,43 @@ def test_analyze_honeypot_subset_error_names_both_files(tmp_path, capsys, monkey
     assert not (tmp_path / "r").exists()
 
 
+def _append(path, line: str) -> str:
+    """Append line to the line table at path; returns its 'FILE line N' name."""
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    return f"{path} line {path.read_text().count(chr(10))}"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("asn.txt", 4294967296),
+    ("cone.json", -5),
+    ("cone.json", 1099511627776),
+    ("config.json", -1),
+    ("config.json", 4294967296),
+])
+def test_analyze_refuses_an_as_number_out_of_range(tmp_path, capsys, monkeypatch, name, value):
+    corpus = _gen(tmp_path)
+    path = corpus / name
+    if name == "asn.txt":
+        where = _append(path, f"10.0.0.0/8 {value}")
+        message = f"error: {where}: AS number must be at most 4294967295, got {value}\n"
+    elif name == "cone.json":
+        cone = json.loads(path.read_text())
+        member = min(cone)
+        cone[member] = [*cone[member], value]
+        path.write_text(json.dumps(cone))
+        message = (f"error: {path}: {member} must be a list of AS numbers (0 to 4294967295), "
+                   f"got {sorted(cone[member])!r}\n")
+    else:
+        config = json.loads(path.read_text())
+        path.write_text(json.dumps({**config, "tag_members": {"ixp0:in": value}}))
+        message = (f"error: config {path}: tag_members['ixp0:in'] must be an AS number "
+                   f"(0 to 4294967295), got {value}\n")
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert (code, err) == (2, message)
+    assert not (tmp_path / "r").exists()
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -266,6 +303,10 @@ def _first_flow(scenario, **changes):
     pytest.param("scan_snapshot.json", lambda s: {"bacnet": {**s["bacnet"], "aplication": []}},
                  "scan_snapshot.json: bacnet: aplication is not a scan snapshot key "
                  "(one of transport, application)", id="scan-snapshot"),
+    pytest.param("scan_snapshot.json", lambda s: {**s, "modbsu": {"transport": ["1.2.3.4"]}},
+                 "scan_snapshot.json: modbsu is not a scan snapshot protocol key "
+                 "(one of modbus, s7comm, ethernetip, bacnet, dnp3, hartip, iec104)",
+                 id="scan-snapshot-protocol"),
 ])
 def test_analyze_refuses_an_unknown_key(tmp_path, capsys, name, edit, message):
     corpus = _gen(tmp_path)

@@ -99,8 +99,8 @@ def _reference_state(keys, source, config, inputs) -> CaptureState:
         dst_asn = inputs.asn_table.lookup(dst_ip)
         if packet_direction == REQUEST and src_asn is not None:
             state.request_protocols[src_asn].add(protocol)
-        ingress = inputs.topology.resolve_member(src_asn, tag=ingress_tag)
-        egress = inputs.topology.resolve_member(dst_asn, tag=egress_tag)
+        ingress = config.tag_members.get(ingress_tag, inputs.topology.resolve_member(src_asn))
+        egress = config.tag_members.get(egress_tag, inputs.topology.resolve_member(dst_asn))
         state.groups[(protocol, label)][_reference_transition(src_asn, dst_asn, ingress, egress,
                                                               inputs.topology)] += n
         domestic = _reference_is_domestic(src_ip, dst_ip, inputs.geo)
@@ -117,6 +117,9 @@ def _table(rows) -> LpmTable:
 
 
 # Members 64500 and 64501 with cones; 64999 is an AS no member's cone holds.
+# A capture of vantage "tagged" reads the tags of TAGS; one of vantage
+# "plain" has none.
+TAGS = {"tagged:in": 64500, "tagged:out": 64501}
 _INPUTS = LoadedInputs(
     scanner_registry=ScannerRegistry.from_entries([
         {"project": "Shodan", "prefixes": ["203.0.113.0/24"], "rdns_patterns": ["shodan"]},
@@ -131,9 +134,7 @@ _INPUTS = LoadedInputs(
     asn_table=_table([("10.1.0.0/16", 64500), ("10.2.0.0/16", 64501), ("10.3.0.0/16", 64600),
                       ("10.4.0.0/16", 64700), ("10.5.0.0/16", 64999),
                       ("203.0.113.0/24", 64800)]),
-    topology=IxpTopology(members=frozenset({64500, 64501}),
-                         cone={64500: frozenset({64600}), 64501: frozenset({64700, 64800})},
-                         tag_members={"tagged:in": 64500, "tagged:out": 64501}),
+    topology=IxpTopology({64500: frozenset({64600}), 64501: frozenset({64700, 64800})}),
     geo=_table([("10.1.0.0/16", "DE"), ("10.2.0.0/16", "DE"), ("10.3.0.0/16", "FR"),
                 ("10.4.0.0/16", "FR"), ("203.0.113.0/24", "US")]),
     scan_snapshot={},
@@ -162,7 +163,8 @@ _KEYS = st.dictionaries(
 def test_count_keys_equals_the_per_key_loop(keys, vantage, sample_interval, filters,
                                             stability_label):
     source = CaptureSource(Path("unused.pcap"), CaptureMeta(vantage, sample_interval))
-    config = PipelineConfig(captures=[source], filters=filters, stability_label=stability_label)
+    config = PipelineConfig(captures=[source], filters=filters, stability_label=stability_label,
+                            tag_members=TAGS)
     state = CaptureState()
     count_keys(state, Counter(keys), source.meta, config, _INPUTS)
     epoch = date(1970, 1, 1)

@@ -21,7 +21,7 @@ from ics_scope.pipeline import (
     count_keys,
 )
 
-from test_count_keys import _INPUTS, _reference_state
+from test_count_keys import _INPUTS, TAGS, _reference_state
 
 _DAYS = (17532, 17533)
 # A Shodan prefix, a Censys prefix outside every AS and a scanner rDNS name
@@ -58,7 +58,8 @@ def _counted(monkeypatch, name: str, calls: dict[str, Counter]) -> None:
 def test_count_keys_joins_once_per_distinct_facts_and_day(monkeypatch, stability_label):
     keys = _scan_keys()
     source = CaptureSource(Path("unused.pcap"), CaptureMeta("tagged", 16384))
-    config = PipelineConfig(captures=[source], stability_label=stability_label)
+    config = PipelineConfig(captures=[source], stability_label=stability_label,
+                            tag_members=TAGS)
     calls: dict[str, Counter] = {}
     for name in ("_address_facts", "transition", "is_domestic", "utc_day"):
         _counted(monkeypatch, name, calls)
@@ -66,10 +67,11 @@ def test_count_keys_joins_once_per_distinct_facts_and_day(monkeypatch, stability
     count_keys(state, keys, source.meta, config, _INPUTS)
     monkeypatch.undo()
 
-    sides = {(ip, "tagged:in") for _, _, ip, _, _ in keys}
-    sides |= {(ip, "tagged:out") for _, _, _, ip, _ in keys}
+    ingress, egress = TAGS["tagged:in"], TAGS["tagged:out"]  # the sides' members
+    sides = {(ip, ingress) for _, _, ip, _, _ in keys}
+    sides |= {(ip, egress) for _, _, _, ip, _ in keys}
     facts = {side: pipeline._address_facts(*side, _INPUTS) for side in sides}
-    joins = {(protocol, direction, facts[(src, "tagged:in")], facts[(dst, "tagged:out")], day)
+    joins = {(protocol, direction, facts[(src, ingress)], facts[(dst, egress)], day)
              for protocol, direction, src, dst, day in keys}
     assert len(keys) == 12_010 and len(joins) == 13
 

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import TCP, UDP, PacketRecord, record_from_frame
+from ics_scope.capture import TCP, UDP, PacketRecord
 from ics_scope.dissectors import (
     _NORMAL_DISSECTORS,
     HEURISTIC,
@@ -29,6 +29,7 @@ from ics_scope.ports import PORTS, TRANSPORTS
 from ics_scope.trafficgen import s7_setup_job
 
 from golden import golden_packets
+from reads import record_from_frame
 
 
 def _reference_ports() -> dict[tuple[int, int], str]:

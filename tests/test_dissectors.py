@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import TCP, UDP, CaptureMeta, PacketRecord, record_from_frame
+from ics_scope.capture import TCP, UDP, CaptureMeta, PacketRecord
 from ics_scope.dissectors import (
     BACNET,
     DNP3,
@@ -36,7 +36,7 @@ from ics_scope.trafficgen import (
 )
 
 from golden import MIN_IDENTIFIABLE_FRAME_BYTES, PROTOCOLS, golden_packets, modbus_exception_reply
-from reads import read_all
+from reads import read_all, record_from_frame
 
 
 def seg(payload, ip_proto=TCP, sport=49152, dport=49153, wire_len=None):

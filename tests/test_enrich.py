@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ics_scope.capture import int_to_ip, ip_to_int
 from ics_scope.classify import ScannerRegistry
@@ -123,12 +124,12 @@ def test_json_path_with_a_nul_cannot_be_read(load):
     assert str(caught.value) == "cannot read a\x00b.json: embedded null byte"
 
 
-@pytest.mark.parametrize("asn", ["1_000", "+7", "\u0663", "64500"])
+@pytest.mark.parametrize("asn", ["1_000", "+7", "\u0663", "64500", "0", "4294967295"])
 def test_load_asn_table_takes_only_ascii_digits(tmp_path, asn):
     path = tmp_path / "asn.txt"
     path.write_text(f"11.0.0.0/8 1\n10.0.0.0/8 {asn}\n", encoding="utf-8")
-    if asn == "64500":
-        assert load_asn_table(path).lookup(ip_to_int("10.1.2.3")) == 64500
+    if asn.isascii() and asn.isdigit():
+        assert load_asn_table(path).lookup(ip_to_int("10.1.2.3")) == int(asn)
         return
     with pytest.raises(ConfigError, match=f"asn.txt line 2: AS number must be ASCII decimal "
                                           f"digits, got '{re.escape(asn)}'"):
@@ -170,10 +171,7 @@ def test_prefix_table_errors_name_the_line(tmp_path):
 
 @pytest.fixture()
 def topo():
-    return IxpTopology(
-        members=frozenset({64500, 64501}),
-        cone={64500: frozenset({64600, 64601}), 64501: frozenset({64700})},
-    )
+    return IxpTopology({64500: frozenset({64600, 64601}), 64501: frozenset({64700})})
 
 
 def _transition(src_asn, dst_asn, ingress, egress, topo) -> str:
@@ -195,14 +193,9 @@ def test_transition_unknown_cases(topo):
     assert _transition(64500, 64501, None, 64501, topo) == UNKNOWN_TRANSITION
 
 
-def test_cone_for_non_member_rejected():
-    with pytest.raises(ValueError, match="non-member"):
-        IxpTopology(members=frozenset({1}), cone={1: frozenset(), 2: frozenset({3})})
-
-
 def test_member_removed_from_own_cone(caplog):
     with caplog.at_level("WARNING"):
-        topo = IxpTopology(members=frozenset({1}), cone={1: frozenset({1, 2})})
+        topo = IxpTopology({1: frozenset({1, 2})})
     assert topo.cone[1] == frozenset({2})
 
 
@@ -212,9 +205,44 @@ def test_resolve_member(topo):
     assert topo.resolve_member(64700) == 64501
     assert topo.resolve_member(65000) is None
     assert topo.resolve_member(None) is None
-    tagged = IxpTopology(members=frozenset({9}), cone={9: frozenset()},
-                         tag_members={"vp:in": 9})
-    assert tagged.resolve_member(12345, tag="vp:in") == 9
+
+
+def _reference_member(asn, members, cone):
+    """The member rule as first written: a member resolves to itself, any
+    other AS to the lowest member whose cone holds it, or to None."""
+    if asn is None:
+        return None
+    if asn in members:
+        return asn
+    owners = sorted(m for m, ases in cone.items() if asn in ases)
+    return owners[0] if owners else None
+
+
+# Cones over a few ASes, so that ASes sit in several cones, members in
+# other members' cones and members in their own.
+_CONES = st.dictionaries(st.integers(1, 12), st.frozensets(st.integers(1, 12), max_size=6),
+                         max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone=_CONES, asns=st.lists(st.one_of(st.none(), st.integers(0, 13)), max_size=30))
+def test_resolve_member_is_the_reference_rule(cone, asns):
+    topo = IxpTopology(dict(cone))
+    cleaned = {m: ases - {m} for m, ases in cone.items()}  # own-cone entries removed
+    assert topo.cone == cleaned
+    for asn in asns:  # repeats included: the second answer comes from the memo
+        assert topo.resolve_member(asn) == _reference_member(asn, frozenset(cone), cleaned)
+
+
+def test_cone_as_numbers_are_four_octets(tmp_path):
+    path = tmp_path / "cone.json"
+    path.write_text('{"4294967295": [0, 4294967294]}')
+    assert IxpTopology.from_json(path).cone == {4294967295: frozenset({0, 4294967294})}
+    path.write_text('{"64500": [], "4294967296": []}')
+    with pytest.raises(ConfigError) as caught:
+        IxpTopology.from_json(path)
+    assert str(caught.value) == (f"{path}: member must be an AS number (0 to 4294967295), "
+                                 f"got 4294967296")
 
 
 def test_is_local_formula():

@@ -388,7 +388,7 @@ def _tables(inputs):
         "rdns": inputs.rdns.mapping,
         **{name: (table._by_len, table._probes)
            for name, table in (("asn_table", inputs.asn_table), ("geo", inputs.geo))},
-        "cone": (inputs.topology.members, inputs.topology.cone, inputs.topology.tag_members),
+        "cone": inputs.topology.cone,
         "scan_snapshot": inputs.scan_snapshot,
         "dpi_catalog": inputs.dpi_catalog.signatures,
     }
@@ -671,7 +671,8 @@ _VALID_CONFIG = st.fixed_dictionaries(
         **{key: st.sampled_from(["table.txt", None]) for key in _TABLE_KEYS},
         "filters": st.sampled_from(["scanners", "hp-ics", "hp-all", "all"]),
         "stability_label": st.sampled_from(["industrial", "non_industrial", "all"]),
-        "tag_members": st.dictionaries(st.text(max_size=8), st.integers(), max_size=3),
+        "tag_members": st.dictionaries(st.text(max_size=8), st.integers(0, 2**32 - 1),
+                                       max_size=3),
     },
 )
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import ICMP, PacketRecord, record_from_frame
+from ics_scope.capture import ICMP, PacketRecord
 from ics_scope.dissectors import MALFORMED, dissect
 from ics_scope.inputs import ConfigError
 from ics_scope.ports import TCP, UDP
@@ -37,6 +37,7 @@ from ics_scope.trafficgen import (
     modbus_request,
 )
 
+from reads import record_from_frame
 from test_pipeline import _SIDECARS, _mutated
 
 

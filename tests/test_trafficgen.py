@@ -4,13 +4,13 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ics_scope.capture import ICMP, CaptureMeta, int_to_ip, record_from_frame, utc_day
+from ics_scope.capture import ICMP, CaptureMeta, int_to_ip, utc_day
 from ics_scope.dissectors import dissect
 from ics_scope.inputs import ConfigError
 from ics_scope.trafficgen import ScenarioSpec, build_backscatter_frame, build_frame, generate
 
 from golden import golden_packets
-from reads import read_all
+from reads import read_all, record_from_frame
 
 
 def _spec(**overrides):
