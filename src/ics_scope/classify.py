@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .capture import int_to_ip, ip_to_int, parse_cidr
+from .enrich import LpmTable
 from .inputs import (ConfigError, fault, known, load_packaged_json, read_json, table_rows,
                      typed)
 
@@ -55,18 +56,15 @@ class ScannerProject:
 
 
 class ScannerRegistry:
-    """Ordered scan-project registry; file order decides rDNS precedence."""
+    """Ordered scan-project registry; file order decides rDNS and same-prefix precedence."""
 
     def __init__(self, projects: list[ScannerProject]):
         self.projects = list(projects)
-        # Flattened (shift, network_key, project) sorted longest prefix
-        # first, stable on registry order for equal-length collisions.
-        flat = []
-        for index, project in enumerate(self.projects):
+        # Added last project first, so the first project's value stands.
+        self._prefixes = LpmTable()
+        for project in reversed(self.projects):
             for network, plen in project.prefixes:
-                flat.append((32 - plen, index, network >> (32 - plen), project.name))
-        flat.sort()
-        self._prefixes = [(shift, key, name) for shift, _, key, name in flat]
+                self._prefixes.add(network, plen, project.name)
 
     @classmethod
     def from_entries(cls, entries, source: str = "scanner registry") -> "ScannerRegistry":
@@ -100,10 +98,7 @@ class ScannerRegistry:
 
     def match_prefix(self, ip: int) -> str | None:
         """Project of the most specific covering prefix, if any."""
-        for shift, key, name in self._prefixes:
-            if ip >> shift == key:
-                return name
-        return None
+        return self._prefixes.lookup(ip)
 
     def match_rdns(self, name: str | None) -> str | None:
         """First project whose patterns match the resolved name, registry order."""

@@ -430,10 +430,9 @@ def dissect(record: PacketRecord, stats: Counter | None = None) -> Dissection | 
     An ICMP error message is dissected through its quoted inner datagram,
     the way overly eager analyzers treat backscatter; the result is marked
     via_icmp_quote, and the tunnel-stripping sanitizer step exists to
-    reverse exactly that.
+    reverse exactly that. dissect_segment refuses an empty payload, and
+    ipv4_view an ICMP error that quotes nothing.
     """
-    if not record.payload:
-        return None
     if record.ip_proto != ICMP:
         return dissect_segment(record, stats)
     if record.icmp_type not in ICMP_ERROR_TYPES:

@@ -31,7 +31,7 @@ _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 
 
 class LpmTable:
-    """Longest-prefix-match table over IPv4 CIDRs with arbitrary values.
+    """Longest-prefix-match table over parsed IPv4 prefixes with arbitrary values.
 
     One dict per populated prefix length maps the network's top plen bits to
     its value; lookup probes the populated lengths only, longest first.
@@ -42,11 +42,10 @@ class LpmTable:
         self._probes: tuple[tuple[int, dict[int, object]], ...] = ()
         self.overridden = 0  # adds that changed the value of a prefix already present
 
-    def add(self, prefix: str, value) -> None:
-        """Add a CIDR (host bits are masked off); a later value for the same
-        prefix overrides an earlier one. Only the first override is logged;
-        the loaders log how many more there were."""
-        network, plen = parse_cidr(prefix, strict=False)
+    def add(self, network: int, plen: int, value) -> None:
+        """Add network/plen as parse_cidr returns it; a later value for the
+        same prefix overrides an earlier one. Only the first override is
+        logged; the loaders log how many more there were."""
         key = network >> (32 - plen)
         bucket = self._by_len.get(plen)
         if bucket is None:
@@ -55,15 +54,16 @@ class LpmTable:
             self._probes = tuple((32 - n, self._by_len[n]) for n in lengths)
         if (old := bucket.get(key, value)) != value:
             if not self.overridden:
-                log.warning("duplicate prefix %s: %r overrides %r", prefix, value, old)
+                log.warning("duplicate prefix %s/%d: %r overrides %r", int_to_ip(network), plen,
+                            value, old)
             self.overridden += 1
         bucket[key] = value
 
     def lookup(self, ip: int):
         for shift, bucket in self._probes:
-            hit = bucket.get(ip >> shift)
-            if hit is not None:
-                return hit
+            key = ip >> shift
+            if key in bucket:
+                return bucket[key]
         return None
 
 
@@ -91,7 +91,8 @@ def load_asn_table(path) -> LpmTable:
             number = int(asn)
             if number > AS_MAX:
                 raise ValueError(f"AS number must be at most {AS_MAX}, got {asn}")
-            table.add(prefix, number)
+            network, plen = parse_cidr(prefix, strict=False)
+            table.add(network, plen, number)
     return _loaded(table, path)
 
 
@@ -106,7 +107,8 @@ def load_geo_table(path) -> LpmTable:
             country = country.upper() if country.isascii() else country  # 'ß'.upper() == 'SS'
             if not _COUNTRY_RE.match(country):
                 raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
-            table.add(prefix, country)
+            network, plen = parse_cidr(prefix, strict=False)
+            table.add(network, plen, country)
     return _loaded(table, path)
 
 
@@ -134,7 +136,10 @@ class IxpTopology:
             ases = frozenset(typed(ases, list, where, member, items=int))
             if ases and not (0 <= min(ases) and max(ases) <= AS_MAX):
                 raise fault(where, member, f"a list of AS numbers (0 to {AS_MAX})", sorted(ases))
-            cone[as_number(int(member), where, "member")] = ases
+            number = as_number(int(member), where, "member")
+            if number in cone:
+                raise ConfigError(f"{where}: member {number} is listed twice")
+            cone[number] = ases
         return cls(cone)
 
     @classmethod
@@ -230,22 +235,22 @@ def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[int]]]:
 
 
 def scan_overlap(
-    passive: dict[str, dict[str, set[int]]],
+    passive: dict[tuple[str, str], set[int]],
     snapshot: dict[str, dict[str, frozenset[int]]],
 ) -> list[dict]:
     """Overlap of passively observed hosts with active-scan results.
 
-    passive maps protocol -> {"source": set, "destination": set} of integer
+    passive maps (protocol, "source" or "destination") to a set of integer
     addresses. Emits one row per (protocol, role) with transport- and
     application-layer overlap percentages, plus the hosts that answered the
     transport scan only yet send traffic (unprotected-but-firewalled
     services), as address strings in string order.
     """
     rows = []
-    for protocol in sorted(passive):
+    for protocol in sorted({protocol for protocol, _ in passive}):
         scan = snapshot.get(protocol, {"transport": frozenset(), "application": frozenset()})
         for role in ("source", "destination"):
-            hosts = passive[protocol].get(role, set())
+            hosts = passive.get((protocol, role), set())
             transport_hits = hosts & scan["transport"]
             app_hits = hosts & scan["application"]
             unprotected = (sorted(map(int_to_ip, transport_hits - scan["application"]))

@@ -12,6 +12,7 @@ is its Python type exactly, so a bool is no integer.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import reprlib
 from contextlib import contextmanager
@@ -34,15 +35,27 @@ def load_packaged_json(name: str):
     return json.loads(resources.files("ics_scope.data").joinpath(name).read_text())
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its members, refusing a key named twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def read_json(path):
-    """The JSON value a file holds."""
+    """The JSON value a file holds; an object may not repeat a key."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
@@ -122,12 +135,12 @@ class _NotUtf8(Exception):
 def table_rows(path, delimiter: str | None = None):
     """The rows of a line table, in file order, for a with block to iterate.
 
-    Without delimiter a row is a line stripped of surrounding whitespace;
-    with one it is a CSV record's list of fields. Blank rows and rows that
-    start with '#' are skipped. The first of these in the file is a
-    ConfigError naming the file and the line: a row the with block refuses
-    with ValueError, a record the CSV reader cannot parse, a line that is
-    not UTF-8.
+    The file is read once. Without delimiter a row is a line stripped of
+    surrounding whitespace; with one it is a CSV record's list of fields.
+    Blank rows and rows that start with '#' are skipped. The first of these
+    in the file is a ConfigError naming the file and the line: a row the
+    with block refuses with ValueError, a record the CSV reader cannot
+    parse, a line that is not UTF-8.
     """
     number, bad, reader = 0, 0, None
 
@@ -154,15 +167,14 @@ def table_rows(path, delimiter: str | None = None):
             except UnicodeDecodeError as exc:  # line breaks split as newline="" splits
                 head = data[:exc.start]
                 bad = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            lines = lines_before(fh) if bad else fh
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                              newline="") as text:
+            lines = lines_before(text) if bad else text
             if delimiter:
                 reader = csv.reader(lines, delimiter=delimiter)
                 yield (fields for fields in reader if fields and not fields[0].startswith("#"))
             else:
                 yield rows(lines)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
     except _NotUtf8:
         raise ConfigError(f"{path} line {bad}: not UTF-8 text") from None
     except (ValueError, csv.Error) as exc:

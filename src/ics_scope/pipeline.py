@@ -651,10 +651,7 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
     steps = sanitize_rows(total)
     family_rows = filter_report(state.filter_counts)
     share_columns = ["request_share"] + [column for _, column, _ in FAMILIES]
-    passive: dict[str, dict[str, set[int]]] = {}
-    for (protocol, role), hosts in state.passive_hosts.items():
-        passive.setdefault(protocol, {})[role] = hosts
-    overlap_rows = scan_overlap(passive, inputs.scan_snapshot)
+    overlap_rows = scan_overlap(state.passive_hosts, inputs.scan_snapshot)
     readers = []
     for index, source in enumerate(config.captures):
         skipped = {reason: n for (i, reason), n in sorted(state.frames.items())

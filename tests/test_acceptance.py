@@ -19,6 +19,7 @@ from ics_scope.capture import (
     CaptureMeta,
     int_to_ip,
     ip_to_int,
+    parse_cidr,
     utc_day,
 )
 from ics_scope.classify import (
@@ -486,8 +487,8 @@ def test_criterion_7_lpm_oracle():
     countries = ["DE", "US", "JP", "NL", "FR"]
     for (network, plen), asn in entries.items():
         prefix = f"{int_to_ip(network)}/{plen}"
-        table.add(prefix, asn)
-        geo.add(prefix, countries[asn % len(countries)])
+        table.add(*parse_cidr(prefix, strict=False), asn)
+        geo.add(*parse_cidr(prefix, strict=False), countries[asn % len(countries)])
 
     keys = np.array([net >> (32 - plen) if plen else 0 for (net, plen) in entries],
                     dtype=np.uint64)
@@ -547,10 +548,8 @@ def test_criterion_9_scan_overlap_bound():
         transport = set(rng.sample(hosts, rng.randrange(0, len(hosts) + 1)))
         application = set(rng.sample(sorted(transport), rng.randrange(0, len(transport) + 1)))
         passive = {
-            "modbus": {
-                "source": set(rng.sample(hosts, rng.randrange(1, len(hosts) + 1))),
-                "destination": set(rng.sample(hosts, rng.randrange(1, len(hosts) + 1))),
-            }
+            ("modbus", "source"): set(rng.sample(hosts, rng.randrange(1, len(hosts) + 1))),
+            ("modbus", "destination"): set(rng.sample(hosts, rng.randrange(1, len(hosts) + 1))),
         }
         snapshot = {"modbus": {"transport": frozenset(transport),
                                "application": frozenset(application)}}

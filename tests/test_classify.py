@@ -56,6 +56,25 @@ def test_most_specific_prefix_wins(registry):
     assert registry.match_prefix(ip_to_int("198.51.7.9")) == "Shodan"
 
 
+def test_a_prefix_two_projects_list_goes_to_the_first_and_the_longest_prefix_wins():
+    registry = ScannerRegistry.from_entries([
+        {"project": "A", "prefixes": ["198.51.0.0/16", "192.0.2.0/24"]},
+        {"project": "B", "prefixes": ["192.0.2.0/24", "198.51.100.0/24"]},
+        {"project": "C", "prefixes": ["192.0.2.0/24", "198.51.0.0/16"]},
+    ])
+    assert registry.match_prefix(ip_to_int("192.0.2.200")) == "A"
+    assert registry.match_prefix(ip_to_int("198.51.100.1")) == "B"
+    assert registry.match_prefix(ip_to_int("198.51.99.1")) == "A"
+    assert registry.match_prefix(ip_to_int("192.0.3.1")) is None
+
+
+def test_a_prefix_two_projects_list_is_logged(caplog):
+    with caplog.at_level("WARNING"):
+        ScannerRegistry.from_entries([{"project": "A", "prefixes": ["192.0.2.0/24"]},
+                                      {"project": "B", "prefixes": ["192.0.2.0/24"]}])
+    assert caplog.messages == ["duplicate prefix 192.0.2.0/24: 'A' overrides 'B'"]
+
+
 def test_prefix_match_agrees_with_bruteforce(registry):
     nets = []
     for project in registry.projects:

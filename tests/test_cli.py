@@ -383,6 +383,22 @@ def test_an_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, comman
     assert "Traceback" not in result.stderr
 
 
+# A member of the generated cone named twice, or a key of a JSON object
+# repeated, names the file and exits 2.
+@pytest.mark.parametrize("name, key, message", [
+    ("cone.json", "064501", "{path}: member 64501 is listed twice"),
+    ("cone.json", "64501", "{path} is not valid JSON: repeated key '64501'"),
+    ("config.json", "captures", "{path} is not valid JSON: repeated key 'captures'"),
+])
+def test_analyze_refuses_a_key_named_twice(tmp_path, capsys, monkeypatch, name, key, message):
+    corpus = _gen(tmp_path)
+    path = corpus / name
+    path.write_text(f'{{"{key}": [], {path.read_text().lstrip()[1:]}')
+    code, err = _at_any_cpu_count(monkeypatch, capsys, _analyze(corpus, tmp_path))
+    assert (code, err) == (2, f"error: {message.format(path=path)}\n")
+    assert not (tmp_path / "r").exists()
+
+
 # A sidecar table of the wrong shape names the file and the key and exits 2.
 _SIDECAR_FAULTS = [
     pytest.param("cone", [64500], "bad_table.json must be an object, got [64500]",

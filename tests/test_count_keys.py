@@ -9,7 +9,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import CaptureMeta, ip_to_int
+from ics_scope.capture import CaptureMeta, ip_to_int, parse_cidr
 from ics_scope.classify import (
     FILTER_FAMILIES,
     HP_ALL,
@@ -112,7 +112,7 @@ def _reference_state(keys, source, config, inputs) -> CaptureState:
 def _table(rows) -> LpmTable:
     table = LpmTable()
     for prefix, value in rows:
-        table.add(prefix, value)
+        table.add(*parse_cidr(prefix, strict=False), value)
     return table
 
 

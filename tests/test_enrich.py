@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import int_to_ip, ip_to_int
+from ics_scope.capture import int_to_ip, ip_to_int, parse_cidr
 from ics_scope.classify import ScannerRegistry
 from ics_scope.enrich import (
     CONE_TO_CONE,
@@ -30,8 +30,8 @@ from oracles import is_local
 
 def test_lpm_most_specific_wins():
     table = LpmTable()
-    table.add("10.0.0.0/8", 100)
-    table.add("10.1.2.0/24", 200)
+    table.add(*parse_cidr("10.0.0.0/8", strict=False), 100)
+    table.add(*parse_cidr("10.1.2.0/24", strict=False), 200)
     assert table.lookup(ip_to_int("10.1.2.3")) == 200
     assert table.lookup(ip_to_int("10.9.9.9")) == 100
     assert table.lookup(ip_to_int("11.0.0.1")) is None
@@ -39,15 +39,15 @@ def test_lpm_most_specific_wins():
 
 def test_lpm_exact_host_entry():
     table = LpmTable()
-    table.add("192.0.2.7/32", 7)
+    table.add(*parse_cidr("192.0.2.7/32", strict=False), 7)
     assert table.lookup(ip_to_int("192.0.2.7")) == 7
     assert table.lookup(ip_to_int("192.0.2.8")) is None
 
 
 def test_lpm_default_route():
     table = LpmTable()
-    table.add("0.0.0.0/0", 1)
-    table.add("10.0.0.0/8", 2)
+    table.add(*parse_cidr("0.0.0.0/0", strict=False), 1)
+    table.add(*parse_cidr("10.0.0.0/8", strict=False), 2)
     assert table.lookup(ip_to_int("10.1.1.1")) == 2
     assert table.lookup(ip_to_int("200.1.1.1")) == 1
 
@@ -61,7 +61,7 @@ def test_lpm_agrees_with_linear_scan_randomized():
         network = rng.randrange(0, 2**32) & ~((1 << (32 - plen)) - 1)
         value = rng.randrange(1, 10_000)
         prefix = f"{int_to_ip(network)}/{plen}"
-        table.add(prefix, value)
+        table.add(*parse_cidr(prefix, strict=False), value)
         prefixes.append((network, plen, value))
     # Rebuild the view the way the table resolved duplicates (last wins).
     resolved = {}
@@ -267,8 +267,8 @@ def test_is_local_equivalent_to_member_to_member(topo):
 
 def test_is_domestic():
     geo = LpmTable()
-    geo.add("10.0.0.0/8", "DE")
-    geo.add("11.0.0.0/8", "JP")
+    geo.add(*parse_cidr("10.0.0.0/8", strict=False), "DE")
+    geo.add(*parse_cidr("11.0.0.0/8", strict=False), "JP")
 
     def domestic(src, dst):
         return is_domestic(geo.lookup(ip_to_int(src)), geo.lookup(ip_to_int(dst)))
@@ -302,8 +302,8 @@ def test_protocols_per_asn_threshold_boundary():
 
 
 def test_scan_overlap_arithmetic():
-    passive = {"modbus": {"source": {ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2")},
-                          "destination": set()}}
+    passive = {("modbus", "source"): {ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2")},
+               ("modbus", "destination"): set()}
     snapshot = {"modbus": {"transport": frozenset({ip_to_int("2.2.2.2"), ip_to_int("3.3.3.3")}),
                            "application": frozenset()}}
     rows = scan_overlap(passive, snapshot)
@@ -314,8 +314,8 @@ def test_scan_overlap_arithmetic():
 
 
 def test_scan_overlap_empty_snapshot():
-    passive = {"bacnet": {"source": {ip_to_int("1.1.1.1")},
-                          "destination": {ip_to_int("2.2.2.2")}}}
+    passive = {("bacnet", "source"): {ip_to_int("1.1.1.1")},
+               ("bacnet", "destination"): {ip_to_int("2.2.2.2")}}
     rows = scan_overlap(passive, {})
     assert all(r["transport_overlap_pct"] == 0.0 for r in rows)
     assert all(r["application_overlap_pct"] == 0.0 for r in rows)
@@ -335,8 +335,8 @@ def test_scan_overlap_app_bounded_by_transport_randomized():
         transport = frozenset(rng.sample(hosts, rng.randrange(0, len(hosts) + 1)))
         application = frozenset(rng.sample(sorted(transport),
                                            rng.randrange(0, len(transport) + 1)))
-        passive = {"x": {"source": set(rng.sample(hosts, rng.randrange(1, len(hosts) + 1))),
-                         "destination": set()}}
+        passive = {("x", "source"): set(rng.sample(hosts, rng.randrange(1, len(hosts) + 1))),
+                   ("x", "destination"): set()}
         rows = scan_overlap(passive, {"x": {"transport": transport,
                                             "application": application}})
         for row in rows:

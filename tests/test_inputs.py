@@ -1,12 +1,14 @@
 """The line-table reader: on any bytes it yields the rows, in order, and ends
 in the error, that the earlier line-by-line reader gave."""
 
+import builtins
 import csv
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ics_scope import inputs
 from ics_scope.inputs import ConfigError, table_rows
 
 
@@ -108,3 +110,17 @@ def test_a_unicode_error_of_the_with_block_keeps_its_message(tmp_path):
         with table_rows(path) as rows:
             for _ in rows:
                 "\ud800".encode("utf-8")
+
+
+def test_a_table_is_opened_once(tmp_path, monkeypatch):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"10.0.0.1\n10.0.0.2\n")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return builtins.open(*args, **kwargs)
+
+    monkeypatch.setattr(inputs, "open", counting_open, raising=False)
+    assert _drain(table_rows, path, None) == (["10.0.0.1", "10.0.0.2"], None)
+    assert opened == [path]

@@ -382,7 +382,8 @@ def _pad_tables(corpus, rows=3000):
 def _tables(inputs):
     """Every loaded table, field by field."""
     return {
-        "registry": (inputs.scanner_registry.projects, inputs.scanner_registry._prefixes),
+        "registry": (inputs.scanner_registry.projects, inputs.scanner_registry._prefixes._by_len,
+                     inputs.scanner_registry._prefixes._probes),
         "hp_all": inputs.honeypots.hp_all,
         "hp_ics": inputs.honeypots.hp_ics,
         "rdns": inputs.rdns.mapping,
