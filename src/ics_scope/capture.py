@@ -156,8 +156,9 @@ class PacketRecord(NamedTuple):
     icmp_type: int = -1
 
 
-# Version and IHL, total length, protocol, source and destination address.
-_IPV4_HEADER = struct.Struct("!BxH5xB2xII")
+# Version and IHL, total length, flags and fragment offset, protocol, source
+# and destination address.
+_IPV4_HEADER = struct.Struct("!BxH2xHxB2xII")
 _PORTS = struct.Struct("!HH")
 _ETHERTYPE = struct.Struct("!H")
 
@@ -168,15 +169,16 @@ def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> PacketRecord | None:
     The datagram starts at offset in buf and runs to the end of buf; its
     headers are read in place and only the payload is copied. ts becomes
     the record's timestamp. None when the datagram is not IPv4 carrying
-    ICMP, TCP or UDP, or when the capture stops inside the IP or transport
-    header.
+    ICMP, TCP or UDP, when it is a fragment other than the first (its bytes
+    start inside the transport payload), or when the capture stops inside
+    the IP or transport header.
     """
     size = len(buf)
     if size - offset < 20:
         return None
-    first, total_len, proto, src, dst = _IPV4_HEADER.unpack_from(buf, offset)
+    first, total_len, fragment, proto, src, dst = _IPV4_HEADER.unpack_from(buf, offset)
     ihl = (first & 0x0F) * 4
-    if first >> 4 != 4 or ihl < 20 or size - offset < ihl or total_len < ihl:
+    if first >> 4 != 4 or ihl < 20 or size - offset < ihl or total_len < ihl or fragment & 0x1FFF:
         return None
     body = offset + ihl
     # Trailing bytes beyond the IP total length are link padding, not payload.
@@ -210,7 +212,7 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
 
     Strips the Ethernet header (one VLAN tag tolerated) and decodes the IPv4
     datagram in place. Returns (record, RECORD) or (None, skip reason):
-    "short", "qinq", "ipv6", "non_ipv4" or "non_transport".
+    "short", "qinq", "ipv6", "non_ipv4", "fragment" or "non_transport".
     """
     if len(frame) < 14:
         return None, "short"
@@ -229,6 +231,8 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
         return None, "non_ipv4"
     record = ipv4_view(frame, ts, offset)
     if record is None:
+        if len(frame) >= offset + 20 and (frame[offset + 6] & 0x1F or frame[offset + 7]):
+            return None, "fragment"  # not the first: its bytes hold no transport header
         proto = frame[offset + 9] if len(frame) >= offset + 10 else None
         return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
     return record, RECORD

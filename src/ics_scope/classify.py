@@ -85,6 +85,8 @@ class ScannerRegistry:
             prefixes = typed(entry.get("prefixes", []), list, where, "prefixes", items=str)
             patterns = typed(entry.get("rdns_patterns", []), list, where, "rdns_patterns",
                              items=str)
+            if not all(patterns):  # "" is in every name
+                raise fault(where, "rdns_patterns", "a list of non-empty strings", patterns)
             try:
                 networks = tuple(parse_cidr(prefix, strict=True) for prefix in prefixes)
             except ValueError as exc:

@@ -188,20 +188,16 @@ def is_domestic(src_country: str | None, dst_country: str | None) -> bool | None
     return src_country == dst_country
 
 
-def protocols_per_asn(protocols_by_asn) -> dict[int, dict]:
-    """Distinct protocols requested per source AS; more than 4 is suspicious.
+# A source AS requesting more distinct protocols than this is suspicious.
+SUSPICIOUS_ABOVE = 4
 
-    protocols_by_asn: mapping of source AS to the set of protocols it
-    requested.
-    """
-    return {
-        asn: {
-            "protocols": sorted(protocols),
-            "distinct": len(protocols),
-            "suspicious": len(protocols) > 4,
-        }
-        for asn, protocols in sorted(protocols_by_asn.items())
-    }
+
+def protocols_per_asn(request_protocols) -> list[list]:
+    """asn_protocols.csv's rows: [AS, distinct protocols, the protocols joined
+    by ";", suspicious] per source AS in order, from request_protocols: per
+    source AS, the set of protocols it requested."""
+    return [[asn, len(protocols), ";".join(sorted(protocols)), len(protocols) > SUSPICIOUS_ABOVE]
+            for asn, protocols in sorted(request_protocols.items())]
 
 
 _SNAPSHOT_LAYERS = ("transport", "application")

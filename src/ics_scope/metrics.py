@@ -1,103 +1,72 @@
-"""Aggregate metrics: daily series, extrapolation, rankings, host stability."""
+"""Aggregate reports: daily series with extrapolation, host stability, protocol rank.
+
+Each function returns the rows its report file prints, from the run-state
+field (pipeline.CaptureState) it reads.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import date, timedelta
+from collections import Counter, defaultdict
+from datetime import timedelta
+
+from .capture import int_to_ip
 
 
-def extrapolate(count: int, sample_interval: int) -> int:
-    """On-wire estimate for a sampled count; exact integer arithmetic."""
-    if sample_interval < 1:
-        raise ValueError("sample_interval must be >= 1")
-    return count * sample_interval
+def host_stability(stable_days) -> list[list]:
+    """stability.csv's rows: per host, [address, first day, last day, window
+    days (inclusive of both), active days, active / window to 4 places].
 
-
-@dataclass(frozen=True)
-class HostActivity:
-    """Activity window and active-day count for one destination host."""
-
-    ip: str
-    first_day: date
-    last_day: date
-    window_days: int  # inclusive of both endpoints
-    active_day_count: int
-
-    @property
-    def stability(self) -> float:
-        return self.active_day_count / self.window_days
-
-
-def host_stability(days_by_ip) -> list[HostActivity]:
-    """Per-host (window, active days) from a mapping of ip to its set of days.
-
-    Sorted by active-day count descending, then by address for determinism.
+    stable_days: mapping of day to the set of addresses seen that day.
+    Sorted by active days descending, then by address text for determinism.
     """
-    out = []
+    days_by_ip: defaultdict[int, list] = defaultdict(list)
+    for day, ips in stable_days.items():
+        for ip in ips:
+            days_by_ip[ip].append(day)
+    rows = []
     for ip, days in days_by_ip.items():
-        first, last = min(days), max(days)
-        out.append(
-            HostActivity(
-                ip=ip,
-                first_day=first,
-                last_day=last,
-                window_days=(last - first).days + 1,
-                active_day_count=len(days),
-            )
-        )
-    out.sort(key=lambda h: (-h.active_day_count, h.ip))
-    return out
+        first, last, active = min(days), max(days), len(days)
+        window = (last - first).days + 1
+        rows.append([int_to_ip(ip), first, last, window, active, round(active / window, 4)])
+    rows.sort(key=lambda row: (-row[4], row[0]))
+    return rows
 
 
-def protocol_rank(counts) -> list[tuple[str, int]]:
-    """Protocols by packet count, ties broken lexicographically.
+def protocol_rank(counts) -> list[list]:
+    """protocol_rank.csv's rows: [rank from 1, protocol, packets] by packet
+    count, ties broken lexicographically.
 
     counts: mapping of protocol to packet count.
     """
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return [[rank, protocol, n] for rank, (protocol, n) in enumerate(ranked, 1)]
 
 
-@dataclass
-class DayRow:
-    """Sampled counts of one day and their on-wire estimates."""
-
-    day: date
-    total: int = 0
-    industrial: int = 0
-    extrapolated_total: int = 0
-    extrapolated_industrial: int = 0
-
-
-def daily_series(counts) -> dict[tuple[str, str], list[DayRow]]:
-    """Daily totals per (vantage, protocol) with gap days zero-filled.
+def daily_series(counts) -> list[list]:
+    """daily.tsv's rows: per (vantage, protocol) in order, every day from its
+    first to its last, gap days zero-filled, as a total and an industrial
+    row of [day, packets, on-wire estimate, "vantage:protocol:kind"].
 
     counts: mapping of (vantage, protocol, day, industrial: bool,
     sample_interval) to packet count, the interval being that of the
     packets' capture, so captures of one vantage with different intervals
     extrapolate each packet by its own. The total and industrial series sit
-    side by side in each row so filtered and unfiltered views stay
-    comparable.
+    side by side so filtered and unfiltered views stay comparable.
     """
-    buckets: dict[tuple[str, str], dict[date, DayRow]] = {}
+    packets: Counter = Counter()  # per (vantage, protocol, day, kind)
+    on_wire: Counter = Counter()
+    days: defaultdict = defaultdict(set)  # per (vantage, protocol)
     for (vantage, protocol, day, industrial, sample_interval), n in counts.items():
-        series = buckets.setdefault((vantage, protocol), {})
-        row = series.get(day)
-        if row is None:
-            row = series[day] = DayRow(day=day)
-        weight = extrapolate(n, sample_interval)
-        row.total += n
-        row.extrapolated_total += weight
-        if industrial:
-            row.industrial += n
-            row.extrapolated_industrial += weight
-    out: dict[tuple[str, str], list[DayRow]] = {}
-    for key in sorted(buckets):
-        series = buckets[key]
-        first, last = min(series), max(series)
-        rows = []
-        day = first
+        days[(vantage, protocol)].add(day)
+        for kind in ("total", "industrial") if industrial else ("total",):
+            packets[(vantage, protocol, day, kind)] += n
+            on_wire[(vantage, protocol, day, kind)] += n * sample_interval
+    rows = []
+    for (vantage, protocol), seen in sorted(days.items()):
+        day, last = min(seen), max(seen)
         while day <= last:
-            rows.append(series.get(day) or DayRow(day=day))
+            for kind in ("total", "industrial"):
+                key = (vantage, protocol, day, kind)
+                rows.append([day, packets[key], on_wire[key], f"{vantage}:{protocol}:{kind}"])
             day += timedelta(days=1)
-        out[key] = rows
-    return out
+    return rows

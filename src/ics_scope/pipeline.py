@@ -27,7 +27,6 @@ from .capture import (
     RECORD,
     CaptureError,
     CaptureMeta,
-    int_to_ip,
     read_capture,
     utc_day,
 )
@@ -633,20 +632,6 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
         domestic_rows.append([protocol, label, pct(counts["domestic"], resolved),
                               counts["domestic"], resolved, counts["unresolved"]])
 
-    daily_rows = []
-    for (vantage, protocol), rows in metrics.daily_series(state.daily_counts).items():
-        for row in rows:
-            daily_rows.append([row.day, row.total, row.extrapolated_total,
-                               f"{vantage}:{protocol}:total"])
-            daily_rows.append([row.day, row.industrial, row.extrapolated_industrial,
-                               f"{vantage}:{protocol}:industrial"])
-
-    # Formatted before sorting: the report orders hosts by address string.
-    days_by_ip: defaultdict[str, set] = defaultdict(set)
-    for day, ips in state.stable_days.items():
-        for ip in ips:
-            days_by_ip[int_to_ip(ip)].add(day)
-    stability = metrics.host_stability(days_by_ip)
     total, per_vantage = retention(state.events)
     steps = sanitize_rows(total)
     family_rows = filter_report(state.filter_counts)
@@ -687,17 +672,14 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
              "indeterminate_count"],
             domestic_rows,
         ),
-        "daily.tsv": (["day", "count", "extrapolated", "label"], daily_rows),
+        "daily.tsv": (["day", "count", "extrapolated", "label"],
+                      metrics.daily_series(state.daily_counts)),
         "stability.csv": (
             ["ip", "first_day", "last_day", "window_days", "active_days", "stability"],
-            [[h.ip, h.first_day, h.last_day, h.window_days, h.active_day_count,
-              round(h.stability, 4)] for h in stability],
+            metrics.host_stability(state.stable_days),
         ),
-        "asn_protocols.csv": (
-            ["asn", "distinct_protocols", "protocols", "suspicious"],
-            [[asn, info["distinct"], ";".join(info["protocols"]), info["suspicious"]]
-             for asn, info in protocols_per_asn(state.request_protocols).items()],
-        ),
+        "asn_protocols.csv": (["asn", "distinct_protocols", "protocols", "suspicious"],
+                              protocols_per_asn(state.request_protocols)),
         "scan_overlap.csv": _columns(
             overlap_rows,
             ["protocol", "role", "passive_hosts", "transport_overlap_pct",
@@ -705,11 +687,8 @@ def run_analyze(config: PipelineConfig, out_dir) -> dict:
             transport_only_senders=len,
         ),
         "scan_overlap.json": overlap_rows,
-        "protocol_rank.csv": (
-            ["rank", "protocol", "packets"],
-            [[i + 1, protocol, count]
-             for i, (protocol, count) in enumerate(metrics.protocol_rank(state.candidates))],
-        ),
+        "protocol_rank.csv": (["rank", "protocol", "packets"],
+                              metrics.protocol_rank(state.candidates)),
         "run_summary.json": summary,
     }
     for name, content in bundle.items():

@@ -83,7 +83,7 @@ class DpiSignature:
                     return False
         if self.check is not None:
             return _STRUCTURAL_CHECKS[self.check](payload)
-        return bool(self.prefix) or self.check is not None
+        return bool(self.prefix)
 
 
 _ENTRY_KEYS = ("name", "transport", "port_hint", "prefix_bytes", "mask", "check")
@@ -94,7 +94,7 @@ class DpiCatalog:
 
     def __init__(self, signatures: list[DpiSignature]):
         self.signatures = list(signatures)
-        # (ip_proto, first payload byte) -> the signatures that can match
+        # (TCP or UDP, first payload byte) -> the signatures that can match
         # such a payload, in catalog order; only non-empty buckets are kept.
         self._buckets: dict[tuple[int, int], list[DpiSignature]] = {}
         for sig in self.signatures:
@@ -163,7 +163,7 @@ class DpiCatalog:
         return cls.from_entries(read_json(path), str(path))
 
     def match(self, record: PacketRecord) -> str | None:
-        if record.ip_proto not in (TCP, UDP) or not record.payload:
+        if not record.payload:
             return None
         for sig in self._buckets.get((record.ip_proto, record.payload[0]), ()):
             if sig.matches(record.ip_proto, record.src_port, record.dst_port, record.payload):

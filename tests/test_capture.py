@@ -26,6 +26,7 @@ from ics_scope.capture import (
     PacketRecord,
     int_to_ip,
     ip_to_int,
+    ipv4_view,
     parse_cidr,
     read_capture,
     utc_day,
@@ -35,7 +36,9 @@ from ics_scope.ports import PORTS
 from ics_scope.trafficgen import (
     ETH_HEADER,
     build_backscatter_frame,
+    bacnet_whois,
     build_frame,
+    build_icmp_error,
     build_ipv4,
     build_tcp,
     build_udp,
@@ -131,6 +134,42 @@ def test_vlan_unwrapped_once_qinq_skipped(tmp_path):
     assert len(records) == 1
     assert int_to_ip(records[0].src_ip) == "10.1.0.1"
     assert outcomes["qinq"] == 1
+
+
+def _udp_fragment(flags_and_offset: int) -> bytes:
+    """An IPv4 datagram whose bytes after the IP header read like a UDP
+    header from port 53 to BACnet's 47808 and a Who-Is, with the given
+    flags and fragment offset (in 8-byte units)."""
+    body = b"\x00\x35\xba\xc0" + b"\x00\x10\x00\x00" + bacnet_whois()
+    datagram = bytearray(build_ipv4("198.51.100.7", "10.3.0.2", UDP, body))
+    datagram[6:8] = flags_and_offset.to_bytes(2, "big")
+    return bytes(datagram)
+
+
+def _icmp_error_frame(datagram: bytes) -> bytes:
+    return ETH_HEADER + build_ipv4("10.3.0.9", "198.51.100.7", ICMP,
+                                   build_icmp_error(3, 3, datagram))
+
+
+def test_only_first_fragments_are_read(tmp_path):
+    # The last fragment of an amplification reply, at byte 1480 of its
+    # datagram: its bytes are payload, not a UDP header, so it is skipped,
+    # and an ICMP error quoting it gives no candidate. A first fragment
+    # (more-fragments set, offset 0) reads as an unfragmented datagram.
+    tail = _udp_fragment(1480 // 8)
+    first = _udp_fragment(0x2000)
+    path = tmp_path / "fragments.pcap"
+    write_pcap(path, [(0, ETH_HEADER + tail), (1, ETH_HEADER + first),
+                      (2, _icmp_error_frame(tail)), (3, _icmp_error_frame(first))])
+    records, outcomes = read_all(path, CaptureMeta("vp"))
+    assert outcomes == Counter({RECORD: 3, "fragment": 1})
+    assert ipv4_view(tail, 0) is None
+    read_first, quoted_tail, quoted_first = records
+    assert (read_first.ip_proto, read_first.src_port, read_first.dst_port) == (UDP, 53, 47808)
+    assert dissect(read_first).protocol == "bacnet"
+    assert dissect(quoted_tail) is None
+    assert dissect(quoted_first).protocol == "bacnet"
+    assert dissect(quoted_first).via_icmp_quote
 
 
 def test_icmp_records_have_zero_ports(tmp_path):
@@ -524,6 +563,8 @@ def _slicing_ipv4_view(datagram: bytes, ts: int) -> PacketRecord | None:
     total_len = int.from_bytes(datagram[2:4], "big")
     if total_len < ihl:
         return None
+    if int.from_bytes(datagram[6:8], "big") & 0x1FFF:  # not the first fragment
+        return None
     proto = datagram[9]
     src = int.from_bytes(datagram[12:16], "big")
     dst = int.from_bytes(datagram[16:20], "big")
@@ -571,6 +612,8 @@ def _slicing_decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, s
     datagram = frame[offset:]
     record = _slicing_ipv4_view(datagram, ts)
     if record is None:
+        if len(datagram) >= 20 and int.from_bytes(datagram[6:8], "big") & 0x1FFF:
+            return None, "fragment"
         proto = datagram[9] if len(datagram) >= 10 else None
         return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
     return record, RECORD
@@ -586,9 +629,10 @@ _QUOTED_MODBUS = build_ipv4("10.0.0.1", "10.0.0.2", TCP,
 
 @st.composite
 def _datagrams(draw, quoted=False):
-    """An IPv4-shaped datagram with any version, IHL and total length (below,
-    at or above its bytes), carrying TCP with any data offset, UDP, ICMP or
-    another protocol; an ICMP error quotes one more such datagram."""
+    """An IPv4-shaped datagram with any version, IHL, total length (below,
+    at or above its bytes) and flags and fragment offset, carrying TCP with
+    any data offset, UDP, ICMP or another protocol; an ICMP error quotes one
+    more such datagram."""
     version = draw(st.sampled_from([4, 4, 4, 4, 4, 0, 6, 15]))
     ihl = draw(st.just(5) | st.integers(0, 15))
     proto = draw(st.sampled_from([ICMP, TCP, TCP, TCP, UDP, UDP, 0, 47]))
@@ -614,8 +658,10 @@ def _datagrams(draw, quoted=False):
     length = 20 + len(options) + len(transport) + len(payload)
     total_len = draw(st.just(length) | st.integers(max(length - 12, 0), length + 12)
                      | st.integers(0, 65535))
-    header = struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, total_len, 0, 0, 64, proto, 0,
-                         draw(st.binary(min_size=4, max_size=4)),
+    # Unfragmented, don't-fragment, a first fragment, or any flags and offset.
+    fragment = draw(st.sampled_from([0, 0x4000, 0x2000]) | st.integers(0, 0xFFFF))
+    header = struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, total_len, 0, fragment, 64,
+                         proto, 0, draw(st.binary(min_size=4, max_size=4)),
                          draw(st.binary(min_size=4, max_size=4)))
     return header + options + transport + payload
 

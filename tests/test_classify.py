@@ -22,6 +22,7 @@ from ics_scope.classify import (
     filter_report,
     label_under,
 )
+from ics_scope.inputs import ConfigError
 
 
 def classify(src_ip, dst_ip, registry, rdns, honeypots):
@@ -218,6 +219,14 @@ def test_filter_family_monotonicity_spot():
 def test_registry_rejects_empty_project():
     with pytest.raises(ValueError, match="project must be a non-empty string, got ''"):
         ScannerRegistry.from_entries([{"project": "", "prefixes": []}])
+
+
+@pytest.mark.parametrize("patterns", [[""], ["shodan", ""]])
+def test_registry_rejects_an_empty_rdns_pattern(patterns):
+    # "" is in every name: each address with an rDNS entry would be a scanner.
+    with pytest.raises(ConfigError, match="entry 0: rdns_patterns must be a list of non-empty "
+                                          "strings, got "):
+        ScannerRegistry.from_entries([{"project": "Shodan", "rdns_patterns": patterns}])
 
 
 def test_all_filters_constant():

@@ -318,6 +318,18 @@ def test_analyze_refuses_an_unknown_key(tmp_path, capsys, name, edit, message):
     assert not (tmp_path / "r").exists()
 
 
+def test_analyze_refuses_an_empty_rdns_pattern(tmp_path, capsys):
+    corpus = _gen(tmp_path)
+    path = corpus / "registry.json"
+    registry = json.loads(path.read_text())
+    path.write_text(json.dumps([{**registry[0], "rdns_patterns": [""]}, *registry[1:]]))
+    argv = ["analyze", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "r")]
+    assert _exit_code(argv) == 2
+    assert ("registry.json entry 0: rdns_patterns must be a list of non-empty strings, "
+            "got ['']") in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda s: {**s, "sample_intervall": 16384},
                  "scenario: sample_intervall is not a scenario key (one of seed, vantage,",

@@ -289,16 +289,15 @@ def _by_asn(rows) -> dict:
 def test_protocols_per_asn_flags():
     rows = [(64500, "modbus"), (64500, "bacnet"), (64500, "modbus")]
     rows += [(64501, p) for p in ("modbus", "bacnet", "dnp3", "iec104", "hartip")]
-    per_asn = protocols_per_asn(_by_asn(rows))
-    assert per_asn[64500]["distinct"] == 2
-    assert per_asn[64500]["suspicious"] is False
-    assert per_asn[64501]["distinct"] == 5
-    assert per_asn[64501]["suspicious"] is True
+    assert protocols_per_asn(_by_asn(rows)) == [
+        [64500, 2, "bacnet;modbus", False],
+        [64501, 5, "bacnet;dnp3;hartip;iec104;modbus", True],
+    ]
 
 
 def test_protocols_per_asn_threshold_boundary():
     rows = [(1, p) for p in ("modbus", "bacnet", "dnp3", "iec104")]
-    assert protocols_per_asn(_by_asn(rows))[1]["suspicious"] is False  # exactly 4 is not flagged
+    assert protocols_per_asn(_by_asn(rows))[0][3] is False  # exactly 4 is not flagged
 
 
 def test_scan_overlap_arithmetic():

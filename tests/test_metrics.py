@@ -5,12 +5,11 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from ics_scope.capture import utc_day
+from ics_scope.capture import CaptureMeta, ip_to_int, utc_day
 from ics_scope.classify import filter_report
 from ics_scope.dissectors import Dissection
 from ics_scope.metrics import (
     daily_series,
-    extrapolate,
     host_stability,
     protocol_rank,
 )
@@ -28,27 +27,40 @@ def _daily(entries) -> Counter:
                    for vantage, protocol, ts, industrial, interval in entries)
 
 
-def _by_ip(rows) -> dict:
+def _series(rows, label: str) -> list[list]:
+    """The [day, packets, on-wire estimate] rows of one daily.tsv label."""
+    return [row[:3] for row in rows if row[3] == label]
+
+
+def _stable_days(rows) -> dict:
     """host_stability input from (ip, day) observations."""
     days: dict = {}
     for ip, day in rows:
-        days.setdefault(ip, set()).add(day)
+        days.setdefault(day, set()).add(ip_to_int(ip))
     return days
 
 
+def _extrapolated(packets: int, sample_interval: int) -> int:
+    """The on-wire estimate of one day's packets at one interval."""
+    day = date(2018, 1, 1)
+    rows = daily_series({("vp", "bacnet", day, True, sample_interval): packets})
+    assert rows[0][2] == rows[1][2]  # the total row, then the industrial row
+    return rows[0][2]
+
+
 def test_extrapolate_values():
-    assert extrapolate(5, 16384) == 81920
-    assert extrapolate(7, 1) == 7
-    assert extrapolate(0, 123) == 0
+    assert _extrapolated(5, 16384) == 81920
+    assert _extrapolated(7, 1) == 7
+    assert _extrapolated(0, 123) == 0
     with pytest.raises(ValueError):
-        extrapolate(1, 0)
+        CaptureMeta("vp", sample_interval=0)
 
 
 @given(a=st.integers(min_value=0, max_value=10**9),
        b=st.integers(min_value=0, max_value=10**9),
        s=st.integers(min_value=1, max_value=2**20))
 def test_extrapolate_linear(a, b, s):
-    assert extrapolate(a + b, s) == extrapolate(a, s) + extrapolate(b, s)
+    assert _extrapolated(a + b, s) == _extrapolated(a, s) + _extrapolated(b, s)
 
 
 def _request_shares(rows):
@@ -74,14 +86,13 @@ def test_request_share_balanced_and_null():
 def test_host_stability_inclusive_window():
     start = date(2018, 1, 1)
     rows = [("10.0.0.1", start), ("10.0.0.1", start + timedelta(days=9))]
-    activity = host_stability(_by_ip(rows))[0]
-    assert (activity.window_days, activity.active_day_count) == (10, 2)
+    row = host_stability(_stable_days(rows))[0]
+    assert (row[3], row[4]) == (10, 2)
 
 
 def test_host_stability_single_day():
-    activity = host_stability({"10.0.0.1": {date(2018, 3, 3)}})[0]
-    assert (activity.window_days, activity.active_day_count) == (1, 1)
-    assert activity.stability == 1.0
+    row = host_stability({date(2018, 3, 3): {ip_to_int("10.0.0.1")}})[0]
+    assert row == ["10.0.0.1", date(2018, 3, 3), date(2018, 3, 3), 1, 1, 1.0]
 
 
 def test_host_stability_replicates_stable_host_tuple():
@@ -90,16 +101,24 @@ def test_host_stability_replicates_stable_host_tuple():
     offsets = {0, 178} | set(rng.sample(range(1, 178), 144))
     assert len(offsets) == 146
     rows = [("10.1.1.1", start + timedelta(days=o)) for o in sorted(offsets)]
-    activity = host_stability(_by_ip(rows))[0]
-    assert (activity.window_days, activity.active_day_count) == (179, 146)
+    row = host_stability(_stable_days(rows))[0]
+    assert (row[3], row[4]) == (179, 146)
+    assert row[5] == round(146 / 179, 4)
 
 
 def test_host_stability_sorted_by_activity():
     start = date(2018, 1, 1)
     rows = [("10.0.0.2", start + timedelta(days=i)) for i in range(3)]
     rows += [("10.0.0.1", start)]
-    result = host_stability(_by_ip(rows))
-    assert [h.ip for h in result] == ["10.0.0.2", "10.0.0.1"]
+    result = host_stability(_stable_days(rows))
+    assert [row[0] for row in result] == ["10.0.0.2", "10.0.0.1"]
+
+
+def test_host_stability_ties_by_address_text():
+    day = date(2018, 1, 1)
+    rows = [("10.0.0.9", day), ("10.0.0.10", day), ("9.0.0.1", day)]
+    result = host_stability(_stable_days(rows))
+    assert [row[0] for row in result] == ["10.0.0.10", "10.0.0.9", "9.0.0.1"]
 
 
 @given(
@@ -117,8 +136,9 @@ def test_host_stability_bruteforce(host_days):
         for ip, offsets in host_days.items()
         for offset in offsets
     ]
-    for activity in host_stability(_by_ip(rows)):
-        offsets = host_days[activity.ip]
+    result = host_stability(_stable_days(rows))
+    for ip, first_day, last_day, window_days, active_days, stability in result:
+        offsets = host_days[ip]
         days = sorted(start + timedelta(days=o) for o in offsets)
         # Brute force: walk every day in the window and count.
         window = 0
@@ -129,11 +149,12 @@ def test_host_stability_bruteforce(host_days):
             if day in set(days):
                 active += 1
             day += timedelta(days=1)
-        assert activity.window_days == window
-        assert activity.active_day_count == active
-        assert activity.first_day == days[0]
-        assert activity.last_day == days[-1]
-        assert 1 <= activity.active_day_count <= activity.window_days
+        assert window_days == window
+        assert active_days == active
+        assert first_day == days[0]
+        assert last_day == days[-1]
+        assert 1 <= active_days <= window_days
+        assert stability == round(active / window, 4)
 
 
 def _dissection(protocol):
@@ -146,16 +167,17 @@ def _counts(dissections):
 
 def test_protocol_rank_order_and_ties():
     stream = [_dissection("modbus")] * 10 + [_dissection("bacnet")] * 5
-    assert protocol_rank(_counts(stream)) == [("modbus", 10), ("bacnet", 5)]
+    assert protocol_rank(_counts(stream)) == [[1, "modbus", 10], [2, "bacnet", 5]]
     tied = [_dissection("dnp3")] * 3 + [_dissection("bacnet")] * 3
-    assert protocol_rank(_counts(tied)) == [("bacnet", 3), ("dnp3", 3)]
+    assert protocol_rank(_counts(tied)) == [[1, "bacnet", 3], [2, "dnp3", 3]]
 
 
 def test_protocol_rank_conserves_counts():
     rng = random.Random(2)
     stream = [_dissection(rng.choice(["a", "b", "c"])) for _ in range(500)]
     ranked = protocol_rank(_counts(stream))
-    assert sum(count for _, count in ranked) == 500
+    assert sum(count for _, _, count in ranked) == 500
+    assert [rank for rank, _, _ in ranked] == list(range(1, len(ranked) + 1))
 
 
 def test_daily_series_utc_bucketing_and_gaps():
@@ -164,11 +186,16 @@ def test_daily_series_utc_bucketing_and_gaps():
         ("vp", "bacnet", _ts(d1, _DAY_US - 1), True, 1),  # 23:59:59.999999 stays on day 1
         ("vp", "bacnet", _ts(d1 + timedelta(days=3)), False, 1),
     ]
-    series = daily_series(_daily(entries))[("vp", "bacnet")]
-    assert [row.day for row in series] == [d1 + timedelta(days=i) for i in range(4)]
-    assert series[0].total == 1 and series[0].industrial == 1
-    assert series[1].total == 0 and series[2].total == 0
-    assert series[3].total == 1 and series[3].industrial == 0
+    rows = daily_series(_daily(entries))
+    total = _series(rows, "vp:bacnet:total")
+    industrial = _series(rows, "vp:bacnet:industrial")
+    assert [row[0] for row in total] == [d1 + timedelta(days=i) for i in range(4)]
+    assert [row[0] for row in industrial] == [row[0] for row in total]
+    assert total[0][1] == 1 and industrial[0][1] == 1
+    assert total[1][1] == 0 and total[2][1] == 0
+    assert total[3][1] == 1 and industrial[3][1] == 0
+    # Each day's total row is followed by its industrial row.
+    assert [row[3] for row in rows] == ["vp:bacnet:total", "vp:bacnet:industrial"] * 4
 
 
 def test_daily_series_scanner_spike_only_in_total():
@@ -176,10 +203,9 @@ def test_daily_series_scanner_spike_only_in_total():
     entries = [("vp", "bacnet", _ts(base + timedelta(days=i)), True, 1) for i in range(5)]
     entries += [("vp", "bacnet", _ts(base + timedelta(days=2), 50), False, 1)
                 for _ in range(100)]
-    series = daily_series(_daily(entries))[("vp", "bacnet")]
-    spike = series[2]
-    assert spike.total == 101
-    assert spike.industrial == 1
+    rows = daily_series(_daily(entries))
+    assert _series(rows, "vp:bacnet:total")[2][1] == 101
+    assert _series(rows, "vp:bacnet:industrial")[2][1] == 1
 
 
 def test_daily_series_conservation():
@@ -192,17 +218,18 @@ def test_daily_series_conservation():
              _ts(base + timedelta(days=rng.randrange(20)), rng.randrange(_DAY_US)),
              rng.random() < 0.5, 1)
         )
-    series = daily_series(_daily(entries))
-    total = sum(row.total for rows in series.values() for row in rows)
+    rows = daily_series(_daily(entries))
+    total = sum(row[1] for row in rows if row[3].endswith(":total"))
     assert total == 800
 
 
 def test_day_row_extrapolation():
     day = _ts(date(2018, 1, 1))
     entries = [("vp", "bacnet", day, i < 2, 16384) for i in range(5)]
-    row = daily_series(_daily(entries))[("vp", "bacnet")][0]
-    assert (row.extrapolated_total, row.extrapolated_industrial) == (81920, 32768)
+    rows = daily_series(_daily(entries))
+    assert (rows[0][2], rows[1][2]) == (81920, 32768)
+    assert [row[3] for row in rows] == ["vp:bacnet:total", "vp:bacnet:industrial"]
 
 
 def test_daily_series_empty():
-    assert daily_series({}) == {}
+    assert daily_series({}) == []

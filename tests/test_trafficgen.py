@@ -216,12 +216,12 @@ def test_protocols_per_asn_matches_ground_truth(tmp_path):
         assert asn is not None
         rows.setdefault(asn, set()).add(dissect(record).protocol)
         expected.setdefault(asn, set()).add(t["protocol"])
-    per_asn = protocols_per_asn(rows)
+    per_asn = {row[0]: row for row in protocols_per_asn(rows)}
     assert set(per_asn) == set(expected)
     for asn, protocols in expected.items():
-        assert per_asn[asn]["distinct"] == len(protocols)
+        assert per_asn[asn][1] == len(protocols)
     # All sweep sources share one /28, hence one AS requesting 5 protocols.
-    assert any(info["suspicious"] for info in per_asn.values())
+    assert any(suspicious for _, _, _, suspicious in per_asn.values())
 
 
 def test_honeypot_sidecars_subset(tmp_path):
