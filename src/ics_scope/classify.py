@@ -8,15 +8,15 @@ pass supports every filter-family report column.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .capture import int_to_ip, ip_to_int, parse_cidr
+from .capture import int_to_ip, ip_column, ip_to_int, parse_cidr
 from .enrich import LpmTable
-from .inputs import (ConfigError, fault, known, load_packaged_json, read_json, table_rows,
-                     typed)
+from .inputs import ConfigError, fault, known, line_table, load_packaged_json, read_json, typed
 
 INDUSTRIAL = "industrial"
 NON_INDUSTRIAL = "non_industrial"
@@ -119,6 +119,11 @@ def default_scanner_registry() -> ScannerRegistry:
     return ScannerRegistry.from_entries(load_packaged_json("scanner_registry.json"))
 
 
+# The canonical lines of the address lists and of the rDNS table, any number of them.
+_ADDRESS_LINES = re.compile(rb"(?:[0-9.]{7,15}\n)*")
+_RDNS_LINES = re.compile(rb"(?:[0-9.]{7,15},[!#-+\--~]+\n)*")  # names: no space, '"' or ','
+
+
 class HoneypotSets:
     """IPv4 addresses (as integers) observed at honeypots: all ports vs.
     ICS-port requesters."""
@@ -129,7 +134,10 @@ class HoneypotSets:
 
     @classmethod
     def from_files(cls, all_path, ics_path) -> "HoneypotSets":
-        hp_all, hp_ics = _read_ip_set(all_path), _read_ip_set(ics_path)
+        hp_all, hp_ics = (line_table(path, _ADDRESS_LINES,
+                                     lambda text: frozenset(ip_column(text.split())),
+                                     lambda rows: frozenset(map(ip_to_int, rows)))
+                          for path in (all_path, ics_path))
         if not hp_ics <= hp_all:
             extra = sorted(map(int_to_ip, hp_ics - hp_all))[:3]
             raise ConfigError(f"hp_ics {ics_path} must be a subset of hp_all {all_path}, "
@@ -141,11 +149,6 @@ class HoneypotSets:
         return cls(frozenset(), frozenset())
 
 
-def _read_ip_set(path) -> frozenset[int]:
-    with table_rows(path) as rows:
-        return frozenset(map(ip_to_int, rows))
-
-
 class RdnsTable:
     """Offline reverse-DNS snapshot keyed by integer address; missing entries
     are normal."""
@@ -155,13 +158,19 @@ class RdnsTable:
 
     @classmethod
     def from_csv(cls, path) -> "RdnsTable":
-        mapping: dict[int, str] = {}
-        with table_rows(path, ",") as rows:
+        def by_column(text: str) -> RdnsTable:
+            fields = text.replace("\n", ",").split(",")  # one "" after the last
+            return cls(dict(zip(ip_column(fields[:-1:2]), fields[1::2])))
+
+        def by_line(rows) -> RdnsTable:
+            mapping: dict[int, str] = {}
             for row in rows:
                 if len(row) < 2:
                     raise ValueError("expected 'ip,name'")
                 mapping[ip_to_int(row[0].strip())] = row[1].strip()
-        return cls(mapping)
+            return cls(mapping)
+
+        return line_table(path, _RDNS_LINES, by_column, by_line, ",")
 
     @classmethod
     def empty(cls) -> "RdnsTable":

@@ -12,10 +12,9 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .capture import int_to_ip, ip_to_int, parse_cidr
+from .capture import int_to_ip, ip_column, parse_cidr, prefix_columns
 from .dissectors import PROTOCOLS
-from .inputs import (AS_MAX, ConfigError, as_number, fault, known, read_json, table_rows,
-                     typed)
+from .inputs import AS_MAX, ConfigError, as_number, fault, known, line_table, read_json, typed
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +28,10 @@ TRANSITIONS = (MEMBER_TO_MEMBER, MEMBER_TO_CONE, CONE_TO_MEMBER, CONE_TO_CONE)
 
 _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 
+# The canonical lines of the prefix tables, any number of them.
+_ASN_LINES = re.compile(rb"(?:[0-9.]{7,15}/[0-9]{1,2} [0-9]{1,10}\n)*")
+_GEO_LINES = re.compile(rb"(?:[0-9.]{7,15}/[0-9]{1,2},[A-Z]{2}\n)*")
+
 
 class LpmTable:
     """Longest-prefix-match table over parsed IPv4 prefixes with arbitrary values.
@@ -37,9 +40,14 @@ class LpmTable:
     its value; lookup probes the populated lengths only, longest first.
     """
 
-    def __init__(self):
-        self._by_len: dict[int, dict[int, object]] = {}
-        self._probes: tuple[tuple[int, dict[int, object]], ...] = ()
+    def __init__(self, lengths=(), keys=(), values=()):
+        """The table of the prefixes prefix_columns gives, with their values;
+        ValueError when a prefix repeats, as only add judges an override."""
+        self._by_len = {plen: {} for plen in sorted(set(lengths), reverse=True)}
+        any(map(dict.__setitem__, map(self._by_len.__getitem__, lengths), keys, values))
+        if sum(map(len, self._by_len.values())) < len(values):
+            raise ValueError("a prefix repeats")
+        self._probes = tuple((32 - plen, bucket) for plen, bucket in self._by_len.items())
         self.overridden = 0  # adds that changed the value of a prefix already present
 
     def add(self, network: int, plen: int, value) -> None:
@@ -76,8 +84,16 @@ def _loaded(table: LpmTable, path) -> LpmTable:
 
 def load_asn_table(path) -> LpmTable:
     """Prefix-to-origin table from 'prefix asn' or 'address length asn' lines."""
-    table = LpmTable()
-    with table_rows(path) as rows:
+
+    def by_column(text: str) -> LpmTable:
+        fields = text.replace("/", " ").split()
+        asns = list(map(int, fields[2::3]))
+        if max(asns, default=0) > AS_MAX:
+            raise ValueError("an AS number above AS_MAX")
+        return LpmTable(*prefix_columns(fields[::3], fields[1::3]), asns)
+
+    def by_line(rows) -> LpmTable:
+        table = LpmTable()
         for line in rows:
             parts = line.split()
             if len(parts) == 2:
@@ -93,13 +109,20 @@ def load_asn_table(path) -> LpmTable:
                 raise ValueError(f"AS number must be at most {AS_MAX}, got {asn}")
             network, plen = parse_cidr(prefix, strict=False)
             table.add(network, plen, number)
-    return _loaded(table, path)
+        return table
+
+    return _loaded(line_table(path, _ASN_LINES, by_column, by_line), path)
 
 
 def load_geo_table(path) -> LpmTable:
     """Prefix-to-country table from CSV 'prefix,country' rows."""
-    table = LpmTable()
-    with table_rows(path, ",") as rows:
+
+    def by_column(text: str) -> LpmTable:
+        fields = text.replace("/", ",").replace("\n", ",").split(",")  # one "" after the last
+        return LpmTable(*prefix_columns(fields[:-1:3], fields[1::3]), fields[2::3])
+
+    def by_line(rows) -> LpmTable:
+        table = LpmTable()
         for row in rows:
             if len(row) < 2:
                 raise ValueError("expected 'prefix,country'")
@@ -109,7 +132,9 @@ def load_geo_table(path) -> LpmTable:
                 raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
             network, plen = parse_cidr(prefix, strict=False)
             table.add(network, plen, country)
-    return _loaded(table, path)
+        return table
+
+    return _loaded(line_table(path, _GEO_LINES, by_column, by_line, ","), path)
 
 
 @dataclass
@@ -219,7 +244,7 @@ def load_scan_snapshot(path) -> dict[str, dict[str, frozenset[int]]]:
             key = f"{protocol}.{layer}"
             hosts = typed(sets.get(layer, []), list, where, key, items=str)
             try:
-                parsed[layer] = frozenset(map(ip_to_int, hosts))
+                parsed[layer] = frozenset(ip_column(hosts))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {key}: {exc}") from None
         if not parsed["application"] <= parsed["transport"]:

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import reprlib
-from contextlib import contextmanager
 from importlib import resources
 from itertools import islice
 
@@ -47,13 +46,18 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def read_json(path):
-    """The JSON value a file holds; an object may not repeat a key."""
+def read_file(path) -> bytes:
+    """The bytes of the file at path."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def read_json(path):
+    """The JSON value a file holds; an object may not repeat a key."""
+    data = read_file(path)
     try:
         return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -131,35 +135,35 @@ class _NotUtf8(Exception):
     """Raised by a line table's line source in place of its first non-UTF-8 line."""
 
 
-@contextmanager
-def table_rows(path, delimiter: str | None = None):
-    """The rows of a line table, in file order, for a with block to iterate.
-
-    The file is read once. Without delimiter a row is a line stripped of
-    surrounding whitespace; with one it is a CSV record's list of fields.
-    Blank rows and rows that start with '#' are skipped. The first of these
-    in the file is a ConfigError naming the file and the line: a row the
-    with block refuses with ValueError, a record the CSV reader cannot
-    parse, a line that is not UTF-8.
-    """
+def line_table(path, canonical, columns, rows, delimiter: str | None = None):
+    """What a line table holds, from one read of its file: columns(its ASCII
+    text), a column at a time in C, when the bytes pattern canonical matches
+    the whole file and columns raises no KeyError or ValueError on a value
+    only a row can judge; otherwise rows(its rows in file order), a line at
+    a time. Without delimiter a row is a line stripped of surrounding
+    whitespace; with one it is a CSV record's list of fields. Blank rows and
+    rows that start with '#' are skipped. The first of these in the file is
+    a ConfigError naming the file and the line: a row rows refuses with
+    ValueError, a record the CSV reader cannot parse, a line not UTF-8."""
+    data = read_file(path)
+    if canonical.fullmatch(data):
+        try:
+            return columns(data.decode("ascii"))
+        except (KeyError, ValueError):
+            pass
     number, bad, reader = 0, 0, None
 
     def lines_before(fh):
         yield from islice(fh, bad - 1)
         raise _NotUtf8
 
-    def rows(lines):
+    def stripped(lines):
         nonlocal number
         for number, line in enumerate(lines, 1):
             line = line.strip()
             if line and not line.startswith("#"):
                 yield line
 
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
         if not data.isascii():
             try:
@@ -172,9 +176,8 @@ def table_rows(path, delimiter: str | None = None):
             lines = lines_before(text) if bad else text
             if delimiter:
                 reader = csv.reader(lines, delimiter=delimiter)
-                yield (fields for fields in reader if fields and not fields[0].startswith("#"))
-            else:
-                yield rows(lines)
+                return rows(fields for fields in reader if fields and not fields[0].startswith("#"))
+            return rows(stripped(lines))
     except _NotUtf8:
         raise ConfigError(f"{path} line {bad}: not UTF-8 text") from None
     except (ValueError, csv.Error) as exc:

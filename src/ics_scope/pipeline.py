@@ -127,12 +127,16 @@ class PipelineConfig:
         if not entries:
             raise ConfigError(f"{where}: captures must list at least one capture")
         captures = []
+        files: dict[tuple[int, int], str] = {}  # (st_dev, st_ino) -> the first key naming it
         for index, entry in enumerate(entries):
             key = f"captures[{index}]"
             entry = known(typed(entry, dict, where, key), _CAPTURE_KEYS, f"{where}: {key}",
                           "capture")
             captures.append(CaptureSource(existing(entry.get("path"), f"{key}.path"),
                                           CaptureMeta.from_entry(entry, where, f"{key}.")))
+            found = captures[-1].path.stat()
+            if (first := files.setdefault((found.st_dev, found.st_ino), key)) != key:
+                raise ConfigError(f"{where}: {first}.path and {key}.path name the same file")
         tag_members = typed(raw.get("tag_members", {}), dict, where, "tag_members")
         return cls(
             captures=captures,
@@ -335,13 +339,17 @@ def candidate_verdicts(state: CaptureState, source: CaptureSource, index: int,
         state.events[(vantage, PORT_ONLY)] += port_only
 
 
+KEY_BATCH = 65_536  # the distinct keys capture_state holds at most before counting them
+
+
 def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
                   start: int = PCAP_HEADER_LEN, stop: int | None = None) -> CaptureState:
     """Stream the byte range [start, stop) of the capture config.captures[index]
     and derive its complete run state.
 
     Every report is a function of a kept packet's key, so the stream only
-    counts keys, and count_keys derives the rest from them.
+    counts keys, KEY_BATCH distinct ones at most, and count_keys, which adds
+    up over batches, derives the rest from them.
     """
     source = config.captures[index]
     state = CaptureState()
@@ -349,8 +357,15 @@ def capture_state(config: PipelineConfig, inputs: LoadedInputs, index: int,
     for _, record, dissection, verdict in candidate_verdicts(state, source, index,
                                                              inputs.dpi_catalog, start, stop):
         if verdict == KEPT:
-            keys[(dissection.protocol, dissection.direction, record.src_ip, record.dst_ip,
-                  record.ts // _US_PER_DAY)] += 1
+            key = (dissection.protocol, dissection.direction, record.src_ip, record.dst_ip,
+                   record.ts // _US_PER_DAY)
+            if key in keys:  # no call per record: Counter's __missing__ is one
+                keys[key] += 1
+                continue
+            if len(keys) == KEY_BATCH:
+                count_keys(state, keys, source.meta, config, inputs)
+                keys.clear()
+            keys[key] = 1
     count_keys(state, keys, source.meta, config, inputs)
     return state
 

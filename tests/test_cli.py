@@ -266,6 +266,14 @@ _FAULTS = [
     pytest.param("analyze", lambda c: json.dumps(c).encode().replace(b"ixp0", b"ixp\xff"),
                  "bad_config.json is not valid JSON: 'utf-8' codec can't decode byte 0xff",
                  id="config-not-utf8"),
+    pytest.param("analyze", lambda c: {**c, "captures": c["captures"] * 2},
+                 "captures[0].path and captures[1].path name the same file",
+                 id="capture-listed-twice"),
+    pytest.param("analyze", lambda c: {**c, "captures": [*c["captures"], {
+                     **c["captures"][0], "path": "./" + c["captures"][0]["path"],
+                     "vantage": "other"}]},
+                 "captures[0].path and captures[1].path name the same file",
+                 id="capture-listed-twice-by-another-path"),
     pytest.param("dissect", None, "snap_len below 46 bytes", id="dissect-snap-len-10"),
     pytest.param("sanitize", None, "snap_len below 46 bytes", id="sanitize-snap-len-10"),
 ]
@@ -902,6 +910,20 @@ def test_analyze_capture_path_with_a_nul_exit_2(tmp_path, capsys, monkeypatch):
     _analyze_with_a_nul_path(tmp_path, capsys, monkeypatch,
                              lambda config: config["captures"][0].update(path="corpus\u0000.pcap"),
                              "captures[0].path")
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+def test_analyze_refuses_a_capture_linked_twice(tmp_path, capsys, link):
+    corpus = _gen(tmp_path)
+    config = json.loads((corpus / "config.json").read_text())
+    link(corpus / config["captures"][0]["path"], corpus / "again.pcap")
+    config["captures"].append({**config["captures"][0], "path": "again.pcap"})
+    (corpus / "twice.json").write_text(json.dumps(config))
+    argv = ["analyze", "--config", str(corpus / "twice.json"), "--out", str(tmp_path / "r")]
+    assert _exit_code(argv) == 2
+    assert ("captures[0].path and captures[1].path name the same file"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r").exists()
 
 
 def test_analyze_filters_override(tmp_path):

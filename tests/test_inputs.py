@@ -1,5 +1,6 @@
 """The line-table reader: on any bytes it yields the rows, in order, and ends
-in the error, that the earlier line-by-line reader gave."""
+in the error, that the earlier line-by-line reader gave; and each loader
+reads its file once."""
 
 import builtins
 import csv
@@ -9,13 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ics_scope import inputs
-from ics_scope.inputs import ConfigError, table_rows
+from ics_scope.classify import HoneypotSets, RdnsTable
+from ics_scope.enrich import load_asn_table, load_geo_table
+from ics_scope.inputs import ConfigError, line_table
+from test_line_tables import _NEVER, spy_paths
 
 
 @contextmanager
 def _line_by_line_rows(path, delimiter=None):
-    """The reader table_rows replaced, kept as the reference: it decodes with
-    surrogateescape and checks each line's UTF-8 as the line is read."""
+    """The reader that line_table's row reader replaced, kept as the
+    reference: it decodes with surrogateescape and checks each line's UTF-8
+    as the line is read."""
     number = 0
 
     def lines(fh):
@@ -47,17 +52,29 @@ def _line_by_line_rows(path, delimiter=None):
         raise ConfigError(f"{path} line {number}: {exc}") from None
 
 
-def _drain(reader, path, delimiter):
-    """The rows a with block takes from reader before it ends, and the
-    ConfigError message it ends in (None without one). The block refuses a
+def _line_table_rows(path, delimiter, take):
+    return line_table(path, _NEVER, None, take, delimiter)
+
+
+def _reference_rows(path, delimiter, take):
+    with _line_by_line_rows(path, delimiter) as rows:
+        return take(rows)
+
+
+def _drain(read, path, delimiter):
+    """The rows read(path, delimiter, take) hands take before it ends, and
+    the ConfigError message it ends in (None without one). take refuses a
     row holding 'bad' with ValueError."""
     seen = []
+
+    def take(rows):
+        for row in rows:
+            if "bad" in (row if delimiter is None else ",".join(row)):
+                raise ValueError(f"refused {row!r}")
+            seen.append(row)
+
     try:
-        with reader(path, delimiter) as rows:
-            for row in rows:
-                if "bad" in (row if delimiter is None else ",".join(row)):
-                    raise ValueError(f"refused {row!r}")
-                seen.append(row)
+        read(path, delimiter, take)
     except ConfigError as exc:
         return seen, str(exc)
     return seen, None
@@ -82,7 +99,8 @@ _TABLES = st.lists(st.one_of(_PIECES, st.binary(max_size=3)), max_size=40).map(b
 def test_table_rows_match_the_line_by_line_reader(tmp_path_factory, content, delimiter):
     path = tmp_path_factory.getbasetemp() / "table.txt"
     path.write_bytes(content)
-    assert _drain(table_rows, path, delimiter) == _drain(_line_by_line_rows, path, delimiter)
+    assert (_drain(_line_table_rows, path, delimiter)
+            == _drain(_reference_rows, path, delimiter))
 
 
 @pytest.mark.parametrize("content, line", [
@@ -94,27 +112,29 @@ def test_table_rows_match_the_line_by_line_reader(tmp_path_factory, content, del
 def test_the_first_line_that_is_not_utf8_is_named(tmp_path, content, line):
     path = tmp_path / "table.txt"
     path.write_bytes(content)
-    assert _drain(table_rows, path, ",")[1] == f"{path} line {line}: not UTF-8 text"
+    assert _drain(_line_table_rows, path, ",")[1] == f"{path} line {line}: not UTF-8 text"
 
 
 def test_an_earlier_refused_row_wins_over_a_later_bad_byte(tmp_path):
     path = tmp_path / "table.txt"
     path.write_bytes(b"10.0.0.1\nbad\n\xff\n")
-    assert _drain(table_rows, path, None) == (["10.0.0.1"], f"{path} line 2: refused 'bad'")
+    assert _drain(_line_table_rows, path, None) == (["10.0.0.1"], f"{path} line 2: refused 'bad'")
 
 
 def test_a_unicode_error_of_the_with_block_keeps_its_message(tmp_path):
     path = tmp_path / "table.txt"
     path.write_text("10.0.0.1\n")
+
+    def encode(rows):
+        for _ in rows:
+            "\ud800".encode("utf-8")
+
     with pytest.raises(ConfigError, match="table.txt line 1: 'utf-8' codec can't encode"):
-        with table_rows(path) as rows:
-            for _ in rows:
-                "\ud800".encode("utf-8")
+        line_table(path, _NEVER, None, encode)
 
 
 def test_a_table_is_opened_once(tmp_path, monkeypatch):
     path = tmp_path / "table.txt"
-    path.write_bytes(b"10.0.0.1\n10.0.0.2\n")
     opened = []
 
     def counting_open(*args, **kwargs):
@@ -122,5 +142,19 @@ def test_a_table_is_opened_once(tmp_path, monkeypatch):
         return builtins.open(*args, **kwargs)
 
     monkeypatch.setattr(inputs, "open", counting_open, raising=False)
-    assert _drain(table_rows, path, None) == (["10.0.0.1", "10.0.0.2"], None)
+    ran = spy_paths(monkeypatch)
+    loaders = [(load_asn_table, "10.0.0.0/8 1\n"), (load_geo_table, "10.0.0.0/8,DE\n"),
+               (RdnsTable.from_csv, "10.0.0.1,a.example\n"),
+               (lambda path: HoneypotSets.from_files(path, path), "10.0.0.1\n")]
+    for load, line in loaders:
+        for content, how in ((line, "column"), ("# by line\n" + line, "line")):
+            path.write_text(content)
+            opened.clear()
+            ran.clear()
+            load(path)
+            # The honeypot pair reads its one file as each list.
+            assert opened == [path] * len(ran) and set(ran) == {how}, (load, how)
+    path.write_bytes(b"10.0.0.1\n10.0.0.2\n")
+    opened.clear()
+    assert _drain(_line_table_rows, path, None) == (["10.0.0.1", "10.0.0.2"], None)
     assert opened == [path]

@@ -463,6 +463,27 @@ def test_one_capture_cut_into_pieces_writes_the_same_bundle(tmp_path, monkeypatc
     assert tables["geo"][0][24][ip_to_int("172.16.49.0") >> 8] == "FR"
 
 
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_keys_counted_in_small_batches_write_the_same_bundle(tmp_path, monkeypatch, batch):
+    names = [c["path"] for c in _THREE_CAPTURES]
+    corpus = _split_corpus(tmp_path, names)
+    config = _config(corpus, "three", _THREE_CAPTURES)
+    _cpus(monkeypatch, 1)
+    run_analyze(PipelineConfig.from_json(config), tmp_path / "whole")
+    counted = []
+    real_count = pipeline.count_keys
+    monkeypatch.setattr(pipeline, "count_keys",
+                        lambda state, keys, *args: counted.append(len(keys))
+                        or real_count(state, keys, *args))
+    monkeypatch.setattr(pipeline, "KEY_BATCH", batch)
+    bundle, _ = _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, config, names)
+    # At one CPU every full batch is counted on its own; the forked runs count
+    # in their children, out of this list's sight.
+    assert max(counted) == batch and len(counted) > len(names)
+    for path in sorted((tmp_path / "whole").iterdir()):
+        assert (bundle / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_pieces_cover_the_record_bytes_once(tmp_path):
     sizes = [0, 100, 0, 7, 50, 0]  # record bytes per capture
     captures = []
@@ -657,7 +678,7 @@ _VALID_CONFIG = st.fixed_dictionaries(
     {
         "captures": st.lists(
             st.fixed_dictionaries(
-                {"path": st.sampled_from(["a.pcap", "b.pcap"])},
+                {"path": st.sampled_from(["a.pcap", "b.pcap", "c.pcap"])},
                 optional={
                     "vantage": st.text(max_size=8),
                     "sample_interval": st.integers(min_value=1, max_value=2**20),
@@ -666,6 +687,7 @@ _VALID_CONFIG = st.fixed_dictionaries(
             ),
             min_size=1,
             max_size=3,
+            unique_by=lambda capture: capture["path"],  # a file listed twice is refused
         ),
     },
     optional={
@@ -692,7 +714,7 @@ def _nodes(value, path=()):
 @pytest.fixture(scope="module")
 def config_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("config")
-    for name in ("a.pcap", "b.pcap", "table.txt"):
+    for name in ("a.pcap", "b.pcap", "c.pcap", "table.txt"):
         (directory / name).write_text("")
     return directory
 
