@@ -216,10 +216,12 @@ def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> PacketRecord | None:
     payload, wire_len = buf[body + thl:end], total_len - ihl - thl
     if wire_len < 0:
         wire_len = 0
+    # tuple.__new__ skips the Python-level __new__ NamedTuple generates: a
+    # call per record.
     if proto == ICMP:
-        return PacketRecord(ts, src, dst, ICMP, 0, 0, payload, wire_len, buf[body])
+        return tuple.__new__(PacketRecord, (ts, src, dst, ICMP, 0, 0, payload, wire_len, buf[body]))
     sport, dport = _PORTS.unpack_from(buf, body)
-    return PacketRecord(ts, src, dst, proto, sport, dport, payload, wire_len)
+    return tuple.__new__(PacketRecord, (ts, src, dst, proto, sport, dport, payload, wire_len, -1))
 
 
 def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:

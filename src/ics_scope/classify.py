@@ -102,6 +102,12 @@ class ScannerRegistry:
         """Project of the most specific covering prefix, if any."""
         return self._prefixes.lookup(ip)
 
+    @property
+    def longest(self) -> int:
+        """The longest length of any project's prefixes, 0 with none: two
+        addresses whose top longest bits agree match the same project."""
+        return self._prefixes.longest
+
     def match_rdns(self, name: str | None) -> str | None:
         """First project whose patterns match the resolved name, registry order."""
         if not name:

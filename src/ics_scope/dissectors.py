@@ -370,6 +370,12 @@ HEURISTICS = (
     (S7COMM, partial(dissect_s7, heuristic=True)),
 )
 
+# Per IP protocol, the heuristics whose protocol the port table registers on
+# that transport: a heuristic never claims a packet of a transport its
+# protocol does not run over (QUIC on UDP/443 would pass for IEC-104).
+_HEURISTICS_ON = {ip_proto: tuple(h for h in HEURISTICS if h[0] in ports.values())
+                  for ip_proto, ports in PORTS.by_transport.items()}
+
 
 def _note_declined_s7(packet: PacketRecord, stats: Counter | None) -> None:
     """Count a TPKT-framed payload the S7comm dissector declined on its port."""
@@ -387,29 +393,31 @@ def dissect_segment(packet: PacketRecord, stats: Counter | None = None,
     heuristics are never consulted; the direction is request when the
     destination port is registered, else reply. With neither registered,
     the first heuristic to claim the payload decides, declining anything it
-    would call malformed; the direction is unrelated. Empty payloads (pure
-    transport control segments) are never candidates.
+    would call malformed; the direction is unrelated. Only the heuristics of
+    protocols the port table registers on the packet's transport try it.
+    Empty payloads (pure transport control segments) are never candidates.
     """
     if not packet.payload:
         return None
     ports = PORTS.by_transport[packet.ip_proto]
     dst_protocol = ports.get(packet.dst_port)
     src_protocol = ports.get(packet.src_port)
+    # tuple.__new__ skips the Python-level __new__ NamedTuple generates.
     if dst_protocol is None and src_protocol is None:
-        for protocol, dissector in HEURISTICS:
+        for protocol, dissector in _HEURISTICS_ON[packet.ip_proto]:
             found = dissector(packet, UNKNOWN)
             if found is not None and found[2] != MALFORMED:
                 role, function_code, verdict = found
-                return Dissection(protocol, HEURISTIC, role, function_code, verdict, UNRELATED,
-                                  via_icmp_quote)
+                return tuple.__new__(Dissection, (protocol, HEURISTIC, role, function_code,
+                                                  verdict, UNRELATED, via_icmp_quote))
         return None
     direction = UNRELATED if via_icmp_quote else (REQUEST if dst_protocol else REPLY)
     if dst_protocol is not None:
         found = _NORMAL_DISSECTORS[dst_protocol](packet, REQUEST)
         if found is not None:
             role, function_code, verdict = found
-            return Dissection(dst_protocol, NORMAL, role, function_code, verdict, direction,
-                              via_icmp_quote)
+            return tuple.__new__(Dissection, (dst_protocol, NORMAL, role, function_code, verdict,
+                                              direction, via_icmp_quote))
         if dst_protocol == S7COMM:
             _note_declined_s7(packet, stats)
         if src_protocol is None or src_protocol == dst_protocol:
@@ -417,8 +425,8 @@ def dissect_segment(packet: PacketRecord, stats: Counter | None = None,
     found = _NORMAL_DISSECTORS[src_protocol](packet, REPLY)
     if found is not None:
         role, function_code, verdict = found
-        return Dissection(src_protocol, NORMAL, role, function_code, verdict, direction,
-                          via_icmp_quote)
+        return tuple.__new__(Dissection, (src_protocol, NORMAL, role, function_code, verdict,
+                                          direction, via_icmp_quote))
     if src_protocol == S7COMM:
         _note_declined_s7(packet, stats)
     return None

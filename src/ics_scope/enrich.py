@@ -38,6 +38,8 @@ class LpmTable:
 
     One dict per populated prefix length maps the network's top plen bits to
     its value; lookup probes the populated lengths only, longest first.
+    longest is the longest populated length, 0 when the table is empty: two
+    addresses whose top longest bits agree look up the same value.
     """
 
     def __init__(self, lengths=(), keys=(), values=()):
@@ -48,6 +50,7 @@ class LpmTable:
         if sum(map(len, self._by_len.values())) < len(values):
             raise ValueError("a prefix repeats")
         self._probes = tuple((32 - plen, bucket) for plen, bucket in self._by_len.items())
+        self.longest = max(self._by_len, default=0)
         self.overridden = 0  # adds that changed the value of a prefix already present
 
     def add(self, network: int, plen: int, value) -> None:
@@ -60,6 +63,7 @@ class LpmTable:
             bucket = self._by_len[plen] = {}
             lengths = sorted(self._by_len, reverse=True)
             self._probes = tuple((32 - n, self._by_len[n]) for n in lengths)
+            self.longest = lengths[0]
         if (old := bucket.get(key, value)) != value:
             if not self.overridden:
                 log.warning("duplicate prefix %s/%d: %r overrides %r", int_to_ip(network), plen,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import reprlib
 from importlib import resources
 from itertools import islice
@@ -135,20 +136,28 @@ class _NotUtf8(Exception):
     """Raised by a line table's line source in place of its first non-UTF-8 line."""
 
 
+# Comment lines a line table may start with and still load a column at a
+# time: printable ASCII or tab after the '#', no '"', which could open a CSV
+# field that runs on over the next line, and no '\r', which ends a line.
+_HEADER = re.compile(rb'(?:#[\t -!#-~]*\n)*')
+
+
 def line_table(path, canonical, columns, rows, delimiter: str | None = None):
     """What a line table holds, from one read of its file: columns(its ASCII
-    text), a column at a time in C, when the bytes pattern canonical matches
-    the whole file and columns raises no KeyError or ValueError on a value
-    only a row can judge; otherwise rows(its rows in file order), a line at
-    a time. Without delimiter a row is a line stripped of surrounding
-    whitespace; with one it is a CSV record's list of fields. Blank rows and
-    rows that start with '#' are skipped. The first of these in the file is
+    text after any leading _HEADER lines), a column at a time in C, when the
+    bytes pattern canonical matches all of the file after those lines and
+    columns raises no KeyError or ValueError on a value only a row can
+    judge; otherwise rows(its rows in file order), a line at a time.
+    Without delimiter a row is a line stripped of surrounding whitespace;
+    with one it is a CSV record's list of fields. Blank rows and rows that
+    start with '#' are skipped. The first of these in the file is
     a ConfigError naming the file and the line: a row rows refuses with
     ValueError, a record the CSV reader cannot parse, a line not UTF-8."""
     data = read_file(path)
-    if canonical.fullmatch(data):
+    start = _HEADER.match(data).end()
+    if canonical.fullmatch(data, start):
         try:
-            return columns(data.decode("ascii"))
+            return columns(data[start:].decode("ascii"))
         except (KeyError, ValueError):
             pass
     number, bad, reader = 0, 0, None

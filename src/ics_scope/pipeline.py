@@ -16,6 +16,7 @@ import signal
 from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -390,25 +391,40 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
 
     Two levels, each fact computed once per distinct value it depends on.
     Per side, once: the member AS that its capture tag, vantage:in or
-    vantage:out, names in config.tag_members, if any. Per address and
-    side: _address_facts (classify reasons, AS, fabric side, country; the
-    side's member, or without one the member the topology resolves from
-    the AS), each distinct facts tuple
-    interned to an id with one flag, whether its reasons label a packet
-    non-industrial. A key is non-industrial exactly when either side's flag
-    is set, as label_under asks whether any reason of the union is active.
-    Per key only address bookkeeping remains: the two passive hosts, the
-    stability decision and the key's count, added to its join (protocol,
-    direction, source facts id, destination facts id, day). Per distinct
+    vantage:out, names in config.tag_members, if any. Per block and side:
+    _address_facts (classify reasons, AS, fabric side, country; the side's
+    member, or without one the member the topology resolves from the AS),
+    each distinct facts tuple interned to an id with one flag, whether its
+    reasons label a packet non-industrial. A block is the addresses that
+    share their top L bits, L the longest prefix length of the AS table,
+    the geo table and the scanner registry: every address of a block has
+    the same three longest-prefix matches, so the same facts, unless an
+    exact table (rDNS, hp_all, hp_ics) holds it; such an address is a
+    block of its own. A /32 prefix in any of the three tables makes every
+    block one address. A key is non-industrial exactly when either side's
+    flag is set, as label_under asks whether any reason of the union is
+    active. Per key only the stability decision and the key's count remain,
+    added to its join (protocol, direction, source facts id, destination
+    facts id, day); the passive hosts are added per protocol. Per distinct
     join: the reason-set union, the date, the transition and the domestic
     status.
     """
     ids: dict[tuple, int] = {}  # facts tuple -> its id, in order of first sight
+    shift = 32 - max(inputs.asn_table.longest, inputs.geo.longest,
+                     inputs.scanner_registry.longest)
+    rdns, hp_all, hp_ics = inputs.rdns.mapping, inputs.honeypots.hp_all, inputs.honeypots.hp_ics
 
     def side_ids(position: int, side: str) -> dict[int, int]:
         member = config.tag_members.get(f"{meta.vantage}:{side}")
-        return {ip: ids.setdefault(_address_facts(ip, member, inputs), len(ids))
-                for ip in {key[position] for key in keys}}
+        by_block: dict[int, int] = {}  # block -> facts id
+        out = dict.fromkeys(map(itemgetter(position), keys))  # the side's addresses -> ids
+        for ip in out:
+            # An exact table's address is the block ~ip, below every ip >> shift.
+            block = ~ip if ip in rdns or ip in hp_all or ip in hp_ics else ip >> shift
+            if block not in by_block:
+                by_block[block] = ids.setdefault(_address_facts(ip, member, inputs), len(ids))
+            out[ip] = by_block[block]
+        return out
 
     sources = side_ids(2, "in")
     destinations = side_ids(3, "out")
@@ -425,10 +441,12 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
         src, dst = sources[src_ip], destinations[dst_ip]
         join = (protocol, packet_direction, src, dst, day_number)
         joined[join] = joined.get(join, 0) + n
-        passive_hosts[(protocol, "source")].add(src_ip)
-        passive_hosts[(protocol, "destination")].add(dst_ip)
         if stable_all or (flagged[src] or flagged[dst]) == stable_flag:
             stable_days[dates[day_number]].add(dst_ip)
+    for protocol in {key[0] for key in keys}:
+        passive_hosts[(protocol, "source")].update(key[2] for key in keys if key[0] == protocol)
+        passive_hosts[(protocol, "destination")].update(key[3] for key in keys
+                                                        if key[0] == protocol)
 
     vantage, sample_interval = meta.vantage, meta.sample_interval
     filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups

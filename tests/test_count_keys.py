@@ -9,7 +9,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from ics_scope.capture import CaptureMeta, ip_to_int, parse_cidr
+from ics_scope.capture import CaptureMeta, int_to_ip, ip_to_int, parse_cidr
 from ics_scope.classify import (
     FILTER_FAMILIES,
     HP_ALL,
@@ -170,5 +170,81 @@ def test_count_keys_equals_the_per_key_loop(keys, vantage, sample_interval, filt
     epoch = date(1970, 1, 1)
     dated = Counter({(*key[:4], epoch + timedelta(days=key[4])): n for key, n in keys.items()})
     expected = _reference_state(dated, source, config, _INPUTS)
+    for f in fields(CaptureState):
+        assert getattr(state, f.name) == getattr(expected, f.name), f.name
+
+
+# Addresses of four /24s, so that drawn prefixes and exact-table hosts meet.
+_NEAR = st.builds(lambda net, host: ip_to_int("10.0.0.0") + (net << 8) + host,
+                  st.integers(0, 3), st.integers(0, 255))
+
+
+@st.composite
+def _random_inputs(draw) -> tuple[LoadedInputs, tuple[list[int], list[int]]]:
+    """Inputs of drawn prefix tables, /8 to /32 (any of them empty, the
+    registry holding a /32 now and then), and of exact tables: rDNS names,
+    and honeypot lists built directly, hp_ics not always within hp_all.
+    Also the anchors: the network addresses of the prefixes, and the exact
+    hosts. The tables are small, so that their longest prefix is often
+    short and blocks hold many addresses."""
+    networks, hosts_drawn = [], []
+
+    def prefixes(size: int, lengths=st.integers(8, 32)) -> list[str]:
+        out = []
+        for _ in range(draw(st.integers(0, size))):
+            plen = draw(lengths)
+            networks.append(draw(_NEAR) >> (32 - plen) << (32 - plen))
+            out.append(f"{int_to_ip(networks[-1])}/{plen}")
+        return out
+
+    def prefix_table(values) -> LpmTable:
+        return _table([(prefix, draw(st.sampled_from(values))) for prefix in prefixes(3)])
+
+    def hosts(size: int) -> list[int]:
+        drawn = draw(st.lists(_NEAR, max_size=size))
+        hosts_drawn.extend(drawn)
+        return drawn
+
+    projects = [{"project": name, "prefixes": prefixes(2, st.integers(8, 24)),
+                 "rdns_patterns": [name.lower()]} for name in ("Shodan", "Censys")]
+    projects[1]["prefixes"] += prefixes(1, st.just(32))
+    names = st.sampled_from(["scan-1.shodan.io", "censys-worker.example", "plc.example.net"])
+    inputs = LoadedInputs(
+        scanner_registry=ScannerRegistry.from_entries(projects),
+        honeypots=HoneypotSets(hp_all=frozenset(hosts(4)), hp_ics=frozenset(hosts(3))),
+        rdns=RdnsTable({ip: draw(names) for ip in hosts(4)}),
+        asn_table=prefix_table([64500, 64501, 64600, 64700, 64999]),
+        topology=_INPUTS.topology,
+        geo=prefix_table(["DE", "FR"]),
+        scan_snapshot={},
+        dpi_catalog=default_catalog(),
+    )
+    return inputs, (networks, hosts_drawn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), drawn=_random_inputs(), vantage=st.sampled_from(["tagged", "plain"]),
+       filters=st.sampled_from(sorted(FILTER_FAMILIES)),
+       stability_label=st.sampled_from(STABILITY_LABELS))
+def test_count_keys_equals_the_per_key_loop_on_any_tables(data, drawn, vantage, filters,
+                                                          stability_label):
+    inputs, anchors = drawn
+    # Any address, or one that differs from a network address or an exact
+    # host in a few low bits: in its block or prefix, or just outside it.
+    addresses = st.one_of(_NEAR, *(
+        st.builds(int.__xor__, st.sampled_from(some), st.sampled_from([0, 1, 2, 7, 8, 63, 255]))
+        for some in anchors if some))
+    keys = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(["modbus", "bacnet"]), st.sampled_from([REQUEST, "reply"]),
+                  addresses, addresses, st.integers(17532, 17533)),
+        st.integers(1, 5), min_size=1, max_size=30))
+    source = CaptureSource(Path("unused.pcap"), CaptureMeta(vantage))
+    config = PipelineConfig(captures=[source], filters=filters, stability_label=stability_label,
+                            tag_members=TAGS)
+    state = CaptureState()
+    count_keys(state, Counter(keys), source.meta, config, inputs)
+    epoch = date(1970, 1, 1)
+    dated = Counter({(*key[:4], epoch + timedelta(days=key[4])): n for key, n in keys.items()})
+    expected = _reference_state(dated, source, config, inputs)
     for f in fields(CaptureState):
         assert getattr(state, f.name) == getattr(expected, f.name), f.name

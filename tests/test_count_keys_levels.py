@@ -1,7 +1,9 @@
-"""count_keys' two levels on scan-shaped keys: each address's facts once per
-side it appears on, each transition and domestic status once per distinct
-(protocol, direction, source facts, destination facts, day), each date once
-per day, and every field as the per-key loop it replaced counts it."""
+"""count_keys' two levels on scan-shaped keys: the facts of each address an
+exact table (rDNS, honeypots) holds once per side it appears on, of every
+other address once per block and side, each transition and domestic status
+once per distinct (protocol, direction, source facts, destination facts,
+day), each date once per day, and every field as the per-key loop it
+replaced counts it."""
 
 from collections import Counter
 from dataclasses import fields
@@ -26,9 +28,15 @@ from test_count_keys import _INPUTS, TAGS, _reference_state
 _DAYS = (17532, 17533)
 # A Shodan prefix, a Censys prefix outside every AS and a scanner rDNS name
 # inside member 64500; the destinations fill most of a /21 of member 64501,
-# a honeypot (10.2.0.70) among them.
+# a honeypot (10.2.0.70) and an rDNS name (10.2.0.1) among them.
 _SCANNERS = [ip_to_int(ip) for ip in ("203.0.113.5", "198.51.100.7", "10.1.0.50")]
 _TARGETS = [ip_to_int("10.2.0.0") + i for i in range(2000)]
+# Censys' 203.0.113.128/25 is the longest prefix of _INPUTS' three prefix
+# tables, so a block is 128 addresses.
+_BLOCK_BITS = 7
+# _address_facts evaluations on _scan_keys: the 13 sources and 2,001
+# destinations fall in 5 and 19 blocks and exact addresses.
+_EVALUATIONS = 24
 
 
 def _scan_keys() -> Counter:
@@ -75,7 +83,16 @@ def test_count_keys_joins_once_per_distinct_facts_and_day(monkeypatch, stability
              for protocol, direction, src, dst, day in keys}
     assert len(keys) == 12_010 and len(joins) == 13
 
-    assert calls["_address_facts"] == Counter(dict.fromkeys(sides, 1))
+    exact = _INPUTS.rdns.mapping.keys() | _INPUTS.honeypots.hp_all | _INPUTS.honeypots.hp_ics
+
+    def block(ip):
+        return ("address", ip) if ip in exact else ("block", ip >> _BLOCK_BITS)
+
+    evaluated = calls["_address_facts"]
+    assert set(evaluated) <= sides
+    assert (Counter((block(ip), member) for ip, member in evaluated.elements())
+            == Counter({(block(ip), member) for ip, member in sides}))
+    assert evaluated.total() == _EVALUATIONS
     assert calls["transition"].total() == calls["is_domestic"].total() == len(joins)
     assert calls["utc_day"] == Counter({(day * _US_PER_DAY,): 1 for day in _DAYS})
 

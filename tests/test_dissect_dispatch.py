@@ -1,7 +1,8 @@
 """dissect_segment, which reads a record's two ports from one per-transport
 table and tries the destination and source port dissectors as straight-line
 code, against the loop it replaced, which looked each port up on the
-record's transport and walked the (protocol, port role) pairs."""
+record's transport and walked the (protocol, port role) pairs; either way a
+heuristic tries only a transport its protocol is registered on."""
 
 from collections import Counter
 
@@ -13,6 +14,7 @@ from ics_scope.dissectors import (
     _NORMAL_DISSECTORS,
     HEURISTIC,
     HEURISTICS,
+    IEC104,
     MALFORMED,
     MODBUS,
     NORMAL,
@@ -46,6 +48,9 @@ def _reference_ports() -> dict[tuple[int, int], str]:
 
 
 _REFERENCE_PORTS = _reference_ports()
+# (IP protocol, protocol) of every protocol registered on a transport.
+_REFERENCE_TRANSPORTS = {(ip_proto, protocol)
+                         for (ip_proto, _), protocol in _REFERENCE_PORTS.items()}
 
 
 def _reference_dissect_segment(packet, stats=None, via_icmp_quote=False):
@@ -55,6 +60,8 @@ def _reference_dissect_segment(packet, stats=None, via_icmp_quote=False):
     src_protocol = _REFERENCE_PORTS.get((packet.ip_proto, packet.src_port))
     if dst_protocol is None and src_protocol is None:
         for protocol, dissector in HEURISTICS:
+            if (packet.ip_proto, protocol) not in _REFERENCE_TRANSPORTS:
+                continue
             found = dissector(packet, UNKNOWN)
             if found is not None and found[2] != MALFORMED:
                 return Dissection(protocol, HEURISTIC, *found, UNRELATED, via_icmp_quote)
@@ -173,3 +180,17 @@ def test_an_s7comm_payload_on_102_is_not_noted():
     found = dissect_segment(_segment(payload, TCP, 49152, 102, len(payload)), notes)
     assert (found.protocol, found.kind) == (S7COMM, NORMAL)
     assert notes == Counter()
+
+
+# A QUIC short-header packet (RFC 9000, 17.3: first byte 0b01xxxxxx) whose
+# first bytes read as an IEC-104 I-frame of a defined type id, captured at a
+# snaplen of 128 of its 1,252 bytes.
+_QUIC_AS_IEC104 = bytes([0x68, 0x0E, 0x00, 0x00, 0x00, 0x00, 0x01]) + bytes(range(7, 86))
+
+
+def test_a_heuristic_claims_no_transport_its_protocol_is_not_registered_on():
+    assert PORTS.ports_for(IEC104) == {"tcp": [2404]}
+    quic = _segment(_QUIC_AS_IEC104, UDP, 50000, 443, 1252)
+    assert dissect_segment(quic) is None
+    found = dissect_segment(quic._replace(ip_proto=TCP))
+    assert (found.protocol, found.kind, found.verdict) == (IEC104, HEURISTIC, "well_formed")

@@ -147,7 +147,7 @@ def test_a_table_is_opened_once(tmp_path, monkeypatch):
                (RdnsTable.from_csv, "10.0.0.1,a.example\n"),
                (lambda path: HoneypotSets.from_files(path, path), "10.0.0.1\n")]
     for load, line in loaders:
-        for content, how in ((line, "column"), ("# by line\n" + line, "line")):
+        for content, how in ((line, "column"), (line + "# by line\n", "line")):
             path.write_text(content)
             opened.clear()
             ran.clear()

@@ -280,6 +280,48 @@ def test_a_repeated_prefix_loads_the_table_a_line_at_a_time(tmp_path, monkeypatc
     assert outcome[0][2] == (line not in _CANONICAL[load])  # overridden
 
 
+# Leading comment lines: those that keep the column path, and some that
+# send a table to the line path (a quote, a CR, a non-ASCII byte, a space
+# before the '#', a blank line).
+_HEADERS = [b"# prefix asn\n", b"#\n", b"#\tsource: x, y; z!\n", b"#,'a'\n", b'#,"a\n',
+            b'# "a"\n', b"# a\rb\n", b"#\r\n", "# caf\u00e9\n".encode(), b"#\xff\n",
+            b" # a\n", b"\n"]
+
+
+@pytest.mark.parametrize("load", list(_TABLES), ids=["asn", "geo", "rdns"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_table_after_comment_lines_loads_as_the_per_line_loader_loads_it(
+        tmp_path_factory, load, data):
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    header = b"".join(data.draw(st.lists(st.sampled_from(_HEADERS), min_size=1, max_size=3)))
+    path.write_bytes(header + _table(data, *_TABLES[load]))
+    assert _outcome(load, path) == _outcome(_REFERENCES[load], path)
+
+
+@pytest.mark.parametrize("load", list(_CANONICAL), ids=["asn", "geo", "rdns"])
+def test_leading_comment_lines_keep_the_column_path(tmp_path, monkeypatch, load):
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_bytes(_CANONICAL[load])
+    commented.write_bytes(b"# prefix asn\n#\n" + _CANONICAL[load])
+    ran = spy_paths(monkeypatch)
+    outcome = _outcome(load, commented)
+    assert ran == ["column"]
+    assert outcome == _outcome(load, plain) == _outcome(_REFERENCES[load], commented)
+
+
+@pytest.mark.parametrize("load, line", [(load_asn_table, b"10.0.0.0/33 1\n"),
+                                        (load_geo_table, b"10.0.0.0/8,DEU\n"),
+                                        (RdnsTable.from_csv, b"256.0.0.1,x\n")],
+                         ids=["asn", "geo", "rdns"])
+def test_a_bad_line_after_comment_lines_names_its_line(tmp_path, load, line):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"# a\n# b\n" + _CANONICAL[load] + line)
+    number = 3 + _CANONICAL[load].count(b"\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} line {number}: "):
+        load(path)
+
+
 def test_a_scan_snapshot_names_its_first_bad_address(tmp_path):
     path = tmp_path / "scan_snapshot.json"
     path.write_text(json.dumps({"modbus": {"transport": ["10.0.0.1", "10.0.0.256", "x"]}}))
