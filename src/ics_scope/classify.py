@@ -12,6 +12,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import contains
 from typing import NamedTuple
 
 from .capture import int_to_ip, ip_column, ip_to_int, parse_cidr
@@ -108,10 +110,8 @@ class ScannerRegistry:
         addresses whose top longest bits agree match the same project."""
         return self._prefixes.longest
 
-    def match_rdns(self, name: str | None) -> str | None:
+    def match_rdns(self, name: str) -> str | None:
         """First project whose patterns match the resolved name, registry order."""
-        if not name:
-            return None
         lowered = name.lower()
         for project in self.projects:
             for pattern in project.rdns_patterns:
@@ -156,33 +156,55 @@ class HoneypotSets:
 
 
 class RdnsTable:
-    """Offline reverse-DNS snapshot keyed by integer address; missing entries
-    are normal."""
+    """The scanner project that each address's offline reverse-DNS name
+    names, for the addresses whose name names one: of a name a run asks
+    only that, so names themselves are not kept. Missing entries are normal."""
 
     def __init__(self, mapping: dict[int, str]):
         self.mapping = mapping
 
     @classmethod
-    def from_csv(cls, path) -> "RdnsTable":
+    def from_csv(cls, path, registry: ScannerRegistry) -> "RdnsTable":
+        """The table of the 'ip,name' rows of path: per address, the project
+        registry.match_rdns finds in the name of its last row, if any."""
+
         def by_column(text: str) -> RdnsTable:
+            # One lower-cased copy of the text: match_rdns lower-cases each name.
+            text = text.lower()
             fields = text.replace("\n", ",").split(",")  # one "" after the last
-            return cls(dict(zip(ip_column(fields[:-1:2]), fields[1::2])))
+            last = dict(zip(ip_column(fields[:-1:2]), fields[1::2]))  # a later row wins
+            names = last.values()
+            mapping: dict[int, str] = {}
+            # Last project first, so that the first project to match a name stands.
+            for project in reversed(registry.projects):
+                for pattern in project.rdns_patterns:
+                    if pattern in text:
+                        named = compress(last, map(contains, names, repeat(pattern)))
+                        mapping.update(zip(named, repeat(project.name)))
+            return cls(mapping)
 
         def by_line(rows) -> RdnsTable:
-            mapping: dict[int, str] = {}
+            names: dict[int, str] = {}
             for row in rows:
                 if len(row) < 2:
                     raise ValueError("expected 'ip,name'")
-                mapping[ip_to_int(row[0].strip())] = row[1].strip()
-            return cls(mapping)
+                names[ip_to_int(row[0].strip())] = row[1].strip()
+            return cls.from_names(names, registry)
 
         return line_table(path, _RDNS_LINES, by_column, by_line, ",")
+
+    @classmethod
+    def from_names(cls, names: dict[int, str], registry: ScannerRegistry) -> "RdnsTable":
+        """The table of names, which maps addresses to their reverse-DNS names."""
+        return cls({ip: project for ip, name in names.items()
+                    if (project := registry.match_rdns(name))})
 
     @classmethod
     def empty(cls) -> "RdnsTable":
         return cls({})
 
     def lookup(self, ip: int) -> str | None:
+        """The scanner project ip's reverse-DNS name names, if any."""
         return self.mapping.get(ip)
 
 
@@ -197,7 +219,7 @@ def endpoint_reasons(
     project = registry.match_prefix(ip)
     if project:
         reasons.append(Reason(SCANNER_PREFIX, project))
-    project = registry.match_rdns(rdns.lookup(ip))
+    project = rdns.lookup(ip)
     if project:
         reasons.append(Reason(SCANNER_RDNS, project))
     if ip in honeypots.hp_all:

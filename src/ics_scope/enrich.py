@@ -28,8 +28,9 @@ TRANSITIONS = (MEMBER_TO_MEMBER, MEMBER_TO_CONE, CONE_TO_MEMBER, CONE_TO_CONE)
 
 _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 
-# The canonical lines of the prefix tables, any number of them.
-_ASN_LINES = re.compile(rb"(?:[0-9.]{7,15}/[0-9]{1,2} [0-9]{1,10}\n)*")
+# The canonical lines of the prefix tables, any number of them; an AS table
+# line reads 'a.b.c.d/N asn' or, as CAIDA publishes it, 'a.b.c.d<TAB>N<TAB>asn'.
+_ASN_LINES = re.compile(rb"(?:[0-9.]{7,15}(?:/[0-9]{1,2} |\t[0-9]{1,2}\t)[0-9]{1,10}\n)*")
 _GEO_LINES = re.compile(rb"(?:[0-9.]{7,15}/[0-9]{1,2},[A-Z]{2}\n)*")
 
 
@@ -123,7 +124,11 @@ def load_geo_table(path) -> LpmTable:
 
     def by_column(text: str) -> LpmTable:
         fields = text.replace("/", ",").replace("\n", ",").split(",")  # one "" after the last
-        return LpmTable(*prefix_columns(fields[:-1:3], fields[1::3]), fields[2::3])
+        countries = fields[2::3]
+        # One str object per country; pickle keeps the sharing across a pipe.
+        shared = dict(zip(countries, countries))
+        return LpmTable(*prefix_columns(fields[:-1:3], fields[1::3]),
+                        list(map(shared.__getitem__, countries)))
 
     def by_line(rows) -> LpmTable:
         table = LpmTable()

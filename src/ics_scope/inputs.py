@@ -148,12 +148,14 @@ def line_table(path, canonical, columns, rows, delimiter: str | None = None):
     bytes pattern canonical matches all of the file after those lines and
     columns raises no KeyError or ValueError on a value only a row can
     judge; otherwise rows(its rows in file order), a line at a time.
+    Either way one UTF-8 byte-order mark at the start of the file is dropped.
     Without delimiter a row is a line stripped of surrounding whitespace;
     with one it is a CSV record's list of fields. Blank rows and rows that
     start with '#' are skipped. The first of these in the file is
     a ConfigError naming the file and the line: a row rows refuses with
     ValueError, a record the CSV reader cannot parse, a line not UTF-8."""
     data = read_file(path)
+    data = data[3:] if data.startswith(b"\xef\xbb\xbf") else data
     start = _HEADER.match(data).end()
     if canonical.fullmatch(data, start):
         try:

@@ -187,16 +187,21 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     With more than one CPU each configured line table loads in a forked
     child of its own (_fork_map) while this process loads the JSON sidecars;
     with one CPU everything loads here. Either way a bad table raises the
-    ConfigError a one-CPU load meets first, in the order of the steps below.
+    ConfigError a one-CPU load meets first: the scanner registry's, then
+    those of the steps below, in their order.
     """
 
-    def step(name: str, path: Path | None, loader, empty) -> _Step:
-        return _Step(name, loader, (path,)) if path else _Step(name, empty)
+    def step(name: str, path: Path | None, loader, empty, *more) -> _Step:
+        return _Step(name, loader, (path, *more)) if path else _Step(name, empty)
 
     # A packet side reads the tag VANTAGE:in or VANTAGE:out of its capture;
     # another tag would resolve nothing.
     tags = [f"{c.meta.vantage}:{side}" for c in config.captures for side in ("in", "out")]
     known(config.tag_members, list(dict.fromkeys(tags)), "config: tag_members", "capture tag")
+    # The rDNS loader keeps the projects the registry finds in the names, so
+    # the registry, small, loads first and here, before any child forks.
+    registry = (ScannerRegistry.from_json(config.scanner_registry) if config.scanner_registry
+                else default_scanner_registry())
     if config.hp_all and config.hp_ics:
         honeypots = _Step("honeypots", HoneypotSets.from_files, (config.hp_all, config.hp_ics))
     elif config.hp_all or config.hp_ics:
@@ -204,10 +209,8 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     else:
         honeypots = _Step("honeypots", HoneypotSets.empty)
     steps = [
-        step("scanner_registry", config.scanner_registry, ScannerRegistry.from_json,
-             empty=default_scanner_registry),
         honeypots,
-        step("rdns", config.rdns, RdnsTable.from_csv, empty=RdnsTable.empty),
+        step("rdns", config.rdns, RdnsTable.from_csv, RdnsTable.empty, registry),
         step("asn_table", config.asn_table, load_asn_table, empty=LpmTable),
         step("topology", config.cone, IxpTopology.from_json, empty=IxpTopology.empty),
         step("geo", config.geo, load_geo_table, empty=LpmTable),
@@ -217,7 +220,8 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     fork = len(os.sched_getaffinity(0)) > 1
     tables = _fork_map(lambda s: s.loader(*s.arguments), steps,
                        lambda s: fork and s.name in _LINE_TABLES and bool(s.arguments))
-    return LoadedInputs(**{s.name: table for s, table in zip(steps, tables)})
+    return LoadedInputs(scanner_registry=registry,
+                        **{s.name: table for s, table in zip(steps, tables)})
 
 
 def _fmt(value) -> str:

@@ -286,7 +286,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         registry = ScannerRegistry.from_json(corpus.sidecars["scanner_registry"])
         honeypots = HoneypotSets.from_files(corpus.sidecars["hp_all"],
                                             corpus.sidecars["hp_ics"])
-        rdns = RdnsTable.from_csv(corpus.sidecars["rdns"])
+        rdns = RdnsTable.from_csv(corpus.sidecars["rdns"], registry)
         catalog = default_catalog()
 
         started = time.perf_counter()
@@ -390,7 +390,8 @@ def test_criterion_5_filter_family_monotonicity():
         hp_all = set(rng.sample(hp_all_pool, rng.randrange(5, 60)))
         hp_ics = set(rng.sample(sorted(hp_all), rng.randrange(0, len(hp_all))))
         honeypots = HoneypotSets(frozenset(hp_all), frozenset(hp_ics))
-        rdns = RdnsTable({ip_to_int(f"100.65.0.{i}"): "probe.shodan.io" for i in range(1, 10)})
+        rdns = RdnsTable.from_names({ip_to_int(f"100.65.0.{i}"): "probe.shodan.io"
+                                     for i in range(1, 10)}, registry)
         pool = (
             [ip_to_int(f"203.0.113.{i}") for i in range(1, 100)]
             + hp_all_pool

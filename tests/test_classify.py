@@ -96,18 +96,23 @@ def test_prefix_match_agrees_with_bruteforce(registry):
 
 def test_rdns_quoted_names():
     registry = default_scanner_registry()
-    rdns = RdnsTable({ip_to_int("1.2.3.4"): "scanner2.labs.rapid7.com",
-                      ip_to_int("5.6.7.8"): "pirate.census.shodan.io"})
-    assert registry.match_rdns(rdns.lookup(ip_to_int("1.2.3.4"))) == "Rapid7"
+    assert registry.match_rdns("scanner2.labs.rapid7.com") == "Rapid7"
     # Registry order puts the shodan pattern ahead of census.
-    assert registry.match_rdns(rdns.lookup(ip_to_int("5.6.7.8"))) == "Shodan"
-    assert registry.match_rdns(rdns.lookup(ip_to_int("9.9.9.9"))) is None
+    assert registry.match_rdns("pirate.census.shodan.io") == "Shodan"
+    assert registry.match_rdns("plc.example.net") is None
 
 
 def test_rdns_case_insensitive():
-    registry = default_scanner_registry()
-    rdns = RdnsTable({ip_to_int("1.1.1.1"): "Probe.SHODAN.io"})
-    assert registry.match_rdns(rdns.lookup(ip_to_int("1.1.1.1"))) == "Shodan"
+    assert default_scanner_registry().match_rdns("Probe.SHODAN.io") == "Shodan"
+
+
+def test_an_rdns_table_keeps_the_projects_of_its_names():
+    names = {ip_to_int("1.2.3.4"): "scanner2.labs.rapid7.com",
+             ip_to_int("5.6.7.8"): "pirate.census.shodan.io",
+             ip_to_int("9.9.9.9"): "plc.example.net"}
+    rdns = RdnsTable.from_names(names, default_scanner_registry())
+    assert rdns.mapping == {ip_to_int("1.2.3.4"): "Rapid7", ip_to_int("5.6.7.8"): "Shodan"}
+    assert rdns.lookup(ip_to_int("9.9.9.9")) is None
 
 
 def test_hp_subset_enforced(tmp_path):
@@ -130,7 +135,7 @@ def test_address_lists_name_the_bad_line(tmp_path):
     rdns = tmp_path / "rdns.csv"
     rdns.write_text("10.0.0.1,a.example\nhost-a,b.example\n")
     with pytest.raises(ValueError, match="rdns.csv line 2: invalid IPv4 address 'host-a'"):
-        RdnsTable.from_csv(rdns)
+        RdnsTable.from_csv(rdns, default_scanner_registry())
 
 
 def test_classify_scanner_prefix(registry):
@@ -151,7 +156,7 @@ def test_classify_hp_all_only_under_hp_ics_family(registry):
 
 def test_classify_accumulates_reasons(registry):
     hp = HoneypotSets(frozenset({ip_to_int("10.1.0.1")}), frozenset({ip_to_int("10.1.0.1")}))
-    rdns = RdnsTable({ip_to_int("10.1.0.1"): "a.shodan.io"})
+    rdns = RdnsTable.from_names({ip_to_int("10.1.0.1"): "a.shodan.io"}, registry)
     reasons = classify(ip_to_int("10.1.0.1"), ip_to_int("10.2.0.2"), registry, rdns, hp)
     assert reasons == frozenset(
         {Reason(SCANNER_RDNS, "Shodan"), Reason(HP_ALL), Reason(HP_ICS)}
@@ -172,7 +177,7 @@ def test_label_reason_consistency(registry):
     rng = random.Random(5)
     hp = HoneypotSets(frozenset({ip_to_int("10.1.0.1"), ip_to_int("10.1.0.2")}),
                       frozenset({ip_to_int("10.1.0.2")}))
-    rdns = RdnsTable({ip_to_int("10.1.0.3"): "x.census.example"})
+    rdns = RdnsTable.from_names({ip_to_int("10.1.0.3"): "x.census.example"}, registry)
     pool = [ip_to_int(ip) for ip in
             ("203.0.113.5", "10.1.0.1", "10.1.0.2", "10.1.0.3", "10.9.9.9", "10.8.8.8")]
     for _ in range(300):

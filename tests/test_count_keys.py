@@ -42,7 +42,7 @@ def _reference_classify(src_ip, dst_ip, registry, rdns, honeypots):
         project = registry.match_prefix(ip)
         if project:
             reasons.add(Reason(SCANNER_PREFIX, project))
-        project = registry.match_rdns(rdns.lookup(ip))
+        project = rdns.lookup(ip)
         if project:
             reasons.add(Reason(SCANNER_RDNS, project))
         if ip in honeypots.hp_all:
@@ -120,17 +120,18 @@ def _table(rows) -> LpmTable:
 # A capture of vantage "tagged" reads the tags of TAGS; one of vantage
 # "plain" has none.
 TAGS = {"tagged:in": 64500, "tagged:out": 64501}
+_REGISTRY = ScannerRegistry.from_entries([
+    {"project": "Shodan", "prefixes": ["203.0.113.0/24"], "rdns_patterns": ["shodan"]},
+    {"project": "Censys", "prefixes": ["203.0.113.128/25", "198.51.100.0/24"],
+     "rdns_patterns": ["censys"]},
+])
 _INPUTS = LoadedInputs(
-    scanner_registry=ScannerRegistry.from_entries([
-        {"project": "Shodan", "prefixes": ["203.0.113.0/24"], "rdns_patterns": ["shodan"]},
-        {"project": "Censys", "prefixes": ["203.0.113.128/25", "198.51.100.0/24"],
-         "rdns_patterns": ["censys"]},
-    ]),
+    scanner_registry=_REGISTRY,
     honeypots=HoneypotSets(hp_all=frozenset(map(ip_to_int, ["10.2.0.70", "10.3.0.80"])),
                            hp_ics=frozenset([ip_to_int("10.3.0.80")])),
-    rdns=RdnsTable({ip_to_int("10.1.0.50"): "scan-7.shodan.io",
-                    ip_to_int("10.4.0.60"): "worker.Censys-Scanner.com",
-                    ip_to_int("10.2.0.1"): "plc.example.net"}),
+    rdns=RdnsTable.from_names({ip_to_int("10.1.0.50"): "scan-7.shodan.io",
+                               ip_to_int("10.4.0.60"): "worker.Censys-Scanner.com",
+                               ip_to_int("10.2.0.1"): "plc.example.net"}, _REGISTRY),
     asn_table=_table([("10.1.0.0/16", 64500), ("10.2.0.0/16", 64501), ("10.3.0.0/16", 64600),
                       ("10.4.0.0/16", 64700), ("10.5.0.0/16", 64999),
                       ("203.0.113.0/24", 64800)]),
@@ -209,10 +210,11 @@ def _random_inputs(draw) -> tuple[LoadedInputs, tuple[list[int], list[int]]]:
                  "rdns_patterns": [name.lower()]} for name in ("Shodan", "Censys")]
     projects[1]["prefixes"] += prefixes(1, st.just(32))
     names = st.sampled_from(["scan-1.shodan.io", "censys-worker.example", "plc.example.net"])
+    registry = ScannerRegistry.from_entries(projects)
     inputs = LoadedInputs(
-        scanner_registry=ScannerRegistry.from_entries(projects),
+        scanner_registry=registry,
         honeypots=HoneypotSets(hp_all=frozenset(hosts(4)), hp_ics=frozenset(hosts(3))),
-        rdns=RdnsTable({ip: draw(names) for ip in hosts(4)}),
+        rdns=RdnsTable.from_names({ip: draw(names) for ip in hosts(4)}, registry),
         asn_table=prefix_table([64500, 64501, 64600, 64700, 64999]),
         topology=_INPUTS.topology,
         geo=prefix_table(["DE", "FR"]),

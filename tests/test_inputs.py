@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ics_scope import inputs
-from ics_scope.classify import HoneypotSets, RdnsTable
+from ics_scope.classify import HoneypotSets, RdnsTable, default_scanner_registry
 from ics_scope.enrich import load_asn_table, load_geo_table
 from ics_scope.inputs import ConfigError, line_table
 from test_line_tables import _NEVER, spy_paths
@@ -19,13 +19,15 @@ from test_line_tables import _NEVER, spy_paths
 @contextmanager
 def _line_by_line_rows(path, delimiter=None):
     """The reader that line_table's row reader replaced, kept as the
-    reference: it decodes with surrogateescape and checks each line's UTF-8
-    as the line is read."""
+    reference: it decodes with surrogateescape, after one leading byte-order
+    mark, and checks each line's UTF-8 as the line is read."""
     number = 0
 
     def lines(fh):
         nonlocal number
         for number, line in enumerate(fh, 1):
+            if number == 1 and line.startswith("\ufeff"):
+                line = line[1:]
             if not line.isascii():
                 line.encode("utf-8")  # fails on a byte surrogateescape kept undecoded
             yield line
@@ -80,12 +82,13 @@ def _drain(read, path, delimiter):
     return seen, None
 
 
-# Pieces of a table: rows, comments, blanks, every line end, quoted CSV
+# Pieces of a table: byte-order marks, whole and cut short, rows, comments,
+# blanks, every line end, quoted CSV
 # fields that span lines, bytes that are not UTF-8 (also inside a comment or
 # a quoted field), UTF-8-encoded surrogates and code points past U+10FFFF,
 # and breaks that str.splitlines splits on but newline="" reading does not.
 _PIECES = st.sampled_from([
-    b"10.0.0.1", b"a,b", b"x, y ,z", b"bad", b"bad,row", b"#", b"# note", b"# caf\xe9",
+    b"\xef\xbb\xbf", b"\xef\xbb", b"10.0.0.1", b"a,b", b"x, y ,z", b"bad", b"bad,row", b"#", b"# note", b"# caf\xe9",
     b" ", b"\t", b",", b'"', b'"two\nlines"', b'"q\r\n\xffq"', b"\n", b"\r", b"\r\n",
     b"\n\n", b"\r\r\n", b"\xff", b"\xe9", b"\xc3", b"caf\xc3\xa9", b"\xed\xa0\x80",
     b"\xf4\x90\x80\x80", b"\xe2\x82", b"\x00", b"\x85", b"\x0c", b"\x1c",
@@ -144,7 +147,8 @@ def test_a_table_is_opened_once(tmp_path, monkeypatch):
     monkeypatch.setattr(inputs, "open", counting_open, raising=False)
     ran = spy_paths(monkeypatch)
     loaders = [(load_asn_table, "10.0.0.0/8 1\n"), (load_geo_table, "10.0.0.0/8,DE\n"),
-               (RdnsTable.from_csv, "10.0.0.1,a.example\n"),
+               (lambda path: RdnsTable.from_csv(path, default_scanner_registry()),
+                "10.0.0.1,a.example\n"),
                (lambda path: HoneypotSets.from_files(path, path), "10.0.0.1\n")]
     for load, line in loaders:
         for content, how in ((line, "column"), (line + "# by line\n", "line")):

@@ -5,6 +5,7 @@ kept here as the references."""
 
 import json
 import logging
+import pickle
 import re
 from contextlib import contextmanager
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ics_scope import classify, enrich
 from ics_scope.capture import int_to_ip, ip_to_int, parse_cidr
-from ics_scope.classify import HoneypotSets, RdnsTable
+from ics_scope.classify import HoneypotSets, RdnsTable, ScannerRegistry
 from ics_scope.enrich import LpmTable, load_asn_table, load_geo_table, load_scan_snapshot
 from ics_scope.inputs import AS_MAX, ConfigError, line_table
 
@@ -67,17 +68,31 @@ def _geo_row(row):
     return prefix, country
 
 
-def _reference_rdns(path) -> RdnsTable:
-    mapping = {}
+# The registry the rDNS tables of these tests load against.
+_REGISTRY = ScannerRegistry.from_entries([
+    {"project": "Shodan", "rdns_patterns": ["shodan"]},
+    {"project": "Example", "rdns_patterns": ["example", "x#"]},
+])
+
+
+def _load_rdns(path) -> RdnsTable:
+    return RdnsTable.from_csv(path, _REGISTRY)
+
+
+def _reference_rdns(path, registry=_REGISTRY) -> RdnsTable:
+    """The per-line loader: each address's last name, then the project
+    registry.match_rdns finds in it."""
+    names = {}
 
     def rows(lines):
         for row in lines:
             if len(row) < 2:
                 raise ValueError("expected 'ip,name'")
-            mapping[ip_to_int(row[0].strip())] = row[1].strip()
+            names[ip_to_int(row[0].strip())] = row[1].strip()
 
     line_table(path, _NEVER, None, rows, ",")
-    return RdnsTable(mapping)
+    return RdnsTable({ip: project for ip, name in names.items()
+                      if (project := registry.match_rdns(name))})
 
 
 def _reference_honeypots(all_path, ics_path) -> HoneypotSets:
@@ -93,7 +108,7 @@ def _reference_honeypots(all_path, ics_path) -> HoneypotSets:
 _REFERENCES = {
     load_asn_table: lambda path: _reference_prefix_table(path, _asn_row),
     load_geo_table: lambda path: _reference_prefix_table(path, _geo_row, ","),
-    RdnsTable.from_csv: _reference_rdns,
+    _load_rdns: _reference_rdns,
     HoneypotSets.from_files: _reference_honeypots,
 }
 
@@ -192,8 +207,9 @@ _TABLES = {
          b"256.0.0.1/8,DE\n", b"10.0.0.0/33,DE\n", b"10.0.0.0/08,DE\n", b"10.0.0.0/024,DE\n",
          b"10.0.0.0/8,JP"],
     ),
-    RdnsTable.from_csv: (
-        _line(_ADDRESSES, ",", st.sampled_from(["a.example", "scan-1.shodan.io", "x#y!"])),
+    _load_rdns: (
+        _line(_ADDRESSES, ",", st.sampled_from(["a.example", "scan-1.shodan.io", "x#y!",
+                                                "Scan-2.SHODAN.example", "plc.corp"])),
         [b"# comment\n", b"\n", b"10.0.0.1,a.example\r\n", b'10.0.0.1,"a,b"\n',
          b"10.0.0.1, a.example\n", b"10.0.0.1,a b\n", b"10.0.0.1,a,b\n",
          "10.0.0.1,caf\u00e9\n".encode(), b"10.0.0.1\n", b"10.0.0.1,\n", b" 10.0.0.1,x\n",
@@ -241,7 +257,7 @@ def test_honeypot_lists_load_as_the_per_line_loader_loads_them(tmp_path_factory,
 _CANONICAL = {
     load_asn_table: b"1.0.0.0/8 152422\n1.0.0.0/12 399924\n1.0.108.0/24 201115\n0.0.0.0/0 0\n",
     load_geo_table: b"1.0.0.0/8,FR\n1.0.0.0/14,BR\n1.1.0.0/16,AT\n9.9.9.9/32,ZA\n",
-    RdnsTable.from_csv: b"1.1.2.140,mail652.corp14.example\n1.10.80.123,scan-20603.shodan.io\n",
+    _load_rdns: b"1.1.2.140,mail652.corp14.example\n1.10.80.123,scan-20603.shodan.io\n",
 }
 
 
@@ -312,12 +328,114 @@ def test_leading_comment_lines_keep_the_column_path(tmp_path, monkeypatch, load)
 
 @pytest.mark.parametrize("load, line", [(load_asn_table, b"10.0.0.0/33 1\n"),
                                         (load_geo_table, b"10.0.0.0/8,DEU\n"),
-                                        (RdnsTable.from_csv, b"256.0.0.1,x\n")],
+                                        (_load_rdns, b"256.0.0.1,x\n")],
                          ids=["asn", "geo", "rdns"])
 def test_a_bad_line_after_comment_lines_names_its_line(tmp_path, load, line):
     path = tmp_path / "table.txt"
     path.write_bytes(b"# a\n# b\n" + _CANONICAL[load] + line)
     number = 3 + _CANONICAL[load].count(b"\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} line {number}: "):
+        load(path)
+
+
+def test_a_geo_table_holds_one_string_per_country_across_a_pickle(tmp_path, monkeypatch):
+    path = tmp_path / "geo.csv"
+    path.write_bytes(b"1.0.0.0/8,FR\n2.0.0.0/8,FR\n3.0.0.0/16,DE\n4.0.0.0/24,FR\n5.0.0.0/24,DE\n")
+    ran = spy_paths(monkeypatch)
+    table = load_geo_table(path)
+    assert ran == ["column"]
+    for loaded in (table, pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))):
+        values = [value for bucket in loaded._by_len.values() for value in bucket.values()]
+        assert sorted(values) == ["DE", "DE", "FR", "FR", "FR"]
+        assert len(set(map(id, values))) == 2
+
+
+# Parts of rDNS names and of registry patterns: upper-case and non-ASCII
+# ones ('İ'.lower() is two characters); and pattern parts that the file's
+# addresses hold too, one that spans an address and its name ("0,"), which
+# no name holds, and a digit ("7").
+_NAME_PARTS = ["shodan", "SHODAN", "censys", "Censys", "sonar.", "scan", ".io", "-7", "\u00e9",
+               "\u0130", "\u00df"]
+_ASCII_PARTS = [part for part in _NAME_PARTS if part.isascii()]
+
+
+@st.composite
+def _registries(draw) -> ScannerRegistry:
+    pattern = st.lists(st.sampled_from([*_NAME_PARTS, "0,", "7"]), min_size=1, max_size=2)
+    projects = draw(st.lists(st.lists(pattern.map("".join), max_size=3), max_size=4))
+    return ScannerRegistry.from_entries([{"project": f"P{index}", "rdns_patterns": patterns}
+                                         for index, patterns in enumerate(projects)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), registry=_registries(), ascii_names=st.booleans())
+def test_an_rdns_table_keeps_the_project_match_rdns_finds_in_each_name(
+        tmp_path_factory, data, registry, ascii_names):
+    """Both load paths, against the per-line loader over random registries:
+    a name may match no project or several, and a repeated address keeps
+    the project of its last name, if any."""
+    parts = st.sampled_from(_ASCII_PARTS if ascii_names else _NAME_PARTS)
+    rows = data.draw(st.lists(st.tuples(_ADDRESSES, st.lists(parts, min_size=1, max_size=4)),
+                              max_size=12))
+    path = tmp_path_factory.getbasetemp() / "rdns.csv"
+    path.write_bytes("".join(f"{address},{''.join(name)}\n" for address, name in rows).encode())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ran = spy_paths(monkeypatch)
+        outcome = _outcome(lambda path: RdnsTable.from_csv(path, registry), path)
+    assert outcome == _outcome(lambda path: _reference_rdns(path, registry), path)
+    ascii_only = all(map(str.isascii, map("".join, [name for _, name in rows])))
+    assert ran == (["column"] if ascii_only else ["line"])
+
+
+_TAB_LINE = _line(_ADDRESSES, "\t", _LENGTHS, "\t", st.sampled_from([0, 7, "007", 64500, AS_MAX]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_published_tab_separated_lines_load_as_the_per_line_loader_loads_them(
+        tmp_path_factory, data):
+    """CAIDA's 'a.b.c.d<TAB>N<TAB>asn', among 'a.b.c.d/N asn' lines, loads a
+    column at a time unless a prefix repeats."""
+    lines = data.draw(st.lists(st.one_of(_TAB_LINE, _TABLES[load_asn_table][0]), max_size=12))
+    path = tmp_path_factory.getbasetemp() / "asn.txt"
+    path.write_bytes(b"".join(lines))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ran = spy_paths(monkeypatch)
+        outcome = _outcome(load_asn_table, path)
+    assert outcome == _outcome(_REFERENCES[load_asn_table], path)
+    prefixes = [parse_cidr("/".join(line.decode().replace("/", " ").split()[:2]), strict=False)
+                for line in lines]
+    assert ran == (["column"] if len(set(prefixes)) == len(prefixes) else ["line"])
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("before, after, how", [(b"", b"", "column"),
+                                                (b"# prefix asn\n", b"", "column"),
+                                                (b"", b"# by line\n", "line")],
+                         ids=["canonical", "header", "by-line"])
+@pytest.mark.parametrize("load", list(_CANONICAL), ids=["asn", "geo", "rdns"])
+def test_a_byte_order_mark_starting_a_table_is_dropped(tmp_path, monkeypatch, load, before,
+                                                        after, how):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(before + _CANONICAL[load] + after)
+    marked.write_bytes(_BOM + before + _CANONICAL[load] + after)
+    ran = spy_paths(monkeypatch)
+    assert _outcome(load, marked) == _outcome(load, plain)
+    assert ran == [how, how]
+
+
+@pytest.mark.parametrize("load, content, number", [
+    (load_asn_table, _BOM + _BOM + b"1.0.0.0/8 1\n", 1),
+    (load_asn_table, b"1.0.0.0/8 1\n" + _BOM + b"2.0.0.0/8 2\n", 2),
+    (load_asn_table, b"# a\n1.0.0.0/8 1" + _BOM + b"\n", 2),
+    (load_geo_table, b"1.0.0.0/8,FR\n2.0.0.0/8," + _BOM + b"DE\n", 2),
+    (_load_rdns, _BOM + b"1.0.0.1,a\n" + _BOM + b"1.0.0.2,b\n", 2),
+])
+def test_a_byte_order_mark_anywhere_else_names_its_line(tmp_path, load, content, number):
+    path = tmp_path / "table.txt"
+    path.write_bytes(content)
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} line {number}: "):
         load(path)
 

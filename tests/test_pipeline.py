@@ -1,12 +1,14 @@
 import cProfile
 import csv
 import faulthandler
+import gc
 import json
 import os
 import signal
 import struct
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ics_scope import pipeline
 from ics_scope.capture import (RECORD, CaptureError, CaptureMeta, int_to_ip, ip_to_int,
                              read_capture)
+from ics_scope.classify import default_scanner_registry
 from ics_scope.cli import main
 from ics_scope.pipeline import (
     ChildError,
@@ -27,7 +30,7 @@ from ics_scope.pipeline import (
 )
 from ics_scope.ports import PORTS
 from ics_scope.sanitize import (DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPPED_TUNNEL, KEPT,
-                               DpiSignature)
+                               DpiSignature, default_catalog)
 from ics_scope.trafficgen import ScenarioSpec, generate
 from test_cli import SCENARIO as CLI_SCENARIO
 
@@ -361,7 +364,8 @@ _LINE_TABLES = 4
 def _pad_tables(corpus, rows=3000):
     """Append rows rows to each line table of the corpus, in address space its
     traffic never uses; every hundredth prefix repeats the one fifty rows up
-    with another value, which must win."""
+    with another value, which must win, and every other rDNS name is a
+    Shodan one."""
     raw = json.loads(corpus.config.read_text())
     base = ip_to_int("172.16.0.0")
     hosts = [int_to_ip(base + 256 * n + 1) for n in range(rows)]
@@ -370,7 +374,8 @@ def _pad_tables(corpus, rows=3000):
     appended = {
         "hp_all": [f"{ip}\n" for ip in hosts],
         "hp_ics": [f"{ip}\n" for ip in hosts[::5]],
-        "rdns": [f"{ip},host{n}.example.net\n" for n, ip in enumerate(hosts)],
+        "rdns": [f"{ip},host{n}.{('example.net', 'shodan.io')[n % 2]}\n"
+                 for n, ip in enumerate(hosts)],
         "asn_table": [f"{prefix} {65000 + n % 700}\n" for n, prefix in enumerate(prefixes)],
         "geo": [f"{prefix},{('FR', 'JP', 'BR')[n % 3]}\n" for n, prefix in enumerate(prefixes)],
     }
@@ -455,12 +460,37 @@ def test_one_capture_cut_into_pieces_writes_the_same_bundle(tmp_path, monkeypatc
     _pad_tables(corpus)
     _, tables = _same_bundle_at_any_cpu_count(tmp_path, monkeypatch, corpus.config,
                                               ["corpus.pcap"])
-    assert len(tables["rdns"]) >= 3000 and len(tables["hp_ics"]) >= 600
+    # The rDNS table keeps the addresses whose name names a scanner project.
+    assert len(tables["rdns"]) >= 1500 and len(tables["hp_ics"]) >= 600
     for name in ("asn_table", "geo"):
         assert sum(len(bucket) for bucket in tables[name][0].values()) > 2900
     # The last of two rows for one prefix wins.
     assert tables["asn_table"][0][24][ip_to_int("172.16.49.0") >> 8] == 65099
     assert tables["geo"][0][24][ip_to_int("172.16.49.0") >> 8] == "FR"
+
+
+# tracemalloc's size of the tables load_inputs loads at one CPU from the
+# padded corpus of the test above: 1,131,337 bytes, plus 5 %. The rDNS table
+# keeps projects, not names (1,459,145 bytes when it kept the names).
+_INPUTS_BYTES = 1_188_000
+
+
+def test_the_loaded_tables_take_at_most_their_pinned_memory(tmp_path, monkeypatch):
+    corpus = generate(ScenarioSpec.from_dict(SCENARIO), tmp_path / "corpus")
+    _pad_tables(corpus)
+    config = PipelineConfig.from_json(corpus.config)
+    _cpus(monkeypatch, 1)
+    default_scanner_registry(), default_catalog()  # packaged tables, cached outside the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inputs = load_inputs(config)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(inputs.rdns.mapping) >= 1500
+    assert size <= _INPUTS_BYTES, size
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])
