@@ -62,11 +62,10 @@ class ScannerRegistry:
 
     def __init__(self, projects: list[ScannerProject]):
         self.projects = list(projects)
-        # Added last project first, so the first project's value stands.
-        self._prefixes = LpmTable()
-        for project in reversed(self.projects):
-            for network, plen in project.prefixes:
-                self._prefixes.add(network, plen, project.name)
+        # Last project first, so that the first project's value stands.
+        self._prefixes = LpmTable(*zip(*[(plen, network >> (32 - plen), project.name)
+                                         for project in reversed(self.projects)
+                                         for network, plen in project.prefixes]))
 
     @classmethod
     def from_entries(cls, entries, source: str = "scanner registry") -> "ScannerRegistry":
@@ -126,8 +125,8 @@ def default_scanner_registry() -> ScannerRegistry:
 
 
 # The canonical lines of the address lists and of the rDNS table, any number of them.
-_ADDRESS_LINES = re.compile(rb"(?:[0-9.]{7,15}\n)*")
-_RDNS_LINES = re.compile(rb"(?:[0-9.]{7,15},[!#-+\--~]+\n)*")  # names: no space, '"' or ','
+_ADDRESS_LINES = re.compile(rb"(?:[0-9.]{7,15}+\n)*+")
+_RDNS_LINES = re.compile(rb"(?:[0-9.]{7,15}+,[!#-+\--~]++\n)*+")  # names: no space, '"' or ','
 
 
 class HoneypotSets:
@@ -140,9 +139,9 @@ class HoneypotSets:
 
     @classmethod
     def from_files(cls, all_path, ics_path) -> "HoneypotSets":
-        hp_all, hp_ics = (line_table(path, _ADDRESS_LINES,
-                                     lambda text: frozenset(ip_column(text.split())),
-                                     lambda rows: frozenset(map(ip_to_int, rows)))
+        hp_all, hp_ics = (frozenset(*line_table(path, _ADDRESS_LINES,
+                                                lambda text: (ip_column(text.split()),),
+                                                lambda line: (ip_to_int(line),)))
                           for path in (all_path, ics_path))
         if not hp_ics <= hp_all:
             extra = sorted(map(int_to_ip, hp_ics - hp_all))[:3]
@@ -168,36 +167,32 @@ class RdnsTable:
         """The table of the 'ip,name' rows of path: per address, the project
         registry.match_rdns finds in the name of its last row, if any."""
 
-        def by_column(text: str) -> RdnsTable:
+        def by_column(text: str) -> tuple:
             # One lower-cased copy of the text: match_rdns lower-cases each name.
-            text = text.lower()
-            fields = text.replace("\n", ",").split(",")  # one "" after the last
-            last = dict(zip(ip_column(fields[:-1:2]), fields[1::2]))  # a later row wins
-            names = last.values()
-            mapping: dict[int, str] = {}
-            # Last project first, so that the first project to match a name stands.
-            for project in reversed(registry.projects):
-                for pattern in project.rdns_patterns:
-                    if pattern in text:
-                        named = compress(last, map(contains, names, repeat(pattern)))
-                        mapping.update(zip(named, repeat(project.name)))
-            return cls(mapping)
+            fields = text.lower().replace("\n", ",").split(",")  # one "" after the last
+            return ip_column(fields[:-1:2]), fields[1::2]
 
-        def by_line(rows) -> RdnsTable:
-            names: dict[int, str] = {}
-            for row in rows:
-                if len(row) < 2:
-                    raise ValueError("expected 'ip,name'")
-                names[ip_to_int(row[0].strip())] = row[1].strip()
-            return cls.from_names(names, registry)
+        def by_row(row: list) -> tuple:
+            if len(row) < 2:
+                raise ValueError("expected 'ip,name'")
+            return ip_to_int(row[0].strip()), row[1].strip().lower()
 
-        return line_table(path, _RDNS_LINES, by_column, by_line, ",")
+        columns = line_table(path, _RDNS_LINES, by_column, by_row, ",")
+        return cls.from_names(dict(zip(*columns)), registry)  # a later row wins
 
     @classmethod
     def from_names(cls, names: dict[int, str], registry: ScannerRegistry) -> "RdnsTable":
-        """The table of names, which maps addresses to their reverse-DNS names."""
-        return cls({ip: project for ip, name in names.items()
-                    if (project := registry.match_rdns(name))})
+        """The table of names, which maps addresses to their lower-cased
+        reverse-DNS names: per address, the project registry.match_rdns finds."""
+        joined = "\n".join(names.values())
+        mapping: dict[int, str] = {}
+        # Last project first, so that the first project to match a name stands.
+        for project in reversed(registry.projects):
+            for pattern in project.rdns_patterns:
+                if pattern in joined:
+                    named = compress(names, map(contains, names.values(), repeat(pattern)))
+                    mapping.update(zip(named, repeat(project.name)))
+        return cls(mapping)
 
     @classmethod
     def empty(cls) -> "RdnsTable":

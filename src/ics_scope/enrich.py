@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .capture import int_to_ip, ip_column, parse_cidr, prefix_columns
 from .dissectors import PROTOCOLS
@@ -30,8 +32,8 @@ _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 
 # The canonical lines of the prefix tables, any number of them; an AS table
 # line reads 'a.b.c.d/N asn' or, as CAIDA publishes it, 'a.b.c.d<TAB>N<TAB>asn'.
-_ASN_LINES = re.compile(rb"(?:[0-9.]{7,15}(?:/[0-9]{1,2} |\t[0-9]{1,2}\t)[0-9]{1,10}\n)*")
-_GEO_LINES = re.compile(rb"(?:[0-9.]{7,15}/[0-9]{1,2},[A-Z]{2}\n)*")
+_ASN_LINES = re.compile(rb"(?:[0-9.]{7,15}+(?:/[0-9]{1,2}+ |\t[0-9]{1,2}+\t)[0-9]{1,10}+\n)*+")
+_GEO_LINES = re.compile(rb"(?:[0-9.]{7,15}+/[0-9]{1,2}+,[A-Z]{2}\n)*+")
 
 
 class LpmTable:
@@ -44,33 +46,28 @@ class LpmTable:
     """
 
     def __init__(self, lengths=(), keys=(), values=()):
-        """The table of the prefixes prefix_columns gives, with their values;
-        ValueError when a prefix repeats, as only add judges an override."""
+        """The table of the prefixes prefix_columns gives, with their values.
+        For a repeated prefix the later value wins; overridden counts the
+        rows that changed a value, and the first of them is logged."""
         self._by_len = {plen: {} for plen in sorted(set(lengths), reverse=True)}
         any(map(dict.__setitem__, map(self._by_len.__getitem__, lengths), keys, values))
-        if sum(map(len, self._by_len.values())) < len(values):
-            raise ValueError("a prefix repeats")
         self._probes = tuple((32 - plen, bucket) for plen, bucket in self._by_len.items())
         self.longest = max(self._by_len, default=0)
-        self.overridden = 0  # adds that changed the value of a prefix already present
-
-    def add(self, network: int, plen: int, value) -> None:
-        """Add network/plen as parse_cidr returns it; a later value for the
-        same prefix overrides an earlier one. Only the first override is
-        logged; the loaders log how many more there were."""
-        key = network >> (32 - plen)
-        bucket = self._by_len.get(plen)
-        if bucket is None:
-            bucket = self._by_len[plen] = {}
-            lengths = sorted(self._by_len, reverse=True)
-            self._probes = tuple((32 - n, self._by_len[n]) for n in lengths)
-            self.longest = lengths[0]
-        if (old := bucket.get(key, value)) != value:
-            if not self.overridden:
-                log.warning("duplicate prefix %s/%d: %r overrides %r", int_to_ip(network), plen,
-                            value, old)
-            self.overridden += 1
-        bucket[key] = value
+        self.overridden = 0
+        if sum(map(len, self._by_len.values())) < len(values):
+            # A prefix repeats: walk the rows of the lengths whose dict has
+            # fewer keys than rows.
+            rows = Counter(lengths)
+            short = {plen for plen, bucket in self._by_len.items() if len(bucket) < rows[plen]}
+            current = {}
+            for plen, key, value in compress(zip(lengths, keys, values),
+                                             map(short.__contains__, lengths)):
+                if (old := current.get((plen, key), value)) != value:
+                    if not self.overridden:
+                        log.warning("duplicate prefix %s/%d: %r overrides %r",
+                                    int_to_ip(key << (32 - plen)), plen, value, old)
+                    self.overridden += 1
+                current[plen, key] = value
 
     def lookup(self, ip: int):
         for shift, bucket in self._probes:
@@ -80,8 +77,10 @@ class LpmTable:
         return None
 
 
-def _loaded(table: LpmTable, path) -> LpmTable:
-    """table, loaded from path, after logging how many overrides add left unnamed."""
+def _prefix_table(columns, path) -> LpmTable:
+    """The table of the columns of lengths, keys and values that path's
+    lines give, after logging how many overrides its warning left unnamed."""
+    table = LpmTable(*columns)
     if table.overridden > 1:
         log.warning("%d more duplicate prefixes overridden in %s", table.overridden - 1, path)
     return table
@@ -90,60 +89,53 @@ def _loaded(table: LpmTable, path) -> LpmTable:
 def load_asn_table(path) -> LpmTable:
     """Prefix-to-origin table from 'prefix asn' or 'address length asn' lines."""
 
-    def by_column(text: str) -> LpmTable:
+    def by_column(text: str) -> tuple:
         fields = text.replace("/", " ").split()
         asns = list(map(int, fields[2::3]))
         if max(asns, default=0) > AS_MAX:
             raise ValueError("an AS number above AS_MAX")
-        return LpmTable(*prefix_columns(fields[::3], fields[1::3]), asns)
+        return *prefix_columns(fields[::3], fields[1::3]), asns
 
-    def by_line(rows) -> LpmTable:
-        table = LpmTable()
-        for line in rows:
-            parts = line.split()
-            if len(parts) == 2:
-                prefix, asn = parts
-            elif len(parts) == 3:
-                prefix, asn = f"{parts[0]}/{parts[1]}", parts[2]
-            else:
-                raise ValueError(f"unparseable prefix line: {line!r}")
-            if not (asn.isascii() and asn.isdigit()):
-                raise ValueError(f"AS number must be ASCII decimal digits, got {asn!r}")
-            number = int(asn)
-            if number > AS_MAX:
-                raise ValueError(f"AS number must be at most {AS_MAX}, got {asn}")
-            network, plen = parse_cidr(prefix, strict=False)
-            table.add(network, plen, number)
-        return table
+    def by_line(line: str) -> tuple:
+        parts = line.split()
+        if len(parts) == 2:
+            prefix, asn = parts
+        elif len(parts) == 3:
+            prefix, asn = f"{parts[0]}/{parts[1]}", parts[2]
+        else:
+            raise ValueError(f"unparseable prefix line: {line!r}")
+        if not (asn.isascii() and asn.isdigit()):
+            raise ValueError(f"AS number must be ASCII decimal digits, got {asn!r}")
+        number = int(asn)
+        if number > AS_MAX:
+            raise ValueError(f"AS number must be at most {AS_MAX}, got {asn}")
+        network, plen = parse_cidr(prefix, strict=False)
+        return plen, network >> (32 - plen), number
 
-    return _loaded(line_table(path, _ASN_LINES, by_column, by_line), path)
+    return _prefix_table(line_table(path, _ASN_LINES, by_column, by_line), path)
 
 
 def load_geo_table(path) -> LpmTable:
     """Prefix-to-country table from CSV 'prefix,country' rows."""
 
-    def by_column(text: str) -> LpmTable:
+    def by_column(text: str) -> tuple:
         fields = text.replace("/", ",").replace("\n", ",").split(",")  # one "" after the last
-        countries = fields[2::3]
-        # One str object per country; pickle keeps the sharing across a pipe.
-        shared = dict(zip(countries, countries))
-        return LpmTable(*prefix_columns(fields[:-1:3], fields[1::3]),
-                        list(map(shared.__getitem__, countries)))
+        return *prefix_columns(fields[:-1:3], fields[1::3]), fields[2::3]
 
-    def by_line(rows) -> LpmTable:
-        table = LpmTable()
-        for row in rows:
-            if len(row) < 2:
-                raise ValueError("expected 'prefix,country'")
-            prefix, country = row[0].strip(), row[1].strip()
-            country = country.upper() if country.isascii() else country  # 'ß'.upper() == 'SS'
-            if not _COUNTRY_RE.match(country):
-                raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
-            network, plen = parse_cidr(prefix, strict=False)
-            table.add(network, plen, country)
-        return table
+    def by_row(row: list) -> tuple:
+        if len(row) < 2:
+            raise ValueError("expected 'prefix,country'")
+        prefix, country = row[0].strip(), row[1].strip()
+        country = country.upper() if country.isascii() else country  # 'ß'.upper() == 'SS'
+        if not _COUNTRY_RE.match(country):
+            raise ValueError(f"invalid country code {country!r} for prefix {prefix}")
+        network, plen = parse_cidr(prefix, strict=False)
+        return plen, network >> (32 - plen), country
 
-    return _loaded(line_table(path, _GEO_LINES, by_column, by_line, ","), path)
+    lengths, keys, countries = line_table(path, _GEO_LINES, by_column, by_row, ",") or ((),) * 3
+    # One str object per country; pickle keeps the sharing across a pipe.
+    shared = dict(zip(countries, countries))
+    return _prefix_table((lengths, keys, list(map(shared.__getitem__, countries))), path)
 
 
 @dataclass

@@ -139,20 +139,21 @@ class _NotUtf8(Exception):
 # Comment lines a line table may start with and still load a column at a
 # time: printable ASCII or tab after the '#', no '"', which could open a CSV
 # field that runs on over the next line, and no '\r', which ends a line.
-_HEADER = re.compile(rb'(?:#[\t -!#-~]*\n)*')
+_HEADER = re.compile(rb'(?:#[\t -!#-~]*+\n)*+')
 
 
-def line_table(path, canonical, columns, rows, delimiter: str | None = None):
-    """What a line table holds, from one read of its file: columns(its ASCII
-    text after any leading _HEADER lines), a column at a time in C, when the
-    bytes pattern canonical matches all of the file after those lines and
-    columns raises no KeyError or ValueError on a value only a row can
-    judge; otherwise rows(its rows in file order), a line at a time.
+def line_table(path, canonical, columns, row, delimiter: str | None = None) -> tuple:
+    """The columns of a line table, from one read of its file: columns(its
+    ASCII text after any leading _HEADER lines), a column at a time in C,
+    when the bytes pattern canonical matches all of the file after those
+    lines and columns raises no KeyError or ValueError on a value only a row
+    can judge; otherwise the columns of row(r) for its rows r in file order,
+    () without rows, a line at a time.
     Either way one UTF-8 byte-order mark at the start of the file is dropped.
     Without delimiter a row is a line stripped of surrounding whitespace;
     with one it is a CSV record's list of fields. Blank rows and rows that
     start with '#' are skipped. The first of these in the file is
-    a ConfigError naming the file and the line: a row rows refuses with
+    a ConfigError naming the file and the line: a row that row refuses with
     ValueError, a record the CSV reader cannot parse, a line not UTF-8."""
     data = read_file(path)
     data = data[3:] if data.startswith(b"\xef\xbb\xbf") else data
@@ -187,8 +188,10 @@ def line_table(path, canonical, columns, rows, delimiter: str | None = None):
             lines = lines_before(text) if bad else text
             if delimiter:
                 reader = csv.reader(lines, delimiter=delimiter)
-                return rows(fields for fields in reader if fields and not fields[0].startswith("#"))
-            return rows(stripped(lines))
+                rows = (fields for fields in reader if fields and not fields[0].startswith("#"))
+            else:
+                rows = stripped(lines)
+            return tuple(zip(*map(row, rows)))
     except _NotUtf8:
         raise ConfigError(f"{path} line {bad}: not UTF-8 text") from None
     except (ValueError, csv.Error) as exc:

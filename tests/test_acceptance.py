@@ -19,7 +19,6 @@ from ics_scope.capture import (
     CaptureMeta,
     int_to_ip,
     ip_to_int,
-    parse_cidr,
     utc_day,
 )
 from ics_scope.classify import (
@@ -38,11 +37,12 @@ from ics_scope.classify import (
 from ics_scope.dissectors import WELL_FORMED, dissect
 from ics_scope.enrich import (
     IxpTopology,
-    LpmTable,
     MEMBER_TO_MEMBER,
     TRANSITIONS,
     UNKNOWN_TRANSITION,
     fabric_side,
+    load_asn_table,
+    load_geo_table,
     scan_overlap,
     transition,
 )
@@ -476,10 +476,8 @@ def test_criterion_6_locality_consistency(oracle_corpora):
     print(f"\nACCEPTANCE 6 locality consistency: PASS ({checked} topology tuples)")
 
 
-def test_criterion_7_lpm_oracle():
+def test_criterion_7_lpm_oracle(tmp_path):
     rng = random.Random(999)
-    table = LpmTable()
-    geo = LpmTable()
     entries = {}
     while len(entries) < 10_000:
         plen = rng.choice([8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32])
@@ -487,10 +485,13 @@ def test_criterion_7_lpm_oracle():
         entries[(network, plen)] = rng.randrange(1, 70_000)
     started = time.perf_counter()
     countries = ["DE", "US", "JP", "NL", "FR"]
-    for (network, plen), asn in entries.items():
-        prefix = f"{int_to_ip(network)}/{plen}"
-        table.add(*parse_cidr(prefix, strict=False), asn)
-        geo.add(*parse_cidr(prefix, strict=False), countries[asn % len(countries)])
+    prefixes = [f"{int_to_ip(network)}/{plen}" for network, plen in entries]
+    asn_path, geo_path = tmp_path / "asn.txt", tmp_path / "geo.csv"
+    asn_path.write_text("".join(f"{prefix} {asn}\n"
+                                for prefix, asn in zip(prefixes, entries.values())))
+    geo_path.write_text("".join(f"{prefix},{countries[asn % len(countries)]}\n"
+                                for prefix, asn in zip(prefixes, entries.values())))
+    table, geo = load_asn_table(asn_path), load_geo_table(geo_path)
 
     keys = np.array([net >> (32 - plen) if plen else 0 for (net, plen) in entries],
                     dtype=np.uint64)

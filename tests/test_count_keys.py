@@ -110,10 +110,9 @@ def _reference_state(keys, source, config, inputs) -> CaptureState:
 
 
 def _table(rows) -> LpmTable:
-    table = LpmTable()
-    for prefix, value in rows:
-        table.add(*parse_cidr(prefix, strict=False), value)
-    return table
+    """The table of (prefix, value) rows; a later row wins for a repeated prefix."""
+    return LpmTable(*zip(*[(plen, network >> (32 - plen), value) for prefix, value in rows
+                           for network, plen in [parse_cidr(prefix, strict=False)]]))
 
 
 # Members 64500 and 64501 with cones; 64999 is an AS no member's cone holds.
@@ -130,7 +129,7 @@ _INPUTS = LoadedInputs(
     honeypots=HoneypotSets(hp_all=frozenset(map(ip_to_int, ["10.2.0.70", "10.3.0.80"])),
                            hp_ics=frozenset([ip_to_int("10.3.0.80")])),
     rdns=RdnsTable.from_names({ip_to_int("10.1.0.50"): "scan-7.shodan.io",
-                               ip_to_int("10.4.0.60"): "worker.Censys-Scanner.com",
+                               ip_to_int("10.4.0.60"): "worker.censys-scanner.com",
                                ip_to_int("10.2.0.1"): "plc.example.net"}, _REGISTRY),
     asn_table=_table([("10.1.0.0/16", 64500), ("10.2.0.0/16", 64501), ("10.3.0.0/16", 64600),
                       ("10.4.0.0/16", 64700), ("10.5.0.0/16", 64999),

@@ -28,41 +28,39 @@ from ics_scope.sanitize import DpiCatalog
 from oracles import is_local
 
 
+def _lpm(rows) -> LpmTable:
+    """The table of (prefix, value) rows; a later row wins for a repeated prefix."""
+    return LpmTable(*zip(*[(plen, network >> (32 - plen), value) for prefix, value in rows
+                           for network, plen in [parse_cidr(prefix, strict=False)]]))
+
+
 def test_lpm_most_specific_wins():
-    table = LpmTable()
-    table.add(*parse_cidr("10.0.0.0/8", strict=False), 100)
-    table.add(*parse_cidr("10.1.2.0/24", strict=False), 200)
+    table = _lpm([("10.0.0.0/8", 100), ("10.1.2.0/24", 200)])
     assert table.lookup(ip_to_int("10.1.2.3")) == 200
     assert table.lookup(ip_to_int("10.9.9.9")) == 100
     assert table.lookup(ip_to_int("11.0.0.1")) is None
 
 
 def test_lpm_exact_host_entry():
-    table = LpmTable()
-    table.add(*parse_cidr("192.0.2.7/32", strict=False), 7)
+    table = _lpm([("192.0.2.7/32", 7)])
     assert table.lookup(ip_to_int("192.0.2.7")) == 7
     assert table.lookup(ip_to_int("192.0.2.8")) is None
 
 
 def test_lpm_default_route():
-    table = LpmTable()
-    table.add(*parse_cidr("0.0.0.0/0", strict=False), 1)
-    table.add(*parse_cidr("10.0.0.0/8", strict=False), 2)
+    table = _lpm([("0.0.0.0/0", 1), ("10.0.0.0/8", 2)])
     assert table.lookup(ip_to_int("10.1.1.1")) == 2
     assert table.lookup(ip_to_int("200.1.1.1")) == 1
 
 
 def test_lpm_agrees_with_linear_scan_randomized():
     rng = random.Random(17)
-    table = LpmTable()
     prefixes = []
     for _ in range(300):
         plen = rng.choice([8, 12, 16, 20, 24, 28, 32])
         network = rng.randrange(0, 2**32) & ~((1 << (32 - plen)) - 1)
-        value = rng.randrange(1, 10_000)
-        prefix = f"{int_to_ip(network)}/{plen}"
-        table.add(*parse_cidr(prefix, strict=False), value)
-        prefixes.append((network, plen, value))
+        prefixes.append((network, plen, rng.randrange(1, 10_000)))
+    table = _lpm([(f"{int_to_ip(network)}/{plen}", value) for network, plen, value in prefixes])
     # Rebuild the view the way the table resolved duplicates (last wins).
     resolved = {}
     for network, plen, value in prefixes:
@@ -266,9 +264,7 @@ def test_is_local_equivalent_to_member_to_member(topo):
 
 
 def test_is_domestic():
-    geo = LpmTable()
-    geo.add(*parse_cidr("10.0.0.0/8", strict=False), "DE")
-    geo.add(*parse_cidr("11.0.0.0/8", strict=False), "JP")
+    geo = _lpm([("10.0.0.0/8", "DE"), ("11.0.0.0/8", "JP")])
 
     def domestic(src, dst):
         return is_domestic(geo.lookup(ip_to_int(src)), geo.lookup(ip_to_int(dst)))

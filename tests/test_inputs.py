@@ -60,25 +60,27 @@ def _line_table_rows(path, delimiter, take):
 
 def _reference_rows(path, delimiter, take):
     with _line_by_line_rows(path, delimiter) as rows:
-        return take(rows)
+        return tuple(zip(*map(take, rows)))
 
 
 def _drain(read, path, delimiter):
     """The rows read(path, delimiter, take) hands take before it ends, and
     the ConfigError message it ends in (None without one). take refuses a
-    row holding 'bad' with ValueError."""
+    row holding 'bad' with ValueError and makes any other row a row of one
+    column, which read returns."""
     seen = []
 
-    def take(rows):
-        for row in rows:
-            if "bad" in (row if delimiter is None else ",".join(row)):
-                raise ValueError(f"refused {row!r}")
-            seen.append(row)
+    def take(row):
+        if "bad" in (row if delimiter is None else ",".join(row)):
+            raise ValueError(f"refused {row!r}")
+        seen.append(row)
+        return (row,)
 
     try:
-        read(path, delimiter, take)
+        columns = read(path, delimiter, take)
     except ConfigError as exc:
         return seen, str(exc)
+    assert columns == ((tuple(seen),) if seen else ())
     return seen, None
 
 
@@ -128,9 +130,8 @@ def test_a_unicode_error_of_the_with_block_keeps_its_message(tmp_path):
     path = tmp_path / "table.txt"
     path.write_text("10.0.0.1\n")
 
-    def encode(rows):
-        for _ in rows:
-            "\ud800".encode("utf-8")
+    def encode(row):
+        "\ud800".encode("utf-8")
 
     with pytest.raises(ConfigError, match="table.txt line 1: 'utf-8' codec can't encode"):
         line_table(path, _NEVER, None, encode)

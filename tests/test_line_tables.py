@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ics_scope import classify, enrich
+from ics_scope import classify, enrich, inputs
 from ics_scope.capture import int_to_ip, ip_to_int, parse_cidr
 from ics_scope.classify import HoneypotSets, RdnsTable, ScannerRegistry
 from ics_scope.enrich import LpmTable, load_asn_table, load_geo_table, load_scan_snapshot
@@ -24,22 +24,31 @@ _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 _ENRICH_LOG = logging.getLogger("ics_scope.enrich")
 
 
-def _reference_prefix_table(path, row_value, delimiter=None) -> LpmTable:
-    """The per-line prefix-table loader: row_value(row) is a row's prefix
-    text and value."""
-    table = LpmTable()
+def _reference_prefix_table(path, row_value, delimiter=None) -> tuple:
+    """The per-line prefix-table loader, on dicts of its own: row_value(row)
+    is a row's prefix text and value. A later row wins for a repeated
+    prefix. Once the table has loaded, the first row that changed a value
+    is named and the rest are counted. Gives the fields _fields gives of a
+    table."""
 
-    def rows(lines):
-        for row in lines:
-            prefix, value = row_value(row)
-            network, plen = parse_cidr(prefix, strict=False)
-            table.add(network, plen, value)
+    def row(fields):
+        prefix, value = row_value(fields)
+        return (*parse_cidr(prefix, strict=False), value)
 
-    line_table(path, _NEVER, None, rows, delimiter)
-    if table.overridden > 1:
+    by_len, overrides = {}, []
+    for network, plen, value in zip(*line_table(path, _NEVER, None, row, delimiter)):
+        bucket = by_len.setdefault(plen, {})
+        key = network >> (32 - plen)
+        if bucket.get(key, value) != value:
+            overrides.append(f"{int_to_ip(network)}/{plen}: {value!r} overrides {bucket[key]!r}")
+        bucket[key] = value
+    if overrides:
+        _ENRICH_LOG.warning("duplicate prefix %s", overrides[0])
+    if len(overrides) > 1:
         _ENRICH_LOG.warning("%d more duplicate prefixes overridden in %s",
-                            table.overridden - 1, path)
-    return table
+                            len(overrides) - 1, path)
+    probes = tuple((32 - plen, by_len[plen]) for plen in sorted(by_len, reverse=True))
+    return by_len, probes, len(overrides)
 
 
 def _asn_row(line):
@@ -82,21 +91,19 @@ def _load_rdns(path) -> RdnsTable:
 def _reference_rdns(path, registry=_REGISTRY) -> RdnsTable:
     """The per-line loader: each address's last name, then the project
     registry.match_rdns finds in it."""
-    names = {}
 
-    def rows(lines):
-        for row in lines:
-            if len(row) < 2:
-                raise ValueError("expected 'ip,name'")
-            names[ip_to_int(row[0].strip())] = row[1].strip()
+    def row(fields):
+        if len(fields) < 2:
+            raise ValueError("expected 'ip,name'")
+        return ip_to_int(fields[0].strip()), fields[1].strip()
 
-    line_table(path, _NEVER, None, rows, ",")
+    names = dict(zip(*line_table(path, _NEVER, None, row, ",")))
     return RdnsTable({ip: project for ip, name in names.items()
                       if (project := registry.match_rdns(name))})
 
 
 def _reference_honeypots(all_path, ics_path) -> HoneypotSets:
-    hp_all, hp_ics = (line_table(path, _NEVER, None, lambda rows: frozenset(map(ip_to_int, rows)))
+    hp_all, hp_ics = (frozenset(*line_table(path, _NEVER, None, lambda line: (ip_to_int(line),)))
                       for path in (all_path, ics_path))
     if not hp_ics <= hp_all:
         extra = sorted(map(int_to_ip, hp_ics - hp_all))[:3]
@@ -118,17 +125,18 @@ def spy_paths(monkeypatch) -> list:
     a column at a time, "line" for one built a line at a time."""
     ran = []
 
-    def spy(path, canonical, columns, rows, *delimiter):
+    def spy(path, canonical, columns, row, *delimiter):
         def by_column(text):
             table = columns(text)
             ran.append("column")
             return table
 
-        def by_line(lines):
-            ran.append("line")
-            return rows(lines)
-
-        return line_table(path, canonical, by_column, by_line, *delimiter)
+        before = len(ran)
+        try:
+            return line_table(path, canonical, by_column, row, *delimiter)
+        finally:
+            if len(ran) == before:
+                ran.append("line")
 
     monkeypatch.setattr(enrich, "line_table", spy)
     monkeypatch.setattr(classify, "line_table", spy)
@@ -156,6 +164,8 @@ def _logged():
 
 
 def _fields(table):
+    if isinstance(table, tuple):  # _reference_prefix_table's
+        return table
     if isinstance(table, LpmTable):
         return table._by_len, table._probes, table.overridden
     if isinstance(table, RdnsTable):
@@ -195,8 +205,8 @@ _TABLES = {
         _line(_ADDRESSES, "/", _LENGTHS, " ", st.sampled_from([0, 7, "007", 64500, AS_MAX])),
         [b"# comment\n", b"\n", b"10.0.0.0/8 1\r\n", b"10.0.0.1 5\n", b"10.0.0.0 8 5\n",
          b"10.0.0.0/024 5\n", "10.0.0.0/8 \u0663\n".encode(), b" 10.0.0.0/8 1\n",
-         b"10.0.0.0/8 1 2\n", b"10.0.0.0/8\t1\n", b"\xff\n", b"256.0.0.1/8 1\n",
-         b"10.0.0.0/33 1\n", b"10.0.0.0/08 1\n", b"10.0.0.0/8 4294967296\n",
+         b"10.0.0.0/8 1 2\n", b"10.0.0.0/8\t1\n", b"10.0.0.0\t024\t1\n", b"\xff\n",
+         b"256.0.0.1/8 1\n", b"10.0.0.0/33 1\n", b"10.0.0.0/08 1\n", b"10.0.0.0/8 4294967296\n",
          b"1.2.3/8 1\n", b"10.0.0.0/8 1"],
     ),
     load_geo_table: (
@@ -286,14 +296,47 @@ def test_any_other_line_loads_the_table_a_line_at_a_time(tmp_path, monkeypatch, 
     (load_asn_table, b"1.0.0.0/8 152422\n"), (load_asn_table, b"1.0.0.0/8 7\n"),
     (load_geo_table, b"1.0.0.0/8,FR\n"), (load_geo_table, b"1.0.0.0/8,DE\n"),
 ])
-def test_a_repeated_prefix_loads_the_table_a_line_at_a_time(tmp_path, monkeypatch, load, line):
+def test_a_repeated_prefix_keeps_the_column_path(tmp_path, monkeypatch, load, line):
     path = tmp_path / "table.txt"
     path.write_bytes(_CANONICAL[load] + line)
     ran = spy_paths(monkeypatch)
     outcome = _outcome(load, path)
     assert outcome == _outcome(_REFERENCES[load], path)
+    assert ran == ["column"]
+    assert outcome[0][2] == (line not in _CANONICAL[load])  # overridden
+
+
+@pytest.mark.parametrize("load, line", [
+    (load_asn_table, b"1.0.0.0/8 152422\n"), (load_asn_table, b"1.0.0.0/8 7\n"),
+    (load_geo_table, b"1.0.0.0/8,FR\n"), (load_geo_table, b"1.0.0.0/8,DE\n"),
+])
+def test_a_repeated_prefix_loads_the_table_a_line_at_a_time(tmp_path, monkeypatch, load, line):
+    """In a table that takes the line path (CRLF line ends), a repeated
+    prefix overrides as it does on the column path."""
+    path = tmp_path / "table.txt"
+    path.write_bytes((_CANONICAL[load] + line).replace(b"\n", b"\r\n"))
+    ran = spy_paths(monkeypatch)
+    outcome = _outcome(load, path)
+    assert outcome == _outcome(_REFERENCES[load], path)
     assert ran == ["line"]
     assert outcome[0][2] == (line not in _CANONICAL[load])  # overridden
+    column_path = tmp_path / "column.txt"
+    column_path.write_bytes(_CANONICAL[load] + line)
+    assert outcome == _outcome(load, column_path)
+
+
+@pytest.mark.parametrize("load, lines", [
+    (load_asn_table, b"1.0.0.0/8 7\n1.0.0.0/8 8\n1.0.0.0/8 9\n10.0.0.0/33 1\n"),
+    (load_geo_table, b"1.0.0.0/8,DE\n1.0.0.0/8,JP\n1.0.0.0/8,NL\n10.0.0.0/8,DEU\n"),
+], ids=["asn", "geo"])
+def test_a_repeated_prefix_before_a_bad_line_logs_nothing(tmp_path, load, lines):
+    path = tmp_path / "table.txt"
+    path.write_bytes(_CANONICAL[load] + lines)
+    number = (_CANONICAL[load] + lines).count(b"\n")
+    outcome = _outcome(load, path)
+    assert outcome == _outcome(_REFERENCES[load], path)
+    message, records = outcome
+    assert message.startswith(f"{path} line {number}: ") and records == []
 
 
 # Leading comment lines: those that keep the column path, and some that
@@ -339,15 +382,20 @@ def test_a_bad_line_after_comment_lines_names_its_line(tmp_path, load, line):
 
 
 def test_a_geo_table_holds_one_string_per_country_across_a_pickle(tmp_path, monkeypatch):
+    """On either path: LF line ends load a column at a time, CRLF ones a line
+    at a time."""
     path = tmp_path / "geo.csv"
-    path.write_bytes(b"1.0.0.0/8,FR\n2.0.0.0/8,FR\n3.0.0.0/16,DE\n4.0.0.0/24,FR\n5.0.0.0/24,DE\n")
+    lines = [b"1.0.0.0/8,FR", b"2.0.0.0/8,FR", b"3.0.0.0/16,DE", b"4.0.0.0/24,FR", b"5.0.0.0/24,DE"]
     ran = spy_paths(monkeypatch)
-    table = load_geo_table(path)
-    assert ran == ["column"]
-    for loaded in (table, pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))):
-        values = [value for bucket in loaded._by_len.values() for value in bucket.values()]
-        assert sorted(values) == ["DE", "DE", "FR", "FR", "FR"]
-        assert len(set(map(id, values))) == 2
+    for end, how in ((b"\n", "column"), (b"\r\n", "line")):
+        path.write_bytes(b"".join(line + end for line in lines))
+        ran.clear()
+        table = load_geo_table(path)
+        assert ran == [how]
+        for loaded in (table, pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))):
+            values = [value for bucket in loaded._by_len.values() for value in bucket.values()]
+            assert sorted(values) == ["DE", "DE", "FR", "FR", "FR"]
+            assert len(set(map(id, values))) == 2
 
 
 # Parts of rDNS names and of registry patterns: upper-case and non-ASCII
@@ -395,7 +443,7 @@ _TAB_LINE = _line(_ADDRESSES, "\t", _LENGTHS, "\t", st.sampled_from([0, 7, "007"
 def test_published_tab_separated_lines_load_as_the_per_line_loader_loads_them(
         tmp_path_factory, data):
     """CAIDA's 'a.b.c.d<TAB>N<TAB>asn', among 'a.b.c.d/N asn' lines, loads a
-    column at a time unless a prefix repeats."""
+    column at a time, a repeated prefix included."""
     lines = data.draw(st.lists(st.one_of(_TAB_LINE, _TABLES[load_asn_table][0]), max_size=12))
     path = tmp_path_factory.getbasetemp() / "asn.txt"
     path.write_bytes(b"".join(lines))
@@ -403,9 +451,7 @@ def test_published_tab_separated_lines_load_as_the_per_line_loader_loads_them(
         ran = spy_paths(monkeypatch)
         outcome = _outcome(load_asn_table, path)
     assert outcome == _outcome(_REFERENCES[load_asn_table], path)
-    prefixes = [parse_cidr("/".join(line.decode().replace("/", " ").split()[:2]), strict=False)
-                for line in lines]
-    assert ran == (["column"] if len(set(prefixes)) == len(prefixes) else ["line"])
+    assert ran == ["column"]
 
 
 _BOM = b"\xef\xbb\xbf"
@@ -447,3 +493,37 @@ def test_a_scan_snapshot_names_its_first_bad_address(tmp_path):
         load_scan_snapshot(path)
     assert str(caught.value) == (f"{path}: modbus.transport: invalid IPv4 address "
                                  f"'10.0.0.256'")
+
+
+# The line patterns as written before their repeats were made possessive,
+# kept as the references of the patterns in use, with the lines each
+# table's tests draw.
+_GREEDY_HEADER = re.compile(rb"(?:#[\t -!#-~]*\n)*")
+_GREEDY_LINES = {
+    "asn": (enrich._ASN_LINES,
+            rb"(?:[0-9.]{7,15}(?:/[0-9]{1,2} |\t[0-9]{1,2}\t)[0-9]{1,10}\n)*",
+            (st.one_of(_TAB_LINE, _TABLES[load_asn_table][0]), _TABLES[load_asn_table][1])),
+    "geo": (enrich._GEO_LINES, rb"(?:[0-9.]{7,15}/[0-9]{1,2},[A-Z]{2}\n)*",
+            _TABLES[load_geo_table]),
+    "rdns": (classify._RDNS_LINES, rb"(?:[0-9.]{7,15},[!#-+\--~]+\n)*", _TABLES[_load_rdns]),
+    "address": (classify._ADDRESS_LINES, rb"(?:[0-9.]{7,15}\n)*", _HONEYPOT_LINES),
+}
+
+
+@pytest.mark.parametrize("name", list(_GREEDY_LINES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_possessive_line_pattern_matches_what_its_greedy_form_matches(name, data):
+    """On a drawn table, on canonical lines followed by each odd line, and on
+    a table cut short, each behind drawn comment lines and without them."""
+    pattern, greedy, (canonical, odd) = _GREEDY_LINES[name]
+    header = b"".join(data.draw(st.lists(st.sampled_from(_HEADERS), max_size=2)))
+    body = b"".join(data.draw(st.lists(canonical, max_size=4)))
+    tables = [_table(data, canonical, odd), *(body + line for line in odd)]
+    cut = tables[0][:data.draw(st.integers(0, len(tables[0])))]
+    for content in (*tables, cut):
+        for text in (content, header + content):
+            start = _GREEDY_HEADER.match(text).end()
+            assert inputs._HEADER.match(text).end() == start
+            assert (pattern.fullmatch(text, start) is None) == (
+                re.fullmatch(greedy, text[start:]) is None), text

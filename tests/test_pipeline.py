@@ -33,6 +33,7 @@ from ics_scope.sanitize import (DROPPED_KNOWN_PROTOCOL, DROPPED_MALFORMED, DROPP
                                DpiSignature, default_catalog)
 from ics_scope.trafficgen import ScenarioSpec, generate
 from test_cli import SCENARIO as CLI_SCENARIO
+from test_line_tables import spy_paths
 
 SCENARIO = {
     "seed": 17,
@@ -470,9 +471,10 @@ def test_one_capture_cut_into_pieces_writes_the_same_bundle(tmp_path, monkeypatc
 
 
 # tracemalloc's size of the tables load_inputs loads at one CPU from the
-# padded corpus of the test above: 1,131,337 bytes, plus 5 %. The rDNS table
-# keeps projects, not names (1,459,145 bytes when it kept the names).
-_INPUTS_BYTES = 1_188_000
+# padded corpus of the test above: 988,708 bytes, plus 5 %. Each line table
+# loads a column at a time, its repeated prefixes too (1,133,659 bytes when
+# they sent the prefix tables a line at a time).
+_INPUTS_BYTES = 1_038_000
 
 
 def test_the_loaded_tables_take_at_most_their_pinned_memory(tmp_path, monkeypatch):
@@ -480,6 +482,7 @@ def test_the_loaded_tables_take_at_most_their_pinned_memory(tmp_path, monkeypatc
     _pad_tables(corpus)
     config = PipelineConfig.from_json(corpus.config)
     _cpus(monkeypatch, 1)
+    ran = spy_paths(monkeypatch)
     default_scanner_registry(), default_catalog()  # packaged tables, cached outside the count
     gc.collect()
     tracemalloc.start()
@@ -490,6 +493,7 @@ def test_the_loaded_tables_take_at_most_their_pinned_memory(tmp_path, monkeypatc
     finally:
         tracemalloc.stop()
     assert len(inputs.rdns.mapping) >= 1500
+    assert ran == ["column"] * (_LINE_TABLES + 1)  # the honeypot pair is two lists
     assert size <= _INPUTS_BYTES, size
 
 
