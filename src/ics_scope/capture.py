@@ -179,23 +179,29 @@ _PORTS = struct.Struct("!HH")
 _ETHERTYPE = struct.Struct("!H")
 
 
-def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> PacketRecord | None:
+def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> tuple[PacketRecord | None, str]:
     """Parse a possibly truncated IPv4 datagram down to its transport payload.
 
     The datagram starts at offset in buf and runs to the end of buf; its
     headers are read in place and only the payload is copied. ts becomes
-    the record's timestamp. None when the datagram is not IPv4 carrying
-    ICMP, TCP or UDP, when it is a fragment other than the first (its bytes
-    start inside the transport payload), or when the capture stops inside
-    the IP or transport header.
+    the record's timestamp. Returns (record, RECORD), or (None, why the
+    datagram yields none): "fragment" for a non-zero fragment offset (its
+    bytes start inside the transport payload), whatever the version or IHL,
+    once 20 header bytes are captured; "short" when the protocol byte names
+    ICMP, TCP or UDP and the IP header is cut or invalid or the transport
+    header is cut; "non_transport" for any other protocol byte, or a
+    datagram cut before its protocol byte.
     """
     size = len(buf)
     if size - offset < 20:
-        return None
+        return None, ("short" if size - offset > 9 and buf[offset + 9] in (ICMP, TCP, UDP)
+                      else "non_transport")
     first, total_len, fragment, proto, src, dst = _IPV4_HEADER.unpack_from(buf, offset)
     ihl = (first & 0x0F) * 4
-    if first >> 4 != 4 or ihl < 20 or size - offset < ihl or total_len < ihl or fragment & 0x1FFF:
-        return None
+    if fragment & 0x1FFF:
+        return None, "fragment"
+    if first >> 4 != 4 or ihl < 20 or size - offset < ihl or total_len < ihl:
+        return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
     body = offset + ihl
     # Trailing bytes beyond the IP total length are link padding, not payload.
     end = offset + total_len
@@ -204,25 +210,27 @@ def ipv4_view(buf: bytes, ts: int, offset: int = 0) -> PacketRecord | None:
     captured = end - body
     if proto == TCP:
         if captured < 20:
-            return None
+            return None, "short"
         thl = (buf[body + 12] >> 4) * 4
         if thl < 20 or captured < thl:
-            return None
+            return None, "short"
     elif proto == UDP or proto == ICMP:
         if captured < 8:
-            return None
+            return None, "short"
         thl = 8  # the UDP header, or the ICMP header
     else:
-        return None
+        return None, "non_transport"
     payload, wire_len = buf[body + thl:end], total_len - ihl - thl
     if wire_len < 0:
         wire_len = 0
     # tuple.__new__ skips the Python-level __new__ NamedTuple generates: a
     # call per record.
     if proto == ICMP:
-        return tuple.__new__(PacketRecord, (ts, src, dst, ICMP, 0, 0, payload, wire_len, buf[body]))
+        return tuple.__new__(PacketRecord, (ts, src, dst, ICMP, 0, 0, payload, wire_len,
+                                            buf[body])), RECORD
     sport, dport = _PORTS.unpack_from(buf, body)
-    return tuple.__new__(PacketRecord, (ts, src, dst, proto, sport, dport, payload, wire_len, -1))
+    return tuple.__new__(PacketRecord, (ts, src, dst, proto, sport, dport, payload, wire_len,
+                                        -1)), RECORD
 
 
 def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
@@ -230,7 +238,7 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
 
     Strips the Ethernet header (one VLAN tag tolerated) and decodes the IPv4
     datagram in place. Returns (record, RECORD) or (None, skip reason):
-    "short", "qinq", "ipv6", "non_ipv4", "fragment" or "non_transport".
+    "short", "qinq", "ipv6", "non_ipv4", or ipv4_view's reason.
     """
     if len(frame) < 14:
         return None, "short"
@@ -247,13 +255,7 @@ def _decode_frame(frame: bytes, ts: int) -> tuple[PacketRecord | None, str]:
         return None, "ipv6"
     if ethertype != ETHERTYPE_IPV4:
         return None, "non_ipv4"
-    record = ipv4_view(frame, ts, offset)
-    if record is None:
-        if len(frame) >= offset + 20 and (frame[offset + 6] & 0x1F or frame[offset + 7]):
-            return None, "fragment"  # not the first: its bytes hold no transport header
-        proto = frame[offset + 9] if len(frame) >= offset + 10 else None
-        return None, "short" if proto in (ICMP, TCP, UDP) else "non_transport"
-    return record, RECORD
+    return ipv4_view(frame, ts, offset)
 
 
 def read_capture(path, meta: CaptureMeta, start: int = PCAP_HEADER_LEN,

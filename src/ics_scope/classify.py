@@ -1,9 +1,10 @@
 """Industrial vs. non-industrial labeling of sanitized ICS packets.
 
 A packet is non-industrial when either endpoint address belongs to a known
-scan project (by documented prefix or by reverse-DNS name) or was observed
-at a honeypot. All matching reasons are recorded, so one classification
-pass supports every filter-family report column.
+scan project (by documented prefix, or by reverse-DNS name through the one
+rule of RdnsTable.from_names, which gen's scenario check shares) or was
+observed at a honeypot. All matching reasons are recorded, so one
+classification pass supports every filter-family report column.
 """
 
 from __future__ import annotations
@@ -109,15 +110,6 @@ class ScannerRegistry:
         addresses whose top longest bits agree match the same project."""
         return self._prefixes.longest
 
-    def match_rdns(self, name: str) -> str | None:
-        """First project whose patterns match the resolved name, registry order."""
-        lowered = name.lower()
-        for project in self.projects:
-            for pattern in project.rdns_patterns:
-                if pattern in lowered:
-                    return project.name
-        return None
-
 
 @lru_cache(maxsize=1)
 def default_scanner_registry() -> ScannerRegistry:
@@ -165,10 +157,10 @@ class RdnsTable:
     @classmethod
     def from_csv(cls, path, registry: ScannerRegistry) -> "RdnsTable":
         """The table of the 'ip,name' rows of path: per address, the project
-        registry.match_rdns finds in the name of its last row, if any."""
+        from_names finds in the name of its last row, if any."""
 
         def by_column(text: str) -> tuple:
-            # One lower-cased copy of the text: match_rdns lower-cases each name.
+            # One lower-cased copy of the text: from_names takes lower-cased names.
             fields = text.lower().replace("\n", ",").split(",")  # one "" after the last
             return ip_column(fields[:-1:2]), fields[1::2]
 
@@ -183,7 +175,8 @@ class RdnsTable:
     @classmethod
     def from_names(cls, names: dict[int, str], registry: ScannerRegistry) -> "RdnsTable":
         """The table of names, which maps addresses to their lower-cased
-        reverse-DNS names: per address, the project registry.match_rdns finds."""
+        reverse-DNS names: per address, the first project in registry order
+        that has a pattern the name contains."""
         joined = "\n".join(names.values())
         mapping: dict[int, str] = {}
         # Last project first, so that the first project to match a name stands.

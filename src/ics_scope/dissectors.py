@@ -445,7 +445,7 @@ def dissect(record: PacketRecord, stats: Counter | None = None) -> Dissection | 
         return dissect_segment(record, stats)
     if record.icmp_type not in ICMP_ERROR_TYPES:
         return None
-    inner = ipv4_view(record.payload, record.ts)
+    inner, _ = ipv4_view(record.payload, record.ts)
     if inner is None or inner.ip_proto not in (TCP, UDP):
         return None
     return dissect_segment(inner, stats, via_icmp_quote=True)

@@ -14,11 +14,9 @@ import pickle
 import select
 import signal
 from collections import Counter, defaultdict
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 from . import metrics
 from .capture import (
@@ -163,37 +161,22 @@ class LoadedInputs:
     dpi_catalog: DpiCatalog
 
 
-class _Step(NamedTuple):
-    """How load_inputs fills one LoadedInputs field: loader(*arguments)."""
-
-    name: str
-    loader: Callable
-    arguments: tuple = ()  # the files it reads first; none for an empty stand-in
-
-
 # The LoadedInputs fields read from line tables: text files of up to
 # millions of rows, each worth a forked child of its own. The JSON sidecars
 # are C-parsed and small, and load in the calling process meanwhile.
 _LINE_TABLES = frozenset({"honeypots", "rdns", "asn_table", "geo"})
 
 
-def _unpaired_honeypots():
-    raise ConfigError("hp_all and hp_ics must be configured together")
-
-
 def load_inputs(config: PipelineConfig) -> LoadedInputs:
     """Every input table the config names, or its empty stand-in.
 
     With more than one CPU each configured line table loads in a forked
-    child of its own (_fork_map) while this process loads the JSON sidecars;
-    with one CPU everything loads here. Either way a bad table raises the
-    ConfigError a one-CPU load meets first: the scanner registry's, then
-    those of the steps below, in their order.
+    child of its own (_fork_map) while this process loads the JSON sidecars
+    and the stand-ins; with one CPU everything loads here. Either way a bad
+    table raises the ConfigError a one-CPU load meets first: the scanner
+    registry's, an unpaired honeypot list's (before any child forks), then
+    those of the tables below, in their order.
     """
-
-    def step(name: str, path: Path | None, loader, empty, *more) -> _Step:
-        return _Step(name, loader, (path, *more)) if path else _Step(name, empty)
-
     # A packet side reads the tag VANTAGE:in or VANTAGE:out of its capture;
     # another tag would resolve nothing.
     tags = [f"{c.meta.vantage}:{side}" for c in config.captures for side in ("in", "out")]
@@ -202,26 +185,27 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     # the registry, small, loads first and here, before any child forks.
     registry = (ScannerRegistry.from_json(config.scanner_registry) if config.scanner_registry
                 else default_scanner_registry())
-    if config.hp_all and config.hp_ics:
-        honeypots = _Step("honeypots", HoneypotSets.from_files, (config.hp_all, config.hp_ics))
-    elif config.hp_all or config.hp_ics:
-        honeypots = _Step("honeypots", _unpaired_honeypots)
-    else:
-        honeypots = _Step("honeypots", HoneypotSets.empty)
-    steps = [
-        honeypots,
-        step("rdns", config.rdns, RdnsTable.from_csv, RdnsTable.empty, registry),
-        step("asn_table", config.asn_table, load_asn_table, empty=LpmTable),
-        step("topology", config.cone, IxpTopology.from_json, empty=IxpTopology.empty),
-        step("geo", config.geo, load_geo_table, empty=LpmTable),
-        step("scan_snapshot", config.scan_snapshot, load_scan_snapshot, empty=dict),
-        step("dpi_catalog", config.dpi_catalog, DpiCatalog.from_json, empty=default_catalog),
+    if bool(config.hp_all) != bool(config.hp_ics):
+        raise ConfigError("hp_all and hp_ics must be configured together")
+    # Each LoadedInputs field after the registry, in load order: (name, its
+    # empty stand-in, its loader, the loader's arguments, the file first).
+    # A job is (name, function, arguments): without a file, the stand-in.
+    tables = [
+        ("honeypots", HoneypotSets.empty, HoneypotSets.from_files, config.hp_all, config.hp_ics),
+        ("rdns", RdnsTable.empty, RdnsTable.from_csv, config.rdns, registry),
+        ("asn_table", LpmTable, load_asn_table, config.asn_table),
+        ("topology", IxpTopology.empty, IxpTopology.from_json, config.cone),
+        ("geo", LpmTable, load_geo_table, config.geo),
+        ("scan_snapshot", dict, load_scan_snapshot, config.scan_snapshot),
+        ("dpi_catalog", default_catalog, DpiCatalog.from_json, config.dpi_catalog),
     ]
+    jobs = [(name, loader, arguments) if arguments[0] else (name, empty, ())
+            for name, empty, loader, *arguments in tables]
     fork = len(os.sched_getaffinity(0)) > 1
-    tables = _fork_map(lambda s: s.loader(*s.arguments), steps,
-                       lambda s: fork and s.name in _LINE_TABLES and bool(s.arguments))
+    loaded = _fork_map(lambda job: job[1](*job[2]), jobs,
+                       lambda job: fork and job[0] in _LINE_TABLES and bool(job[2]))
     return LoadedInputs(scanner_registry=registry,
-                        **{s.name: table for s, table in zip(steps, tables)})
+                        **{name: table for (name, _, _), table in zip(jobs, loaded)})
 
 
 def _fmt(value) -> str:

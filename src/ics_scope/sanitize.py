@@ -70,9 +70,8 @@ class DpiSignature:
     mask: bytes = b""
     check: str | None = None
 
-    def matches(self, ip_proto: int, src_port: int, dst_port: int, payload: bytes) -> bool:
-        if self.ip_proto is not None and self.ip_proto != ip_proto:
-            return False
+    def matches(self, src_port: int, dst_port: int, payload: bytes) -> bool:
+        """Whether a payload matches; DpiCatalog's index picks its transport."""
         if self.port_hint is not None and self.port_hint not in (src_port, dst_port):
             return False
         if self.prefix:
@@ -166,7 +165,7 @@ class DpiCatalog:
         if not record.payload:
             return None
         for sig in self._buckets.get((record.ip_proto, record.payload[0]), ()):
-            if sig.matches(record.ip_proto, record.src_port, record.dst_port, record.payload):
+            if sig.matches(record.src_port, record.dst_port, record.payload):
                 return sig.name
         return None
 

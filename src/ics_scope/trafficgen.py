@@ -24,7 +24,7 @@ from pathlib import Path
 from .capture import (_EPOCH_ORDINAL, _US_PER_DAY, ICMP, LINKTYPE_ETHERNET, PCAP_MAGIC_MICROS,
                       PCAP_MAGIC_NANOS, META_KEYS, CaptureMeta, int_to_ip, ip_to_int, parse_cidr)
 from .classify import (HP_ALL, HP_ICS, INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL,
-                       SCANNER_PREFIX, SCANNER_RDNS, Reason, default_scanner_registry)
+                       SCANNER_PREFIX, SCANNER_RDNS, RdnsTable, Reason, default_scanner_registry)
 from .dissectors import (
     BACNET,
     DNP3,
@@ -566,13 +566,14 @@ def _validate_projects(where: str, flow: FlowSpec, hosts: int) -> None:
         choice(flow.rdns_project, projects, where, "rdns_project")
     if flow.rdns_project and not flow.rdns_name:
         raise ConfigError(f"{where}: rdns_project needs rdns_name")
-    for i in range(hosts if flow.rdns_name else 0):
-        name = parsed(lambda pattern: pattern.format(i=i), flow.rdns_name, where, "rdns_name",
-                      "a name pattern with {i}")
-        if registry.match_rdns(name) != flow.rdns_project:
+    names = [parsed(lambda pattern: pattern.format(i=i), flow.rdns_name, where, "rdns_name",
+                    "a name pattern with {i}") for i in range(hosts if flow.rdns_name else 0)]
+    # The analyzer's resolve: host i's lower-cased name under key i.
+    found = RdnsTable.from_names({i: name.lower() for i, name in enumerate(names)}, registry)
+    for i, name in enumerate(names):
+        if found.lookup(i) != flow.rdns_project:
             raise ConfigError(f"{where}: the scanner registry matches rdns_name {name!r} to "
-                                f"{registry.match_rdns(name) or 'no project'}, "
-                                f"not {flow.rdns_project}")
+                              f"{found.lookup(i) or 'no project'}, not {flow.rdns_project}")
 
 
 def _flow_network(where: str, key: str, spec) -> tuple[int, int]:

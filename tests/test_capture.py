@@ -163,7 +163,7 @@ def test_only_first_fragments_are_read(tmp_path):
                       (2, _icmp_error_frame(tail)), (3, _icmp_error_frame(first))])
     records, outcomes = read_all(path, CaptureMeta("vp"))
     assert outcomes == Counter({RECORD: 3, "fragment": 1})
-    assert ipv4_view(tail, 0) is None
+    assert ipv4_view(tail, 0) == (None, "fragment")
     read_first, quoted_tail, quoted_first = records
     assert (read_first.ip_proto, read_first.src_port, read_first.dst_port) == (UDP, 53, 47808)
     assert dissect(read_first).protocol == "bacnet"

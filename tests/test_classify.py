@@ -95,15 +95,19 @@ def test_prefix_match_agrees_with_bruteforce(registry):
 
 
 def test_rdns_quoted_names():
-    registry = default_scanner_registry()
-    assert registry.match_rdns("scanner2.labs.rapid7.com") == "Rapid7"
+    names = ["scanner2.labs.rapid7.com", "pirate.census.shodan.io", "plc.example.net"]
+    rdns = RdnsTable.from_names(dict(enumerate(names)), default_scanner_registry())
+    assert rdns.lookup(0) == "Rapid7"
     # Registry order puts the shodan pattern ahead of census.
-    assert registry.match_rdns("pirate.census.shodan.io") == "Shodan"
-    assert registry.match_rdns("plc.example.net") is None
+    assert rdns.lookup(1) == "Shodan"
+    assert rdns.lookup(2) is None
 
 
-def test_rdns_case_insensitive():
-    assert default_scanner_registry().match_rdns("Probe.SHODAN.io") == "Shodan"
+def test_rdns_case_insensitive(tmp_path):
+    path = tmp_path / "rdns.csv"
+    path.write_text("1.2.3.4,Probe.SHODAN.io\n")
+    rdns = RdnsTable.from_csv(path, default_scanner_registry())
+    assert rdns.lookup(ip_to_int("1.2.3.4")) == "Shodan"
 
 
 def test_an_rdns_table_keeps_the_projects_of_its_names():

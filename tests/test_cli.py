@@ -727,6 +727,10 @@ def _flow(index, **changes):
     pytest.param(_flow(0, rdns_name="scanner{i}.labs.rapid7.com", rdns_project="Shodan"),
                  "matches rdns_name 'scanner0.labs.rapid7.com' to Rapid7, not Shodan",
                  id="rdns-name-other-project"),
+    # Matched lower-cased, as the analyzer matches it, and named as written.
+    pytest.param(_flow(0, rdns_name="Scanner{i}.Labs.RAPID7.com", rdns_project="Shodan"),
+                 "matches rdns_name 'Scanner0.Labs.RAPID7.com' to Rapid7, not Shodan",
+                 id="rdns-name-case"),
     pytest.param(_flow(0, src="198.18.0.0/28", rdns_name="host{i}.census.rapid{i}.net",
                        rdns_project="Censys"),
                  "matches rdns_name 'host7.census.rapid7.net' to Rapid7, not Censys",

@@ -88,9 +88,17 @@ def _load_rdns(path) -> RdnsTable:
     return RdnsTable.from_csv(path, _REGISTRY)
 
 
+def _match_rdns(registry: ScannerRegistry, name: str) -> str | None:
+    """The per-name rule: the first project in registry order that has a
+    pattern the lower-cased name contains."""
+    lowered = name.lower()
+    return next((project.name for project in registry.projects
+                 for pattern in project.rdns_patterns if pattern in lowered), None)
+
+
 def _reference_rdns(path, registry=_REGISTRY) -> RdnsTable:
     """The per-line loader: each address's last name, then the project
-    registry.match_rdns finds in it."""
+    _match_rdns finds in it."""
 
     def row(fields):
         if len(fields) < 2:
@@ -99,7 +107,7 @@ def _reference_rdns(path, registry=_REGISTRY) -> RdnsTable:
 
     names = dict(zip(*line_table(path, _NEVER, None, row, ",")))
     return RdnsTable({ip: project for ip, name in names.items()
-                      if (project := registry.match_rdns(name))})
+                      if (project := _match_rdns(registry, name))})
 
 
 def _reference_honeypots(all_path, ics_path) -> HoneypotSets:

@@ -873,6 +873,33 @@ def test_the_valid_line_tables_load(tmp_path):
                       LoadedInputs)
 
 
+def test_an_unpaired_honeypot_list_forks_nothing(tmp_path, monkeypatch):
+    # hp_all without hp_ics, and an asn_table with a bad line: the unpaired
+    # list is refused, as a one-CPU load meets it first, before any line
+    # table's child forks.
+    path = _line_tables(tmp_path)
+    config = json.loads(path.read_text())
+    del config["hp_ics"]
+    path.write_text(json.dumps(config))
+    with open(tmp_path / "asn_table", "a") as fh:
+        fh.write("10.2.0.0/16 not-an-asn\n")
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for cpus in (1, 2, 8):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ConfigError, match="^hp_all and hp_ics must be configured together$"):
+            load_inputs(PipelineConfig.from_json(path))
+        assert forks == []
+        _no_child_left()
+
+
 @settings(max_examples=200, deadline=None)
 @given(key=st.sampled_from(sorted(_LINE_TABLE_TEXTS)), tail=st.binary(max_size=40))
 def test_line_tables_with_any_bytes_appended_raise_only_config_error(tmp_path_factory, key,

@@ -323,8 +323,8 @@ def _linear_match(catalog, record):
     if record.ip_proto not in (TCP, UDP) or not record.payload:
         return None
     return next((sig.name for sig in catalog.signatures
-                 if sig.matches(record.ip_proto, record.src_port, record.dst_port,
-                                record.payload)), None)
+                 if sig.ip_proto in (None, record.ip_proto)
+                 and sig.matches(record.src_port, record.dst_port, record.payload)), None)
 
 
 _CHECKS = ["dns_header", "ntp_header", "tls_record"]

@@ -1,9 +1,11 @@
 """No code in the program that only tests call.
 
 Every function, class and method defined in src/ics_scope (dunder methods
-excepted, which Python calls itself) must be referenced somewhere in
-src/ics_scope outside its own definition: by a name, an attribute or an
-import alias. A definition only the tests reach belongs in the tests.
+excepted, which Python calls itself), and every name a module assigns at
+its top level (dunder names excepted), must be read somewhere in
+src/ics_scope outside its own definition or assignment: by a name, an
+attribute or an import alias. A definition or a constant only the tests
+reach belongs in the tests.
 """
 
 import ast
@@ -16,10 +18,10 @@ _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _referenced(tree: ast.AST) -> Counter:
-    """Each name the tree refers to, by the number of places it does."""
+    """Each name the tree reads, by the number of places it does."""
     names: Counter[str] = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
@@ -43,6 +45,22 @@ def _definitions(tree: ast.Module, module: str):
     yield from walk(tree, module)
 
 
+def _assignments(tree: ast.Module, module: str):
+    """(qualified name, name, statement) of every name a module's top-level
+    statements assign."""
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield f"{module}.{node.id}", node.id, statement
+
+
 def _unreferenced(src: Path = SRC) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(src.glob("*.py"))}
@@ -51,7 +69,7 @@ def _unreferenced(src: Path = SRC) -> list[str]:
         everywhere.update(_referenced(tree))
     unused = []
     for module, tree in trees.items():
-        for qualified, name, node in _definitions(tree, module):
+        for qualified, name, node in [*_definitions(tree, module), *_assignments(tree, module)]:
             if name.startswith("__") and name.endswith("__"):
                 continue
             if everywhere[name] - _referenced(node)[name] == 0:
@@ -76,3 +94,17 @@ def test_a_definition_only_tests_call_is_reported(tmp_path):
     (package / "b.py").write_text(
         "def used():\n    return 1\n\ndef only_tests():\n    return caller, outer\n")
     assert _unreferenced(package) == ["a.recursive", "b.only_tests"]
+
+
+def test_a_module_level_name_only_tests_read_is_reported(tmp_path):
+    package = tmp_path / "ics_scope"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from .b import READ\n\n"
+        "__all__ = ['caller']\n"
+        "LEFT, RIGHT = 1, 2\n"
+        "TYPED: int = 0\n\n"
+        "def caller():\n    return READ + LEFT + len(HANDLERS)\n\n"
+        "HANDLERS = [caller]\n")
+    (package / "b.py").write_text("READ = 1\nUNREAD = 2\n")
+    assert _unreferenced(package) == ["a.RIGHT", "a.TYPED", "b.UNREAD"]
