@@ -3,14 +3,15 @@
 A packet is non-industrial when either endpoint address belongs to a known
 scan project (by documented prefix, or by reverse-DNS name through the one
 rule of RdnsTable.from_names, which gen's scenario check shares) or was
-observed at a honeypot. All matching reasons are recorded, so one
-classification pass supports every filter-family report column.
+observed at a honeypot. All of an address's matching reasons are recorded,
+each as the tag the ground truth writes (reason_tags), and family_flags
+labels them once under every filter family, so one classification pass
+supports every filter-family report column.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
@@ -43,12 +44,14 @@ FAMILIES = (
 FILTER_FAMILIES = {name: filters for name, _, filters in FAMILIES}
 
 
-class Reason(NamedTuple):
-    kind: str
-    project: str | None = None
-
-    def tag(self) -> str:
-        return f"{self.kind}:{self.project}" if self.project else self.kind
+def reason_tags(prefix: str | None, rdns: str | None, hp_all: bool,
+                hp_ics: bool) -> tuple[str, ...]:
+    """The filter reasons of one address, sorted, each the tag the ground
+    truth writes: HP_ALL and HP_ICS when the honeypot lists hold it,
+    KIND:PROJECT for the scanner project its prefix (prefix) and its
+    reverse-DNS name (rdns) name, if any."""
+    return tuple(compress((HP_ALL, HP_ICS, f"{SCANNER_PREFIX}:{prefix}", f"{SCANNER_RDNS}:{rdns}"),
+                          (hp_all, hp_ics, prefix, rdns)))
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,11 @@ class ScannerRegistry:
 
     def __init__(self, projects: list[ScannerProject]):
         self.projects = list(projects)
-        # Last project first, so that the first project's value stands.
-        self._prefixes = LpmTable(*zip(*[(plen, network >> (32 - plen), project.name)
-                                         for project in reversed(self.projects)
-                                         for network, plen in project.prefixes]))
+        # Each prefix's project. Last project first, so that the first
+        # project's value stands.
+        self.prefixes = LpmTable(*zip(*[(plen, network >> (32 - plen), project.name)
+                                        for project in reversed(self.projects)
+                                        for network, plen in project.prefixes]))
 
     @classmethod
     def from_entries(cls, entries, source: str = "scanner registry") -> "ScannerRegistry":
@@ -100,16 +104,6 @@ class ScannerRegistry:
     def from_json(cls, path) -> "ScannerRegistry":
         return cls.from_entries(read_json(path), str(path))
 
-    def match_prefix(self, ip: int) -> str | None:
-        """Project of the most specific covering prefix, if any."""
-        return self._prefixes.lookup(ip)
-
-    @property
-    def longest(self) -> int:
-        """The longest length of any project's prefixes, 0 with none: two
-        addresses whose top longest bits agree match the same project."""
-        return self._prefixes.longest
-
 
 @lru_cache(maxsize=1)
 def default_scanner_registry() -> ScannerRegistry:
@@ -121,13 +115,12 @@ _ADDRESS_LINES = re.compile(rb"(?:[0-9.]{7,15}+\n)*+")
 _RDNS_LINES = re.compile(rb"(?:[0-9.]{7,15}+,[!#-+\--~]++\n)*+")  # names: no space, '"' or ','
 
 
-class HoneypotSets:
+class HoneypotSets(NamedTuple):
     """IPv4 addresses (as integers) observed at honeypots: all ports vs.
     ICS-port requesters."""
 
-    def __init__(self, hp_all: frozenset[int], hp_ics: frozenset[int]):
-        self.hp_all = hp_all
-        self.hp_ics = hp_ics
+    hp_all: frozenset[int] = frozenset()
+    hp_ics: frozenset[int] = frozenset()
 
     @classmethod
     def from_files(cls, all_path, ics_path) -> "HoneypotSets":
@@ -141,18 +134,11 @@ class HoneypotSets:
                               f"offending entries: {extra}")
         return cls(hp_all, hp_ics)
 
-    @classmethod
-    def empty(cls) -> "HoneypotSets":
-        return cls(frozenset(), frozenset())
 
-
-class RdnsTable:
+class RdnsTable(dict):
     """The scanner project that each address's offline reverse-DNS name
     names, for the addresses whose name names one: of a name a run asks
     only that, so names themselves are not kept. Missing entries are normal."""
-
-    def __init__(self, mapping: dict[int, str]):
-        self.mapping = mapping
 
     @classmethod
     def from_csv(cls, path, registry: ScannerRegistry) -> "RdnsTable":
@@ -178,22 +164,14 @@ class RdnsTable:
         reverse-DNS names: per address, the first project in registry order
         that has a pattern the name contains."""
         joined = "\n".join(names.values())
-        mapping: dict[int, str] = {}
+        table = cls()
         # Last project first, so that the first project to match a name stands.
         for project in reversed(registry.projects):
             for pattern in project.rdns_patterns:
                 if pattern in joined:
                     named = compress(names, map(contains, names.values(), repeat(pattern)))
-                    mapping.update(zip(named, repeat(project.name)))
-        return cls(mapping)
-
-    @classmethod
-    def empty(cls) -> "RdnsTable":
-        return cls({})
-
-    def lookup(self, ip: int) -> str | None:
-        """The scanner project ip's reverse-DNS name names, if any."""
-        return self.mapping.get(ip)
+                    table.update(zip(named, repeat(project.name)))
+        return table
 
 
 def endpoint_reasons(
@@ -201,45 +179,38 @@ def endpoint_reasons(
     registry: ScannerRegistry,
     rdns: RdnsTable,
     honeypots: HoneypotSets,
-) -> frozenset[Reason]:
-    """Every filter's reasons for calling traffic to or from one address non-industrial."""
-    reasons = []
-    project = registry.match_prefix(ip)
-    if project:
-        reasons.append(Reason(SCANNER_PREFIX, project))
-    project = rdns.lookup(ip)
-    if project:
-        reasons.append(Reason(SCANNER_RDNS, project))
-    if ip in honeypots.hp_all:
-        reasons.append(Reason(HP_ALL))
-    if ip in honeypots.hp_ics:
-        reasons.append(Reason(HP_ICS))
-    return frozenset(reasons)
+) -> frozenset[str]:
+    """Every filter's reasons, as tags, for calling traffic to or from one
+    address non-industrial."""
+    return frozenset(reason_tags(registry.prefixes.lookup(ip), rdns.get(ip),
+                                 ip in honeypots.hp_all, ip in honeypots.hp_ics))
 
 
-def label_under(reasons: frozenset[Reason], active: frozenset[str]) -> str:
-    """Label a full reason set as if only the given filters were active."""
-    return NON_INDUSTRIAL if any(r.kind in active for r in reasons) else INDUSTRIAL
+def label_under(reasons: frozenset[str], active: frozenset[str]) -> str:
+    """Label a full reason set as if only the given filters were active: a
+    reason's filter is its tag's kind, before any ':'."""
+    return (NON_INDUSTRIAL if any(reason.partition(":")[0] in active for reason in reasons)
+            else INDUSTRIAL)
+
+
+def family_flags(reasons: frozenset[str]) -> tuple[bool, ...]:
+    """Whether reasons label a packet non-industrial under each filter
+    family, in FAMILIES order: one label_under per family."""
+    return tuple(label_under(reasons, filters) == NON_INDUSTRIAL for _, _, filters in FAMILIES)
 
 
 def filter_report(counts) -> list[dict]:
     """Industrial share per protocol under each filter family.
 
-    counts: mapping of (protocol, direction, reasons) to packet count.
+    counts: mapping of (protocol, direction, flags) to packet count, flags
+    a packet's family_flags: whether it is non-industrial under each family.
     Returns one dict per protocol plus a leading total row; shares carry raw
-    numerators so machine output never loses precision to rounding. Each
-    reason set is labelled once per family, into counts per (protocol,
-    direction, industrial flag per family).
+    numerators so machine output never loses precision to rounding.
     """
-    groups: Counter[tuple[str, str, tuple[bool, ...]]] = Counter()
-    for (protocol, packet_direction, reasons), n in counts.items():
-        industrial = tuple(label_under(reasons, family) == INDUSTRIAL
-                           for _, _, family in FAMILIES)
-        groups[(protocol, packet_direction, industrial)] += n
-    protocols = sorted({protocol for protocol, _, _ in groups})
+    protocols = sorted({protocol for protocol, _, _ in counts})
     out = []
     for protocol in ["total"] + protocols:
-        subset = [(d, flags, n) for (p, d, flags), n in groups.items()
+        subset = [(d, flags, n) for (p, d, flags), n in counts.items()
                   if protocol == "total" or p == protocol]
         total = sum(n for _, _, n in subset)
         requests = sum(n for d, _, n in subset if d == "request")
@@ -252,7 +223,7 @@ def filter_report(counts) -> list[dict]:
             "request_share": (requests / (requests + replies)) if requests + replies else None,
         }
         for index, (_, column, _) in enumerate(FAMILIES):
-            industrial = sum(n for _, flags, n in subset if flags[index])
+            industrial = sum(n for _, flags, n in subset if not flags[index])
             row[column] = (industrial / total) if total else None
             row[column + "_count"] = industrial
         out.append(row)

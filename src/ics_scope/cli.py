@@ -60,21 +60,25 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(FILTER_FAMILIES),
         help="filter family override for the industrial label",
     )
+    analyze.set_defaults(handler=_cmd_analyze)
 
     dissect_cmd = sub.add_parser("dissect", help="per-candidate verdicts as JSON lines")
     dissect_cmd.add_argument("pcap", help="capture file to dissect")
     dissect_cmd.add_argument("--snap-len", type=_snap_len, default=65535)
     dissect_cmd.add_argument("--out", help="write JSON lines here instead of stdout")
+    dissect_cmd.set_defaults(handler=_cmd_dissect)
 
     sanitize_cmd = sub.add_parser("sanitize", help="dissect plus sanitization report only")
     sanitize_cmd.add_argument("pcap", help="capture file to sanitize")
     sanitize_cmd.add_argument("--snap-len", type=_snap_len, default=65535)
+    sanitize_cmd.set_defaults(handler=_cmd_sanitize)
 
     gen = sub.add_parser("gen", help="generate a labeled synthetic corpus")
     gen.add_argument("spec", help="scenario spec JSON")
     gen.add_argument("--out", required=True, help="output directory for the corpus")
+    gen.set_defaults(handler=_cmd_gen)
 
-    sub.add_parser("version", help="print the toolkit version")
+    sub.add_parser("version", help="print the toolkit version").set_defaults(handler=_cmd_version)
     return parser
 
 
@@ -143,6 +147,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _cmd_version(args) -> int:
+    print(__version__)
+    return 0
+
+
 def _log_level() -> str:
     level = os.environ.get("ICS_SCOPE_LOG", "WARNING")
     if level.upper() not in LOG_LEVELS:
@@ -151,21 +160,10 @@ def _log_level() -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         logging.basicConfig(level=_log_level(), format="%(levelname)s %(name)s: %(message)s")
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "dissect":
-            return _cmd_dissect(args)
-        if args.command == "sanitize":
-            return _cmd_sanitize(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "version":
-            print(__version__)
-            return 0
+        return args.handler(args)
     except (ConfigError, CaptureError, FileNotFoundError) as exc:
         # Bad or missing inputs named on the command line or in the config.
         print(f"error: {exc}", file=sys.stderr)
@@ -181,8 +179,6 @@ def main(argv=None) -> int:
         log.exception("unhandled failure")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,12 +11,13 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 from .capture import int_to_ip, ip_column, parse_cidr, prefix_columns
 from .dissectors import PROTOCOLS
 from .inputs import AS_MAX, ConfigError, as_number, fault, known, line_table, read_json, typed
+from .sanitize import pct
 
 log = logging.getLogger(__name__)
 
@@ -141,9 +142,10 @@ def load_geo_table(path) -> LpmTable:
 @dataclass
 class IxpTopology:
     """The exchange fabric's customer cones: each member AS of the fabric,
-    the members being exactly the keys, with the ASes of its cone."""
+    the members being exactly the keys, with the ASes of its cone. Without
+    members only a packet side's tag resolves a member."""
 
-    cone: dict[int, frozenset[int]]
+    cone: dict[int, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
         for member, cone in self.cone.items():
@@ -167,11 +169,6 @@ class IxpTopology:
                 raise ConfigError(f"{where}: member {number} is listed twice")
             cone[number] = ases
         return cls(cone)
-
-    @classmethod
-    def empty(cls) -> "IxpTopology":
-        """No members and no cones: only a side's tag resolves a member."""
-        return cls({})
 
     def resolve_member(self, asn: int | None) -> int | None:
         """Member AS responsible for a packet side without a tag: the AS
@@ -282,12 +279,8 @@ def scan_overlap(
                     "protocol": protocol,
                     "role": role,
                     "passive_hosts": len(hosts),
-                    "transport_overlap_pct": round(100.0 * len(transport_hits) / len(hosts), 1)
-                    if hosts
-                    else 0.0,
-                    "application_overlap_pct": round(100.0 * len(app_hits) / len(hosts), 1)
-                    if hosts
-                    else 0.0,
+                    "transport_overlap_pct": pct(len(transport_hits), len(hosts)) or 0.0,
+                    "application_overlap_pct": pct(len(app_hits), len(hosts)) or 0.0,
                     "transport_only_senders": unprotected,
                 }
             )

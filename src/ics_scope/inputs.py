@@ -17,7 +17,6 @@ import json
 import re
 import reprlib
 from importlib import resources
-from itertools import islice
 
 
 class ConfigError(ValueError):
@@ -132,14 +131,12 @@ def parsed(parse, value, where: str, key: str, kind: str):
         raise fault(where, key, kind, value, str(exc)) from None
 
 
-class _NotUtf8(Exception):
-    """Raised by a line table's line source in place of its first non-UTF-8 line."""
-
-
 # Comment lines a line table may start with and still load a column at a
 # time: printable ASCII or tab after the '#', no '"', which could open a CSV
 # field that runs on over the next line, and no '\r', which ends a line.
 _HEADER = re.compile(rb'(?:#[\t -!#-~]*+\n)*+')
+# What a byte that is not UTF-8 decodes to under surrogateescape.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def line_table(path, canonical, columns, row, delimiter: str | None = None) -> tuple:
@@ -163,36 +160,25 @@ def line_table(path, canonical, columns, row, delimiter: str | None = None) -> t
             return columns(data[start:].decode("ascii"))
         except (KeyError, ValueError):
             pass
-    number, bad, reader = 0, 0, None
+    number = 0  # lines read, split as newline="" splits them, which is how CSV counts them
 
-    def lines_before(fh):
-        yield from islice(fh, bad - 1)
-        raise _NotUtf8
-
-    def stripped(lines):
+    def numbered(lines):
+        """lines, counted into number; one holding a byte not UTF-8 is refused."""
         nonlocal number
         for number, line in enumerate(lines, 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield line
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise ValueError("not UTF-8 text")
+            yield line
 
     try:
-        if not data.isascii():
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:  # line breaks split as newline="" splits
-                head = data[:exc.start]
-                bad = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
                               newline="") as text:
-            lines = lines_before(text) if bad else text
             if delimiter:
-                reader = csv.reader(lines, delimiter=delimiter)
-                rows = (fields for fields in reader if fields and not fields[0].startswith("#"))
+                rows = (fields for fields in csv.reader(numbered(text), delimiter=delimiter)
+                        if fields and not fields[0].startswith("#"))
             else:
-                rows = stripped(lines)
+                rows = (line for line in map(str.strip, numbered(text))
+                        if line and not line.startswith("#"))
             return tuple(zip(*map(row, rows)))
-    except _NotUtf8:
-        raise ConfigError(f"{path} line {bad}: not UTF-8 text") from None
     except (ValueError, csv.Error) as exc:
-        raise ConfigError(f"{path} line {reader.line_num if reader else number}: {exc}") from None
+        raise ConfigError(f"{path} line {number}: {exc}") from None

@@ -15,7 +15,7 @@ import select
 import signal
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import itemgetter, or_
 from pathlib import Path
 
 from . import metrics
@@ -39,8 +39,8 @@ from .classify import (
     ScannerRegistry,
     default_scanner_registry,
     endpoint_reasons,
+    family_flags,
     filter_report,
-    label_under,
 )
 from .dissectors import REQUEST, dissect
 from .enrich import (
@@ -191,10 +191,10 @@ def load_inputs(config: PipelineConfig) -> LoadedInputs:
     # empty stand-in, its loader, the loader's arguments, the file first).
     # A job is (name, function, arguments): without a file, the stand-in.
     tables = [
-        ("honeypots", HoneypotSets.empty, HoneypotSets.from_files, config.hp_all, config.hp_ics),
-        ("rdns", RdnsTable.empty, RdnsTable.from_csv, config.rdns, registry),
+        ("honeypots", HoneypotSets, HoneypotSets.from_files, config.hp_all, config.hp_ics),
+        ("rdns", RdnsTable, RdnsTable.from_csv, config.rdns, registry),
         ("asn_table", LpmTable, load_asn_table, config.asn_table),
-        ("topology", IxpTopology.empty, IxpTopology.from_json, config.cone),
+        ("topology", IxpTopology, IxpTopology.from_json, config.cone),
         ("geo", LpmTable, load_geo_table, config.geo),
         ("scan_snapshot", dict, load_scan_snapshot, config.scan_snapshot),
         ("dpi_catalog", default_catalog, DpiCatalog.from_json, config.dpi_catalog),
@@ -269,7 +269,7 @@ class CaptureState:
     notes: Counter = field(default_factory=Counter)  # dissector notes
     # Frames read per (capture index in the config, RECORD or skip reason).
     frames: Counter = field(default_factory=Counter)
-    # Kept packets per (protocol, direction, classify reasons).
+    # Kept packets per (protocol, direction, family_flags of the packet).
     filter_counts: Counter = field(default_factory=Counter)
     # Kept packets per (vantage, protocol, day, industrial, sample_interval).
     daily_counts: Counter = field(default_factory=Counter)
@@ -382,25 +382,27 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
     vantage:out, names in config.tag_members, if any. Per block and side:
     _address_facts (classify reasons, AS, fabric side, country; the side's
     member, or without one the member the topology resolves from the AS),
-    each distinct facts tuple interned to an id with one flag, whether its
-    reasons label a packet non-industrial. A block is the addresses that
-    share their top L bits, L the longest prefix length of the AS table,
+    each distinct facts tuple interned to an id with its flags per family,
+    family_flags of its reasons: whether they label a packet non-industrial
+    under each filter family. A block is the addresses that share their top
+    L bits, L the longest prefix length of the AS table,
     the geo table and the scanner registry: every address of a block has
     the same three longest-prefix matches, so the same facts, unless an
     exact table (rDNS, hp_all, hp_ics) holds it; such an address is a
     block of its own. A /32 prefix in any of the three tables makes every
-    block one address. A key is non-industrial exactly when either side's
-    flag is set, as label_under asks whether any reason of the union is
-    active. Per key only the stability decision and the key's count remain,
-    added to its join (protocol, direction, source facts id, destination
-    facts id, day); the passive hosts are added per protocol. Per distinct
-    join: the reason-set union, the date, the transition and the domestic
+    block one address. Under a family a key is non-industrial exactly when
+    either side's flag for that family is set, as a reason of either side
+    is then active; the configured family's flag decides the label. Per key
+    only the stability decision and the key's count remain, added to its
+    join (protocol, direction, source facts id, destination facts id, day);
+    the passive hosts are added per protocol. Per distinct join: the flags
+    per family of either side, the date, the transition and the domestic
     status.
     """
     ids: dict[tuple, int] = {}  # facts tuple -> its id, in order of first sight
     shift = 32 - max(inputs.asn_table.longest, inputs.geo.longest,
-                     inputs.scanner_registry.longest)
-    rdns, hp_all, hp_ics = inputs.rdns.mapping, inputs.honeypots.hp_all, inputs.honeypots.hp_ics
+                     inputs.scanner_registry.prefixes.longest)
+    rdns, (hp_all, hp_ics) = inputs.rdns, inputs.honeypots
 
     def side_ids(position: int, side: str) -> dict[int, int]:
         member = config.tag_members.get(f"{meta.vantage}:{side}")
@@ -417,8 +419,9 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
     sources = side_ids(2, "in")
     destinations = side_ids(3, "out")
     facts = list(ids)
-    active = FILTER_FAMILIES[config.filters]
-    flagged = [label_under(reasons, active) == NON_INDUSTRIAL for reasons, *_ in facts]
+    flags = [family_flags(reasons) for reasons, *_ in facts]
+    family = list(FILTER_FAMILIES).index(config.filters)
+    flagged = [facts_flags[family] for facts_flags in flags]
     dates = {day: utc_day(day * _US_PER_DAY) for day in {key[4] for key in keys}}
 
     stable_all = config.stability_label == "all"
@@ -440,11 +443,11 @@ def count_keys(state: CaptureState, keys: Counter, meta: CaptureMeta, config: Pi
     filter_counts, daily_counts, groups = state.filter_counts, state.daily_counts, state.groups
     request_protocols = state.request_protocols
     for (protocol, packet_direction, src, dst, day_number), n in joined.items():
-        src_reasons, src_asn, src_side, src_country = facts[src]
-        dst_reasons, _, dst_side, dst_country = facts[dst]
+        _, src_asn, src_side, src_country = facts[src]
+        _, _, dst_side, dst_country = facts[dst]
         industrial = not (flagged[src] or flagged[dst])
         label = INDUSTRIAL if industrial else NON_INDUSTRIAL
-        filter_counts[(protocol, packet_direction, src_reasons | dst_reasons)] += n
+        filter_counts[(protocol, packet_direction, tuple(map(or_, flags[src], flags[dst])))] += n
         daily_counts[(vantage, protocol, dates[day_number], industrial, sample_interval)] += n
         if packet_direction == REQUEST and src_asn is not None:
             request_protocols[src_asn].add(protocol)

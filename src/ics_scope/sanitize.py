@@ -97,12 +97,8 @@ class DpiCatalog:
         # such a payload, in catalog order; only non-empty buckets are kept.
         self._buckets: dict[tuple[int, int], list[DpiSignature]] = {}
         for sig in self.signatures:
-            if not sig.prefix:
-                firsts = range(256)
-            elif sig.mask[0] == 0xFF:
-                firsts = (sig.prefix[0],)
-            else:
-                firsts = [b for b in range(256) if b & sig.mask[0] == sig.prefix[0] & sig.mask[0]]
+            firsts = (range(256) if not sig.prefix else
+                      [b for b in range(256) if b & sig.mask[0] == sig.prefix[0] & sig.mask[0]])
             for ip_proto in (TCP, UDP) if sig.ip_proto is None else (sig.ip_proto,):
                 for first in firsts:
                     self._buckets.setdefault((ip_proto, first), []).append(sig)

@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .capture import (_EPOCH_ORDINAL, _US_PER_DAY, ICMP, LINKTYPE_ETHERNET, PCAP_MAGIC_MICROS,
                       PCAP_MAGIC_NANOS, META_KEYS, CaptureMeta, int_to_ip, ip_to_int, parse_cidr)
-from .classify import (HP_ALL, HP_ICS, INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL,
-                       SCANNER_PREFIX, SCANNER_RDNS, RdnsTable, Reason, default_scanner_registry)
+from .classify import (INDUSTRIAL as INDUSTRIAL_LABEL, NON_INDUSTRIAL, RdnsTable,
+                       default_scanner_registry, reason_tags)
 from .dissectors import (
     BACNET,
     DNP3,
@@ -423,17 +423,9 @@ class FlowSpec:
         return out
 
     def tags(self) -> tuple[str, ...]:
-        """Filter reasons every packet of this flow must trigger."""
-        reasons = []
-        if self.kind == SCANNER_SWEEP and self.project:
-            reasons.append(Reason(SCANNER_PREFIX, self.project))
-        if self.rdns_project:
-            reasons.append(Reason(SCANNER_RDNS, self.rdns_project))
-        if self.honeypot:
-            reasons.append(Reason(HP_ALL))
-        if self.honeypot == "ics":
-            reasons.append(Reason(HP_ICS))
-        return tuple(sorted(reason.tag() for reason in reasons))
+        """Filter reasons every packet of this flow must trigger, sorted."""
+        return reason_tags(self.project if self.kind == SCANNER_SWEEP else None,
+                           self.rdns_project, self.honeypot is not None, self.honeypot == "ics")
 
 
 def _day(value, where: str, key: str) -> date:
@@ -571,9 +563,9 @@ def _validate_projects(where: str, flow: FlowSpec, hosts: int) -> None:
     # The analyzer's resolve: host i's lower-cased name under key i.
     found = RdnsTable.from_names({i: name.lower() for i, name in enumerate(names)}, registry)
     for i, name in enumerate(names):
-        if found.lookup(i) != flow.rdns_project:
+        if found.get(i) != flow.rdns_project:
             raise ConfigError(f"{where}: the scanner registry matches rdns_name {name!r} to "
-                              f"{found.lookup(i) or 'no project'}, not {flow.rdns_project}")
+                              f"{found.get(i) or 'no project'}, not {flow.rdns_project}")
 
 
 def _flow_network(where: str, key: str, spec) -> tuple[int, int]:

@@ -324,7 +324,7 @@ def test_criterion_3_end_to_end_oracle(oracle_corpora):
         for (position, _), reasons in zip(kept, kept_reasons):
             expected = truth_at[position]
             want_reasons = sorted(expected["reasons"] or [])
-            got_reasons = sorted(reason.tag() for reason in reasons)
+            got_reasons = sorted(reasons)
             label = label_under(reasons, ALL_FILTERS)
             assert label == expected["label"], (name, position)
             assert got_reasons == want_reasons, (name, position)

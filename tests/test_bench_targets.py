@@ -17,6 +17,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 KNOWN_MISSING = {
     "ics_scope.pipeline.classify",  # the pipeline classifies per address: endpoint_reasons
     "ics_scope.pipeline.count_port_only_by_vantage",
+    "ics_scope.pipeline.label_under",  # the pipeline labels through classify.family_flags
     "ics_scope.pipeline.sanitize",
     "ics_scope.sanitize.dissect",
 }

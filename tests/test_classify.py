@@ -1,11 +1,14 @@
 import ipaddress
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ics_scope.capture import ip_to_int
 from ics_scope.classify import (
     ALL_FILTERS,
+    FAMILIES,
     FILTER_FAMILIES,
     HP_ALL,
     HP_ICS,
@@ -15,10 +18,10 @@ from ics_scope.classify import (
     SCANNER_RDNS,
     HoneypotSets,
     RdnsTable,
-    Reason,
     ScannerRegistry,
     default_scanner_registry,
     endpoint_reasons,
+    family_flags,
     filter_report,
     label_under,
 )
@@ -47,14 +50,14 @@ def registry():
 
 
 def test_prefix_membership(registry):
-    assert registry.match_prefix(ip_to_int("203.0.113.77")) == "Shodan"
-    assert registry.match_prefix(ip_to_int("8.8.8.8")) is None
+    assert registry.prefixes.lookup(ip_to_int("203.0.113.77")) == "Shodan"
+    assert registry.prefixes.lookup(ip_to_int("8.8.8.8")) is None
 
 
 def test_most_specific_prefix_wins(registry):
     # 198.51.100.x is inside Shodan's /16 and Rapid7's /24.
-    assert registry.match_prefix(ip_to_int("198.51.100.9")) == "Rapid7"
-    assert registry.match_prefix(ip_to_int("198.51.7.9")) == "Shodan"
+    assert registry.prefixes.lookup(ip_to_int("198.51.100.9")) == "Rapid7"
+    assert registry.prefixes.lookup(ip_to_int("198.51.7.9")) == "Shodan"
 
 
 def test_a_prefix_two_projects_list_goes_to_the_first_and_the_longest_prefix_wins():
@@ -63,10 +66,10 @@ def test_a_prefix_two_projects_list_goes_to_the_first_and_the_longest_prefix_win
         {"project": "B", "prefixes": ["192.0.2.0/24", "198.51.100.0/24"]},
         {"project": "C", "prefixes": ["192.0.2.0/24", "198.51.0.0/16"]},
     ])
-    assert registry.match_prefix(ip_to_int("192.0.2.200")) == "A"
-    assert registry.match_prefix(ip_to_int("198.51.100.1")) == "B"
-    assert registry.match_prefix(ip_to_int("198.51.99.1")) == "A"
-    assert registry.match_prefix(ip_to_int("192.0.3.1")) is None
+    assert registry.prefixes.lookup(ip_to_int("192.0.2.200")) == "A"
+    assert registry.prefixes.lookup(ip_to_int("198.51.100.1")) == "B"
+    assert registry.prefixes.lookup(ip_to_int("198.51.99.1")) == "A"
+    assert registry.prefixes.lookup(ip_to_int("192.0.3.1")) is None
 
 
 def test_a_prefix_two_projects_list_is_logged(caplog):
@@ -89,25 +92,25 @@ def test_prefix_match_agrees_with_bruteforce(registry):
         if covering:
             best_len = max(covering)[0]
             candidates = [name for plen, name in covering if plen == best_len]
-            assert registry.match_prefix(int(ip)) in candidates
+            assert registry.prefixes.lookup(int(ip)) in candidates
         else:
-            assert registry.match_prefix(int(ip)) is None
+            assert registry.prefixes.lookup(int(ip)) is None
 
 
 def test_rdns_quoted_names():
     names = ["scanner2.labs.rapid7.com", "pirate.census.shodan.io", "plc.example.net"]
     rdns = RdnsTable.from_names(dict(enumerate(names)), default_scanner_registry())
-    assert rdns.lookup(0) == "Rapid7"
+    assert rdns.get(0) == "Rapid7"
     # Registry order puts the shodan pattern ahead of census.
-    assert rdns.lookup(1) == "Shodan"
-    assert rdns.lookup(2) is None
+    assert rdns.get(1) == "Shodan"
+    assert rdns.get(2) is None
 
 
 def test_rdns_case_insensitive(tmp_path):
     path = tmp_path / "rdns.csv"
     path.write_text("1.2.3.4,Probe.SHODAN.io\n")
     rdns = RdnsTable.from_csv(path, default_scanner_registry())
-    assert rdns.lookup(ip_to_int("1.2.3.4")) == "Shodan"
+    assert rdns.get(ip_to_int("1.2.3.4")) == "Shodan"
 
 
 def test_an_rdns_table_keeps_the_projects_of_its_names():
@@ -115,8 +118,8 @@ def test_an_rdns_table_keeps_the_projects_of_its_names():
              ip_to_int("5.6.7.8"): "pirate.census.shodan.io",
              ip_to_int("9.9.9.9"): "plc.example.net"}
     rdns = RdnsTable.from_names(names, default_scanner_registry())
-    assert rdns.mapping == {ip_to_int("1.2.3.4"): "Rapid7", ip_to_int("5.6.7.8"): "Shodan"}
-    assert rdns.lookup(ip_to_int("9.9.9.9")) is None
+    assert rdns == {ip_to_int("1.2.3.4"): "Rapid7", ip_to_int("5.6.7.8"): "Shodan"}
+    assert rdns.get(ip_to_int("9.9.9.9")) is None
 
 
 def test_hp_subset_enforced(tmp_path):
@@ -144,18 +147,18 @@ def test_address_lists_name_the_bad_line(tmp_path):
 
 def test_classify_scanner_prefix(registry):
     reasons = classify(ip_to_int("203.0.113.5"), ip_to_int("10.0.0.1"), registry,
-                       RdnsTable.empty(), HoneypotSets.empty())
+                       RdnsTable(), HoneypotSets())
     assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
-    assert reasons == frozenset({Reason(SCANNER_PREFIX, "Shodan")})
+    assert reasons == frozenset({"scanner_prefix:Shodan"})
 
 
 def test_classify_hp_all_only_under_hp_ics_family(registry):
     hp = HoneypotSets(frozenset({ip_to_int("10.1.0.1")}), frozenset())
     reasons = classify(ip_to_int("10.1.0.1"), ip_to_int("10.2.0.2"), registry,
-                       RdnsTable.empty(), hp)
+                       RdnsTable(), hp)
     assert label_under(reasons, FILTER_FAMILIES["hp-ics"]) == INDUSTRIAL
     assert label_under(reasons, ALL_FILTERS) == NON_INDUSTRIAL
-    assert reasons == frozenset({Reason(HP_ALL)})
+    assert reasons == frozenset({HP_ALL})
 
 
 def test_classify_accumulates_reasons(registry):
@@ -163,16 +166,16 @@ def test_classify_accumulates_reasons(registry):
     rdns = RdnsTable.from_names({ip_to_int("10.1.0.1"): "a.shodan.io"}, registry)
     reasons = classify(ip_to_int("10.1.0.1"), ip_to_int("10.2.0.2"), registry, rdns, hp)
     assert reasons == frozenset(
-        {Reason(SCANNER_RDNS, "Shodan"), Reason(HP_ALL), Reason(HP_ICS)}
+        {"scanner_rdns:Shodan", HP_ALL, HP_ICS}
     )
 
 
 def test_classify_checks_both_endpoints(registry):
     hp = HoneypotSets(frozenset({ip_to_int("10.3.0.3")}), frozenset())
     as_src = classify(ip_to_int("10.3.0.3"), ip_to_int("10.4.0.4"), registry,
-                      RdnsTable.empty(), hp)
+                      RdnsTable(), hp)
     as_dst = classify(ip_to_int("10.4.0.4"), ip_to_int("10.3.0.3"), registry,
-                      RdnsTable.empty(), hp)
+                      RdnsTable(), hp)
     assert label_under(as_src, ALL_FILTERS) == label_under(as_dst, ALL_FILTERS) == NON_INDUSTRIAL
     assert as_src == as_dst
 
@@ -190,8 +193,8 @@ def test_label_reason_consistency(registry):
 
 
 def test_filter_report_shares():
-    counts = {("modbus", "request", frozenset({Reason(SCANNER_PREFIX, "Shodan")})): 80,
-              ("modbus", "request", frozenset()): 20}
+    counts = {("modbus", "request", family_flags(frozenset({"scanner_prefix:Shodan"}))): 80,
+              ("modbus", "request", family_flags(frozenset())): 20}
     report = filter_report(counts)
     modbus = next(r for r in report if r["protocol"] == "modbus")
     assert modbus["excl_scanners"] == pytest.approx(0.2)
@@ -204,19 +207,61 @@ def test_filter_report_shares():
 
 
 def test_filter_report_no_hits_everything_industrial():
-    report = filter_report({("dnp3", "reply", frozenset()): 10})
+    report = filter_report({("dnp3", "reply", family_flags(frozenset())): 10})
     row = next(r for r in report if r["protocol"] == "dnp3")
     assert row["excl_scanners"] == row["excl_hp_ics"] == row["excl_hp_all"] == 1.0
     assert row["request_share"] == 0.0
 
 
+def _reference_filter_report(counts) -> list[dict]:
+    """filter_report as it was over reason sets: counts maps (protocol,
+    direction, reasons) to packets, and each reason set is labelled under
+    each family here."""
+    groups = Counter()
+    for (protocol, packet_direction, reasons), n in counts.items():
+        industrial = tuple(label_under(reasons, family) == INDUSTRIAL
+                           for _, _, family in FAMILIES)
+        groups[(protocol, packet_direction, industrial)] += n
+    out = []
+    for protocol in ["total"] + sorted({protocol for protocol, _, _ in groups}):
+        subset = [(d, flags, n) for (p, d, flags), n in groups.items()
+                  if protocol == "total" or p == protocol]
+        total = sum(n for _, _, n in subset)
+        requests = sum(n for d, _, n in subset if d == "request")
+        replies = sum(n for d, _, n in subset if d == "reply")
+        row = {"protocol": protocol, "total_packets": total, "requests": requests,
+               "replies": replies,
+               "request_share": (requests / (requests + replies)) if requests + replies else None}
+        for index, (_, column, _) in enumerate(FAMILIES):
+            industrial = sum(n for _, flags, n in subset if flags[index])
+            row[column] = (industrial / total) if total else None
+            row[column + "_count"] = industrial
+        out.append(row)
+    return out
+
+
+_TAGS = [HP_ALL, HP_ICS, "scanner_prefix:Shodan", "scanner_prefix:Censys",
+         "scanner_rdns:Shodan", "scanner_rdns:Rapid7"]
+
+
+@given(st.dictionaries(st.tuples(st.sampled_from(["modbus", "dnp3", "s7comm"]),
+                                 st.sampled_from(["request", "reply", "unrelated"]),
+                                 st.frozensets(st.sampled_from(_TAGS))),
+                       st.integers(1, 1000), max_size=20))
+def test_filter_report_over_flags_equals_the_relabel_of_reason_sets(counts):
+    flagged = Counter()
+    for (protocol, packet_direction, reasons), n in counts.items():
+        flagged[(protocol, packet_direction, family_flags(reasons))] += n
+    assert filter_report(flagged) == _reference_filter_report(counts)
+
+
 def test_filter_family_monotonicity_spot():
     reasons_pool = [
         frozenset(),
-        frozenset({Reason(SCANNER_PREFIX, "Censys")}),
-        frozenset({Reason(HP_ALL)}),
-        frozenset({Reason(HP_ALL), Reason(HP_ICS)}),
-        frozenset({Reason(SCANNER_RDNS, "Rapid7"), Reason(HP_ALL)}),
+        frozenset({"scanner_prefix:Censys"}),
+        frozenset({HP_ALL}),
+        frozenset({HP_ALL, HP_ICS}),
+        frozenset({"scanner_rdns:Rapid7", HP_ALL}),
     ]
     rng = random.Random(11)
     rows = [rng.choice(reasons_pool) for _ in range(500)]

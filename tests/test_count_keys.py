@@ -1,6 +1,7 @@
 """count_keys, which computes each fact once per distinct address, reason
 set and day and joins them per key, against the loop it replaced, which
-classified and enriched every key from scratch."""
+classified and enriched every key from scratch and labelled its reasons
+under each filter family."""
 
 from collections import Counter
 from dataclasses import fields
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ics_scope.capture import CaptureMeta, int_to_ip, ip_to_int, parse_cidr
 from ics_scope.classify import (
+    FAMILIES,
     FILTER_FAMILIES,
     HP_ALL,
     HP_ICS,
@@ -19,7 +21,6 @@ from ics_scope.classify import (
     SCANNER_RDNS,
     HoneypotSets,
     RdnsTable,
-    Reason,
     ScannerRegistry,
     label_under,
 )
@@ -39,16 +40,16 @@ from ics_scope.sanitize import default_catalog
 def _reference_classify(src_ip, dst_ip, registry, rdns, honeypots):
     reasons = set()
     for ip in (src_ip, dst_ip):
-        project = registry.match_prefix(ip)
+        project = registry.prefixes.lookup(ip)
         if project:
-            reasons.add(Reason(SCANNER_PREFIX, project))
-        project = rdns.lookup(ip)
+            reasons.add(f"{SCANNER_PREFIX}:{project}")
+        project = rdns.get(ip)
         if project:
-            reasons.add(Reason(SCANNER_RDNS, project))
+            reasons.add(f"{SCANNER_RDNS}:{project}")
         if ip in honeypots.hp_all:
-            reasons.add(Reason(HP_ALL))
+            reasons.add(HP_ALL)
         if ip in honeypots.hp_ics:
-            reasons.add(Reason(HP_ICS))
+            reasons.add(HP_ICS)
     return frozenset(reasons)
 
 
@@ -88,7 +89,8 @@ def _reference_state(keys, source, config, inputs) -> CaptureState:
         reasons = _reference_classify(src_ip, dst_ip, inputs.scanner_registry, inputs.rdns,
                                       inputs.honeypots)
         label = label_under(reasons, active)
-        state.filter_counts[(protocol, packet_direction, reasons)] += n
+        flags = tuple(label_under(reasons, family) != INDUSTRIAL for _, _, family in FAMILIES)
+        state.filter_counts[(protocol, packet_direction, flags)] += n
         state.daily_counts[(vantage, protocol, day, label == INDUSTRIAL, sample_interval)] += n
         if config.stability_label == "all" or label == config.stability_label:
             state.stable_days[day].add(dst_ip)

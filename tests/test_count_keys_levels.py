@@ -2,8 +2,8 @@
 exact table (rDNS, honeypots) holds once per side it appears on, of every
 other address once per block and side, each transition and domestic status
 once per distinct (protocol, direction, source facts, destination facts,
-day), each date once per day, and every field as the per-key loop it
-replaced counts it."""
+day), each date once per day, each distinct facts tuple's reasons once per
+filter family, and every field as the per-key loop it replaced counts it."""
 
 from collections import Counter
 from dataclasses import fields
@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from ics_scope import pipeline
+from ics_scope import classify, pipeline
 from ics_scope.capture import _US_PER_DAY, CaptureMeta, ip_to_int
+from ics_scope.classify import FAMILIES
 from ics_scope.dissectors import REQUEST
 from ics_scope.pipeline import (
     STABILITY_LABELS,
@@ -72,6 +73,14 @@ def test_count_keys_joins_once_per_distinct_facts_and_day(monkeypatch, stability
     calls: dict[str, Counter] = {}
     for name in ("_address_facts", "transition", "is_domestic", "utc_day"):
         _counted(monkeypatch, name, calls)
+    labelled = Counter()  # label_under's calls per reason set
+    real_label_under = classify.label_under
+
+    def label_under(reasons, active):
+        labelled[reasons] += 1
+        return real_label_under(reasons, active)
+
+    monkeypatch.setattr(classify, "label_under", label_under)
     state = CaptureState()
     count_keys(state, keys, source.meta, config, _INPUTS)
     monkeypatch.undo()
@@ -84,7 +93,7 @@ def test_count_keys_joins_once_per_distinct_facts_and_day(monkeypatch, stability
              for protocol, direction, src, dst, day in keys}
     assert len(keys) == 12_010 and len(joins) == 13
 
-    exact = _INPUTS.rdns.mapping.keys() | _INPUTS.honeypots.hp_all | _INPUTS.honeypots.hp_ics
+    exact = _INPUTS.rdns.keys() | _INPUTS.honeypots.hp_all | _INPUTS.honeypots.hp_ics
 
     def block(ip):
         return ("address", ip) if ip in exact else ("block", ip >> _BLOCK_BITS)
@@ -96,6 +105,9 @@ def test_count_keys_joins_once_per_distinct_facts_and_day(monkeypatch, stability
     assert evaluated.total() == _EVALUATIONS
     assert calls["transition"].total() == calls["is_domestic"].total() == len(joins)
     assert calls["utc_day"] == Counter({(day * _US_PER_DAY,): 1 for day in _DAYS})
+    # Each distinct facts tuple's reasons are labelled once per family.
+    assert labelled == Counter([reasons for reasons, *_ in set(facts.values())]
+                               * len(FAMILIES))
 
     epoch = date(1970, 1, 1)
     dated = Counter({(*key[:4], epoch + timedelta(days=key[4])): n for key, n in keys.items()})

@@ -172,13 +172,11 @@ def _logged():
 
 
 def _fields(table):
-    if isinstance(table, tuple):  # _reference_prefix_table's
-        return table
+    """An LpmTable's fields; any other table (_reference_prefix_table's
+    tuple, an RdnsTable's dict, a HoneypotSets tuple) compares as it is."""
     if isinstance(table, LpmTable):
         return table._by_len, table._probes, table.overridden
-    if isinstance(table, RdnsTable):
-        return table.mapping
-    return table.hp_all, table.hp_ics
+    return table
 
 
 def _outcome(load, *paths):

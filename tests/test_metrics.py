@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ics_scope.capture import CaptureMeta, ip_to_int, utc_day
-from ics_scope.classify import filter_report
+from ics_scope.classify import family_flags, filter_report
 from ics_scope.dissectors import Dissection
 from ics_scope.metrics import (
     daily_series,
@@ -64,7 +64,7 @@ def test_extrapolate_linear(a, b, s):
 
 
 def _request_shares(rows):
-    report = filter_report(Counter((p, d, frozenset()) for p, d in rows))
+    report = filter_report(Counter((p, d, family_flags(frozenset())) for p, d in rows))
     return {row["protocol"]: row["request_share"] for row in report}
 
 

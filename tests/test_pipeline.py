@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ics_scope import pipeline
 from ics_scope.capture import (RECORD, CaptureError, CaptureMeta, int_to_ip, ip_to_int,
                              read_capture)
-from ics_scope.classify import default_scanner_registry
+from ics_scope.classify import FAMILIES, default_scanner_registry
 from ics_scope.cli import main
 from ics_scope.pipeline import (
     ChildError,
@@ -264,9 +264,10 @@ def test_each_record_looks_up_its_ports_at_most_twice(tmp_path, monkeypatch):
     per_record, state = _calls_per_record(monkeypatch, tmp_path, flows, _PortTable,
                                           "get", "__getitem__", "__contains__")
     assert len(per_record) == 36
-    assert state.filter_counts.keys() >= {("modbus", "request", frozenset()),
-                                          ("modbus", "reply", frozenset()),
-                                          ("s7comm", "unrelated", frozenset())}
+    industrial = (False,) * len(FAMILIES)
+    assert state.filter_counts.keys() >= {("modbus", "request", industrial),
+                                          ("modbus", "reply", industrial),
+                                          ("s7comm", "unrelated", industrial)}
     # A port's protocol is looked up once per port (the dissector dispatch)
     # and its membership tested at most once per port (the port-only test).
     assert max(c["get"] + c["__getitem__"] for c in per_record) <= 2, per_record
@@ -388,11 +389,11 @@ def _pad_tables(corpus, rows=3000):
 def _tables(inputs):
     """Every loaded table, field by field."""
     return {
-        "registry": (inputs.scanner_registry.projects, inputs.scanner_registry._prefixes._by_len,
-                     inputs.scanner_registry._prefixes._probes),
+        "registry": (inputs.scanner_registry.projects, inputs.scanner_registry.prefixes._by_len,
+                     inputs.scanner_registry.prefixes._probes),
         "hp_all": inputs.honeypots.hp_all,
         "hp_ics": inputs.honeypots.hp_ics,
-        "rdns": inputs.rdns.mapping,
+        "rdns": inputs.rdns,
         **{name: (table._by_len, table._probes)
            for name, table in (("asn_table", inputs.asn_table), ("geo", inputs.geo))},
         "cone": inputs.topology.cone,
@@ -492,7 +493,7 @@ def test_the_loaded_tables_take_at_most_their_pinned_memory(tmp_path, monkeypatc
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(inputs.rdns.mapping) >= 1500
+    assert len(inputs.rdns) >= 1500
     assert ran == ["column"] * (_LINE_TABLES + 1)  # the honeypot pair is two lists
     assert size <= _INPUTS_BYTES, size
 

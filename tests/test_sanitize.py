@@ -318,6 +318,24 @@ def test_default_catalog_loads_all_signatures():
     assert names == {"http", "tls", "ssh", "smtp", "dns", "ntp"}
 
 
+def test_the_catalog_files_each_signature_under_the_first_bytes_its_prefix_allows():
+    # The index as it was built with a case of its own for a full first mask byte.
+    catalog = default_catalog()
+    buckets = {}
+    for sig in catalog.signatures:
+        if not sig.prefix:
+            firsts = range(256)
+        elif sig.mask[0] == 0xFF:
+            firsts = (sig.prefix[0],)
+        else:
+            firsts = [b for b in range(256) if b & sig.mask[0] == sig.prefix[0] & sig.mask[0]]
+        for ip_proto in (TCP, UDP) if sig.ip_proto is None else (sig.ip_proto,):
+            for first in firsts:
+                buckets.setdefault((ip_proto, first), []).append(sig)
+    assert any(sig.prefix and sig.mask[0] == 0xFF for sig in catalog.signatures)
+    assert catalog._buckets == buckets
+
+
 def _linear_match(catalog, record):
     """The name the first signature in catalog order that matches gives."""
     if record.ip_proto not in (TCP, UDP) or not record.payload:

@@ -75,11 +75,11 @@ def test_sweep_is_request_only_and_scanner_labeled(tmp_path):
     registry = json.loads(corpus.sidecars["scanner_registry"].read_text())
     shodan = next(e for e in registry if e["project"] == "Shodan")
     assert shodan["prefixes"] == ["203.0.113.0/29"]
-    from ics_scope.classify import filter_report
+    from ics_scope.classify import family_flags, filter_report
 
     records = read_all(corpus.pcap, CaptureMeta("vp0"))[0]
-    report = filter_report(Counter((dissect(r).protocol, dissect(r).direction, frozenset())
-                                   for r in records))
+    report = filter_report(Counter((dissect(r).protocol, dissect(r).direction,
+                                    family_flags(frozenset())) for r in records))
     assert next(row for row in report if row["protocol"] == "bacnet")["request_share"] == 1.0
     # Destination coverage: every host of the /26 shows up.
     assert len({r.dst_ip for r in records}) == 62

@@ -1,13 +1,15 @@
-"""The value types built per record, per candidate and per key are immutable
-values: a field cannot be assigned, a pickle round trip gives an equal value,
-and _replace changes the named field alone."""
+"""The value types built per record and per candidate are immutable values:
+a field cannot be assigned, a pickle round trip gives an equal value, and
+_replace changes the named field alone. An address's classify reasons are
+immutable strings, the tags the ground truth writes."""
 
 import pickle
 
 import pytest
 
-from ics_scope.capture import TCP, PacketRecord
-from ics_scope.classify import HP_ALL, HP_ICS, SCANNER_PREFIX, SCANNER_RDNS, Reason
+from ics_scope.capture import TCP, PacketRecord, ip_to_int
+from ics_scope.classify import (HoneypotSets, RdnsTable, ScannerRegistry, endpoint_reasons,
+                                reason_tags)
 from ics_scope.dissectors import MODBUS, NORMAL, REQUEST, UNRELATED, WELL_FORMED, Dissection
 
 VALUES = {
@@ -15,7 +17,6 @@ VALUES = {
                             b"\x00\x01\x00\x00\x00\x06\x01\x03", 12), "dst_port", 503),
     "dissection": (Dissection(MODBUS, NORMAL, REQUEST, 3, WELL_FORMED, REQUEST), "direction",
                    UNRELATED),
-    "reason": (Reason(SCANNER_PREFIX, "Shodan"), "project", "Censys"),
 }
 
 
@@ -34,10 +35,12 @@ def test_value_is_frozen_and_pickles(name):
 
 
 def test_reasons_sort_by_kind_then_project_and_tag():
-    reasons = [Reason(SCANNER_RDNS, "Shodan"), Reason(HP_ICS), Reason(SCANNER_PREFIX, "Shodan"),
-               Reason(HP_ALL), Reason(SCANNER_PREFIX, "Censys")]
-    assert sorted(reasons) == [Reason(HP_ALL), Reason(HP_ICS), Reason(SCANNER_PREFIX, "Censys"),
-                               Reason(SCANNER_PREFIX, "Shodan"), Reason(SCANNER_RDNS, "Shodan")]
-    assert [reason.tag() for reason in sorted(reasons)] == [
-        "hp_all", "hp_ics", "scanner_prefix:Censys", "scanner_prefix:Shodan",
-        "scanner_rdns:Shodan"]
+    ip = ip_to_int("203.0.113.5")
+    registry = ScannerRegistry.from_entries([{"project": "Censys", "prefixes": ["203.0.113.0/24"]},
+                                             {"project": "Shodan", "rdns_patterns": ["shodan"]}])
+    reasons = endpoint_reasons(ip, registry, RdnsTable({ip: "Shodan"}),
+                               HoneypotSets(frozenset({ip}), frozenset({ip})))
+    assert type(reasons) is frozenset and {type(reason) for reason in reasons} == {str}
+    assert pickle.loads(pickle.dumps(reasons)) == reasons
+    assert sorted(reasons) == ["hp_all", "hp_ics", "scanner_prefix:Censys", "scanner_rdns:Shodan"]
+    assert reason_tags("Censys", "Shodan", True, True) == tuple(sorted(reasons))
